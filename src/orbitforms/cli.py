@@ -127,7 +127,15 @@ def _spectrum_payload(config: RunConfig) -> bytes:
 
     vector = None
     if config.get("f"):
-        vector = tuple(int(v) for v in str(config.get("f")).split(","))
+        text = str(config.get("f"))
+        try:
+            vector = tuple(int(v) for v in text.split(","))
+        except ValueError:
+            raise DomainError(
+                f"--f must be comma-separated integers, got {text!r}") from None
+        if len(vector) != bundle.d:
+            raise DomainError(f"--f needs {bundle.d} grades for {family}, "
+                              f"got {len(vector)}")
 
     if family == "bc1_qes":
         record = qes_spectrum(bundle)

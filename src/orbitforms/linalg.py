@@ -3,7 +3,9 @@
 Matrices are plain lists of lists of Fractions.  Provides reduced row
 echelon form, nullspaces, linear solves, determinants by fraction-free
 (Bareiss) elimination, and characteristic polynomials by the division-free
-Berkowitz algorithm run over integers after clearing denominators.
+Berkowitz algorithm run over integers after clearing denominators.  For
+matrices that are triangular up to a permutation of the indices it finds
+that order and the kernels of a - cI by back-substitution along it.
 """
 
 from __future__ import annotations
@@ -22,17 +24,6 @@ ONE = Fraction(1)
 
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_scalar(a: Matrix, c: Fraction) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def shift_diagonal(a: Matrix, c: Fraction) -> Matrix:
@@ -81,6 +72,71 @@ def nullspace(a: Matrix) -> list[Vector]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def triangular_order(a: Matrix) -> list[int] | None:
+    """An order of the indices in which `a` is lower triangular, or None.
+
+    This is a topological order of the off-diagonal graph (edge j -> i when
+    a[i][j] != 0): row i has off-diagonal entries only in columns that come
+    before i.  None means the graph has a cycle, so no such order exists.
+    """
+    n = len(a)
+    later = [[i for i in range(n) if i != j and a[i][j]] for j in range(n)]
+    waiting = [sum(1 for j in range(n) if j != i and a[i][j]) for i in range(n)]
+    ready = [i for i in range(n) if not waiting[i]]
+    order: list[int] = []
+    while ready:
+        j = ready.pop()
+        order.append(j)
+        for i in later[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                ready.append(i)
+    return order if len(order) == n else None
+
+
+def triangular_nullspace(a: Matrix, order: Sequence[int], c: Fraction) -> list[Vector]:
+    """nullspace(shift_diagonal(a, c)) by back-substitution along `order`,
+    an order in which `a` is triangular (see triangular_order).
+
+    Walking the order, row i fixes x_i when a[i][i] != c.  Otherwise x_i is
+    a new free parameter, and the rest of row i is a linear constraint on
+    the parameters met before it.  The solutions are then reduced to the
+    basis nullspace returns: vector k is 1 at its free column f_k, 0 at the
+    other free columns and 0 beyond f_k.
+    """
+    n = len(a)
+    x: list[dict[int, Fraction]] = [{} for _ in range(n)]   # parameter -> coefficient
+    constraints: list[dict[int, Fraction]] = []
+    params = 0
+    for i in order:
+        acc: dict[int, Fraction] = {}
+        for j, aij in enumerate(a[i]):
+            if aij and j != i and x[j]:
+                for p, coeff in x[j].items():
+                    acc[p] = acc.get(p, ZERO) + aij * coeff
+        acc = {p: v for p, v in acc.items() if v}
+        pivot = a[i][i] - c
+        if pivot:
+            x[i] = {p: -v / pivot for p, v in acc.items()}
+        else:
+            if acc:
+                constraints.append(acc)
+            x[i] = {params: ONE}
+            params += 1
+    if not params:
+        return []
+    if constraints:
+        solutions = nullspace([[con.get(p, ZERO) for p in range(params)]
+                               for con in constraints])
+    else:
+        solutions = identity(params)
+    # rref of the reversed vectors puts each vector's last nonzero entry first
+    vectors = [[sum((coeff * t[p] for p, coeff in x[i].items()), ZERO)
+                for i in reversed(range(n))] for t in solutions]
+    red, pivots = rref(vectors)
+    return [row[::-1] for row in reversed(red[:len(pivots)])]
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -191,6 +247,3 @@ def poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:
         coeffs = new
     return coeffs
 
-
-def mat_fraction(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]

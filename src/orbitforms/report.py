@@ -89,7 +89,11 @@ class RunConfig:
                     raise DomainError(f"bad value for {key!r}: {raw!r}") from exc
         for key in ("nu", "nu2", "nu3", "mu", "b", "a", "omega", "beta"):
             if key in clean:
-                Fraction(clean[key])   # must round-trip exactly
+                try:
+                    Fraction(clean[key])   # must round-trip exactly
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise DomainError(
+                        f"bad rational for {key!r}: {clean[key]!r}") from exc
         return cls(clean)
 
     def get(self, key: str, default=None):

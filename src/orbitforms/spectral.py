@@ -1,14 +1,20 @@
 """Exact spectra of flag-restricted operators and related special functions.
 
-The headline check is exact: the characteristic polynomial of the restricted
-matrix (division-free Berkowitz over cleared denominators) must equal the
-monic product of the closed-form eigenvalues over the flag basis.  Kernels of
-(M - eps I) deliver the eigenpolynomials; a high-precision numeric
+The headline check is exact.  The restricted matrix of every exactly
+solvable family is triangular in the dominance order of its monomials, so
+the engine finds such an order (a topological order of the off-diagonal
+graph) and requires the diagonal to equal the closed-form eigenvalue
+multiset; for a triangular matrix this is the identity charpoly(M) ==
+prod_p (lambda - eps_p).  Kernels of (M - eps I), the eigenpolynomials,
+come by back-substitution along that order.  A matrix with no such order
+falls back to the general path: the division-free Berkowitz characteristic
+polynomial and one rref per eigenvalue.  A high-precision numeric
 diagonalization cross-checks the multiset on demand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -62,9 +68,12 @@ def _to_mp_matrix(rows: Sequence[Sequence[Fraction]]) -> mpmath.matrix:
 
 
 def numeric_eigenvalues(rows: Sequence[Sequence[Fraction]], dps: int = 60) -> list:
+    """Eigenvalues only, at `dps` digits; no eigenvectors are built."""
     with mp.workdps(dps):
         m = _to_mp_matrix(rows)
-        values, _ = mpmath.eig(m)
+        if len(rows) == 1:   # mpmath.eig returns a tuple for 1x1 whatever it is asked
+            return [mpmath.mpc(m[0, 0])]
+        values = mpmath.eig(m, left=False, right=False)
         return [mpmath.mpc(v) for v in values]
 
 
@@ -73,10 +82,10 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
              numeric_dps: int = 60, numeric_tol: str = "1e-30") -> SpectrumRecord:
     """Exact spectrum of the model on its level-n flag.
 
-    Verifies that the closed-form eigenvalue multiset matches the restricted
-    matrix exactly (characteristic polynomial identity), extracts exact
-    kernel eigenpolynomials, and optionally cross-checks the multiset against
-    a >= 50 digit numeric diagonalization.
+    Verifies that the closed-form eigenvalue multiset is the exact spectrum
+    of the restricted matrix, extracts exact kernel eigenpolynomials, and
+    optionally cross-checks the multiset against a >= 50 digit numeric
+    diagonalization.
     """
     if model.eigenvalue is None:
         raise UnsupportedModel("use qes_spectrum for QES families")
@@ -86,17 +95,26 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
     for mono in space.basis:
         val = eigenvalue_formula(model, mono)
         predicted.setdefault(val, []).append(mono)
-
-    # Exact identity: charpoly(M) == prod_p (lambda - eps_p).
-    action = matrix.action_matrix()
-    cp = linalg.charpoly(action)
     roots: list[Fraction] = []
     for val, monos in predicted.items():
         roots.extend([val] * len(monos))
-    expected = linalg.poly_from_roots(sorted(roots))
-    if cp != expected:
-        offenders = [str(v) for v in sorted(predicted)
-                     if linalg.poly_eval(cp, v) != 0]
+
+    # Exact identity: charpoly(M) == prod_p (lambda - eps_p).  When M is
+    # triangular in some order, charpoly(M) is the product over its diagonal.
+    action = matrix.action_matrix()
+    order = linalg.triangular_order(action)
+    if order is not None:
+        diagonal = Counter(action[i][i] for i in range(len(action)))
+        exact = diagonal == Counter(roots)
+        on_spectrum = diagonal.__contains__
+    else:
+        cp = linalg.charpoly(action)
+        exact = cp == linalg.poly_from_roots(sorted(roots))
+
+        def on_spectrum(v):
+            return linalg.poly_eval(cp, v) == 0
+    if not exact:
+        offenders = [str(v) for v in sorted(predicted) if not on_spectrum(v)]
         bad = offenders[0] if offenders else "multiplicity mismatch"
         raise FormulaMismatch(
             f"{model.spec.family}: predicted eigenvalue set is not the exact "
@@ -110,8 +128,10 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
         kernel_polys: tuple[MultiPoly, ...] = ()
         kdim = len(monos)
         if with_vectors:
-            shifted = linalg.shift_diagonal(action, val)
-            basis_vecs = linalg.nullspace(shifted)
+            if order is not None:
+                basis_vecs = linalg.triangular_nullspace(action, order, val)
+            else:
+                basis_vecs = linalg.nullspace(linalg.shift_diagonal(action, val))
             if not basis_vecs:
                 raise InconsistencyError(
                     f"empty kernel for verified eigenvalue {val}")
@@ -164,7 +184,6 @@ class QesSpectrumRecord:
     n: int
     matrix: ExactMatrix
     eigenvalues: tuple            # mpf values, ascending
-    eigenpolynomials: tuple       # MultiPoly with mpf coefficients unsupported -> coefficient tuples
     max_imag: object
     trace_gap: object
 
@@ -183,20 +202,16 @@ def qes_spectrum(model: ModelBundle, n: int | None = None, *,
     space = model.flag(level)
     matrix = restrict_to_flag(model.h, space)
     action = matrix.action_matrix()
+    values = numeric_eigenvalues(action, dps)
     with mp.workdps(dps):
-        values, vectors = mpmath.eig(_to_mp_matrix(action))
         order = sorted(range(len(values)), key=lambda i: mpmath.mpf(values[i].real))
         max_imag = max((abs(values[i].imag) for i in order), default=mp.mpf(0))
         eigvals = tuple(values[i].real for i in order)
-        polys = []
-        for i in order:
-            col = [vectors[r, i] for r in range(len(eigvals))]
-            polys.append(tuple(col))
         exact_trace = matrix.trace()
         trace_gap = abs(sum(eigvals) - mpmath.mpf(exact_trace.numerator)
                         / exact_trace.denominator)
     return QesSpectrumRecord(model.spec.family, level, matrix, eigvals,
-                             tuple(polys), max_imag, trace_gap)
+                             max_imag, trace_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -197,3 +197,24 @@ def test_cli_include_timings_flag():
     assert res.returncode == 0
     body = json.loads(res.stdout)
     assert all("timing_ms" in c for c in body["checks"])
+
+
+def _one_line_error(res):
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
+
+
+def test_cli_zero_denominator_exit_2():
+    _one_line_error(run_cli("spectrum", "--model", "bc1", "--nu2", "1/0",
+                            "--nu3", "1", "--n", "2"))
+
+
+def test_cli_non_integer_char_vector_exit_2():
+    _one_line_error(run_cli("spectrum", "--model", "g2", "--nu", "1", "--mu", "1",
+                            "--n", "2", "--f", "a,b"))
+
+
+def test_cli_char_vector_length_exit_2():
+    _one_line_error(run_cli("spectrum", "--model", "g2", "--nu", "1", "--mu", "1",
+                            "--n", "2", "--f", "1"))

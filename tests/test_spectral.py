@@ -1,13 +1,19 @@
 """Exact spectra, QES spectra, Jacobi references, orthogonality."""
 
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitforms.diffop import apply
+from orbitforms import linalg
+from orbitforms.cli import main
+from orbitforms.diffop import DiffOp, apply, restrict_to_flag
 from orbitforms.errors import (DomainError, FormulaMismatch, UnsupportedModel)
-from orbitforms.models import (build_bc1, build_bc1_qes, build_g2,
+from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
 from orbitforms.spectral import (jacobi_reference, orthogonality_check,
@@ -59,12 +65,12 @@ def test_spectrum_dim_counts():
 
 
 def test_formula_mismatch_detection():
-    import dataclasses
     bundle = build_bc1(Fraction(1, 3), Fraction(2, 7))
     broken = dataclasses.replace(
         bundle, eigenvalue=lambda p: Fraction(p[0] * p[0] + 1))
-    with pytest.raises(FormulaMismatch):
+    with pytest.raises(FormulaMismatch) as exc:
         spectrum(broken, 3, numeric_check=False)
+    assert exc.value.quantum_index == "1"
 
 
 def test_spectrum_rejects_qes():
@@ -155,7 +161,6 @@ def test_orthogonality_rejects_nonintegrable():
 
 
 def test_restricted_matrices_block_triangular():
-    from orbitforms.diffop import restrict_to_flag
     jobs = [(build_bc1(Fraction(1, 3), Fraction(1, 5)), 5),
             (build_sutherland(3, Fraction(1, 2)), 3),
             (build_g2(Fraction(1, 2), Fraction(1, 3)), 5)]
@@ -174,3 +179,105 @@ def test_g2_spectrum_on_alternative_gradings():
 def test_large_model_spectra_numeric():
     rec = spectrum(build_sutherland(5, Fraction(1, 3)), 2, numeric_check=True)
     assert rec.dim == 15
+
+
+# -- triangular engine against the general path ----------------------------------
+
+TRIANGULAR_CASES = {
+    "bc1 n=6": (lambda p: build_bc1(p[0], p[1]), 6, None),
+    "sutherland N=3 n=3": (lambda p: build_sutherland(3, p[0]), 3, None),
+    "sutherland N=4 n=2": (lambda p: build_sutherland(4, p[0]), 2, None),
+    "bcn N=2 n=3": (lambda p: build_bcn(2, *p), 3, None),
+    "bcn N=3 n=2": (lambda p: build_bcn(3, *p), 2, None),
+    "g2 n=5": (lambda p: build_g2(p[0], p[1]), 5, None),
+    "g2 f=(3,5) n=10": (lambda p: build_g2(p[0], p[1]), 10, (3, 5)),
+}
+# small numerators and zero make eigenvalues collide, degenerate or defective
+rationals = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(TRIANGULAR_CASES)),
+       params=st.tuples(rationals, rationals, rationals))
+def test_triangular_engine_matches_general_path(case, params):
+    build, n, vector = TRIANGULAR_CASES[case]
+    bundle = build(params)
+    action = restrict_to_flag(bundle.h, bundle.flag(n, vector)).action_matrix()
+    order = linalg.triangular_order(action)
+    assert order is not None
+    position = {i: k for k, i in enumerate(order)}
+    assert all(position[j] < position[i] for i, row in enumerate(action)
+               for j, x in enumerate(row) if x and i != j)
+    diagonal = [action[i][i] for i in range(len(action))]
+    assert linalg.charpoly(action) == linalg.poly_from_roots(diagonal)
+    for c in set(diagonal):
+        assert (linalg.triangular_nullspace(action, order, c)
+                == linalg.nullspace(linalg.shift_diagonal(action, c)))
+
+
+def test_cyclic_matrix_takes_the_general_path(monkeypatch):
+    F = Fraction
+    assert linalg.triangular_order([[F(2), F(1)], [F(1), F(2)]]) is None
+    # (1 - t^2) d/dt + 2 + t maps 1 -> 2 + t and t -> 1 + 2t on P_1
+    h = DiffOp(1, {(1,): 1 - t * t, (0,): 2 + t})
+    bundle = dataclasses.replace(build_bc1(0, 0), h=h,
+                                 eigenvalue=lambda p: F(2 * p[0] + 1))
+    calls = []
+    charpoly = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly",
+                        lambda a: calls.append(a) or charpoly(a))
+    rec = spectrum(bundle, 1, numeric_check=True)
+    assert calls == [[[F(2), F(1)], [F(1), F(2)]]]
+    assert [e.eigenvalue for e in rec.entries] == [1, 3]
+    assert [e.eigenpolynomials for e in rec.entries] == [(t - 1,), (t + 1,)]
+    wrong = dataclasses.replace(bundle, eigenvalue=lambda p: F(2 * p[0] + 2))
+    with pytest.raises(FormulaMismatch) as exc:
+        spectrum(wrong, 1, numeric_check=False)
+    assert exc.value.quantum_index == "2"
+
+
+# -- golden report bytes -------------------------------------------------------------
+
+# Degenerate (nu = 0) and defective (negative parameters) points, a 1x1
+# flag, every family and the largest g2 level the suites ship.
+GOLDEN_SPECTRUM_QUERIES = [
+    ["--model", "bc1", "--nu2", "1/3", "--nu3", "2/5", "--n", "0"],
+    ["--model", "bc1", "--nu2", "0", "--nu3", "0", "--n", "6"],
+    ["--model", "bc1", "--nu2", "1/3", "--nu3", "2/5", "--n", "8"],
+    ["--model", "bc1", "--nu2=-1", "--nu3=-1", "--n", "5", "--no-numeric-check"],
+    ["--model", "bc1_qes", "--nu2", "1/3", "--nu3", "1/5", "--b", "2/3", "--n", "0"],
+    ["--model", "bc1_qes", "--nu2", "1/3", "--nu3", "1/5", "--b", "2/3", "--n", "4"],
+    ["--model", "sutherland", "--N", "3", "--nu", "0", "--n", "3"],
+    ["--model", "sutherland", "--N", "4", "--nu", "0", "--n", "2"],
+    ["--model", "sutherland", "--N", "4", "--nu", "1/2", "--n", "3"],
+    ["--model", "sutherland", "--N", "3", "--nu=-1/2", "--n", "3", "--no-numeric-check"],
+    ["--model", "sutherland", "--N", "3", "--nu", "1/2", "--n", "3", "--format", "csv"],
+    ["--model", "bcn", "--N", "2", "--nu", "0", "--nu2", "0", "--nu3", "0", "--n", "3"],
+    ["--model", "bcn", "--N", "3", "--nu", "0", "--nu2", "1/3", "--nu3", "1/5", "--n", "2"],
+    ["--model", "bcn", "--N", "2", "--nu", "1/2", "--nu2", "1/3", "--nu3", "1/5", "--n", "4"],
+    ["--model", "g2", "--nu", "0", "--mu", "0", "--n", "6"],
+    ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "10", "--no-numeric-check"],
+    ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "10", "--f", "3,5"],
+    ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "12", "--f", "5,9"],
+]
+GOLDEN_SPECTRUM_SHA256 = "b4f9dacbf64e879ca26e1db349b5c4eef75367c5baf78ad3e64771145a84b10e"
+GOLDEN_SPECTRAL_SUITE_SHA256 = "a6dc5e7c67f37f0313627032c9b706052509a9ec76f94ea3ce127a8c3489a6e1"
+
+
+def golden_digests(out) -> tuple[str, str]:
+    """sha256 of the concatenated spectrum reports and of the spectral suite
+    report, each written with --out to the file `out`."""
+    def report(argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+    spectra = hashlib.sha256()
+    for query in GOLDEN_SPECTRUM_QUERIES:
+        spectra.update(report(["spectrum", *query]))
+    suite = report(["verify", "--suite", "spectral", "--seed", "1"])
+    return spectra.hexdigest(), hashlib.sha256(suite).hexdigest()
+
+
+def test_reports_match_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    assert golden_digests(tmp_path / "report") == (
+        GOLDEN_SPECTRUM_SHA256, GOLDEN_SPECTRAL_SUITE_SHA256)
