@@ -7,8 +7,7 @@ graph) and requires the diagonal to equal the closed-form eigenvalue
 multiset; for a triangular matrix this is the identity charpoly(M) ==
 prod_p (lambda - eps_p).  Kernels of (M - eps I), the eigenpolynomials,
 come by back-substitution along that order.  A matrix with no such order
-falls back to the general path: the division-free Berkowitz characteristic
-polynomial and one rref per eigenvalue.  A high-precision numeric
+is refused with UnsupportedModel.  A high-precision numeric
 diagonalization cross-checks the multiset on demand.
 """
 
@@ -99,22 +98,18 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
     for val, monos in predicted.items():
         roots.extend([val] * len(monos))
 
-    # Exact identity: charpoly(M) == prod_p (lambda - eps_p).  When M is
-    # triangular in some order, charpoly(M) is the product over its diagonal.
+    # Exact identity: charpoly(M) == prod_p (lambda - eps_p).  M is
+    # triangular in the dominance order, so charpoly(M) is the product over
+    # its diagonal.
     action = matrix.action_matrix()
     order = linalg.triangular_order(action)
-    if order is not None:
-        diagonal = Counter(action[i][i] for i in range(len(action)))
-        exact = diagonal == Counter(roots)
-        on_spectrum = diagonal.__contains__
-    else:
-        cp = linalg.charpoly(action)
-        exact = cp == linalg.poly_from_roots(sorted(roots))
-
-        def on_spectrum(v):
-            return linalg.poly_eval(cp, v) == 0
-    if not exact:
-        offenders = [str(v) for v in sorted(predicted) if not on_spectrum(v)]
+    if order is None:
+        raise UnsupportedModel(
+            f"{model.spec.family}: restricted matrix at n={n} has no dominance "
+            f"order (its off-diagonal graph has a cycle)")
+    diagonal = Counter(action[i][i] for i in range(len(action)))
+    if diagonal != Counter(roots):
+        offenders = [str(v) for v in sorted(predicted) if v not in diagonal]
         bad = offenders[0] if offenders else "multiplicity mismatch"
         raise FormulaMismatch(
             f"{model.spec.family}: predicted eigenvalue set is not the exact "
@@ -128,10 +123,7 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
         kernel_polys: tuple[MultiPoly, ...] = ()
         kdim = len(monos)
         if with_vectors:
-            if order is not None:
-                basis_vecs = linalg.triangular_nullspace(action, order, val)
-            else:
-                basis_vecs = linalg.nullspace(linalg.shift_diagonal(action, val))
+            basis_vecs = linalg.triangular_nullspace(action, order, val)
             if not basis_vecs:
                 raise InconsistencyError(
                     f"empty kernel for verified eigenvalue {val}")

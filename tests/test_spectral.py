@@ -181,7 +181,7 @@ def test_large_model_spectra_numeric():
     assert rec.dim == 15
 
 
-# -- triangular engine against the general path ----------------------------------
+# -- triangular engine against charpoly and rref -----------------------------------
 
 TRIANGULAR_CASES = {
     "bc1 n=6": (lambda p: build_bc1(p[0], p[1]), 6, None),
@@ -199,7 +199,7 @@ rationals = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(sorted(TRIANGULAR_CASES)),
        params=st.tuples(rationals, rationals, rationals))
-def test_triangular_engine_matches_general_path(case, params):
+def test_triangular_engine_matches_charpoly_and_rref(case, params):
     build, n, vector = TRIANGULAR_CASES[case]
     bundle = build(params)
     action = restrict_to_flag(bundle.h, bundle.flag(n, vector)).action_matrix()
@@ -215,25 +215,16 @@ def test_triangular_engine_matches_general_path(case, params):
                 == linalg.nullspace(linalg.shift_diagonal(action, c)))
 
 
-def test_cyclic_matrix_takes_the_general_path(monkeypatch):
+def test_cyclic_matrix_is_refused():
     F = Fraction
     assert linalg.triangular_order([[F(2), F(1)], [F(1), F(2)]]) is None
-    # (1 - t^2) d/dt + 2 + t maps 1 -> 2 + t and t -> 1 + 2t on P_1
+    # (1 - t^2) d/dt + 2 + t maps 1 -> 2 + t and t -> 1 + 2t on P_1: the
+    # spectrum {1, 3} is right, but no order makes the matrix triangular
     h = DiffOp(1, {(1,): 1 - t * t, (0,): 2 + t})
     bundle = dataclasses.replace(build_bc1(0, 0), h=h,
                                  eigenvalue=lambda p: F(2 * p[0] + 1))
-    calls = []
-    charpoly = linalg.charpoly
-    monkeypatch.setattr(linalg, "charpoly",
-                        lambda a: calls.append(a) or charpoly(a))
-    rec = spectrum(bundle, 1, numeric_check=True)
-    assert calls == [[[F(2), F(1)], [F(1), F(2)]]]
-    assert [e.eigenvalue for e in rec.entries] == [1, 3]
-    assert [e.eigenpolynomials for e in rec.entries] == [(t - 1,), (t + 1,)]
-    wrong = dataclasses.replace(bundle, eigenvalue=lambda p: F(2 * p[0] + 2))
-    with pytest.raises(FormulaMismatch) as exc:
-        spectrum(wrong, 1, numeric_check=False)
-    assert exc.value.quantum_index == "2"
+    with pytest.raises(UnsupportedModel, match="no dominance order"):
+        spectrum(bundle, 1, numeric_check=False)
 
 
 # -- golden report bytes -------------------------------------------------------------
