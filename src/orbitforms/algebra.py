@@ -429,11 +429,6 @@ class FitResult:
     def ok(self) -> bool:
         return self.residual.is_zero()
 
-    def as_word(self) -> GeneratorWord:
-        terms = [(c, names) for names, c in self.coefficients if names]
-        const = next((c for names, c in self.coefficients if not names), ZERO)
-        return GeneratorWord(tuple(terms), const)
-
 
 def _vectorize(op: DiffOp) -> dict[tuple[Exponents, Exponents], Fraction]:
     vec: dict[tuple[Exponents, Exponents], Fraction] = {}

@@ -75,20 +75,8 @@ class ResidualStats:
 
 
 # ---------------------------------------------------------------------------
-# Cartesian dimension, invariants, ground factors, potentials
+# Invariants, ground factors, potentials
 # ---------------------------------------------------------------------------
-
-def cartesian_dim(spec: ModelSpec) -> int:
-    if spec.family in ("BC1", "BC1_QES"):
-        return 1
-    if spec.family == "SUTHERLAND":
-        return spec.N
-    if spec.family == "BCN":
-        return spec.N
-    if spec.family == "G2":
-        return 3
-    raise UnsupportedModel(f"no Cartesian realization for {spec.family}")
-
 
 def _relative(x: Sequence) -> list:
     center = sum(x, mp.mpf(0)) / len(x)

@@ -138,7 +138,11 @@ def _spectrum_payload(config: RunConfig) -> bytes:
                               f"got {len(vector)}")
 
     if family == "bc1_qes":
+        if vector not in (None, (1,)):
+            raise DomainError(f"bc1_qes has the single grade 1, got --f {vector[0]}")
         record = qes_spectrum(bundle)
+        if config.get("format") == "csv":
+            return _spectrum_csv((str(val), 1, "") for val in record.eigenvalues)
         entries = [{
             "eigenvalue_numeric": str(val),
             "quantum_index": None,
@@ -182,14 +186,20 @@ def _spectrum_payload(config: RunConfig) -> bytes:
         "entries": entries,
     }
     if config.get("format") == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["eigenvalue", "multiplicity", "quantum_indices"])
-        for e in record.entries:
-            writer.writerow([str(e.eigenvalue), e.multiplicity,
-                             ";".join(str(tuple(p)) for p in e.quantum_indices)])
-        return buf.getvalue().encode()
+        return _spectrum_csv(
+            (str(e.eigenvalue), e.multiplicity,
+             ";".join(str(tuple(p)) for p in e.quantum_indices))
+            for e in record.entries)
     return json.dumps(body, sort_keys=True, indent=1).encode()
+
+
+def _spectrum_csv(rows) -> bytes:
+    """One (eigenvalue, multiplicity, quantum_indices) row per eigenvalue."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["eigenvalue", "multiplicity", "quantum_indices"])
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 def _table_payload(config: RunConfig) -> bytes:

@@ -3,7 +3,9 @@
 An operator is a finite sum  sum_k  C_k(tau) * d^k  over derivative
 multi-indices k = (k_1,...,k_d), stored sparsely.  Application, composition
 (exact Leibniz expansion), commutators, gauge conjugation by a ground-state
-factor, and exact restriction to flag spaces are provided.
+factor, and exact restriction to flag spaces are provided.  Restriction is
+the one loop that images each flag monomial; the flag-preservation test reads
+its witness.
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -320,10 +322,6 @@ class GaugeFactor:
             nums.append(n)
         return nums, d
 
-    def log_gradient(self, i: int) -> RationalFn:
-        nums, den = self.log_gradient_over_common()
-        return RationalFn(nums[i], den)
-
     def __repr__(self):
         parts = [f"({b.as_string()})^({e})" for b, e in self.factors]
         if not self.exp_arg.is_zero():
@@ -436,11 +434,6 @@ class ExactMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, input_mono: Exponents, output_mono: Exponents) -> Fraction:
-        i = self.space.index[tuple(input_mono)]
-        j = self.space.index[tuple(output_mono)]
-        return self.rows[i][j]
-
     def action_matrix(self) -> Matrix:
         """Column-action matrix M with op(basis_j) = sum_i M[i][j] basis_i."""
         return [list(col) for col in zip(*self.rows)]
@@ -481,15 +474,11 @@ def restrict_to_flag(op: DiffOp, space: FlagSpace) -> ExactMatrix:
 def preserves_flag(op: DiffOp, space: FlagSpace):
     """True iff op(m) stays in the space for every basis monomial.
 
-    Returns (True, None) or (False, (input_monomial, offending_monomial)).
+    Returns (True, None) or (False, (input_monomial, offending_monomial)),
+    the witness of the FlagViolation raised by restrict_to_flag.
     """
-    if not op.polynomial:
-        raise DomainError("flag check requires polynomial coefficients")
-    if op.nvars != space.d:
-        raise DimensionMismatch("operator/flag variable counts differ")
-    for mono in space.basis:
-        image = apply(op, MultiPoly.monomial(space.d, mono))
-        for e in image.terms:
-            if not space.contains(e):
-                return False, (mono, e)
+    try:
+        restrict_to_flag(op, space)
+    except FlagViolation as exc:
+        return False, (exc.input_monomial, exc.output_monomial)
     return True, None

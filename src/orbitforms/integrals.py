@@ -3,18 +3,23 @@
 With the graded Euler operator J0 = sum_i f_i tau_i d_i - n, the product
 prod_{j=0..n} (J0 + j) is an operator of order n+1 that annihilates every
 monomial of f-degree at most n: on a monomial of f-degree s it acts as the
-scalar prod_j (s - n + j).  Its commutator with any flag-preserving model
-operator therefore kills the level-n flag space.
+scalar prod_j (s - n + j).  On a flag basis the integral is therefore the
+diagonal matrix diag(s), and for a model operator h with flag matrix
+M = restrict_to_flag(h, space) the commutator is the matrix identity
+[h, ip] m_i = sum_j M_ij (s_i - s_j) m_j.  The annihilation check reads
+[M, diag(s)] = 0 off that matrix; the expanded operator of order n+1 is
+built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .diffop import DiffOp, apply, commutator, compose
+from .diffop import DiffOp, compose, restrict_to_flag
 from .errors import DomainError
 from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, fdegree,
                    validate_char_vector)
@@ -22,13 +27,21 @@ from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, fdegree,
 
 @dataclass(frozen=True)
 class PiIntegral:
-    """Expanded particular integral of zero grading at level n."""
+    """Particular integral of zero grading at level n."""
 
     f: CharVector
     d: int
     n: int
     euler: DiffOp       # J0 = sum f_i tau_i d_i - n
-    expanded: DiffOp    # prod_{j=0..n} (J0 + j), order n+1
+
+    @cached_property
+    def expanded(self) -> DiffOp:
+        """prod_{j=0..n} (J0 + j), order n+1, expanded exactly."""
+        ident = DiffOp.identity(self.d)
+        op = self.euler
+        for j in range(1, self.n + 1):
+            op = compose(op, self.euler + j * ident)
+        return op
 
     def monomial_scalar(self, exps: Exponents) -> Fraction:
         """Closed-form action on a monomial: prod_j (deg_f - n + j)."""
@@ -37,30 +50,31 @@ class PiIntegral:
 
 
 def build_pi_integral(f: Sequence[int], d: int, n: int) -> PiIntegral:
-    """prod_{j=0}^{n} (J0 + j) for the grading f, expanded exactly."""
+    """prod_{j=0}^{n} (J0 + j) for the grading f."""
     fvec = validate_char_vector(f)
     if len(fvec) != d:
         raise DomainError("characteristic vector length != variable count")
     if n < 0:
         raise DomainError("level must be non-negative")
-    euler = DiffOp.euler(d, list(fvec), Fraction(n))
-    ident = DiffOp.identity(d)
-    expanded = euler
-    for j in range(1, n + 1):
-        expanded = compose(expanded, euler + j * ident)
-    return PiIntegral(fvec, d, n, euler, expanded)
+    return PiIntegral(fvec, d, n, DiffOp.euler(d, list(fvec), Fraction(n)))
 
 
 def annihilation_check(h: DiffOp, ip: PiIntegral, space: FlagSpace):
     """True iff [h, ip] maps every basis monomial of the space to zero.
 
-    Returns (True, None) or (False, (witness monomial, nonzero image)).
+    ip is diag(s) on the basis, s_i = ip.monomial_scalar(m_i), so with
+    M = restrict_to_flag(h, space) the image of m_i is
+    sum_j M_ij (s_i - s_j) m_j and the check is [M, diag(s)] = 0.
+    Returns (True, None) or (False, (witness monomial, nonzero image));
+    an h that leaves the space raises FlagViolation.
     """
     if h.nvars != ip.d:
         raise DomainError("operator/integral variable counts differ")
-    comm = commutator(h, ip.expanded)
-    for mono in space.basis:
-        image = apply(comm, MultiPoly.monomial(space.d, mono))
+    rows = restrict_to_flag(h, space).rows
+    scalars = [ip.monomial_scalar(mono) for mono in space.basis]
+    for mono, row, s_i in zip(space.basis, rows, scalars):
+        image = MultiPoly(space.d, {out: c * (s_i - s_j) for out, c, s_j
+                                    in zip(space.basis, row, scalars) if c})
         if not image.is_zero():
             return False, (mono, image)
     return True, None

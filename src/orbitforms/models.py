@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .diffop import DiffOp, GaugeFactor, preserves_flag
+from .diffop import DiffOp, GaugeFactor
 from .errors import DomainError, UnsupportedModel
 from .poly import CharVector, Exponents, FlagSpace, MultiPoly, RationalFn
 
@@ -85,13 +85,6 @@ class ModelBundle:
 
     def flag(self, n: int, vector: CharVector | None = None) -> FlagSpace:
         return FlagSpace(self.d, vector or self.char_vector, n)
-
-    def validate_flags(self, n_max: int) -> None:
-        for entry in self.flags:
-            ok, witness = preserves_flag(self.h, FlagSpace(self.d, entry.vector, n_max))
-            if not ok:
-                raise DomainError(
-                    f"{self.spec.family}: flag {entry.vector} broken at n={n_max}: {witness}")
 
 
 def _tau(nvars: int, i: int) -> MultiPoly:

@@ -277,6 +277,9 @@ class MultiPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its Fraction, so it must hash like one
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -430,7 +433,10 @@ class RationalFn:
         poly = self.as_poly()
         if poly is not None:
             return hash(poly)
-        return hash((self.num, self.den))
+        # Leading terms multiply under grlex, so the quotient of the leading
+        # terms is the same for every representative of an equal function.
+        (ne, nc), (de, dc) = self.num.leading_term(), self.den.leading_term()
+        return hash((self.nvars, tuple(a - b for a, b in zip(ne, de)), nc / dc))
 
     def __repr__(self):
         return f"RationalFn(({self.num.as_string()}) / ({self.den.as_string()}))"

@@ -218,10 +218,6 @@ def load_whitelist() -> dict:
     return json.loads(text)["entries"]
 
 
-def whitelisted(check: CheckRecord, whitelist: Mapping[str, dict]) -> bool:
-    return check.whitelist_id is not None and check.whitelist_id in whitelist
-
-
 # ---------------------------------------------------------------------------
 # Result cache
 # ---------------------------------------------------------------------------

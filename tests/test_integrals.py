@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 
-from orbitforms.diffop import apply
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitforms.diffop import apply, commutator
 from orbitforms.integrals import annihilation_check, build_pi_integral
-from orbitforms.models import build_bc1, build_bc1_qes, build_g2
+from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
+                               build_sutherland)
 from orbitforms.poly import FlagSpace, MultiPoly
 
 t = MultiPoly.variable(1, 0)
@@ -70,3 +74,58 @@ def test_g2_both_gradings():
         ip = build_pi_integral(f, 2, 4)
         ok, _ = annihilation_check(bundle.h, ip, FlagSpace(2, f, 4))
         assert ok, f
+
+
+def test_expanded_is_built_only_when_read():
+    ip = build_pi_integral((1, 2), 2, 3)
+    assert "expanded" not in vars(ip)
+    assert ip.expanded is ip.expanded
+
+
+# -- flag-matrix check against the expanded commutator ----------------------------
+
+# (model constructor taking three rationals, grading f, max level)
+ANNIHILATION_CASES = {
+    "bc1": (lambda p: build_bc1(p[0], p[1]), (1,), 6),
+    **{f"sutherland N={N}": (lambda p, N=N: build_sutherland(N, p[0]), (1,) * (N - 1), 3)
+       for N in (2, 3, 4)},
+    **{f"bcn N={N}": (lambda p, N=N: build_bcn(N, *p), (1,) * N, 3) for N in (1, 2, 3)},
+    "g2 f=(1,2)": (lambda p: build_g2(p[0], p[1]), (1, 2), 5),
+    "g2 f=(5,9)": (lambda p: build_g2(p[0], p[1]), (5, 9), 10),
+}
+rationals = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 4))
+
+
+def reference_annihilation(h, ip, space):
+    """First basis monomial with a nonzero image under the expanded [h, ip]."""
+    comm = commutator(h, ip.expanded)
+    for mono in space.basis:
+        image = apply(comm, MultiPoly.monomial(space.d, mono))
+        if not image.is_zero():
+            return False, (mono, image)
+    return True, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(ANNIHILATION_CASES)),
+       params=st.tuples(rationals, rationals, rationals), data=st.data())
+def test_annihilation_matches_expanded_commutator(case, params, data):
+    build, f, top = ANNIHILATION_CASES[case]
+    level = data.draw(st.integers(0, top), label="space level")
+    # an integral below the space level leaves a nonzero witness
+    ip_level = data.draw(st.integers(max(0, level - 2), level), label="integral level")
+    h = build(params).h
+    ip = build_pi_integral(f, len(f), ip_level)
+    space = FlagSpace(len(f), f, level)
+    assert annihilation_check(h, ip, space) == reference_annihilation(h, ip, space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n=st.integers(0, 3), data=st.data())
+def test_monomial_scalar_matches_expanded(f, n, data):
+    d = len(f)
+    ip = build_pi_integral(f, d, n)
+    mono = data.draw(st.tuples(*[st.integers(0, 4)] * d), label="monomial")
+    image = apply(ip.expanded, MultiPoly.monomial(d, mono))
+    assert image == MultiPoly.monomial(d, mono) * ip.monomial_scalar(mono)

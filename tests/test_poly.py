@@ -162,3 +162,45 @@ def test_ring_axioms(a, b, c):
 @given(polys(), polys())
 def test_derivative_leibniz(a, b):
     assert (a * b).diff(0) == a.diff(0) * b + a * b.diff(0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), coeffs)
+def test_ring_identities_and_scalars(a, c):
+    zero, one = MultiPoly.zero(2), MultiPoly.const(2, 1)
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a + (-a) == 0
+    assert a + c == a + MultiPoly.const(2, c) == c + a
+    assert a * c == a * MultiPoly.const(2, c) == c * a
+
+
+# -- hash/eq contract ------------------------------------------------------------
+
+def nonzero_polys(nvars=2, max_deg=2):
+    return polys(nvars, max_deg).filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), polys(), coeffs)
+def test_multipoly_equal_values_hash_equal(a, b, c):
+    for lhs, rhs in ((a + b - b, a), (a * b, b * a),
+                     (MultiPoly.const(2, c), c), (a - a, 0)):
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(max_deg=2), nonzero_polys(), nonzero_polys())
+def test_ratfn_equal_values_hash_equal(a, b, g):
+    r = RationalFn(a, b)
+    for other in (RationalFn(a * g, b * g), RationalFn(-a, -b), r + 0):
+        assert r == other
+        assert hash(r) == hash(other)
+    # a quotient that divides out equals, and hashes like, its polynomial
+    assert RationalFn(a * b, b * g) * g == a
+    assert hash(RationalFn(a * b * g, b * g)) == hash(a)
+
+
+def test_hash_eq_examples():
+    assert MultiPoly.const(1, 3) == 3 and hash(MultiPoly.const(1, 3)) == hash(3)
+    assert len({RationalFn(t + 1, t + 2), RationalFn(t * (t + 1), t * (t + 2))}) == 1

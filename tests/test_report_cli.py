@@ -125,6 +125,25 @@ def test_cli_qes_spectrum():
     assert len(body["entries"]) == 2
 
 
+def test_cli_qes_spectrum_csv():
+    res = run_cli("spectrum", "--model", "bc1_qes", "--nu2", "0", "--nu3", "0",
+                  "--b", "1", "--n", "1", "--format", "csv")
+    assert res.returncode == 0
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == "eigenvalue,multiplicity,quantum_indices"
+    values = json.loads(run_cli("spectrum", "--model", "bc1_qes", "--nu2", "0",
+                                "--nu3", "0", "--b", "1", "--n", "1").stdout)
+    assert lines[1:] == [f"{e['eigenvalue_numeric']},1,"
+                         for e in values["entries"]]
+
+
+def test_cli_qes_char_vector():
+    args = ("spectrum", "--model", "bc1_qes", "--nu2", "0", "--nu3", "0",
+            "--b", "1", "--n", "1", "--f")
+    assert run_cli(*args, "1").returncode == 0
+    _one_line_error(run_cli(*args, "2"))
+
+
 def test_cli_table_rows():
     res = run_cli("table")
     assert res.returncode == 0

@@ -252,23 +252,31 @@ GOLDEN_SPECTRUM_QUERIES = [
     ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "12", "--f", "5,9"],
 ]
 GOLDEN_SPECTRUM_SHA256 = "b4f9dacbf64e879ca26e1db349b5c4eef75367c5baf78ad3e64771145a84b10e"
-GOLDEN_SPECTRAL_SUITE_SHA256 = "a6dc5e7c67f37f0313627032c9b706052509a9ec76f94ea3ce127a8c3489a6e1"
+# `verify --suite S --seed 1` reports
+GOLDEN_SUITE_SHA256 = {
+    "spectral": "a6dc5e7c67f37f0313627032c9b706052509a9ec76f94ea3ce127a8c3489a6e1",
+    "pi": "54330bd2ea76a2cc64155576fd9aaea84c1eb86d502dd909410011be64755679",
+    "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
+    "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
+}
 
 
-def golden_digests(out) -> tuple[str, str]:
-    """sha256 of the concatenated spectrum reports and of the spectral suite
-    report, each written with --out to the file `out`."""
+def golden_digests(out) -> tuple[str, dict[str, str]]:
+    """sha256 of the concatenated spectrum reports and of each suite report
+    in GOLDEN_SUITE_SHA256, each written with --out to the file `out`."""
     def report(argv):
         assert main([*argv, "--out", str(out)]) == 0
         return out.read_bytes()
     spectra = hashlib.sha256()
     for query in GOLDEN_SPECTRUM_QUERIES:
         spectra.update(report(["spectrum", *query]))
-    suite = report(["verify", "--suite", "spectral", "--seed", "1"])
-    return spectra.hexdigest(), hashlib.sha256(suite).hexdigest()
+    suites = {suite: hashlib.sha256(
+                  report(["verify", "--suite", suite, "--seed", "1"])).hexdigest()
+              for suite in GOLDEN_SUITE_SHA256}
+    return spectra.hexdigest(), suites
 
 
 def test_reports_match_golden_bytes(tmp_path, monkeypatch):
     monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
     assert golden_digests(tmp_path / "report") == (
-        GOLDEN_SPECTRUM_SHA256, GOLDEN_SPECTRAL_SUITE_SHA256)
+        GOLDEN_SPECTRUM_SHA256, GOLDEN_SUITE_SHA256)
