@@ -5,6 +5,9 @@ integrals and exact spectra, all over arbitrary-precision rationals, with a
 high-precision Cartesian oracle for independent numerical verification.
 """
 
+# before the submodule imports: report reads it when it is imported
+__version__ = "0.2.0"
+
 from .poly import (CharVector, FlagSpace, MultiPoly, RationalFn,
                    enumerate_flag_basis, qq)
 from .diffop import (DiffOp, ExactMatrix, GaugeFactor, apply, commutator,
@@ -35,5 +38,3 @@ __all__ = [
     "SpectrumRecord", "jacobi_reference", "orthogonality_check",
     "qes_spectrum", "spectrum",
 ]
-
-__version__ = "0.1.0"

@@ -3,8 +3,13 @@ finite-difference Schroedinger residuals and energy-affine fits.
 
 Everything numeric runs in mpmath working precision (default 40 digits, well
 above double-double), with 4th-order central stencils plus one Richardson
-extrapolation level.  Exact objects (polynomials, rationals) enter only
-through integer numerators and denominators, never binary floats.
+extrapolation level.  The stencil centre psi(x) is evaluated once per point
+and passed down, so a point costs 8d + 1 evaluations of psi in d Cartesian
+dimensions.  `measured_energies` is the one finite-difference pass: it gives
+(H Psi)/Psi per sample point, and both the residual statistics
+(`residual_stats`) and the affine energy fit (`affine_fit`) read its list.
+Exact objects (polynomials, rationals) enter only through integer numerators
+and denominators, never binary floats.
 
 Per-model energy conventions, verified by the suites and pinned here:
 
@@ -60,18 +65,16 @@ class ResidualStats:
     std: object
     skipped: int
     max_imag: object
-    fitted_e0: object = None
-    fitted_kappa: object = None
 
     @classmethod
-    def from_values(cls, values, skipped=0, max_imag=0, **extra):
+    def from_values(cls, values, skipped=0, max_imag=0):
         n = len(values)
         if n == 0:
             raise DomainError("no usable sample points")
         mean = sum(values, mp.mpf(0)) / n
         var = sum(((v - mean) ** 2 for v in values), mp.mpf(0)) / n
         return cls(tuple(values), mean, max(abs(v) for v in values),
-                   mpmath.sqrt(var), skipped, max_imag, **extra)
+                   mpmath.sqrt(var), skipped, max_imag)
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +293,35 @@ def _inside_alcove(spec: ModelSpec, x, beta: float, min_sin: float) -> bool:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def _second_derivative(fn: Callable, x: Sequence, axis: int, h):
-    """4th-order central stencil for d^2/dx_axis^2."""
+def _second_derivative(fn: Callable, x: Sequence, axis: int, h, centre):
+    """4th-order central stencil for d^2/dx_axis^2; centre = fn(x)."""
     def shifted(k):
         pt = list(x)
         pt[axis] = pt[axis] + k * h
         return fn(pt)
-    return (-shifted(2) + 16 * shifted(1) - 30 * fn(list(x))
+    return (-shifted(2) + 16 * shifted(1) - 30 * centre
             + 16 * shifted(-1) - shifted(-2)) / (12 * h * h)
 
 
-def laplacian_fd(fn: Callable, x: Sequence, h):
-    return sum(_second_derivative(fn, x, i, h) for i in range(len(x)))
+def laplacian_fd(fn: Callable, x: Sequence, h, centre):
+    return sum(_second_derivative(fn, x, i, h, centre) for i in range(len(x)))
 
 
-def laplacian_richardson(fn: Callable, x: Sequence, steps):
+def laplacian_richardson(fn: Callable, x: Sequence, steps, centre):
     """One Richardson level over the 4th-order stencil (order >= 6)."""
     h1, h2 = (_mpf(s) for s in steps)
-    d1 = laplacian_fd(fn, x, h1)
-    d2 = laplacian_fd(fn, x, h2)
+    d1 = laplacian_fd(fn, x, h1, centre)
+    d2 = laplacian_fd(fn, x, h2, centre)
     r = (h1 / h2) ** 4
     return (r * d2 - d1) / (r - 1)
 
 
-def apply_hamiltonian_fd(spec: ModelSpec, psi: Callable, x: Sequence, beta=1,
-                         steps=DEFAULT_STEPS):
-    lap = laplacian_richardson(psi, x, steps)
+def apply_hamiltonian_fd(spec: ModelSpec, psi: Callable, x: Sequence, centre,
+                         beta=1, steps=DEFAULT_STEPS):
+    """H psi at x by finite differences; centre = psi(x)."""
+    lap = laplacian_richardson(psi, x, steps, centre)
     coeff = mpmath.mpf(1) / 2 if kinetic_half(spec) else mpmath.mpf(1)
-    return -coeff * lap + hamiltonian_potential(spec, x, beta) * psi(list(x))
+    return -coeff * lap + hamiltonian_potential(spec, x, beta) * centre
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +352,38 @@ def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1,
     return psi
 
 
+def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
+                      *, beta=1, steps=DEFAULT_STEPS, dps: int = DEFAULT_DPS,
+                      hyperbolic: bool = False) -> list:
+    """(H Psi)/Psi at each sample point for Psi = Psi0 * phi(tau), in order.
+
+    A point is None (skipped) when |Psi| there is below 10^(-dps/2), a node
+    of Psi, or when a stencil point meets a singular wall.  Values are
+    complex where the invariants are; `residual_stats` and `affine_fit`
+    bound the imaginary part.
+    """
+    spec = bundle.spec
+    with mp.workdps(dps):
+        betam = _mpf(beta)
+        psi = eigenfunction_factory(bundle, phi, beta, hyperbolic)
+        energies = []
+        for x in sample:
+            try:
+                centre = psi(list(x))
+                if abs(centre) < mpmath.mpf(10) ** (-dps // 2):
+                    energies.append(None)
+                    continue
+                if hyperbolic:
+                    num = _apply_hyperbolic_fd(spec, psi, x, centre, betam, steps)
+                else:
+                    num = apply_hamiltonian_fd(spec, psi, x, centre, beta, steps)
+            except DomainError:
+                energies.append(None)
+                continue
+            energies.append(num / centre)
+        return energies
+
+
 def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
                    sample: Sequence, *, beta=1, steps=DEFAULT_STEPS,
                    e0=None, kappa=None, dps: int = DEFAULT_DPS,
@@ -357,9 +393,19 @@ def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
     Points too close to a node of Psi are skipped and counted.  For complex
     invariants the imaginary part must stay below imag_tol.
     """
-    spec = bundle.spec
+    energies = measured_energies(bundle, phi, sample, beta=beta, steps=steps,
+                                 dps=dps, hyperbolic=hyperbolic)
+    return residual_stats(bundle, eps, energies, beta=beta, e0=e0,
+                          kappa=kappa, dps=dps, imag_tol=imag_tol,
+                          hyperbolic=hyperbolic)
+
+
+def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
+                   e0=None, kappa=None, dps: int = DEFAULT_DPS,
+                   imag_tol="1e-8", hyperbolic: bool = False) -> ResidualStats:
+    """`residual_check` on energies already measured by `measured_energies`."""
     if kappa is None:
-        kappa = KAPPA[spec.family]
+        kappa = KAPPA[bundle.spec.family]
     if e0 is None:
         if bundle.e0 is None:
             raise DomainError("model has no exact ground energy; pass fitted e0")
@@ -371,25 +417,12 @@ def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
             target = -betam ** 2 * (_mpf(e0) + _mpf(eps))
         else:
             target = _mpf(e0) * betam ** 2 + _mpf(kappa) * betam ** 2 * _mpf(eps)
-        psi = eigenfunction_factory(bundle, phi, beta, hyperbolic)
-        ham_spec = spec if not hyperbolic else spec
         values = []
-        skipped = 0
         max_imag = mp.mpf(0)
-        for x in sample:
-            try:
-                denom = psi(list(x))
-                if abs(denom) < mpmath.mpf(10) ** (-dps // 2):
-                    skipped += 1
-                    continue
-                if hyperbolic:
-                    num = _apply_hyperbolic_fd(spec, psi, x, betam, steps)
-                else:
-                    num = apply_hamiltonian_fd(spec, psi, x, beta, steps)
-                ratio = num / denom - target
-            except DomainError:
-                skipped += 1
+        for energy in energies:
+            if energy is None:
                 continue
+            ratio = energy - target
             if isinstance(ratio, mpmath.mpc):
                 max_imag = max(max_imag, abs(ratio.imag))
                 if abs(ratio.imag) > mpmath.mpf(imag_tol):
@@ -397,11 +430,13 @@ def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
                         f"residual has imaginary part {ratio.imag}")
                 ratio = ratio.real
             values.append(ratio)
+        skipped = sum(energy is None for energy in energies)
         return ResidualStats.from_values(values, skipped, max_imag)
 
 
-def _apply_hyperbolic_fd(spec: ModelSpec, psi: Callable, x, betam, steps):
-    lap = laplacian_richardson(psi, x, steps)
+def _apply_hyperbolic_fd(spec: ModelSpec, psi: Callable, x, centre, betam,
+                         steps):
+    lap = laplacian_richardson(psi, x, steps, centre)
     g2 = _mpf(spec.nu2 * (spec.nu2 - 1))
     g3 = _mpf(spec.nu3 * (spec.nu3 + 2 * spec.nu2 - 1))
     sh1 = mpmath.sinh(betam * x[0])
@@ -409,7 +444,7 @@ def _apply_hyperbolic_fd(spec: ModelSpec, psi: Callable, x, betam, steps):
     if sh1 == 0 or sh2 == 0:
         raise DomainError("hyperbolic potential singularity")
     pot = g2 * betam ** 2 / sh1 ** 2 + g3 * betam ** 2 / (4 * sh2 ** 2)
-    return -lap + pot * psi(list(x))
+    return -lap + pot * centre
 
 
 def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
@@ -419,21 +454,26 @@ def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
     distinct eigenvalues; returns (e0_fit, kappa_fit, variance) in units of
     beta^2 (so e0_fit and kappa_fit are directly comparable to the exact
     gauge data)."""
-    if len({eps for eps, _ in eigenpairs}) < 2:
+    energies = [measured_energies(bundle, phi, sample, beta=beta, steps=steps,
+                                  dps=dps)
+                for _, phi in eigenpairs]
+    return affine_fit([eps for eps, _ in eigenpairs], energies, beta=beta,
+                      dps=dps, imag_tol=imag_tol)
+
+
+def affine_fit(eigenvalues: Sequence, energies: Sequence, *, beta=1,
+               dps: int = DEFAULT_DPS, imag_tol="1e-8"):
+    """`fit_energy_affine` on energies already measured by
+    `measured_energies`, one list per eigenvalue."""
+    if len(set(eigenvalues)) < 2:
         raise DomainError("need at least two distinct eigenvalues to fit")
     with mp.workdps(dps):
         betam = _mpf(beta)
         xs, ys = [], []
-        for eps, phi in eigenpairs:
-            psi = eigenfunction_factory(bundle, phi, beta)
+        for eps, measured in zip(eigenvalues, energies):
             acc = []
-            for x in sample:
-                try:
-                    denom = psi(list(x))
-                    if abs(denom) < mpmath.mpf(10) ** (-dps // 2):
-                        continue
-                    val = apply_hamiltonian_fd(bundle.spec, psi, x, beta, steps) / denom
-                except DomainError:
+            for val in measured:
+                if val is None:
                     continue
                 if isinstance(val, mpmath.mpc):
                     if abs(val.imag) > mpmath.mpf(imag_tol):
@@ -515,12 +555,13 @@ def fd_convergence_order(bundle: ModelBundle, eps, phi: MultiPoly, *,
         psi = eigenfunction_factory(bundle, phi, beta)
         orders = []
         for x in sample:
+            centre = psi(list(x))
             h1 = mpmath.mpf(1) / 50
             h2 = h1 / 2
             h3 = h2 / 2
-            d1 = laplacian_fd(psi, x, h1)
-            d2 = laplacian_fd(psi, x, h2)
-            d3 = laplacian_fd(psi, x, h3)
+            d1 = laplacian_fd(psi, x, h1, centre)
+            d2 = laplacian_fd(psi, x, h2, centre)
+            d3 = laplacian_fd(psi, x, h3, centre)
             limit = (16 * d3 - d2) / 15
             e1 = abs(d1 - limit)
             e2 = abs(d2 - limit)
@@ -639,20 +680,22 @@ def ttw_ground_check(desc: TTWDescriptor, npoints: int = 50, seed: int = 17,
         skipped = 0
         for (r, phi) in sample:
             try:
-                num = _apply_polar_fd(desc, psi, (r, phi), steps, dps)
-                values.append(num / psi((r, phi)))
+                centre = psi((r, phi))
+                num = _apply_polar_fd(desc, psi, (r, phi), centre, steps, dps)
+                values.append(num / centre)
             except DomainError:
                 skipped += 1
         return ResidualStats.from_values(values, skipped, 0)
 
 
-def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, steps, dps):
-    """-d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + V, by 4th-order stencils."""
+def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, centre, steps, dps):
+    """-d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + V, by 4th-order stencils;
+    centre = psi(pt)."""
     r, phi = pt
     h1, h2 = (_mpf(s) for s in steps)
 
     def d2(axis, h):
-        return _second_derivative(lambda q: psi(q), [r, phi], axis, h)
+        return _second_derivative(psi, [r, phi], axis, h, centre)
 
     def d1r(h):
         def shifted(k):
@@ -664,4 +707,4 @@ def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, steps, dps):
     lap_phi = (ratio * d2(1, h2) - d2(1, h1)) / (ratio - 1)
     der_r = (ratio * d1r(h2) - d1r(h1)) / (ratio - 1)
     return (-lap_r - der_r / r - lap_phi / r ** 2
-            + ttw_potential(desc, r, phi, dps) * psi((r, phi)))
+            + ttw_potential(desc, r, phi, dps) * centre)

@@ -427,6 +427,8 @@ class RationalFn:
         other = _coerce(other, self.nvars)
         if other is NotImplemented:
             return NotImplemented
+        if other.nvars != self.nvars:
+            return False
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

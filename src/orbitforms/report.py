@@ -9,6 +9,7 @@ export for spectra only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
+from . import __version__
 from .errors import DomainError
 
 SCHEMA = "orbit-forms/1"
@@ -113,7 +115,12 @@ class RunConfig:
                 if k not in self._NON_SEMANTIC}
 
     def digest(self) -> str:
-        payload = json.dumps({"schema": SCHEMA, "config": self.canonical()},
+        """Cache key: the config, the schema, the program version and the
+        whitelist, so a changed program or whitelist never reads an old
+        entry."""
+        payload = json.dumps({"schema": SCHEMA, "version": __version__,
+                              "whitelist": _whitelist_text(),
+                              "config": self.canonical()},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -213,9 +220,13 @@ class VerificationReport:
 # Whitelist of recorded print-vs-engine offsets
 # ---------------------------------------------------------------------------
 
+@functools.cache   # package data: read once per process
+def _whitelist_text() -> str:
+    return resources.files("orbitforms").joinpath("data/whitelist.json").read_text()
+
+
 def load_whitelist() -> dict:
-    text = resources.files("orbitforms").joinpath("data/whitelist.json").read_text()
-    return json.loads(text)["entries"]
+    return json.loads(_whitelist_text())["entries"]
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +241,38 @@ def cache_dir(config: RunConfig) -> Path | None:
     return Path(env) if env else None
 
 
+# An entry is the JSON object {"schema": SCHEMA, "payload": <output text>}.
+# The payload may be CSV, so the entry wraps it instead of being it.
+
 def cache_lookup(config: RunConfig) -> bytes | None:
+    """The cached output for this config, or None on a miss.  A missing or
+    unreadable entry, one that is not JSON and one with another schema are
+    all misses."""
     directory = cache_dir(config)
     if directory is None:
         return None
-    path = directory / f"{config.digest()}.json"
-    if path.exists():
-        return path.read_bytes()
-    return None
+    try:
+        entry = json.loads((directory / f"{config.digest()}.json").read_bytes())
+    except (OSError, ValueError):
+        return None
+    if (not isinstance(entry, dict) or entry.get("schema") != SCHEMA
+            or not isinstance(entry.get("payload"), str)):
+        return None
+    return entry["payload"].encode()
 
 
 def cache_store(config: RunConfig, payload: bytes) -> None:
+    """Write the entry to a temporary file and rename it into place, so a
+    reader sees the whole entry or none."""
     directory = cache_dir(config)
     if directory is None:
         return
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{config.digest()}.json").write_bytes(payload)
+    path = directory / f"{config.digest()}.json"
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(json.dumps({"schema": SCHEMA,
+                                    "payload": payload.decode()}).encode())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

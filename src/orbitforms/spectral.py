@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 import mpmath
@@ -254,51 +255,91 @@ def proportional_scalar(p: MultiPoly, q: MultiPoly) -> Fraction | None:
 # Orthogonality under the squared ground factor
 # ---------------------------------------------------------------------------
 
-def orthogonality_check(nu2, nu3, pmax: int, quadrature_order: int = 8,
-                        *, dps: int = 40, polys: Sequence[MultiPoly] | None = None):
-    """Pairwise inner products of the one-variable eigenpolynomials under the
-    weight (1-tau)^(nu2+nu3-1/2) (1+tau)^(nu2-1/2) induced by the squared
-    ground factor and |dx/dtau|.
+SPOT_QUADRATURE_DEGREE = 8
 
-    Integrates in the angle variable (tau = cos theta), where the weight
-    becomes sin(theta/2)^(2nu2+2nu3) cos(theta/2)^(2nu2) and Gauss-Legendre
-    quadrature converges fast; returns (max normalized off-diagonal product,
-    min diagonal norm).
-    """
+
+def _weight_exponents(nu2, nu3) -> tuple[Fraction, Fraction]:
+    """(a, b) of the weight (1-tau)^a (1+tau)^b; both must exceed -1."""
     nu2, nu3 = Fraction(nu2), Fraction(nu3)
-    # integrability: both weight exponents must exceed -1
     if nu2 + nu3 <= Fraction(-1, 2) or nu2 <= Fraction(-1, 2):
         raise DomainError("weight is not integrable for these parameters")
+    return nu2 + nu3 - Fraction(1, 2), nu2 - Fraction(1, 2)
+
+
+def jacobi_gram(nu2, nu3, pmax: int) -> list[list[Fraction]]:
+    """Exact normalised Gram matrix <p_i p_j>, i, j <= pmax, of the Jacobi
+    eigenpolynomials under the weight (1-tau)^a (1+tau)^b with
+    a = nu2+nu3-1/2 and b = nu2-1/2 (squared ground factor times |dx/dtau|).
+
+    With s = (1+tau)/2 the weight is the Beta density s^b (1-s)^a, whose
+    normalised moments are <s^k> = (b+1)_k / (a+b+2)_k.  The moments of
+    tau = 2s-1 follow by the binomial theorem, and <p_i p_j> is the sum of
+    the coefficients of p_i p_j against them.
+    """
+    a, b = _weight_exponents(nu2, nu3)
+    s_moments = [Fraction(1)]
+    for k in range(2 * pmax):
+        s_moments.append(s_moments[-1] * (b + 1 + k) / (a + b + 2 + k))
+    tau_moments = [sum(comb(k, j) * 2 ** j * (-1) ** (k - j) * s_moments[j]
+                       for j in range(k + 1))
+                   for k in range(2 * pmax + 1)]
+    polys = [jacobi_reference(p, a, b) for p in range(pmax + 1)]
+
+    def inner(p: MultiPoly, q: MultiPoly) -> Fraction:
+        return sum((c * tau_moments[e[0]] for e, c in (p * q).terms.items()),
+                   ZERO)
+
+    gram = [[ZERO] * (pmax + 1) for _ in range(pmax + 1)]
+    for i in range(pmax + 1):
+        for j in range(i, pmax + 1):
+            gram[i][j] = gram[j][i] = inner(polys[i], polys[j])
+    return gram
+
+
+def orthogonality_check(nu2, nu3, pmax: int, *, dps: int = 40):
+    """Orthogonality of the one-variable eigenpolynomials p_0..p_pmax under
+    the weight of `jacobi_gram`, decided exactly from its Beta moments.
+
+    Returns (max |<p_i p_j>| over i != j, min <p_i p_i>, spot_gap).  The first
+    two are exact Fractions; orthogonality holds when the first is 0 and the
+    second positive.  spot_gap is the relative distance between the exact
+    norm <p_pmax^2> and its Gauss-Legendre value, a numeric cross-check of
+    the moment formula.
+    """
+    a, b = _weight_exponents(nu2, nu3)
     if pmax < 1:
         raise DomainError("need pmax >= 1")
-    if polys is None:
-        a = nu2 + nu3 - Fraction(1, 2)
-        b = nu2 - Fraction(1, 2)
-        polys = [jacobi_reference(p, a, b) for p in range(pmax + 1)]
+    gram = jacobi_gram(nu2, nu3, pmax)
+    max_off = max(abs(gram[i][j]) for i in range(pmax + 1)
+                  for j in range(pmax + 1) if i != j)
+    min_norm = min(gram[i][i] for i in range(pmax + 1))
+    top = jacobi_reference(pmax, a, b)
     with mp.workdps(dps):
-        e_sin = 2 * (nu2 + nu3)
-        e_cos = 2 * nu2
-        exp_sin = mpmath.mpf(e_sin.numerator) / e_sin.denominator
-        exp_cos = mpmath.mpf(e_cos.numerator) / e_cos.denominator
+        exact = mpmath.mpf(gram[pmax][pmax].numerator) / gram[pmax][pmax].denominator
+        spot_gap = abs(_quadrature_norm(top, a, b) - exact) / exact
+    return max_off, min_norm, spot_gap
 
-        def weight(theta):
-            return (mpmath.sin(theta / 2) ** exp_sin
-                    * mpmath.cos(theta / 2) ** exp_cos)
 
-        def inner(i, j):
-            def f(theta):
-                tau = mpmath.cos(theta)
-                return (polys[i].evaluate([tau]) * polys[j].evaluate([tau])
-                        * weight(theta))
-            return mpmath.quad(f, [0, mpmath.pi], method="gauss-legendre",
-                               maxdegree=quadrature_order)
+def _quadrature_norm(p: MultiPoly, a: Fraction, b: Fraction):
+    """<p^2> under (1-tau)^a (1+tau)^b by two Gauss-Legendre quadratures.
 
-        norms = [inner(i, i) for i in range(pmax + 1)]
-        if min(norms) <= 0:
-            raise InconsistencyError("non-positive diagonal norm")
-        max_off = mp.mpf(0)
-        for i in range(pmax + 1):
-            for j in range(i + 1, pmax + 1):
-                val = abs(inner(i, j)) / mpmath.sqrt(norms[i] * norms[j])
-                max_off = max(max_off, val)
-        return max_off, min(norms)
+    In s = (1+tau)/2 the weight is s^b (1-s)^a.  Each half of [0, 1] is
+    mapped so that its endpoint singularity disappears: with e + 1 = r/q in
+    lowest terms for the exponent e at that end, u = v^q turns
+    u^e du into q v^(r-1) dv, and the integrand is analytic in v.
+    """
+    def half(e_near: Fraction, e_far: Fraction, at_zero: bool):
+        q, r = e_near.denominator, (e_near + 1).numerator
+        far = mpmath.mpf(e_far.numerator) / e_far.denominator
+
+        def integrand(v):
+            u = v ** q                    # distance from the endpoint
+            s = u if at_zero else 1 - u
+            return q * v ** (r - 1) * (1 - u) ** far * p.evaluate([2 * s - 1]) ** 2
+        return mpmath.quad(integrand, [0, mpmath.mpf(2) ** (-mpmath.mpf(1) / q)],
+                           method="gauss-legendre",
+                           maxdegree=SPOT_QUADRATURE_DEGREE)
+
+    mass = mpmath.beta(mpmath.mpf(b.numerator) / b.denominator + 1,
+                       mpmath.mpf(a.numerator) / a.denominator + 1)
+    return (half(b, a, True) + half(a, b, False)) / mass

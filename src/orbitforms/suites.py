@@ -719,14 +719,16 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
 
         def orthogonality(rec: CheckRecord):
             otol = mpmath.mpf(str(config.get("orthogonality_tol", "1e-10")))
-            worst = mp.mpf(0)
+            worst = Fraction(0)
             for (a, b) in ((HALF, HALF), (Fraction(1), Fraction(2)),
                            (Fraction(3, 2), HALF)):
-                max_off, min_diag = orthogonality_check(a, b, 8, dps=dps)
-                _require(rec, min_diag > 0, "non-positive diagonal norm")
+                max_off, min_norm, spot_gap = orthogonality_check(a, b, 8, dps=dps)
+                _require(rec, min_norm > 0, "non-positive diagonal norm")
+                _require(rec, spot_gap < otol,
+                         f"quadrature norm off the exact one by {spot_gap}")
                 worst = max(worst, max_off)
-            _require(rec, worst < otol, f"off-diagonal product {worst}")
-            rec.numeric["max_offdiag"] = mpmath.nstr(worst, 3)
+            _require(rec, worst == 0, f"off-diagonal product {worst}")
+            rec.numeric["max_offdiag"] = str(worst)
         checks.append(_record("cartesian/orthogonality", orthogonality))
 
         def periodicity(rec: CheckRecord):
@@ -743,14 +745,20 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
         for entry in record.entries:
             for phi in entry.eigenpolynomials:
                 pairs.append((entry.eigenvalue, phi))
-        e0f, kf, var = cart.fit_energy_affine(bundle, pairs, sample[:10],
-                                              steps=steps, dps=dps)
+        # one finite-difference pass per eigenpair: the fit reads the first
+        # ten points, the residuals all of them
+        energies = [cart.measured_energies(bundle, phi, sample, steps=steps,
+                                           dps=dps)
+                    for _, phi in pairs]
+        e0f, kf, var = cart.affine_fit([eps for eps, _ in pairs],
+                                       [measured[:10] for measured in energies],
+                                       dps=dps)
         if fit_var_tol is not None:
             _require(rec, var < fit_var_tol, f"fit variance {var}")
         worst = mp.mpf(0)
-        for eps, phi in pairs:
-            st = cart.residual_check(bundle, eps, phi, sample, steps=steps,
-                                     dps=dps, e0=e0f, kappa=kf)
+        for (eps, _), measured in zip(pairs, energies):
+            st = cart.residual_stats(bundle, eps, measured, dps=dps,
+                                     e0=e0f, kappa=kf)
             worst = max(worst, st.max_abs)
         _require(rec, worst < tol, f"max residual {worst}")
         rec.numeric["e0_fit"] = mpmath.nstr(e0f, 12)

@@ -379,11 +379,15 @@ def test_criterion_10_orthogonality():
     """Eigenfunction inner products under the squared ground weight."""
     failures = []
     for (a, b) in ((HALF, HALF), (Fraction(1), Fraction(2)),
-                   (Fraction(3, 2), HALF)):
-        max_off, min_diag = orthogonality_check(a, b, 8)
-        if min_diag <= 0:
+                   (Fraction(3, 2), HALF), (Fraction(1, 3), Fraction(2, 5)),
+                   (Fraction(2, 7), Fraction(3, 4))):
+        max_off, min_norm, spot_gap = orthogonality_check(a, b, 8)
+        if min_norm <= 0:
             failures.append(f"({a},{b}): non-positive norm")
-        if max_off >= mpmath.mpf("1e-10"):
+        if max_off != 0:
             failures.append(f"({a},{b}): off-diagonal {max_off}")
-    _criterion(10, "orthogonality of the one-variable eigenfunctions to 1e-10 "
-                   "for p != q <= 8 at 3 parameter tuples", failures)
+        if spot_gap >= mpmath.mpf("1e-10"):
+            failures.append(f"({a},{b}): quadrature norm off by {spot_gap}")
+    _criterion(10, "exact orthogonality of the one-variable eigenfunctions "
+                   "for p != q <= 8 at 5 parameter tuples, 2 of them generic "
+                   "(norm spot check 1e-10)", failures)

@@ -11,7 +11,9 @@ from orbitforms.errors import DomainError
 from orbitforms.poly import MultiPoly
 from orbitforms.models import (build_bc1, build_bcn, build_g2,
                                build_sutherland, ttw_models)
+from orbitforms.report import RunConfig
 from orbitforms.spectral import spectrum
+from orbitforms.suites import suite_cartesian
 
 HALF = Fraction(1, 2)
 
@@ -237,3 +239,78 @@ def test_qes_ground_state_in_cartesian_space():
     pts = cart.sample_alcove(bundle.spec, 10, seed=23)
     st = cart.residual_check(bundle, eps, MultiPoly.const(1, 1), pts)
     assert st.max_abs < mpmath.mpf("1e-6")
+
+
+# -- the shared measured-energy path ------------------------------------------------
+
+# (check name, bundle, sample points); bc2 samples past the fit's first ten
+RESIDUAL_CHECKS = {
+    "sutherland": ("cartesian/sutherland3/residuals",
+                   lambda: build_sutherland(3, HALF), 3),
+    "bcn": ("cartesian/bc2/residuals",
+            lambda: build_bcn(2, HALF, Fraction(1, 3), Fraction(1, 5)), 11),
+    "g2": ("cartesian/g2/residuals", lambda: build_g2(HALF, Fraction(1, 3)), 3),
+}
+
+
+@pytest.mark.parametrize("model", sorted(RESIDUAL_CHECKS))
+def test_suite_residuals_match_separate_fit_and_residual_passes(model):
+    name, build, points = RESIDUAL_CHECKS[model]
+    config = RunConfig.from_items({"command": "verify", "suite": "cartesian",
+                                   "model": model, "sample_points": points})
+    (record,) = [c for c in suite_cartesian(config) if c.name == name]
+    # reference: the fit and the residuals each measure H Psi themselves, on
+    # the suite's sample (seed + 6) and level 2
+    bundle = build()
+    pairs = [(e.eigenvalue, phi) for e in spectrum(bundle, 2, numeric_check=False).entries
+             for phi in e.eigenpolynomials]
+    sample = cart.sample_alcove(bundle.spec, points, 7)
+    e0f, kf, var = cart.fit_energy_affine(bundle, pairs, sample[:10])
+    worst = max(cart.residual_check(bundle, eps, phi, sample, e0=e0f,
+                                    kappa=kf).max_abs
+                for eps, phi in pairs)
+    assert record.numeric == {
+        "e0_fit": mpmath.nstr(e0f, 12), "kappa_fit": mpmath.nstr(kf, 12),
+        "fit_variance": mpmath.nstr(var, 3), "max_residual": mpmath.nstr(worst, 3)}
+
+
+@pytest.mark.parametrize("bundle", [build_bc1(Fraction(1, 3), Fraction(2, 5)),
+                                    build_bcn(2, HALF, Fraction(1, 3), Fraction(1, 5)),
+                                    build_g2(HALF, Fraction(1, 3))],
+                         ids=["bc1", "bc2", "g2"])
+def test_residual_point_evaluates_psi_8d_plus_1_times(bundle, monkeypatch):
+    calls = 0
+    factory = cart.eigenfunction_factory
+
+    def counting_factory(*args, **kwargs):
+        psi = factory(*args, **kwargs)
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return psi(x)
+        return counted
+
+    monkeypatch.setattr(cart, "eigenfunction_factory", counting_factory)
+    point = cart.sample_alcove(bundle.spec, 1, seed=4)
+    st = cart.residual_check(bundle, Fraction(0), MultiPoly.const(bundle.d, 1),
+                             point, e0=0, kappa=1)
+    assert st.skipped == 0
+    cartesian_dim = len(point[0])
+    assert calls == 8 * cartesian_dim + 1
+
+
+def test_ttw_point_evaluates_ground_factor_25_times(monkeypatch):
+    # 16 for the two second derivatives, 8 for d/dr, and the centre once
+    calls = 0
+    ground = cart.ttw_ground_factor
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return ground(*args, **kwargs)
+
+    monkeypatch.setattr(cart, "ttw_ground_factor", counted)
+    st = cart.ttw_ground_check(ttw_models("TTW", **BASE), npoints=1, seed=11)
+    assert st.skipped == 0
+    assert calls == 25

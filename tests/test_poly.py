@@ -204,3 +204,10 @@ def test_ratfn_equal_values_hash_equal(a, b, g):
 def test_hash_eq_examples():
     assert MultiPoly.const(1, 3) == 3 and hash(MultiPoly.const(1, 3)) == hash(3)
     assert len({RationalFn(t + 1, t + 2), RationalFn(t * (t + 1), t * (t + 2))}) == 1
+
+
+def test_ratfn_eq_across_variable_counts():
+    x, y = MultiPoly.variable(1, 0), MultiPoly.variable(2, 1)
+    assert RationalFn(x, x + 1) != RationalFn(y, y + 1)
+    assert RationalFn(x, x + 1) != y
+    assert not (RationalFn.const(1, 2) == RationalFn.const(2, 2))

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbitforms import report
 from orbitforms.errors import DomainError
-from orbitforms.report import (RunConfig, load_whitelist, parse_config_file)
+from orbitforms.report import (RunConfig, cache_lookup, cache_store,
+                               load_whitelist, parse_config_file)
 from orbitforms.suites import run_suite
 
 
@@ -78,6 +80,40 @@ def test_cache_round_trip(tmp_path):
     assert cached.returncode == 0
     assert first.stdout == cached.stdout
     assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_cache_truncated_entry_is_recomputed(tmp_path):
+    args = ("spectrum", "--model", "bc1", "--nu2", "1/3", "--nu3", "2/5",
+            "--n", "3", "--cache-dir", str(tmp_path))
+    first = run_cli(*args)
+    assert first.returncode == 0
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_bytes(entry.read_bytes()[:40])
+    again = run_cli(*args)
+    assert again.returncode == 0
+    assert again.stdout == first.stdout
+    json.loads(entry.read_bytes())            # the store rewrote it whole
+    assert list(tmp_path.iterdir()) == [entry]
+
+
+def test_cache_misses_on_another_version_or_schema(tmp_path, monkeypatch):
+    cfg = RunConfig.from_items({"command": "spectrum", "model": "bc1", "n": 1,
+                                "cache_dir": str(tmp_path)})
+    cache_store(cfg, b"payload")
+    assert cache_lookup(cfg) == b"payload"
+    monkeypatch.setattr(report, "__version__", "0.0.0")
+    assert cache_lookup(cfg) is None
+    monkeypatch.undo()
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(json.dumps({"schema": "orbit-forms/0", "payload": "payload"}))
+    assert cache_lookup(cfg) is None
+
+
+def test_cache_key_covers_the_whitelist(monkeypatch):
+    cfg = RunConfig.from_items({"command": "verify", "suite": "pi"})
+    before = cfg.digest()
+    monkeypatch.setattr(report, "_whitelist_text", lambda: '{"entries": {}}')
+    assert cfg.digest() != before
 
 
 # -- CLI ------------------------------------------------------------------------

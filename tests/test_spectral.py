@@ -16,8 +16,9 @@ from orbitforms.errors import (DomainError, FormulaMismatch, UnsupportedModel)
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
-from orbitforms.spectral import (jacobi_reference, orthogonality_check,
-                                 proportional_scalar, qes_spectrum, spectrum)
+from orbitforms.spectral import (jacobi_gram, jacobi_reference,
+                                 orthogonality_check, proportional_scalar,
+                                 qes_spectrum, spectrum)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -144,20 +145,69 @@ def test_jacobi_identifies_bc1_eigenfunctions():
 # -- orthogonality --------------------------------------------------------------------
 
 def test_orthogonality_chebyshev_parity():
-    max_off, min_diag = orthogonality_check(0, 0, 2, dps=30)
-    assert min_diag > 0
-    assert max_off < mpmath.mpf("1e-12")
+    max_off, min_norm, spot_gap = orthogonality_check(0, 0, 2, dps=30)
+    assert max_off == 0
+    assert min_norm > 0
+    assert spot_gap < mpmath.mpf("1e-20")
 
 
 def test_orthogonality_half_integer_weight():
-    max_off, min_diag = orthogonality_check(HALF, HALF, 3, dps=30)
-    assert min_diag > 0
-    assert max_off < mpmath.mpf("1e-12")
+    max_off, min_norm, spot_gap = orthogonality_check(HALF, HALF, 3, dps=30)
+    assert max_off == 0
+    assert min_norm > 0
+    assert spot_gap < mpmath.mpf("1e-20")
+
+
+@pytest.mark.parametrize("nu2,nu3", [(Fraction(1, 3), Fraction(2, 5)),
+                                     (Fraction(2, 7), Fraction(3, 4))])
+def test_orthogonality_exact_at_generic_parameters(nu2, nu3):
+    # weight exponents that are not integers: Gauss-Legendre in the angle
+    # variable misses orthogonality here by ~1e-9
+    max_off, min_norm, spot_gap = orthogonality_check(nu2, nu3, 8)
+    assert max_off == 0
+    assert min_norm > 0
+    assert spot_gap < mpmath.mpf("1e-30")
 
 
 def test_orthogonality_rejects_nonintegrable():
     with pytest.raises(DomainError):
         orthogonality_check(Fraction(-3, 4), 0, 2)
+
+
+def quadrature_gram(nu2, nu3, pmax):
+    """Reference normalised Gram matrix by Gauss-Legendre quadrature in the
+    angle variable tau = cos(theta), where the weight is
+    sin(theta/2)^(2nu2+2nu3) cos(theta/2)^(2nu2); smooth only when both
+    exponents are non-negative integers."""
+    a, b = nu2 + nu3 - HALF, nu2 - HALF
+    polys = [jacobi_reference(p, a, b) for p in range(pmax + 1)]
+    e_sin, e_cos = 2 * (nu2 + nu3), 2 * nu2
+    assert e_sin.denominator == e_cos.denominator == 1
+
+    def integral(f):
+        return mpmath.quad(
+            lambda th: (f(mpmath.cos(th)) * mpmath.sin(th / 2) ** int(e_sin)
+                        * mpmath.cos(th / 2) ** int(e_cos)),
+            [0, mpmath.pi], method="gauss-legendre", maxdegree=8)
+
+    mass = integral(lambda tau: 1)
+    return [[integral(lambda tau: polys[i].evaluate([tau]) * polys[j].evaluate([tau]))
+             / mass for j in range(pmax + 1)] for i in range(pmax + 1)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(twice_nu2=st.integers(0, 4), twice_sum=st.integers(0, 5),
+       pmax=st.integers(1, 4))
+def test_jacobi_gram_matches_quadrature(twice_nu2, twice_sum, pmax):
+    nu2 = Fraction(twice_nu2, 2)
+    nu3 = Fraction(twice_sum, 2) - nu2
+    exact = jacobi_gram(nu2, nu3, pmax)
+    with mpmath.mp.workdps(40):
+        reference = quadrature_gram(nu2, nu3, pmax)
+        for exact_row, ref_row in zip(exact, reference):
+            for e, r in zip(exact_row, ref_row):
+                value = mpmath.mpf(e.numerator) / e.denominator
+                assert abs(value - r) < mpmath.mpf("1e-25") * max(1, abs(value))
 
 
 def test_restricted_matrices_block_triangular():
@@ -252,12 +302,17 @@ GOLDEN_SPECTRUM_QUERIES = [
     ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "12", "--f", "5,9"],
 ]
 GOLDEN_SPECTRUM_SHA256 = "b4f9dacbf64e879ca26e1db349b5c4eef75367c5baf78ad3e64771145a84b10e"
-# `verify --suite S --seed 1` reports
+# `verify --suite S --seed 1` reports, keyed by the --suite value and any
+# further options
 GOLDEN_SUITE_SHA256 = {
     "spectral": "a6dc5e7c67f37f0313627032c9b706052509a9ec76f94ea3ce127a8c3489a6e1",
     "pi": "54330bd2ea76a2cc64155576fd9aaea84c1eb86d502dd909410011be64755679",
     "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
     "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
+    "gauge": "c0db82523f55ea861d05630378836b2e21547b7e51e2f6392aa0fcaed18e02f3",
+    "ttw": "68ea718ca4cc0375c48643c272555178576951f052422794be2ed8de5bd94007",
+    "cartesian --sample-points 10":
+        "94e14e128a94f060ec884eb84d153cd1696939bbb6907ab26652fe13596fb66f",
 }
 
 
@@ -270,9 +325,9 @@ def golden_digests(out) -> tuple[str, dict[str, str]]:
     spectra = hashlib.sha256()
     for query in GOLDEN_SPECTRUM_QUERIES:
         spectra.update(report(["spectrum", *query]))
-    suites = {suite: hashlib.sha256(
-                  report(["verify", "--suite", suite, "--seed", "1"])).hexdigest()
-              for suite in GOLDEN_SUITE_SHA256}
+    suites = {key: hashlib.sha256(
+                  report(["verify", "--suite", *key.split(), "--seed", "1"])).hexdigest()
+              for key in GOLDEN_SUITE_SHA256}
     return spectra.hexdigest(), suites
 
 
