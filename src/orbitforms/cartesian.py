@@ -11,6 +11,19 @@ dimensions.  `measured_energies` is the one finite-difference pass: it gives
 Exact objects (polynomials, rationals) enter only through integer numerators
 and denominators, never binary floats.
 
+Ground factors, potentials and alcove walls come from one table of positive
+roots per family (`root_table`, built once per spec), in the
+Olshanetsky-Perelomov form
+
+    Psi0 = prod_alpha |sin(beta alpha.x / 2)|^g_alpha
+    V    = kinetic * sum_alpha c_alpha |alpha|^2 beta^2 / (4 sin^2(beta alpha.x / 2))
+
+with c_alpha = g_alpha (g_alpha - 1), except nu3 (nu3 + 2 nu2 - 1) for the BC
+short root, whose wall also sits at half the margin.  The only extra is the
+BC1_QES factor exp(b cos beta x) and its two potential terms.  The hyperbolic
+model is the same code at an imaginary beta: beta = i turns sin into i sinh,
+cos into cosh and the target energy beta^2 (E0 + kappa eps) into its negative.
+
 Per-model energy conventions, verified by the suites and pinned here:
 
     family        kinetic       gauge prefactor     E = E0 + kappa beta^2 eps
@@ -23,6 +36,7 @@ Per-model energy conventions, verified by the suites and pinned here:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,48 +135,90 @@ def _elementary_symmetric(vals: Sequence, k: int):
     return e[k]
 
 
-def _abs_sin_pow(arg, expo: Fraction):
+def _node_floor():
+    """|sin| below this is a node of a ground factor at the working precision."""
+    return mpmath.mpf(10) ** (-(mp.dps // 2))
+
+
+def _abs_sin_pow(arg, expo, floor):
     s = abs(mpmath.sin(arg))
-    if s < mpmath.mpf(10) ** (-(mp.dps // 2)):
+    if s < floor:
         raise DomainError("evaluation at a node of the ground factor")
     return s ** _mpf(expo)
 
 
-def psi0_cartesian(spec: ModelSpec, x: Sequence, beta=1):
-    """Ground-state factor (product of powers of sines) in high precision."""
-    beta = _mpf(beta)
+@dataclass(frozen=True)
+class RootOrbit:
+    """One Weyl orbit of positive roots; g_alpha and c_alpha are constant on
+    it, so its constants are exact Fractions kept once."""
+
+    forms: tuple        # each root alpha as ((index, integer coefficient), ...)
+    exponent: Fraction  # g_alpha, the power of |sin| in Psi0
+    potential: Fraction  # kinetic * c_alpha * |alpha|^2 / 4, times beta^2 / sin^2
+    wall: Fraction      # alcove walls sit at |sin| = wall * min_sin
+
+
+def _orbit(forms, exponent, coupling, kinetic, wall=Fraction(1)) -> RootOrbit:
+    norm = sum(c * c for _, c in forms[0])     # |alpha|^2, the same on the orbit
+    return RootOrbit(tuple(forms), exponent, kinetic * coupling * norm / 4, wall)
+
+
+@functools.lru_cache(maxsize=256)
+def root_table(spec: ModelSpec) -> tuple[RootOrbit, ...]:
+    """The positive roots of the family of `spec`, built once per spec."""
     fam = spec.family
-    if fam in ("BC1", "BC1_QES"):
-        v = (_abs_sin_pow(beta * x[0], spec.nu2)
-             * _abs_sin_pow(beta * x[0] / 2, spec.nu3))
-        if fam == "BC1_QES":
-            v *= mpmath.exp(_mpf(spec.b) * mpmath.cos(beta * x[0]))
-        return v
-    if fam == "SUTHERLAND":
-        v = mp.mpf(1)
-        for i in range(spec.N):
-            for j in range(i + 1, spec.N):
-                v *= _abs_sin_pow(beta * (x[i] - x[j]) / 2, spec.nu)
-        return v
-    if fam == "BCN":
-        v = mp.mpf(1)
-        for i in range(spec.N):
-            for j in range(i + 1, spec.N):
-                v *= _abs_sin_pow(beta * (x[i] - x[j]) / 2, spec.nu)
-                v *= _abs_sin_pow(beta * (x[i] + x[j]) / 2, spec.nu)
-        for xi in x:
-            v *= _abs_sin_pow(beta * xi, spec.nu2)
-            v *= _abs_sin_pow(beta * xi / 2, spec.nu3)
-        return v
-    if fam == "G2":
-        v = mp.mpf(1)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                v *= _abs_sin_pow(beta * (x[i] - x[j]) / 2, spec.nu)
-        for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            v *= _abs_sin_pow(beta * (x[i] + x[j] - 2 * x[k]) / 2, spec.mu)
-        return v
-    raise UnsupportedModel(f"no ground factor for {fam}")
+    kinetic = Fraction(1, 2) if kinetic_half(spec) else Fraction(1)
+    if fam in ("SUTHERLAND", "G2"):
+        N = 3 if fam == "G2" else spec.N
+        pairs = [((i, 1), (j, -1)) for i in range(N) for j in range(i + 1, N)]
+        orbits = [_orbit(pairs, spec.nu, spec.nu * (spec.nu - 1), kinetic)]
+        if fam == "G2":
+            long = [((i, 1), (j, 1), (k, -2))
+                    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
+            orbits.append(_orbit(long, spec.mu, spec.mu * (spec.mu - 1), kinetic))
+        return tuple(orbits)
+    if fam in ("BC1", "BC1_QES", "BCN"):
+        N = spec.N if fam == "BCN" else 1
+        nu2, nu3 = spec.nu2, spec.nu3
+        orbits = []
+        if N > 1:
+            pairs = [form for i in range(N) for j in range(i + 1, N)
+                     for form in (((i, 1), (j, -1)), ((i, 1), (j, 1)))]
+            orbits.append(_orbit(pairs, spec.nu, spec.nu * (spec.nu - 1), kinetic))
+        orbits.append(_orbit([((i, 2),) for i in range(N)],
+                             nu2, nu2 * (nu2 - 1), kinetic))
+        orbits.append(_orbit([((i, 1),) for i in range(N)],
+                             nu3, nu3 * (nu3 + 2 * nu2 - 1), kinetic, Fraction(1, 2)))
+        return tuple(orbits)
+    raise UnsupportedModel(f"no root system for {fam}")
+
+
+def _form_value(form, x):
+    """alpha . x by adds and subtracts of c x_i (exact for |c| <= 2), in the
+    order the terms are listed."""
+    (i, c), *rest = form
+    v = x[i] if c == 1 else c * x[i]
+    for i, c in rest:
+        if c > 0:
+            v = v + (x[i] if c == 1 else c * x[i])
+        else:
+            v = v - (x[i] if c == -1 else -c * x[i])
+    return v
+
+
+def psi0_cartesian(spec: ModelSpec, x: Sequence, beta=1):
+    """Ground-state factor prod |sin(beta alpha.x / 2)|^g_alpha in high
+    precision; sinh factors when beta is imaginary."""
+    beta = _mpf(beta)
+    floor = _node_floor()
+    v = mp.mpf(1)
+    for orbit in root_table(spec):
+        g = _mpf(orbit.exponent)
+        for form in orbit.forms:
+            v *= _abs_sin_pow(beta * _form_value(form, x) / 2, g, floor)
+    if spec.family == "BC1_QES":
+        v *= mpmath.exp(_mpf(spec.b) * mpmath.cos(beta * x[0]))
+    return v
 
 
 def _inv_sin2(arg):
@@ -173,46 +229,22 @@ def _inv_sin2(arg):
 
 
 def hamiltonian_potential(spec: ModelSpec, x: Sequence, beta=1):
-    """Potential with the per-family coupling conventions (the one-variable
-    family has no 1/2 kinetic factor; the others do)."""
+    """V = sum over orbits of orbit.potential * beta^2 * sum_alpha
+    1/sin^2(beta alpha.x / 2), plus the BC1_QES terms; orbit.potential
+    carries the kinetic factor (1 for the one-variable family, 1/2 for the
+    others)."""
     beta = _mpf(beta)
     b2 = beta * beta
-    fam = spec.family
-    if fam in ("BC1", "BC1_QES"):
-        g2 = _mpf(spec.nu2 * (spec.nu2 - 1))
-        g3 = _mpf(spec.nu3 * (spec.nu3 + 2 * spec.nu2 - 1))
-        v = g2 * b2 * _inv_sin2(beta * x[0]) + g3 * b2 / 4 * _inv_sin2(beta * x[0] / 2)
-        if fam == "BC1_QES":
-            bb = _mpf(spec.b)
-            v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
-                  + 2 * bb * b2 * _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
-                  * mpmath.sin(beta * x[0] / 2) ** 2)
-        return v
-    if fam == "SUTHERLAND":
-        g = _mpf(spec.nu * (spec.nu - 1))
-        return g * b2 / 4 * sum(_inv_sin2(beta * (x[i] - x[j]) / 2)
-                                for i in range(spec.N)
-                                for j in range(i + 1, spec.N))
-    if fam == "BCN":
-        g = _mpf(spec.nu * (spec.nu - 1))
-        g2 = _mpf(spec.nu2 * (spec.nu2 - 1))
-        g3 = _mpf(spec.nu3 * (spec.nu3 + 2 * spec.nu2 - 1))
-        v = g * b2 / 4 * sum(_inv_sin2(beta * (x[i] - x[j]) / 2)
-                             + _inv_sin2(beta * (x[i] + x[j]) / 2)
-                             for i in range(spec.N)
-                             for j in range(i + 1, spec.N))
-        v += g2 * b2 / 2 * sum(_inv_sin2(beta * xi) for xi in x)
-        v += g3 * b2 / 8 * sum(_inv_sin2(beta * xi / 2) for xi in x)
-        return v
-    if fam == "G2":
-        g = _mpf(spec.nu * (spec.nu - 1))
-        g1 = _mpf(3 * spec.mu * (spec.mu - 1))
-        v = g * b2 / 4 * sum(_inv_sin2(beta * (x[i] - x[j]) / 2)
-                             for i in range(3) for j in range(i + 1, 3))
-        v += g1 * b2 / 4 * sum(_inv_sin2(beta * (x[i] + x[j] - 2 * x[k]) / 2)
-                               for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
-        return v
-    raise UnsupportedModel(f"no potential for {fam}")
+    v = 0
+    for orbit in root_table(spec):
+        v += _mpf(orbit.potential) * b2 * sum(
+            _inv_sin2(beta * _form_value(form, x) / 2) for form in orbit.forms)
+    if spec.family == "BC1_QES":
+        bb = _mpf(spec.b)
+        v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
+              + 2 * bb * b2 * _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
+              * mpmath.sin(beta * x[0] / 2) ** 2)
+    return v
 
 
 def kinetic_half(spec: ModelSpec) -> bool:
@@ -260,33 +292,8 @@ def _sample_candidate(spec: ModelSpec, rng: random.Random, beta: float):
 
 def _inside_alcove(spec: ModelSpec, x, beta: float, min_sin: float) -> bool:
     import math
-    fam = spec.family
-    s = lambda a: abs(math.sin(a))
-    if fam in ("BC1", "BC1_QES"):
-        return s(beta * x[0]) > min_sin and s(beta * x[0] / 2) > min_sin / 2
-    if fam == "SUTHERLAND":
-        return all(s(beta * (x[i] - x[j]) / 2) > min_sin
-                   for i in range(spec.N) for j in range(i + 1, spec.N))
-    if fam == "BCN":
-        for i in range(spec.N):
-            if s(beta * x[i]) < min_sin or s(beta * x[i] / 2) < min_sin / 2:
-                return False
-            for j in range(i + 1, spec.N):
-                if (s(beta * (x[i] - x[j]) / 2) < min_sin
-                        or s(beta * (x[i] + x[j]) / 2) < min_sin):
-                    return False
-        return True
-    if fam == "G2":
-        y = [xi - sum(x) / 3 for xi in x]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if s(beta * (y[i] - y[j]) / 2) < min_sin:
-                    return False
-        for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            if s(beta * (y[i] + y[j] - 2 * y[k]) / 2) < min_sin:
-                return False
-        return True
-    raise UnsupportedModel(fam)
+    return all(abs(math.sin(beta * _form_value(form, x) / 2)) > orbit.wall * min_sin
+               for orbit in root_table(spec) for form in orbit.forms)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +314,19 @@ def laplacian_fd(fn: Callable, x: Sequence, h, centre):
     return sum(_second_derivative(fn, x, i, h, centre) for i in range(len(x)))
 
 
-def laplacian_richardson(fn: Callable, x: Sequence, steps, centre):
-    """One Richardson level over the 4th-order stencil (order >= 6)."""
+def _richardson(stencil: Callable, steps):
+    """One Richardson level over a 4th-order stencil(h) at the two steps
+    (order >= 6)."""
     h1, h2 = (_mpf(s) for s in steps)
-    d1 = laplacian_fd(fn, x, h1, centre)
-    d2 = laplacian_fd(fn, x, h2, centre)
+    d1 = stencil(h1)
+    d2 = stencil(h2)
     r = (h1 / h2) ** 4
     return (r * d2 - d1) / (r - 1)
+
+
+def laplacian_richardson(fn: Callable, x: Sequence, steps, centre):
+    """Richardson-extrapolated 4th-order Laplacian; centre = fn(x)."""
+    return _richardson(lambda h: laplacian_fd(fn, x, h, centre), steps)
 
 
 def apply_hamiltonian_fd(spec: ModelSpec, psi: Callable, x: Sequence, centre,
@@ -328,23 +341,10 @@ def apply_hamiltonian_fd(spec: ModelSpec, psi: Callable, x: Sequence, centre,
 # Residual checks and the affine-energy fit
 # ---------------------------------------------------------------------------
 
-def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1,
-                          hyperbolic: bool = False) -> Callable:
-    """Psi(x) = Psi0(x) * phi(tau(x)); hyperbolic mode maps tau = cosh(beta x)
-    with sinh ground factors (one-variable family only)."""
+def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1) -> Callable:
+    """Psi(x) = Psi0(x) * phi(tau(x)); an imaginary beta gives the hyperbolic
+    model (tau = cosh, sinh ground factors)."""
     spec = bundle.spec
-    betam = _mpf(beta)
-    if hyperbolic:
-        if spec.family != "BC1":
-            raise UnsupportedModel("hyperbolic mode implemented for the one-variable model")
-        e2, e3 = _mpf(spec.nu2), _mpf(spec.nu3)
-
-        def psi_h(x):
-            s1 = mpmath.sinh(betam * x[0])
-            s2 = mpmath.sinh(betam * x[0] / 2)
-            return (abs(s1) ** e2 * abs(s2) ** e3
-                    * phi.evaluate([mpmath.cosh(betam * x[0])]))
-        return psi_h
 
     def psi(x):
         tau = invariants_map(spec, x, beta)
@@ -353,8 +353,7 @@ def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1,
 
 
 def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
-                      *, beta=1, steps=DEFAULT_STEPS, dps: int = DEFAULT_DPS,
-                      hyperbolic: bool = False) -> list:
+                      *, beta=1, steps=DEFAULT_STEPS, dps: int = DEFAULT_DPS) -> list:
     """(H Psi)/Psi at each sample point for Psi = Psi0 * phi(tau), in order.
 
     A point is None (skipped) when |Psi| there is below 10^(-dps/2), a node
@@ -364,8 +363,7 @@ def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
     """
     spec = bundle.spec
     with mp.workdps(dps):
-        betam = _mpf(beta)
-        psi = eigenfunction_factory(bundle, phi, beta, hyperbolic)
+        psi = eigenfunction_factory(bundle, phi, beta)
         energies = []
         for x in sample:
             try:
@@ -373,10 +371,7 @@ def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
                 if abs(centre) < mpmath.mpf(10) ** (-dps // 2):
                     energies.append(None)
                     continue
-                if hyperbolic:
-                    num = _apply_hyperbolic_fd(spec, psi, x, centre, betam, steps)
-                else:
-                    num = apply_hamiltonian_fd(spec, psi, x, centre, beta, steps)
+                num = apply_hamiltonian_fd(spec, psi, x, centre, beta, steps)
             except DomainError:
                 energies.append(None)
                 continue
@@ -387,22 +382,22 @@ def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
 def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
                    sample: Sequence, *, beta=1, steps=DEFAULT_STEPS,
                    e0=None, kappa=None, dps: int = DEFAULT_DPS,
-                   imag_tol="1e-8", hyperbolic: bool = False) -> ResidualStats:
-    """Statistics of (H Psi)/Psi - (E0 + kappa beta^2 eps) over the sample.
+                   imag_tol="1e-8") -> ResidualStats:
+    """Statistics of (H Psi)/Psi - beta^2 (E0 + kappa eps) over the sample.
 
     Points too close to a node of Psi are skipped and counted.  For complex
-    invariants the imaginary part must stay below imag_tol.
+    invariants, or an imaginary beta, the imaginary part must stay below
+    imag_tol.
     """
     energies = measured_energies(bundle, phi, sample, beta=beta, steps=steps,
-                                 dps=dps, hyperbolic=hyperbolic)
+                                 dps=dps)
     return residual_stats(bundle, eps, energies, beta=beta, e0=e0,
-                          kappa=kappa, dps=dps, imag_tol=imag_tol,
-                          hyperbolic=hyperbolic)
+                          kappa=kappa, dps=dps, imag_tol=imag_tol)
 
 
 def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
                    e0=None, kappa=None, dps: int = DEFAULT_DPS,
-                   imag_tol="1e-8", hyperbolic: bool = False) -> ResidualStats:
+                   imag_tol="1e-8") -> ResidualStats:
     """`residual_check` on energies already measured by `measured_energies`."""
     if kappa is None:
         kappa = KAPPA[bundle.spec.family]
@@ -412,11 +407,7 @@ def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
         e0 = bundle.e0
     with mp.workdps(dps):
         betam = _mpf(beta)
-        if hyperbolic:
-            # beta -> i beta: E = -beta^2 (e0 + eps) for the one-variable model
-            target = -betam ** 2 * (_mpf(e0) + _mpf(eps))
-        else:
-            target = _mpf(e0) * betam ** 2 + _mpf(kappa) * betam ** 2 * _mpf(eps)
+        target = _mpf(e0) * betam ** 2 + _mpf(kappa) * betam ** 2 * _mpf(eps)
         values = []
         max_imag = mp.mpf(0)
         for energy in energies:
@@ -432,19 +423,6 @@ def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
             values.append(ratio)
         skipped = sum(energy is None for energy in energies)
         return ResidualStats.from_values(values, skipped, max_imag)
-
-
-def _apply_hyperbolic_fd(spec: ModelSpec, psi: Callable, x, centre, betam,
-                         steps):
-    lap = laplacian_richardson(psi, x, steps, centre)
-    g2 = _mpf(spec.nu2 * (spec.nu2 - 1))
-    g3 = _mpf(spec.nu3 * (spec.nu3 + 2 * spec.nu2 - 1))
-    sh1 = mpmath.sinh(betam * x[0])
-    sh2 = mpmath.sinh(betam * x[0] / 2)
-    if sh1 == 0 or sh2 == 0:
-        raise DomainError("hyperbolic potential singularity")
-    pot = g2 * betam ** 2 / sh1 ** 2 + g3 * betam ** 2 / (4 * sh2 ** 2)
-    return -lap + pot * centre
 
 
 def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
@@ -642,9 +620,10 @@ def ttw_ground_factor(desc: TTWDescriptor, r, phi, dps: int = DEFAULT_DPS):
             raise DomainError("radial coordinate must be positive")
         beta = _mpf(desc.beta)
         gamma = ttw_radial_power(desc, dps)
+        floor = _node_floor()
         v = r ** gamma
-        v *= _abs_sin_pow(beta * phi, desc.nu2)
-        v *= _abs_sin_pow(beta * phi / 2, desc.nu3)
+        v *= _abs_sin_pow(beta * phi, desc.nu2, floor)
+        v *= _abs_sin_pow(beta * phi / 2, desc.nu3, floor)
         expo = -_mpf(desc.omega) * r ** 2 / 2
         if desc.has_sextic:
             expo -= _mpf(desc.a) * r ** 4 / 4
@@ -692,19 +671,17 @@ def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, centre, steps, dps):
     """-d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + V, by 4th-order stencils;
     centre = psi(pt)."""
     r, phi = pt
-    h1, h2 = (_mpf(s) for s in steps)
 
-    def d2(axis, h):
-        return _second_derivative(psi, [r, phi], axis, h, centre)
+    def d2(axis):
+        return lambda h: _second_derivative(psi, [r, phi], axis, h, centre)
 
     def d1r(h):
         def shifted(k):
             return psi((r + k * h, phi))
         return (-shifted(2) + 8 * shifted(1) - 8 * shifted(-1) + shifted(-2)) / (12 * h)
 
-    ratio = (h1 / h2) ** 4
-    lap_r = (ratio * d2(0, h2) - d2(0, h1)) / (ratio - 1)
-    lap_phi = (ratio * d2(1, h2) - d2(1, h1)) / (ratio - 1)
-    der_r = (ratio * d1r(h2) - d1r(h1)) / (ratio - 1)
+    lap_r = _richardson(d2(0), steps)
+    lap_phi = _richardson(d2(1), steps)
+    der_r = _richardson(d1r, steps)
     return (-lap_r - der_r / r - lap_phi / r ** 2
             + ttw_potential(desc, r, phi, dps) * centre)

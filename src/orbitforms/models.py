@@ -61,27 +61,20 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class FlagEntry:
-    vector: CharVector
-    validated_n: int
-
-
-@dataclass(frozen=True)
 class ModelBundle:
     spec: ModelSpec
     d: int
     h: DiffOp
-    flags: tuple[FlagEntry, ...]
+    flags: tuple[CharVector, ...]  # preserved gradings, the first one default
     ground_factor: GaugeFactor
     e0: Fraction | None          # gauge-unit ground energy; None => fitted
-    e0_source: str               # "exact" or "fit"
     eigenvalue: Callable[[Exponents], Fraction] | None
     rational_form: DiffOp | None = None
     rational_potential: RationalFn | None = None
 
     @property
     def char_vector(self) -> CharVector:
-        return self.flags[0].vector
+        return self.flags[0]
 
     def flag(self, n: int, vector: CharVector | None = None) -> FlagSpace:
         return FlagSpace(self.d, vector or self.char_vector, n)
@@ -147,9 +140,9 @@ def build_bc1(nu2, nu3) -> ModelBundle:
     potential = bc1_rational_potential(nu2, nu3)
     rational = delta_g + DiffOp(1, {(0,): potential})
     return ModelBundle(
-        spec=spec, d=1, h=h, flags=(FlagEntry((1,), 12),),
+        spec=spec, d=1, h=h, flags=((1,),),
         ground_factor=bc1_ground_factor(nu2, nu3),
-        e0=e0, e0_source="exact", eigenvalue=eigenvalue,
+        e0=e0, eigenvalue=eigenvalue,
         rational_form=rational, rational_potential=potential)
 
 
@@ -202,9 +195,9 @@ def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
     potential = bc1_qes_rational_potential(nu2, nu3, b, n)
     rational = bc1_operator(Fraction(0), Fraction(0)) + DiffOp(1, {(0,): potential})
     return ModelBundle(
-        spec=spec, d=1, h=h, flags=(FlagEntry((1,), n),),
+        spec=spec, d=1, h=h, flags=((1,),),
         ground_factor=bc1_qes_ground_factor(nu2, nu3, b),
-        e0=(nu2 + nu3 * HALF) ** 2, e0_source="exact", eigenvalue=None,
+        e0=(nu2 + nu3 * HALF) ** 2, eigenvalue=None,
         rational_form=rational, rational_potential=potential)
 
 
@@ -289,9 +282,9 @@ def build_sutherland(N: int, nu) -> ModelBundle:
     d = N - 1
     h = sutherland_operator(N, nu)
     return ModelBundle(
-        spec=spec, d=d, h=h, flags=(FlagEntry((1,) * d, 6),),
+        spec=spec, d=d, h=h, flags=((1,) * d,),
         ground_factor=GaugeFactor(d),  # orbit-space factor is not polynomial; Cartesian module owns it
-        e0=None, e0_source="fit",
+        e0=None,
         eigenvalue=lambda p: sutherland_eigenvalue(N, nu, p))
 
 
@@ -473,10 +466,9 @@ def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
         delta_g = bcn_operator(N, Fraction(0), Fraction(0), Fraction(0))
         rational_form = delta_g + DiffOp(N, {(0,) * N: potential * scale})
     return ModelBundle(
-        spec=spec, d=N, h=h, flags=(FlagEntry((1,) * N, 6),),
+        spec=spec, d=N, h=h, flags=((1,) * N,),
         ground_factor=ground,
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
-        e0_source="exact" if N == 1 else "fit",
         eigenvalue=lambda p: bcn_eigenvalue(N, nu, nu2, nu3, p),
         rational_form=rational_form, rational_potential=potential)
 
@@ -520,9 +512,9 @@ def build_g2(nu, mu) -> ModelBundle:
     h = g2_operator(nu, mu)
     return ModelBundle(
         spec=spec, d=2, h=h,
-        flags=(FlagEntry((1, 2), 10), FlagEntry((3, 5), 10), FlagEntry((5, 9), 10)),
+        flags=((1, 2), (3, 5), (5, 9)),
         ground_factor=GaugeFactor(2),
-        e0=None, e0_source="fit",
+        e0=None,
         eigenvalue=lambda p: g2_eigenvalue(nu, mu, p))
 
 

@@ -191,17 +191,6 @@ class MultiPoly:
             raise DomainError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, ZERO)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def fdeg(self, f: CharVector | None = None) -> int:
-        """Max f-weighted degree over the support; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(fdegree(e, f) for e in self.terms)
-
     def coeff(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), ZERO)
 

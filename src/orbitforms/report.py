@@ -50,6 +50,8 @@ _CONFIG_FIELDS = {
     "include_timings": bool,
 }
 
+MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
+
 _DEFAULTS = {
     "seed": 1,
     "tuples": 5,
@@ -96,6 +98,12 @@ class RunConfig:
                 except (ValueError, ZeroDivisionError) as exc:
                     raise DomainError(
                         f"bad rational for {key!r}: {clean[key]!r}") from exc
+        if "model" in clean and clean["model"] not in MODELS:
+            raise DomainError(f"unknown model {clean['model']!r}; "
+                              f"expected one of {', '.join(MODELS)}")
+        for key in ("sample_points", "tuples", "dps"):
+            if clean[key] < 1:
+                raise DomainError(f"{key} must be at least 1, got {clean[key]}")
         return cls(clean)
 
     def get(self, key: str, default=None):

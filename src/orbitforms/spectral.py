@@ -30,6 +30,10 @@ from .models import ModelBundle, eigenvalue_formula
 from .poly import Exponents, FlagSpace, MultiPoly
 
 ZERO = Fraction(0)
+# numeric eigensolves: working digits, and the bound within which the
+# numeric multiset must match an exact spectrum
+NUMERIC_DPS = 60
+NUMERIC_TOL = "1e-30"
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,9 @@ def _to_mp_matrix(rows: Sequence[Sequence[Fraction]]) -> mpmath.matrix:
     return m
 
 
-def numeric_eigenvalues(rows: Sequence[Sequence[Fraction]], dps: int = 60) -> list:
-    """Eigenvalues only, at `dps` digits; no eigenvectors are built."""
-    with mp.workdps(dps):
+def numeric_eigenvalues(rows: Sequence[Sequence[Fraction]]) -> list:
+    """Eigenvalues only, at NUMERIC_DPS digits; no eigenvectors are built."""
+    with mp.workdps(NUMERIC_DPS):
         m = _to_mp_matrix(rows)
         if len(rows) == 1:   # mpmath.eig returns a tuple for 1x1 whatever it is asked
             return [mpmath.mpc(m[0, 0])]
@@ -78,14 +82,13 @@ def numeric_eigenvalues(rows: Sequence[Sequence[Fraction]], dps: int = 60) -> li
 
 
 def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = None,
-             numeric_check: bool = True, with_vectors: bool = True,
-             numeric_dps: int = 60, numeric_tol: str = "1e-30") -> SpectrumRecord:
+             numeric_check: bool = True, with_vectors: bool = True) -> SpectrumRecord:
     """Exact spectrum of the model on its level-n flag.
 
     Verifies that the closed-form eigenvalue multiset is the exact spectrum
     of the restricted matrix, extracts exact kernel eigenpolynomials, and
-    optionally cross-checks the multiset against a >= 50 digit numeric
-    diagonalization.
+    optionally cross-checks the multiset against a NUMERIC_DPS-digit numeric
+    diagonalization, to within NUMERIC_TOL.
     """
     if model.eigenvalue is None:
         raise UnsupportedModel("use qes_spectrum for QES families")
@@ -140,7 +143,7 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
 
     numeric_checked = False
     if numeric_check:
-        _numeric_multiset_check(action, roots, numeric_dps, numeric_tol)
+        _numeric_multiset_check(action, roots)
         numeric_checked = True
     return SpectrumRecord(model.spec.family, space.d, space.f, n,
                           tuple(entries), tuple(defective), numeric_checked)
@@ -151,11 +154,10 @@ def _vector_to_poly(vec: Sequence[Fraction], space: FlagSpace) -> MultiPoly:
     return MultiPoly(space.d, terms)
 
 
-def _numeric_multiset_check(action, roots: Sequence[Fraction], dps: int,
-                            tol: str) -> None:
-    values = numeric_eigenvalues(action, dps)
-    with mp.workdps(dps):
-        bound = mpmath.mpf(tol)
+def _numeric_multiset_check(action, roots: Sequence[Fraction]) -> None:
+    values = numeric_eigenvalues(action)
+    with mp.workdps(NUMERIC_DPS):
+        bound = mpmath.mpf(NUMERIC_TOL)
         for v in values:
             if abs(v.imag) > bound:
                 raise InconsistencyError(
@@ -181,8 +183,7 @@ class QesSpectrumRecord:
     trace_gap: object
 
 
-def qes_spectrum(model: ModelBundle, n: int | None = None, *,
-                 dps: int = 60) -> QesSpectrumRecord:
+def qes_spectrum(model: ModelBundle, n: int | None = None) -> QesSpectrumRecord:
     """Numeric spectrum of a QES model on its single invariant subspace.
 
     Eigenvalues come from a high-precision diagonalization of the exact
@@ -195,8 +196,8 @@ def qes_spectrum(model: ModelBundle, n: int | None = None, *,
     space = model.flag(level)
     matrix = restrict_to_flag(model.h, space)
     action = matrix.action_matrix()
-    values = numeric_eigenvalues(action, dps)
-    with mp.workdps(dps):
+    values = numeric_eigenvalues(action)
+    with mp.workdps(NUMERIC_DPS):
         order = sorted(range(len(values)), key=lambda i: mpmath.mpf(values[i].real))
         max_imag = max((abs(values[i].imag) for i in order), default=mp.mpf(0))
         eigvals = tuple(values[i].real for i in order)

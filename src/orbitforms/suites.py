@@ -30,7 +30,7 @@ from .models import (ModelBundle, build_bc1, build_bc1_qes, build_bcn,
 from .poly import FlagSpace, MultiPoly, RationalFn
 from .report import (FAIL, PASS, REPORTED, CheckRecord, RunConfig,
                      VerificationReport, load_whitelist)
-from .spectral import (jacobi_reference, orthogonality_check,
+from .spectral import (NUMERIC_TOL, jacobi_reference, orthogonality_check,
                        proportional_scalar, spectrum)
 
 HALF = Fraction(1, 2)
@@ -148,9 +148,8 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
                                            Fraction(1, 5)), 2))
     for name, bundle, nmax in numeric_jobs:
         def run(rec: CheckRecord, bundle=bundle, nmax=nmax):
-            record = spectrum(bundle, nmax, numeric_check=True, with_vectors=False,
-                              numeric_dps=60, numeric_tol="1e-30")
-            rec.numeric["matched_within"] = "1e-30"
+            record = spectrum(bundle, nmax, numeric_check=True, with_vectors=False)
+            rec.numeric["matched_within"] = NUMERIC_TOL
             rec.exact["dim"] = record.dim
         checks.append(_record(name, run))
 
@@ -224,13 +223,13 @@ def suite_flags(config: RunConfig) -> list[CheckRecord]:
     for name, bundle, nmax in _builders_for_spectra(config, seed + 100):
         flag_name = name.replace("spectral/", "flags/")
         def run(rec: CheckRecord, bundle=bundle, nmax=nmax):
-            for entry in bundle.flags:
+            for vector in bundle.flags:
                 ok, witness = preserves_flag(
-                    bundle.h, FlagSpace(bundle.d, entry.vector, nmax))
-                if not _require(rec, ok, f"flag {entry.vector} broken"):
+                    bundle.h, FlagSpace(bundle.d, vector, nmax))
+                if not _require(rec, ok, f"flag {vector} broken"):
                     rec.witness = witness
                     return
-            rec.exact["vectors"] = [list(e.vector) for e in bundle.flags]
+            rec.exact["vectors"] = [list(v) for v in bundle.flags]
             rec.exact["n_max"] = nmax
         checks.append(_record(flag_name, run))
 
@@ -702,7 +701,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
             for entry in record.entries:
                 st = cart.residual_check(bundle, entry.eigenvalue,
                                          entry.eigenpolynomials[0], sample,
-                                         dps=dps, hyperbolic=True)
+                                         beta=mpmath.mpc(0, 1), dps=dps)
                 worst = max(worst, st.max_abs)
             _require(rec, worst < tol, f"hyperbolic residual {worst}")
             rec.numeric["max_residual"] = mpmath.nstr(worst, 3)
@@ -720,6 +719,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
         def orthogonality(rec: CheckRecord):
             otol = mpmath.mpf(str(config.get("orthogonality_tol", "1e-10")))
             worst = Fraction(0)
+            worst_gap = mp.mpf(0)
             for (a, b) in ((HALF, HALF), (Fraction(1), Fraction(2)),
                            (Fraction(3, 2), HALF)):
                 max_off, min_norm, spot_gap = orthogonality_check(a, b, 8, dps=dps)
@@ -727,8 +727,10 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
                 _require(rec, spot_gap < otol,
                          f"quadrature norm off the exact one by {spot_gap}")
                 worst = max(worst, max_off)
+                worst_gap = max(worst_gap, spot_gap)
             _require(rec, worst == 0, f"off-diagonal product {worst}")
             rec.numeric["max_offdiag"] = str(worst)
+            rec.numeric["spot_gap"] = mpmath.nstr(worst_gap, 3)
         checks.append(_record("cartesian/orthogonality", orthogonality))
 
         def periodicity(rec: CheckRecord):

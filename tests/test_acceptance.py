@@ -91,14 +91,14 @@ def test_criterion_2_flag_preservation():
         nparams = {"bc1": 2, "sutherland": 1, "bcn": 3, "g2": 2}[family]
         for i, params in enumerate(parameter_tuples(SEED + 7 + (N or 0), 5, nparams)):
             bundle = _build(family, N, params)
-            for entry in bundle.flags:
+            for vector in bundle.flags:
                 ok, witness = preserves_flag(
-                    bundle.h, FlagSpace(bundle.d, entry.vector, nmax))
+                    bundle.h, FlagSpace(bundle.d, vector, nmax))
                 if not ok:
                     failures.append(
-                        f"{family}/N={N}/f={entry.vector}: witness {witness}")
+                        f"{family}/N={N}/f={vector}: witness {witness}")
     g2 = build_g2(Fraction(1, 2), Fraction(1, 3))
-    if [e.vector for e in g2.flags] != [(1, 2), (3, 5), (5, 9)]:
+    if list(g2.flags) != [(1, 2), (3, 5), (5, 9)]:
         failures.append("dihedral flag list is not (1,2),(3,5),(5,9)")
     _criterion(2, "flag preservation incl. the three dihedral gradings "
                   "(exact, witness on failure)", failures)

@@ -1,15 +1,18 @@
 """Cartesian oracle: invariants, factors, potentials, residuals, fits."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from orbitforms import cartesian as cart
 from orbitforms.errors import DomainError
 from orbitforms.poly import MultiPoly
-from orbitforms.models import (build_bc1, build_bcn, build_g2,
+from orbitforms.models import (ModelSpec, build_bc1, build_bcn, build_g2,
                                build_sutherland, ttw_models)
 from orbitforms.report import RunConfig
 from orbitforms.spectral import spectrum
@@ -77,6 +80,162 @@ def test_potential_singularity_error():
         cart.hamiltonian_potential(spec, [mpmath.mpf(1), mpmath.mpf(1)])
 
 
+# -- the root table against the per-family formulas it replaced ---------------
+
+def _q(v):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+G2_LONG = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+def reference_psi0(spec, x, beta):
+    """prod |sin|^g written out per family."""
+    fam = spec.family
+
+    def p(arg, g):
+        return abs(mpmath.sin(arg)) ** _q(g)
+    if fam in ("BC1", "BC1_QES"):
+        v = p(beta * x[0], spec.nu2) * p(beta * x[0] / 2, spec.nu3)
+        if fam == "BC1_QES":
+            v *= mpmath.exp(_q(spec.b) * mpmath.cos(beta * x[0]))
+        return v
+    v = mpmath.mpf(1)
+    if fam == "SUTHERLAND":
+        for i, j in _pairs(spec.N):
+            v *= p(beta * (x[i] - x[j]) / 2, spec.nu)
+    elif fam == "BCN":
+        for i, j in _pairs(spec.N):
+            v *= p(beta * (x[i] - x[j]) / 2, spec.nu) * p(beta * (x[i] + x[j]) / 2, spec.nu)
+        for xi in x:
+            v *= p(beta * xi, spec.nu2) * p(beta * xi / 2, spec.nu3)
+    else:
+        for i, j in _pairs(3):
+            v *= p(beta * (x[i] - x[j]) / 2, spec.nu)
+        for i, j, k in G2_LONG:
+            v *= p(beta * (x[i] + x[j] - 2 * x[k]) / 2, spec.mu)
+    return v
+
+
+def reference_potential(spec, x, beta):
+    """The potential written out per family, with its kinetic convention."""
+    fam = spec.family
+    b2 = beta * beta
+
+    def s2(arg):
+        return 1 / mpmath.sin(arg) ** 2
+    if fam in ("BC1", "BC1_QES"):
+        nu2, nu3 = spec.nu2, spec.nu3
+        v = (_q(nu2 * (nu2 - 1)) * b2 * s2(beta * x[0])
+             + _q(nu3 * (nu3 + 2 * nu2 - 1)) * b2 / 4 * s2(beta * x[0] / 2))
+        if fam == "BC1_QES":
+            bb = _q(spec.b)
+            v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
+                  + 2 * bb * b2 * _q(2 * spec.n + 2 * nu2 + nu3 + 1)
+                  * mpmath.sin(beta * x[0] / 2) ** 2)
+        return v
+    if fam == "SUTHERLAND":
+        return _q(spec.nu * (spec.nu - 1)) * b2 / 4 * sum(
+            s2(beta * (x[i] - x[j]) / 2) for i, j in _pairs(spec.N))
+    if fam == "BCN":
+        nu, nu2, nu3 = spec.nu, spec.nu2, spec.nu3
+        return (_q(nu * (nu - 1)) * b2 / 4 * sum(
+                    s2(beta * (x[i] - x[j]) / 2) + s2(beta * (x[i] + x[j]) / 2)
+                    for i, j in _pairs(spec.N))
+                + _q(nu2 * (nu2 - 1)) * b2 / 2 * sum(s2(beta * xi) for xi in x)
+                + _q(nu3 * (nu3 + 2 * nu2 - 1)) * b2 / 8 * sum(s2(beta * xi / 2) for xi in x))
+    return (_q(spec.nu * (spec.nu - 1)) * b2 / 4 * sum(
+                s2(beta * (x[i] - x[j]) / 2) for i, j in _pairs(3))
+            + _q(3 * spec.mu * (spec.mu - 1)) * b2 / 4 * sum(
+                s2(beta * (x[i] + x[j] - 2 * x[k]) / 2) for i, j, k in G2_LONG))
+
+
+def reference_inside_alcove(spec, x, beta, min_sin):
+    """Every wall |sin| above min_sin; the BC short-root walls above half of it."""
+    fam = spec.family
+
+    def s(a):
+        return abs(math.sin(a))
+    if fam in ("BC1", "BC1_QES"):
+        return s(beta * x[0]) > min_sin and s(beta * x[0] / 2) > min_sin / 2
+    if fam == "SUTHERLAND":
+        return all(s(beta * (x[i] - x[j]) / 2) > min_sin for i, j in _pairs(spec.N))
+    if fam == "BCN":
+        return (all(s(beta * xi) > min_sin and s(beta * xi / 2) > min_sin / 2 for xi in x)
+                and all(s(beta * (x[i] - x[j]) / 2) > min_sin
+                        and s(beta * (x[i] + x[j]) / 2) > min_sin for i, j in _pairs(spec.N)))
+    y = [xi - sum(x) / 3 for xi in x]
+    return (all(s(beta * (y[i] - y[j]) / 2) > min_sin for i, j in _pairs(3))
+            and all(s(beta * (y[i] + y[j] - 2 * y[k]) / 2) > min_sin for i, j, k in G2_LONG))
+
+
+couplings = st.builds(Fraction, st.integers(-7, 9), st.integers(1, 6))
+
+
+@st.composite
+def model_specs(draw):
+    family = draw(st.sampled_from(["BC1", "BC1_QES", "SUTHERLAND", "BCN", "G2"]))
+    if family in ("BC1", "BC1_QES"):
+        extra = dict(b=draw(couplings), n=draw(st.integers(0, 3))) \
+            if family == "BC1_QES" else {}
+        return ModelSpec(family, nu2=draw(couplings), nu3=draw(couplings), **extra)
+    if family == "SUTHERLAND":
+        return ModelSpec(family, N=draw(st.integers(2, 4)), nu=draw(couplings))
+    if family == "BCN":
+        return ModelSpec(family, N=draw(st.integers(1, 3)), nu=draw(couplings),
+                         nu2=draw(couplings), nu3=draw(couplings))
+    return ModelSpec(family, nu=draw(couplings), mu=draw(couplings))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=model_specs(), beta=st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(1, 2)]),
+       seed=st.integers(0, 10 ** 6))
+def test_root_table_matches_per_family_formulas(spec, beta, seed):
+    (x,) = cart.sample_alcove(spec, 1, seed, beta)
+    with mp.workdps(40):
+        betam = _q(beta)
+        psi0, ref = cart.psi0_cartesian(spec, x, beta), reference_psi0(spec, x, betam)
+        assert abs(psi0 - ref) <= mpmath.mpf("1e-35") * abs(ref)
+        pot, ref = (cart.hamiltonian_potential(spec, x, beta),
+                    reference_potential(spec, x, betam))
+        assert abs(pot - ref) <= mpmath.mpf("1e-35") * max(1, abs(ref))
+    rng = random.Random(seed)
+    for _ in range(20):
+        cand = cart._sample_candidate(spec, rng, float(beta))
+        assert (cart._inside_alcove(spec, cand, float(beta), 0.12)
+                == reference_inside_alcove(spec, cand, float(beta), 0.12))
+
+
+def test_imaginary_beta_gives_sinh_formulas():
+    nu, nu2, nu3 = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
+    g, g2, g3 = nu * (nu - 1), nu2 * (nu2 - 1), nu3 * (nu3 + 2 * nu2 - 1)
+    i = mpmath.mpc(0, 1)
+    with mp.workdps(40):
+        x = [mpmath.mpf("0.7"), mpmath.mpf("1.3")]
+        sh = mpmath.sinh
+        # one variable: |sinh x|^nu2 |sinh x/2|^nu3 and g2/sinh^2 x + g3/(4 sinh^2 x/2)
+        spec = build_bc1(nu2, nu3).spec
+        assert abs(cart.invariants_map(spec, x[:1], i)[0] - mpmath.cosh(x[0])) < mpmath.mpf("1e-38")
+        psi0 = abs(sh(x[0])) ** _q(nu2) * abs(sh(x[0] / 2)) ** _q(nu3)
+        assert abs(cart.psi0_cartesian(spec, x[:1], i) - psi0) < mpmath.mpf("1e-38")
+        pot = _q(g2) / sh(x[0]) ** 2 + _q(g3) / (4 * sh(x[0] / 2) ** 2)
+        assert abs(cart.hamiltonian_potential(spec, x[:1], i) - pot) < mpmath.mpf("1e-38")
+        # BC_2, with the half kinetic factor
+        spec = build_bcn(2, nu, nu2, nu3).spec
+        psi0 = (abs(sh((x[0] - x[1]) / 2) * sh((x[0] + x[1]) / 2)) ** _q(nu)
+                * abs(sh(x[0]) * sh(x[1])) ** _q(nu2)
+                * abs(sh(x[0] / 2) * sh(x[1] / 2)) ** _q(nu3))
+        assert abs(cart.psi0_cartesian(spec, x, i) - psi0) < mpmath.mpf("1e-38")
+        pot = (_q(g) / 4 * (1 / sh((x[0] - x[1]) / 2) ** 2 + 1 / sh((x[0] + x[1]) / 2) ** 2)
+               + _q(g2) / 2 * (1 / sh(x[0]) ** 2 + 1 / sh(x[1]) ** 2)
+               + _q(g3) / 8 * (1 / sh(x[0] / 2) ** 2 + 1 / sh(x[1] / 2) ** 2))
+        assert abs(cart.hamiltonian_potential(spec, x, i) - pot) < mpmath.mpf("1e-38")
+
+
 def test_sampling_is_deterministic():
     spec = build_bcn(2, HALF, HALF, HALF).spec
     a = cart.sample_alcove(spec, 5, seed=3)
@@ -132,7 +291,7 @@ def test_hyperbolic_consistency():
     for entry in rec.entries:
         st = cart.residual_check(bundle, entry.eigenvalue,
                                  entry.eigenpolynomials[0], pts,
-                                 hyperbolic=True)
+                                 beta=mpmath.mpc(0, 1))
         assert st.max_abs < mpmath.mpf("1e-6")
 
 

@@ -64,6 +64,28 @@ def test_compose_agrees_with_sequential_application():
             assert apply(ab, mono) == apply(a, apply(b, mono))
 
 
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def polys(nvars, max_deg=2):
+    exps = st.tuples(*[st.integers(0, max_deg)] * nvars)
+    return st.dictionaries(exps, coeffs, max_size=3).map(lambda d: MultiPoly(nvars, d))
+
+
+def ops(nvars):
+    orders = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(orders, polys(nvars), max_size=3).map(
+        lambda d: DiffOp(nvars, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 2))
+def test_compose_acts_as_sequential_application(data, nvars):
+    a, b = data.draw(ops(nvars), label="a"), data.draw(ops(nvars), label="b")
+    p = data.draw(polys(nvars, 4), label="p")
+    assert apply(compose(a, b), p) == apply(a, apply(b, p))
+
+
 def test_commutator_lowering_euler():
     jminus = DiffOp.partial(1, 0)
     j0 = DiffOp(1, {(1,): t, (0,): MultiPoly.const(1, -4)})

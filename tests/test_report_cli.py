@@ -273,3 +273,21 @@ def test_cli_non_integer_char_vector_exit_2():
 def test_cli_char_vector_length_exit_2():
     _one_line_error(run_cli("spectrum", "--model", "g2", "--nu", "1", "--mu", "1",
                             "--n", "2", "--f", "1"))
+
+
+@pytest.mark.parametrize("args, config_text", [
+    (("--suite", "flags", "--model", "nope"), None),
+    (("--suite", "flags", "--tuples", "-1"), None),
+    (("--suite", "cartesian", "--sample-points", "0"), None),
+    (("--suite", "cartesian", "--sample-points", "-3"), None),
+    (("--suite", "cartesian", "--dps", "0"), None),
+    (("--suite", "cartesian", "--dps", "-4"), None),
+    (("--suite", "ttw"), "sample_points=0\n"),
+    (("--suite", "flags"), "model=BC1\n"),
+])
+def test_cli_verify_rejects_bad_model_and_counts(tmp_path, args, config_text):
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        args = (*args, "--config", str(cfg))
+    _one_line_error(run_cli("verify", *args))

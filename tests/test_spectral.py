@@ -312,7 +312,7 @@ GOLDEN_SUITE_SHA256 = {
     "gauge": "c0db82523f55ea861d05630378836b2e21547b7e51e2f6392aa0fcaed18e02f3",
     "ttw": "68ea718ca4cc0375c48643c272555178576951f052422794be2ed8de5bd94007",
     "cartesian --sample-points 10":
-        "94e14e128a94f060ec884eb84d153cd1696939bbb6907ab26652fe13596fb66f",
+        "a859fc0e354f35391de0477f355add69a3c905551bbbd8dc41017923a44f6128",
 }
 
 
