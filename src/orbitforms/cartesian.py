@@ -2,12 +2,14 @@
 finite-difference Schroedinger residuals and energy-affine fits.
 
 Everything numeric runs in mpmath working precision (default 40 digits, well
-above double-double), with 4th-order central stencils plus one Richardson
-extrapolation level.  The stencil centre psi(x) is evaluated once per point
-and passed down, so a point costs 8d + 1 evaluations of psi in d Cartesian
-dimensions.  `measured_energies` is the one finite-difference pass: it gives
-(H Psi)/Psi per sample point, and both the residual statistics
-(`residual_stats`) and the affine energy fit (`affine_fit`) read its list.
+above double-double), with one 4th-order central stencil whose step
+h = 10^-ceil(dps/6) balances its h^4 truncation error against the
+10^-dps / h^2 round-off.  The stencil centre psi(x) is evaluated once per
+point and passed down, so a point costs 4d + 1 evaluations of psi in d
+Cartesian dimensions.  `measured_energies` is the one finite-difference
+pass: it gives (H Psi)/Psi per sample point, and both the residual
+statistics (`residual_stats`) and the affine energy fit (`affine_fit`) read
+its list.
 Exact objects (polynomials, rationals) enter only through integer numerators
 and denominators, never binary floats.
 
@@ -50,7 +52,7 @@ from .models import ModelBundle, ModelSpec, TTWDescriptor
 from .poly import MultiPoly
 
 DEFAULT_DPS = 40
-DEFAULT_STEPS = (Fraction(1, 100), Fraction(1, 200))
+IMAG_TOL = "1e-8"   # bound on the imaginary part of a measured energy
 WALL_MARGIN = Fraction(1, 20)    # 5% of the alcove scale
 
 KAPPA = {
@@ -300,39 +302,37 @@ def _inside_alcove(spec: ModelSpec, x, beta: float, min_sin: float) -> bool:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def _second_derivative(fn: Callable, x: Sequence, axis: int, h, centre):
-    """4th-order central stencil for d^2/dx_axis^2; centre = fn(x)."""
-    def shifted(k):
-        pt = list(x)
-        pt[axis] = pt[axis] + k * h
-        return fn(pt)
-    return (-shifted(2) + 16 * shifted(1) - 30 * centre
-            + 16 * shifted(-1) - shifted(-2)) / (12 * h * h)
+def _stencil_step():
+    """h = 10^-ceil(dps/6): the stencil's h^4 truncation error then matches
+    its 10^-dps / h^2 round-off at the working precision."""
+    return mpmath.mpf(10) ** (-mp.dps // 6)
 
 
-def laplacian_fd(fn: Callable, x: Sequence, h, centre):
-    return sum(_second_derivative(fn, x, i, h, centre) for i in range(len(x)))
+def _shifted(fn: Callable, x: Sequence, axis: int, h) -> list:
+    """fn at x + k h e_axis for k = 1, -1, 2, -2."""
+    return [fn([xi + k * h if i == axis else xi for i, xi in enumerate(x)])
+            for k in (1, -1, 2, -2)]
 
 
-def _richardson(stencil: Callable, steps):
-    """One Richardson level over a 4th-order stencil(h) at the two steps
-    (order >= 6)."""
-    h1, h2 = (_mpf(s) for s in steps)
-    d1 = stencil(h1)
-    d2 = stencil(h2)
-    r = (h1 / h2) ** 4
-    return (r * d2 - d1) / (r - 1)
+def _second_difference(shifted: list, centre, h):
+    """4th-order central d^2/dx^2 from the `_shifted` values and the centre."""
+    p1, m1, p2, m2 = shifted
+    return (-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h)
 
 
-def laplacian_richardson(fn: Callable, x: Sequence, steps, centre):
-    """Richardson-extrapolated 4th-order Laplacian; centre = fn(x)."""
-    return _richardson(lambda h: laplacian_fd(fn, x, h, centre), steps)
+def laplacian_richardson(fn: Callable, x: Sequence, h, centre):
+    """4th-order central Laplacian at step h; centre = fn(x).  It takes
+    2 len(x) evaluations of fn.  The name is the one `perfbench/spans.py`
+    wraps."""
+    return sum(_second_difference(_shifted(fn, x, i, h), centre, h)
+               for i in range(len(x)))
 
 
 def apply_hamiltonian_fd(spec: ModelSpec, psi: Callable, x: Sequence, centre,
-                         beta=1, steps=DEFAULT_STEPS):
-    """H psi at x by finite differences; centre = psi(x)."""
-    lap = laplacian_richardson(psi, x, steps, centre)
+                         beta=1):
+    """H psi at x by finite differences at the working precision's step;
+    centre = psi(x)."""
+    lap = laplacian_richardson(psi, x, _stencil_step(), centre)
     coeff = mpmath.mpf(1) / 2 if kinetic_half(spec) else mpmath.mpf(1)
     return -coeff * lap + hamiltonian_potential(spec, x, beta) * centre
 
@@ -353,7 +353,7 @@ def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1) -> Callab
 
 
 def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
-                      *, beta=1, steps=DEFAULT_STEPS, dps: int = DEFAULT_DPS) -> list:
+                      *, beta=1, dps: int = DEFAULT_DPS) -> list:
     """(H Psi)/Psi at each sample point for Psi = Psi0 * phi(tau), in order.
 
     A point is None (skipped) when |Psi| there is below 10^(-dps/2), a node
@@ -371,7 +371,7 @@ def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
                 if abs(centre) < mpmath.mpf(10) ** (-dps // 2):
                     energies.append(None)
                     continue
-                num = apply_hamiltonian_fd(spec, psi, x, centre, beta, steps)
+                num = apply_hamiltonian_fd(spec, psi, x, centre, beta)
             except DomainError:
                 energies.append(None)
                 continue
@@ -380,24 +380,21 @@ def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
 
 
 def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
-                   sample: Sequence, *, beta=1, steps=DEFAULT_STEPS,
-                   e0=None, kappa=None, dps: int = DEFAULT_DPS,
-                   imag_tol="1e-8") -> ResidualStats:
+                   sample: Sequence, *, beta=1, e0=None, kappa=None,
+                   dps: int = DEFAULT_DPS) -> ResidualStats:
     """Statistics of (H Psi)/Psi - beta^2 (E0 + kappa eps) over the sample.
 
     Points too close to a node of Psi are skipped and counted.  For complex
     invariants, or an imaginary beta, the imaginary part must stay below
-    imag_tol.
+    IMAG_TOL.
     """
-    energies = measured_energies(bundle, phi, sample, beta=beta, steps=steps,
-                                 dps=dps)
+    energies = measured_energies(bundle, phi, sample, beta=beta, dps=dps)
     return residual_stats(bundle, eps, energies, beta=beta, e0=e0,
-                          kappa=kappa, dps=dps, imag_tol=imag_tol)
+                          kappa=kappa, dps=dps)
 
 
 def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
-                   e0=None, kappa=None, dps: int = DEFAULT_DPS,
-                   imag_tol="1e-8") -> ResidualStats:
+                   e0=None, kappa=None, dps: int = DEFAULT_DPS) -> ResidualStats:
     """`residual_check` on energies already measured by `measured_energies`."""
     if kappa is None:
         kappa = KAPPA[bundle.spec.family]
@@ -416,7 +413,7 @@ def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
             ratio = energy - target
             if isinstance(ratio, mpmath.mpc):
                 max_imag = max(max_imag, abs(ratio.imag))
-                if abs(ratio.imag) > mpmath.mpf(imag_tol):
+                if abs(ratio.imag) > mpmath.mpf(IMAG_TOL):
                     raise InconsistencyError(
                         f"residual has imaginary part {ratio.imag}")
                 ratio = ratio.real
@@ -426,21 +423,19 @@ def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
 
 
 def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
-                      *, beta=1, steps=DEFAULT_STEPS,
-                      dps: int = DEFAULT_DPS, imag_tol="1e-8"):
+                      *, beta=1, dps: int = DEFAULT_DPS):
     """Least-squares fit E_measured = E0 + kappa * beta^2 * eps over >= 2
     distinct eigenvalues; returns (e0_fit, kappa_fit, variance) in units of
     beta^2 (so e0_fit and kappa_fit are directly comparable to the exact
     gauge data)."""
-    energies = [measured_energies(bundle, phi, sample, beta=beta, steps=steps,
-                                  dps=dps)
+    energies = [measured_energies(bundle, phi, sample, beta=beta, dps=dps)
                 for _, phi in eigenpairs]
     return affine_fit([eps for eps, _ in eigenpairs], energies, beta=beta,
-                      dps=dps, imag_tol=imag_tol)
+                      dps=dps)
 
 
 def affine_fit(eigenvalues: Sequence, energies: Sequence, *, beta=1,
-               dps: int = DEFAULT_DPS, imag_tol="1e-8"):
+               dps: int = DEFAULT_DPS):
     """`fit_energy_affine` on energies already measured by
     `measured_energies`, one list per eigenvalue."""
     if len(set(eigenvalues)) < 2:
@@ -454,7 +449,7 @@ def affine_fit(eigenvalues: Sequence, energies: Sequence, *, beta=1,
                 if val is None:
                     continue
                 if isinstance(val, mpmath.mpc):
-                    if abs(val.imag) > mpmath.mpf(imag_tol):
+                    if abs(val.imag) > mpmath.mpf(IMAG_TOL):
                         raise InconsistencyError("complex measured energy")
                     val = val.real
                 acc.append(val)
@@ -534,12 +529,9 @@ def fd_convergence_order(bundle: ModelBundle, eps, phi: MultiPoly, *,
         orders = []
         for x in sample:
             centre = psi(list(x))
-            h1 = mpmath.mpf(1) / 50
-            h2 = h1 / 2
-            h3 = h2 / 2
-            d1 = laplacian_fd(psi, x, h1, centre)
-            d2 = laplacian_fd(psi, x, h2, centre)
-            d3 = laplacian_fd(psi, x, h3, centre)
+            h = mpmath.mpf(1) / 50
+            d1, d2, d3 = (laplacian_richardson(psi, x, h / 2 ** k, centre)
+                          for k in range(3))
             limit = (16 * d3 - d2) / 15
             e1 = abs(d1 - limit)
             e2 = abs(d2 - limit)
@@ -647,7 +639,7 @@ def ttw_sample(desc: TTWDescriptor, npoints: int, seed: int):
 
 
 def ttw_ground_check(desc: TTWDescriptor, npoints: int = 50, seed: int = 17,
-                     steps=DEFAULT_STEPS, dps: int = DEFAULT_DPS) -> ResidualStats:
+                     dps: int = DEFAULT_DPS) -> ResidualStats:
     """(H Psi0)/Psi0 must be constant across the sample; the mean is the
     fitted ground energy and std/|mean| the constancy ratio."""
     sample = ttw_sample(desc, npoints, seed)
@@ -660,28 +652,23 @@ def ttw_ground_check(desc: TTWDescriptor, npoints: int = 50, seed: int = 17,
         for (r, phi) in sample:
             try:
                 centre = psi((r, phi))
-                num = _apply_polar_fd(desc, psi, (r, phi), centre, steps, dps)
+                num = _apply_polar_fd(desc, psi, (r, phi), centre, dps)
                 values.append(num / centre)
             except DomainError:
                 skipped += 1
         return ResidualStats.from_values(values, skipped, 0)
 
 
-def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, centre, steps, dps):
-    """-d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + V, by 4th-order stencils;
-    centre = psi(pt)."""
+def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, centre, dps):
+    """-d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + V, by 4th-order stencils at the
+    working precision's step; centre = psi(pt).  d_r^2 and d_r read the same
+    four radial points, so a point costs 9 evaluations of psi."""
     r, phi = pt
-
-    def d2(axis):
-        return lambda h: _second_derivative(psi, [r, phi], axis, h, centre)
-
-    def d1r(h):
-        def shifted(k):
-            return psi((r + k * h, phi))
-        return (-shifted(2) + 8 * shifted(1) - 8 * shifted(-1) + shifted(-2)) / (12 * h)
-
-    lap_r = _richardson(d2(0), steps)
-    lap_phi = _richardson(d2(1), steps)
-    der_r = _richardson(d1r, steps)
+    h = _stencil_step()
+    radial = _shifted(psi, pt, 0, h)
+    p1, m1, p2, m2 = radial
+    lap_r = _second_difference(radial, centre, h)
+    der_r = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+    lap_phi = _second_difference(_shifted(psi, pt, 1, h), centre, h)
     return (-lap_r - der_r / r - lap_phi / r ** 2
             + ttw_potential(desc, r, phi, dps) * centre)

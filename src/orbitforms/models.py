@@ -20,7 +20,7 @@ Conventions, fixed once and verified by the suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -58,6 +58,11 @@ class ModelSpec:
             raise DomainError("QES level n must be non-negative")
         if self.m is not None and self.m < 0:
             raise DomainError("QES level m must be non-negative")
+        # hashed once: the oracle's root table is looked up per psi0 call
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -41,7 +42,6 @@ _CONFIG_FIELDS = {
     "residual_tol": str,
     "orthogonality_tol": str,
     "constancy_tol": str,
-    "fd_step": str,
     "dps": int,
     "format": str,
     "out": str,
@@ -49,6 +49,9 @@ _CONFIG_FIELDS = {
     "numeric_check": bool,
     "include_timings": bool,
 }
+
+# an unsigned decimal: mantissa, then an optional exponent
+_DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
 
@@ -104,6 +107,11 @@ class RunConfig:
         for key in ("sample_points", "tuples", "dps"):
             if clean[key] < 1:
                 raise DomainError(f"{key} must be at least 1, got {clean[key]}")
+        for key in ("residual_tol", "orthogonality_tol", "constancy_tol"):
+            match = _DECIMAL.fullmatch(clean[key])
+            if match is None or not re.search("[1-9]", match.group(1)):
+                raise DomainError(
+                    f"{key} must be a positive decimal, got {clean[key]!r}")
         return cls(clean)
 
     def get(self, key: str, default=None):

@@ -653,11 +653,6 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
     points = int(config.get("sample_points", 50))
     dps = int(config.get("dps", 40))
     tol = mpmath.mpf(str(config.get("residual_tol", "1e-6")))
-    if config.get("fd_step"):
-        h = Fraction(str(config.get("fd_step")))
-        steps = (h, h / 2)
-    else:
-        steps = cart.DEFAULT_STEPS
     checks: list[CheckRecord] = []
 
     def free_particle(rec: CheckRecord):
@@ -667,8 +662,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
         with mp.workdps(dps):
             for entry in record.entries:
                 st = cart.residual_check(bundle, entry.eigenvalue,
-                                         entry.eigenpolynomials[0], sample,
-                                         steps=steps, dps=dps)
+                                         entry.eigenpolynomials[0], sample, dps=dps)
                 if not _require(rec, st.max_abs < mpmath.mpf("1e-8"),
                                 f"free residual {st.max_abs} at eps={entry.eigenvalue}"):
                     return
@@ -686,7 +680,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
             for entry in record.entries:
                 st = cart.residual_check(bundle, entry.eigenvalue,
                                          entry.eigenpolynomials[0], sample,
-                                         beta=beta, steps=steps, dps=dps)
+                                         beta=beta, dps=dps)
                 worst = max(worst, st.max_abs)
             _require(rec, worst < tol, f"max residual {worst}")
             rec.numeric["max_residual"] = mpmath.nstr(worst, 3)
@@ -749,8 +743,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
                 pairs.append((entry.eigenvalue, phi))
         # one finite-difference pass per eigenpair: the fit reads the first
         # ten points, the residuals all of them
-        energies = [cart.measured_energies(bundle, phi, sample, steps=steps,
-                                           dps=dps)
+        energies = [cart.measured_energies(bundle, phi, sample, dps=dps)
                     for _, phi in pairs]
         e0f, kf, var = cart.affine_fit([eps for eps, _ in pairs],
                                        [measured[:10] for measured in energies],

@@ -1,12 +1,13 @@
 """Cartesian oracle: invariants, factors, potentials, residuals, fits."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from orbitforms import cartesian as cart
@@ -210,6 +211,17 @@ def test_root_table_matches_per_family_formulas(spec, beta, seed):
                 == reference_inside_alcove(spec, cand, float(beta), 0.12))
 
 
+@pytest.mark.parametrize("field", ["nu", "nu2", "nu3", "mu", "b", "a", "omega", "beta"])
+def test_model_spec_hash_eq_and_one_root_table_per_spec(field):
+    spec = ModelSpec("BCN", N=2, nu=HALF, nu2=Fraction(1, 3), nu3=Fraction(1, 5))
+    same = ModelSpec("BCN", N=2, nu=Fraction(2, 4), nu2=Fraction(1, 3), nu3=Fraction(1, 5))
+    assert spec == same and hash(spec) == hash(same)
+    assert cart.root_table(spec) is cart.root_table(same)
+    other = dataclasses.replace(spec, **{field: Fraction(2, 7)})
+    assert other != spec
+    assert hash(other) == hash(dataclasses.replace(spec, **{field: Fraction(4, 14)}))
+
+
 def test_imaginary_beta_gives_sinh_formulas():
     nu, nu2, nu3 = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
     g, g2, g3 = nu * (nu - 1), nu2 * (nu2 - 1), nu3 * (nu3 + 2 * nu2 - 1)
@@ -293,6 +305,61 @@ def test_hyperbolic_consistency():
                                  entry.eigenpolynomials[0], pts,
                                  beta=mpmath.mpc(0, 1))
         assert st.max_abs < mpmath.mpf("1e-6")
+
+
+# 2 nu in [0, 10]; the examples are bc1 at beta = 6/5 where the old
+# Richardson pair of fixed steps (1/100, 1/200) exceeded the suite's 1e-6
+@settings(max_examples=12, deadline=None)
+@given(two_nu2=st.fractions(0, 10, max_denominator=6),
+       two_nu3=st.fractions(0, 10, max_denominator=6),
+       n=st.integers(0, 12), beta=st.sampled_from([Fraction(1), Fraction(6, 5)]),
+       seed=st.integers(0, 10 ** 6))
+@example(two_nu2=Fraction(7), two_nu3=Fraction(9), n=6, beta=Fraction(6, 5), seed=3)
+@example(two_nu2=Fraction(22, 3), two_nu3=Fraction(10), n=8, beta=Fraction(6, 5), seed=3)
+@example(two_nu2=Fraction(2, 3), two_nu3=Fraction(4, 5), n=12, beta=Fraction(6, 5), seed=3)
+def test_bc1_residuals_at_generic_couplings(two_nu2, two_nu3, n, beta, seed):
+    bundle = build_bc1(two_nu2 / 2, two_nu3 / 2)
+    record = spectrum(bundle, n, numeric_check=False)
+    sample = cart.sample_alcove(bundle.spec, 30, seed, beta)
+    worst = max(cart.residual_check(bundle, e.eigenvalue, e.eigenpolynomials[0],
+                                    sample, beta=beta).max_abs
+                for e in record.entries)
+    assert worst < mpmath.mpf("1e-6")
+
+
+# each builder takes three couplings and ignores those it has no use for
+FITTED_MODELS = {
+    "sutherland3": lambda nu, _, __: build_sutherland(3, nu),
+    "bc2": lambda nu, nu2, nu3: build_bcn(2, nu, nu2, nu3),
+    "g2": lambda nu, mu, _: build_g2(nu, mu),
+}
+
+
+@settings(max_examples=9, deadline=None)
+@given(model=st.sampled_from(sorted(FITTED_MODELS)),
+       couplings=st.lists(st.fractions(0, 3, max_denominator=7), min_size=3, max_size=3),
+       seed=st.integers(0, 10 ** 6))
+def test_fitted_residuals_at_random_couplings(model, couplings, seed):
+    bundle = FITTED_MODELS[model](*couplings)
+    pairs = [(e.eigenvalue, phi) for e in spectrum(bundle, 2, numeric_check=False).entries
+             for phi in e.eigenpolynomials]
+    sample = cart.sample_alcove(bundle.spec, 6, seed)
+    energies = [cart.measured_energies(bundle, phi, sample) for _, phi in pairs]
+    e0f, kf, _ = cart.affine_fit([eps for eps, _ in pairs], energies)
+    worst = max(cart.residual_stats(bundle, eps, measured, e0=e0f, kappa=kf).max_abs
+                for (eps, _), measured in zip(pairs, energies))
+    assert worst < mpmath.mpf("1e-6")
+    assert abs(kf - _q(cart.KAPPA[bundle.spec.family])) < mpmath.mpf("1e-6")
+
+
+def test_residual_step_follows_the_working_precision():
+    bundle = build_bc1(Fraction(1, 3), Fraction(2, 5))
+    beta = Fraction(6, 5)
+    sample = cart.sample_alcove(bundle.spec, 10, 3, beta)
+    worst = max(cart.residual_check(bundle, e.eigenvalue, e.eigenpolynomials[0],
+                                    sample, beta=beta, dps=60).max_abs
+                for e in spectrum(bundle, 4, numeric_check=False).entries)
+    assert worst < mpmath.mpf("1e-30")
 
 
 def test_a2_identity_small():
@@ -437,7 +504,7 @@ def test_suite_residuals_match_separate_fit_and_residual_passes(model):
                                     build_bcn(2, HALF, Fraction(1, 3), Fraction(1, 5)),
                                     build_g2(HALF, Fraction(1, 3))],
                          ids=["bc1", "bc2", "g2"])
-def test_residual_point_evaluates_psi_8d_plus_1_times(bundle, monkeypatch):
+def test_residual_point_evaluates_psi_4d_plus_1_times(bundle, monkeypatch):
     calls = 0
     factory = cart.eigenfunction_factory
 
@@ -456,11 +523,11 @@ def test_residual_point_evaluates_psi_8d_plus_1_times(bundle, monkeypatch):
                              point, e0=0, kappa=1)
     assert st.skipped == 0
     cartesian_dim = len(point[0])
-    assert calls == 8 * cartesian_dim + 1
+    assert calls == 4 * cartesian_dim + 1
 
 
-def test_ttw_point_evaluates_ground_factor_25_times(monkeypatch):
-    # 16 for the two second derivatives, 8 for d/dr, and the centre once
+def test_ttw_point_evaluates_ground_factor_9_times(monkeypatch):
+    # 4 radial points shared by d^2/dr^2 and d/dr, 4 angular, the centre once
     calls = 0
     ground = cart.ttw_ground_factor
 
@@ -472,4 +539,4 @@ def test_ttw_point_evaluates_ground_factor_25_times(monkeypatch):
     monkeypatch.setattr(cart, "ttw_ground_factor", counted)
     st = cart.ttw_ground_check(ttw_models("TTW", **BASE), npoints=1, seed=11)
     assert st.skipped == 0
-    assert calls == 25
+    assert calls == 9

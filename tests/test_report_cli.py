@@ -284,6 +284,12 @@ def test_cli_char_vector_length_exit_2():
     (("--suite", "cartesian", "--dps", "-4"), None),
     (("--suite", "ttw"), "sample_points=0\n"),
     (("--suite", "flags"), "model=BC1\n"),
+    (("--suite", "cartesian"), "residual_tol=abc\n"),
+    (("--suite", "ttw"), "constancy_tol=xyz\n"),
+    (("--suite", "cartesian"), "orthogonality_tol=1/0\n"),
+    (("--suite", "cartesian"), "residual_tol=-1e-6\n"),
+    (("--suite", "ttw"), "constancy_tol=0\n"),
+    (("--suite", "cartesian"), "fd_step=1/100\n"),
 ])
 def test_cli_verify_rejects_bad_model_and_counts(tmp_path, args, config_text):
     if config_text is not None:

@@ -310,9 +310,9 @@ GOLDEN_SUITE_SHA256 = {
     "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
     "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
     "gauge": "c0db82523f55ea861d05630378836b2e21547b7e51e2f6392aa0fcaed18e02f3",
-    "ttw": "68ea718ca4cc0375c48643c272555178576951f052422794be2ed8de5bd94007",
+    "ttw": "f9cd355e3de4c92ad2a3de774a29c61113470ed65909ffe5187933cb1cdad334",
     "cartesian --sample-points 10":
-        "a859fc0e354f35391de0477f355add69a3c905551bbbd8dc41017923a44f6128",
+        "088071184d9086695c703085ca231fd1f9e16168615ce2d9a8d474a6c39f9eb1",
 }
 
 
