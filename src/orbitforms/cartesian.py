@@ -489,11 +489,12 @@ def a2_groundstate_identity(nu, npoints: int = 20, seed: int = 11,
     sample = sample_alcove(spec, npoints, seed)
     with mp.workdps(dps):
         target = mpmath.mpf(64) ** (-_mpf(nu))
+        imag_bound = mpmath.mpf(10) ** (15 - dps)   # round-off: 10^15 ulps
         worst = mp.mpf(0)
         for x in sample:
             tau = invariants_map(spec, x)
             val = disc.evaluate(tau)
-            if abs(val.imag) > mpmath.mpf("1e-25"):
+            if abs(val.imag) > imag_bound:
                 raise InconsistencyError("discriminant must be real on the alcove")
             psi2 = psi0_cartesian(spec, x) ** 2
             ratio = psi2 / (val.real ** _mpf(nu))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,7 +30,10 @@ from .suites import SUITES, run_suite
 SUITE_NAMES = tuple(sorted(SUITES)) + ("all",)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as
+    it was, so every call of `main` may share it."""
     parser = argparse.ArgumentParser(
         prog="orbit-forms",
         description="Exact engine for trigonometric models in orbit-space "

@@ -7,8 +7,15 @@ graph) and requires the diagonal to equal the closed-form eigenvalue
 multiset; for a triangular matrix this is the identity charpoly(M) ==
 prod_p (lambda - eps_p).  Kernels of (M - eps I), the eigenpolynomials,
 come by back-substitution along that order.  A matrix with no such order
-is refused with UnsupportedModel.  A high-precision numeric
-diagonalization cross-checks the multiset on demand.
+is refused with UnsupportedModel.
+
+A NUMERIC_DPS-digit mpmath.eig cross-checks the multiset on demand (on by
+default).  It is fed P M P^T, with P the reverse of the dominance order, in
+which M is upper triangular: already Hessenberg and already in Schur form,
+so the Householder reduction skips every row and the QR sweep deflates at
+once.  A symmetric permutation is a similarity, so the numeric eigenvalues
+are those of M whatever the order; were the order wrong, the check would
+only be slower, never wrong.
 """
 
 from __future__ import annotations
@@ -62,12 +69,12 @@ class SpectrumRecord:
 
 def _to_mp_matrix(rows: Sequence[Sequence[Fraction]]) -> mpmath.matrix:
     n = len(rows)
-    m = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            c = rows[i][j]
-            m[i, j] = mpmath.mpf(c.numerator) / c.denominator
-        # exact integer/denominator split keeps 50+ digit accuracy
+    m = mpmath.matrix(n, n)       # sparse: unset entries read as zero
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if c:
+                # exact integer/denominator split keeps 50+ digit accuracy
+                m[i, j] = mpmath.mpf(c.numerator) / c.denominator
     return m
 
 
@@ -143,7 +150,7 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
 
     numeric_checked = False
     if numeric_check:
-        _numeric_multiset_check(action, roots)
+        _numeric_multiset_check(action, order, roots)
         numeric_checked = True
     return SpectrumRecord(model.spec.family, space.d, space.f, n,
                           tuple(entries), tuple(defective), numeric_checked)
@@ -154,8 +161,20 @@ def _vector_to_poly(vec: Sequence[Fraction], space: FlagSpace) -> MultiPoly:
     return MultiPoly(space.d, terms)
 
 
-def _numeric_multiset_check(action, roots: Sequence[Fraction]) -> None:
-    values = numeric_eigenvalues(action)
+def _numeric_multiset_check(action, order: Sequence[int],
+                            roots: Sequence[Fraction]) -> None:
+    """The numeric eigenvalues of `action` equal `roots` within NUMERIC_TOL.
+
+    The solver gets the matrix permuted into the reverse of `order`, which
+    makes a dominance-triangular matrix upper triangular; the permutation is
+    a similarity, so nothing here trusts that the order is triangular.
+    """
+    if sorted(order) != list(range(len(action))):
+        raise InconsistencyError("numeric check order is not a permutation "
+                                 "of the matrix indices")
+    reverse = order[::-1]
+    values = numeric_eigenvalues([[action[i][j] for j in reverse]
+                                  for i in reverse])
     with mp.workdps(NUMERIC_DPS):
         bound = mpmath.mpf(NUMERIC_TOL)
         for v in values:

@@ -705,7 +705,8 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
             bundle = build_bc1(0, 0)
             record = spectrum(bundle, 3, numeric_check=False)
             phi = [e for e in record.entries if e.eigenvalue == 9][0].eigenpolynomials[0]
-            order = cart.fd_convergence_order(bundle, Fraction(9), phi, seed=seed + 4)
+            order = cart.fd_convergence_order(bundle, Fraction(9), phi,
+                                             seed=seed + 4, dps=dps)
             _require(rec, order >= mpmath.mpf("3.5"), f"observed order {order}")
             rec.numeric["observed_order"] = mpmath.nstr(order, 4)
         checks.append(_record("cartesian/fd-convergence-order", fd_order))
@@ -729,8 +730,9 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
 
         def periodicity(rec: CheckRecord):
             bundle = build_bc1(Fraction(1, 3), Fraction(2, 5))
-            worst = cart.periodicity_check(bundle, seed=seed + 5)
-            _require(rec, worst < mpmath.mpf("1e-30"), f"periodicity defect {worst}")
+            worst = cart.periodicity_check(bundle, seed=seed + 5, dps=dps)
+            _require(rec, worst < mpmath.mpf(10) ** (10 - dps),
+                     f"periodicity defect {worst}")
         checks.append(_record("cartesian/periodicity", periodicity))
 
     def model_residuals(rec: CheckRecord, bundle: ModelBundle, n: int,

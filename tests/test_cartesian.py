@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from orbitforms import cartesian as cart
+from orbitforms.cli import main
 from orbitforms.errors import DomainError
 from orbitforms.poly import MultiPoly
 from orbitforms.models import (ModelSpec, build_bc1, build_bcn, build_g2,
@@ -372,6 +373,24 @@ def test_fd_convergence_order():
     rec = spectrum(bundle, 3, numeric_check=False)
     phi = [e for e in rec.entries if e.eigenvalue == 9][0].eigenpolynomials[0]
     assert cart.fd_convergence_order(bundle, Fraction(9), phi) >= mpmath.mpf("3.5")
+
+
+def test_cartesian_suite_follows_the_working_precision(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    seen = []
+
+    def spy(name):
+        real = getattr(cart, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((name, kwargs.get("dps")))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cart, name, wrapped)
+    for name in ("fd_convergence_order", "periodicity_check"):
+        spy(name)
+    assert main(["verify", "--suite", "cartesian", "--sample-points", "10",
+                 "--seed", "1", "--dps", "20", "--out", str(tmp_path / "r")]) == 0
+    assert sorted(seen) == [("fd_convergence_order", 20), ("periodicity_check", 20)]
 
 
 # -- TTW family ----------------------------------------------------------------

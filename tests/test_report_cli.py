@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from orbitforms import report
+from orbitforms.cli import main
 from orbitforms.errors import DomainError
 from orbitforms.report import (RunConfig, cache_lookup, cache_store,
                                load_whitelist, parse_config_file)
@@ -150,6 +151,17 @@ def test_cli_spectrum_csv():
     lines = res.stdout.strip().splitlines()
     assert lines[0] == "eigenvalue,multiplicity,quantum_indices"
     assert len(lines) == 4
+
+
+def test_cli_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "report.json"
+    query = ["spectrum", "--model", "bcn", "--N", "2", "--nu", "1/2",
+             "--nu2", "1/3", "--nu3", "1/5", "--n", "2", "--out", str(out)]
+    assert main([*query, "--no-numeric-check"]) == 0
+    assert json.loads(out.read_text())["numeric_checked"] is False
+    assert main(query) == 0
+    assert json.loads(out.read_text())["numeric_checked"] is True
 
 
 def test_cli_qes_spectrum():

@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from orbitforms import linalg
 from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, restrict_to_flag
-from orbitforms.errors import (DomainError, FormulaMismatch, UnsupportedModel)
+from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
+                               UnsupportedModel)
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
-from orbitforms.spectral import (jacobi_gram, jacobi_reference,
-                                 orthogonality_check, proportional_scalar,
-                                 qes_spectrum, spectrum)
+from orbitforms.spectral import (NUMERIC_DPS, _numeric_multiset_check,
+                                 jacobi_gram, jacobi_reference,
+                                 numeric_eigenvalues, orthogonality_check,
+                                 proportional_scalar, qes_spectrum, spectrum)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -275,6 +277,57 @@ def test_cyclic_matrix_is_refused():
                                  eigenvalue=lambda p: F(2 * p[0] + 1))
     with pytest.raises(UnsupportedModel, match="no dominance order"):
         spectrum(bundle, 1, numeric_check=False)
+
+
+# -- numeric cross-check on the dominance-ordered matrix ---------------------------
+
+NUMERIC_CASES = {
+    "bc1 n=6": (lambda p: build_bc1(p[0], p[1]), 6),
+    "sutherland N=2 n=4": (lambda p: build_sutherland(2, p[0]), 4),
+    "sutherland N=3 n=3": (lambda p: build_sutherland(3, p[0]), 3),
+    "sutherland N=4 n=3": (lambda p: build_sutherland(4, p[0]), 3),
+    "bcn N=2 n=3": (lambda p: build_bcn(2, *p), 3),
+    "bcn N=3 n=2": (lambda p: build_bcn(3, *p), 2),
+    "g2 n=6": (lambda p: build_g2(p[0], p[1]), 6),
+}
+# positive couplings keep every eigenvalue semisimple, so the dense solve
+# is accurate to the working precision even where eigenvalues collide
+positive_rationals = st.builds(Fraction, st.integers(1, 7), st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(NUMERIC_CASES)),
+       params=st.tuples(positive_rationals, positive_rationals, positive_rationals))
+def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
+    build, n = NUMERIC_CASES[case]
+    bundle = build(params)
+    action = restrict_to_flag(bundle.h, bundle.flag(n)).action_matrix()
+    reverse = linalg.triangular_order(action)[::-1]
+    permuted = [[action[i][j] for j in reverse] for i in reverse]
+    assert all(not permuted[i][j] for i in range(len(permuted)) for j in range(i))
+    with mpmath.mp.workdps(NUMERIC_DPS):
+        dense, fast = (sorted(numeric_eigenvalues(m), key=lambda v: (v.real, v.imag))
+                       for m in (action, permuted))
+        assert len(dense) == len(fast) == len(action)
+        assert max(abs(d - f) for d, f in zip(dense, fast)) < mpmath.mpf("1e-50")
+
+
+def test_numeric_check_does_not_trust_the_order():
+    # diagonal {1, 2} as claimed, but the eigenvalues are (3 +- i sqrt 3)/2
+    F = Fraction
+    action = [[F(1), F(1)], [F(-1), F(2)]]
+    for order in ([0, 1], [1, 0]):
+        with pytest.raises(InconsistencyError):
+            _numeric_multiset_check(action, order, [F(1), F(2)])
+
+
+@pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 2], [0, 2], [-1, 0]])
+def test_numeric_check_refuses_a_non_permutation_order(order):
+    F = Fraction
+    action = [[F(1), F(0)], [F(3), F(2)]]
+    _numeric_multiset_check(action, [1, 0], [F(1), F(2)])
+    with pytest.raises(InconsistencyError, match="not a permutation"):
+        _numeric_multiset_check(action, order, [F(1), F(2)])
 
 
 # -- golden report bytes -------------------------------------------------------------
