@@ -221,56 +221,36 @@ def _gl2_expected_table(gs: GeneratorSet) -> dict[tuple[str, str], GeneratorWord
     }
 
 
-def _gln_expected(gs: GeneratorSet, a: str, b: str) -> GeneratorWord | None:
-    """Expected [a, b] for the gl_{d+1} realization; None for untested pairs."""
+def _gln_unit(name: str) -> tuple[int, int, int]:
+    """(sign, i, j) with generator == sign * e_ij, e_ij the matrix units of
+    gl_{d+1}:  E-j = e_0j, E0-i-j = e_ij, E0 = -e_00, E+i = -e_i0."""
+    if name == "E0":
+        return -1, 0, 0
+    if name.startswith("E0-"):
+        _, i, j = name.split("-")
+        return 1, int(i), int(j)
+    if name.startswith("E-"):
+        return 1, 0, int(name[2:])
+    return -1, int(name[2:]), 0
 
-    def kind(name):
-        if name.startswith("E-"):
-            return ("low", int(name[2:]))
-        if name.startswith("E0-"):
-            _, i, j = name.split("-")
-            return ("mid", int(i), int(j))
-        if name == "E0":
-            return ("euler",)
-        return ("high", int(name[2:]))
 
-    ka, kb = kind(a), kind(b)
-    items: list[tuple[Fraction, tuple[str, ...]]] = []
-
-    def w(c, *names):
-        items.append((Fraction(c), names))
-
-    if ka[0] == "low" and kb[0] == "low":
-        pass
-    elif ka[0] == "low" and kb[0] == "mid":
-        if ka[1] == kb[1]:
-            w(1, f"E-{kb[2]}")
-    elif ka[0] == "mid" and kb[0] == "mid":
-        _, i, j = ka
-        _, k, l = kb
-        if j == k:
-            w(1, f"E0-{i}-{l}")
-        if l == i:
-            w(-1, f"E0-{k}-{j}")
-    elif ka[0] == "low" and kb[0] == "euler":
-        w(1, a)
-    elif ka[0] == "mid" and kb[0] == "euler":
-        pass
-    elif ka[0] == "low" and kb[0] == "high":
-        if ka[1] == kb[1]:
-            w(1, "E0")
-        w(1, f"E0-{kb[1]}-{ka[1]}")
-    elif ka[0] == "mid" and kb[0] == "high":
-        _, i, j = ka
-        if j == kb[1]:
-            w(1, f"E+{i}")
-    elif ka[0] == "euler" and kb[0] == "high":
-        w(1, b)
-    elif ka[0] == "high" and kb[0] == "high":
-        pass
-    else:
-        return None
-    return GeneratorWord.from_items(items)
+def _gln_expected_table(gs: GeneratorSet) -> dict[tuple[str, str], GeneratorWord]:
+    """Expected [a, b] for every pair of gl_{d+1} generators, a before b,
+    from [e_ij, e_kl] = delta_jk e_il - delta_li e_kj."""
+    units = {name: _gln_unit(name) for name in gs.names}
+    named = {(i, j): (sign, name) for name, (sign, i, j) in units.items()}
+    table = {}
+    for pos, a in enumerate(gs.names):
+        sa, i, j = units[a]
+        for b in gs.names[pos + 1:]:
+            sb, k, l = units[b]
+            items = []
+            for hit, sign, unit in ((j == k, 1, (i, l)), (l == i, -1, (k, j))):
+                if hit:
+                    su, name = named[unit]
+                    items.append((sign * sa * sb * su, (name,)))
+            table[(a, b)] = GeneratorWord.from_items(items)
+    return table
 
 
 def check_structure(gs: GeneratorSet, flag_n: int | None = None) -> StructureReport:
@@ -285,25 +265,15 @@ def check_structure(gs: GeneratorSet, flag_n: int | None = None) -> StructureRep
             f"flag-invariance[{name}]", ok,
             "" if ok else f"witness {witness[0]} -> {witness[1]}"))
 
-    if gs.kind == "gl2":
-        table = _gl2_expected_table(gs)
+    if gs.kind in ("gl2", "gl_{d+1}"):
+        table = (_gl2_expected_table(gs) if gs.kind == "gl2"
+                 else _gln_expected_table(gs))
         for (a, b), expected in table.items():
             lhs = commutator(gs.op(a), gs.op(b))
             rhs = evaluate_word(gs, expected)
             ok = lhs == rhs
             results.append(PropertyResult(f"commutator[{a},{b}]", ok,
                                           "" if ok else f"got {lhs!r}"))
-    elif gs.kind == "gl_{d+1}":
-        for i, a in enumerate(gs.names):
-            for b in gs.names[i + 1:]:
-                expected = _gln_expected(gs, a, b)
-                if expected is None:
-                    continue
-                lhs = commutator(gs.op(a), gs.op(b))
-                rhs = evaluate_word(gs, expected)
-                ok = lhs == rhs
-                results.append(PropertyResult(f"commutator[{a},{b}]", ok,
-                                              "" if ok else f"got {lhs!r}"))
     elif gs.kind == "g2":
         results.extend(_check_g2_structure(gs))
     return StructureReport(gs.kind, gs.n, tuple(results))
@@ -313,17 +283,10 @@ def _proportional(a: DiffOp, b: DiffOp) -> Fraction | None:
     """c with a == c*b, if it exists (b nonzero)."""
     if b.is_zero():
         return None
-    for k, coeff in b.terms.items():
-        other = a.coefficient(k)
-        if isinstance(coeff, MultiPoly) and isinstance(other, MultiPoly):
-            if coeff.is_zero():
-                continue
-            e, c = coeff.leading_term()
-            ratio = other.coeff(e) / c
-            if a == b * ratio:
-                return ratio
-            return None
-    return None
+    k, coeff = next(iter(b.terms.items()))   # stored coefficients are nonzero
+    e, c = coeff.leading_term()
+    ratio = a.coefficient(k).coeff(e) / c
+    return ratio if a == b * ratio else None
 
 
 def _g2_pairwise_closure(gs: GeneratorSet) -> PropertyResult:
@@ -472,27 +435,20 @@ def fit_decomposition(h: DiffOp, gs: GeneratorSet, max_word_degree: int = 2
     word_ops = [evaluate_word(gs, GeneratorWord(((ONE, w),)) if w
                               else GeneratorWord((), ONE)) for w in words]
     target = _vectorize(h)
-    keys: list[tuple[Exponents, Exponents]] = sorted(set(target))
-    vecs = []
-    for op in word_ops:
-        v = _vectorize(op)
-        vecs.append(v)
-        for key in v:
-            if key not in target:
-                keys.append(key)
-    keys = sorted(set(keys))
-    rows = [[vecs[c].get(key, ZERO) for c in range(len(words))] for key in keys]
-    rhs = [target.get(key, ZERO) for key in keys]
-    solution = linalg.solve(rows, rhs)
-    if solution is None:
-        # No exact representation: solve the consistent part for a certificate.
-        red, pivots = linalg.rref([row[:] + [b] for row, b in zip(rows, rhs)])
-        ncols = len(words)
-        partial = [ZERO] * ncols
-        for r, pc in enumerate(pivots):
-            if pc < ncols:
-                partial[pc] = red[r][ncols]
-        solution = partial
+    vecs = [_vectorize(op) for op in word_ops]
+    keys = sorted(set(target).union(*vecs))
+    aug = [[v.get(key, ZERO) for v in vecs] + [target.get(key, ZERO)]
+           for key in keys]
+    red, pivots = linalg.rref(aug)
+    # One elimination of the augmented system; the pivots left of the last
+    # column give the solution, free variables zero.  When h is outside the
+    # span the last column holds a pivot, which clears that column from
+    # every other row: the solution is then zero and the residual is h.
+    ncols = len(words)
+    solution = [ZERO] * ncols
+    for r, pc in enumerate(pivots):
+        if pc < ncols:
+            solution[pc] = red[r][ncols]
     fitted = DiffOp.zero(gs.d)
     for c, op in zip(solution, word_ops):
         if c:

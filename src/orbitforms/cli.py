@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(vp)
     vp.add_argument("--suite", required=True, choices=SUITE_NAMES)
     vp.add_argument("--model", default=None)
-    vp.add_argument("--n", type=int, default=None)
     vp.add_argument("--tuples", type=int, default=None)
     vp.add_argument("--sample-points", dest="sample_points", type=int, default=None)
     vp.add_argument("--include-timings", action="store_true")
@@ -95,7 +94,11 @@ def _collect_config(args: argparse.Namespace, command: str) -> RunConfig:
 def _emit(config: RunConfig, payload: bytes) -> None:
     out = config.get("out")
     if out:
-        Path(str(out)).write_bytes(payload)
+        try:
+            Path(str(out)).write_bytes(payload)
+        except OSError as exc:
+            raise DomainError(
+                f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload.decode())
         if not payload.endswith(b"\n"):

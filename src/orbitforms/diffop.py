@@ -1,4 +1,4 @@
-"""Linear differential operators with polynomial or rational coefficients.
+"""Linear differential operators with polynomial coefficients.
 
 An operator is a finite sum  sum_k  C_k(tau) * d^k  over derivative
 multi-indices k = (k_1,...,k_d), stored sparsely.  Application, composition
@@ -6,6 +6,11 @@ multi-indices k = (k_1,...,k_d), stored sparsely.  Application, composition
 factor, and exact restriction to flag spaces are provided.  Restriction is
 the one loop that images each flag monomial; the flag-preservation test reads
 its witness.
+
+Rational coefficients serve the gauge identity only: gauge_conjugate builds
+them, and addition and equality accept them, so that the conjugated rational
+form can be compared with the algebraic one.  A coefficient that divides out
+is stored as a polynomial; apply and compose take polynomial operators only.
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -27,10 +32,6 @@ Coefficient = Union[MultiPoly, RationalFn]
 ZERO = Fraction(0)
 
 
-def _as_rational(c: Coefficient) -> RationalFn:
-    return c if isinstance(c, RationalFn) else RationalFn.from_poly(c)
-
-
 class DiffOp:
     """Immutable differential operator; coefficients MultiPoly or RationalFn."""
 
@@ -50,12 +51,12 @@ class DiffOp:
                     raise DimensionMismatch("coefficient variable count mismatch")
                 if isinstance(c, RationalFn):
                     poly = c.as_poly()
-                    if poly is not None:
+                    if poly is None:
+                        polynomial = False   # a zero would have divided out
+                    else:
                         c = poly
                 if not c.is_zero():
                     clean[key] = c
-                    if isinstance(c, RationalFn):
-                        polynomial = False
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "polynomial", polynomial)
@@ -106,14 +107,7 @@ class DiffOp:
         self._check(other)
         res: dict[Exponents, Coefficient] = dict(self.terms)
         for k, c in other.terms.items():
-            if k in res:
-                a = res[k]
-                s = (_as_rational(a) + _as_rational(c)
-                     if isinstance(a, RationalFn) or isinstance(c, RationalFn)
-                     else a + c)
-                res[k] = s
-            else:
-                res[k] = c
+            res[k] = res[k] + c if k in res else c
         return DiffOp(self.nvars, res)
 
     def __neg__(self) -> "DiffOp":
@@ -144,17 +138,7 @@ class DiffOp:
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            a, b = self.coefficient(k), other.coefficient(k)
-            if isinstance(a, RationalFn) or isinstance(b, RationalFn):
-                if _as_rational(a) != _as_rational(b):
-                    return False
-            elif a != b:
-                return False
-        return True
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms)))
@@ -175,31 +159,28 @@ class DiffOp:
         return repr(self)[7:-1]
 
 
-def apply(op: DiffOp, p: MultiPoly) -> Union[MultiPoly, RationalFn]:
-    """Exact image op(p); MultiPoly whenever all coefficients are polynomial."""
+def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
+    """Exact image op(p) of a polynomial under a polynomial operator.
+
+    Rational coefficients exist for the gauge identity only, so an operator
+    with one is refused with DomainError.
+    """
+    if not op.polynomial:
+        raise DomainError("apply needs polynomial coefficients; rational ones "
+                          "serve gauge_conjugate only")
     if op.nvars != p.nvars:
         raise DimensionMismatch("operator/polynomial variable counts differ")
-    if op.polynomial:
-        total = MultiPoly.zero(op.nvars)
-        for k, c in op.terms.items():
-            q = p
-            for i, times in enumerate(k):
-                if times:
-                    q = q.diff(i, times)
-                if q.is_zero():
-                    break
-            if not q.is_zero():
-                total = total + c * q
-        return total
-    total_r = RationalFn.const(op.nvars, 0)
+    total = MultiPoly.zero(op.nvars)
     for k, c in op.terms.items():
         q = p
         for i, times in enumerate(k):
             if times:
                 q = q.diff(i, times)
+            if q.is_zero():
+                break
         if not q.is_zero():
-            total_r = total_r + _as_rational(c) * RationalFn.from_poly(q)
-    return total_r
+            total = total + c * q
+    return total
 
 
 def _multi_binom(alpha: Exponents, gamma: Exponents) -> int:
@@ -220,45 +201,30 @@ def _sub_indices(alpha: Exponents):
             yield (g,) + tail
 
 
-def _poly_derivative(c: Coefficient, gamma: Exponents) -> Coefficient:
-    for i, times in enumerate(gamma):
-        if times:
-            if isinstance(c, RationalFn):
-                for _ in range(times):
-                    c = c.diff(i)
-            else:
-                c = c.diff(i, times)
-    return c
-
-
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Operator product a.b with exact Leibniz expansion.
 
     For every polynomial p: apply(compose(a, b), p) == apply(a, apply(b, p)).
+    Both operators must be polynomial (DomainError otherwise).
     """
     a._check(b)
-    nvars = a.nvars
-    acc: dict[Exponents, object] = {}
+    if not (a.polynomial and b.polynomial):
+        raise DomainError("compose needs polynomial coefficients; rational ones "
+                          "serve gauge_conjugate only")
+    acc: dict[Exponents, MultiPoly] = {}
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
             for gamma in _sub_indices(alpha):
-                coeff_b = _poly_derivative(cb, gamma)
-                if (coeff_b.is_zero()):
+                coeff_b = cb
+                for i, times in enumerate(gamma):
+                    if times:
+                        coeff_b = coeff_b.diff(i, times)
+                if coeff_b.is_zero():
                     continue
-                w = _multi_binom(alpha, gamma)
                 key = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
-                term = ca * coeff_b if not isinstance(ca, RationalFn) and not isinstance(coeff_b, RationalFn) \
-                    else _as_rational(ca) * _as_rational(coeff_b)
-                term = term * w
-                if key in acc:
-                    prev = acc[key]
-                    if isinstance(prev, RationalFn) or isinstance(term, RationalFn):
-                        acc[key] = _as_rational(prev) + _as_rational(term)
-                    else:
-                        acc[key] = prev + term
-                else:
-                    acc[key] = term
-    return DiffOp(nvars, acc)
+                term = ca * coeff_b * _multi_binom(alpha, gamma)
+                acc[key] = acc[key] + term if key in acc else term
+    return DiffOp(a.nvars, acc)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -353,10 +319,10 @@ def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
     second: dict[Exponents, Coefficient] = {}
     for k, c in op.terms.items():
         total = sum(k)
+        if total and not isinstance(c, MultiPoly):
+            raise DomainError("first- and second-order coefficients must be polynomial")
         if total == 2:
             second[k] = c
-            if not isinstance(c, MultiPoly):
-                raise DomainError("second-order coefficients must be polynomial")
             idx = [i for i, p in enumerate(k) for _ in range(p)]
             i, j = idx[0], idx[1]
             if i == j:
@@ -367,8 +333,6 @@ def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
                 A[j][i] = A[j][i] + half
         elif total == 1:
             i = k.index(1)
-            if not isinstance(c, MultiPoly):
-                raise DomainError("first-order coefficients must be polynomial")
             B[i] = B[i] + c
         else:
             C = c
@@ -400,11 +364,7 @@ def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
             zero_num = zero_num + A[i][j] * (dg + nums[i] * nums[j])
         if not B[i].is_zero() and not nums[i].is_zero():
             zero_num = zero_num + B[i] * nums[i] * den
-    czero: Coefficient
-    if isinstance(C, RationalFn):
-        czero = C + RationalFn(zero_num, den2)
-    else:
-        czero = RationalFn(C * den2 + zero_num, den2)
+    czero = C + RationalFn(zero_num, den2)
 
     terms: dict[Exponents, Coefficient] = dict(second)
     terms.update(first_terms)
@@ -452,8 +412,6 @@ class ExactMatrix:
 def restrict_to_flag(op: DiffOp, space: FlagSpace) -> ExactMatrix:
     """Exact matrix of op on the flag basis; FlagViolation with witness if
     the image of any basis monomial leaves the space."""
-    if not op.polynomial:
-        raise DomainError("restriction requires polynomial coefficients")
     if op.nvars != space.d:
         raise DimensionMismatch("operator/flag variable counts differ")
     rows: Matrix = []

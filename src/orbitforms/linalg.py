@@ -1,8 +1,8 @@
 """Exact linear algebra over Fraction matrices.
 
 Matrices are plain lists of lists of Fractions.  Provides reduced row
-echelon form, nullspaces, linear solves, determinants by fraction-free
-(Bareiss) elimination, and characteristic polynomials by the division-free
+echelon form, nullspaces, determinants by fraction-free (Bareiss)
+elimination, and characteristic polynomials by the division-free
 Berkowitz algorithm run over integers after clearing denominators.  For
 matrices that are triangular up to a permutation of the indices it finds
 that order and the kernels of a - cI by back-substitution along it.
@@ -137,23 +137,6 @@ def triangular_nullspace(a: Matrix, order: Sequence[int], c: Fraction) -> list[V
                 for i in reversed(range(n))] for t in solutions]
     red, pivots = rref(vectors)
     return [row[::-1] for row in reversed(red[:len(pivots)])]
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of a x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
 
 
 def det_bareiss(a: Matrix) -> Fraction:

@@ -106,8 +106,14 @@ class MultiPoly:
             raise DimensionMismatch(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
+    # An operand that is neither a scalar nor a MultiPoly gets NotImplemented,
+    # so Python hands poly + ratfn, poly - ratfn and poly * ratfn to
+    # RationalFn, the one place that knows how the two types mix.
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MultiPoly.const(self.nvars, other)
         self._check(other)
         res = dict(self.terms)
@@ -133,7 +139,9 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.nvars)

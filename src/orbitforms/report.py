@@ -32,10 +32,9 @@ _CONFIG_FIELDS = {
     "model": str,
     "N": int,
     "nu": str, "nu2": str, "nu3": str, "mu": str,
-    "b": str, "a": str, "omega": str, "beta": str,
-    "n": int, "m": int,
+    "b": str,
+    "n": int,
     "f": str,
-    "n_max": int,
     "seed": int,
     "tuples": int,
     "sample_points": int,
@@ -94,7 +93,7 @@ class RunConfig:
                     clean[key] = typ(raw)
                 except (TypeError, ValueError) as exc:
                     raise DomainError(f"bad value for {key!r}: {raw!r}") from exc
-        for key in ("nu", "nu2", "nu3", "mu", "b", "a", "omega", "beta"):
+        for key in ("nu", "nu2", "nu3", "mu", "b"):
             if key in clean:
                 try:
                     Fraction(clean[key])   # must round-trip exactly
@@ -143,8 +142,13 @@ class RunConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value text; '#' starts a comment; unknown keys rejected later."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(
+            f"cannot read config file {path}: {exc.strerror or exc}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -279,16 +283,21 @@ def cache_lookup(config: RunConfig) -> bytes | None:
 
 def cache_store(config: RunConfig, payload: bytes) -> None:
     """Write the entry to a temporary file and rename it into place, so a
-    reader sees the whole entry or none."""
+    reader sees the whole entry or none.  A directory that cannot be
+    written is a DomainError, like any other bad path the user gives."""
     directory = cache_dir(config)
     if directory is None:
         return
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{config.digest()}.json"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(json.dumps({"schema": SCHEMA,
-                                    "payload": payload.decode()}).encode())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(json.dumps({"schema": SCHEMA,
+                                        "payload": payload.decode()}).encode())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot write to cache directory {directory}: "
+                          f"{exc.strerror or exc}") from None

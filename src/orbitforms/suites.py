@@ -27,7 +27,7 @@ from .models import (ModelBundle, build_bc1, build_bc1_qes, build_bcn,
                      bc1_qes_ground_factor, bcn_eigenvalue_printed,
                      g2_eigenvalue_printed, mw_word_data,
                      sutherland_eigenvalue_printed, ttw_models)
-from .poly import FlagSpace, MultiPoly, RationalFn
+from .poly import FlagSpace, MultiPoly
 from .report import (FAIL, PASS, REPORTED, CheckRecord, RunConfig,
                      VerificationReport, load_whitelist)
 from .spectral import (NUMERIC_TOL, jacobi_reference, orthogonality_check,
@@ -420,11 +420,11 @@ def _mw_check(rec: CheckRecord, variant: str) -> None:
     for sign in (1, -1):
         ref = build_bc1_qes(nu2, nu3, sign * b, level).h
         diff = mw - ref
-        const = diff.constant_part()
-        if diff.order() == 0 and isinstance(const, MultiPoly) and const.is_constant():
-            rec.exact["offset"] = const.constant_value()
+        const = _constant_of(diff)
+        if const is not None:
+            rec.exact["offset"] = const
             rec.exact["b_sign"] = sign
-            rec.status = REPORTED if (const.constant_value() != 0 or sign == -1) else PASS
+            rec.status = REPORTED if (const != 0 or sign == -1) else PASS
             return
         if best is None or sign == -1:
             best = (sign, diff)
@@ -450,7 +450,7 @@ def _mw_check(rec: CheckRecord, variant: str) -> None:
     pattern_op = evaluate_word(gsr, pattern)
     delta = mw - pattern_op
     cpart = delta.constant_part()
-    if delta.order() == 0 and isinstance(cpart, MultiPoly):
+    if delta.order() == 0 and delta.polynomial:
         rec.exact["vs_printed_qes_pattern_offset"] = (
             cpart.constant_value() if cpart.is_constant() else cpart.as_string())
     else:
@@ -532,17 +532,13 @@ def suite_pi(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def _constant_of(diff: DiffOp) -> Fraction | None:
-    if diff.order() != 0:
+    """The scalar an order-0 operator multiplies by, else None.  A rational
+    coefficient is never constant: DiffOp stores any coefficient that divides
+    out as a MultiPoly."""
+    if diff.order() != 0 or not diff.polynomial:
         return None
     c = diff.constant_part()
-    if isinstance(c, RationalFn):
-        poly = c.as_poly()
-        if poly is None or not poly.is_constant():
-            return None
-        return poly.constant_value()
-    if not c.is_constant():
-        return None
-    return c.constant_value()
+    return c.constant_value() if c.is_constant() else None
 
 
 def suite_gauge(config: RunConfig) -> list[CheckRecord]:

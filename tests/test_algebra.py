@@ -72,6 +72,14 @@ def test_gln_structure_brute_force():
     assert check_structure(gln_generators(3, 4)).ok
 
 
+def test_gln_brackets_cover_every_pair():
+    for d in (1, 2, 3, 4):
+        report = check_structure(gln_generators(d, 1))
+        brackets = [r for r in report.results if r.name.startswith("commutator")]
+        g = (d + 1) ** 2
+        assert len(brackets) == g * (g - 1) // 2 and report.ok
+
+
 # -- g2 algebra --------------------------------------------------------------------
 
 def test_g2_chain_reproduces_second_order_generators():
@@ -173,6 +181,20 @@ def test_fit_residual_certificate():
     op = DiffOp(1, {(3,): MultiPoly.const(1, 1)})
     fit = fit_decomposition(op, gs)
     assert not fit.ok
+    assert ((3,), (0,)) in fit.unmatched
+
+
+def test_fit_outside_the_span_returns_its_residual():
+    # in-span part J0 J0 - 2 J- plus d^3, which no degree <= 2 word reaches
+    gs = gl2_generators(1)
+    inside = evaluate_word(gs, GeneratorWord.from_items(
+        [(1, ("J0", "J0")), (-2, ("J-",))]))
+    h = inside + DiffOp(1, {(3,): MultiPoly.const(1, 5)})
+    fit = fit_decomposition(h, gs)
+    assert not fit.ok
+    fitted = evaluate_word(gs, GeneratorWord.from_items(
+        [(c, names) for names, c in fit.coefficients]))
+    assert fit.residual == h - fitted
     assert ((3,), (0,)) in fit.unmatched
 
 

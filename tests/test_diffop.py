@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
                                gauge_conjugate, preserves_flag,
                                restrict_to_flag)
-from orbitforms.errors import FlagViolation, UnsupportedOrder
+from orbitforms.errors import DomainError, FlagViolation, UnsupportedOrder
 from orbitforms.models import bc1_operator, build_bc1, g2_operator
-from orbitforms.poly import FlagSpace, MultiPoly
+from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -148,6 +148,29 @@ def test_gauge_roundtrip_inverse():
     there = gauge_conjugate(op, factor)
     back = gauge_conjugate(there, factor.inverse())
     assert back == op
+
+
+def test_rational_coefficients_add_and_compare():
+    # 1/(1+t) + t = (t^2+t+1)/(1+t); (t^2-1)/(t-1) divides out to t+1
+    inverse = DiffOp(1, {(0,): RationalFn(MultiPoly.const(1, 1), 1 + t)})
+    total = inverse + DiffOp.mul_by(t)
+    assert not total.polynomial
+    assert total == DiffOp(1, {(0,): RationalFn(t * t + t + 1, 1 + t)})
+    assert (total - inverse) == DiffOp.mul_by(t) and (total - inverse).polynomial
+    assert DiffOp(1, {(0,): RationalFn(t * t - 1, t - 1)}) == DiffOp.mul_by(t + 1)
+
+
+def test_apply_and_compose_refuse_rational_operators():
+    rational = DiffOp(1, {(2,): MultiPoly.const(1, 1),
+                          (0,): RationalFn(MultiPoly.const(1, 1), 1 + t)})
+    with pytest.raises(DomainError):
+        apply(rational, t)
+    with pytest.raises(DomainError):
+        compose(rational, DiffOp.partial(1, 0))
+    with pytest.raises(DomainError):
+        compose(DiffOp.partial(1, 0), rational)
+    with pytest.raises(DomainError):
+        restrict_to_flag(rational, FlagSpace(1, (1,), 2))
 
 
 def test_gauge_order_cap():

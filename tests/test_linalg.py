@@ -48,13 +48,6 @@ def test_nullspace_exact():
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in m)
 
 
-def test_solve_consistent_and_inconsistent():
-    a = [[F(1), F(1)], [F(1), F(-1)]]
-    assert linalg.solve(a, [F(3), F(1)]) == [F(2), F(1)]
-    bad = [[F(1), F(1)], [F(2), F(2)]]
-    assert linalg.solve(bad, [F(1), F(3)]) is None
-
-
 def test_poly_eval_horner():
     cp = [F(1), F(-5), F(6)]   # (x-2)(x-3)
     assert linalg.poly_eval(cp, F(2)) == 0

@@ -201,6 +201,17 @@ def test_ratfn_equal_values_hash_equal(a, b, g):
     assert hash(RationalFn(a * b * g, b * g)) == hash(a)
 
 
+@settings(max_examples=50, deadline=None)
+@given(polys(max_deg=2), polys(max_deg=2), nonzero_polys())
+def test_multipoly_mixes_with_ratfn_as_ratfn(p, a, b):
+    # MultiPoly hands a mixed operation to RationalFn, which lifts p
+    r, rp = RationalFn(a, b), RationalFn.from_poly(p)
+    for got, want in ((p + r, rp + r), (p - r, rp - r), (p * r, rp * r),
+                      (r - p, r - rp)):
+        assert isinstance(got, RationalFn)
+        assert got == want
+
+
 def test_hash_eq_examples():
     assert MultiPoly.const(1, 3) == 3 and hash(MultiPoly.const(1, 3)) == hash(3)
     assert len({RationalFn(t + 1, t + 2), RationalFn(t * (t + 1), t * (t + 2))}) == 1

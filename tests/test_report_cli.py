@@ -302,6 +302,11 @@ def test_cli_char_vector_length_exit_2():
     (("--suite", "cartesian"), "residual_tol=-1e-6\n"),
     (("--suite", "ttw"), "constancy_tol=0\n"),
     (("--suite", "cartesian"), "fd_step=1/100\n"),
+    (("--suite", "pi"), "a=1/2\n"),
+    (("--suite", "pi"), "omega=1\n"),
+    (("--suite", "pi"), "beta=3/2\n"),
+    (("--suite", "pi"), "m=2\n"),
+    (("--suite", "pi"), "n_max=4\n"),
 ])
 def test_cli_verify_rejects_bad_model_and_counts(tmp_path, args, config_text):
     if config_text is not None:
@@ -309,3 +314,42 @@ def test_cli_verify_rejects_bad_model_and_counts(tmp_path, args, config_text):
         cfg.write_text(config_text)
         args = (*args, "--config", str(cfg))
     _one_line_error(run_cli("verify", *args))
+
+
+def test_cli_verify_has_no_level_flag():
+    res = run_cli("verify", "--suite", "pi", "--n", "3")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --n 3" in res.stderr
+
+
+# -- bad paths: one error line, exit 2 ----------------------------------------------
+
+def _main_one_line_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SMALL_SPECTRUM = ["spectrum", "--model", "bc1", "--n", "1", "--no-numeric-check"]
+
+
+def test_cli_missing_config_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "none.cfg"
+    _main_one_line_error(capsys, [*SMALL_SPECTRUM, "--config", str(missing)])
+
+
+def test_cli_config_directory_exit_2(tmp_path, capsys):
+    _main_one_line_error(capsys, [*SMALL_SPECTRUM, "--config", str(tmp_path)])
+
+
+def test_cli_unwritable_out_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "missing" / "out.json"
+    _main_one_line_error(capsys, [*SMALL_SPECTRUM, "--out", str(out)])
+
+
+def test_cli_cache_dir_that_is_a_file_exit_2(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    _main_one_line_error(capsys, [*SMALL_SPECTRUM, "--cache-dir", str(plain)])
+    assert plain.read_text() == "not a directory\n"
