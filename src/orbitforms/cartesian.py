@@ -4,12 +4,13 @@ finite-difference Schroedinger residuals and energy-affine fits.
 Everything numeric runs in mpmath working precision (default 40 digits, well
 above double-double), with one 4th-order central stencil whose step
 h = 10^-ceil(dps/6) balances its h^4 truncation error against the
-10^-dps / h^2 round-off.  The stencil centre psi(x) is evaluated once per
-point and passed down, so a point costs 4d + 1 evaluations of psi in d
-Cartesian dimensions.  `measured_energies` is the one finite-difference
-pass: it gives (H Psi)/Psi per sample point, and both the residual
-statistics (`residual_stats`) and the affine energy fit (`affine_fit`) read
-its list.
+10^-dps / h^2 round-off.  `measured_energies` is the one finite-difference
+pass.  It takes all k eigenpolynomials of a check at once and gives
+(H Psi)/Psi per sample point for each of them; both the residual statistics
+(`residual_stats`) and the affine energy fit (`affine_fit`) read its lists.
+Psi = Psi0 * phi(tau), and Psi0, tau and V are the same for every phi, so in
+d Cartesian dimensions a point costs 4d + 1 evaluations of Psi0 and of tau
+for all k eigenpairs, one of V, and k (4d + 1) evaluations of a polynomial.
 Exact objects (polynomials, rationals) enter only through integer numerators
 and denominators, never binary floats.
 
@@ -320,21 +321,17 @@ def _second_difference(shifted: list, centre, h):
     return (-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h)
 
 
+def _laplacian(stencil, centre, h):
+    """Sum over the axes of `_second_difference`; `stencil` holds the four
+    `_shifted` values of each axis in turn."""
+    return sum(_second_difference(shifted, centre, h) for shifted in stencil)
+
+
 def laplacian_richardson(fn: Callable, x: Sequence, h, centre):
     """4th-order central Laplacian at step h; centre = fn(x).  It takes
     2 len(x) evaluations of fn.  The name is the one `perfbench/spans.py`
     wraps."""
-    return sum(_second_difference(_shifted(fn, x, i, h), centre, h)
-               for i in range(len(x)))
-
-
-def apply_hamiltonian_fd(spec: ModelSpec, psi: Callable, x: Sequence, centre,
-                         beta=1):
-    """H psi at x by finite differences at the working precision's step;
-    centre = psi(x)."""
-    lap = laplacian_richardson(psi, x, _stencil_step(), centre)
-    coeff = mpmath.mpf(1) / 2 if kinetic_half(spec) else mpmath.mpf(1)
-    return -coeff * lap + hamiltonian_potential(spec, x, beta) * centre
+    return _laplacian((_shifted(fn, x, i, h) for i in range(len(x))), centre, h)
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +349,52 @@ def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1) -> Callab
     return psi
 
 
-def measured_energies(bundle: ModelBundle, phi: MultiPoly, sample: Sequence,
-                      *, beta=1, dps: int = DEFAULT_DPS) -> list:
-    """(H Psi)/Psi at each sample point for Psi = Psi0 * phi(tau), in order.
+def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
+                      sample: Sequence, *, beta=1,
+                      dps: int = DEFAULT_DPS) -> list[list]:
+    """(H Psi)/Psi at each sample point for each Psi = Psi0 * phi(tau), phi
+    in `polys`: one list per polynomial, in sample order.
 
-    A point is None (skipped) when |Psi| there is below 10^(-dps/2), a node
-    of Psi, or when a stencil point meets a singular wall.  Values are
-    complex where the invariants are; `residual_stats` and `affine_fit`
-    bound the imaginary part.
+    Psi0, tau and V do not depend on phi.  So a point and each of its 4d
+    stencil points cost one `psi0_cartesian` and one `invariants_map` call
+    for all the polynomials, the point one `hamiltonian_potential` call, and
+    only phi(tau) is evaluated per polynomial.  A point is None (skipped) for
+    every polynomial when a stencil point meets a singular wall, and for one
+    polynomial when its |Psi| there is below 10^(-dps/2), a node of Psi.
+    Values are complex where the invariants are; `residual_stats` and
+    `affine_fit` bound the imaginary part.
     """
     spec = bundle.spec
+    energies: list[list] = [[] for _ in polys]
     with mp.workdps(dps):
-        psi = eigenfunction_factory(bundle, phi, beta)
-        energies = []
+        h = _stencil_step()
+        floor = mpmath.mpf(10) ** (-dps // 2)
+        coeff = mpmath.mpf(1) / 2 if kinetic_half(spec) else mpmath.mpf(1)
+
+        def ground(y):
+            tau = invariants_map(spec, y, beta)
+            return psi0_cartesian(spec, y, beta), tau
+
         for x in sample:
             try:
-                centre = psi(list(x))
-                if abs(centre) < mpmath.mpf(10) ** (-dps // 2):
-                    energies.append(None)
-                    continue
-                num = apply_hamiltonian_fd(spec, psi, x, centre, beta)
+                psi0, tau = ground(x)
+                centres = [psi0 * phi.evaluate(tau) for phi in polys]
+                live = [abs(centre) >= floor for centre in centres]
+                if any(live):
+                    stencil = [_shifted(ground, x, i, h) for i in range(len(x))]
+                    potential = hamiltonian_potential(spec, x, beta)
             except DomainError:
-                energies.append(None)
+                for measured in energies:
+                    measured.append(None)
                 continue
-            energies.append(num / centre)
-        return energies
+            for phi, centre, ok, measured in zip(polys, centres, live, energies):
+                if not ok:
+                    measured.append(None)
+                    continue
+                lap = _laplacian(([g * phi.evaluate(t) for g, t in shifted]
+                                  for shifted in stencil), centre, h)
+                measured.append((-coeff * lap + potential * centre) / centre)
+    return energies
 
 
 def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
@@ -388,7 +406,7 @@ def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
     invariants, or an imaginary beta, the imaginary part must stay below
     IMAG_TOL.
     """
-    energies = measured_energies(bundle, phi, sample, beta=beta, dps=dps)
+    (energies,) = measured_energies(bundle, [phi], sample, beta=beta, dps=dps)
     return residual_stats(bundle, eps, energies, beta=beta, e0=e0,
                           kappa=kappa, dps=dps)
 
@@ -428,8 +446,8 @@ def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
     distinct eigenvalues; returns (e0_fit, kappa_fit, variance) in units of
     beta^2 (so e0_fit and kappa_fit are directly comparable to the exact
     gauge data)."""
-    energies = [measured_energies(bundle, phi, sample, beta=beta, dps=dps)
-                for _, phi in eigenpairs]
+    energies = measured_energies(bundle, [phi for _, phi in eigenpairs], sample,
+                                 beta=beta, dps=dps)
     return affine_fit([eps for eps, _ in eigenpairs], energies, beta=beta,
                       dps=dps)
 
@@ -437,7 +455,7 @@ def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
 def affine_fit(eigenvalues: Sequence, energies: Sequence, *, beta=1,
                dps: int = DEFAULT_DPS):
     """`fit_energy_affine` on energies already measured by
-    `measured_energies`, one list per eigenvalue."""
+    `measured_energies`, one list per eigenpair."""
     if len(set(eigenvalues)) < 2:
         raise DomainError("need at least two distinct eigenvalues to fit")
     with mp.workdps(dps):

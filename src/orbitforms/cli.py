@@ -6,7 +6,9 @@ deterministic for a fixed (config, seed); cached runs return byte-identical
 output (ORBITFORMS_CACHE or --cache-dir).
 
 Exit codes: 0 success, 2 invalid configuration, 3 failed checks or internal
-inconsistency.
+inconsistency, 141 (128 + SIGPIPE, as a shell reports a command ended by a
+closed pipe) when standard output is closed before the output is written,
+with nothing printed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import csv
 import functools
 import io
 import json
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +32,22 @@ from .spectral import qes_spectrum, spectrum
 from .suites import SUITES, run_suite
 
 SUITE_NAMES = tuple(sorted(SUITES)) + ("all",)
+EXIT_CLOSED_STDOUT = 141
+# argparse reads "-1/2" as an option string, since only plain negative
+# numbers look numeric to it
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
+def _glue_negative_rationals(argv: list[str]) -> list[str]:
+    """`--nu2 -1/2` as `--nu2=-1/2`, the form argparse takes as a value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and _NEGATIVE_RATIONAL.fullmatch(arg)
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 @functools.cache
@@ -103,6 +123,20 @@ def _emit(config: RunConfig, payload: bytes) -> None:
         sys.stdout.write(payload.decode())
         if not payload.endswith(b"\n"):
             sys.stdout.write("\n")
+        # a closed pipe shows here, inside `main`, not at interpreter exit
+        sys.stdout.flush()
+
+
+def _drop_stdout() -> None:
+    """Point the stdout descriptor at the null device, so that the flush at
+    interpreter exit does not meet the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _spectrum_payload(config: RunConfig) -> bytes:
@@ -230,7 +264,8 @@ def _table_payload(config: RunConfig) -> bytes:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _glue_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = _collect_config(args, args.command)
     except (DomainError, ValueError) as exc:
@@ -274,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:    # the reader went away, as `| head` does
+        _drop_stdout()
+        return EXIT_CLOSED_STDOUT
     except Exception as exc:  # anything unexpected is an internal inconsistency
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -345,7 +345,7 @@ def test_fitted_residuals_at_random_couplings(model, couplings, seed):
     pairs = [(e.eigenvalue, phi) for e in spectrum(bundle, 2, numeric_check=False).entries
              for phi in e.eigenpolynomials]
     sample = cart.sample_alcove(bundle.spec, 6, seed)
-    energies = [cart.measured_energies(bundle, phi, sample) for _, phi in pairs]
+    energies = cart.measured_energies(bundle, [phi for _, phi in pairs], sample)
     e0f, kf, _ = cart.affine_fit([eps for eps, _ in pairs], energies)
     worst = max(cart.residual_stats(bundle, eps, measured, e0=e0f, kappa=kf).max_abs
                 for (eps, _), measured in zip(pairs, energies))
@@ -523,26 +523,116 @@ def test_suite_residuals_match_separate_fit_and_residual_passes(model):
                                     build_bcn(2, HALF, Fraction(1, 3), Fraction(1, 5)),
                                     build_g2(HALF, Fraction(1, 3))],
                          ids=["bc1", "bc2", "g2"])
-def test_residual_point_evaluates_psi_4d_plus_1_times(bundle, monkeypatch):
-    calls = 0
-    factory = cart.eigenfunction_factory
-
-    def counting_factory(*args, **kwargs):
-        psi = factory(*args, **kwargs)
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return psi(x)
-        return counted
-
-    monkeypatch.setattr(cart, "eigenfunction_factory", counting_factory)
+def test_residual_point_evaluates_ground_4d_plus_1_times(bundle, monkeypatch):
+    # Psi0 and tau once at the centre and at each of the 4d stencil points,
+    # whether the check has one eigenpolynomial or the whole level-2 flag
     point = cart.sample_alcove(bundle.spec, 1, seed=4)
-    st = cart.residual_check(bundle, Fraction(0), MultiPoly.const(bundle.d, 1),
-                             point, e0=0, kappa=1)
-    assert st.skipped == 0
+    flag = [phi for e in spectrum(bundle, 2, numeric_check=False).entries
+            for phi in e.eigenpolynomials]
+    assert len(flag) > 1
+    calls = {"psi0_cartesian": 0, "invariants_map": 0}
+
+    def count(name):
+        real = getattr(cart, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cart, name, counted)
+    for name in calls:
+        count(name)
     cartesian_dim = len(point[0])
-    assert calls == 4 * cartesian_dim + 1
+    for polys in ([MultiPoly.const(bundle.d, 1)], flag):
+        calls.update(dict.fromkeys(calls, 0))
+        energies = cart.measured_energies(bundle, polys, point)
+        assert len(energies) == len(polys)
+        assert all(measured[0] is not None for measured in energies)
+        assert calls == dict.fromkeys(calls, 4 * cartesian_dim + 1)
+
+
+def _reference_energies(bundle, phi, sample, beta, dps):
+    """The per-eigenpair path the shared pass replaced: Psi built by
+    `eigenfunction_factory`, its Laplacian by `laplacian_richardson` and V by
+    `hamiltonian_potential`, all anew for one eigenpolynomial."""
+    spec = bundle.spec
+    with mp.workdps(dps):
+        psi = cart.eigenfunction_factory(bundle, phi, beta)
+        h = mpmath.mpf(10) ** (-mp.dps // 6)
+        coeff = mpmath.mpf(1) / 2 if cart.kinetic_half(spec) else mpmath.mpf(1)
+        energies = []
+        for x in sample:
+            try:
+                centre = psi(list(x))
+                if abs(centre) < mpmath.mpf(10) ** (-dps // 2):
+                    energies.append(None)
+                    continue
+                lap = cart.laplacian_richardson(psi, x, h, centre)
+                num = -coeff * lap + cart.hamiltonian_potential(spec, x, beta) * centre
+            except DomainError:
+                energies.append(None)
+                continue
+            energies.append(num / centre)
+        return energies
+
+
+def _node_of(phi, beta, dps):
+    """A point x with tau = cos(beta x) at a real root of the one-variable
+    phi inside (-1, 1), or None."""
+    degree = max(e for (e,) in phi.terms)
+    coeffs = [phi.coeff((k,)) for k in range(degree, -1, -1)]
+    with mp.workdps(2 * dps):
+        for root in mpmath.polyroots([_q(c) for c in coeffs], maxsteps=200,
+                                     extraprec=4 * dps):
+            if abs(mpmath.im(root)) < mpmath.mpf(10) ** -dps and -1 < mpmath.re(root) < 1:
+                return (mpmath.acos(mpmath.re(root)) / _q(beta),)
+    return None
+
+
+# each model constructor takes three couplings and ignores those it has no use for
+SHARED_PASS_MODELS = {
+    "bc1": (lambda nu, nu2, nu3: build_bc1(nu2, nu3), 4),
+    "sutherland3": (lambda nu, _, __: build_sutherland(3, nu), 2),
+    "bc2": (lambda nu, nu2, nu3: build_bcn(2, nu, nu2, nu3), 2),
+    "g2": (lambda nu, mu, _: build_g2(nu, mu), 2),
+}
+
+
+@settings(max_examples=16, deadline=None)
+@given(model=st.sampled_from(sorted(SHARED_PASS_MODELS)),
+       couplings=st.lists(st.fractions(0, 3, max_denominator=7), min_size=3, max_size=3),
+       seed=st.integers(0, 10 ** 6),
+       beta=st.sampled_from([Fraction(1), Fraction(6, 5), "i"]),
+       dps=st.sampled_from([20, 40]))
+@example(model="bc1", couplings=[HALF, Fraction(1, 3), Fraction(2, 5)], seed=3,
+         beta="i", dps=40)
+@example(model="bc1", couplings=[HALF, Fraction(1, 3), Fraction(2, 5)], seed=3,
+         beta=Fraction(6, 5), dps=40)
+@example(model="g2", couplings=[HALF, Fraction(1, 3), HALF], seed=3,
+         beta="i", dps=40)
+def test_shared_pass_matches_the_per_eigenpair_path(model, couplings, seed, beta, dps):
+    build, level = SHARED_PASS_MODELS[model]
+    bundle = build(*couplings)
+    polys = [phi for e in spectrum(bundle, level, numeric_check=False).entries
+             for phi in e.eigenpolynomials]
+    real_beta = beta != "i"
+    sample = cart.sample_alcove(bundle.spec, 3, seed, beta if real_beta else 1)
+    if model == "bc1":
+        with mp.workdps(dps):
+            # a stencil point on the wall x = 0 skips the point for every phi
+            sample.append((2 * cart._stencil_step(),))
+        node = _node_of(polys[-1], beta, dps) if real_beta else None
+        if node is not None:
+            sample.append(node)
+    beta = beta if real_beta else mpmath.mpc(0, 1)
+    shared = cart.measured_energies(bundle, polys, sample, beta=beta, dps=dps)
+    reference = [_reference_energies(bundle, phi, sample, beta, dps) for phi in polys]
+    assert shared == reference
+    if model == "bc1":
+        assert all(measured[3] is None for measured in shared)
+        if len(sample) == 5:
+            # the node of the last polynomial skips the point for it alone
+            assert shared[-1][4] is None
+            assert shared[0][4] is not None
 
 
 def test_ttw_point_evaluates_ground_factor_9_times(monkeypatch):

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from orbitforms.cli import main
 
 # mostly valid values, so that a fair share of the runs does real work
-RATIONALS = ["0", "1", "-1", "1/2", "-3/4", "7/3", "2/5", "1/0", "0.5x", "2/-3"]
+RATIONALS = ["0", "1", "-1", "1/2", "-3/4", "-1/2", "-7/3", "7/3", "2/5", "1/0",
+             "-1/0", "0.5x", "2/-3"]
 COUNTS = ["1", "2", "3", "0", "-2", "x"]
 LEVELS = ["0", "1", "2", "3", "-1", "two"]
 VECTORS = ["1", "2", "1,2", "2,1", "1,1", "2,3", "0,1", "a,b", "1,2,3"]
@@ -120,5 +121,7 @@ def test_cli_fuzz_exit_codes_and_messages(paths, data):
     event(f"exit {code}")
     assert code in (0, 2, 3), (argv, stderr)
     assert "Traceback" not in stderr and "internal error" not in stderr, (argv, stderr)
+    # every option of the argv has its value, negative rationals included
+    assert "expected one argument" not in stderr, (argv, stderr)
     if code == 2:
         assert sum("error:" in line for line in stderr.splitlines()) == 1, (argv, stderr)

@@ -353,3 +353,58 @@ def test_cli_cache_dir_that_is_a_file_exit_2(tmp_path, capsys):
     plain.write_text("not a directory\n")
     _main_one_line_error(capsys, [*SMALL_SPECTRUM, "--cache-dir", str(plain)])
     assert plain.read_text() == "not a directory\n"
+
+
+# -- negative rationals and a closed stdout -------------------------------------------
+
+def test_cli_negative_rationals_take_the_space_form(monkeypatch, capsys):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    argv = ["spectrum", "--model", "bc1_qes", "--nu2", "-1/2", "--nu3", "-1",
+            "--b", "-2", "--n", "3"]
+    assert main(argv) == 0
+    spaced = capsys.readouterr()
+    assert spaced.err == ""
+    assert json.loads(spaced.out)["config"]["nu2"] == "-1/2"
+    assert main(["spectrum", "--model", "bc1_qes", "--nu2=-1/2", "--nu3", "-1",
+                 "--b", "-2", "--n", "3"]) == 0
+    assert capsys.readouterr().out == spaced.out
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: writing or flushing raises EPIPE."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [SMALL_SPECTRUM, ["verify", "--suite", "pi"]],
+                         ids=["spectrum", "verify"])
+def test_cli_closed_stdout_ends_quietly(argv, fail_on, monkeypatch, capsys):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(fail_on))
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_closed_pipe_ends_quietly_at_exit():
+    # a real pipe whose read end is closed before the report is written; the
+    # interpreter's flush at exit must not meet it again
+    import os
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitforms.cli", *SMALL_SPECTRUM],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={k: v for k, v in os.environ.items() if k != "ORBITFORMS_CACHE"})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == ""
