@@ -314,10 +314,10 @@ def _g2_pairwise_closure(gs: GeneratorSet) -> PropertyResult:
     ncols = len(words)
     aug = [[v.get(k, ZERO) for v in vecs] + [t.get(k, ZERO) for t in targets]
            for k in keys]
-    red, pivots = linalg.rref(aug)
-    for row in red:
-        if any(row[:ncols]):
-            continue
+    red, pivots = linalg.rref(aug, ncols)
+    # rows past the word pivots are zero on the words; a nonzero right-hand
+    # side there is a part of that commutator outside the span
+    for row in red[len(pivots):]:
         for j, val in enumerate(row[ncols:]):
             if val:
                 a, b = pairs[j]
@@ -439,16 +439,14 @@ def fit_decomposition(h: DiffOp, gs: GeneratorSet, max_word_degree: int = 2
     keys = sorted(set(target).union(*vecs))
     aug = [[v.get(key, ZERO) for v in vecs] + [target.get(key, ZERO)]
            for key in keys]
-    red, pivots = linalg.rref(aug)
-    # One elimination of the augmented system; the pivots left of the last
-    # column give the solution, free variables zero.  When h is outside the
-    # span the last column holds a pivot, which clears that column from
-    # every other row: the solution is then zero and the residual is h.
+    # One elimination that pivots on the word columns only; each pivot row
+    # gives its word's coefficient, free variables zero.  For h outside the
+    # span the in-span part is still fitted, and the residual keeps the rest.
     ncols = len(words)
+    red, pivots = linalg.rref(aug, ncols)
     solution = [ZERO] * ncols
     for r, pc in enumerate(pivots):
-        if pc < ncols:
-            solution[pc] = red[r][ncols]
+        solution[pc] = red[r][ncols]
     fitted = DiffOp.zero(gs.d)
     for c, op in zip(solution, word_ops):
         if c:

@@ -12,6 +12,13 @@ them, and addition and equality accept them, so that the conjugated rational
 form can be compared with the algebraic one.  A coefficient that divides out
 is stored as a polynomial; apply and compose take polynomial operators only.
 
+apply and compose follow the integer-numerator rule of poly: coefficients are
+scaled once to integer numerators over the operator's common denominator,
+derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), the
+Leibniz factors are ints, and each output term is reduced to a Fraction once.
+The products of one operator term are summed before they join the total, so
+the terms come in the order the Fraction loops gave them.
+
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
 """
@@ -19,13 +26,16 @@ evaluation order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, perm
+from operator import sub
 from typing import Mapping, Sequence, Union
 
 from .errors import (DimensionMismatch, DomainError, FlagViolation,
                      UnsupportedOrder)
 from .linalg import Matrix
-from .poly import Exponents, FlagSpace, MultiPoly, RationalFn
+from .poly import (Exponents, FlagSpace, MultiPoly, RationalFn,
+                   add_integer_terms, from_integer_terms, integer_product,
+                   integer_terms)
 
 Coefficient = Union[MultiPoly, RationalFn]
 
@@ -170,17 +180,39 @@ def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
                           "serve gauge_conjugate only")
     if op.nvars != p.nvars:
         raise DimensionMismatch("operator/polynomial variable counts differ")
-    total = MultiPoly.zero(op.nvars)
-    for k, c in op.terms.items():
-        q = p
-        for i, times in enumerate(k):
-            if times:
-                q = q.diff(i, times)
-            if q.is_zero():
+    # each operator term is summed on its own and then added, so the terms
+    # come in the order of adding the products c_k * d^k p one by one
+    dp, pnum = integer_terms(p.terms)
+    dop = _denominator(op)
+    total: dict[Exponents, int] = {}
+    for k, coeff in op.terms.items():
+        q = _derivative_terms(pnum, k)
+        if q:
+            add_integer_terms(total, integer_product(
+                integer_terms(coeff.terms, dop)[1], q))
+    return from_integer_terms(op.nvars, dop * dp, total)
+
+
+def _denominator(op: DiffOp) -> int:
+    """Common denominator of every coefficient of a polynomial operator."""
+    return lcm(*(c.denominator for coeff in op.terms.values()
+                 for c in coeff.terms.values()))
+
+
+def _derivative_terms(numerators: dict[Exponents, int], k: Exponents
+                      ) -> list[tuple[Exponents, int]]:
+    """Integer terms of d^k of a polynomial, in order:
+    d^k tau^e = perm(e, k) tau^(e-k), one variable at a time."""
+    out = []
+    for e, v in numerators.items():
+        for p, times in zip(e, k):
+            if p < times:
                 break
-        if not q.is_zero():
-            total = total + c * q
-    return total
+            if times:
+                v *= perm(p, times)
+        else:
+            out.append((tuple(map(sub, e, k)), v))
+    return out
 
 
 def _multi_binom(alpha: Exponents, gamma: Exponents) -> int:
@@ -211,20 +243,25 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     if not (a.polynomial and b.polynomial):
         raise DomainError("compose needs polynomial coefficients; rational ones "
                           "serve gauge_conjugate only")
-    acc: dict[Exponents, MultiPoly] = {}
+    da, db = _denominator(a), _denominator(b)
+    bnums = [(beta, integer_terms(cb.terms, db)[1]) for beta, cb in b.terms.items()]
+    # key -> integer numerators over da*db; a key whose sum cancels stays in
+    # place with no terms, so the operator terms keep their first-seen order
+    acc: dict[Exponents, dict[Exponents, int]] = {}
     for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            for gamma in _sub_indices(alpha):
-                coeff_b = cb
-                for i, times in enumerate(gamma):
-                    if times:
-                        coeff_b = coeff_b.diff(i, times)
-                if coeff_b.is_zero():
+        _, anum = integer_terms(ca.terms, da)
+        subs = [(gamma, _multi_binom(alpha, gamma)) for gamma in _sub_indices(alpha)]
+        for beta, bnum in bnums:
+            for gamma, binom in subs:
+                q = _derivative_terms(bnum, gamma)
+                if not q:
                     continue
+                if binom != 1:
+                    q = [(e, v * binom) for e, v in q]
                 key = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
-                term = ca * coeff_b * _multi_binom(alpha, gamma)
-                acc[key] = acc[key] + term if key in acc else term
-    return DiffOp(a.nvars, acc)
+                add_integer_terms(acc.setdefault(key, {}), integer_product(anum, q))
+    return DiffOp(a.nvars, {key: from_integer_terms(a.nvars, da * db, nums)
+                            for key, nums in acc.items() if nums})
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -1,11 +1,17 @@
 """Exact linear algebra over Fraction matrices.
 
 Matrices are plain lists of lists of Fractions.  Provides reduced row
-echelon form, nullspaces, determinants by fraction-free (Bareiss)
+echelon form (sparse: a pivot row updates the other rows on its nonzero
+columns only), nullspaces, determinants by fraction-free (Bareiss)
 elimination, and characteristic polynomials by the division-free
 Berkowitz algorithm run over integers after clearing denominators.  For
 matrices that are triangular up to a permutation of the indices it finds
 that order and the kernels of a - cI by back-substitution along it.
+
+Bareiss and Berkowitz follow the integer-numerator rule of poly: the
+denominators are cleared once, the loops run on ints, and each result is
+reduced to a Fraction once.  rref runs on Fractions, since its pivots
+divide; its cost is held down by sparsity instead.
 """
 
 from __future__ import annotations
@@ -32,24 +38,37 @@ def shift_diagonal(a: Matrix, c: Fraction) -> Matrix:
     return [[a[i][j] - (c if i == j else ZERO) for j in range(n)] for i in range(n)]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (exact)."""
+def rref(a: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot column indices (exact).
+
+    Pivots are sought in the first `ncols` columns only (all by default);
+    the columns after them are carried along as right-hand sides.  A pivot
+    row is zero before its pivot column, so it is scaled and subtracted on
+    its nonzero columns only, found once per pivot.
+    """
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    if ncols is None:
+        ncols = cols
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        inv = ONE / prow[c]
+        nonzero = [j for j in range(c, cols) if prow[j]]
+        for j in nonzero:
+            prow[j] *= inv
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:

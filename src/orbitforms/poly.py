@@ -9,6 +9,15 @@ All arithmetic is exact; nothing here ever touches floating point.  Scalars
 are `fractions.Fraction` throughout (arbitrary precision, canonical
 coprime/positive-denominator form is maintained by the stdlib).
 
+Integer-numerator rule: a hot kernel (the polynomial product here, operator
+apply and compose in diffop) does its inner loop on Python ints.  Each
+operand is scaled to integer numerators over one denominator
+(`integer_terms`), products are accumulated as ints (`integer_product`,
+`add_integer_terms`), and each output term is reduced to a Fraction exactly
+once (`from_integer_terms`).  Accumulation deletes a key whose sum cancels
+to zero, as the Fraction loop it replaced did, so the result keeps that
+loop's term order as well as its values.
+
 Monomial order: graded by f-degree for a characteristic vector f, ties broken
 lexicographically on exponent tuples.  Plain polynomial arithmetic uses the
 (1,...,1) grading.  This order makes flag-preserving operators block
@@ -18,8 +27,9 @@ triangular by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
-from typing import Iterator, Mapping, Sequence, Union
+from math import comb, gcd, lcm
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, DomainError
 
@@ -147,16 +157,10 @@ class MultiPoly:
                 return MultiPoly.zero(self.nvars)
             return _raw(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
-        res: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, ZERO) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        return _raw(self.nvars, res)
+        d1, n1 = integer_terms(self.terms)
+        d2, n2 = integer_terms(other.terms)
+        return from_integer_terms(self.nvars, d1 * d2,
+                                  integer_product(n1, n2.items()))
 
     __rmul__ = __mul__
 
@@ -320,6 +324,60 @@ def _raw(nvars: int, terms: dict[Exponents, Fraction]) -> MultiPoly:
     object.__setattr__(obj, "nvars", nvars)
     object.__setattr__(obj, "terms", terms)
     return obj
+
+
+def integer_terms(terms: Mapping, den: int | None = None
+                  ) -> tuple[int, dict]:
+    """(den, {key: int}) with terms[key] == numerators[key] / den.
+
+    den defaults to the lcm of the coefficient denominators; a given den must
+    be a multiple of each of them.
+    """
+    if den is None:
+        den = lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def integer_product(left: Mapping[Exponents, int],
+                    right: Iterable[tuple[Exponents, int]]) -> dict[Exponents, int]:
+    """Integer terms of the product of two integer term maps.
+
+    A key whose running sum cancels is deleted, so it comes back last if a
+    later product reaches it again: the term order is that of summing the
+    products one by one into a Fraction polynomial.
+    """
+    res: dict[Exponents, int] = {}
+    get = res.get
+    for e1, c1 in left.items():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            s = get(e, 0) + c1 * c2
+            if s:
+                res[e] = s
+            else:
+                del res[e]
+    return res
+
+
+def add_integer_terms(total: dict[Exponents, int], part: Mapping[Exponents, int]
+                      ) -> None:
+    """total += part in place, with the deletion rule of integer_product."""
+    get = total.get
+    for e, v in part.items():
+        s = get(e, 0) + v
+        if s:
+            total[e] = s
+        else:
+            del total[e]
+
+
+def from_integer_terms(nvars: int, den: int, numerators: Mapping[Exponents, int]
+                       ) -> MultiPoly:
+    """The polynomial sum numerators[e] / den * tau^e, one reduction per term.
+
+    The numerators must be nonzero; their order is the order of the terms.
+    """
+    return _raw(nvars, {e: Fraction(v, den) for e, v in numerators.items()})
 
 
 class RationalFn:

@@ -54,6 +54,10 @@ _DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
 
+# Far above every level the suites ship (g2 n=10, bcn N=4, 50 sample points,
+# 60 digits), so that a huge value is refused before any work starts.
+CEILINGS = {"n": 40, "N": 10, "tuples": 100, "sample_points": 1000, "dps": 500}
+
 _DEFAULTS = {
     "seed": 1,
     "tuples": 5,
@@ -106,6 +110,9 @@ class RunConfig:
         for key in ("sample_points", "tuples", "dps"):
             if clean[key] < 1:
                 raise DomainError(f"{key} must be at least 1, got {clean[key]}")
+        for key, top in CEILINGS.items():
+            if key in clean and clean[key] > top:
+                raise DomainError(f"{key} must be at most {top}, got {clean[key]}")
         for key in ("residual_tol", "orthogonality_tol", "constancy_tol"):
             match = _DECIMAL.fullmatch(clean[key])
             if match is None or not re.search("[1-9]", match.group(1)):

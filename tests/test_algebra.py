@@ -192,10 +192,13 @@ def test_fit_outside_the_span_returns_its_residual():
     h = inside + DiffOp(1, {(3,): MultiPoly.const(1, 5)})
     fit = fit_decomposition(h, gs)
     assert not fit.ok
+    # the in-span part is fitted and the residual is only the rest
+    assert dict(fit.coefficients) == {("J0", "J0"): 1, ("J-",): -2}
+    assert fit.residual == DiffOp(1, {(3,): MultiPoly.const(1, 5)})
     fitted = evaluate_word(gs, GeneratorWord.from_items(
         [(c, names) for names, c in fit.coefficients]))
     assert fit.residual == h - fitted
-    assert ((3,), (0,)) in fit.unmatched
+    assert fit.unmatched == (((3,), (0,)),)
 
 
 def test_g2_pairwise_closure_in_report():

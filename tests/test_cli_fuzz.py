@@ -16,8 +16,10 @@ from orbitforms.cli import main
 # mostly valid values, so that a fair share of the runs does real work
 RATIONALS = ["0", "1", "-1", "1/2", "-3/4", "-1/2", "-7/3", "7/3", "2/5", "1/0",
              "-1/0", "0.5x", "2/-3"]
-COUNTS = ["1", "2", "3", "0", "-2", "x"]
-LEVELS = ["0", "1", "2", "3", "-1", "two"]
+# huge values are refused before any work starts
+HUGE = ["1000000000", "9" * 40]
+COUNTS = ["1", "2", "3", "0", "-2", "x", *HUGE]
+LEVELS = ["0", "1", "2", "3", "-1", "two", "41", *HUGE]
 VECTORS = ["1", "2", "1,2", "2,1", "1,1", "2,3", "0,1", "a,b", "1,2,3"]
 
 
@@ -65,7 +67,7 @@ def _common(paths) -> list[st.SearchStrategy]:
         _option("--cache-dir", paths["cache"]),
         _option("--format", ["json", "json", "csv", "xml"]),
         _option("--seed", COUNTS),
-        _option("--dps", ["30", "15", "0", "-4"]),
+        _option("--dps", ["30", "15", "0", "-4", "501", *HUGE]),
         st.just(["--bogus"]),
     ]
 

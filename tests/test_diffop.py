@@ -11,6 +11,8 @@ from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
 from orbitforms.errors import DomainError, FlagViolation, UnsupportedOrder
 from orbitforms.models import bc1_operator, build_bc1, g2_operator
 from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
+import reference_kernels as ref
+from test_poly import assert_same_poly, small_polys
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -233,3 +235,56 @@ def test_dimension_mismatch_errors():
         compose(one, two)
     with pytest.raises(DimensionMismatch):
         apply(one, MultiPoly.variable(2, 0))
+
+
+# -- integer-numerator apply/compose against the Fraction loops they replaced --
+
+def order2_ops(nvars):
+    orders = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda k: sum(k) <= 2)
+    return st.dictionaries(orders, small_polys(nvars), max_size=4).map(
+        lambda d: DiffOp(nvars, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 4))
+def test_apply_matches_the_fraction_loop(data, nvars):
+    op = data.draw(order2_ops(nvars), label="op")
+    p = data.draw(small_polys(nvars, 3), label="p")
+    assert_same_poly(apply(op, p), ref.apply(op, p))
+    # the zero operator and the zero polynomial
+    assert_same_poly(apply(op - op, p), ref.apply(op - op, p))
+    assert_same_poly(apply(op, p - p), ref.apply(op, p - p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_compose_matches_the_fraction_loop(data, nvars):
+    a = data.draw(order2_ops(nvars), label="a")
+    b = data.draw(order2_ops(nvars), label="b")
+    for got, want in ((compose(a, b), ref.compose(a, b)),
+                      (compose(b, a), ref.compose(b, a)),
+                      (compose(a, b - b), ref.compose(a, b - b))):
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        for k in want.terms:
+            assert_same_poly(got.terms[k], want.terms[k])
+
+
+def test_apply_and_compose_keep_the_order_of_cancelling_terms():
+    # t^2 (t^2 + t) gives t^4 + t^3; then (-t^2/2 + t^3) d(t^2 + t) sends
+    # -t^3 first, which would zero the running t^3, and +t^3 last
+    sq = MultiPoly(1, {(2,): 1})
+    c1 = MultiPoly(1, {(2,): Fraction(-1, 2), (3,): 1})
+    p = MultiPoly(1, {(2,): 1, (1,): 1})
+    op = DiffOp(1, {(0,): sq, (1,): c1})
+    got = apply(op, p)
+    assert_same_poly(got, ref.apply(op, p))
+    assert list(got.terms) == [(4,), (3,), (2,)]
+    # the same sums land on the d coefficient of a.b
+    a = DiffOp(1, {(0,): sq, (1,): c1})
+    b = DiffOp(1, {(0,): MultiPoly(1, {(1,): 2, (0,): 1}), (1,): p})
+    got, want = compose(a, b), ref.compose(a, b)
+    assert list(got.terms) == list(want.terms)
+    for k in want.terms:
+        assert_same_poly(got.terms[k], want.terms[k])
+    assert list(got.terms[(1,)].terms) == [(4,), (3,), (2,)]

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from orbitforms import linalg
+from reference_kernels import rref as reference_rref
 
 
 def F(x, y=None):
@@ -53,3 +56,35 @@ def test_poly_eval_horner():
     assert linalg.poly_eval(cp, F(2)) == 0
     assert linalg.poly_eval(cp, F(3)) == 0
     assert linalg.poly_eval(cp, F(0)) == 6
+
+
+# -- the sparse rref against the dense Fraction loop it replaced --------------
+
+ENTRIES = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(5, 7)])
+
+
+@st.composite
+def matrices(draw):
+    """Sparse or dense, often rank-deficient: some rows combine earlier ones."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 8))
+    entry = draw(st.sampled_from([ENTRIES, st.fractions(-5, 5, max_denominator=9)]))
+    m = []
+    for _ in range(rows):
+        if m and draw(st.booleans()):
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            s = draw(st.fractions(-3, 3, max_denominator=4))
+            m.append([x + s * y for x, y in zip(a, b)])
+        else:
+            m.append([draw(entry) for _ in range(cols)])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_rref_matches_the_dense_loop(m, data):
+    original = [row[:] for row in m]
+    assert linalg.rref(m) == reference_rref(m)
+    cols = len(m[0]) if m else 1
+    ncols = data.draw(st.integers(0, cols), label="ncols")
+    assert linalg.rref(m, ncols) == reference_rref(m, ncols)
+    assert m == original   # the input is not touched

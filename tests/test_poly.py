@@ -9,6 +9,7 @@ from orbitforms.errors import DimensionMismatch, DomainError
 from orbitforms.poly import (FlagSpace, MultiPoly, RationalFn,
                              enumerate_flag_basis, fdegree, qq,
                              unit_flag_dimension)
+from reference_kernels import mul
 
 t = MultiPoly.variable(1, 0)
 
@@ -222,3 +223,43 @@ def test_ratfn_eq_across_variable_counts():
     assert RationalFn(x, x + 1) != RationalFn(y, y + 1)
     assert RationalFn(x, x + 1) != y
     assert not (RationalFn.const(1, 2) == RationalFn.const(2, 2))
+
+
+# -- the integer-numerator product against the Fraction loop it replaced -------
+
+# few exponents and small coefficients, so that products often cancel
+SMALL = st.sampled_from([Fraction(c) for c in
+                         ("1", "-1", "2", "-2", "1/2", "-1/2", "2/3", "-3/4", "5/6", "-7/12")])
+
+
+def small_polys(nvars: int, max_deg: int = 2, max_size: int = 4):
+    exps = st.tuples(*[st.integers(0, max_deg)] * nvars)
+    coeffs = st.one_of(SMALL, st.fractions(max_denominator=30))
+    return st.dictionaries(exps, coeffs, max_size=max_size).map(
+        lambda d: MultiPoly(nvars, d))
+
+
+def assert_same_poly(got: MultiPoly, want: MultiPoly) -> None:
+    """Equal, and equal term by term in the same order."""
+    assert got == want
+    assert got.as_string() == want.as_string()
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 4))
+def test_mul_matches_the_fraction_loop(data, nvars):
+    a = data.draw(small_polys(nvars), label="a")
+    b = data.draw(small_polys(nvars), label="b")
+    assert_same_poly(a * b, mul(a, b))
+    # a factor that cancels: a*(b - b) is zero, (a + b)*(a - b) = a^2 - b^2
+    assert_same_poly(a * (b - b), mul(a, b - b))
+    assert_same_poly((a + b) * (a - b), mul(a + b, a - b))
+
+
+def test_mul_keeps_the_order_of_a_term_that_cancels_and_returns():
+    a = MultiPoly(1, {(2,): 1, (1,): 1, (0,): 1})
+    b = MultiPoly(1, {(0,): 1, (1,): -1, (2,): 1})
+    # tau^2 sums to 0 after two products and returns with the last one
+    assert_same_poly(a * b, mul(a, b))
+    assert list((a * b).terms) == [(4,), (0,), (2,)]

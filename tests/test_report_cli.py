@@ -10,7 +10,7 @@ import pytest
 from orbitforms import report
 from orbitforms.cli import main
 from orbitforms.errors import DomainError
-from orbitforms.report import (RunConfig, cache_lookup, cache_store,
+from orbitforms.report import (CEILINGS, RunConfig, cache_lookup, cache_store,
                                load_whitelist, parse_config_file)
 from orbitforms.suites import run_suite
 
@@ -314,6 +314,36 @@ def test_cli_verify_rejects_bad_model_and_counts(tmp_path, args, config_text):
         cfg.write_text(config_text)
         args = (*args, "--config", str(cfg))
     _one_line_error(run_cli("verify", *args))
+
+
+HUGE_VALUES = [
+    ("spectrum --model bc1 --n", "n"), ("spectrum --model bcn --n 1 --N", "N"),
+    ("verify --suite flags --tuples", "tuples"),
+    ("verify --suite ttw --sample-points", "sample_points"),
+    ("verify --suite cartesian --dps", "dps"),
+]
+
+
+@pytest.mark.parametrize("head,key", HUGE_VALUES)
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_refuses_values_over_their_ceiling(tmp_path, capsys, head, key, via_config):
+    argv = head.split()
+    for value in (CEILINGS[key] + 1, 10 ** 9):
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            run = [*argv[:-1], "--config", str(cfg)]
+        else:
+            run = [*argv, str(value)]
+        _main_one_line_error(capsys, run)
+
+
+def test_ceilings_admit_every_shipped_level():
+    # the largest levels the suites ship or the benchmark asks
+    shipped = {"n": 12, "N": 5, "tuples": 5, "sample_points": 50, "dps": 60}
+    for key, level in shipped.items():
+        assert CEILINGS[key] >= 2 * level
+        RunConfig.from_items({key: CEILINGS[key]})
 
 
 def test_cli_verify_has_no_level_flag():
