@@ -26,8 +26,9 @@ from pathlib import Path
 from .errors import DomainError, EngineError, FormulaMismatch, InconsistencyError
 from .models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                      build_sutherland, char_vector_table)
-from .report import (SCHEMA, RunConfig, cache_lookup, cache_store,
-                     parse_config_file)
+from .poly import flag_dimension
+from .report import (FLAG_DIM_CEILING, SCHEMA, RunConfig, cache_lookup,
+                     cache_store, parse_config_file)
 from .spectral import qes_spectrum, spectrum
 from .suites import SUITES, run_suite
 
@@ -177,10 +178,15 @@ def _spectrum_payload(config: RunConfig) -> bytes:
         if len(vector) != bundle.d:
             raise DomainError(f"--f needs {bundle.d} grades for {family}, "
                               f"got {len(vector)}")
+    if family == "bc1_qes" and vector not in (None, (1,)):
+        raise DomainError(f"bc1_qes has the single grade 1, got --f {vector[0]}")
+    # counted, not enumerated: a huge flag is refused before it is built
+    dim = flag_dimension(vector or bundle.char_vector, int(n))
+    if dim > FLAG_DIM_CEILING:
+        raise DomainError(f"the level-{n} flag has {dim} monomials; spectrum "
+                          f"takes at most {FLAG_DIM_CEILING}")
 
     if family == "bc1_qes":
-        if vector not in (None, (1,)):
-            raise DomainError(f"bc1_qes has the single grade 1, got --f {vector[0]}")
         record = qes_spectrum(bundle)
         if config.get("format") == "csv":
             return _spectrum_csv((str(val), 1, "") for val in record.eigenvalues)

@@ -10,14 +10,17 @@ its witness.
 Rational coefficients serve the gauge identity only: gauge_conjugate builds
 them, and addition and equality accept them, so that the conjugated rational
 form can be compared with the algebraic one.  A coefficient that divides out
-is stored as a polynomial; apply and compose take polynomial operators only.
+is stored as a polynomial; apply, compose and restrict_to_flag take
+polynomial operators only.
 
 apply and compose follow the integer-numerator rule of poly: coefficients are
 scaled once to integer numerators over the operator's common denominator,
 derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), the
 Leibniz factors are ints, and each output term is reduced to a Fraction once.
 The products of one operator term are summed before they join the total, so
-the terms come in the order the Fraction loops gave them.
+the terms come in the order the Fraction loops gave them.  restrict_to_flag
+scales the operator once and images every basis monomial from that scaled
+form, which apply builds afresh on each call.
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -38,6 +41,8 @@ from .poly import (Exponents, FlagSpace, MultiPoly, RationalFn,
                    integer_terms)
 
 Coefficient = Union[MultiPoly, RationalFn]
+# a polynomial operator as (common denominator, [(k, int numerators of C_k)])
+ScaledOp = tuple[int, list[tuple[Exponents, dict[Exponents, int]]]]
 
 ZERO = Fraction(0)
 
@@ -175,28 +180,35 @@ def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
     Rational coefficients exist for the gauge identity only, so an operator
     with one is refused with DomainError.
     """
-    if not op.polynomial:
-        raise DomainError("apply needs polynomial coefficients; rational ones "
-                          "serve gauge_conjugate only")
+    scaled = _scaled(op, "apply")
     if op.nvars != p.nvars:
         raise DimensionMismatch("operator/polynomial variable counts differ")
+    return _apply_scaled(op.nvars, scaled, p)
+
+
+def _scaled(op: DiffOp, caller: str) -> ScaledOp:
+    """The scaled form of a polynomial operator; a rational one is refused
+    with DomainError, which names the caller."""
+    if not op.polynomial:
+        raise DomainError(f"{caller} needs polynomial coefficients; rational "
+                          "ones serve gauge_conjugate only")
+    den = lcm(*(c.denominator for coeff in op.terms.values()
+                for c in coeff.terms.values()))
+    return den, [(k, integer_terms(c.terms, den)[1]) for k, c in op.terms.items()]
+
+
+def _apply_scaled(nvars: int, scaled: ScaledOp, p: MultiPoly) -> MultiPoly:
+    """op(p) for the scaled form of op."""
     # each operator term is summed on its own and then added, so the terms
     # come in the order of adding the products c_k * d^k p one by one
+    den, coefficients = scaled
     dp, pnum = integer_terms(p.terms)
-    dop = _denominator(op)
     total: dict[Exponents, int] = {}
-    for k, coeff in op.terms.items():
+    for k, cnum in coefficients:
         q = _derivative_terms(pnum, k)
         if q:
-            add_integer_terms(total, integer_product(
-                integer_terms(coeff.terms, dop)[1], q))
-    return from_integer_terms(op.nvars, dop * dp, total)
-
-
-def _denominator(op: DiffOp) -> int:
-    """Common denominator of every coefficient of a polynomial operator."""
-    return lcm(*(c.denominator for coeff in op.terms.values()
-                 for c in coeff.terms.values()))
+            add_integer_terms(total, integer_product(cnum, q))
+    return from_integer_terms(nvars, den * dp, total)
 
 
 def _derivative_terms(numerators: dict[Exponents, int], k: Exponents
@@ -240,16 +252,11 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     Both operators must be polynomial (DomainError otherwise).
     """
     a._check(b)
-    if not (a.polynomial and b.polynomial):
-        raise DomainError("compose needs polynomial coefficients; rational ones "
-                          "serve gauge_conjugate only")
-    da, db = _denominator(a), _denominator(b)
-    bnums = [(beta, integer_terms(cb.terms, db)[1]) for beta, cb in b.terms.items()]
+    (da, anums), (db, bnums) = _scaled(a, "compose"), _scaled(b, "compose")
     # key -> integer numerators over da*db; a key whose sum cancels stays in
     # place with no terms, so the operator terms keep their first-seen order
     acc: dict[Exponents, dict[Exponents, int]] = {}
-    for alpha, ca in a.terms.items():
-        _, anum = integer_terms(ca.terms, da)
+    for alpha, anum in anums:
         subs = [(gamma, _multi_binom(alpha, gamma)) for gamma in _sub_indices(alpha)]
         for beta, bnum in bnums:
             for gamma, binom in subs:
@@ -448,12 +455,18 @@ class ExactMatrix:
 
 def restrict_to_flag(op: DiffOp, space: FlagSpace) -> ExactMatrix:
     """Exact matrix of op on the flag basis; FlagViolation with witness if
-    the image of any basis monomial leaves the space."""
+    the image of any basis monomial leaves the space.
+
+    The operator is scaled to int numerators once, and every basis monomial
+    is imaged from that one scaled form.  A rational operator is refused
+    with DomainError, as apply refuses it.
+    """
     if op.nvars != space.d:
         raise DimensionMismatch("operator/flag variable counts differ")
+    scaled = _scaled(op, "restrict_to_flag")
     rows: Matrix = []
     for mono in space.basis:
-        image = apply(op, MultiPoly.monomial(space.d, mono))
+        image = _apply_scaled(space.d, scaled, MultiPoly.monomial(space.d, mono))
         row = [ZERO] * space.dim
         for e, c in image.terms.items():
             pos = space.index.get(e)

@@ -2,16 +2,16 @@
 
 Matrices are plain lists of lists of Fractions.  Provides reduced row
 echelon form (sparse: a pivot row updates the other rows on its nonzero
-columns only), nullspaces, determinants by fraction-free (Bareiss)
-elimination, and characteristic polynomials by the division-free
-Berkowitz algorithm run over integers after clearing denominators.  For
-matrices that are triangular up to a permutation of the indices it finds
-that order and the kernels of a - cI by back-substitution along it.
+columns only), nullspaces, and characteristic polynomials by the
+division-free Berkowitz algorithm run over integers after clearing
+denominators.  For matrices that are triangular up to a permutation of the
+indices it finds that order and the kernels of a - cI by back-substitution
+along it.
 
-Bareiss and Berkowitz follow the integer-numerator rule of poly: the
-denominators are cleared once, the loops run on ints, and each result is
-reduced to a Fraction once.  rref runs on Fractions, since its pivots
-divide; its cost is held down by sparsity instead.
+Berkowitz follows the integer-numerator rule of poly: the denominators are
+cleared once, the loops run on ints, and each result is reduced to a
+Fraction once.  rref runs on Fractions, since its pivots divide; its cost
+is held down by sparsity instead.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ ONE = Fraction(1)
 
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def shift_diagonal(a: Matrix, c: Fraction) -> Matrix:
-    """a - c*I."""
-    n = len(a)
-    return [[a[i][j] - (c if i == j else ZERO) for j in range(n)] for i in range(n)]
 
 
 def rref(a: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
@@ -116,7 +110,7 @@ def triangular_order(a: Matrix) -> list[int] | None:
 
 
 def triangular_nullspace(a: Matrix, order: Sequence[int], c: Fraction) -> list[Vector]:
-    """nullspace(shift_diagonal(a, c)) by back-substitution along `order`,
+    """nullspace(a - cI) by back-substitution along `order`,
     an order in which `a` is triangular (see triangular_order).
 
     Walking the order, row i fixes x_i when a[i][i] != c.  Otherwise x_i is
@@ -156,33 +150,6 @@ def triangular_nullspace(a: Matrix, order: Sequence[int], c: Fraction) -> list[V
                 for i in reversed(range(n))] for t in solutions]
     red, pivots = rref(vectors)
     return [row[::-1] for row in reversed(red[:len(pivots)])]
-
-
-def det_bareiss(a: Matrix) -> Fraction:
-    """Determinant by fraction-free elimination after clearing denominators."""
-    n = len(a)
-    if n == 0:
-        return ONE
-    scale = 1
-    for row in a:
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    m = [[int(x * scale) for x in row] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale ** n)
 
 
 def _berkowitz_int(m: list[list[int]]) -> list[int]:
@@ -229,23 +196,3 @@ def charpoly(a: Matrix) -> list[Fraction]:
     raw = _berkowitz_int(m)
     # det(lambda I - a) = scale^-n * det((scale lambda) I - scale a)
     return [Fraction(raw[j], scale ** j) for j in range(n + 1)]
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Horner evaluation; coeffs in descending powers."""
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:
-    """Monic polynomial with the given roots, descending coefficients."""
-    coeffs = [ONE]
-    for r in roots:
-        new = coeffs + [ZERO]
-        for i in range(len(coeffs)):
-            new[i + 1] -= coeffs[i] * r
-        coeffs = new
-    return coeffs
-

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from typing import Callable
+from operator import add, mul
+from typing import Callable, Iterable, Sequence
 
 from .diffop import DiffOp, GaugeFactor
 from .errors import DomainError, UnsupportedModel
-from .poly import CharVector, Exponents, FlagSpace, MultiPoly, RationalFn
+from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, RationalFn,
+                   Scalar, add_integer_terms, from_integer_terms, integer_terms)
 
+ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 FAMILIES = ("BC1", "BC1_QES", "SUTHERLAND", "BCN", "G2", "MW",
@@ -89,16 +92,42 @@ def _tau(nvars: int, i: int) -> MultiPoly:
     return MultiPoly.variable(nvars, i)
 
 
-def _clipped_tau(nvars: int, k: int, top: int, top_is_one: bool) -> MultiPoly:
-    """tau_k with the boundary convention tau_0 = 1, tau_k = 0 outside [0, top];
-    tau_top is the constant 1 when top_is_one is set (relative invariants)."""
-    if k == 0:
-        return MultiPoly.const(nvars, 1)
-    if k < 0 or k > top:
-        return MultiPoly.zero(nvars)
-    if k == top and top_is_one:
-        return MultiPoly.const(nvars, 1)
-    return MultiPoly.variable(nvars, k - 1)
+def _clipped_taus(nvars: int, top: int, top_is_one: bool) -> dict[int, Exponents]:
+    """Exponents of tau_k for the k where it is not zero, under the boundary
+    convention tau_0 = 1, tau_k = 0 outside [0, top], and tau_top = 1 when
+    top_is_one is set (relative invariants)."""
+    const = (0,) * nvars
+    taus = {0: const}
+    for k in range(1, top + 1):
+        taus[k] = const if k == top and top_is_one else const[:k - 1] + (1,) + const[k:]
+    return taus
+
+
+def _pair_sum(taus: dict[int, Exponents],
+              groups: Iterable[Iterable[tuple[Scalar, int, int]]],
+              den: int = 1) -> MultiPoly:
+    """sum c * tau_a * tau_b / den over groups of (c, a, b) contributions.
+
+    With the clipped taus each product is one monomial, the constant 1 or
+    zero, so the int or Fraction coefficients are summed straight into a
+    term dict: each group on its own, then into the total, deleting a key
+    whose sum reaches zero, as MultiPoly addition does.  The terms therefore
+    come in the order of the polynomial expression grouped the same way.
+    Zero contributions are skipped.
+    """
+    total: dict[Exponents, Scalar] = {}
+    for group in groups:
+        part: dict[Exponents, Scalar] = {}
+        for c, a, b in group:
+            if c and a in taus and b in taus:
+                e = tuple(map(add, taus[a], taus[b]))
+                s = part.get(e, 0) + c
+                if s:
+                    part[e] = s
+                else:
+                    del part[e]
+        add_integer_terms(total, part)
+    return from_integer_terms(len(taus[0]), den, total)
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +246,28 @@ def sutherland_coefficients(N: int, nu: Fraction):
            + sum_{l >= max(1, j-i)} (j - i - 2l) tau_{i+l} tau_{j-l},
     B_i  = (1/N + nu) i (N-i) tau_i,
     with tau_0 = tau_N = 1 and tau_k = 0 outside [0, N].
+
+    Pair-table form: A_ij is the list of its (c, a, b) pairs, each product
+    tau_a tau_b one monomial, 1 or 0, summed by _pair_sum in ints over the
+    denominator N (B_i pairs tau_i with tau_0 = 1).  Term order: the pairs
+    are added one at a time in the order above, and a term whose running sum
+    reaches zero is deleted and comes back last, so each A_ij lists its
+    terms as the polynomial sum written above does.  A does not depend on nu.
     """
-    d = N - 1
-    tau = lambda k: _clipped_tau(d, k, N, top_is_one=True)
+    taus = _clipped_taus(N - 1, N, top_is_one=True)
     A = {}
-    B = {}
     for i in range(1, N):
         for j in range(1, N):
-            acc = Fraction((N - i) * j, N) * tau(i) * tau(j)
+            pairs = [((N - i) * j, i, j)]
             l = max(1, j - i)
             while i + l <= N and j - l >= 0:
-                acc = acc + (j - i - 2 * l) * tau(i + l) * tau(j - l)
+                pairs.append(((j - i - 2 * l) * N, i + l, j - l))
                 l += 1
+            acc = _pair_sum(taus, ([pair] for pair in pairs), N)
             if not acc.is_zero():
                 A[(i, j)] = acc
-        B[i] = (Fraction(1, N) + nu) * i * (N - i) * tau(i)
+    B = {i: _pair_sum(taus, [[((Fraction(1, N) + nu) * i * (N - i), i, 0)]])
+         for i in range(1, N)}
     return A, B
 
 
@@ -258,17 +294,37 @@ def sutherland_operator(N: int, nu: Fraction) -> DiffOp:
     return _assemble_second_order(N - 1, A, B)
 
 
+def _quadratic_form(lin: Sequence[Fraction], gram: Sequence[Sequence[int]],
+                    scale: int = 1) -> Callable[[Exponents], Fraction]:
+    """p -> (sum_i lin_i p_i + sum_ij gram_ij p_i p_j) / scale.
+
+    The linear coefficients are brought to int numerators over one
+    denominator here, so each call sums ints and makes one Fraction.
+    """
+    den, nums = integer_terms(dict(enumerate(lin)))
+    nums = tuple(nums.values())
+    rows = tuple(map(tuple, gram))
+
+    def form(p: Exponents) -> Fraction:
+        quad = sum(x * sum(map(mul, row, p)) for x, row in zip(p, rows))
+        return Fraction(sum(map(mul, nums, p)) + den * quad, den * scale)
+
+    return form
+
+
+def _sutherland_eigenvalue_form(N: int, nu: Fraction) -> Callable[[Exponents], Fraction]:
+    return _quadratic_form(
+        [nu * N * i * (N - i) for i in range(1, N)],
+        [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)], N)
+
+
 def sutherland_eigenvalue(N: int, nu: Fraction, p: Exponents) -> Fraction:
     """N eps = nu N sum_i i(N-i) p_i + sum_ij [N min(i,j) - i j] p_i p_j.
 
     The quadratic form is the A_{N-1} weight Gram matrix; the one-sided
     printed reading (N-i) j agrees with it on i >= j.
     """
-    d = N - 1
-    lin = sum(nu * N * i * (N - i) * p[i - 1] for i in range(1, N))
-    quad = sum((N * min(i, j) - i * j) * p[i - 1] * p[j - 1]
-               for i in range(1, N) for j in range(1, N))
-    return Fraction(lin + quad, N)
+    return _sutherland_eigenvalue_form(N, nu)(p)
 
 
 def sutherland_eigenvalue_printed(N: int, nu: Fraction, p: Exponents) -> Fraction:
@@ -290,7 +346,7 @@ def build_sutherland(N: int, nu) -> ModelBundle:
         spec=spec, d=d, h=h, flags=((1,) * d,),
         ground_factor=GaugeFactor(d),  # orbit-space factor is not polynomial; Cartesian module owns it
         e0=None,
-        eigenvalue=lambda p: sutherland_eigenvalue(N, nu, p))
+        eigenvalue=_sutherland_eigenvalue_form(N, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +354,58 @@ def build_sutherland(N: int, nu) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 def bcn_coefficients(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction):
-    """Printed coefficient family with tau_0 = 1, tau_k = 0 outside [0, N]."""
-    d = N
-    tau = lambda k: _clipped_tau(d, k, N, top_is_one=False)
+    """Printed coefficient family with tau_0 = 1, tau_k = 0 outside [0, N]:
+
+    A_ij = -N tau_{i-1} tau_{j-1} + sum_{l=0}^{N+1} [
+               (i-l) tau_{i-l} tau_{j+l} + (l+j-1) tau_{i-l-1} tau_{j+l-1}
+               - (i-2-l) tau_{i-2-l} tau_{j+l} - (l+j+1) tau_{i-l-1} tau_{j+l+1}],
+    B_i  = [1 + nu(2N-i-1) + 2 nu2 + nu3] i tau_i - nu3 (i-N-1) tau_{i-1}
+           + nu (N-i+1)(N-i+2) tau_{i-2}.
+
+    Pair-table form: A_ij is the list of its (c, a, b) pairs, each product
+    tau_a tau_b one monomial, 1 or 0, summed by _pair_sum in ints (B_i pairs
+    its taus with tau_0 = 1).  Term order: the first pair is one group and
+    the four pairs of each l another, as the bracket groups them; a group is
+    summed on its own and then added, and a term whose running sum reaches
+    zero is deleted and comes back last, so each A_ij lists its terms as the
+    polynomial sum written above does.  A does not depend on the couplings,
+    so build_bcn assembles h and Delta_g from one A.
+    """
+    return _bcn_second_order(N), _bcn_first_order(N, nu, nu2, nu3)
+
+
+def _bcn_second_order(N: int) -> dict[tuple[int, int], MultiPoly]:
+    """The coupling-free A of bcn_coefficients."""
+    taus = _clipped_taus(N, N, top_is_one=False)
     A = {}
-    B = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            acc = -N * tau(i - 1) * tau(j - 1)
+            groups = [[(-N, i - 1, j - 1)]]
             for l in range(0, N + 2):
-                part = ((i - l) * tau(i - l) * tau(j + l)
-                        + (l + j - 1) * tau(i - l - 1) * tau(j + l - 1)
-                        - (i - 2 - l) * tau(i - 2 - l) * tau(j + l)
-                        - (l + j + 1) * tau(i - l - 1) * tau(j + l + 1))
-                acc = acc + part
+                groups.append([(i - l, i - l, j + l),
+                               (l + j - 1, i - l - 1, j + l - 1),
+                               (-(i - 2 - l), i - 2 - l, j + l),
+                               (-(l + j + 1), i - l - 1, j + l + 1)])
+            acc = _pair_sum(taus, groups)
             if not acc.is_zero():
                 A[(i, j)] = acc
-        B[i] = ((1 + nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i * tau(i)
-                - nu3 * (i - N - 1) * tau(i - 1)
-                + nu * (N - i + 1) * (N - i + 2) * tau(i - 2))
-    return A, B
+    return A
 
 
-def bcn_operator(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction) -> DiffOp:
-    A, B = bcn_coefficients(N, nu, nu2, nu3)
-    return _assemble_second_order(N, A, B)
+def _bcn_first_order(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
+                     ) -> dict[int, MultiPoly]:
+    taus = _clipped_taus(N, N, top_is_one=False)
+    return {i: _pair_sum(taus, [[
+        ((1 + nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i, i, 0),
+        (-(nu3 * (i - N - 1)), i - 1, 0),
+        (nu * (N - i + 1) * (N - i + 2), i - 2, 0)]]) for i in range(1, N + 1)}
+
+
+def _bcn_eigenvalue_form(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
+                         ) -> Callable[[Exponents], Fraction]:
+    return _quadratic_form(
+        [(nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i for i in range(1, N + 1)],
+        [[min(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
 
 
 def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
@@ -332,11 +415,7 @@ def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
     min(i,j) is the C_N weight Gram matrix; the printed one-sided reading
     i p_i p_j agrees with it on i <= j.
     """
-    lin = sum((nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i * p[i - 1]
-              for i in range(1, N + 1))
-    quad = sum(min(i, j) * p[i - 1] * p[j - 1]
-               for i in range(1, N + 1) for j in range(1, N + 1))
-    return lin + quad
+    return _bcn_eigenvalue_form(N, nu, nu2, nu3)(p)
 
 
 def bcn_eigenvalue_printed(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
@@ -447,7 +526,8 @@ def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
         raise DomainError("BC_N needs N >= 1")
     nu, nu2, nu3 = Fraction(nu), Fraction(nu2), Fraction(nu3)
     spec = ModelSpec("BCN", N=N, nu=nu, nu2=nu2, nu3=nu3)
-    h = bcn_operator(N, nu, nu2, nu3)
+    A, B = bcn_coefficients(N, nu, nu2, nu3)
+    h = _assemble_second_order(N, A, B)
     rational_form = None
     potential = None
     ground = GaugeFactor(N)
@@ -468,13 +548,13 @@ def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
         ground = bc3_ground_factor(nu, nu2, nu3)
         scale = 2
     if potential is not None:
-        delta_g = bcn_operator(N, Fraction(0), Fraction(0), Fraction(0))
+        delta_g = _assemble_second_order(N, A, _bcn_first_order(N, ZERO, ZERO, ZERO))
         rational_form = delta_g + DiffOp(N, {(0,) * N: potential * scale})
     return ModelBundle(
         spec=spec, d=N, h=h, flags=((1,) * N,),
         ground_factor=ground,
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
-        eigenvalue=lambda p: bcn_eigenvalue(N, nu, nu2, nu3, p),
+        eigenvalue=_bcn_eigenvalue_form(N, nu, nu2, nu3),
         rational_form=rational_form, rational_potential=potential)
 
 

@@ -57,6 +57,10 @@ MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
 # Far above every level the suites ship (g2 n=10, bcn N=4, 50 sample points,
 # 60 digits), so that a huge value is refused before any work starts.
 CEILINGS = {"n": 40, "N": 10, "tuples": 100, "sample_points": 1000, "dps": 500}
+# Values under those ceilings can still ask for a huge flag (bcn N=10 n=40
+# has ~1e10 monomials), so spectrum also refuses a flag above this dimension,
+# ~4x Sutherland N=6 n=6 (462 monomials), the largest flag timed so far.
+FLAG_DIM_CEILING = 2000
 
 _DEFAULTS = {
     "seed": 1,

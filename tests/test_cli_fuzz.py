@@ -21,6 +21,12 @@ HUGE = ["1000000000", "9" * 40]
 COUNTS = ["1", "2", "3", "0", "-2", "x", *HUGE]
 LEVELS = ["0", "1", "2", "3", "-1", "two", "41", *HUGE]
 VECTORS = ["1", "2", "1,2", "2,1", "1,1", "2,3", "0,1", "a,b", "1,2,3"]
+# each value is under its ceiling, but the flag is far above the dimension
+# ceiling; the last two flags are weighted
+HUGE_FLAGS = ["spectrum --model bcn --N 10 --n 40",
+              "spectrum --model sutherland --N 9 --n 30",
+              "spectrum --model sutherland --N 6 --f 1,2,3,4,5 --n 40",
+              "spectrum --model bcn --N 4 --n 40 --f 1,1,2,1"]
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +95,9 @@ def _argv(paths) -> st.SearchStrategy:
     heads = st.sampled_from([
         (st.tuples(_option("--model", models), _option("--n", LEVELS)).map(
             lambda pair: ["spectrum", *pair[0], *pair[1]]), spectrum),
+        # no option of its own follows, since a smaller --N or --f could
+        # bring the flag under the ceiling and start a long computation
+        (st.sampled_from(HUGE_FLAGS).map(str.split), []),
         (st.just(["verify", "--suite", "flags"]), verify),
         (st.just(["verify", "--suite", "pi"]), verify),
         (st.just(["table"]), []),

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
                                gauge_conjugate, preserves_flag,
@@ -268,6 +268,42 @@ def test_compose_matches_the_fraction_loop(data, nvars):
         assert list(got.terms) == list(want.terms)
         for k in want.terms:
             assert_same_poly(got.terms[k], want.terms[k])
+
+
+def flag_ops(nvars):
+    """Order <= 2 operators, half of them with deg C_k <= |k|, so that they
+    keep the unit flag and often a weighted one."""
+    def lower(op):
+        return DiffOp(nvars, {k: MultiPoly(nvars, {e: c for e, c in p.terms.items()
+                                                   if sum(e) <= sum(k)})
+                              for k, p in op.terms.items()})
+    return st.one_of(order2_ops(nvars), order2_ops(nvars).map(lower))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_restrict_matches_the_per_monomial_loop(data, nvars):
+    op = data.draw(flag_ops(nvars), label="op")
+    f = data.draw(st.tuples(*[st.integers(1, 3)] * nvars), label="f")
+    space = FlagSpace(nvars, f, data.draw(st.integers(0, 4), label="n"))
+    try:
+        want = ref.restrict_to_flag(op, space)
+    except FlagViolation as exc:
+        event("leaves the flag")
+        with pytest.raises(FlagViolation) as err:
+            restrict_to_flag(op, space)
+        assert ((err.value.input_monomial, err.value.output_monomial)
+                == (exc.input_monomial, exc.output_monomial))
+    else:
+        event("keeps the flag")
+        assert restrict_to_flag(op, space).rows == want
+    # a rational coefficient is refused, as apply refuses it
+    wall = RationalFn(MultiPoly.const(nvars, 1), 1 + MultiPoly.variable(nvars, 0))
+    rational = op + DiffOp(nvars, {(0,) * nvars: wall})
+    with pytest.raises(DomainError):
+        restrict_to_flag(rational, space)
+    with pytest.raises(DomainError):
+        apply(rational, MultiPoly.monomial(nvars, space.basis[-1]))
 
 
 def test_apply_and_compose_keep_the_order_of_cancelling_terms():

@@ -3,16 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitforms.diffop import DiffOp, apply
 from orbitforms.errors import DomainError, UnsupportedModel
-from orbitforms.models import (bc2_rational_potential,
+from orbitforms.models import (_assemble_second_order, bc2_rational_potential,
                                bc2_rational_potential_printed,
+                               bcn_coefficients, bcn_eigenvalue,
                                build_bc1, build_bc1_qes,
                                build_bcn, build_g2, build_mw_family,
                                build_sutherland, char_vector_table,
-                               eigenvalue_formula, ttw_models)
+                               eigenvalue_formula, sutherland_coefficients,
+                               sutherland_eigenvalue, ttw_models)
 from orbitforms.poly import MultiPoly
+import reference_kernels as ref
+from test_poly import assert_same_poly
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -236,3 +241,58 @@ def test_every_solvable_model_annihilates_constants():
     for bundle in bundles:
         assert apply(bundle.h, MultiPoly.const(bundle.d, 1)).is_zero()
         assert eigenvalue_formula(bundle, (0,) * bundle.d) == 0
+
+
+# -- pair-table builders against the MultiPoly loops they replaced ----------------
+
+def assert_same_table(got: dict, want: dict) -> None:
+    """Equal keys in the same order, each polynomial equal term by term."""
+    assert list(got) == list(want)
+    for key in want:
+        assert_same_poly(got[key], want[key])
+
+
+# generic rationals, with the values that zero a coefficient: 0 and -1/N
+couplings = st.one_of(st.fractions(-4, 4, max_denominator=12),
+                      st.sampled_from([Fraction(0), Fraction(-1, 2), Fraction(-1, 3),
+                                       Fraction(-1, 4), Fraction(1, 2)]))
+
+
+def exponents(d: int):
+    return st.tuples(*[st.integers(0, 9)] * d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=st.integers(2, 6), nu=couplings)
+def test_sutherland_builder_matches_the_multipoly_loop(data, N, nu):
+    A, B = sutherland_coefficients(N, nu)
+    A_ref, B_ref = ref.sutherland_coefficients(N, nu)
+    assert_same_table(A, A_ref)
+    assert_same_table(B, B_ref)
+    bundle = build_sutherland(N, nu)
+    for _ in range(3):
+        p = data.draw(exponents(N - 1), label="p")
+        want = ref.sutherland_eigenvalue(N, nu, p)
+        assert bundle.eigenvalue(p) == want
+        assert sutherland_eigenvalue(N, nu, p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=st.integers(1, 6),
+       nus=st.tuples(couplings, couplings, couplings))
+def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
+    A, B = bcn_coefficients(N, *nus)
+    A_ref, B_ref = ref.bcn_coefficients(N, *nus)
+    assert_same_table(A, A_ref)
+    assert_same_table(B, B_ref)
+    bundle = build_bcn(N, *nus)
+    if bundle.rational_form is not None:
+        # Delta_g is h at zero couplings, assembled from the same A
+        delta_g = _assemble_second_order(N, *ref.bcn_coefficients(N, 0, 0, 0))
+        derivatives = {k: c for k, c in bundle.rational_form.terms.items() if any(k)}
+        assert_same_table(derivatives, delta_g.terms)
+    for _ in range(3):
+        p = data.draw(exponents(N), label="p")
+        want = ref.bcn_eigenvalue(N, *nus, p)
+        assert bundle.eigenvalue(p) == want
+        assert bcn_eigenvalue(N, *nus, p) == want

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforms.errors import DimensionMismatch, DomainError
 from orbitforms.poly import (FlagSpace, MultiPoly, RationalFn,
-                             enumerate_flag_basis, fdegree, qq,
+                             enumerate_flag_basis, fdegree, flag_dimension, qq,
                              unit_flag_dimension)
 from reference_kernels import mul
 
@@ -122,6 +122,20 @@ def test_flag_order_graded_then_lex():
 @given(st.integers(1, 5), st.integers(0, 10))
 def test_unit_flag_dimension_binomial(d, n):
     assert enumerate_flag_basis(d, (1,) * d, n).dim == unit_flag_dimension(d, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 14))
+def test_flag_dimension_counts_the_basis(f, n):
+    assert flag_dimension(f, n) == enumerate_flag_basis(len(f), f, n).dim
+
+
+def test_flag_dimension_of_huge_flags():
+    assert flag_dimension((1,) * 10, 40) == unit_flag_dimension(10, 40) == 10272278170
+    # for each a2 <= 20, the a1 with a1 + 2 a2 <= 40
+    assert flag_dimension((1, 2), 40) == sum(41 - 2 * a2 for a2 in range(21))
+    with pytest.raises(DomainError):
+        flag_dimension((1, 0), 3)
 
 
 @settings(max_examples=25, deadline=None)

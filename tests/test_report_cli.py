@@ -4,14 +4,17 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from orbitforms import report
 from orbitforms.cli import main
 from orbitforms.errors import DomainError
-from orbitforms.report import (CEILINGS, RunConfig, cache_lookup, cache_store,
-                               load_whitelist, parse_config_file)
+from orbitforms.poly import flag_dimension
+from orbitforms.report import (CEILINGS, FLAG_DIM_CEILING, RunConfig,
+                               cache_lookup, cache_store, load_whitelist,
+                               parse_config_file)
 from orbitforms.suites import run_suite
 
 
@@ -344,6 +347,30 @@ def test_ceilings_admit_every_shipped_level():
     for key, level in shipped.items():
         assert CEILINGS[key] >= 2 * level
         RunConfig.from_items({key: CEILINGS[key]})
+
+
+# every value under its own ceiling, but the flags have 1.0e10, 2.9e5 and
+# 4.7e4 monomials
+HUGE_FLAGS = [
+    "spectrum --model bcn --N 10 --n 40",
+    "spectrum --model sutherland --N 10 --n 12",
+    "spectrum --model bcn --N 5 --f 1,2,2,3,3 --n 40",
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_FLAGS)
+def test_spectrum_refuses_a_flag_above_the_ceiling(capsys, argv):
+    # without the ceiling the flag would be built: fail instead of trying
+    with mock.patch("orbitforms.cli.spectrum",
+                    side_effect=AssertionError("the flag was built")):
+        _main_one_line_error(capsys, argv.split())
+
+
+def test_flag_ceiling_admits_every_shipped_flag():
+    # Sutherland N=6 n=6, g2 n=30 and BC_N N=6 n=4 are the largest flags
+    # whose spectra have been timed
+    for f, n in (((1,) * 5, 6), ((1, 2), 30), ((1,) * 6, 4)):
+        assert 4 * flag_dimension(f, n) <= FLAG_DIM_CEILING
 
 
 def test_cli_verify_has_no_level_flag():
