@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 from .diffop import DiffOp, GaugeFactor
 from .errors import DomainError, UnsupportedModel
 from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, RationalFn,
-                   Scalar, add_integer_terms, from_integer_terms, integer_terms)
+                   Scalar, from_integer_terms, integer_terms)
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -104,29 +104,25 @@ def _clipped_taus(nvars: int, top: int, top_is_one: bool) -> dict[int, Exponents
 
 
 def _pair_sum(taus: dict[int, Exponents],
-              groups: Iterable[Iterable[tuple[Scalar, int, int]]],
+              pairs: Iterable[tuple[Scalar, int, int]],
               den: int = 1) -> MultiPoly:
-    """sum c * tau_a * tau_b / den over groups of (c, a, b) contributions.
+    """sum c * tau_a * tau_b / den over the (c, a, b) contributions.
 
     With the clipped taus each product is one monomial, the constant 1 or
     zero, so the int or Fraction coefficients are summed straight into a
-    term dict: each group on its own, then into the total, deleting a key
-    whose sum reaches zero, as MultiPoly addition does.  The terms therefore
-    come in the order of the polynomial expression grouped the same way.
-    Zero contributions are skipped.
+    term dict, deleting a key whose sum reaches zero, as MultiPoly addition
+    does.  The terms therefore come in the order of the polynomial sum taken
+    one pair at a time.  Zero contributions are skipped.
     """
     total: dict[Exponents, Scalar] = {}
-    for group in groups:
-        part: dict[Exponents, Scalar] = {}
-        for c, a, b in group:
-            if c and a in taus and b in taus:
-                e = tuple(map(add, taus[a], taus[b]))
-                s = part.get(e, 0) + c
-                if s:
-                    part[e] = s
-                else:
-                    del part[e]
-        add_integer_terms(total, part)
+    for c, a, b in pairs:
+        if c and a in taus and b in taus:
+            e = tuple(map(add, taus[a], taus[b]))
+            s = total.get(e, 0) + c
+            if s:
+                total[e] = s
+            else:
+                del total[e]
     return from_integer_terms(len(taus[0]), den, total)
 
 
@@ -263,10 +259,10 @@ def sutherland_coefficients(N: int, nu: Fraction):
             while i + l <= N and j - l >= 0:
                 pairs.append(((j - i - 2 * l) * N, i + l, j - l))
                 l += 1
-            acc = _pair_sum(taus, ([pair] for pair in pairs), N)
+            acc = _pair_sum(taus, pairs, N)
             if not acc.is_zero():
                 A[(i, j)] = acc
-    B = {i: _pair_sum(taus, [[((Fraction(1, N) + nu) * i * (N - i), i, 0)]])
+    B = {i: _pair_sum(taus, [((Fraction(1, N) + nu) * i * (N - i), i, 0)])
          for i in range(1, N)}
     return A, B
 
@@ -312,19 +308,16 @@ def _quadratic_form(lin: Sequence[Fraction], gram: Sequence[Sequence[int]],
     return form
 
 
-def _sutherland_eigenvalue_form(N: int, nu: Fraction) -> Callable[[Exponents], Fraction]:
-    return _quadratic_form(
-        [nu * N * i * (N - i) for i in range(1, N)],
-        [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)], N)
-
-
-def sutherland_eigenvalue(N: int, nu: Fraction, p: Exponents) -> Fraction:
-    """N eps = nu N sum_i i(N-i) p_i + sum_ij [N min(i,j) - i j] p_i p_j.
+def sutherland_eigenvalue(N: int, nu: Fraction) -> Callable[[Exponents], Fraction]:
+    """p -> eps, where N eps = nu N sum_i i(N-i) p_i
+                               + sum_ij [N min(i,j) - i j] p_i p_j.
 
     The quadratic form is the A_{N-1} weight Gram matrix; the one-sided
     printed reading (N-i) j agrees with it on i >= j.
     """
-    return _sutherland_eigenvalue_form(N, nu)(p)
+    return _quadratic_form(
+        [nu * N * i * (N - i) for i in range(1, N)],
+        [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)], N)
 
 
 def sutherland_eigenvalue_printed(N: int, nu: Fraction, p: Exponents) -> Fraction:
@@ -346,7 +339,7 @@ def build_sutherland(N: int, nu) -> ModelBundle:
         spec=spec, d=d, h=h, flags=((1,) * d,),
         ground_factor=GaugeFactor(d),  # orbit-space factor is not polynomial; Cartesian module owns it
         e0=None,
-        eigenvalue=_sutherland_eigenvalue_form(N, nu))
+        eigenvalue=sutherland_eigenvalue(N, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +357,11 @@ def bcn_coefficients(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction):
 
     Pair-table form: A_ij is the list of its (c, a, b) pairs, each product
     tau_a tau_b one monomial, 1 or 0, summed by _pair_sum in ints (B_i pairs
-    its taus with tau_0 = 1).  Term order: the first pair is one group and
-    the four pairs of each l another, as the bracket groups them; a group is
-    summed on its own and then added, and a term whose running sum reaches
-    zero is deleted and comes back last, so each A_ij lists its terms as the
-    polynomial sum written above does.  A does not depend on the couplings,
+    its taus with tau_0 = 1).  Term order: the pairs are added one at a time
+    in the order above, and a term whose running sum reaches zero is deleted
+    and comes back last.  For every N up to the N ceiling this lists the
+    terms of each A_ij as the bracketed polynomial sum above does (the
+    tests compare them term by term).  A does not depend on the couplings,
     so build_bcn assembles h and Delta_g from one A.
     """
     return _bcn_second_order(N), _bcn_first_order(N, nu, nu2, nu3)
@@ -380,13 +373,13 @@ def _bcn_second_order(N: int) -> dict[tuple[int, int], MultiPoly]:
     A = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            groups = [[(-N, i - 1, j - 1)]]
+            pairs = [(-N, i - 1, j - 1)]
             for l in range(0, N + 2):
-                groups.append([(i - l, i - l, j + l),
-                               (l + j - 1, i - l - 1, j + l - 1),
-                               (-(i - 2 - l), i - 2 - l, j + l),
-                               (-(l + j + 1), i - l - 1, j + l + 1)])
-            acc = _pair_sum(taus, groups)
+                pairs += [(i - l, i - l, j + l),
+                          (l + j - 1, i - l - 1, j + l - 1),
+                          (-(i - 2 - l), i - 2 - l, j + l),
+                          (-(l + j + 1), i - l - 1, j + l + 1)]
+            acc = _pair_sum(taus, pairs)
             if not acc.is_zero():
                 A[(i, j)] = acc
     return A
@@ -395,27 +388,22 @@ def _bcn_second_order(N: int) -> dict[tuple[int, int], MultiPoly]:
 def _bcn_first_order(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
                      ) -> dict[int, MultiPoly]:
     taus = _clipped_taus(N, N, top_is_one=False)
-    return {i: _pair_sum(taus, [[
+    return {i: _pair_sum(taus, [
         ((1 + nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i, i, 0),
         (-(nu3 * (i - N - 1)), i - 1, 0),
-        (nu * (N - i + 1) * (N - i + 2), i - 2, 0)]]) for i in range(1, N + 1)}
+        (nu * (N - i + 1) * (N - i + 2), i - 2, 0)]) for i in range(1, N + 1)}
 
 
-def _bcn_eigenvalue_form(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
-                         ) -> Callable[[Exponents], Fraction]:
-    return _quadratic_form(
-        [(nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i for i in range(1, N + 1)],
-        [[min(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
-
-
-def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
-                   p: Exponents) -> Fraction:
-    """eps = sum_i [nu(2N-i-1) + 2 nu2 + nu3] i p_i + sum_ij min(i,j) p_i p_j.
+def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
+                   ) -> Callable[[Exponents], Fraction]:
+    """p -> eps = sum_i [nu(2N-i-1) + 2 nu2 + nu3] i p_i + sum_ij min(i,j) p_i p_j.
 
     min(i,j) is the C_N weight Gram matrix; the printed one-sided reading
     i p_i p_j agrees with it on i <= j.
     """
-    return _bcn_eigenvalue_form(N, nu, nu2, nu3)(p)
+    return _quadratic_form(
+        [(nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i for i in range(1, N + 1)],
+        [[min(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
 
 
 def bcn_eigenvalue_printed(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
@@ -554,7 +542,7 @@ def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
         spec=spec, d=N, h=h, flags=((1,) * N,),
         ground_factor=ground,
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
-        eigenvalue=_bcn_eigenvalue_form(N, nu, nu2, nu3),
+        eigenvalue=bcn_eigenvalue(N, nu, nu2, nu3),
         rational_form=rational_form, rational_potential=potential)
 
 

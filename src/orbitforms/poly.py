@@ -582,14 +582,12 @@ def unit_flag_dimension(d: int, n: int) -> int:
 def flag_dimension(f: Sequence[int], n: int) -> int:
     """dim of the flag P_n for characteristic vector f, without its basis.
 
-    Unit vectors take the binomial; otherwise counts[g] is the number of
-    monomials of f-degree exactly g in the variables met so far.
+    counts[g] is the number of monomials of f-degree exactly g in the
+    variables met so far.
     """
     fvec = validate_char_vector(f)
     if n < 0:
         raise DomainError("flag level must be non-negative")
-    if set(fvec) == {1}:
-        return unit_flag_dimension(len(fvec), n)
     counts = [1] + [0] * n
     for w in fvec:
         for g in range(w, n + 1):

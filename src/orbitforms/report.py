@@ -58,9 +58,12 @@ MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
 # 60 digits), so that a huge value is refused before any work starts.
 CEILINGS = {"n": 40, "N": 10, "tuples": 100, "sample_points": 1000, "dps": 500}
 # Values under those ceilings can still ask for a huge flag (bcn N=10 n=40
-# has ~1e10 monomials), so spectrum also refuses a flag above this dimension,
-# ~4x Sutherland N=6 n=6 (462 monomials), the largest flag timed so far.
-FLAG_DIM_CEILING = 2000
+# has ~1e10 monomials), so spectrum also refuses a flag above this dimension.
+# The time grows about as dim^2.2.  On 2 cores, Sutherland N=6 n=6 (462
+# monomials) takes 11 s; bcn N=6 n=6 (924), the slowest admitted query
+# timed, takes 159 s, and bcn N=2 n=40 (861) 142 s at 286 MB peak RSS.
+# 2000 monomials would take ~15 min.
+FLAG_DIM_CEILING = 1000
 
 _DEFAULTS = {
     "seed": 1,

@@ -16,6 +16,7 @@ from orbitforms.models import (_assemble_second_order, bc2_rational_potential,
                                eigenvalue_formula, sutherland_coefficients,
                                sutherland_eigenvalue, ttw_models)
 from orbitforms.poly import MultiPoly
+from orbitforms.report import CEILINGS
 import reference_kernels as ref
 from test_poly import assert_same_poly
 
@@ -274,7 +275,7 @@ def test_sutherland_builder_matches_the_multipoly_loop(data, N, nu):
         p = data.draw(exponents(N - 1), label="p")
         want = ref.sutherland_eigenvalue(N, nu, p)
         assert bundle.eigenvalue(p) == want
-        assert sutherland_eigenvalue(N, nu, p) == want
+        assert sutherland_eigenvalue(N, nu)(p) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,4 +296,11 @@ def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
         p = data.draw(exponents(N), label="p")
         want = ref.bcn_eigenvalue(N, *nus, p)
         assert bundle.eigenvalue(p) == want
-        assert bcn_eigenvalue(N, *nus, p) == want
+        assert bcn_eigenvalue(N, *nus)(p) == want
+
+
+def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():
+    # A is coupling-free, so this covers the term order of every admitted N
+    for N in range(1, CEILINGS["N"] + 1):
+        assert_same_table(bcn_coefficients(N, 0, 0, 0)[0],
+                          ref.bcn_coefficients(N, 0, 0, 0)[0])
