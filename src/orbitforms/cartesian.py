@@ -10,9 +10,17 @@ pass.  It takes all k eigenpolynomials of a check at once and gives
 (`residual_stats`) and the affine energy fit (`affine_fit`) read its lists.
 Psi = Psi0 * phi(tau), and Psi0, tau and V are the same for every phi, so in
 d Cartesian dimensions a point costs 4d + 1 evaluations of Psi0 and of tau
-for all k eigenpairs, one of V, and k (4d + 1) evaluations of a polynomial.
+for all k eigenpairs and one of V.  At each of those 4d + 1 points every
+distinct monomial of the k polynomials is evaluated once (`SharedMonomials`),
+and each polynomial is a sum over its terms.  The TTW check's 9-point polar
+stencil holds 5 distinct r and 5 distinct phi, so a point costs 5 radial and
+5 angular factors, 9 exponentials and one potential (`TTWGround`).
 Exact objects (polynomials, rationals) enter only through integer numerators
-and denominators, never binary floats.
+and denominators, never binary floats.  Each check converts its constants
+once, at its working precision (`CheckGround`, `TTWGround`), grouping every
+product as a per-call conversion would, so the values do not depend on
+which path computed them; the public point functions build the same
+objects.
 
 Ground factors, potentials and alcove walls come from one table of positive
 roots per family (`root_table`, built once per spec), in the
@@ -48,9 +56,10 @@ from typing import Callable, Sequence
 import mpmath
 from mpmath import mp
 
-from .errors import DomainError, InconsistencyError, UnsupportedModel
+from .errors import (DimensionMismatch, DomainError, InconsistencyError,
+                     UnsupportedModel)
 from .models import ModelBundle, ModelSpec, TTWDescriptor
-from .poly import MultiPoly
+from .poly import ZERO, MultiPoly
 
 DEFAULT_DPS = 40
 IMAG_TOL = "1e-8"   # bound on the imaginary part of a measured energy
@@ -106,36 +115,18 @@ def _relative(x: Sequence) -> list:
 def invariants_map(spec: ModelSpec, x: Sequence, beta=1) -> list:
     """Orbit variables at the Cartesian point (complex for the relative
     exponential invariants; conjugate-paired when sum y = 0)."""
-    beta = _mpf(beta)
-    fam = spec.family
-    if fam in ("BC1", "BC1_QES"):
-        return [mpmath.cos(beta * x[0])]
-    if fam == "SUTHERLAND":
-        N = spec.N
-        y = _relative(x)
-        z = [mpmath.exp(1j * beta * yi) for yi in y]
-        return [_elementary_symmetric(z, k) for k in range(1, N)]
-    if fam == "BCN":
-        c = [mpmath.cos(beta * xi) for xi in x]
-        return [_elementary_symmetric(c, k) for k in range(1, spec.N + 1)]
-    if fam == "G2":
-        y = _relative(x)
-        t1 = 2 * (mpmath.cos(beta * (y[0] - y[1]))
-                  + mpmath.cos(beta * (y[0] - y[2]))
-                  + mpmath.cos(beta * (y[1] - y[2])))
-        t2 = 2 * sum(mpmath.cos(3 * beta * yi) for yi in y)
-        return [t1, t2]
-    raise UnsupportedModel(f"no invariants for {fam}")
+    return CheckGround(spec, beta).invariants(x)
 
 
-def _elementary_symmetric(vals: Sequence, k: int):
+def _elementary_symmetric(vals: Sequence) -> list:
+    """e_0, ..., e_n of `vals`, all from one recursion."""
     n = len(vals)
     e = [mp.mpf(0)] * (n + 1)
     e[0] = mp.mpf(1)
     for v in vals:
         for i in range(n, 0, -1):
             e[i] = e[i] + e[i - 1] * v
-    return e[k]
+    return e
 
 
 def _node_floor():
@@ -144,10 +135,11 @@ def _node_floor():
 
 
 def _abs_sin_pow(arg, expo, floor):
+    """|sin(arg)|^expo for an mpf expo; a node below `floor` raises."""
     s = abs(mpmath.sin(arg))
     if s < floor:
         raise DomainError("evaluation at a node of the ground factor")
-    return s ** _mpf(expo)
+    return s ** expo
 
 
 @dataclass(frozen=True)
@@ -209,19 +201,77 @@ def _form_value(form, x):
     return v
 
 
+class CheckGround:
+    """Invariants, ground factor and potential of one check, with its
+    constants converted once at the working precision in force when it is
+    built: beta and beta^2, the node floor, each root orbit's exponent and
+    potential constant times beta^2, and the BC1_QES constants.  Each
+    product is grouped as the formulas below write it, so the values are
+    those of a conversion at every call.  mpf values belong to one
+    precision, so an instance lives for one check and is never stored."""
+
+    def __init__(self, spec: ModelSpec, beta=1):
+        self.spec = spec
+        self.beta = _mpf(beta)
+        self.b2 = self.beta * self.beta
+        self.floor = _node_floor()
+        self.orbits = [(orbit.forms, _mpf(orbit.exponent),
+                        _mpf(orbit.potential) * self.b2)
+                       for orbit in root_table(spec)]
+        self.qes = None
+        if spec.family == "BC1_QES":
+            bb = _mpf(spec.b)
+            level = _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
+            self.qes = (bb, bb * bb * self.b2, 2 * bb * self.b2 * level)
+
+    def invariants(self, x: Sequence) -> list:
+        beta = self.beta
+        fam = self.spec.family
+        if fam in ("BC1", "BC1_QES"):
+            return [mpmath.cos(beta * x[0])]
+        if fam == "SUTHERLAND":
+            z = [mpmath.exp(1j * beta * yi) for yi in _relative(x)]
+            return _elementary_symmetric(z)[1:self.spec.N]
+        if fam == "BCN":
+            return _elementary_symmetric([mpmath.cos(beta * xi) for xi in x])[1:]
+        y = _relative(x)     # G2; `root_table` refuses any other family
+        t1 = 2 * (mpmath.cos(beta * (y[0] - y[1]))
+                  + mpmath.cos(beta * (y[0] - y[2]))
+                  + mpmath.cos(beta * (y[1] - y[2])))
+        t2 = 2 * sum(mpmath.cos(3 * beta * yi) for yi in y)
+        return [t1, t2]
+
+    def psi0(self, x: Sequence):
+        beta, floor = self.beta, self.floor
+        v = mp.mpf(1)
+        for forms, g, _ in self.orbits:
+            for form in forms:
+                v *= _abs_sin_pow(beta * _form_value(form, x) / 2, g, floor)
+        if self.qes:
+            v *= mpmath.exp(self.qes[0] * mpmath.cos(beta * x[0]))
+        return v
+
+    def ground(self, x: Sequence) -> tuple:
+        """(Psi0, tau) at x: the one ground evaluation of a stencil point."""
+        return self.psi0(x), self.invariants(x)
+
+    def potential(self, x: Sequence):
+        beta = self.beta
+        v = 0
+        for forms, _, c in self.orbits:
+            v += c * sum(_inv_sin2(beta * _form_value(form, x) / 2)
+                         for form in forms)
+        if self.qes:
+            _, c_sin, c_half = self.qes
+            v += (c_sin * mpmath.sin(beta * x[0]) ** 2
+                  + c_half * mpmath.sin(beta * x[0] / 2) ** 2)
+        return v
+
+
 def psi0_cartesian(spec: ModelSpec, x: Sequence, beta=1):
     """Ground-state factor prod |sin(beta alpha.x / 2)|^g_alpha in high
     precision; sinh factors when beta is imaginary."""
-    beta = _mpf(beta)
-    floor = _node_floor()
-    v = mp.mpf(1)
-    for orbit in root_table(spec):
-        g = _mpf(orbit.exponent)
-        for form in orbit.forms:
-            v *= _abs_sin_pow(beta * _form_value(form, x) / 2, g, floor)
-    if spec.family == "BC1_QES":
-        v *= mpmath.exp(_mpf(spec.b) * mpmath.cos(beta * x[0]))
-    return v
+    return CheckGround(spec, beta).psi0(x)
 
 
 def _inv_sin2(arg):
@@ -236,18 +286,7 @@ def hamiltonian_potential(spec: ModelSpec, x: Sequence, beta=1):
     1/sin^2(beta alpha.x / 2), plus the BC1_QES terms; orbit.potential
     carries the kinetic factor (1 for the one-variable family, 1/2 for the
     others)."""
-    beta = _mpf(beta)
-    b2 = beta * beta
-    v = 0
-    for orbit in root_table(spec):
-        v += _mpf(orbit.potential) * b2 * sum(
-            _inv_sin2(beta * _form_value(form, x) / 2) for form in orbit.forms)
-    if spec.family == "BC1_QES":
-        bb = _mpf(spec.b)
-        v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
-              + 2 * bb * b2 * _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
-              * mpmath.sin(beta * x[0] / 2) ** 2)
-    return v
+    return CheckGround(spec, beta).potential(x)
 
 
 def kinetic_half(spec: ModelSpec) -> bool:
@@ -329,7 +368,7 @@ def _laplacian(stencil, centre, h):
 
 def laplacian_richardson(fn: Callable, x: Sequence, h, centre):
     """4th-order central Laplacian at step h; centre = fn(x).  It takes
-    2 len(x) evaluations of fn.  The name is the one `perfbench/spans.py`
+    4 len(x) evaluations of fn.  The name is the one `perfbench/spans.py`
     wraps."""
     return _laplacian((_shifted(fn, x, i, h) for i in range(len(x))), centre, h)
 
@@ -349,6 +388,51 @@ def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1) -> Callab
     return psi
 
 
+class SharedMonomials:
+    """The polynomials of one check, evaluated together at one point.
+
+    `at` raises each needed (variable, power) once and multiplies each
+    distinct monomial once, in variable order, as `MultiPoly.evaluate`
+    builds it; `value` then sums one polynomial's terms in its term order
+    with `MultiPoly.evaluate`'s arithmetic, the exact path for an exact
+    monomial (the constant term) included.  So each value is the one
+    `MultiPoly.evaluate` gives, bit for bit."""
+
+    def __init__(self, polys: Sequence[MultiPoly]):
+        self.nvars = {phi.nvars for phi in polys}
+        self.terms = [[(e, c, c.numerator, c.denominator)
+                       for e, c in phi.terms.items()] for phi in polys]
+        monomials = {e: [(i, p) for i, p in enumerate(e) if p]
+                     for phi in polys for e in phi.terms}
+        self.monomials = list(monomials.items())
+        self.powers = sorted({key for factors in monomials.values()
+                              for key in factors})
+
+    def at(self, point: Sequence) -> dict:
+        """Each monomial of the check's polynomials at `point`."""
+        if self.nvars - {len(point)}:
+            raise DimensionMismatch("point has wrong dimension")
+        power = {(i, p): point[i] ** p for i, p in self.powers}
+        values = {}
+        for e, factors in self.monomials:
+            val = 1
+            for key in factors:
+                val = val * power[key]
+            values[e] = val
+        return values
+
+    def value(self, k: int, monomials: dict):
+        """Polynomial k from the monomial values `at` gave."""
+        total = ZERO
+        for e, c, num, den in self.terms[k]:
+            val = monomials[e]
+            if isinstance(val, (int, Fraction)):
+                total = total + c * val
+            else:
+                total = total + (num * val) / den
+        return total
+
+
 def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
                       sample: Sequence, *, beta=1,
                       dps: int = DEFAULT_DPS) -> list[list]:
@@ -356,42 +440,43 @@ def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
     in `polys`: one list per polynomial, in sample order.
 
     Psi0, tau and V do not depend on phi.  So a point and each of its 4d
-    stencil points cost one `psi0_cartesian` and one `invariants_map` call
-    for all the polynomials, the point one `hamiltonian_potential` call, and
-    only phi(tau) is evaluated per polynomial.  A point is None (skipped) for
-    every polynomial when a stencil point meets a singular wall, and for one
-    polynomial when its |Psi| there is below 10^(-dps/2), a node of Psi.
-    Values are complex where the invariants are; `residual_stats` and
-    `affine_fit` bound the imaginary part.
+    stencil points cost one `CheckGround.ground` call for all the
+    polynomials, the point one `CheckGround.potential` call, and each
+    distinct monomial of the polynomials is evaluated once per stencil point
+    (`SharedMonomials`).  A point is None (skipped) for every polynomial
+    when a stencil point meets a singular wall, and for one polynomial when
+    its |Psi| there is below 10^(-dps/2), a node of Psi.  Values are complex
+    where the invariants are; `residual_stats` and `affine_fit` bound the
+    imaginary part.
     """
-    spec = bundle.spec
     energies: list[list] = [[] for _ in polys]
+    shared = SharedMonomials(polys)
     with mp.workdps(dps):
+        ground = CheckGround(bundle.spec, beta)
         h = _stencil_step()
         floor = mpmath.mpf(10) ** (-dps // 2)
-        coeff = mpmath.mpf(1) / 2 if kinetic_half(spec) else mpmath.mpf(1)
-
-        def ground(y):
-            tau = invariants_map(spec, y, beta)
-            return psi0_cartesian(spec, y, beta), tau
-
+        coeff = mpmath.mpf(1) / 2 if kinetic_half(bundle.spec) else mpmath.mpf(1)
         for x in sample:
             try:
-                psi0, tau = ground(x)
-                centres = [psi0 * phi.evaluate(tau) for phi in polys]
+                psi0, tau = ground.ground(x)
+                monomials = shared.at(tau)
+                centres = [psi0 * shared.value(k, monomials)
+                           for k in range(len(polys))]
                 live = [abs(centre) >= floor for centre in centres]
                 if any(live):
-                    stencil = [_shifted(ground, x, i, h) for i in range(len(x))]
-                    potential = hamiltonian_potential(spec, x, beta)
+                    stencil = [[(g, shared.at(t))
+                                for g, t in _shifted(ground.ground, x, i, h)]
+                               for i in range(len(x))]
+                    potential = ground.potential(x)
             except DomainError:
                 for measured in energies:
                     measured.append(None)
                 continue
-            for phi, centre, ok, measured in zip(polys, centres, live, energies):
+            for k, (centre, ok, measured) in enumerate(zip(centres, live, energies)):
                 if not ok:
                     measured.append(None)
                     continue
-                lap = _laplacian(([g * phi.evaluate(t) for g, t in shifted]
+                lap = _laplacian(([g * shared.value(k, m) for g, m in shifted]
                                   for shifted in stencil), centre, h)
                 measured.append((-coeff * lap + potential * centre) / centre)
     return energies
@@ -508,13 +593,13 @@ def a2_groundstate_identity(nu, npoints: int = 20, seed: int = 11,
     with mp.workdps(dps):
         target = mpmath.mpf(64) ** (-_mpf(nu))
         imag_bound = mpmath.mpf(10) ** (15 - dps)   # round-off: 10^15 ulps
+        ground = CheckGround(spec)
         worst = mp.mpf(0)
         for x in sample:
-            tau = invariants_map(spec, x)
-            val = disc.evaluate(tau)
+            val = disc.evaluate(ground.invariants(x))
             if abs(val.imag) > imag_bound:
                 raise InconsistencyError("discriminant must be real on the alcove")
-            psi2 = psi0_cartesian(spec, x) ** 2
+            psi2 = ground.psi0(x) ** 2
             ratio = psi2 / (val.real ** _mpf(nu))
             worst = max(worst, abs(ratio - target) / target)
         return worst
@@ -526,14 +611,13 @@ def periodicity_check(bundle: ModelBundle, npoints: int = 10, seed: int = 3,
     spec = bundle.spec
     sample = sample_alcove(spec, npoints, seed, beta)
     with mp.workdps(dps):
-        period = 2 * mpmath.pi / _mpf(beta)
+        ground = CheckGround(spec, beta)
+        period = 2 * mpmath.pi / ground.beta
         worst = mp.mpf(0)
         for x in sample:
             shifted = [xi + period for xi in x]
-            worst = max(worst, abs(psi0_cartesian(spec, x, beta)
-                                   - psi0_cartesian(spec, shifted, beta)))
-            worst = max(worst, abs(hamiltonian_potential(spec, x, beta)
-                                   - hamiltonian_potential(spec, shifted, beta)))
+            worst = max(worst, abs(ground.psi0(x) - ground.psi0(shifted)))
+            worst = max(worst, abs(ground.potential(x) - ground.potential(shifted)))
         return worst
 
 
@@ -597,51 +681,111 @@ def ttw_r2_coefficient(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
                 - 2 * _mpf(desc.a) * (2 * desc.n + 2 + gamma))
 
 
+def _radius(r):
+    r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
+    if r <= 0:
+        raise DomainError("radial coordinate must be positive")
+    return r
+
+
+class TTWGround:
+    """Ground factor and potential of one TTW check, with its constants
+    converted once at `dps`: beta, gamma, the node floor, omega, a, b, the
+    couplings g2 and g3 with their powers of beta, the QES constant, the r^2
+    coefficient and the signed b of the exponential.  Each product is
+    grouped as the formulas below write it, so the values are those of a
+    conversion at every call.  An instance lives for one check and is never
+    stored.
+
+    The ground factor splits into a radial part (`radial`: r^gamma and the
+    radial exponent), an angular part (`angular`: the two |sin| powers and
+    the +-b cos(beta phi) term) and their product (`factor`, one exp)."""
+
+    def __init__(self, desc: TTWDescriptor, dps: int):
+        self.desc, self.dps = desc, dps
+        beta = self.beta = _mpf(desc.beta)
+        omega, a, b = _mpf(desc.omega), _mpf(desc.a), _mpf(desc.b)
+        self.floor = _node_floor()
+        self.nu2, self.nu3 = _mpf(desc.nu2), _mpf(desc.nu3)
+        self.neg_omega = -omega
+        self.sextic = (a, a * a, 2 * a * omega) if desc.has_sextic else None
+        self.signed_b = None
+        if desc.has_angular_qes:
+            self.signed_b = (-1 if desc.convention == "printed" else +1) * b
+        g2 = _mpf(desc.nu2 * (desc.nu2 - 1))
+        g3 = _mpf(desc.nu3 * (desc.nu3 + 2 * desc.nu2 - 1))
+        self.walls = (g2 * beta ** 2, g3 * beta ** 2 / 4)
+        self.qes = None
+        if desc.has_angular_qes:
+            level = _mpf(2 * desc.m + 2 * desc.nu2 + desc.nu3 + 1)
+            self.qes = (b * b * beta ** 2, 2 * b * beta ** 2 * level)
+
+    # The radial power and the r^2 coefficient are worked out at first use.
+    # Where the power is not real, each use then raises as a per-call
+    # evaluation does, and a harmonic potential, which needs no power, stays
+    # defined.
+    @functools.cached_property
+    def gamma(self):
+        return ttw_radial_power(self.desc, self.dps)
+
+    @functools.cached_property
+    def r2(self):
+        return ttw_r2_coefficient(self.desc, self.dps)
+
+    def radial(self, r) -> tuple:
+        """(r^gamma, -omega r^2/2 [- a r^4/4])."""
+        r = _radius(r)
+        power = r ** self.gamma
+        expo = self.neg_omega * r ** 2 / 2
+        if self.sextic:
+            expo -= self.sextic[0] * r ** 4 / 4
+        return power, expo
+
+    def angular(self, phi) -> tuple:
+        """(|sin beta phi|^nu2, |sin beta phi/2|^nu3, +-b cos beta phi or
+        None)."""
+        beta = self.beta
+        s2 = _abs_sin_pow(beta * phi, self.nu2, self.floor)
+        s3 = _abs_sin_pow(beta * phi / 2, self.nu3, self.floor)
+        if self.signed_b is None:
+            return s2, s3, None
+        return s2, s3, self.signed_b * mpmath.cos(beta * phi)
+
+    @staticmethod
+    def factor(radial: tuple, angular: tuple):
+        (power, expo), (s2, s3, ang) = radial, angular
+        if ang is not None:
+            expo += ang
+        return power * s2 * s3 * mpmath.exp(expo)
+
+    def potential(self, r, phi):
+        r = _radius(r)
+        beta = self.beta
+        v = self.r2 * r ** 2
+        if self.sextic:
+            _, aa, two_a_omega = self.sextic
+            v += aa * r ** 6 + two_a_omega * r ** 4
+        c2, c3 = self.walls
+        ang = c2 * _inv_sin2(beta * phi) + c3 * _inv_sin2(beta * phi / 2)
+        if self.qes:
+            c_sin, c_half = self.qes
+            ang += c_sin * mpmath.sin(beta * phi) ** 2
+            ang += c_half * mpmath.sin(beta * phi / 2) ** 2
+        return v + ang / r ** 2
+
+
 def ttw_potential(desc: TTWDescriptor, r, phi, dps: int = DEFAULT_DPS):
     """V(r, phi); raises on r <= 0 or angular singularities."""
     with mp.workdps(dps):
-        r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
-        if r <= 0:
-            raise DomainError("radial coordinate must be positive")
-        beta = _mpf(desc.beta)
-        omega = _mpf(desc.omega)
-        a = _mpf(desc.a)
-        b = _mpf(desc.b)
-        g2 = _mpf(desc.nu2 * (desc.nu2 - 1))
-        g3 = _mpf(desc.nu3 * (desc.nu3 + 2 * desc.nu2 - 1))
-        v = ttw_r2_coefficient(desc, dps) * r ** 2
-        if desc.has_sextic:
-            v += a * a * r ** 6 + 2 * a * omega * r ** 4
-        ang = g2 * beta ** 2 * _inv_sin2(beta * phi) \
-            + g3 * beta ** 2 / 4 * _inv_sin2(beta * phi / 2)
-        if desc.has_angular_qes:
-            ang += b * b * beta ** 2 * mpmath.sin(beta * phi) ** 2
-            ang += (2 * b * beta ** 2
-                    * _mpf(2 * desc.m + 2 * desc.nu2 + desc.nu3 + 1)
-                    * mpmath.sin(beta * phi / 2) ** 2)
-        return v + ang / r ** 2
+        return TTWGround(desc, dps).potential(r, phi)
 
 
 def ttw_ground_factor(desc: TTWDescriptor, r, phi, dps: int = DEFAULT_DPS):
     """Ground factor r^gamma |sin|^nu2 |sin/2|^nu3 exp(-omega r^2/2 [- a r^4/4]
     [+- b cos beta phi])."""
     with mp.workdps(dps):
-        r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
-        if r <= 0:
-            raise DomainError("radial coordinate must be positive")
-        beta = _mpf(desc.beta)
-        gamma = ttw_radial_power(desc, dps)
-        floor = _node_floor()
-        v = r ** gamma
-        v *= _abs_sin_pow(beta * phi, desc.nu2, floor)
-        v *= _abs_sin_pow(beta * phi / 2, desc.nu3, floor)
-        expo = -_mpf(desc.omega) * r ** 2 / 2
-        if desc.has_sextic:
-            expo -= _mpf(desc.a) * r ** 4 / 4
-        if desc.has_angular_qes:
-            sign = -1 if desc.convention == "printed" else +1
-            expo += sign * _mpf(desc.b) * mpmath.cos(beta * phi)
-        return v * mpmath.exp(expo)
+        ground = TTWGround(desc, dps)
+        return ground.factor(ground.radial(r), ground.angular(phi))
 
 
 def ttw_sample(desc: TTWDescriptor, npoints: int, seed: int):
@@ -663,31 +807,33 @@ def ttw_ground_check(desc: TTWDescriptor, npoints: int = 50, seed: int = 17,
     fitted ground energy and std/|mean| the constancy ratio."""
     sample = ttw_sample(desc, npoints, seed)
     with mp.workdps(dps):
-        def psi(pt):
-            return ttw_ground_factor(desc, pt[0], pt[1], dps)
-
+        ground = TTWGround(desc, dps)
+        h = _stencil_step()
         values = []
         skipped = 0
         for (r, phi) in sample:
             try:
-                centre = psi((r, phi))
-                num = _apply_polar_fd(desc, psi, (r, phi), centre, dps)
-                values.append(num / centre)
+                values.append(_polar_residual(ground, r, phi, h))
             except DomainError:
                 skipped += 1
         return ResidualStats.from_values(values, skipped, 0)
 
 
-def _apply_polar_fd(desc: TTWDescriptor, psi: Callable, pt, centre, dps):
-    """-d_r^2 - (1/r) d_r - (1/r^2) d_phi^2 + V, by 4th-order stencils at the
-    working precision's step; centre = psi(pt).  d_r^2 and d_r read the same
-    four radial points, so a point costs 9 evaluations of psi."""
-    r, phi = pt
-    h = _stencil_step()
-    radial = _shifted(psi, pt, 0, h)
+def _polar_residual(ground: TTWGround, r, phi, h):
+    """(H Psi0)/Psi0 at (r, phi) for H = -d_r^2 - (1/r) d_r - (1/r^2) d_phi^2
+    + V, by 4th-order stencils at step h.  d_r^2 and d_r read the same four
+    radial points.  The 9 stencil points hold 5 distinct r and 5 distinct
+    phi, so a point costs 5 radial and 5 angular factors, 9 exps and one
+    potential."""
+    centre_r, centre_phi = ground.radial(r), ground.angular(phi)
+    centre = ground.factor(centre_r, centre_phi)
+    radial = [ground.factor(ground.radial(r + k * h), centre_phi)
+              for k in (1, -1, 2, -2)]
+    angular = [ground.factor(centre_r, ground.angular(phi + k * h))
+               for k in (1, -1, 2, -2)]
     p1, m1, p2, m2 = radial
     lap_r = _second_difference(radial, centre, h)
     der_r = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
-    lap_phi = _second_difference(_shifted(psi, pt, 1, h), centre, h)
+    lap_phi = _second_difference(angular, centre, h)
     return (-lap_r - der_r / r - lap_phi / r ** 2
-            + ttw_potential(desc, r, phi, dps) * centre)
+            + ground.potential(r, phi) * centre) / centre

@@ -796,7 +796,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
 
 def suite_ttw(config: RunConfig) -> list[CheckRecord]:
     seed = int(config.get("seed", 1))
-    points = min(int(config.get("sample_points", 50)), 50)
+    points = int(config.get("sample_points", 50))
     dps = int(config.get("dps", 40))
     ctol = mpmath.mpf(str(config.get("constancy_tol", "1e-6")))
     checks: list[CheckRecord] = []

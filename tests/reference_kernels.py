@@ -9,11 +9,25 @@ coefficient builders of the Sutherland and BC_N forms are the MultiPoly
 loops that the pair tables replaced, with the closed-form eigenvalues as
 they were written before the precomputed forms.  `restrict_to_flag` is the
 per-monomial loop that applied the operator to each basis monomial, here
-through `apply` above.
+through `apply` above.  The oracle functions are those from before the
+per-check constants, each converting its Fractions anew on every call:
+`invariants_map` runs the elementary-symmetric recursion once per
+invariant, and `ttw_ground_check` calls `ttw_ground_factor` at every
+stencil point and `ttw_potential` at every point.
 """
 
 from fractions import Fraction
 from math import comb
+
+import mpmath
+from mpmath import mp
+
+from orbitforms.cartesian import (ResidualStats, _abs_sin_pow, _form_value,
+                                  _inv_sin2, _mpf, _node_floor, _relative,
+                                  _second_difference, _shifted, _stencil_step,
+                                  root_table, ttw_r2_coefficient,
+                                  ttw_radial_power, ttw_sample)
+from orbitforms.errors import DomainError
 
 from orbitforms.diffop import DiffOp
 from orbitforms.errors import FlagViolation
@@ -188,3 +202,136 @@ def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
     quad = sum(min(i, j) * p[i - 1] * p[j - 1]
                for i in range(1, N + 1) for j in range(1, N + 1))
     return lin + quad
+
+
+def _elementary_symmetric(vals, k):
+    n = len(vals)
+    e = [mp.mpf(0)] * (n + 1)
+    e[0] = mp.mpf(1)
+    for v in vals:
+        for i in range(n, 0, -1):
+            e[i] = e[i] + e[i - 1] * v
+    return e[k]
+
+
+def invariants_map(spec, x, beta=1):
+    beta = _mpf(beta)
+    fam = spec.family
+    if fam in ("BC1", "BC1_QES"):
+        return [mpmath.cos(beta * x[0])]
+    if fam == "SUTHERLAND":
+        N = spec.N
+        y = _relative(x)
+        z = [mpmath.exp(1j * beta * yi) for yi in y]
+        return [_elementary_symmetric(z, k) for k in range(1, N)]
+    if fam == "BCN":
+        c = [mpmath.cos(beta * xi) for xi in x]
+        return [_elementary_symmetric(c, k) for k in range(1, spec.N + 1)]
+    y = _relative(x)
+    t1 = 2 * (mpmath.cos(beta * (y[0] - y[1]))
+              + mpmath.cos(beta * (y[0] - y[2]))
+              + mpmath.cos(beta * (y[1] - y[2])))
+    t2 = 2 * sum(mpmath.cos(3 * beta * yi) for yi in y)
+    return [t1, t2]
+
+
+def psi0_cartesian(spec, x, beta=1):
+    beta = _mpf(beta)
+    floor = _node_floor()
+    v = mp.mpf(1)
+    for orbit in root_table(spec):
+        g = _mpf(orbit.exponent)
+        for form in orbit.forms:
+            v *= _abs_sin_pow(beta * _form_value(form, x) / 2, g, floor)
+    if spec.family == "BC1_QES":
+        v *= mpmath.exp(_mpf(spec.b) * mpmath.cos(beta * x[0]))
+    return v
+
+
+def hamiltonian_potential(spec, x, beta=1):
+    beta = _mpf(beta)
+    b2 = beta * beta
+    v = 0
+    for orbit in root_table(spec):
+        v += _mpf(orbit.potential) * b2 * sum(
+            _inv_sin2(beta * _form_value(form, x) / 2) for form in orbit.forms)
+    if spec.family == "BC1_QES":
+        bb = _mpf(spec.b)
+        v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
+              + 2 * bb * b2 * _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
+              * mpmath.sin(beta * x[0] / 2) ** 2)
+    return v
+
+
+def ttw_potential(desc, r, phi, dps):
+    with mp.workdps(dps):
+        r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
+        if r <= 0:
+            raise DomainError("radial coordinate must be positive")
+        beta = _mpf(desc.beta)
+        omega = _mpf(desc.omega)
+        a = _mpf(desc.a)
+        b = _mpf(desc.b)
+        g2 = _mpf(desc.nu2 * (desc.nu2 - 1))
+        g3 = _mpf(desc.nu3 * (desc.nu3 + 2 * desc.nu2 - 1))
+        v = ttw_r2_coefficient(desc, dps) * r ** 2
+        if desc.has_sextic:
+            v += a * a * r ** 6 + 2 * a * omega * r ** 4
+        ang = g2 * beta ** 2 * _inv_sin2(beta * phi) \
+            + g3 * beta ** 2 / 4 * _inv_sin2(beta * phi / 2)
+        if desc.has_angular_qes:
+            ang += b * b * beta ** 2 * mpmath.sin(beta * phi) ** 2
+            ang += (2 * b * beta ** 2
+                    * _mpf(2 * desc.m + 2 * desc.nu2 + desc.nu3 + 1)
+                    * mpmath.sin(beta * phi / 2) ** 2)
+        return v + ang / r ** 2
+
+
+def ttw_ground_factor(desc, r, phi, dps):
+    with mp.workdps(dps):
+        r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
+        if r <= 0:
+            raise DomainError("radial coordinate must be positive")
+        beta = _mpf(desc.beta)
+        gamma = ttw_radial_power(desc, dps)
+        floor = _node_floor()
+        v = r ** gamma
+        v *= _abs_sin_pow(beta * phi, _mpf(desc.nu2), floor)
+        v *= _abs_sin_pow(beta * phi / 2, _mpf(desc.nu3), floor)
+        expo = -_mpf(desc.omega) * r ** 2 / 2
+        if desc.has_sextic:
+            expo -= _mpf(desc.a) * r ** 4 / 4
+        if desc.has_angular_qes:
+            sign = -1 if desc.convention == "printed" else +1
+            expo += sign * _mpf(desc.b) * mpmath.cos(beta * phi)
+        return v * mpmath.exp(expo)
+
+
+def ttw_ground_check(desc, npoints, seed, dps):
+    sample = ttw_sample(desc, npoints, seed)
+    with mp.workdps(dps):
+        def psi(pt):
+            return ttw_ground_factor(desc, pt[0], pt[1], dps)
+
+        values = []
+        skipped = 0
+        for (r, phi) in sample:
+            try:
+                centre = psi((r, phi))
+                num = _apply_polar_fd(desc, psi, (r, phi), centre, dps)
+                values.append(num / centre)
+            except DomainError:
+                skipped += 1
+        return ResidualStats.from_values(values, skipped, 0)
+
+
+def _apply_polar_fd(desc, psi, pt, centre, dps):
+    r, phi = pt
+    h = _stencil_step()
+    radial = _shifted(psi, pt, 0, h)
+    p1, m1, p2, m2 = radial
+    lap_r = _second_difference(radial, centre, h)
+    der_r = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+    lap_phi = _second_difference(_shifted(psi, pt, 1, h), centre, h)
+    return (-lap_r - der_r / r - lap_phi / r ** 2
+            + ttw_potential(desc, r, phi, dps) * centre)

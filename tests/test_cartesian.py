@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+import reference_kernels
 from orbitforms import cartesian as cart
 from orbitforms.cli import main
 from orbitforms.errors import DomainError
@@ -196,6 +197,8 @@ def model_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(spec=model_specs(), beta=st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(1, 2)]),
        seed=st.integers(0, 10 ** 6))
+@example(spec=ModelSpec("BC1_QES", nu2=Fraction(1, 3), nu3=Fraction(2, 5),
+                        b=Fraction(-5, 3), n=2), beta=Fraction(6, 5), seed=3)
 def test_root_table_matches_per_family_formulas(spec, beta, seed):
     (x,) = cart.sample_alcove(spec, 1, seed, beta)
     with mp.workdps(40):
@@ -205,6 +208,11 @@ def test_root_table_matches_per_family_formulas(spec, beta, seed):
         pot, ref = (cart.hamiltonian_potential(spec, x, beta),
                     reference_potential(spec, x, betam))
         assert abs(pot - ref) <= mpmath.mpf("1e-35") * max(1, abs(ref))
+        # and bit for bit the per-call functions the check constants replaced
+        assert ((cart.invariants_map(spec, x, beta), psi0, pot)
+                == (reference_kernels.invariants_map(spec, x, beta),
+                    reference_kernels.psi0_cartesian(spec, x, beta),
+                    reference_kernels.hamiltonian_potential(spec, x, beta)))
     rng = random.Random(seed)
     for _ in range(20):
         cand = cart._sample_candidate(spec, rng, float(beta))
@@ -524,21 +532,22 @@ def test_suite_residuals_match_separate_fit_and_residual_passes(model):
                                     build_g2(HALF, Fraction(1, 3))],
                          ids=["bc1", "bc2", "g2"])
 def test_residual_point_evaluates_ground_4d_plus_1_times(bundle, monkeypatch):
-    # Psi0 and tau once at the centre and at each of the 4d stencil points,
-    # whether the check has one eigenpolynomial or the whole level-2 flag
+    # one ground evaluation (Psi0 and tau) at the centre and at each of the 4d
+    # stencil points, and one potential, whether the check has one
+    # eigenpolynomial or the whole level-2 flag
     point = cart.sample_alcove(bundle.spec, 1, seed=4)
     flag = [phi for e in spectrum(bundle, 2, numeric_check=False).entries
             for phi in e.eigenpolynomials]
     assert len(flag) > 1
-    calls = {"psi0_cartesian": 0, "invariants_map": 0}
+    calls = dict.fromkeys(["ground", "psi0", "invariants", "potential"], 0)
 
     def count(name):
-        real = getattr(cart, name)
+        real = getattr(cart.CheckGround, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(cart, name, counted)
+        monkeypatch.setattr(cart.CheckGround, name, counted)
     for name in calls:
         count(name)
     cartesian_dim = len(point[0])
@@ -547,16 +556,20 @@ def test_residual_point_evaluates_ground_4d_plus_1_times(bundle, monkeypatch):
         energies = cart.measured_energies(bundle, polys, point)
         assert len(energies) == len(polys)
         assert all(measured[0] is not None for measured in energies)
-        assert calls == dict.fromkeys(calls, 4 * cartesian_dim + 1)
+        ground = 4 * cartesian_dim + 1
+        assert calls == {"ground": ground, "psi0": ground, "invariants": ground,
+                         "potential": 1}
 
 
 def _reference_energies(bundle, phi, sample, beta, dps):
-    """The per-eigenpair path the shared pass replaced: Psi built by
-    `eigenfunction_factory`, its Laplacian by `laplacian_richardson` and V by
-    `hamiltonian_potential`, all anew for one eigenpolynomial."""
+    """The per-eigenpair path the shared pass replaced: Psi0, tau and V by the
+    per-call reference functions, phi by `MultiPoly.evaluate` and the
+    Laplacian by `laplacian_richardson`, all anew for one eigenpolynomial."""
     spec = bundle.spec
     with mp.workdps(dps):
-        psi = cart.eigenfunction_factory(bundle, phi, beta)
+        def psi(x):
+            tau = reference_kernels.invariants_map(spec, x, beta)
+            return reference_kernels.psi0_cartesian(spec, x, beta) * phi.evaluate(tau)
         h = mpmath.mpf(10) ** (-mp.dps // 6)
         coeff = mpmath.mpf(1) / 2 if cart.kinetic_half(spec) else mpmath.mpf(1)
         energies = []
@@ -567,7 +580,8 @@ def _reference_energies(bundle, phi, sample, beta, dps):
                     energies.append(None)
                     continue
                 lap = cart.laplacian_richardson(psi, x, h, centre)
-                num = -coeff * lap + cart.hamiltonian_potential(spec, x, beta) * centre
+                potential = reference_kernels.hamiltonian_potential(spec, x, beta)
+                num = -coeff * lap + potential * centre
             except DomainError:
                 energies.append(None)
                 continue
@@ -592,7 +606,9 @@ def _node_of(phi, beta, dps):
 SHARED_PASS_MODELS = {
     "bc1": (lambda nu, nu2, nu3: build_bc1(nu2, nu3), 4),
     "sutherland3": (lambda nu, _, __: build_sutherland(3, nu), 2),
+    "sutherland4": (lambda nu, _, __: build_sutherland(4, nu), 2),
     "bc2": (lambda nu, nu2, nu3: build_bcn(2, nu, nu2, nu3), 2),
+    "bc3": (lambda nu, nu2, nu3: build_bcn(3, nu, nu2, nu3), 2),
     "g2": (lambda nu, mu, _: build_g2(nu, mu), 2),
 }
 
@@ -635,17 +651,89 @@ def test_shared_pass_matches_the_per_eigenpair_path(model, couplings, seed, beta
             assert shared[0][4] is not None
 
 
-def test_ttw_point_evaluates_ground_factor_9_times(monkeypatch):
-    # 4 radial points shared by d^2/dr^2 and d/dr, 4 angular, the centre once
-    calls = 0
-    ground = cart.ttw_ground_factor
+def test_ttw_point_evaluates_5_radial_5_angular_factors_and_9_exps(monkeypatch):
+    # the 9 stencil points hold 5 distinct r (4 radial points shared by
+    # d^2/dr^2 and d/dr, and the centre) and 5 distinct phi; each point is
+    # one product of a radial and an angular factor, with one exp
+    calls = dict.fromkeys(["radial", "angular", "potential", "exp"], 0)
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return ground(*args, **kwargs)
+    def count(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(cart, "ttw_ground_factor", counted)
-    st = cart.ttw_ground_check(ttw_models("TTW", **BASE), npoints=1, seed=11)
-    assert st.skipped == 0
-    assert calls == 9
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for name in ("radial", "angular", "potential"):
+        count(cart.TTWGround, name)
+    count(cart.mpmath, "exp")
+    for variant, extra in (("TTW", {}), ("TTW_QES_FULL", dict(a=HALF, b=Fraction(2, 5)))):
+        calls.update(dict.fromkeys(calls, 0))
+        st = cart.ttw_ground_check(ttw_models(variant, **extra, **BASE),
+                                   npoints=2, seed=11)
+        assert st.skipped == 0
+        assert calls == {"radial": 10, "angular": 10, "potential": 2, "exp": 18}
+
+
+def test_ttw_suite_honours_sample_points(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    seen = set()
+    real = cart.ttw_ground_check
+
+    def spy(desc, npoints=50, **kwargs):
+        seen.add(npoints)
+        return real(desc, npoints=npoints, **kwargs)
+    monkeypatch.setattr(cart, "ttw_ground_check", spy)
+    assert main(["verify", "--suite", "ttw", "--sample-points", "60",
+                 "--seed", "1", "--out", str(tmp_path / "r")]) == 0
+    # the constancy checks take the option; the b -> 0 degeneration fixes 20
+    assert seen == {60, 20}
+
+
+TTW_VARIANTS = {
+    "TTW": {},
+    "TTW_QES_RADIAL": {"a"},
+    "TTW_QES_ANGULAR": {"b"},
+    "TTW_QES_FULL": {"a", "b"},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(sorted(TTW_VARIANTS)),
+       convention=st.sampled_from(["printed", "consistent"]),
+       dps=st.sampled_from([20, 40]),
+       nu2=st.fractions(0, 3, max_denominator=9),
+       nu3=st.fractions(0, 3, max_denominator=9),
+       a=st.fractions(0, 2, max_denominator=9).filter(bool),
+       b=st.fractions(-2, 3, max_denominator=9), seed=st.integers(0, 10 ** 6))
+@example(variant="TTW_QES_ANGULAR", convention="consistent", dps=40,
+         nu2=Fraction(0), nu3=Fraction(0), a=HALF, b=Fraction(-2), seed=3)
+@example(variant="TTW_QES_FULL", convention="consistent", dps=40,
+         nu2=Fraction(0), nu3=Fraction(0), a=HALF, b=Fraction(-2), seed=3)
+def test_ttw_ground_check_matches_the_per_call_path(variant, convention, dps,
+                                                    nu2, nu3, a, b, seed):
+    # the per-check constants and shared polar factors against the loop that
+    # called `ttw_ground_factor` at every stencil point, bit for bit; the
+    # examples have no real radial power, so every point raises
+    params = {"a": a, "b": b}
+    desc = ttw_models(variant, nu2=nu2, nu3=nu3, beta=Fraction(3, 2),
+                      omega=Fraction(1), convention=convention,
+                      **{k: params[k] for k in TTW_VARIANTS[variant]})
+
+    def outcome(call):
+        try:
+            return call()
+        except DomainError as err:
+            return str(err)
+
+    def stats(check):
+        st = check(desc, npoints=6, seed=seed, dps=dps)
+        return st.residuals, st.mean, st.std, st.skipped
+    assert (outcome(lambda: stats(cart.ttw_ground_check))
+            == outcome(lambda: stats(reference_kernels.ttw_ground_check)))
+    (r, phi), = cart.ttw_sample(desc, 1, seed)
+
+    def point_values(module):
+        return [outcome(lambda: getattr(module, fn)(desc, r, phi, dps))
+                for fn in ("ttw_ground_factor", "ttw_potential")]
+    assert point_values(cart) == point_values(reference_kernels)
