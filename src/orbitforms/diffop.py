@@ -3,24 +3,27 @@
 An operator is a finite sum  sum_k  C_k(tau) * d^k  over derivative
 multi-indices k = (k_1,...,k_d), stored sparsely.  Application, composition
 (exact Leibniz expansion), commutators, gauge conjugation by a ground-state
-factor, and exact restriction to flag spaces are provided.  Restriction is
-the one loop that images each flag monomial; the flag-preservation test reads
-its witness.
+factor, and exact restriction to flag spaces are provided.  One loop images
+each flag monomial: restriction turns the images into matrix rows, and the
+flag-preservation test reads the same images for its witness.
 
 Rational coefficients serve the gauge identity only: gauge_conjugate builds
 them, and addition and equality accept them, so that the conjugated rational
 form can be compared with the algebraic one.  A coefficient that divides out
-is stored as a polynomial; apply, compose and restrict_to_flag take
-polynomial operators only.
+is stored as a polynomial; apply, compose, commutator and the flag functions
+take polynomial operators only.
 
 apply and compose follow the integer-numerator rule of poly: coefficients are
 scaled once to integer numerators over the operator's common denominator,
 derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), the
 Leibniz factors are ints, and each output term is reduced to a Fraction once.
 The products of one operator term are summed before they join the total, so
-the terms come in the order the Fraction loops gave them.  restrict_to_flag
-scales the operator once and images every basis monomial from that scaled
-form, which apply builds afresh on each call.
+the terms come in the order the Fraction loops gave them.  apply scales the
+operator on each call; the flag loop scales it once and gives each basis
+monomial's image as int numerators, from which restrict_to_flag makes one
+Fraction per nonzero entry and preserves_flag makes none.  compose and
+commutator share one int accumulation; commutator subtracts the b.a
+numerators from the a.b ones and builds one operator.
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm, perm
-from operator import sub
+from operator import add, sub
 from typing import Mapping, Sequence, Union
 
 from .errors import (DimensionMismatch, DomainError, FlagViolation,
@@ -253,8 +256,40 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """
     a._check(b)
     (da, anums), (db, bnums) = _scaled(a, "compose"), _scaled(b, "compose")
-    # key -> integer numerators over da*db; a key whose sum cancels stays in
-    # place with no terms, so the operator terms keep their first-seen order
+    return _from_numerators(a.nvars, da * db, _product_numerators(anums, bnums))
+
+
+def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
+    """[a, b] = a.b - b.a, exact.
+
+    Both products are summed in ints over the shared denominator da*db, and
+    the b.a numerators are subtracted from the a.b ones, so one operator is
+    built.  Keys and terms come in the order of compose(a, b) - compose(b, a):
+    the keys of a.b first, then the keys only b.a has; within a coefficient a
+    term that cancels is deleted and a new one is appended.  Both operators
+    must be polynomial (DomainError otherwise).
+    """
+    a._check(b)
+    (da, anums), (db, bnums) = _scaled(a, "commutator"), _scaled(b, "commutator")
+    total = _product_numerators(anums, bnums)
+    for key, nums in _product_numerators(bnums, anums).items():
+        if nums:
+            if not total.get(key):
+                # a key that a.b lacks, or whose sum cancelled there, comes last
+                total.pop(key, None)
+            add_integer_terms(total.setdefault(key, {}),
+                              {e: -v for e, v in nums.items()})
+    return _from_numerators(a.nvars, da * db, total)
+
+
+def _product_numerators(anums: list, bnums: list
+                        ) -> dict[Exponents, dict[Exponents, int]]:
+    """Integer numerators of a.b by derivative key, over da*db, from the
+    scaled coefficients of a and b.
+
+    A key whose sum cancels stays in place with no terms, so the operator
+    terms keep their first-seen order.
+    """
     acc: dict[Exponents, dict[Exponents, int]] = {}
     for alpha, anum in anums:
         subs = [(gamma, _multi_binom(alpha, gamma)) for gamma in _sub_indices(alpha)]
@@ -267,13 +302,13 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
                     q = [(e, v * binom) for e, v in q]
                 key = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
                 add_integer_terms(acc.setdefault(key, {}), integer_product(anum, q))
-    return DiffOp(a.nvars, {key: from_integer_terms(a.nvars, da * db, nums)
-                            for key, nums in acc.items() if nums})
+    return acc
 
 
-def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """[a, b] = a.b - b.a, exact."""
-    return compose(a, b) - compose(b, a)
+def _from_numerators(nvars: int, den: int,
+                     acc: dict[Exponents, dict[Exponents, int]]) -> DiffOp:
+    return DiffOp(nvars, {key: from_integer_terms(nvars, den, nums)
+                          for key, nums in acc.items() if nums})
 
 
 class GaugeFactor:
@@ -457,24 +492,22 @@ def restrict_to_flag(op: DiffOp, space: FlagSpace) -> ExactMatrix:
     """Exact matrix of op on the flag basis; FlagViolation with witness if
     the image of any basis monomial leaves the space.
 
-    The operator is scaled to int numerators once, and every basis monomial
-    is imaged from that one scaled form.  A rational operator is refused
-    with DomainError, as apply refuses it.
+    Each entry is one Fraction of an image numerator over the operator's
+    denominator (see _flag_images).  A rational operator is refused with
+    DomainError, as apply refuses it.
     """
-    if op.nvars != space.d:
-        raise DimensionMismatch("operator/flag variable counts differ")
-    scaled = _scaled(op, "restrict_to_flag")
+    den, images = _flag_images(op, space, "restrict_to_flag")
+    index = space.index
     rows: Matrix = []
-    for mono in space.basis:
-        image = _apply_scaled(space.d, scaled, MultiPoly.monomial(space.d, mono))
+    for mono, image in images:
         row = [ZERO] * space.dim
-        for e, c in image.terms.items():
-            pos = space.index.get(e)
+        for e, v in image.items():
+            pos = index.get(e)
             if pos is None:
                 raise FlagViolation(
                     f"operator maps {mono} to a term outside the flag: {e}",
                     mono, e)
-            row[pos] = c
+            row[pos] = Fraction(v, den)
         rows.append(row)
     return ExactMatrix(space, rows)
 
@@ -483,10 +516,52 @@ def preserves_flag(op: DiffOp, space: FlagSpace):
     """True iff op(m) stays in the space for every basis monomial.
 
     Returns (True, None) or (False, (input_monomial, offending_monomial)),
-    the witness of the FlagViolation raised by restrict_to_flag.
+    the witness of the FlagViolation restrict_to_flag raises.  It reads the
+    same int images and builds no Fraction and no row.
     """
-    try:
-        restrict_to_flag(op, space)
-    except FlagViolation as exc:
-        return False, (exc.input_monomial, exc.output_monomial)
+    _, images = _flag_images(op, space, "preserves_flag")
+    index = space.index
+    for mono, image in images:
+        for e in image:
+            if e not in index:
+                return False, (mono, e)
     return True, None
+
+
+def _flag_images(op: DiffOp, space: FlagSpace, caller: str):
+    """(den, images): the operator's common denominator and an iterator of
+    (m, int numerators of op(m) over den) for each basis monomial m, in
+    basis order.
+
+    The operator is scaled to int numerators once.  Each term C_k d^k adds
+    C_k times one int at one shift, by d^k tau^m = perm(m, k) tau^(m-k), and
+    a key whose running sum cancels is deleted, so an image lists its terms
+    as apply(op, tau^m) does.
+    """
+    if op.nvars != space.d:
+        raise DimensionMismatch("operator/flag variable counts differ")
+    den, coefficients = _scaled(op, caller)
+
+    def images():
+        for mono in space.basis:
+            image: dict[Exponents, int] = {}
+            get = image.get
+            for k, cnum in coefficients:
+                factor = 1
+                for p, times in zip(mono, k):
+                    if p < times:
+                        break
+                    if times:
+                        factor *= perm(p, times)
+                else:
+                    shift = tuple(map(sub, mono, k))
+                    for e, c in cnum.items():
+                        key = tuple(map(add, e, shift))
+                        s = get(key, 0) + c * factor
+                        if s:
+                            image[key] = s
+                        else:
+                            del image[key]
+            yield mono, image
+
+    return den, images()

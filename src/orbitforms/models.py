@@ -1,10 +1,12 @@
 """Constructors for the trigonometric model family in orbit variables.
 
 Each exactly-solvable model is delivered as a ModelBundle: the algebraic-form
-operator h (polynomial coefficients), its validated flags, the ground-state
-factor in orbit variables, the ground energy in gauge units, a closed-form
-eigenvalue handle, and, where available, the rational form (Laplace-Beltrami
-part plus rational potential).
+operator h (polynomial coefficients), its validated flags, the ground energy
+in gauge units and a closed-form eigenvalue handle, built by build_*; and the
+gauge data, built on first access: the ground-state factor in orbit
+variables and, where available, the rational form (Laplace-Beltrami part plus
+rational potential).  Only the gauge identity reads the gauge data, so the
+spectra, flags, pi-integrals and algebras never pay for it.
 
 Conventions, fixed once and verified by the suites:
 
@@ -20,8 +22,9 @@ Conventions, fixed once and verified by the suites:
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -68,17 +71,44 @@ class ModelSpec:
         return self._hash
 
 
+# (ground factor, rational form, rational potential); the last two None
+# where the family has no rational form
+GaugeData = tuple[GaugeFactor, DiffOp | None, RationalFn | None]
+
+
 @dataclass(frozen=True)
 class ModelBundle:
+    """A model's algebraic operator, flags and spectrum, and its gauge data.
+
+    gauge builds (ground_factor, rational_form, rational_potential), once
+    per bundle object, when one of the three is first read; the result is
+    kept on that object only.  gauge takes no part in ==, hash or repr, and
+    dataclasses.replace gives a bundle with the same callable, nothing built.
+    """
+
     spec: ModelSpec
     d: int
     h: DiffOp
     flags: tuple[CharVector, ...]  # preserved gradings, the first one default
-    ground_factor: GaugeFactor
     e0: Fraction | None          # gauge-unit ground energy; None => fitted
     eigenvalue: Callable[[Exponents], Fraction] | None
-    rational_form: DiffOp | None = None
-    rational_potential: RationalFn | None = None
+    gauge: Callable[[], GaugeData] = field(compare=False, repr=False)
+
+    @cached_property
+    def _gauge_data(self) -> GaugeData:
+        return self.gauge()
+
+    @property
+    def ground_factor(self) -> GaugeFactor:
+        return self._gauge_data[0]
+
+    @property
+    def rational_form(self) -> DiffOp | None:
+        return self._gauge_data[1]
+
+    @property
+    def rational_potential(self) -> RationalFn | None:
+        return self._gauge_data[2]
 
     @property
     def char_vector(self) -> CharVector:
@@ -86,6 +116,11 @@ class ModelBundle:
 
     def flag(self, n: int, vector: CharVector | None = None) -> FlagSpace:
         return FlagSpace(self.d, vector or self.char_vector, n)
+
+
+def _no_rational_form(d: int) -> Callable[[], GaugeData]:
+    # the orbit-space factor is not polynomial; the Cartesian module owns it
+    return lambda: (GaugeFactor(d), None, None)
 
 
 def _tau(nvars: int, i: int) -> MultiPoly:
@@ -166,14 +201,14 @@ def build_bc1(nu2, nu3) -> ModelBundle:
         (k,) = p
         return Fraction(k * k) + lin * k
 
-    delta_g = bc1_operator(Fraction(0), Fraction(0))
-    potential = bc1_rational_potential(nu2, nu3)
-    rational = delta_g + DiffOp(1, {(0,): potential})
-    return ModelBundle(
-        spec=spec, d=1, h=h, flags=((1,),),
-        ground_factor=bc1_ground_factor(nu2, nu3),
-        e0=e0, eigenvalue=eigenvalue,
-        rational_form=rational, rational_potential=potential)
+    def gauge() -> GaugeData:
+        potential = bc1_rational_potential(nu2, nu3)
+        delta_g = bc1_operator(Fraction(0), Fraction(0))
+        return (bc1_ground_factor(nu2, nu3),
+                delta_g + DiffOp(1, {(0,): potential}), potential)
+
+    return ModelBundle(spec=spec, d=1, h=h, flags=((1,),), e0=e0,
+                       eigenvalue=eigenvalue, gauge=gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +257,15 @@ def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
         raise DomainError("QES level must be non-negative")
     spec = ModelSpec("BC1_QES", nu2=nu2, nu3=nu3, b=b, n=n)
     h = bc1_qes_operator(nu2, nu3, b, n)
-    potential = bc1_qes_rational_potential(nu2, nu3, b, n)
-    rational = bc1_operator(Fraction(0), Fraction(0)) + DiffOp(1, {(0,): potential})
-    return ModelBundle(
-        spec=spec, d=1, h=h, flags=((1,),),
-        ground_factor=bc1_qes_ground_factor(nu2, nu3, b),
-        e0=(nu2 + nu3 * HALF) ** 2, eigenvalue=None,
-        rational_form=rational, rational_potential=potential)
+
+    def gauge() -> GaugeData:
+        potential = bc1_qes_rational_potential(nu2, nu3, b, n)
+        delta_g = bc1_operator(Fraction(0), Fraction(0))
+        return (bc1_qes_ground_factor(nu2, nu3, b),
+                delta_g + DiffOp(1, {(0,): potential}), potential)
+
+    return ModelBundle(spec=spec, d=1, h=h, flags=((1,),),
+                       e0=(nu2 + nu3 * HALF) ** 2, eigenvalue=None, gauge=gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +372,9 @@ def build_sutherland(N: int, nu) -> ModelBundle:
     spec = ModelSpec("SUTHERLAND", N=N, nu=nu)
     d = N - 1
     h = sutherland_operator(N, nu)
-    return ModelBundle(
-        spec=spec, d=d, h=h, flags=((1,) * d,),
-        ground_factor=GaugeFactor(d),  # orbit-space factor is not polynomial; Cartesian module owns it
-        e0=None,
-        eigenvalue=sutherland_eigenvalue(N, nu))
+    return ModelBundle(spec=spec, d=d, h=h, flags=((1,) * d,), e0=None,
+                       eigenvalue=sutherland_eigenvalue(N, nu),
+                       gauge=_no_rational_form(d))
 
 
 # ---------------------------------------------------------------------------
@@ -516,34 +551,32 @@ def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
     spec = ModelSpec("BCN", N=N, nu=nu, nu2=nu2, nu3=nu3)
     A, B = bcn_coefficients(N, nu, nu2, nu3)
     h = _assemble_second_order(N, A, B)
-    rational_form = None
-    potential = None
-    ground = GaugeFactor(N)
+
     # The algebraic form matches the 2/beta^2 gauge of the half-kinetic
     # Hamiltonian (at N=1 it reduces verbatim to the one-variable operator,
     # whose Cartesian form drops the 1/2); hence the rational form in gauge
     # units is Delta_g + 2V for N >= 2 and Delta_g + V for N = 1.
-    if N == 1:
-        potential = bc1_rational_potential(nu2, nu3)
-        ground = bc1_ground_factor(nu2, nu3)
-        scale = 1
-    elif N == 2:
-        potential = bc2_rational_potential(nu, nu2, nu3)
-        ground = bc2_ground_factor(nu, nu2, nu3)
-        scale = 2
-    elif N == 3:
-        potential = bc3_rational_potential(nu, nu2, nu3)
-        ground = bc3_ground_factor(nu, nu2, nu3)
-        scale = 2
-    if potential is not None:
+    def gauge() -> GaugeData:
+        if N == 1:
+            potential = bc1_rational_potential(nu2, nu3)
+            ground = bc1_ground_factor(nu2, nu3)
+            scale = 1
+        elif N == 2:
+            potential = bc2_rational_potential(nu, nu2, nu3)
+            ground = bc2_ground_factor(nu, nu2, nu3)
+            scale = 2
+        else:
+            potential = bc3_rational_potential(nu, nu2, nu3)
+            ground = bc3_ground_factor(nu, nu2, nu3)
+            scale = 2
         delta_g = _assemble_second_order(N, A, _bcn_first_order(N, ZERO, ZERO, ZERO))
-        rational_form = delta_g + DiffOp(N, {(0,) * N: potential * scale})
+        return ground, delta_g + DiffOp(N, {(0,) * N: potential * scale}), potential
+
     return ModelBundle(
         spec=spec, d=N, h=h, flags=((1,) * N,),
-        ground_factor=ground,
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
         eigenvalue=bcn_eigenvalue(N, nu, nu2, nu3),
-        rational_form=rational_form, rational_potential=potential)
+        gauge=gauge if N <= 3 else _no_rational_form(N))
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +616,9 @@ def build_g2(nu, mu) -> ModelBundle:
     nu, mu = Fraction(nu), Fraction(mu)
     spec = ModelSpec("G2", nu=nu, mu=mu)
     h = g2_operator(nu, mu)
-    return ModelBundle(
-        spec=spec, d=2, h=h,
-        flags=((1, 2), (3, 5), (5, 9)),
-        ground_factor=GaugeFactor(2),
-        e0=None,
-        eigenvalue=lambda p: g2_eigenvalue(nu, mu, p))
+    return ModelBundle(spec=spec, d=2, h=h, flags=((1, 2), (3, 5), (5, 9)),
+                       e0=None, eigenvalue=lambda p: g2_eigenvalue(nu, mu, p),
+                       gauge=_no_rational_form(2))
 
 
 # ---------------------------------------------------------------------------

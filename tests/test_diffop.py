@@ -204,6 +204,16 @@ def test_restrict_raising_generator_violation():
     assert err.value.output_monomial == (3,)
 
 
+def test_raising_generator_keeps_its_own_level():
+    # J+_n tau^n = (n-n) tau^{n+1}: the two terms of the image cancel, so the
+    # level-n flag is kept
+    n = 2
+    jplus = DiffOp(1, {(1,): t * t, (0,): t * (-n)})
+    space = FlagSpace(1, (1,), n)
+    assert preserves_flag(jplus, space) == (True, None)
+    assert restrict_to_flag(jplus, space).rows == ref.restrict_to_flag(jplus, space)
+
+
 def test_restrict_zero_operator():
     m = restrict_to_flag(DiffOp.zero(1), FlagSpace(1, (1,), 3))
     assert all(all(x == 0 for x in row) for row in m.rows)
@@ -290,20 +300,57 @@ def test_restrict_matches_the_per_monomial_loop(data, nvars):
         want = ref.restrict_to_flag(op, space)
     except FlagViolation as exc:
         event("leaves the flag")
+        witness = (exc.input_monomial, exc.output_monomial)
         with pytest.raises(FlagViolation) as err:
             restrict_to_flag(op, space)
-        assert ((err.value.input_monomial, err.value.output_monomial)
-                == (exc.input_monomial, exc.output_monomial))
+        assert (err.value.input_monomial, err.value.output_monomial) == witness
+        # preserves_flag gives the reference verdict and its first witness
+        assert preserves_flag(op, space) == (False, witness)
     else:
         event("keeps the flag")
         assert restrict_to_flag(op, space).rows == want
+        assert preserves_flag(op, space) == (True, None)
     # a rational coefficient is refused, as apply refuses it
     wall = RationalFn(MultiPoly.const(nvars, 1), 1 + MultiPoly.variable(nvars, 0))
     rational = op + DiffOp(nvars, {(0,) * nvars: wall})
     with pytest.raises(DomainError):
         restrict_to_flag(rational, space)
     with pytest.raises(DomainError):
+        preserves_flag(rational, space)
+    with pytest.raises(DomainError):
         apply(rational, MultiPoly.monomial(nvars, space.basis[-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_commutator_matches_the_difference_of_fraction_loops(data, nvars):
+    a = data.draw(order2_ops(nvars), label="a")
+    b = data.draw(st.one_of(order2_ops(nvars), st.just(a)), label="b")
+    got, want = commutator(a, b), ref.compose(a, b) - ref.compose(b, a)
+    event("zero" if want.is_zero() else "nonzero")
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    for k in want.terms:
+        assert_same_poly(got.terms[k], want.terms[k])
+    # a rational operand is refused on either side
+    wall = RationalFn(MultiPoly.const(nvars, 1), 1 + MultiPoly.variable(nvars, 0))
+    rational = a + DiffOp(nvars, {(0,) * nvars: wall})
+    with pytest.raises(DomainError):
+        commutator(rational, b)
+    with pytest.raises(DomainError):
+        commutator(b, rational)
+
+
+def test_commutator_keeps_the_order_of_cancelling_keys():
+    # the d^2 sum of a.b cancels; b.a brings d^2 back, so in the difference
+    # it comes after every key a.b kept
+    a = DiffOp(1, {(0,): -2 * t, (2,): t * t})
+    b = DiffOp(1, {(1,): t, (2,): t})
+    got, want = commutator(a, b), ref.compose(a, b) - ref.compose(b, a)
+    assert (2,) not in compose(a, b).terms
+    assert list(got.terms) == list(want.terms) == [(1,), (3,), (0,), (2,)]
+    for k in want.terms:
+        assert_same_poly(got.terms[k], want.terms[k])
 
 
 def test_apply_and_compose_keep_the_order_of_cancelling_terms():

@@ -1,10 +1,12 @@
 """Model constructors: operators, spectra formulas, factors, table data."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforms import models
 from orbitforms.diffop import DiffOp, apply
 from orbitforms.errors import DomainError, UnsupportedModel
 from orbitforms.models import (_assemble_second_order, bc2_rational_potential,
@@ -304,3 +306,50 @@ def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():
     for N in range(1, CEILINGS["N"] + 1):
         assert_same_table(bcn_coefficients(N, 0, 0, 0)[0],
                           ref.bcn_coefficients(N, 0, 0, 0)[0])
+
+
+# -- gauge data on demand ---------------------------------------------------------
+
+def test_gauge_data_is_built_once_per_bundle(monkeypatch):
+    calls = []
+    real = models.bc3_rational_potential
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(models, "bc3_rational_potential", counted)
+    nus = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    bundle = build_bcn(3, *nus)
+    assert not calls
+    for _ in range(2):
+        assert bundle.rational_potential == real(*nus)
+        assert bundle.rational_form.constant_part() == 2 * real(*nus)
+        assert bundle.ground_factor.nvars == 3
+    assert len(calls) == 1
+    # a replaced bundle builds its own, from the same callable
+    other = dataclasses.replace(bundle, h=DiffOp.zero(3))
+    assert other.h.is_zero() and len(calls) == 1
+    assert other.rational_potential == bundle.rational_potential
+    assert len(calls) == 2
+
+
+def test_gauge_callable_is_left_out_of_eq_hash_and_repr():
+    def broken():
+        raise AssertionError("gauge data built")
+
+    for bundle in (build_bc1(Fraction(1, 3), Fraction(2, 5)), build_bcn(2, 1, 2, 3),
+                   build_sutherland(3, Fraction(1, 2)), build_g2(1, 1)):
+        other = dataclasses.replace(bundle, gauge=broken)
+        assert other == bundle and hash(other) == hash(bundle)
+        assert "gauge" not in repr(other) and repr(other) == repr(bundle)
+        with pytest.raises(AssertionError, match="gauge data built"):
+            other.ground_factor
+
+
+def test_families_without_a_rational_form():
+    for bundle in (build_sutherland(3, Fraction(1, 2)), build_bcn(4, 1, 2, 3),
+                   build_g2(1, 1)):
+        assert bundle.rational_form is None and bundle.rational_potential is None
+        assert not bundle.ground_factor.factors
+        assert bundle.ground_factor.nvars == bundle.d

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforms import linalg
+from orbitforms import linalg, models
 from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, restrict_to_flag
 from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
@@ -389,3 +389,31 @@ def test_reports_match_golden_bytes(tmp_path, monkeypatch):
     monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
     assert golden_digests(tmp_path / "report") == (
         GOLDEN_SPECTRUM_SHA256, GOLDEN_SUITE_SHA256)
+
+
+def test_spectra_and_exact_suites_build_no_gauge_data(tmp_path, monkeypatch):
+    # only the gauge suite reads the rational potentials: with them broken,
+    # the spectra and the other exact suites give the same bytes
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "report"
+
+    def report(argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    queries = [q for q in GOLDEN_SPECTRUM_QUERIES
+               if q[1] == "bc1_qes" or q[1:4] == ["bcn", "--N", "3"]]
+    spectra = [report(["spectrum", *q]) for q in queries]
+
+    def broken(*args):
+        raise AssertionError("gauge data built")
+
+    for name in ("bc1_rational_potential", "bc2_rational_potential",
+                 "bc3_rational_potential", "bc1_qes_rational_potential"):
+        monkeypatch.setattr(models, name, broken)
+    with pytest.raises(AssertionError, match="gauge data built"):
+        build_bcn(3, 0, 0, 0).rational_form
+    assert [report(["spectrum", *q]) for q in queries] == spectra
+    for suite in ("flags", "spectral", "pi", "algebra"):
+        digest = hashlib.sha256(report(["verify", "--suite", suite, "--seed", "1"]))
+        assert digest.hexdigest() == GOLDEN_SUITE_SHA256[suite], suite
