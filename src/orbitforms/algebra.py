@@ -74,16 +74,15 @@ class GeneratorWord:
 def evaluate_word(gs: GeneratorSet, word: GeneratorWord) -> DiffOp:
     """Exact operator for a formal word (empty word -> zero operator)."""
     total = DiffOp.zero(gs.d)
-    for coeff, names in word.terms:
-        if not names:
-            total = total + DiffOp.identity(gs.d) * coeff
-            continue
-        op = gs.op(names[-1])
-        for name in reversed(names[:-1]):
-            op = compose(gs.op(name), op)
-        total = total + op * coeff
-    if word.constant:
-        total = total + DiffOp.identity(gs.d) * word.constant
+    constant = ((word.constant, ()),) if word.constant else ()
+    for coeff, names in (*word.terms, *constant):
+        if names:
+            op = gs.op(names[-1])
+            for name in reversed(names[:-1]):
+                op = compose(gs.op(name), op)
+        else:
+            op = DiffOp.identity(gs.d)
+        total = total + (op if coeff == 1 else op * coeff)
     return total
 
 

@@ -4,8 +4,9 @@ An operator is a finite sum  sum_k  C_k(tau) * d^k  over derivative
 multi-indices k = (k_1,...,k_d), stored sparsely.  Application, composition
 (exact Leibniz expansion), commutators, gauge conjugation by a ground-state
 factor, and exact restriction to flag spaces are provided.  One loop images
-each flag monomial: restriction turns the images into matrix rows, and the
-flag-preservation test reads the same images for its witness.
+each flag monomial: restriction keeps the images as the sparse int columns
+of its matrix, and the flag-preservation test reads the same images for its
+witness.
 
 Rational coefficients serve the gauge identity only: gauge_conjugate builds
 them, and addition and equality accept them, so that the conjugated rational
@@ -20,8 +21,8 @@ Leibniz factors are ints, and each output term is reduced to a Fraction once.
 The products of one operator term are summed before they join the total, so
 the terms come in the order the Fraction loops gave them.  apply scales the
 operator on each call; the flag loop scales it once and gives each basis
-monomial's image as int numerators, from which restrict_to_flag makes one
-Fraction per nonzero entry and preserves_flag makes none.  compose and
+monomial's image as int numerators, which restrict_to_flag keys by basis
+index and preserves_flag reads; neither makes a Fraction.  compose and
 commutator share one int accumulation; commutator subtracts the b.a
 numerators from the a.b ones and builds one operator.
 
@@ -453,63 +454,82 @@ def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
 
 
 class ExactMatrix:
-    """Restriction of an operator to a flag basis.
+    """Restriction of an operator to a flag basis, as sparse int columns.
 
-    Row i holds the expansion of op(basis[i]) over the basis, so the matrix of
-    a flag-preserving operator is block lower triangular in the graded order
-    (an output can only reach monomials of equal or lower f-degree).
+    columns[j] holds the image op(basis[j]) as {basis index i: int numerator}
+    over the common denominator `den`, so the column-action matrix is
+    M[i][j] = columns[j][i] / den.  A flag-preserving operator's matrix is
+    block lower triangular in the graded order: an image can only reach
+    monomials of equal or lower f-degree.  Dense Fraction forms are built
+    on request only.
     """
 
-    __slots__ = ("space", "rows")
+    __slots__ = ("space", "den", "columns")
 
-    def __init__(self, space: FlagSpace, rows: Matrix):
+    def __init__(self, space: FlagSpace, den: int, columns: list[dict[int, int]]):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.columns)
 
-    def action_matrix(self) -> Matrix:
-        """Column-action matrix M with op(basis_j) = sum_i M[i][j] basis_i."""
-        return [list(col) for col in zip(*self.rows)]
+    def action_matrix(self, order: Sequence[int] | None = None) -> Matrix:
+        """Column-action matrix M with op(basis_j) = sum_i M[i][j] basis_i,
+        or, given an order of the indices, M with rows and columns taken in
+        that order (a permutation of the indices)."""
+        if order is None:
+            order = range(self.dim)
+        position = {i: k for k, i in enumerate(order)}
+        dense = [[ZERO] * len(position) for _ in position]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                dense[position[i]][position[j]] = Fraction(v, self.den)
+        return dense
+
+    @property
+    def rows(self) -> Matrix:
+        """Row i: the expansion of op(basis[i]) over the basis."""
+        return [list(row) for row in zip(*self.action_matrix())]
+
+    def diagonal(self) -> list[Fraction]:
+        return [Fraction(col.get(i, 0), self.den) for i, col in enumerate(self.columns)]
 
     def is_block_triangular(self) -> bool:
         grades = [self.space.grade(e) for e in self.space.basis]
-        return all(self.rows[i][j] == 0
-                   for i in range(self.dim)
-                   for j in range(self.dim)
-                   if grades[j] > grades[i])
+        return all(grades[i] <= grades[j]
+                   for j, col in enumerate(self.columns) for i in col)
 
     def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
+        return sum(self.diagonal(), ZERO)
 
 
 def restrict_to_flag(op: DiffOp, space: FlagSpace) -> ExactMatrix:
     """Exact matrix of op on the flag basis; FlagViolation with witness if
     the image of any basis monomial leaves the space.
 
-    Each entry is one Fraction of an image numerator over the operator's
-    denominator (see _flag_images).  A rational operator is refused with
-    DomainError, as apply refuses it.
+    The columns are the int images of _flag_images, keyed by basis index,
+    over the operator's denominator; no Fraction is made.  A rational
+    operator is refused with DomainError, as apply refuses it.
     """
     den, images = _flag_images(op, space, "restrict_to_flag")
     index = space.index
-    rows: Matrix = []
+    columns = []
     for mono, image in images:
-        row = [ZERO] * space.dim
+        column = {}
         for e, v in image.items():
             pos = index.get(e)
             if pos is None:
                 raise FlagViolation(
                     f"operator maps {mono} to a term outside the flag: {e}",
                     mono, e)
-            row[pos] = Fraction(v, den)
-        rows.append(row)
-    return ExactMatrix(space, rows)
+            column[pos] = v
+        columns.append(column)
+    return ExactMatrix(space, den, columns)
 
 
 def preserves_flag(op: DiffOp, space: FlagSpace):

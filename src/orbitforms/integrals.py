@@ -5,10 +5,10 @@ prod_{j=0..n} (J0 + j) is an operator of order n+1 that annihilates every
 monomial of f-degree at most n: on a monomial of f-degree s it acts as the
 scalar prod_j (s - n + j).  On a flag basis the integral is therefore the
 diagonal matrix diag(s), and for a model operator h with flag matrix
-M = restrict_to_flag(h, space) the commutator is the matrix identity
-[h, ip] m_i = sum_j M_ij (s_i - s_j) m_j.  The annihilation check reads
-[M, diag(s)] = 0 off that matrix; the expanded operator of order n+1 is
-built only when read.
+M = restrict_to_flag(h, space), h(m_i) = sum_j M_ji m_j, the commutator is
+the matrix identity [h, ip] m_i = sum_j M_ji (s_i - s_j) m_j.  The
+annihilation check reads [M, diag(s)] = 0 off the sparse int columns of that
+matrix; the expanded operator of order n+1 is built only when read.
 """
 
 from __future__ import annotations
@@ -64,17 +64,18 @@ def annihilation_check(h: DiffOp, ip: PiIntegral, space: FlagSpace):
 
     ip is diag(s) on the basis, s_i = ip.monomial_scalar(m_i), so with
     M = restrict_to_flag(h, space) the image of m_i is
-    sum_j M_ij (s_i - s_j) m_j and the check is [M, diag(s)] = 0.
+    sum_j M_ji (s_i - s_j) m_j, read off column i of M, and the check is
+    [M, diag(s)] = 0.
     Returns (True, None) or (False, (witness monomial, nonzero image));
     an h that leaves the space raises FlagViolation.
     """
     if h.nvars != ip.d:
         raise DomainError("operator/integral variable counts differ")
-    rows = restrict_to_flag(h, space).rows
+    matrix = restrict_to_flag(h, space)
     scalars = [ip.monomial_scalar(mono) for mono in space.basis]
-    for mono, row, s_i in zip(space.basis, rows, scalars):
-        image = MultiPoly(space.d, {out: c * (s_i - s_j) for out, c, s_j
-                                    in zip(space.basis, row, scalars) if c})
-        if not image.is_zero():
-            return False, (mono, image)
+    for mono, column, s_i in zip(space.basis, matrix.columns, scalars):
+        image = {space.basis[j]: Fraction(v, matrix.den) * (s_i - scalars[j])
+                 for j, v in sorted(column.items()) if scalars[j] != s_i}
+        if image:
+            return False, (mono, MultiPoly(space.d, image))
     return True, None

@@ -1,24 +1,26 @@
-"""Exact linear algebra over Fraction matrices.
+"""Exact linear algebra over Fraction matrices and sparse int columns.
 
-Matrices are plain lists of lists of Fractions.  Provides reduced row
+Dense matrices are plain lists of lists of Fractions.  Provides reduced row
 echelon form (sparse: a pivot row updates the other rows on its nonzero
 columns only), nullspaces, and characteristic polynomials by the
 division-free Berkowitz algorithm run over integers after clearing
-denominators.  For matrices that are triangular up to a permutation of the
-indices it finds that order and the kernels of a - cI by back-substitution
-along it.
+denominators.  For a matrix that is triangular up to a permutation of the
+indices, given as sparse int columns over one denominator (the form
+restrict_to_flag gives), it finds that order and the kernels of a - cI by
+back-substitution along it, walking only the indices a kernel vector can
+reach.
 
-Berkowitz follows the integer-numerator rule of poly: the denominators are
-cleared once, the loops run on ints, and each result is reduced to a
-Fraction once.  rref runs on Fractions, since its pivots divide; its cost
-is held down by sparsity instead.
+Berkowitz and the back-substitution follow the integer-numerator rule of
+poly: the loops run on ints with one denominator per value, and Fractions
+are made only where a pivot divides.  rref runs on Fractions, since its
+pivots divide; its cost is held down by sparsity instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 
 Matrix = list[list[Fraction]]
@@ -87,16 +89,22 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
-def triangular_order(a: Matrix) -> list[int] | None:
-    """An order of the indices in which `a` is lower triangular, or None.
+def triangular_order(columns: Sequence[Mapping[int, int]]) -> list[int] | None:
+    """An order of the indices in which a sparse matrix is lower triangular,
+    or None.
 
-    This is a topological order of the off-diagonal graph (edge j -> i when
-    a[i][j] != 0): row i has off-diagonal entries only in columns that come
-    before i.  None means the graph has a cycle, so no such order exists.
+    columns[j] maps each row index i with a[i][j] != 0 to that entry (any
+    nonzero value).  The order is a topological order of the off-diagonal
+    graph (edge j -> i when a[i][j] != 0): row i has off-diagonal entries
+    only in columns that come before i.  None means the graph has a cycle,
+    so no such order exists.
     """
-    n = len(a)
-    later = [[i for i in range(n) if i != j and a[i][j]] for j in range(n)]
-    waiting = [sum(1 for j in range(n) if j != i and a[i][j]) for i in range(n)]
+    n = len(columns)
+    later = [sorted(i for i in col if i != j) for j, col in enumerate(columns)]
+    waiting = [0] * n
+    for targets in later:
+        for i in targets:
+            waiting[i] += 1
     ready = [i for i in range(n) if not waiting[i]]
     order: list[int] = []
     while ready:
@@ -109,45 +117,103 @@ def triangular_order(a: Matrix) -> list[int] | None:
     return order if len(order) == n else None
 
 
-def triangular_nullspace(a: Matrix, order: Sequence[int], c: Fraction) -> list[Vector]:
-    """nullspace(a - cI) by back-substitution along `order`,
-    an order in which `a` is triangular (see triangular_order).
+def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
+                         order: Sequence[int], c: Fraction) -> list[Vector]:
+    """nullspace(a - cI) for the matrix a[i][j] = columns[j][i] / den, by
+    back-substitution along `order`, an order in which it is triangular
+    (see triangular_order).
 
-    Walking the order, row i fixes x_i when a[i][i] != c.  Otherwise x_i is
-    a new free parameter, and the rest of row i is a linear constraint on
-    the parameters met before it.  The solutions are then reduced to the
-    basis nullspace returns: vector k is 1 at its free column f_k, 0 at the
-    other free columns and 0 beyond f_k.
+    The walk runs on the int matrix den*a - (c*den)*I.  A solution can be
+    nonzero only at the indices the off-diagonal graph reaches from an
+    index whose diagonal is c, so only those are walked, in `order`.  There
+    x_j is fixed by its row when the diagonal is not c, and is a new free
+    parameter otherwise, the rest of its row then being a linear constraint
+    on the parameters met before it.  Each x_j is kept as int numerators
+    per parameter over one denominator, and pushed down its column into the
+    rows it reaches.  The solutions are then reduced to the basis nullspace
+    returns: vector k is 1 at its free column f_k, 0 at the other free
+    columns and 0 beyond f_k.
     """
-    n = len(a)
-    x: list[dict[int, Fraction]] = [{} for _ in range(n)]   # parameter -> coefficient
-    constraints: list[dict[int, Fraction]] = []
+    n = len(columns)
+    shift = c * den
+    if shift.denominator != 1:
+        return []
+    shift = shift.numerator
+    reached = [j for j in range(n) if columns[j].get(j, 0) == shift]
+    seen = set(reached)
+    for j in reached:            # grows while it is walked
+        for i in columns[j]:
+            if i not in seen:
+                seen.add(i)
+                reached.append(i)
+    # x[j]: (int numerators by parameter, denominator); acc[j] likewise, the
+    # sum over the entries of row j met so far, as a [numerators, denominator]
+    x: dict[int, tuple[dict[int, int], int]] = {}
+    acc: dict[int, list] = {}
+    constraints: list[dict[int, int]] = []
     params = 0
-    for i in order:
-        acc: dict[int, Fraction] = {}
-        for j, aij in enumerate(a[i]):
-            if aij and j != i and x[j]:
-                for p, coeff in x[j].items():
-                    acc[p] = acc.get(p, ZERO) + aij * coeff
-        acc = {p: v for p, v in acc.items() if v}
-        pivot = a[i][i] - c
+    for j in order:
+        if j not in seen:
+            continue
+        col = columns[j]
+        nums, d = acc.pop(j, ({}, 1))
+        pivot = col.get(j, 0) - shift
         if pivot:
-            x[i] = {p: -v / pivot for p, v in acc.items()}
+            if not nums:
+                continue         # x_j = 0
+            d *= -pivot          # x_j = -acc_j / pivot
+            g = gcd(d, *nums.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                nums = {p: v // g for p, v in nums.items()}
+                d //= g
         else:
-            if acc:
-                constraints.append(acc)
-            x[i] = {params: ONE}
+            if nums:
+                constraints.append(nums)
+            nums, d = {params: 1}, 1
             params += 1
+        x[j] = nums, d
+        for i, aij in col.items():
+            if i == j:
+                continue
+            entry = acc.get(i)
+            if entry is None:
+                acc[i] = [{p: aij * v for p, v in nums.items()}, d]
+                continue
+            total, di = entry
+            common = lcm(di, d)
+            if common != di:
+                up = common // di
+                for p in total:
+                    total[p] *= up
+                entry[1] = common
+            mine = aij * (common // d)
+            for p, v in nums.items():
+                s = total.get(p, 0) + mine * v
+                if s:
+                    total[p] = s
+                else:
+                    del total[p]
     if not params:
         return []
     if constraints:
-        solutions = nullspace([[con.get(p, ZERO) for p in range(params)]
+        solutions = nullspace([[Fraction(con.get(p, 0)) for p in range(params)]
                                for con in constraints])
     else:
         solutions = identity(params)
     # rref of the reversed vectors puts each vector's last nonzero entry first
-    vectors = [[sum((coeff * t[p] for p, coeff in x[i].items()), ZERO)
-                for i in reversed(range(n))] for t in solutions]
+    vectors = []
+    for t in solutions:
+        tden = lcm(*(tp.denominator for tp in t))
+        used = [(p, tp.numerator * (tden // tp.denominator))
+                for p, tp in enumerate(t) if tp]
+        row = [ZERO] * n
+        for i, (nums, d) in x.items():
+            v = sum(nums[p] * tp for p, tp in used if p in nums)
+            if v:
+                row[n - 1 - i] = Fraction(v, d * tden)
+        vectors.append(row)
     red, pivots = rref(vectors)
     return [row[::-1] for row in reversed(red[:len(pivots)])]
 

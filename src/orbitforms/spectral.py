@@ -6,8 +6,10 @@ the engine finds such an order (a topological order of the off-diagonal
 graph) and requires the diagonal to equal the closed-form eigenvalue
 multiset; for a triangular matrix this is the identity charpoly(M) ==
 prod_p (lambda - eps_p).  Kernels of (M - eps I), the eigenpolynomials,
-come by back-substitution along that order.  A matrix with no such order
-is refused with UnsupportedModel.
+come by back-substitution along that order.  Both read the sparse int
+columns of the restricted matrix; each kernel polynomial is then checked
+against the operator, scaled to int numerators once per call.  A matrix
+with no such order is refused with UnsupportedModel.
 
 A NUMERIC_DPS-digit mpmath.eig cross-checks the multiset on demand (on by
 default).  It is fed P M P^T, with P the reverse of the dominance order, in
@@ -15,7 +17,8 @@ which M is upper triangular: already Hessenberg and already in Schur form,
 so the Householder reduction skips every row and the QR sweep deflates at
 once.  A symmetric permutation is a similarity, so the numeric eigenvalues
 are those of M whatever the order; were the order wrong, the check would
-only be slower, never wrong.
+only be slower, never wrong.  This check and qes_spectrum are the only
+readers of a dense matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import mpmath
 from mpmath import mp
 
 from . import linalg
-from .diffop import ExactMatrix, apply, restrict_to_flag
+from .diffop import ExactMatrix, _apply_scaled, _scaled, restrict_to_flag
 from .errors import (DomainError, FormulaMismatch, InconsistencyError,
                      UnsupportedModel)
 from .models import ModelBundle, eigenvalue_formula
@@ -112,13 +115,12 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
     # Exact identity: charpoly(M) == prod_p (lambda - eps_p).  M is
     # triangular in the dominance order, so charpoly(M) is the product over
     # its diagonal.
-    action = matrix.action_matrix()
-    order = linalg.triangular_order(action)
+    order = linalg.triangular_order(matrix.columns)
     if order is None:
         raise UnsupportedModel(
             f"{model.spec.family}: restricted matrix at n={n} has no dominance "
             f"order (its off-diagonal graph has a cycle)")
-    diagonal = Counter(action[i][i] for i in range(len(action)))
+    diagonal = Counter(matrix.diagonal())
     if diagonal != Counter(roots):
         offenders = [str(v) for v in sorted(predicted) if v not in diagonal]
         bad = offenders[0] if offenders else "multiplicity mismatch"
@@ -129,12 +131,15 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
 
     entries: list[SpectralEntry] = []
     defective: list[Fraction] = []
+    if with_vectors:
+        scaled = _scaled(model.h, "spectrum")
     for val in sorted(predicted):
         monos = tuple(sorted(predicted[val], key=lambda e: (sum(e), e)))
         kernel_polys: tuple[MultiPoly, ...] = ()
         kdim = len(monos)
         if with_vectors:
-            basis_vecs = linalg.triangular_nullspace(action, order, val)
+            basis_vecs = linalg.triangular_nullspace(matrix.columns, matrix.den,
+                                                     order, val)
             if not basis_vecs:
                 raise InconsistencyError(
                     f"empty kernel for verified eigenvalue {val}")
@@ -143,14 +148,14 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
                 defective.append(val)
             kernel_polys = tuple(_vector_to_poly(v, space) for v in basis_vecs)
             for phi in kernel_polys:
-                if apply(model.h, phi) != phi * val:
+                if _apply_scaled(space.d, scaled, phi) != phi * val:
                     raise InconsistencyError(
                         f"kernel vector is not an exact eigenpolynomial at {val}")
         entries.append(SpectralEntry(val, monos, len(monos), kdim, kernel_polys))
 
     numeric_checked = False
     if numeric_check:
-        _numeric_multiset_check(action, order, roots)
+        _numeric_multiset_check(matrix, order, roots)
         numeric_checked = True
     return SpectrumRecord(model.spec.family, space.d, space.f, n,
                           tuple(entries), tuple(defective), numeric_checked)
@@ -161,20 +166,18 @@ def _vector_to_poly(vec: Sequence[Fraction], space: FlagSpace) -> MultiPoly:
     return MultiPoly(space.d, terms)
 
 
-def _numeric_multiset_check(action, order: Sequence[int],
+def _numeric_multiset_check(matrix: ExactMatrix, order: Sequence[int],
                             roots: Sequence[Fraction]) -> None:
-    """The numeric eigenvalues of `action` equal `roots` within NUMERIC_TOL.
+    """The numeric eigenvalues of `matrix` equal `roots` within NUMERIC_TOL.
 
     The solver gets the matrix permuted into the reverse of `order`, which
     makes a dominance-triangular matrix upper triangular; the permutation is
     a similarity, so nothing here trusts that the order is triangular.
     """
-    if sorted(order) != list(range(len(action))):
+    if sorted(order) != list(range(matrix.dim)):
         raise InconsistencyError("numeric check order is not a permutation "
                                  "of the matrix indices")
-    reverse = order[::-1]
-    values = numeric_eigenvalues([[action[i][j] for j in reverse]
-                                  for i in reverse])
+    values = numeric_eigenvalues(matrix.action_matrix(order[::-1]))
     with mp.workdps(NUMERIC_DPS):
         bound = mpmath.mpf(NUMERIC_TOL)
         for v in values:
@@ -232,24 +235,24 @@ def qes_spectrum(model: ModelBundle, n: int | None = None) -> QesSpectrumRecord:
 # ---------------------------------------------------------------------------
 
 def jacobi_reference(p: int, a: Fraction, b: Fraction) -> MultiPoly:
-    """Jacobi polynomial P_p^{(a,b)} by the three-term recurrence, exact.
+    """Jacobi polynomial P_p^{(a,b)} by the three-term recurrence, exact
+    (see _jacobi_polynomials)."""
+    if p < 0:
+        raise DomainError("degree must be non-negative")
+    return _jacobi_polynomials(p, a, b)[p]
+
+
+def _jacobi_polynomials(pmax: int, a: Fraction, b: Fraction) -> list[MultiPoly]:
+    """[P_0, ..., P_pmax] of P_p^{(a,b)}, by one pass of the recurrence.
 
     P_0 = 1, P_1 = (a+1) + (a+b+2)(tau-1)/2, and for p >= 2
     2p(p+a+b)(2p+a+b-2) P_p = (2p+a+b-1)[(2p+a+b)(2p+a+b-2) tau + a^2-b^2] P_{p-1}
                               - 2(p+a-1)(p+b-1)(2p+a+b) P_{p-2}.
     """
-    if p < 0:
-        raise DomainError("degree must be non-negative")
     a, b = Fraction(a), Fraction(b)
     t = MultiPoly.variable(1, 0)
-    p0 = MultiPoly.const(1, 1)
-    if p == 0:
-        return p0
-    p1 = (a + 1) + (a + b + 2) * (t - 1) * Fraction(1, 2)
-    if p == 1:
-        return p1
-    prev2, prev1 = p0, p1
-    for k in range(2, p + 1):
+    polys = [MultiPoly.const(1, 1), (a + 1) + (a + b + 2) * (t - 1) * Fraction(1, 2)]
+    for k in range(2, pmax + 1):
         s = 2 * k + a + b
         lead = 2 * k * (k + a + b) * (s - 2)
         if lead == 0:
@@ -257,9 +260,8 @@ def jacobi_reference(p: int, a: Fraction, b: Fraction) -> MultiPoly:
                 f"degenerate Jacobi recurrence at p={k} for a={a}, b={b}")
         main = (s - 1) * ((s * (s - 2)) * t + (a * a - b * b))
         tail = 2 * (k + a - 1) * (k + b - 1) * s
-        cur = (main * prev1 - tail * prev2) * (1 / Fraction(lead))
-        prev2, prev1 = prev1, cur
-    return prev1
+        polys.append((main * polys[-1] - tail * polys[-2]) * (1 / Fraction(lead)))
+    return polys[:pmax + 1]
 
 
 def proportional_scalar(p: MultiPoly, q: MultiPoly) -> Fraction | None:
@@ -297,13 +299,19 @@ def jacobi_gram(nu2, nu3, pmax: int) -> list[list[Fraction]]:
     the coefficients of p_i p_j against them.
     """
     a, b = _weight_exponents(nu2, nu3)
+    return _gram(a, b, _jacobi_polynomials(pmax, a, b))
+
+
+def _gram(a: Fraction, b: Fraction, polys: Sequence[MultiPoly]) -> list[list[Fraction]]:
+    """<p_i p_j> of `polys` under the weight of jacobi_gram with exponents
+    (a, b), from the Beta moments."""
+    pmax = len(polys) - 1
     s_moments = [Fraction(1)]
     for k in range(2 * pmax):
         s_moments.append(s_moments[-1] * (b + 1 + k) / (a + b + 2 + k))
     tau_moments = [sum(comb(k, j) * 2 ** j * (-1) ** (k - j) * s_moments[j]
                        for j in range(k + 1))
                    for k in range(2 * pmax + 1)]
-    polys = [jacobi_reference(p, a, b) for p in range(pmax + 1)]
 
     def inner(p: MultiPoly, q: MultiPoly) -> Fraction:
         return sum((c * tau_moments[e[0]] for e, c in (p * q).terms.items()),
@@ -329,14 +337,14 @@ def orthogonality_check(nu2, nu3, pmax: int, *, dps: int = 40):
     a, b = _weight_exponents(nu2, nu3)
     if pmax < 1:
         raise DomainError("need pmax >= 1")
-    gram = jacobi_gram(nu2, nu3, pmax)
+    polys = _jacobi_polynomials(pmax, a, b)
+    gram = _gram(a, b, polys)
     max_off = max(abs(gram[i][j]) for i in range(pmax + 1)
                   for j in range(pmax + 1) if i != j)
     min_norm = min(gram[i][i] for i in range(pmax + 1))
-    top = jacobi_reference(pmax, a, b)
     with mp.workdps(dps):
         exact = mpmath.mpf(gram[pmax][pmax].numerator) / gram[pmax][pmax].denominator
-        spot_gap = abs(_quadrature_norm(top, a, b) - exact) / exact
+        spot_gap = abs(_quadrature_norm(polys[pmax], a, b) - exact) / exact
     return max_off, min_norm, spot_gap
 
 

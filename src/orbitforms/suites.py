@@ -30,7 +30,7 @@ from .models import (ModelBundle, build_bc1, build_bc1_qes, build_bcn,
 from .poly import FlagSpace, MultiPoly
 from .report import (FAIL, PASS, REPORTED, CheckRecord, RunConfig,
                      VerificationReport, load_whitelist)
-from .spectral import (NUMERIC_TOL, jacobi_reference, orthogonality_check,
+from .spectral import (NUMERIC_TOL, _jacobi_polynomials, orthogonality_check,
                        proportional_scalar, spectrum)
 
 HALF = Fraction(1, 2)
@@ -159,12 +159,10 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
             def run(rec: CheckRecord, nu2=a, nu3=b):
                 bundle = build_bc1(nu2, nu3)
                 record = spectrum(bundle, 10, numeric_check=False)
-                aa = nu2 + nu3 - HALF
-                bb = nu2 - HALF
+                refs = _jacobi_polynomials(10, nu2 + nu3 - HALF, nu2 - HALF)
                 for entry in record.entries:
                     (p,) = entry.quantum_indices[0]
-                    ref = jacobi_reference(p, aa, bb)
-                    scalar = proportional_scalar(entry.eigenpolynomials[0], ref)
+                    scalar = proportional_scalar(entry.eigenpolynomials[0], refs[p])
                     if not _require(rec, scalar is not None,
                                     f"eigenpolynomial at p={p} is not a rational "
                                     f"multiple of the Jacobi reference"):

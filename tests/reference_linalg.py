@@ -1,10 +1,16 @@
 """Exact helpers that only the tests use: independent routes to the
-determinant and the characteristic polynomial, and the shifted matrix whose
-kernel triangular_nullspace finds."""
+determinant and the characteristic polynomial, the shifted matrix whose
+kernel triangular_nullspace finds, the dense triangular order and
+back-substitution that the sparse ones replaced, and the converter from a
+dense Fraction matrix to the sparse int columns the engine reads."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
+
+from orbitforms import linalg
+from orbitforms.diffop import ExactMatrix
+from orbitforms.poly import FlagSpace
 
 Matrix = list[list[Fraction]]
 
@@ -62,3 +68,78 @@ def poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:
             new[i + 1] -= coeffs[i] * r
         coeffs = new
     return coeffs
+
+
+def sparse_columns(a: Matrix) -> tuple[int, list[dict[int, int]]]:
+    """(den, columns) with a[i][j] == columns[j][i] / den, zeros left out."""
+    den = lcm(1, *(x.denominator for row in a for x in row))
+    return den, [{i: int(a[i][j] * den) for i in range(len(a)) if a[i][j]}
+                 for j in range(len(a))]
+
+
+def exact_matrix(a: Matrix) -> ExactMatrix:
+    """The ExactMatrix whose column-action matrix is the square matrix `a`,
+    on a one-variable flag of the same dimension."""
+    den, columns = sparse_columns(a)
+    return ExactMatrix(FlagSpace(1, (1,), len(a) - 1), den, columns)
+
+
+def dense_triangular_order(a: Matrix) -> list[int] | None:
+    """triangular_order read off a dense matrix: a topological order of the
+    off-diagonal graph (edge j -> i when a[i][j] != 0), or None on a cycle."""
+    n = len(a)
+    later = [[i for i in range(n) if i != j and a[i][j]] for j in range(n)]
+    waiting = [sum(1 for j in range(n) if j != i and a[i][j]) for i in range(n)]
+    ready = [i for i in range(n) if not waiting[i]]
+    order: list[int] = []
+    while ready:
+        j = ready.pop()
+        order.append(j)
+        for i in later[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                ready.append(i)
+    return order if len(order) == n else None
+
+
+def dense_triangular_nullspace(a: Matrix, order: Sequence[int],
+                               c: Fraction) -> list[list[Fraction]]:
+    """nullspace(a - cI) by back-substitution along `order`, walking every
+    dense row in Fraction arithmetic.
+
+    Row i fixes x_i when a[i][i] != c.  Otherwise x_i is a new free
+    parameter, and the rest of row i is a linear constraint on the
+    parameters met before it.  The solutions are reduced to the basis
+    linalg.nullspace returns.
+    """
+    n = len(a)
+    x: list[dict[int, Fraction]] = [{} for _ in range(n)]   # parameter -> coefficient
+    constraints: list[dict[int, Fraction]] = []
+    params = 0
+    for i in order:
+        acc: dict[int, Fraction] = {}
+        for j, aij in enumerate(a[i]):
+            if aij and j != i and x[j]:
+                for p, coeff in x[j].items():
+                    acc[p] = acc.get(p, ZERO) + aij * coeff
+        acc = {p: v for p, v in acc.items() if v}
+        pivot = a[i][i] - c
+        if pivot:
+            x[i] = {p: -v / pivot for p, v in acc.items()}
+        else:
+            if acc:
+                constraints.append(acc)
+            x[i] = {params: ONE}
+            params += 1
+    if not params:
+        return []
+    if constraints:
+        solutions = linalg.nullspace([[con.get(p, ZERO) for p in range(params)]
+                                      for con in constraints])
+    else:
+        solutions = linalg.identity(params)
+    # rref of the reversed vectors puts each vector's last nonzero entry first
+    vectors = [[sum((coeff * t[p] for p, coeff in x[i].items()), ZERO)
+                for i in reversed(range(n))] for t in solutions]
+    red, pivots = linalg.rref(vectors)
+    return [row[::-1] for row in reversed(red[:len(pivots)])]

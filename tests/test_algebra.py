@@ -117,6 +117,32 @@ def test_g2_conjugation_pairings_random_levels():
 
 # -- word calculus -------------------------------------------------------------------
 
+def test_evaluate_word_matches_scaling_every_term():
+    # terms with coefficient 1 join unscaled: the operator, its key order
+    # and each coefficient's term order are those of scaling every term
+    gs = gl2_generators(3)
+    word = GeneratorWord.from_items(
+        [(1, ("J+", "J-")), (2, ("J0",)), (Fraction(-1, 3), ("J+", "J0")),
+         (1, ()), (Fraction(-1, 3), ())], constant=1)
+    for constant in (1, 2, Fraction(-1, 3), 0):
+        w = GeneratorWord(word.terms, Fraction(constant))
+        want = DiffOp.zero(1)
+        for coeff, names in w.terms:
+            op = DiffOp.identity(1)
+            if names:
+                op = gs.op(names[-1])
+                for name in reversed(names[:-1]):
+                    op = compose(gs.op(name), op)
+            want = want + op * coeff
+        if w.constant:
+            want = want + DiffOp.identity(1) * w.constant
+        got = evaluate_word(gs, w)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        for k in want.terms:
+            assert list(got.terms[k].terms.items()) == list(want.terms[k].terms.items())
+
+
 def test_evaluate_word_bc1_free():
     gs = gl2_generators(0)
     word = GeneratorWord.from_items([(1, ("J0", "J0")), (-1, ("J-", "J-"))])

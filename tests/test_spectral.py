@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitforms import linalg, models
@@ -17,11 +17,14 @@ from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
-from orbitforms.spectral import (NUMERIC_DPS, _numeric_multiset_check,
+from orbitforms.spectral import (NUMERIC_DPS, SpectralEntry, SpectrumRecord,
+                                 _jacobi_polynomials, _numeric_multiset_check,
                                  jacobi_gram, jacobi_reference,
                                  numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
-from reference_linalg import poly_from_roots, shift_diagonal
+from reference_linalg import (dense_triangular_nullspace, dense_triangular_order,
+                              exact_matrix, poly_from_roots, shift_diagonal,
+                              sparse_columns)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -128,6 +131,35 @@ def test_jacobi_base_cases():
     a, b = Fraction(1, 3), Fraction(2, 7)
     p1 = jacobi_reference(1, a, b)
     assert p1 == (a + 1) + (a + b + 2) * (t - 1) * HALF
+
+
+def per_degree_jacobi(p, a, b):
+    """P_p^{(a,b)} by its own run of the recurrence from P_0, as
+    jacobi_reference computed it before the shared pass."""
+    p0 = MultiPoly.const(1, 1)
+    if p == 0:
+        return p0
+    p1 = (a + 1) + (a + b + 2) * (t - 1) * HALF
+    prev2, prev1 = p0, p1
+    for k in range(2, p + 1):
+        s = 2 * k + a + b
+        lead = 2 * k * (k + a + b) * (s - 2)
+        main = (s - 1) * ((s * (s - 2)) * t + (a * a - b * b))
+        tail = 2 * (k + a - 1) * (k + b - 1) * s
+        prev2, prev1 = prev1, (main * prev1 - tail * prev2) * (1 / Fraction(lead))
+    return prev1
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.builds(Fraction, st.integers(0, 9), st.integers(1, 7)),
+       b=st.builds(Fraction, st.integers(0, 9), st.integers(1, 7)),
+       pmax=st.integers(0, 10))
+def test_jacobi_pass_matches_per_degree_recurrences(a, b, pmax):
+    polys = _jacobi_polynomials(pmax, a, b)
+    assert len(polys) == pmax + 1
+    for p, poly in enumerate(polys):
+        for other in (jacobi_reference(p, a, b), per_degree_jacobi(p, a, b)):
+            assert list(poly.terms.items()) == list(other.terms.items())
 
 
 def test_jacobi_chebyshev_specialization():
@@ -255,22 +287,84 @@ rationals = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 4))
 def test_triangular_engine_matches_charpoly_and_rref(case, params):
     build, n, vector = TRIANGULAR_CASES[case]
     bundle = build(params)
-    action = restrict_to_flag(bundle.h, bundle.flag(n, vector)).action_matrix()
-    order = linalg.triangular_order(action)
+    matrix = restrict_to_flag(bundle.h, bundle.flag(n, vector))
+    action = matrix.action_matrix()
+    order = linalg.triangular_order(matrix.columns)
     assert order is not None
     position = {i: k for k, i in enumerate(order)}
     assert all(position[j] < position[i] for i, row in enumerate(action)
                for j, x in enumerate(row) if x and i != j)
     diagonal = [action[i][i] for i in range(len(action))]
+    assert matrix.diagonal() == diagonal
     assert linalg.charpoly(action) == poly_from_roots(diagonal)
     for c in set(diagonal):
-        assert (linalg.triangular_nullspace(action, order, c)
+        assert (linalg.triangular_nullspace(matrix.columns, matrix.den, order, c)
                 == linalg.nullspace(shift_diagonal(action, c)))
+
+
+# every case has defective eigenvalues at couplings -1
+DEFECTIVE = (Fraction(-1),) * 3
+
+
+@pytest.mark.parametrize("case", sorted(TRIANGULAR_CASES))
+@settings(max_examples=8, deadline=None)
+@given(params=st.tuples(rationals, rationals, rationals))
+@example(params=DEFECTIVE)
+def test_sparse_kernels_match_the_dense_loop(case, params):
+    build, n, vector = TRIANGULAR_CASES[case]
+    bundle = build(params)
+    matrix = restrict_to_flag(bundle.h, bundle.flag(n, vector))
+    action = matrix.action_matrix()
+    order = linalg.triangular_order(matrix.columns)
+    assert order == dense_triangular_order(action)
+    diagonal = set(matrix.diagonal())
+    # a value off the diagonal, and one whose multiple of den is no integer
+    off = [max(diagonal) + 1, Fraction(1, 2 * matrix.den + 1)]
+    for c in [*diagonal, *off]:
+        assert (linalg.triangular_nullspace(matrix.columns, matrix.den, order, c)
+                == dense_triangular_nullspace(action, order, c))
+
+
+def reference_spectrum(model, n, vector=None):
+    """spectrum(model, n, vector=vector, numeric_check=False) on the dense
+    path: dense rows, the dense order and back-substitution, and apply."""
+    space = model.flag(n, vector)
+    action = restrict_to_flag(model.h, space).action_matrix()
+    order = dense_triangular_order(action)
+    predicted = {}
+    for mono in space.basis:
+        predicted.setdefault(models.eigenvalue_formula(model, mono), []).append(mono)
+    entries, defective = [], []
+    for val in sorted(predicted):
+        monos = tuple(sorted(predicted[val], key=lambda e: (sum(e), e)))
+        vectors = dense_triangular_nullspace(action, order, val)
+        if len(vectors) < len(monos):
+            defective.append(val)
+        polys = tuple(MultiPoly(space.d, {space.basis[i]: c for i, c in enumerate(v) if c})
+                      for v in vectors)
+        assert all(apply(model.h, phi) == phi * val for phi in polys)
+        entries.append(SpectralEntry(val, monos, len(monos), len(vectors), polys))
+    return SpectrumRecord(model.spec.family, space.d, space.f, n,
+                          tuple(entries), tuple(defective), False)
+
+
+@pytest.mark.parametrize("case", sorted(TRIANGULAR_CASES))
+@settings(max_examples=5, deadline=None)
+@given(params=st.tuples(rationals, rationals, rationals))
+@example(params=DEFECTIVE)
+def test_spectrum_records_match_the_dense_path(case, params):
+    build, n, vector = TRIANGULAR_CASES[case]
+    bundle = build(params)
+    record = spectrum(bundle, n, vector=vector, numeric_check=False)
+    if params == DEFECTIVE:
+        assert record.defective
+    assert record == reference_spectrum(bundle, n, vector)
 
 
 def test_cyclic_matrix_is_refused():
     F = Fraction
-    assert linalg.triangular_order([[F(2), F(1)], [F(1), F(2)]]) is None
+    _, columns = sparse_columns([[F(2), F(1)], [F(1), F(2)]])
+    assert linalg.triangular_order(columns) is None
     # (1 - t^2) d/dt + 2 + t maps 1 -> 2 + t and t -> 1 + 2t on P_1: the
     # spectrum {1, 3} is right, but no order makes the matrix triangular
     h = DiffOp(1, {(1,): 1 - t * t, (0,): 2 + t})
@@ -302,9 +396,11 @@ positive_rationals = st.builds(Fraction, st.integers(1, 7), st.integers(1, 5))
 def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
     build, n = NUMERIC_CASES[case]
     bundle = build(params)
-    action = restrict_to_flag(bundle.h, bundle.flag(n)).action_matrix()
-    reverse = linalg.triangular_order(action)[::-1]
+    matrix = restrict_to_flag(bundle.h, bundle.flag(n))
+    action = matrix.action_matrix()
+    reverse = linalg.triangular_order(matrix.columns)[::-1]
     permuted = [[action[i][j] for j in reverse] for i in reverse]
+    assert matrix.action_matrix(reverse) == permuted
     assert all(not permuted[i][j] for i in range(len(permuted)) for j in range(i))
     with mpmath.mp.workdps(NUMERIC_DPS):
         dense, fast = (sorted(numeric_eigenvalues(m), key=lambda v: (v.real, v.imag))
@@ -316,7 +412,7 @@ def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
 def test_numeric_check_does_not_trust_the_order():
     # diagonal {1, 2} as claimed, but the eigenvalues are (3 +- i sqrt 3)/2
     F = Fraction
-    action = [[F(1), F(1)], [F(-1), F(2)]]
+    action = exact_matrix([[F(1), F(1)], [F(-1), F(2)]])
     for order in ([0, 1], [1, 0]):
         with pytest.raises(InconsistencyError):
             _numeric_multiset_check(action, order, [F(1), F(2)])
@@ -325,7 +421,7 @@ def test_numeric_check_does_not_trust_the_order():
 @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 2], [0, 2], [-1, 0]])
 def test_numeric_check_refuses_a_non_permutation_order(order):
     F = Fraction
-    action = [[F(1), F(0)], [F(3), F(2)]]
+    action = exact_matrix([[F(1), F(0)], [F(3), F(2)]])
     _numeric_multiset_check(action, [1, 0], [F(1), F(2)])
     with pytest.raises(InconsistencyError, match="not a permutation"):
         _numeric_multiset_check(action, order, [F(1), F(2)])
