@@ -11,14 +11,18 @@ columns of the restricted matrix; each kernel polynomial is then checked
 against the operator, scaled to int numerators once per call.  A matrix
 with no such order is refused with UnsupportedModel.
 
-A NUMERIC_DPS-digit mpmath.eig cross-checks the multiset on demand (on by
-default).  It is fed P M P^T, with P the reverse of the dominance order, in
-which M is upper triangular: already Hessenberg and already in Schur form,
-so the Householder reduction skips every row and the QR sweep deflates at
-once.  A symmetric permutation is a similarity, so the numeric eigenvalues
-are those of M whatever the order; were the order wrong, the check would
-only be slower, never wrong.  This check and qes_spectrum are the only
-readers of a dense matrix.
+A NUMERIC_DPS-digit numeric eigensolve cross-checks the multiset on demand
+(on by default).  It first runs the permutation stage of balancing (Parlett
+and Reinsch 1969; LAPACK xGEBAL, job 'P') on the exact zero pattern of the
+rows it is handed.  An index whose row or column has no off-diagonal entry
+among the indices left is a 1x1 diagonal block of the matrix, symmetrically
+permuted, so its diagonal entry is an eigenvalue; it is removed, and
+mpmath.eig solves only the irreducible core left at the end.  A matrix that
+is triangular in some order peels completely, so checking a solvable
+spectrum takes no QR step.  The peel reads only the rows, never the
+engine's dominance order, so the check stays independent: a matrix that is
+not triangular keeps a core, and mpmath solves that core densely.  This
+check and qes_spectrum are the only readers of a dense matrix.
 """
 
 from __future__ import annotations
@@ -70,25 +74,75 @@ class SpectrumRecord:
         return sum(e.multiplicity for e in self.entries)
 
 
+def _to_mp(c: Fraction) -> mpmath.mpf:
+    # exact integer/denominator split keeps 50+ digit accuracy
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
 def _to_mp_matrix(rows: Sequence[Sequence[Fraction]]) -> mpmath.matrix:
     n = len(rows)
     m = mpmath.matrix(n, n)       # sparse: unset entries read as zero
     for i, row in enumerate(rows):
         for j, c in enumerate(row):
             if c:
-                # exact integer/denominator split keeps 50+ digit accuracy
-                m[i, j] = mpmath.mpf(c.numerator) / c.denominator
+                m[i, j] = _to_mp(c)
     return m
 
 
+def _permutation_split(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int]]:
+    """(isolated, core) indices of the square matrix `rows`.
+
+    An index whose row, or whose column, has no nonzero off-diagonal entry
+    among the indices left can be permuted to the bottom, or the top, of
+    them; its diagonal entry is then an eigenvalue, and the eigenvalues of
+    the rest are those of the matrix without it.  Such indices are removed
+    until none is left; the core is what remains, in the original order.
+    Counts of the off-diagonal entries left in each row and column and a
+    ready list make this O(n^2 + nnz).
+    """
+    n = len(rows)
+    row_entries = [[j for j, x in enumerate(row) if x and j != i]
+                   for i, row in enumerate(rows)]
+    col_entries: list[list[int]] = [[] for _ in range(n)]
+    for i, js in enumerate(row_entries):
+        for j in js:
+            col_entries[j].append(i)
+    row_left = [len(js) for js in row_entries]
+    col_left = [len(ks) for ks in col_entries]
+    removed = [not row_left[i] or not col_left[i] for i in range(n)]
+    ready = [i for i in range(n) if removed[i]]
+    isolated: list[int] = []
+    while ready:
+        k = ready.pop()
+        isolated.append(k)
+        for j in row_entries[k]:          # entry (k, j) leaves column j
+            if not removed[j]:
+                col_left[j] -= 1
+                if not col_left[j]:
+                    removed[j] = True
+                    ready.append(j)
+        for i in col_entries[k]:          # entry (i, k) leaves row i
+            if not removed[i]:
+                row_left[i] -= 1
+                if not row_left[i]:
+                    removed[i] = True
+                    ready.append(i)
+    return isolated, [i for i in range(n) if not removed[i]]
+
+
 def numeric_eigenvalues(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Eigenvalues only, at NUMERIC_DPS digits; no eigenvectors are built."""
+    """Eigenvalues only, at NUMERIC_DPS digits; no eigenvectors are built.
+
+    The diagonal entries of the indices the permutation stage isolates come
+    first, converted exactly; mpmath.eig solves the core that is left.
+    """
+    isolated, core = _permutation_split(rows)
     with mp.workdps(NUMERIC_DPS):
-        m = _to_mp_matrix(rows)
-        if len(rows) == 1:   # mpmath.eig returns a tuple for 1x1 whatever it is asked
-            return [mpmath.mpc(m[0, 0])]
-        values = mpmath.eig(m, left=False, right=False)
-        return [mpmath.mpc(v) for v in values]
+        values = [mpmath.mpc(_to_mp(rows[k][k])) for k in isolated]
+        if core:     # never 1x1: a lone index has an empty row
+            m = _to_mp_matrix([[rows[i][j] for j in core] for i in core])
+            values.extend(mpmath.mpc(v) for v in mpmath.eig(m, left=False, right=False))
+        return values
 
 
 def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = None,

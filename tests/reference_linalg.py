@@ -1,16 +1,22 @@
-"""Exact helpers that only the tests use: independent routes to the
+"""Helpers that only the tests use: independent routes to the
 determinant and the characteristic polynomial, the shifted matrix whose
 kernel triangular_nullspace finds, the dense triangular order and
-back-substitution that the sparse ones replaced, and the converter from a
-dense Fraction matrix to the sparse int columns the engine reads."""
+back-substitution that the sparse ones replaced, the converter from a
+dense Fraction matrix to the sparse int columns the engine reads, and the
+numeric eigensolve of the whole matrix that the permutation stage
+replaced."""
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+import mpmath
+from mpmath import mp
+
 from orbitforms import linalg
 from orbitforms.diffop import ExactMatrix
 from orbitforms.poly import FlagSpace
+from orbitforms.spectral import NUMERIC_DPS, _to_mp_matrix
 
 Matrix = list[list[Fraction]]
 
@@ -143,3 +149,13 @@ def dense_triangular_nullspace(a: Matrix, order: Sequence[int],
                 for i in reversed(range(n))] for t in solutions]
     red, pivots = linalg.rref(vectors)
     return [row[::-1] for row in reversed(red[:len(pivots)])]
+
+
+def dense_numeric_eigenvalues(rows: Matrix) -> list:
+    """numeric_eigenvalues without the permutation stage: the whole matrix
+    through mpmath.eig at NUMERIC_DPS digits."""
+    with mp.workdps(NUMERIC_DPS):
+        m = _to_mp_matrix(rows)
+        if len(rows) == 1:   # mpmath.eig returns a tuple for 1x1 whatever it is asked
+            return [mpmath.mpc(m[0, 0])]
+        return [mpmath.mpc(v) for v in mpmath.eig(m, left=False, right=False)]

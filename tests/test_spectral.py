@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitforms import linalg, models
@@ -19,12 +19,12 @@ from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
 from orbitforms.poly import MultiPoly
 from orbitforms.spectral import (NUMERIC_DPS, SpectralEntry, SpectrumRecord,
                                  _jacobi_polynomials, _numeric_multiset_check,
-                                 jacobi_gram, jacobi_reference,
+                                 _permutation_split, jacobi_gram, jacobi_reference,
                                  numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
-from reference_linalg import (dense_triangular_nullspace, dense_triangular_order,
-                              exact_matrix, poly_from_roots, shift_diagonal,
-                              sparse_columns)
+from reference_linalg import (dense_numeric_eigenvalues, dense_triangular_nullspace,
+                              dense_triangular_order, exact_matrix, poly_from_roots,
+                              shift_diagonal, sparse_columns)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -390,6 +390,10 @@ NUMERIC_CASES = {
 positive_rationals = st.builds(Fraction, st.integers(1, 7), st.integers(1, 5))
 
 
+def by_value(values):
+    return sorted(values, key=lambda v: (v.real, v.imag))
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(sorted(NUMERIC_CASES)),
        params=st.tuples(positive_rationals, positive_rationals, positive_rationals))
@@ -403,8 +407,8 @@ def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
     assert matrix.action_matrix(reverse) == permuted
     assert all(not permuted[i][j] for i in range(len(permuted)) for j in range(i))
     with mpmath.mp.workdps(NUMERIC_DPS):
-        dense, fast = (sorted(numeric_eigenvalues(m), key=lambda v: (v.real, v.imag))
-                       for m in (action, permuted))
+        dense = by_value(dense_numeric_eigenvalues(action))
+        fast = by_value(numeric_eigenvalues(permuted))
         assert len(dense) == len(fast) == len(action)
         assert max(abs(d - f) for d, f in zip(dense, fast)) < mpmath.mpf("1e-50")
 
@@ -425,6 +429,137 @@ def test_numeric_check_refuses_a_non_permutation_order(order):
     _numeric_multiset_check(action, [1, 0], [F(1), F(2)])
     with pytest.raises(InconsistencyError, match="not a permutation"):
         _numeric_multiset_check(action, order, [F(1), F(2)])
+
+
+# -- permutation stage against the whole-matrix solve -------------------------------
+
+COMPLEX_PAIR = [[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(2)]]  # (3 +- i sqrt 3)/2
+small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def simple_spectrum(block) -> bool:
+    """The block's characteristic polynomial has no repeated root (its
+    discriminant is nonzero), so the eigenvalues are well conditioned."""
+    coeffs = linalg.charpoly(block)
+    if len(block) == 2:
+        _, b, c = coeffs
+        return b * b - 4 * c != 0
+    _, b, c, d = coeffs
+    return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d != 0
+
+
+@st.composite
+def irreducible_blocks(draw, size):
+    """A size x size rational block with simple eigenvalues whose
+    off-diagonal graph has the cycle 0 -> 1 -> ... -> 0, so no symmetric
+    permutation makes it block triangular."""
+    if size == 2 and draw(st.booleans()):
+        return COMPLEX_PAIR
+    block = [[draw(small) for _ in range(size)] for _ in range(size)]
+    for k in range(size):
+        block[k][(k + 1) % size] = draw(small.filter(bool))
+    assume(simple_spectrum(block))
+    return block
+
+
+@st.composite
+def planted_matrices(draw):
+    """(P A P^T, blocks, P): A block upper triangular with 1x1 and irreducible
+    2x2 and 3x3 diagonal blocks, block k shifted by 30k so that every
+    eigenvalue is simple and far from the others; P a random permutation."""
+    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1, max_size=6))
+    n = sum(sizes)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    blocks, start = [], 0
+    for k, size in enumerate(sizes):
+        block = draw(irreducible_blocks(size)) if size > 1 else [[draw(small)]]
+        for i in range(size):
+            a[start + i][start:start + size] = block[i]
+            a[start + i][start + i] += 30 * k
+            a[start + i][start + size:] = [draw(small) for _ in range(n - start - size)]
+        blocks.append(range(start, start + size))
+        start += size
+    perm = draw(st.permutations(range(n)))
+    return [[a[i][j] for j in perm] for i in perm], blocks, perm
+
+
+def assert_same_multiset(values, reference, tol):
+    assert len(values) == len(reference)
+    for v in values:
+        assert min(abs(v - r) for r in reference) < tol
+    for r in reference:
+        assert min(abs(v - r) for v in values) < tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted=planted_matrices())
+def test_permutation_stage_matches_the_dense_solve_on_planted_blocks(planted):
+    rows, blocks, perm = planted
+    isolated, core = _permutation_split(rows)
+    assert sorted(isolated + core) == list(range(len(rows)))
+    position = {i: k for k, i in enumerate(perm)}
+    # the indices of an irreducible block stay together in the core; the 1x1
+    # blocks before the first and after the last irreducible one peel off
+    big = [b for b in blocks if len(b) > 1]
+    assert {position[i] for b in big for i in b} <= set(core)
+    ends = [i for b in blocks for i in b
+            if len(b) == 1 and (not big or b[0] < big[0][0] or b[0] > big[-1][0])]
+    assert {position[i] for i in ends} <= set(isolated)
+    with mpmath.mp.workdps(NUMERIC_DPS):
+        assert_same_multiset(numeric_eigenvalues(rows), dense_numeric_eigenvalues(rows),
+                             mpmath.mpf("1e-50"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(NUMERIC_CASES) + ["bc1_qes"]),
+       params=st.tuples(rationals, rationals, rationals),
+       level=st.integers(0, 6))
+def test_permutation_stage_matches_the_dense_solve_bit_for_bit(case, params, level):
+    """On the matrices the two checks hand to the solver (a solvable model
+    in reverse dominance order, a QES matrix as built), the peel gives the
+    whole-matrix solve's values exactly."""
+    if case == "bc1_qes":
+        bundle = build_bc1_qes(*params, level)
+        rows = restrict_to_flag(bundle.h, bundle.flag(level)).action_matrix()
+    else:
+        build, n = NUMERIC_CASES[case]
+        bundle = build(params)
+        matrix = restrict_to_flag(bundle.h, bundle.flag(n))
+        rows = matrix.action_matrix(linalg.triangular_order(matrix.columns)[::-1])
+        assert _permutation_split(rows)[1] == []
+    assert by_value(numeric_eigenvalues(rows)) == by_value(dense_numeric_eigenvalues(rows))
+
+
+def test_numeric_check_hands_a_planted_complex_pair_to_the_solver():
+    F = Fraction
+    a = [[F(5), F(1), F(0), F(2), F(0), F(1)],
+         [F(0), F(7), F(3), F(0), F(1), F(0)],
+         [F(0), F(0), F(1), F(1), F(2), F(0)],
+         [F(0), F(0), F(-1), F(2), F(0), F(1)],
+         [F(0), F(0), F(0), F(0), F(9), F(4)],
+         [F(0), F(0), F(0), F(0), F(0), F(11)]]
+    matrix = exact_matrix(a)
+    order = [5, 4, 3, 2, 1, 0]       # its reverse, the identity, is upper triangular
+    assert matrix.action_matrix(order[::-1]) == a
+    assert _permutation_split(a)[1] == [2, 3]
+    with pytest.raises(InconsistencyError, match="imaginary part"):
+        _numeric_multiset_check(matrix, order, [a[i][i] for i in range(6)])
+    with mpmath.mp.workdps(NUMERIC_DPS):
+        root3 = mpmath.sqrt(3)
+        pair = [mpmath.mpc(1.5, root3 / 2), mpmath.mpc(1.5, -root3 / 2)]
+        assert_same_multiset(numeric_eigenvalues(a), [5, 7, 9, 11, *pair],
+                             mpmath.mpf("1e-50"))
+
+
+def test_numeric_eigenvalues_of_diagonal_matrices_are_their_entries():
+    F = Fraction
+    with mpmath.mp.workdps(NUMERIC_DPS):
+        assert numeric_eigenvalues([[F(7, 3)]]) == [mpmath.mpc(mpmath.mpf(7) / 3)]
+        entries = [F(2), F(-1, 7), F(0), F(2), F(5, 3)]
+        diagonal = [[x if i == j else F(0) for j in range(5)] for i, x in enumerate(entries)]
+        assert _permutation_split(diagonal)[1] == []
+        assert by_value(numeric_eigenvalues(diagonal)) == by_value(
+            mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator) for x in entries)
 
 
 # -- golden report bytes -------------------------------------------------------------
