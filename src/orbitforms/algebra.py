@@ -49,8 +49,8 @@ class GeneratorSet:
     def non_raising(self) -> list[str]:
         return [g for g in self.names if self.roles[g] != "raising"]
 
-    def flag(self, n: int | None = None) -> FlagSpace:
-        return FlagSpace(self.d, self.flag_vector, self.n if n is None else n)
+    def flag(self) -> FlagSpace:
+        return FlagSpace(self.d, self.flag_vector, self.n)
 
 
 @dataclass(frozen=True)
@@ -252,11 +252,11 @@ def _gln_expected_table(gs: GeneratorSet) -> dict[tuple[str, str], GeneratorWord
     return table
 
 
-def check_structure(gs: GeneratorSet, flag_n: int | None = None) -> StructureReport:
+def check_structure(gs: GeneratorSet) -> StructureReport:
     """Verify commutator closure, flag invariance and the extra claimed
     identities of the generator set; every failure carries a witness string."""
     results: list[PropertyResult] = []
-    space = gs.flag(flag_n)
+    space = gs.flag()
 
     for name in gs.names:
         ok, witness = preserves_flag(gs.op(name), space)

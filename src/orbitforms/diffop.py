@@ -39,7 +39,6 @@ from typing import Mapping, Sequence, Union
 
 from .errors import (DimensionMismatch, DomainError, FlagViolation,
                      UnsupportedOrder)
-from .linalg import Matrix
 from .poly import (Exponents, FlagSpace, MultiPoly, RationalFn,
                    add_integer_terms, from_integer_terms, integer_product,
                    integer_terms)
@@ -460,8 +459,8 @@ class ExactMatrix:
     over the common denominator `den`, so the column-action matrix is
     M[i][j] = columns[j][i] / den.  A flag-preserving operator's matrix is
     block lower triangular in the graded order: an image can only reach
-    monomials of equal or lower f-degree.  Dense Fraction forms are built
-    on request only.
+    monomials of equal or lower f-degree.  Every reader takes the columns
+    as they are; no dense form is built.
     """
 
     __slots__ = ("space", "den", "columns")
@@ -478,31 +477,8 @@ class ExactMatrix:
     def dim(self) -> int:
         return len(self.columns)
 
-    def action_matrix(self, order: Sequence[int] | None = None) -> Matrix:
-        """Column-action matrix M with op(basis_j) = sum_i M[i][j] basis_i,
-        or, given an order of the indices, M with rows and columns taken in
-        that order (a permutation of the indices)."""
-        if order is None:
-            order = range(self.dim)
-        position = {i: k for k, i in enumerate(order)}
-        dense = [[ZERO] * len(position) for _ in position]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                dense[position[i]][position[j]] = Fraction(v, self.den)
-        return dense
-
-    @property
-    def rows(self) -> Matrix:
-        """Row i: the expansion of op(basis[i]) over the basis."""
-        return [list(row) for row in zip(*self.action_matrix())]
-
     def diagonal(self) -> list[Fraction]:
         return [Fraction(col.get(i, 0), self.den) for i, col in enumerate(self.columns)]
-
-    def is_block_triangular(self) -> bool:
-        grades = [self.space.grade(e) for e in self.space.basis]
-        return all(grades[i] <= grades[j]
-                   for j, col in enumerate(self.columns) for i in col)
 
     def trace(self) -> Fraction:
         return sum(self.diagonal(), ZERO)

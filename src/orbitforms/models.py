@@ -15,9 +15,10 @@ Conventions, fixed once and verified by the suites:
   ground factor reproduces the algebraic form exactly;
 * ground energies are in gauge units (Cartesian energy = e0 * beta^2 for the
   families with unit kinetic normalization);
-* the quadratic parts of the closed-form spectra are implemented as symmetric
-  quadratic forms (weight Gram matrices); the printed one-sided readings are
-  kept alongside for the discrepancy reports.
+* every closed-form spectrum is one quadratic form, built by _quadratic_form
+  once per bundle (for Sutherland and BC_N on the symmetric weight Gram
+  matrices); the printed one-sided readings are kept alongside for the
+  discrepancy reports.
 """
 
 from __future__ import annotations
@@ -195,11 +196,6 @@ def build_bc1(nu2, nu3) -> ModelBundle:
     spec = ModelSpec("BC1", nu2=nu2, nu3=nu3)
     h = bc1_operator(nu2, nu3)
     e0 = (nu2 + nu3 * HALF) ** 2
-    lin = 2 * nu2 + nu3
-
-    def eigenvalue(p: Exponents) -> Fraction:
-        (k,) = p
-        return Fraction(k * k) + lin * k
 
     def gauge() -> GaugeData:
         potential = bc1_rational_potential(nu2, nu3)
@@ -207,8 +203,10 @@ def build_bc1(nu2, nu3) -> ModelBundle:
         return (bc1_ground_factor(nu2, nu3),
                 delta_g + DiffOp(1, {(0,): potential}), potential)
 
+    # eps = k^2 + (2 nu2 + nu3) k
     return ModelBundle(spec=spec, d=1, h=h, flags=((1,),), e0=e0,
-                       eigenvalue=eigenvalue, gauge=gauge)
+                       eigenvalue=_quadratic_form([2 * nu2 + nu3], [[1]]),
+                       gauge=gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +593,16 @@ def g2_operator(nu: Fraction, mu: Fraction) -> DiffOp:
     })
 
 
-def g2_eigenvalue(nu: Fraction, mu: Fraction, p: Exponents) -> Fraction:
-    """eps = p1^2/3 + p1 p2 + p2^2 + (mu + 2 nu/3) p1 + (2 mu + nu) p2.
+def g2_eigenvalue(nu: Fraction, mu: Fraction) -> Callable[[Exponents], Fraction]:
+    """p -> eps = p1^2/3 + p1 p2 + p2^2 + (mu + 2 nu/3) p1 + (2 mu + nu) p2,
+    summed as 6 eps = (6 mu + 4 nu) p1 + (12 mu + 6 nu) p2
+                      + 2 p1^2 + 6 p1 p2 + 6 p2^2.
 
     The p1 linear coefficient follows the operator (the printed closed form
     carries (mu + nu); the discrepancy is reported by the verify suite).
     """
-    p1, p2 = p
-    return (Fraction(p1 * p1, 3) + p1 * p2 + p2 * p2
-            + (mu + Fraction(2, 3) * nu) * p1 + (2 * mu + nu) * p2)
+    return _quadratic_form([6 * mu + 4 * nu, 12 * mu + 6 * nu],
+                           [[2, 3], [3, 6]], 6)
 
 
 def g2_eigenvalue_printed(nu: Fraction, mu: Fraction, p: Exponents) -> Fraction:
@@ -617,7 +616,7 @@ def build_g2(nu, mu) -> ModelBundle:
     spec = ModelSpec("G2", nu=nu, mu=mu)
     h = g2_operator(nu, mu)
     return ModelBundle(spec=spec, d=2, h=h, flags=((1, 2), (3, 5), (5, 9)),
-                       e0=None, eigenvalue=lambda p: g2_eigenvalue(nu, mu, p),
+                       e0=None, eigenvalue=g2_eigenvalue(nu, mu),
                        gauge=_no_rational_form(2))
 
 

@@ -27,7 +27,7 @@ triangular by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -556,9 +556,6 @@ class FlagSpace:
     def contains(self, exps: Exponents) -> bool:
         return fdegree(exps, self.f) <= self.n
 
-    def contains_poly(self, p: MultiPoly) -> bool:
-        return all(self.contains(e) for e in p.terms)
-
     def grade(self, exps: Exponents) -> int:
         return fdegree(exps, self.f)
 
@@ -572,11 +569,6 @@ class FlagSpace:
 def enumerate_flag_basis(d: int, f: Sequence[int], n: int) -> FlagSpace:
     """Every monomial with sum(f_i p_i) <= n, exactly once, canonical order."""
     return FlagSpace(d, f, n)
-
-
-def unit_flag_dimension(d: int, n: int) -> int:
-    """dim of the (1,...,1) flag at level n: C(n+d, d)."""
-    return comb(n + d, d)
 
 
 def flag_dimension(f: Sequence[int], n: int) -> int:

@@ -59,10 +59,12 @@ MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
 CEILINGS = {"n": 40, "N": 10, "tuples": 100, "sample_points": 1000, "dps": 500}
 # Values under those ceilings can still ask for a huge flag (bcn N=10 n=40
 # has ~1e10 monomials), so spectrum also refuses a flag above this dimension.
-# The time grows about as dim^2.2.  On 2 cores, Sutherland N=6 n=6 (462
-# monomials) takes 11 s; bcn N=6 n=6 (924), the slowest admitted query
-# timed, takes 159 s, and bcn N=2 n=40 (861) 142 s at 286 MB peak RSS.
-# 2000 monomials would take ~15 min.
+# The time grows about as dim^2.2 to dim^2.3, and with the denominators of
+# the couplings.  One run each on 2 cores, numeric check on, at the default
+# zero couplings and at nu, nu2, nu3 = 1/2, 1/3, 1/5: Sutherland N=6 n=6
+# (462 monomials) takes 0.7 s and 1.1 s; bcn N=6 n=6 (924), the slowest
+# admitted query timed, 18 s and 56 s; bcn N=2 n=40 (861) 7 s at 101 MB and
+# 25 s at 325 MB peak RSS.  2000 monomials would take ~2 and ~6 min.
 FLAG_DIM_CEILING = 1000
 
 _DEFAULTS = {

@@ -12,17 +12,17 @@ against the operator, scaled to int numerators once per call.  A matrix
 with no such order is refused with UnsupportedModel.
 
 A NUMERIC_DPS-digit numeric eigensolve cross-checks the multiset on demand
-(on by default).  It first runs the permutation stage of balancing (Parlett
-and Reinsch 1969; LAPACK xGEBAL, job 'P') on the exact zero pattern of the
-rows it is handed.  An index whose row or column has no off-diagonal entry
-among the indices left is a 1x1 diagonal block of the matrix, symmetrically
-permuted, so its diagonal entry is an eigenvalue; it is removed, and
-mpmath.eig solves only the irreducible core left at the end.  A matrix that
-is triangular in some order peels completely, so checking a solvable
-spectrum takes no QR step.  The peel reads only the rows, never the
-engine's dominance order, so the check stays independent: a matrix that is
-not triangular keeps a core, and mpmath solves that core densely.  This
-check and qes_spectrum are the only readers of a dense matrix.
+(on by default).  It reads the same sparse columns, and first runs the
+permutation stage of balancing (Parlett and Reinsch 1969; LAPACK xGEBAL,
+job 'P') on their exact zero pattern.  An index whose row or column has no
+off-diagonal entry among the indices left is a 1x1 diagonal block of the
+matrix, symmetrically permuted, so its diagonal entry is an eigenvalue; it
+is removed, and mpmath.eig solves only the irreducible core left at the
+end.  A matrix that is triangular in some order peels completely, so
+checking a solvable spectrum takes no QR step.  The peel reads only the
+columns, never the engine's dominance order, so the check stays
+independent: a matrix that is not triangular keeps a core, and mpmath
+solves that core densely.  No step builds a dense Fraction matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import mpmath
 from mpmath import mp
@@ -79,30 +79,24 @@ def _to_mp(c: Fraction) -> mpmath.mpf:
     return mpmath.mpf(c.numerator) / c.denominator
 
 
-def _to_mp_matrix(rows: Sequence[Sequence[Fraction]]) -> mpmath.matrix:
-    n = len(rows)
-    m = mpmath.matrix(n, n)       # sparse: unset entries read as zero
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if c:
-                m[i, j] = _to_mp(c)
-    return m
-
-
-def _permutation_split(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int]]:
-    """(isolated, core) indices of the square matrix `rows`.
+def _permutation_split(columns: Sequence[Mapping[int, int]]) -> tuple[list[int], list[int]]:
+    """(isolated, core) indices of the square matrix whose column j holds its
+    entries as columns[j] = {row index: value}.
 
     An index whose row, or whose column, has no nonzero off-diagonal entry
     among the indices left can be permuted to the bottom, or the top, of
     them; its diagonal entry is then an eigenvalue, and the eigenvalues of
     the rest are those of the matrix without it.  Such indices are removed
-    until none is left; the core is what remains, in the original order.
+    until none is left; the core is what remains, in ascending order.
     Counts of the off-diagonal entries left in each row and column and a
-    ready list make this O(n^2 + nnz).
+    ready list make this O(n + nnz).
     """
-    n = len(rows)
-    row_entries = [[j for j, x in enumerate(row) if x and j != i]
-                   for i, row in enumerate(rows)]
+    n = len(columns)
+    row_entries: list[list[int]] = [[] for _ in range(n)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            if v and i != j:
+                row_entries[i].append(j)
     col_entries: list[list[int]] = [[] for _ in range(n)]
     for i, js in enumerate(row_entries):
         for j in js:
@@ -130,17 +124,24 @@ def _permutation_split(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], l
     return isolated, [i for i in range(n) if not removed[i]]
 
 
-def numeric_eigenvalues(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Eigenvalues only, at NUMERIC_DPS digits; no eigenvectors are built.
+def numeric_eigenvalues(columns: Sequence[Mapping[int, int]], den: int) -> list:
+    """Eigenvalues only, at NUMERIC_DPS digits, of the matrix
+    M[i][j] = columns[j][i] / den; no eigenvectors are built.
 
     The diagonal entries of the indices the permutation stage isolates come
     first, converted exactly; mpmath.eig solves the core that is left.
     """
-    isolated, core = _permutation_split(rows)
+    isolated, core = _permutation_split(columns)
     with mp.workdps(NUMERIC_DPS):
-        values = [mpmath.mpc(_to_mp(rows[k][k])) for k in isolated]
+        values = [mpmath.mpc(_to_mp(Fraction(columns[k].get(k, 0), den)))
+                  for k in isolated]
         if core:     # never 1x1: a lone index has an empty row
-            m = _to_mp_matrix([[rows[i][j] for j in core] for i in core])
+            position = {i: k for k, i in enumerate(core)}
+            m = mpmath.matrix(len(core), len(core))   # sparse: unset entries read as zero
+            for j in core:
+                for i, v in columns[j].items():
+                    if i in position:
+                        m[position[i], position[j]] = _to_mp(Fraction(v, den))
             values.extend(mpmath.mpc(v) for v in mpmath.eig(m, left=False, right=False))
         return values
 
@@ -209,7 +210,7 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
 
     numeric_checked = False
     if numeric_check:
-        _numeric_multiset_check(matrix, order, roots)
+        _numeric_multiset_check(matrix, roots)
         numeric_checked = True
     return SpectrumRecord(model.spec.family, space.d, space.f, n,
                           tuple(entries), tuple(defective), numeric_checked)
@@ -220,18 +221,9 @@ def _vector_to_poly(vec: Sequence[Fraction], space: FlagSpace) -> MultiPoly:
     return MultiPoly(space.d, terms)
 
 
-def _numeric_multiset_check(matrix: ExactMatrix, order: Sequence[int],
-                            roots: Sequence[Fraction]) -> None:
-    """The numeric eigenvalues of `matrix` equal `roots` within NUMERIC_TOL.
-
-    The solver gets the matrix permuted into the reverse of `order`, which
-    makes a dominance-triangular matrix upper triangular; the permutation is
-    a similarity, so nothing here trusts that the order is triangular.
-    """
-    if sorted(order) != list(range(matrix.dim)):
-        raise InconsistencyError("numeric check order is not a permutation "
-                                 "of the matrix indices")
-    values = numeric_eigenvalues(matrix.action_matrix(order[::-1]))
+def _numeric_multiset_check(matrix: ExactMatrix, roots: Sequence[Fraction]) -> None:
+    """The numeric eigenvalues of `matrix` equal `roots` within NUMERIC_TOL."""
+    values = numeric_eigenvalues(matrix.columns, matrix.den)
     with mp.workdps(NUMERIC_DPS):
         bound = mpmath.mpf(NUMERIC_TOL)
         for v in values:
@@ -259,7 +251,7 @@ class QesSpectrumRecord:
     trace_gap: object
 
 
-def qes_spectrum(model: ModelBundle, n: int | None = None) -> QesSpectrumRecord:
+def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
     """Numeric spectrum of a QES model on its single invariant subspace.
 
     Eigenvalues come from a high-precision diagonalization of the exact
@@ -268,11 +260,8 @@ def qes_spectrum(model: ModelBundle, n: int | None = None) -> QesSpectrumRecord:
     """
     if model.eigenvalue is not None:
         raise UnsupportedModel("qes_spectrum is for QES families")
-    level = model.spec.n if n is None else n
-    space = model.flag(level)
-    matrix = restrict_to_flag(model.h, space)
-    action = matrix.action_matrix()
-    values = numeric_eigenvalues(action)
+    matrix = restrict_to_flag(model.h, model.flag(model.spec.n))
+    values = numeric_eigenvalues(matrix.columns, matrix.den)
     with mp.workdps(NUMERIC_DPS):
         order = sorted(range(len(values)), key=lambda i: mpmath.mpf(values[i].real))
         max_imag = max((abs(values[i].imag) for i in order), default=mp.mpf(0))
@@ -280,7 +269,7 @@ def qes_spectrum(model: ModelBundle, n: int | None = None) -> QesSpectrumRecord:
         exact_trace = matrix.trace()
         trace_gap = abs(sum(eigvals) - mpmath.mpf(exact_trace.numerator)
                         / exact_trace.denominator)
-    return QesSpectrumRecord(model.spec.family, level, matrix, eigvals,
+    return QesSpectrumRecord(model.spec.family, model.spec.n, matrix, eigvals,
                              max_imag, trace_gap)
 
 

@@ -123,7 +123,8 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
             rec.exact["distinct_eigenvalues"] = len(record.entries)
         checks.append(_record(name, run))
 
-    # numeric 50-digit cross-check on one representative per family
+    # numeric cross-check at spectral.NUMERIC_DPS (60) digits, one representative
+    # per family
     numeric_jobs = []
     if config.get("numeric_check", True):
         if _model_wanted(config, "bc1"):

@@ -7,7 +7,8 @@ and the polynomial product inside `apply` and `compose` routed through
 the `ncols` bound of the program's signature and nothing else new.  The
 coefficient builders of the Sutherland and BC_N forms are the MultiPoly
 loops that the pair tables replaced, with the closed-form eigenvalues as
-they were written before the precomputed forms.  `restrict_to_flag` is the
+they were written before the precomputed forms; the bc1 and g2 ones are
+the closures that the shared quadratic form replaced.  `restrict_to_flag` is the
 per-monomial loop that applied the operator to each basis monomial, here
 through `apply` above.  The oracle functions are those from before the
 per-check constants, each converting its Fractions anew on every call:
@@ -202,6 +203,18 @@ def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
     quad = sum(min(i, j) * p[i - 1] * p[j - 1]
                for i in range(1, N + 1) for j in range(1, N + 1))
     return lin + quad
+
+
+def bc1_eigenvalue(nu2: Fraction, nu3: Fraction, p) -> Fraction:
+    lin = 2 * nu2 + nu3
+    (k,) = p
+    return Fraction(k * k) + lin * k
+
+
+def g2_eigenvalue(nu: Fraction, mu: Fraction, p) -> Fraction:
+    p1, p2 = p
+    return (Fraction(p1 * p1, 3) + p1 * p2 + p2 * p2
+            + (mu + Fraction(2, 3) * nu) * p1 + (2 * mu + nu) * p2)
 
 
 def _elementary_symmetric(vals, k):

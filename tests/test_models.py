@@ -15,8 +15,9 @@ from orbitforms.models import (_assemble_second_order, bc2_rational_potential,
                                build_bc1, build_bc1_qes,
                                build_bcn, build_g2, build_mw_family,
                                build_sutherland, char_vector_table,
-                               eigenvalue_formula, sutherland_coefficients,
-                               sutherland_eigenvalue, ttw_models)
+                               eigenvalue_formula, g2_eigenvalue,
+                               sutherland_coefficients, sutherland_eigenvalue,
+                               ttw_models)
 from orbitforms.poly import MultiPoly
 from orbitforms.report import CEILINGS
 import reference_kernels as ref
@@ -299,6 +300,19 @@ def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
         want = ref.bcn_eigenvalue(N, *nus, p)
         assert bundle.eigenvalue(p) == want
         assert bcn_eigenvalue(N, *nus)(p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nus=st.tuples(couplings, couplings))
+def test_bc1_and_g2_quadratic_forms_match_the_closures(data, nus):
+    bc1, g2 = build_bc1(*nus), build_g2(*nus)
+    for _ in range(3):
+        k = data.draw(exponents(1), label="k")
+        assert bc1.eigenvalue(k) == ref.bc1_eigenvalue(*nus, k)
+        p = data.draw(exponents(2), label="p")
+        want = ref.g2_eigenvalue(*nus, p)
+        assert g2.eigenvalue(p) == want
+        assert g2_eigenvalue(*nus)(p) == want
 
 
 def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():

@@ -22,9 +22,11 @@ from orbitforms.spectral import (NUMERIC_DPS, SpectralEntry, SpectrumRecord,
                                  _permutation_split, jacobi_gram, jacobi_reference,
                                  numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
-from reference_linalg import (dense_numeric_eigenvalues, dense_triangular_nullspace,
-                              dense_triangular_order, exact_matrix, poly_from_roots,
-                              shift_diagonal, sparse_columns)
+from reference_linalg import (dense_action_matrix, dense_numeric_eigenvalues,
+                              dense_permutation_split, dense_triangular_nullspace,
+                              dense_triangular_order, exact_matrix,
+                              is_block_triangular, poly_from_roots, shift_diagonal,
+                              sparse_columns)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -251,7 +253,7 @@ def test_restricted_matrices_block_triangular():
             (build_g2(Fraction(1, 2), Fraction(1, 3)), 5)]
     for bundle, n in jobs:
         m = restrict_to_flag(bundle.h, bundle.flag(n))
-        assert m.is_block_triangular()
+        assert is_block_triangular(m)
 
 
 def test_g2_spectrum_on_alternative_gradings():
@@ -288,7 +290,7 @@ def test_triangular_engine_matches_charpoly_and_rref(case, params):
     build, n, vector = TRIANGULAR_CASES[case]
     bundle = build(params)
     matrix = restrict_to_flag(bundle.h, bundle.flag(n, vector))
-    action = matrix.action_matrix()
+    action = dense_action_matrix(matrix)
     order = linalg.triangular_order(matrix.columns)
     assert order is not None
     position = {i: k for k, i in enumerate(order)}
@@ -314,7 +316,7 @@ def test_sparse_kernels_match_the_dense_loop(case, params):
     build, n, vector = TRIANGULAR_CASES[case]
     bundle = build(params)
     matrix = restrict_to_flag(bundle.h, bundle.flag(n, vector))
-    action = matrix.action_matrix()
+    action = dense_action_matrix(matrix)
     order = linalg.triangular_order(matrix.columns)
     assert order == dense_triangular_order(action)
     diagonal = set(matrix.diagonal())
@@ -329,7 +331,7 @@ def reference_spectrum(model, n, vector=None):
     """spectrum(model, n, vector=vector, numeric_check=False) on the dense
     path: dense rows, the dense order and back-substitution, and apply."""
     space = model.flag(n, vector)
-    action = restrict_to_flag(model.h, space).action_matrix()
+    action = dense_action_matrix(restrict_to_flag(model.h, space))
     order = dense_triangular_order(action)
     predicted = {}
     for mono in space.basis:
@@ -374,7 +376,7 @@ def test_cyclic_matrix_is_refused():
         spectrum(bundle, 1, numeric_check=False)
 
 
-# -- numeric cross-check on the dominance-ordered matrix ---------------------------
+# -- numeric cross-check on the sparse columns --------------------------------------
 
 NUMERIC_CASES = {
     "bc1 n=6": (lambda p: build_bc1(p[0], p[1]), 6),
@@ -398,40 +400,29 @@ def by_value(values):
 @given(case=st.sampled_from(sorted(NUMERIC_CASES)),
        params=st.tuples(positive_rationals, positive_rationals, positive_rationals))
 def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
+    """A solvable matrix peels completely in the order the flag gives its
+    indices, and its values are those of the whole-matrix solve."""
     build, n = NUMERIC_CASES[case]
     bundle = build(params)
     matrix = restrict_to_flag(bundle.h, bundle.flag(n))
-    action = matrix.action_matrix()
-    reverse = linalg.triangular_order(matrix.columns)[::-1]
-    permuted = [[action[i][j] for j in reverse] for i in reverse]
-    assert matrix.action_matrix(reverse) == permuted
-    assert all(not permuted[i][j] for i in range(len(permuted)) for j in range(i))
+    assert _permutation_split(matrix.columns)[1] == []
     with mpmath.mp.workdps(NUMERIC_DPS):
-        dense = by_value(dense_numeric_eigenvalues(action))
-        fast = by_value(numeric_eigenvalues(permuted))
-        assert len(dense) == len(fast) == len(action)
+        dense = by_value(dense_numeric_eigenvalues(dense_action_matrix(matrix)))
+        fast = by_value(numeric_eigenvalues(matrix.columns, matrix.den))
+        assert len(dense) == len(fast) == matrix.dim
         assert max(abs(d - f) for d, f in zip(dense, fast)) < mpmath.mpf("1e-50")
 
 
 def test_numeric_check_does_not_trust_the_order():
     # diagonal {1, 2} as claimed, but the eigenvalues are (3 +- i sqrt 3)/2
     F = Fraction
-    action = exact_matrix([[F(1), F(1)], [F(-1), F(2)]])
-    for order in ([0, 1], [1, 0]):
-        with pytest.raises(InconsistencyError):
-            _numeric_multiset_check(action, order, [F(1), F(2)])
+    matrix = exact_matrix([[F(1), F(1)], [F(-1), F(2)]])
+    assert linalg.triangular_order(matrix.columns) is None
+    with pytest.raises(InconsistencyError):
+        _numeric_multiset_check(matrix, [F(1), F(2)])
 
 
-@pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 2], [0, 2], [-1, 0]])
-def test_numeric_check_refuses_a_non_permutation_order(order):
-    F = Fraction
-    action = exact_matrix([[F(1), F(0)], [F(3), F(2)]])
-    _numeric_multiset_check(action, [1, 0], [F(1), F(2)])
-    with pytest.raises(InconsistencyError, match="not a permutation"):
-        _numeric_multiset_check(action, order, [F(1), F(2)])
-
-
-# -- permutation stage against the whole-matrix solve -------------------------------
+# -- sparse permutation stage against the dense references --------------------------
 
 COMPLEX_PAIR = [[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(2)]]  # (3 +- i sqrt 3)/2
 small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -491,12 +482,39 @@ def assert_same_multiset(values, reference, tol):
         assert min(abs(v - r) for v in values) < tol
 
 
+def dense_peeled_eigenvalues(rows) -> list:
+    """numeric_eigenvalues on dense rows: the dense split, each isolated
+    diagonal entry converted exactly, and the core's rows, in ascending
+    order, through the whole-matrix solve."""
+    isolated, core = dense_permutation_split(rows)
+    with mpmath.mp.workdps(NUMERIC_DPS):
+        values = [mpmath.mpc(mpmath.mpf(rows[k][k].numerator) / rows[k][k].denominator)
+                  for k in isolated]
+    if core:
+        values += dense_numeric_eigenvalues([[rows[i][j] for j in core] for i in core])
+    return values
+
+
+def assert_same_split(matrix, rows):
+    """The sparse peel of `matrix` isolates the indices, and leaves the core,
+    that the dense peel of its dense rows does; the values are the same
+    bits."""
+    isolated, core = _permutation_split(matrix.columns)
+    dense_isolated, dense_core = dense_permutation_split(rows)
+    assert sorted(isolated) == sorted(dense_isolated)
+    assert core == dense_core
+    assert sorted(isolated + core) == list(range(matrix.dim))
+    assert (by_value(numeric_eigenvalues(matrix.columns, matrix.den))
+            == by_value(dense_peeled_eigenvalues(rows)))
+    return isolated, core
+
+
 @settings(max_examples=60, deadline=None)
 @given(planted=planted_matrices())
 def test_permutation_stage_matches_the_dense_solve_on_planted_blocks(planted):
     rows, blocks, perm = planted
-    isolated, core = _permutation_split(rows)
-    assert sorted(isolated + core) == list(range(len(rows)))
+    matrix = exact_matrix(rows)
+    isolated, core = assert_same_split(matrix, rows)
     position = {i: k for k, i in enumerate(perm)}
     # the indices of an irreducible block stay together in the core; the 1x1
     # blocks before the first and after the last irreducible one peel off
@@ -506,8 +524,8 @@ def test_permutation_stage_matches_the_dense_solve_on_planted_blocks(planted):
             if len(b) == 1 and (not big or b[0] < big[0][0] or b[0] > big[-1][0])]
     assert {position[i] for i in ends} <= set(isolated)
     with mpmath.mp.workdps(NUMERIC_DPS):
-        assert_same_multiset(numeric_eigenvalues(rows), dense_numeric_eigenvalues(rows),
-                             mpmath.mpf("1e-50"))
+        assert_same_multiset(numeric_eigenvalues(matrix.columns, matrix.den),
+                             dense_numeric_eigenvalues(rows), mpmath.mpf("1e-50"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -515,19 +533,25 @@ def test_permutation_stage_matches_the_dense_solve_on_planted_blocks(planted):
        params=st.tuples(rationals, rationals, rationals),
        level=st.integers(0, 6))
 def test_permutation_stage_matches_the_dense_solve_bit_for_bit(case, params, level):
-    """On the matrices the two checks hand to the solver (a solvable model
-    in reverse dominance order, a QES matrix as built), the peel gives the
-    whole-matrix solve's values exactly."""
+    """On the model matrices the two checks solve, the sparse path splits as
+    the dense path does, and gives exactly the values of the whole-matrix
+    solve of the matrix a dense check would hand the solver: a solvable
+    model in reverse dominance order, where it is upper triangular, and a
+    QES matrix as built."""
     if case == "bc1_qes":
         bundle = build_bc1_qes(*params, level)
-        rows = restrict_to_flag(bundle.h, bundle.flag(level)).action_matrix()
+        matrix = restrict_to_flag(bundle.h, bundle.flag(level))
+        order = None
     else:
         build, n = NUMERIC_CASES[case]
         bundle = build(params)
         matrix = restrict_to_flag(bundle.h, bundle.flag(n))
-        rows = matrix.action_matrix(linalg.triangular_order(matrix.columns)[::-1])
-        assert _permutation_split(rows)[1] == []
-    assert by_value(numeric_eigenvalues(rows)) == by_value(dense_numeric_eigenvalues(rows))
+        order = linalg.triangular_order(matrix.columns)[::-1]
+    _, core = assert_same_split(matrix, dense_action_matrix(matrix))
+    if order is not None:
+        assert core == []
+    assert (by_value(numeric_eigenvalues(matrix.columns, matrix.den))
+            == by_value(dense_numeric_eigenvalues(dense_action_matrix(matrix, order))))
 
 
 def test_numeric_check_hands_a_planted_complex_pair_to_the_solver():
@@ -539,27 +563,28 @@ def test_numeric_check_hands_a_planted_complex_pair_to_the_solver():
          [F(0), F(0), F(0), F(0), F(9), F(4)],
          [F(0), F(0), F(0), F(0), F(0), F(11)]]
     matrix = exact_matrix(a)
-    order = [5, 4, 3, 2, 1, 0]       # its reverse, the identity, is upper triangular
-    assert matrix.action_matrix(order[::-1]) == a
-    assert _permutation_split(a)[1] == [2, 3]
+    assert _permutation_split(matrix.columns)[1] == [2, 3]
     with pytest.raises(InconsistencyError, match="imaginary part"):
-        _numeric_multiset_check(matrix, order, [a[i][i] for i in range(6)])
+        _numeric_multiset_check(matrix, [a[i][i] for i in range(6)])
     with mpmath.mp.workdps(NUMERIC_DPS):
         root3 = mpmath.sqrt(3)
         pair = [mpmath.mpc(1.5, root3 / 2), mpmath.mpc(1.5, -root3 / 2)]
-        assert_same_multiset(numeric_eigenvalues(a), [5, 7, 9, 11, *pair],
-                             mpmath.mpf("1e-50"))
+        assert_same_multiset(numeric_eigenvalues(matrix.columns, matrix.den),
+                             [5, 7, 9, 11, *pair], mpmath.mpf("1e-50"))
 
 
 def test_numeric_eigenvalues_of_diagonal_matrices_are_their_entries():
     F = Fraction
     with mpmath.mp.workdps(NUMERIC_DPS):
-        assert numeric_eigenvalues([[F(7, 3)]]) == [mpmath.mpc(mpmath.mpf(7) / 3)]
+        assert numeric_eigenvalues([{0: 7}], 3) == [mpmath.mpc(mpmath.mpf(7) / 3)]
         entries = [F(2), F(-1, 7), F(0), F(2), F(5, 3)]
-        diagonal = [[x if i == j else F(0) for j in range(5)] for i, x in enumerate(entries)]
-        assert _permutation_split(diagonal)[1] == []
-        assert by_value(numeric_eigenvalues(diagonal)) == by_value(
+        diagonal = exact_matrix([[x if i == j else F(0) for j in range(5)]
+                                 for i, x in enumerate(entries)])
+        assert _permutation_split(diagonal.columns)[1] == []
+        assert by_value(numeric_eigenvalues(diagonal.columns, diagonal.den)) == by_value(
             mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator) for x in entries)
+        # the peel reads the exact zero pattern: a stored zero is no entry
+        assert _permutation_split([{0: 1, 1: 0}, {0: 0, 1: 2}]) == ([1, 0], [])
 
 
 # -- golden report bytes -------------------------------------------------------------
