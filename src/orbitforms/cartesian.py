@@ -23,8 +23,8 @@ which path computed them; the public point functions build the same
 objects.
 
 Ground factors, potentials and alcove walls come from one table of positive
-roots per family (`root_table`, built once per spec), in the
-Olshanetsky-Perelomov form
+roots per family (`models.root_table`, built once per spec, from which the
+exact BC gauge data are derived as well), in the Olshanetsky-Perelomov form
 
     Psi0 = prod_alpha |sin(beta alpha.x / 2)|^g_alpha
     V    = kinetic * sum_alpha c_alpha |alpha|^2 beta^2 / (4 sin^2(beta alpha.x / 2))
@@ -58,7 +58,7 @@ from mpmath import mp
 
 from .errors import (DimensionMismatch, DomainError, InconsistencyError,
                      UnsupportedModel)
-from .models import ModelBundle, ModelSpec, TTWDescriptor
+from .models import ModelBundle, ModelSpec, TTWDescriptor, kinetic_half, root_table
 from .poly import ZERO, MultiPoly
 
 DEFAULT_DPS = 40
@@ -140,52 +140,6 @@ def _abs_sin_pow(arg, expo, floor):
     if s < floor:
         raise DomainError("evaluation at a node of the ground factor")
     return s ** expo
-
-
-@dataclass(frozen=True)
-class RootOrbit:
-    """One Weyl orbit of positive roots; g_alpha and c_alpha are constant on
-    it, so its constants are exact Fractions kept once."""
-
-    forms: tuple        # each root alpha as ((index, integer coefficient), ...)
-    exponent: Fraction  # g_alpha, the power of |sin| in Psi0
-    potential: Fraction  # kinetic * c_alpha * |alpha|^2 / 4, times beta^2 / sin^2
-    wall: Fraction      # alcove walls sit at |sin| = wall * min_sin
-
-
-def _orbit(forms, exponent, coupling, kinetic, wall=Fraction(1)) -> RootOrbit:
-    norm = sum(c * c for _, c in forms[0])     # |alpha|^2, the same on the orbit
-    return RootOrbit(tuple(forms), exponent, kinetic * coupling * norm / 4, wall)
-
-
-@functools.lru_cache(maxsize=256)
-def root_table(spec: ModelSpec) -> tuple[RootOrbit, ...]:
-    """The positive roots of the family of `spec`, built once per spec."""
-    fam = spec.family
-    kinetic = Fraction(1, 2) if kinetic_half(spec) else Fraction(1)
-    if fam in ("SUTHERLAND", "G2"):
-        N = 3 if fam == "G2" else spec.N
-        pairs = [((i, 1), (j, -1)) for i in range(N) for j in range(i + 1, N)]
-        orbits = [_orbit(pairs, spec.nu, spec.nu * (spec.nu - 1), kinetic)]
-        if fam == "G2":
-            long = [((i, 1), (j, 1), (k, -2))
-                    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
-            orbits.append(_orbit(long, spec.mu, spec.mu * (spec.mu - 1), kinetic))
-        return tuple(orbits)
-    if fam in ("BC1", "BC1_QES", "BCN"):
-        N = spec.N if fam == "BCN" else 1
-        nu2, nu3 = spec.nu2, spec.nu3
-        orbits = []
-        if N > 1:
-            pairs = [form for i in range(N) for j in range(i + 1, N)
-                     for form in (((i, 1), (j, -1)), ((i, 1), (j, 1)))]
-            orbits.append(_orbit(pairs, spec.nu, spec.nu * (spec.nu - 1), kinetic))
-        orbits.append(_orbit([((i, 2),) for i in range(N)],
-                             nu2, nu2 * (nu2 - 1), kinetic))
-        orbits.append(_orbit([((i, 1),) for i in range(N)],
-                             nu3, nu3 * (nu3 + 2 * nu2 - 1), kinetic, Fraction(1, 2)))
-        return tuple(orbits)
-    raise UnsupportedModel(f"no root system for {fam}")
 
 
 def _form_value(form, x):
@@ -287,10 +241,6 @@ def hamiltonian_potential(spec: ModelSpec, x: Sequence, beta=1):
     carries the kinetic factor (1 for the one-variable family, 1/2 for the
     others)."""
     return CheckGround(spec, beta).potential(x)
-
-
-def kinetic_half(spec: ModelSpec) -> bool:
-    return spec.family not in ("BC1", "BC1_QES")
 
 
 # ---------------------------------------------------------------------------

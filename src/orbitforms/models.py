@@ -8,11 +8,18 @@ variables and, where available, the rational form (Laplace-Beltrami part plus
 rational potential).  Only the gauge identity reads the gauge data, so the
 spectra, flags, pi-integrals and algebras never pay for it.
 
+The positive roots of every family with their exponents and couplings
+(Olshanetsky-Perelomov) are one table here, root_table, which the Cartesian
+oracle reads too.  bc_gauge_data derives from it the exact gauge data of
+bc1, bc1_qes and BC_N at every N; Sutherland and G2 have none yet.
+
 Conventions, fixed once and verified by the suites:
 
-* the rational form is  H(tau) = Delta_g + V(tau)  where Delta_g equals the
-  algebraic operator at zero couplings; with this sign the conjugation by the
-  ground factor reproduces the algebraic form exactly;
+* the rational form is  H(tau) = Delta_g + V(tau) / kinetic  where Delta_g
+  equals the algebraic operator at zero couplings, V is the potential of
+  the Cartesian H = -kinetic sum d^2 + V and kinetic is 1 for the
+  one-variable families and 1/2 for BC_N at every N; with this sign the
+  conjugation by the ground factor reproduces the algebraic form exactly;
 * ground energies are in gauge units (Cartesian energy = e0 * beta^2 for the
   families with unit kinetic normalization);
 * every closed-form spectrum is one quadratic form, built by _quadratic_form
@@ -25,14 +32,16 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .diffop import DiffOp, GaugeFactor
 from .errors import DomainError, UnsupportedModel
 from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, RationalFn,
-                   Scalar, from_integer_terms, integer_terms)
+                   Scalar, add_integer_terms, from_integer_terms,
+                   integer_product, integer_terms, symmetric_reduce)
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -120,8 +129,146 @@ class ModelBundle:
 
 
 def _no_rational_form(d: int) -> Callable[[], GaugeData]:
-    # the orbit-space factor is not polynomial; the Cartesian module owns it
+    # not derived yet; the Cartesian oracle checks these families numerically
     return lambda: (GaugeFactor(d), None, None)
+
+
+# ---------------------------------------------------------------------------
+# Root data (Olshanetsky-Perelomov)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RootOrbit:
+    """One Weyl orbit of positive roots; g_alpha and c_alpha are constant on
+    it, so its constants are exact Fractions kept once."""
+
+    forms: tuple        # each root alpha as ((index, integer coefficient), ...)
+    exponent: Fraction  # g_alpha, the power of |sin| in Psi0
+    coupling: Fraction  # c_alpha, the strength of 1/sin^2 in V
+    kinetic: Fraction   # H = -kinetic sum d^2 + V
+    wall: Fraction = Fraction(1)   # alcove walls sit at |sin| = wall * min_sin
+
+    @property
+    def norm(self) -> int:
+        """|alpha|^2, the same on the orbit."""
+        return sum(c * c for _, c in self.forms[0])
+
+    @property
+    def potential(self) -> Fraction:
+        """kinetic * c_alpha * |alpha|^2 / 4, times beta^2 / sin^2 in V."""
+        return self.kinetic * self.coupling * self.norm / 4
+
+
+def kinetic_half(spec: ModelSpec) -> bool:
+    return spec.family not in ("BC1", "BC1_QES")
+
+
+@lru_cache(maxsize=256)
+def root_table(spec: ModelSpec) -> tuple[RootOrbit, ...]:
+    """The positive roots of the family of `spec`, built once per spec.
+
+    c_alpha = g_alpha (g_alpha - 1), except nu3 (nu3 + 2 nu2 - 1) for the BC
+    short root, whose wall also sits at half the margin.
+    """
+    fam = spec.family
+    kinetic = Fraction(1, 2) if kinetic_half(spec) else Fraction(1)
+
+    def orbit(forms, g, coupling=None, wall=Fraction(1)) -> RootOrbit:
+        coupling = g * (g - 1) if coupling is None else coupling
+        return RootOrbit(tuple(forms), g, coupling, kinetic, wall)
+
+    if fam in ("SUTHERLAND", "G2"):
+        N = 3 if fam == "G2" else spec.N
+        pairs = [((i, 1), (j, -1)) for i in range(N) for j in range(i + 1, N)]
+        orbits = [orbit(pairs, spec.nu)]
+        if fam == "G2":
+            long = [((i, 1), (j, 1), (k, -2))
+                    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
+            orbits.append(orbit(long, spec.mu))
+        return tuple(orbits)
+    if fam in ("BC1", "BC1_QES", "BCN"):
+        N = spec.N if fam == "BCN" else 1
+        nu2, nu3 = spec.nu2, spec.nu3
+        orbits = []
+        if N > 1:
+            pairs = [form for i in range(N) for j in range(i + 1, N)
+                     for form in (((i, 1), (j, -1)), ((i, 1), (j, 1)))]
+            orbits.append(orbit(pairs, spec.nu))
+        orbits.append(orbit([((i, 2),) for i in range(N)], nu2))
+        orbits.append(orbit([((i, 1),) for i in range(N)], nu3,
+                            nu3 * (nu3 + 2 * nu2 - 1), Fraction(1, 2)))
+        return tuple(orbits)
+    raise UnsupportedModel(f"no root system for {fam}")
+
+
+# ---------------------------------------------------------------------------
+# BC gauge data, derived from the root table
+# ---------------------------------------------------------------------------
+
+def _bc_pairs(N: int) -> tuple[MultiPoly, MultiPoly]:
+    """(disc, pair) in tau_k = e_k(c) of N >= 2 cosines c_j, reduced by
+    symmetric_reduce from their terms in the c_j with sorted exponents:
+    disc = prod_{i<j} (c_i - c_j)^2 and pair / disc = sum_{i<j} 4 (1 - c_i c_j)
+    / (c_i - c_j)^2.  With W = prod (c_i - c_j) over the pairs other than
+    (0, 1), disc = ((c_0 - c_1) W)^2 and the (i, j) term of pair is
+    F = 4 (1 - c_0 c_1) W^2 with c_0, c_1 moved to c_i, c_j; so a term of F
+    sorted on places 0, 1 and on the rest counts once per pair of places of
+    its sorted exponents that holds its (e_0, e_1).
+    """
+    def unit(*idx) -> Exponents:
+        return tuple(idx.count(i) for i in range(N))
+
+    W = {unit(): 1}
+    for i, j in combinations(range(N), 2):
+        if j > 1:
+            W = integer_product(W, ((unit(i), 1), (unit(j), -1)))
+    V = integer_product(W, ((unit(0), 1), (unit(1), -1)))
+    pair: dict[Exponents, int] = {}
+    for e, v in integer_product(integer_product(W, W.items()),
+                                ((unit(), 4), (unit(0, 1), -4))).items():
+        if e[0] >= e[1] and all(x >= y for x, y in zip(e[2:], e[3:])):
+            m = tuple(sorted(e, reverse=True))
+            a, b = m.count(e[0]), m.count(e[1])
+            add_integer_terms(pair, {m: v * (a * b if e[0] > e[1] else a * (a - 1) // 2)})
+    return tuple(from_integer_terms(N, 1, symmetric_reduce(N, p))
+                 for p in (integer_product(V, V.items()), pair))
+
+
+def bc_gauge_data(spec: ModelSpec, delta_g: DiffOp, exp_arg: MultiPoly | None = None,
+                  extra: MultiPoly | int = 0) -> GaugeData:
+    """Ground factor, rational form Delta_g + V / kinetic and potential V of
+    a BC family, from root_table(spec).  With c_j = cos x_j (beta = 1):
+
+        pair x_i -+ x_j: sin((x_i - x_j)/2) sin((x_i + x_j)/2) = (c_j - c_i)/2,
+            and the two 1/sin^2 sum to 4 (1 - c_i c_j) / (c_i - c_j)^2;
+        long 2 x_j: 1/sin^2 = (1/(1 - c_j) + 1/(1 + c_j)) / 2;  short x_j: 2/(1 - c_j).
+
+    For q(t) = prod (t - c_j) = sum_k (-1)^k tau_k t^(N-k), the walls
+    P = prod (1 + c_j) = (-1)^N q(-1) and M = prod (1 - c_j) = q(1) have
+    sum 1/(1 + c_j) = dP / P and sum 1/(1 - c_j) = dM / M with dM = q'(1),
+    dP = (-1)^(N+1) q'(-1).  So Psi0 = disc^(g/2) P^(g2/2) M^((g2+g3)/2) up
+    to a constant, with disc from _bc_pairs, and V has one term per
+    denominator.  exp_arg multiplies Psi0 by exp(exp_arg); extra is a
+    polynomial added to V.
+    """
+    N = delta_g.nvars
+    taus = [MultiPoly.const(N, 1)] + [MultiPoly.variable(N, k) for k in range(N)]
+    P = sum(taus[1:], taus[0])
+    dP = sum((taus[k] * (N - k) for k in range(1, N)), taus[0] * N)
+    M = sum((taus[k] * (-1) ** k for k in range(1, N + 1)), taus[0])
+    dM = sum((taus[k] * ((-1) ** k * (N - k)) for k in range(1, N)), taus[0] * N)
+    orbits = {orbit.norm: orbit for orbit in root_table(spec)}
+    long, short = orbits[4], orbits[1]
+    ground = [(P, long.exponent / 2), (M, (long.exponent + short.exponent) / 2)]
+    terms = [RationalFn(dP * (long.potential / 2), P),
+             RationalFn(dM * (long.potential / 2 + 2 * short.potential), M)]
+    if 2 in orbits:
+        disc, pair = _bc_pairs(N)
+        ground.insert(0, (disc, orbits[2].exponent / 2))
+        terms.insert(0, RationalFn(pair * orbits[2].potential, disc))
+    potential = sum(terms[1:], terms[0]) + extra
+    rational_form = delta_g + DiffOp(N, {(0,) * N: potential * (1 / long.kinetic)})
+    return GaugeFactor(N, ground, exp_arg), rational_form, potential
 
 
 def _tau(nvars: int, i: int) -> MultiPoly:
@@ -175,22 +322,6 @@ def bc1_operator(nu2: Fraction, nu3: Fraction) -> DiffOp:
     })
 
 
-def bc1_ground_factor(nu2: Fraction, nu3: Fraction) -> GaugeFactor:
-    """(1+tau)^(nu2/2) (1-tau)^((nu2+nu3)/2)."""
-    t = _tau(1, 0)
-    return GaugeFactor(1, [(1 + t, nu2 * HALF), (1 - t, (nu2 + nu3) * HALF)])
-
-
-def bc1_rational_potential(nu2: Fraction, nu3: Fraction) -> RationalFn:
-    """g2/(2(1+tau)) + (g2+g3)/(2(1-tau)) with g2, g3 from nu2, nu3."""
-    t = _tau(1, 0)
-    g2 = nu2 * (nu2 - 1)
-    g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    one = MultiPoly.const(1, 1)
-    return (RationalFn(one * g2, 2 * (1 + t))
-            + RationalFn(one * (g2 + g3), 2 * (1 - t)))
-
-
 def build_bc1(nu2, nu3) -> ModelBundle:
     nu2, nu3 = Fraction(nu2), Fraction(nu3)
     spec = ModelSpec("BC1", nu2=nu2, nu3=nu3)
@@ -198,10 +329,7 @@ def build_bc1(nu2, nu3) -> ModelBundle:
     e0 = (nu2 + nu3 * HALF) ** 2
 
     def gauge() -> GaugeData:
-        potential = bc1_rational_potential(nu2, nu3)
-        delta_g = bc1_operator(Fraction(0), Fraction(0))
-        return (bc1_ground_factor(nu2, nu3),
-                delta_g + DiffOp(1, {(0,): potential}), potential)
+        return bc_gauge_data(spec, bc1_operator(ZERO, ZERO))
 
     # eps = k^2 + (2 nu2 + nu3) k
     return ModelBundle(spec=spec, d=1, h=h, flags=((1,),), e0=e0,
@@ -223,32 +351,6 @@ def bc1_qes_operator(nu2: Fraction, nu3: Fraction, b: Fraction, n: int) -> DiffO
     return bc1_operator(nu2, nu3) + delta
 
 
-def bc1_qes_rational_potential(nu2: Fraction, nu3: Fraction, b: Fraction,
-                               n: int) -> RationalFn:
-    """g2/(1-tau^2) + g3/(2(1-tau)) + b^2(1-tau^2) + b(2n+2nu2+nu3+1)(1-tau)."""
-    t = _tau(1, 0)
-    g2 = nu2 * (nu2 - 1)
-    g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    one = MultiPoly.const(1, 1)
-    poly_part = b * b * (1 - t * t) + b * (2 * n + 2 * nu2 + nu3 + 1) * (1 - t)
-    return (RationalFn(one * g2, 1 - t * t)
-            + RationalFn(one * g3, 2 * (1 - t))
-            + RationalFn.from_poly(poly_part))
-
-
-def bc1_qes_ground_factor(nu2: Fraction, nu3: Fraction, b: Fraction,
-                          orientation: int = +1) -> GaugeFactor:
-    """BC1 factor times exp(orientation * b * tau).
-
-    orientation +1 is the one that reproduces the rational QES form under
-    conjugation (the opposite sign appears in some printed eigenfunctions;
-    the gauge suite tests both and records the working one).
-    """
-    t = _tau(1, 0)
-    base = bc1_ground_factor(nu2, nu3)
-    return GaugeFactor(1, base.factors, t * (orientation * b))
-
-
 def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
     nu2, nu3, b = Fraction(nu2), Fraction(nu3), Fraction(b)
     if n < 0:
@@ -256,11 +358,13 @@ def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
     spec = ModelSpec("BC1_QES", nu2=nu2, nu3=nu3, b=b, n=n)
     h = bc1_qes_operator(nu2, nu3, b, n)
 
+    # the BC1 data times exp(+b tau), the orientation that reproduces h (the
+    # gauge suite tests both), with b^2 sin^2 x + 2 b level sin^2(x/2) in V
     def gauge() -> GaugeData:
-        potential = bc1_qes_rational_potential(nu2, nu3, b, n)
-        delta_g = bc1_operator(Fraction(0), Fraction(0))
-        return (bc1_qes_ground_factor(nu2, nu3, b),
-                delta_g + DiffOp(1, {(0,): potential}), potential)
+        t = _tau(1, 0)
+        level = 2 * n + 2 * nu2 + nu3 + 1
+        return bc_gauge_data(spec, bc1_operator(ZERO, ZERO), exp_arg=t * b,
+                             extra=b * b * (1 - t * t) + b * level * (1 - t))
 
     return ModelBundle(spec=spec, d=1, h=h, flags=((1,),),
                        e0=(nu2 + nu3 * HALF) ** 2, eigenvalue=None, gauge=gauge)
@@ -355,12 +459,11 @@ def sutherland_eigenvalue(N: int, nu: Fraction) -> Callable[[Exponents], Fractio
         [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)], N)
 
 
-def sutherland_eigenvalue_printed(N: int, nu: Fraction, p: Exponents) -> Fraction:
-    """Verbatim one-sided reading sum_ij (N-i) j p_i p_j, kept for reports."""
-    lin = sum(nu * N * i * (N - i) * p[i - 1] for i in range(1, N))
-    quad = sum((N - i) * j * p[i - 1] * p[j - 1]
-               for i in range(1, N) for j in range(1, N))
-    return Fraction(lin + quad, N)
+def sutherland_eigenvalue_printed(N: int, nu: Fraction) -> Callable[[Exponents], Fraction]:
+    """Verbatim one-sided reading, Gram matrix [(N-i) j] over N, kept for reports."""
+    return _quadratic_form(
+        [nu * N * i * (N - i) for i in range(1, N)],
+        [[(N - i) * j for j in range(1, N)] for i in range(1, N)], N)
 
 
 def build_sutherland(N: int, nu) -> ModelBundle:
@@ -439,107 +542,32 @@ def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
         [[min(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
 
 
-def bcn_eigenvalue_printed(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
-                           p: Exponents) -> Fraction:
-    lin = sum((nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i * p[i - 1]
-              for i in range(1, N + 1))
-    quad = sum(i * p[i - 1] * p[j - 1]
-               for i in range(1, N + 1) for j in range(1, N + 1))
-    return lin + quad
+def bcn_eigenvalue_printed(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
+                           ) -> Callable[[Exponents], Fraction]:
+    """Verbatim one-sided reading, Gram matrix [i] (row i), kept for reports."""
+    return _quadratic_form(
+        [(nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i for i in range(1, N + 1)],
+        [[i] * N for i in range(1, N + 1)])
 
 
-def _bc2_discriminant() -> MultiPoly:
-    t1, t2 = _tau(2, 0), _tau(2, 1)
-    return t1 * t1 - 4 * t2
-
-
-def _bc3_discriminant() -> MultiPoly:
-    # discriminant of t^3 - tau1 t^2 + tau2 t - tau3 (cubic in the cosines);
-    # the -4 tau2^3 term is cubic, restoring the weight-6 homogeneity
+def bcn_rational_potential_printed(N: int, nu, nu2, nu3) -> RationalFn:
+    """The printed bc2 and bc3 potentials, kept for the discrepancy reports:
+    the derived pair term plus the printed wall terms, the only place the
+    printed and derived potentials differ."""
+    spec = ModelSpec("BCN", N=N, nu=Fraction(nu), nu2=Fraction(nu2), nu3=Fraction(nu3))
+    orbits = {orbit.norm: orbit for orbit in root_table(spec)}
+    g2, g3 = orbits[4].coupling, orbits[1].coupling
+    disc, pair = _bc_pairs(N)
+    pair_term = RationalFn(pair * orbits[2].potential, disc)
+    if N == 2:
+        t1, t2 = _tau(2, 0), _tau(2, 1)
+        return (pair_term + RationalFn(g2 * (2 - t1) * Fraction(1, 4), 1 + t1 + t2)
+                + RationalFn((2 * (g2 + g3) + g2 * t1 - g3 * t2) * Fraction(1, 4),
+                             1 - t1 + t2))
     t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
-    return (t1 * t1 * t2 * t2 - 4 * t1 ** 3 * t3 - 4 * t2 ** 3
-            - 27 * t3 * t3 + 18 * t1 * t2 * t3)
-
-
-def bc2_rational_potential(nu, nu2, nu3) -> RationalFn:
-    """Rational potential of the two-variable model.
-
-    Derived by exact partial fractions from the Cartesian sums
-    (1/sin^2 walls); the pair term g(1-tau2)/disc matches the classical
-    expression, the wall terms pair g2 with the (1+tau1+tau2) factor and
-    g2+g3 with (1-tau1+tau2), mirroring the one-variable pattern.
-    """
-    g = nu * (nu - 1)
-    g2 = nu2 * (nu2 - 1)
-    g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    t1, t2 = _tau(2, 0), _tau(2, 1)
-    return (RationalFn(g * (1 - t2), _bc2_discriminant())
-            + RationalFn(g2 * (2 + t1) * Fraction(1, 4), 1 + t1 + t2)
-            + RationalFn((g2 + g3) * (2 - t1) * Fraction(1, 4), 1 - t1 + t2))
-
-
-def bc2_rational_potential_printed(nu, nu2, nu3) -> RationalFn:
-    """Verbatim printed variant, kept for the discrepancy reports."""
-    g = nu * (nu - 1)
-    g2 = nu2 * (nu2 - 1)
-    g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    t1, t2 = _tau(2, 0), _tau(2, 1)
-    return (RationalFn(g * (1 - t2), _bc2_discriminant())
-            + RationalFn(g2 * (2 - t1) * Fraction(1, 4), 1 + t1 + t2)
-            + RationalFn((2 * (g2 + g3) + g2 * t1 - g3 * t2) * Fraction(1, 4),
-                         1 - t1 + t2))
-
-
-def bc2_ground_factor(nu, nu2, nu3) -> GaugeFactor:
-    t1, t2 = _tau(2, 0), _tau(2, 1)
-    return GaugeFactor(2, [
-        (_bc2_discriminant(), nu * HALF),
-        (1 + t1 + t2, nu2 * HALF),
-        (1 - t1 + t2, (nu2 + nu3) * HALF),
-    ])
-
-
-def bc3_rational_potential(nu, nu2, nu3) -> RationalFn:
-    """Rational potential of the three-variable model.
-
-    The pair-term numerator equals the printed quartic (verified by an exact
-    fit against the Cartesian sums); the wall terms follow the sum rules
-    sum 1/(1 -+ c_i) = q'(+-1)/q(+-1) for q(t) = t^3 - tau1 t^2 + tau2 t - tau3,
-    giving coefficients g2/4 and (g2+g3)/4.
-    """
-    g = nu * (nu - 1)
-    g2 = nu2 * (nu2 - 1)
-    g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
-    gnum = (t1 ** 4 - t1 ** 3 * t3 - 6 * t1 * t1 * t2 + 9 * t1 * t2 * t3
-            + 9 * t2 * t2 - t2 ** 3 - 27 * t3 * t3)
-    return (RationalFn(g * gnum, _bc3_discriminant())
-            + RationalFn(g2 * (3 + 2 * t1 + t2) * Fraction(1, 4), 1 + t1 + t2 + t3)
-            + RationalFn((g2 + g3) * (3 - 2 * t1 + t2) * Fraction(1, 4),
-                         1 - t1 + t2 - t3))
-
-
-def bc3_rational_potential_printed(nu, nu2, nu3) -> RationalFn:
-    """Verbatim printed variant, kept for the discrepancy reports."""
-    g = nu * (nu - 1)
-    g2 = nu2 * (nu2 - 1)
-    g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
-    gnum = (t1 ** 4 - t1 ** 3 * t3 - 6 * t1 * t1 * t2 + 9 * t1 * t2 * t3
-            + 9 * t2 * t2 - t2 ** 3 - 27 * t3 * t3)
-    return (RationalFn(g * gnum, _bc3_discriminant())
-            + RationalFn(g2 * (3 + 2 * t1 + t2) * HALF, 1 + t1 + t2 + t3)
+    return (pair_term + RationalFn(g2 * (3 + 2 * t1 + t2) * HALF, 1 + t1 + t2 + t3)
             + RationalFn((g2 + 4 * g3) * (3 - 2 * t1 + t2) * Fraction(1, 4),
                          1 - t1 + t2 - t3))
-
-
-def bc3_ground_factor(nu, nu2, nu3) -> GaugeFactor:
-    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
-    return GaugeFactor(3, [
-        (_bc3_discriminant(), nu * HALF),
-        (1 + t1 + t2 + t3, nu2 * HALF),
-        (1 - t1 + t2 - t3, (nu2 + nu3) * HALF),
-    ])
 
 
 def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
@@ -550,31 +578,15 @@ def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
     A, B = bcn_coefficients(N, nu, nu2, nu3)
     h = _assemble_second_order(N, A, B)
 
-    # The algebraic form matches the 2/beta^2 gauge of the half-kinetic
-    # Hamiltonian (at N=1 it reduces verbatim to the one-variable operator,
-    # whose Cartesian form drops the 1/2); hence the rational form in gauge
-    # units is Delta_g + 2V for N >= 2 and Delta_g + V for N = 1.
     def gauge() -> GaugeData:
-        if N == 1:
-            potential = bc1_rational_potential(nu2, nu3)
-            ground = bc1_ground_factor(nu2, nu3)
-            scale = 1
-        elif N == 2:
-            potential = bc2_rational_potential(nu, nu2, nu3)
-            ground = bc2_ground_factor(nu, nu2, nu3)
-            scale = 2
-        else:
-            potential = bc3_rational_potential(nu, nu2, nu3)
-            ground = bc3_ground_factor(nu, nu2, nu3)
-            scale = 2
         delta_g = _assemble_second_order(N, A, _bcn_first_order(N, ZERO, ZERO, ZERO))
-        return ground, delta_g + DiffOp(N, {(0,) * N: potential * scale}), potential
+        return bc_gauge_data(spec, delta_g)
 
     return ModelBundle(
         spec=spec, d=N, h=h, flags=((1,) * N,),
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
         eigenvalue=bcn_eigenvalue(N, nu, nu2, nu3),
-        gauge=gauge if N <= 3 else _no_rational_form(N))
+        gauge=gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +617,9 @@ def g2_eigenvalue(nu: Fraction, mu: Fraction) -> Callable[[Exponents], Fraction]
                            [[2, 3], [3, 6]], 6)
 
 
-def g2_eigenvalue_printed(nu: Fraction, mu: Fraction, p: Exponents) -> Fraction:
-    p1, p2 = p
-    return (Fraction(p1 * p1, 3) + p1 * p2 + p2 * p2
-            + (mu + nu) * p1 + (2 * mu + nu) * p2)
+def g2_eigenvalue_printed(nu: Fraction, mu: Fraction) -> Callable[[Exponents], Fraction]:
+    """Verbatim printed reading, with (mu + nu) p1, kept for reports."""
+    return _quadratic_form([6 * mu + 6 * nu, 12 * mu + 6 * nu], [[2, 3], [3, 6]], 6)
 
 
 def build_g2(nu, mu) -> ModelBundle:

@@ -27,8 +27,9 @@ triangular by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, DomainError
@@ -378,6 +379,43 @@ def from_integer_terms(nvars: int, den: int, numerators: Mapping[Exponents, int]
     The numerators must be nonzero; their order is the order of the terms.
     """
     return _raw(nvars, {e: Fraction(v, den) for e, v in numerators.items()})
+
+
+def symmetric_reduce(nvars: int, terms: Mapping[Exponents, int]) -> dict[Exponents, int]:
+    """Int terms in e_1..e_n of a symmetric polynomial with int terms in x_1..x_n.
+
+    Leading-term elimination in lex order: the leading term c x^a has
+    a_1 >= ... >= a_n and leads c e_1^(a_1-a_2) ... e_n^(a_n), whose
+    subtraction lowers the leading term.  A symmetric polynomial is fixed by
+    its terms with sorted exponents, so only those are read and built: the
+    coefficient of a sorted x^m in f e_k sums that of sorted(m - 1_S) in f
+    over the k-subsets S.  The result is keyed by the exponents of the e_k.
+    """
+    def ordered(e) -> Exponents:
+        return tuple(sorted(e, reverse=True))
+
+    subsets = [[tuple(int(i in s) for i in range(nvars))
+                for s in combinations(range(nvars), k)] for k in range(nvars + 1)]
+    products: dict[Exponents, dict[Exponents, int]] = {(0,) * nvars: {(0,) * nvars: 1}}
+
+    def product(b: Exponents) -> dict[Exponents, int]:
+        if b not in products:
+            k = max(i for i, p in enumerate(b) if p)
+            f = product(b[:k] + (b[k] - 1,) + b[k + 1:])
+            tops = {ordered(map(add, m, s)) for m in f for s in subsets[k + 1]}
+            products[b] = {m: c for m in tops if (c := sum(
+                f.get(ordered(map(sub, m, s)), 0) for s in subsets[k + 1]))}
+        return products[b]
+
+    rest = {a: c for a, c in terms.items() if c and a == ordered(a)}
+    reduced: dict[Exponents, int] = {}
+    while rest:
+        a = max(rest)
+        c = rest[a]
+        b = tuple(map(sub, a, a[1:] + (0,)))
+        reduced[b] = c
+        add_integer_terms(rest, {e: -c * v for e, v in product(b).items()})
+    return reduced
 
 
 class RationalFn:

@@ -255,8 +255,9 @@ def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
     """Numeric spectrum of a QES model on its single invariant subspace.
 
     Eigenvalues come from a high-precision diagonalization of the exact
-    matrix; there is no closed-form check (none exists).  Reality and the
-    exact trace are asserted as cross-checks.
+    matrix; there is no closed-form check (none exists).  The sum of the real
+    parts must equal the exact trace within NUMERIC_TOL, or InconsistencyError
+    is raised; the largest imaginary part is reported, not bounded.
     """
     if model.eigenvalue is not None:
         raise UnsupportedModel("qes_spectrum is for QES families")
@@ -269,6 +270,9 @@ def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
         exact_trace = matrix.trace()
         trace_gap = abs(sum(eigvals) - mpmath.mpf(exact_trace.numerator)
                         / exact_trace.denominator)
+        if trace_gap > mpmath.mpf(NUMERIC_TOL):
+            raise InconsistencyError(f"QES eigenvalues miss the exact trace "
+                                     f"{exact_trace} by {mpmath.nstr(trace_gap, 3)}")
     return QesSpectrumRecord(model.spec.family, model.spec.n, matrix, eigvals,
                              max_imag, trace_gap)
 

@@ -19,12 +19,12 @@ from . import cartesian as cart
 from .algebra import (GeneratorWord, check_structure, evaluate_word,
                       fit_decomposition, g2_algebra_generators,
                       gl2_generators, gln_generators)
-from .diffop import DiffOp, apply, gauge_conjugate, preserves_flag
+from .diffop import DiffOp, GaugeFactor, apply, gauge_conjugate, preserves_flag
 from .errors import EngineError
 from .integrals import annihilation_check, build_pi_integral
-from .models import (ModelBundle, build_bc1, build_bc1_qes, build_bcn,
-                     build_g2, build_mw_family, build_sutherland,
-                     bc1_qes_ground_factor, bcn_eigenvalue_printed,
+from .models import (ModelBundle, bcn_eigenvalue_printed,
+                     bcn_rational_potential_printed, build_bc1, build_bc1_qes,
+                     build_bcn, build_g2, build_mw_family, build_sutherland,
                      g2_eigenvalue_printed, mw_word_data,
                      sutherland_eigenvalue_printed, ttw_models)
 from .poly import FlagSpace, MultiPoly
@@ -177,7 +177,7 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
             nu = Fraction(1, 2)
             p = (1, 1)
             engine = build_sutherland(3, nu).eigenvalue(p)
-            printed = sutherland_eigenvalue_printed(3, nu, p)
+            printed = sutherland_eigenvalue_printed(3, nu)(p)
             rec.exact["engine"] = engine
             rec.exact["printed"] = printed
             rec.status = REPORTED if printed != engine else PASS
@@ -189,7 +189,7 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
             args = (2, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
             p = (1, 1)
             engine = build_bcn(*args).eigenvalue(p)
-            printed = bcn_eigenvalue_printed(*args, p)
+            printed = bcn_eigenvalue_printed(*args)(p)
             rec.exact["engine"] = engine
             rec.exact["printed"] = printed
             rec.status = REPORTED if printed != engine else PASS
@@ -200,7 +200,7 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
             nu, mu = Fraction(1, 2), Fraction(1, 3)
             p = (1, 0)
             engine = build_g2(nu, mu).eigenvalue(p)
-            printed = g2_eigenvalue_printed(nu, mu, p)
+            printed = g2_eigenvalue_printed(nu, mu)(p)
             rec.exact["engine"] = engine
             rec.exact["printed"] = printed
             rec.status = REPORTED if printed != engine else PASS
@@ -540,6 +540,13 @@ def _constant_of(diff: DiffOp) -> Fraction | None:
     return c.constant_value() if c.is_constant() else None
 
 
+def _conjugated(bundle: ModelBundle, factor: GaugeFactor | None = None):
+    """(F^-1 H F, the constant it differs from h by or None) for the rational
+    form H of the bundle and its ground factor F, or the one given."""
+    conj = gauge_conjugate(bundle.rational_form, factor or bundle.ground_factor)
+    return conj, _constant_of(conj - bundle.h)
+
+
 def suite_gauge(config: RunConfig) -> list[CheckRecord]:
     seed = int(config.get("seed", 1))
     rng = random.Random(seed + 400)
@@ -547,14 +554,15 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
     nu2, nu3 = _rand_fraction(rng), _rand_fraction(rng)
     nu = _rand_fraction(rng)
 
+    # one bundle per model: its gauge data, derived once, serve every record
+    bundle1 = build_bc1(nu2, nu3)
+    bcn = {N: build_bcn(N, nu, nu2, nu3) for N in (2, 3)}
+
     def bc1(rec: CheckRecord):
-        bundle = build_bc1(nu2, nu3)
-        conj = gauge_conjugate(bundle.rational_form, bundle.ground_factor)
-        diff = conj - bundle.h
-        const = _constant_of(diff)
+        conj, const = _conjugated(bundle1)
         _require(rec, const is not None, "residual is not a constant")
-        _require(rec, const == bundle.e0,
-                 f"gauge constant {const} != +(nu2+nu3/2)^2 = {bundle.e0}")
+        _require(rec, const == bundle1.e0,
+                 f"gauge constant {const} != +(nu2+nu3/2)^2 = {bundle1.e0}")
         _require(rec, conj.polynomial, "denominators did not cancel")
         rec.exact["e0"] = const
         rec.exact["second_order_sign"] = "+(tau^2-1) d^2 (rational form = Delta_g + V)"
@@ -562,10 +570,7 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
 
     for N in (2, 3):
         def run(rec: CheckRecord, N=N):
-            bundle = build_bcn(N, nu, nu2, nu3)
-            conj = gauge_conjugate(bundle.rational_form, bundle.ground_factor)
-            diff = conj - bundle.h
-            const = _constant_of(diff)
+            conj, const = _conjugated(bcn[N])
             _require(rec, const is not None, "residual is not a constant")
             _require(rec, conj.polynomial, "denominators did not cancel")
             expected = sum(((nu * (N - j) + nu2 + nu3 * HALF) ** 2
@@ -580,11 +585,11 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
         b = _rand_fraction(rng)
         n = 3
         bundle = build_bc1_qes(nu2, nu3, b, n)
+        ground = bundle.ground_factor
         results = {}
         for orient in (+1, -1):
-            factor = bc1_qes_ground_factor(nu2, nu3, b, orient)
-            conj = gauge_conjugate(bundle.rational_form, factor)
-            results[orient] = _constant_of(conj - bundle.h)
+            factor = GaugeFactor(1, ground.factors, ground.exp_arg * orient)
+            results[orient] = _conjugated(bundle, factor)[1]
         _require(rec, results[+1] is not None,
                  "exp(+b tau) orientation failed to reproduce the operator")
         _require(rec, results[-1] is None,
@@ -597,11 +602,8 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
     checks.append(_record("gauge/bc1_qes", qes, whitelist_id="qes_gauge_orientation"))
 
     def ground_energy_sign(rec: CheckRecord):
-        bundle = build_bc1(nu2, nu3)
-        conj = gauge_conjugate(bundle.rational_form, bundle.ground_factor)
-        const = _constant_of(conj - bundle.h)
         rec.exact["printed"] = -(nu2 + nu3 * HALF) ** 2
-        rec.exact["engine"] = const
+        rec.exact["engine"] = _conjugated(bundle1)[1]
         rec.status = REPORTED
         rec.details = ("square spectrum E_p = beta^2 (p + nu2 + nu3/2)^2 forces "
                        "the positive sign")
@@ -610,18 +612,12 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
 
     for N, wid in ((2, "bc2_potential_printed"), (3, "bc3_potential_printed")):
         def run(rec: CheckRecord, N=N):
-            from .models import (bc2_rational_potential,
-                                 bc2_rational_potential_printed,
-                                 bc3_rational_potential,
-                                 bc3_rational_potential_printed)
-            make = (bc2_rational_potential, bc2_rational_potential_printed) \
-                if N == 2 else (bc3_rational_potential, bc3_rational_potential_printed)
-            engine = make[0](nu, nu2, nu3)
-            printed = make[1](nu, nu2, nu3)
+            bundle = bcn[N]
+            engine = bundle.rational_potential
+            printed = bcn_rational_potential_printed(N, nu, nu2, nu3)
             rec.status = REPORTED if engine != printed else PASS
             rec.details = "wall-term coefficients corrected by exact partial fractions"
             # the engine potential must match the Cartesian sums pointwise
-            bundle = build_bcn(N, nu, nu2, nu3)
             pts = cart.sample_alcove(bundle.spec, 10, seed + N)
             with mp.workdps(int(config.get("dps", 40))):
                 worst = mp.mpf(0)

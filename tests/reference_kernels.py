@@ -8,9 +8,13 @@ the `ncols` bound of the program's signature and nothing else new.  The
 coefficient builders of the Sutherland and BC_N forms are the MultiPoly
 loops that the pair tables replaced, with the closed-form eigenvalues as
 they were written before the precomputed forms; the bc1 and g2 ones are
-the closures that the shared quadratic form replaced.  `restrict_to_flag` is the
-per-monomial loop that applied the operator to each basis monomial, here
-through `apply` above.  The oracle functions are those from before the
+the closures that the shared quadratic form replaced, as are the printed
+one-sided readings.  The gauge data of bc1, bc1_qes, bc2 and bc3 are the
+hand-derived ground factors and partial-fraction potentials that the
+derivation from the root table replaced (`models.bc_gauge_data`), with the
+printed potentials as they were written before their pair term was
+derived.  `restrict_to_flag` is the per-monomial loop that applied the
+operator to each basis monomial, here through `apply` above.  The oracle functions are those from before the
 per-check constants, each converting its Fractions anew on every call:
 `invariants_map` runs the elementary-symmetric recursion once per
 invariant, and `ttw_ground_check` calls `ttw_ground_factor` at every
@@ -18,6 +22,7 @@ stencil point and `ttw_potential` at every point.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import mpmath
@@ -30,11 +35,12 @@ from orbitforms.cartesian import (ResidualStats, _abs_sin_pow, _form_value,
                                   ttw_radial_power, ttw_sample)
 from orbitforms.errors import DomainError
 
-from orbitforms.diffop import DiffOp
+from orbitforms.diffop import DiffOp, GaugeFactor
 from orbitforms.errors import FlagViolation
-from orbitforms.poly import MultiPoly
+from orbitforms.poly import MultiPoly, RationalFn
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 
 
 def mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -215,6 +221,211 @@ def g2_eigenvalue(nu: Fraction, mu: Fraction, p) -> Fraction:
     p1, p2 = p
     return (Fraction(p1 * p1, 3) + p1 * p2 + p2 * p2
             + (mu + Fraction(2, 3) * nu) * p1 + (2 * mu + nu) * p2)
+
+
+def sutherland_eigenvalue_printed(N: int, nu: Fraction, p) -> Fraction:
+    lin = sum(nu * N * i * (N - i) * p[i - 1] for i in range(1, N))
+    quad = sum((N - i) * j * p[i - 1] * p[j - 1]
+               for i in range(1, N) for j in range(1, N))
+    return Fraction(lin + quad, N)
+
+
+def bcn_eigenvalue_printed(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction,
+                           p) -> Fraction:
+    lin = sum((nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i * p[i - 1]
+              for i in range(1, N + 1))
+    quad = sum(i * p[i - 1] * p[j - 1]
+               for i in range(1, N + 1) for j in range(1, N + 1))
+    return lin + quad
+
+
+def g2_eigenvalue_printed(nu: Fraction, mu: Fraction, p) -> Fraction:
+    p1, p2 = p
+    return (Fraction(p1 * p1, 3) + p1 * p2 + p2 * p2
+            + (mu + nu) * p1 + (2 * mu + nu) * p2)
+
+
+# -- the hand-derived gauge data of bc1, bc1_qes, bc2 and bc3 ---------------------
+
+def _tau(nvars: int, i: int) -> MultiPoly:
+    return MultiPoly.variable(nvars, i)
+
+
+def bc1_ground_factor(nu2: Fraction, nu3: Fraction) -> GaugeFactor:
+    """(1+tau)^(nu2/2) (1-tau)^((nu2+nu3)/2)."""
+    t = _tau(1, 0)
+    return GaugeFactor(1, [(1 + t, nu2 * HALF), (1 - t, (nu2 + nu3) * HALF)])
+
+
+def bc1_rational_potential(nu2: Fraction, nu3: Fraction) -> RationalFn:
+    """g2/(2(1+tau)) + (g2+g3)/(2(1-tau)) with g2, g3 from nu2, nu3."""
+    t = _tau(1, 0)
+    g2 = nu2 * (nu2 - 1)
+    g3 = nu3 * (nu3 + 2 * nu2 - 1)
+    one = MultiPoly.const(1, 1)
+    return (RationalFn(one * g2, 2 * (1 + t))
+            + RationalFn(one * (g2 + g3), 2 * (1 - t)))
+
+
+def bc1_qes_rational_potential(nu2: Fraction, nu3: Fraction, b: Fraction,
+                               n: int) -> RationalFn:
+    """g2/(1-tau^2) + g3/(2(1-tau)) + b^2(1-tau^2) + b(2n+2nu2+nu3+1)(1-tau)."""
+    t = _tau(1, 0)
+    g2 = nu2 * (nu2 - 1)
+    g3 = nu3 * (nu3 + 2 * nu2 - 1)
+    one = MultiPoly.const(1, 1)
+    poly_part = b * b * (1 - t * t) + b * (2 * n + 2 * nu2 + nu3 + 1) * (1 - t)
+    return (RationalFn(one * g2, 1 - t * t)
+            + RationalFn(one * g3, 2 * (1 - t))
+            + RationalFn.from_poly(poly_part))
+
+
+def bc1_qes_ground_factor(nu2: Fraction, nu3: Fraction, b: Fraction,
+                          orientation: int = +1) -> GaugeFactor:
+    """BC1 factor times exp(orientation * b * tau)."""
+    t = _tau(1, 0)
+    base = bc1_ground_factor(nu2, nu3)
+    return GaugeFactor(1, base.factors, t * (orientation * b))
+
+
+def _bc2_discriminant() -> MultiPoly:
+    t1, t2 = _tau(2, 0), _tau(2, 1)
+    return t1 * t1 - 4 * t2
+
+
+def _bc3_discriminant() -> MultiPoly:
+    # discriminant of t^3 - tau1 t^2 + tau2 t - tau3 (cubic in the cosines);
+    # the -4 tau2^3 term is cubic, restoring the weight-6 homogeneity
+    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
+    return (t1 * t1 * t2 * t2 - 4 * t1 ** 3 * t3 - 4 * t2 ** 3
+            - 27 * t3 * t3 + 18 * t1 * t2 * t3)
+
+
+def bc2_rational_potential(nu, nu2, nu3) -> RationalFn:
+    """Rational potential of the two-variable model.
+
+    Derived by exact partial fractions from the Cartesian sums
+    (1/sin^2 walls); the pair term g(1-tau2)/disc matches the classical
+    expression, the wall terms pair g2 with the (1+tau1+tau2) factor and
+    g2+g3 with (1-tau1+tau2), mirroring the one-variable pattern.
+    """
+    g = nu * (nu - 1)
+    g2 = nu2 * (nu2 - 1)
+    g3 = nu3 * (nu3 + 2 * nu2 - 1)
+    t1, t2 = _tau(2, 0), _tau(2, 1)
+    return (RationalFn(g * (1 - t2), _bc2_discriminant())
+            + RationalFn(g2 * (2 + t1) * Fraction(1, 4), 1 + t1 + t2)
+            + RationalFn((g2 + g3) * (2 - t1) * Fraction(1, 4), 1 - t1 + t2))
+
+
+def bc2_rational_potential_printed(nu, nu2, nu3) -> RationalFn:
+    """The printed variant, as written before its pair term was derived."""
+    g = nu * (nu - 1)
+    g2 = nu2 * (nu2 - 1)
+    g3 = nu3 * (nu3 + 2 * nu2 - 1)
+    t1, t2 = _tau(2, 0), _tau(2, 1)
+    return (RationalFn(g * (1 - t2), _bc2_discriminant())
+            + RationalFn(g2 * (2 - t1) * Fraction(1, 4), 1 + t1 + t2)
+            + RationalFn((2 * (g2 + g3) + g2 * t1 - g3 * t2) * Fraction(1, 4),
+                         1 - t1 + t2))
+
+
+def bc2_ground_factor(nu, nu2, nu3) -> GaugeFactor:
+    t1, t2 = _tau(2, 0), _tau(2, 1)
+    return GaugeFactor(2, [
+        (_bc2_discriminant(), nu * HALF),
+        (1 + t1 + t2, nu2 * HALF),
+        (1 - t1 + t2, (nu2 + nu3) * HALF),
+    ])
+
+
+def _bc3_pair_numerator() -> MultiPoly:
+    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
+    return (t1 ** 4 - t1 ** 3 * t3 - 6 * t1 * t1 * t2 + 9 * t1 * t2 * t3
+            + 9 * t2 * t2 - t2 ** 3 - 27 * t3 * t3)
+
+
+def bc3_rational_potential(nu, nu2, nu3) -> RationalFn:
+    """Rational potential of the three-variable model.
+
+    The pair-term numerator equals the printed quartic (verified by an exact
+    fit against the Cartesian sums); the wall terms follow the sum rules
+    sum 1/(1 -+ c_i) = q'(+-1)/q(+-1) for q(t) = t^3 - tau1 t^2 + tau2 t - tau3,
+    giving coefficients g2/4 and (g2+g3)/4.
+    """
+    g = nu * (nu - 1)
+    g2 = nu2 * (nu2 - 1)
+    g3 = nu3 * (nu3 + 2 * nu2 - 1)
+    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
+    return (RationalFn(g * _bc3_pair_numerator(), _bc3_discriminant())
+            + RationalFn(g2 * (3 + 2 * t1 + t2) * Fraction(1, 4), 1 + t1 + t2 + t3)
+            + RationalFn((g2 + g3) * (3 - 2 * t1 + t2) * Fraction(1, 4),
+                         1 - t1 + t2 - t3))
+
+
+def bc3_rational_potential_printed(nu, nu2, nu3) -> RationalFn:
+    """The printed variant, as written before its pair term was derived."""
+    g = nu * (nu - 1)
+    g2 = nu2 * (nu2 - 1)
+    g3 = nu3 * (nu3 + 2 * nu2 - 1)
+    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
+    return (RationalFn(g * _bc3_pair_numerator(), _bc3_discriminant())
+            + RationalFn(g2 * (3 + 2 * t1 + t2) * HALF, 1 + t1 + t2 + t3)
+            + RationalFn((g2 + 4 * g3) * (3 - 2 * t1 + t2) * Fraction(1, 4),
+                         1 - t1 + t2 - t3))
+
+
+def bc3_ground_factor(nu, nu2, nu3) -> GaugeFactor:
+    t1, t2, t3 = _tau(3, 0), _tau(3, 1), _tau(3, 2)
+    return GaugeFactor(3, [
+        (_bc3_discriminant(), nu * HALF),
+        (1 + t1 + t2 + t3, nu2 * HALF),
+        (1 - t1 + t2 - t3, (nu2 + nu3) * HALF),
+    ])
+
+
+# -- the symmetric reduction on full expansions -------------------------------
+
+def symmetric_reduce(nvars: int, terms) -> dict:
+    """Leading-term elimination in lex order with every product of the e_k
+    expanded in full, and every term of the polynomial kept."""
+    def dominant(a):
+        return all(x >= y for x, y in zip(a, a[1:]))
+
+    elementary = [MultiPoly(nvars, {tuple(int(i in s) for i in range(nvars)): 1
+                                    for s in combinations(range(nvars), k)})
+                  for k in range(1, nvars + 1)]
+    rest = MultiPoly(nvars, terms)
+    reduced = {}
+    while not rest.is_zero():
+        a = max(rest.terms)
+        assert dominant(a), "not symmetric"
+        c = rest.terms[a]
+        b = tuple(x - y for x, y in zip(a, a[1:] + (0,)))
+        reduced[b] = int(c)
+        product = MultiPoly.const(nvars, c)
+        for e_k, power in zip(elementary, b):
+            for _ in range(power):
+                product = mul(product, e_k)
+        rest = rest - product
+    return reduced
+
+
+def bc_pairs(N: int):
+    """(disc, pair) of BC_N: every pair term multiplied out in full."""
+    x = [MultiPoly.variable(N, i) for i in range(N)]
+    pairs = list(combinations(range(N), 2))
+    disc = MultiPoly.const(N, 1)
+    pair = MultiPoly.zero(N)
+    for i, j in pairs:
+        disc = mul(disc, mul(x[i] - x[j], x[i] - x[j]))
+        term = 4 - 4 * mul(x[i], x[j])
+        for k, l in pairs:
+            if (k, l) != (i, j):
+                term = mul(term, mul(x[k] - x[l], x[k] - x[l]))
+        pair = pair + term
+    return tuple(MultiPoly(N, symmetric_reduce(N, {e: int(c) for e, c in p.terms.items()}))
+                 for p in (disc, pair))
 
 
 def _elementary_symmetric(vals, k):

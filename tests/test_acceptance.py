@@ -21,13 +21,13 @@ from orbitforms.algebra import (GeneratorWord, check_structure, evaluate_word,
 from orbitforms.diffop import DiffOp, gauge_conjugate, preserves_flag
 from orbitforms.errors import EngineError
 from orbitforms.integrals import annihilation_check, build_pi_integral
-from orbitforms.models import (bc1_qes_ground_factor, build_bc1, build_bc1_qes,
-                               build_bcn, build_g2, build_sutherland,
-                               ttw_models)
+from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
+                               build_sutherland, ttw_models)
 from orbitforms.poly import FlagSpace, MultiPoly
 from orbitforms.spectral import (jacobi_reference, orthogonality_check,
                                  proportional_scalar, spectrum)
 from orbitforms.suites import parameter_tuples
+from reference_kernels import bc1_qes_ground_factor
 
 HALF = Fraction(1, 2)
 SEED = 20260810

@@ -3,21 +3,24 @@
 import dataclasses
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforms import cartesian as cart
 from orbitforms import models
-from orbitforms.diffop import DiffOp, apply
+from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
-from orbitforms.models import (_assemble_second_order, bc2_rational_potential,
-                               bc2_rational_potential_printed,
-                               bcn_coefficients, bcn_eigenvalue,
-                               build_bc1, build_bc1_qes,
-                               build_bcn, build_g2, build_mw_family,
+from orbitforms.models import (_assemble_second_order, _bc_pairs,
+                               bc1_operator, bcn_coefficients, bcn_eigenvalue,
+                               bcn_eigenvalue_printed,
+                               bcn_rational_potential_printed, build_bc1,
+                               build_bc1_qes, build_bcn, build_g2, build_mw_family,
                                build_sutherland, char_vector_table,
                                eigenvalue_formula, g2_eigenvalue,
-                               sutherland_coefficients, sutherland_eigenvalue,
-                               ttw_models)
+                               g2_eigenvalue_printed, sutherland_coefficients,
+                               sutherland_eigenvalue,
+                               sutherland_eigenvalue_printed, ttw_models)
 from orbitforms.poly import MultiPoly
 from orbitforms.report import CEILINGS
 import reference_kernels as ref
@@ -126,7 +129,7 @@ def test_bc2_paper_substitution():
 
 
 def test_bc2_potential_pole_on_discriminant():
-    V = bc2_rational_potential(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    V = build_bcn(2, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)).rational_potential
     with pytest.raises(DomainError):
         V.evaluate([Fraction(0), Fraction(0)])
 
@@ -135,11 +138,11 @@ def test_bc2_potential_at_corner():
     nu, nu2, nu3 = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
     g2 = nu2 * (nu2 - 1)
     g3 = nu3 * (nu3 + 2 * nu2 - 1)
-    V = bc2_rational_potential(nu, nu2, nu3)
+    V = build_bcn(2, nu, nu2, nu3).rational_potential
     # derived wall terms: (g2/4)(2+tau1)/P + ((g2+g3)/4)(2-tau1)/M
     assert V.evaluate([Fraction(1), Fraction(1)]) == \
         g2 / 4 * Fraction(3, 3) + (g2 + g3) / 4 * Fraction(1, 1)
-    printed = bc2_rational_potential_printed(nu, nu2, nu3)
+    printed = bcn_rational_potential_printed(2, nu, nu2, nu3)
     assert printed.evaluate([Fraction(1), Fraction(1)]) == \
         g2 / 12 + (2 * (g2 + g3) + g2 - g3) / 4
 
@@ -290,7 +293,7 @@ def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
     assert_same_table(A, A_ref)
     assert_same_table(B, B_ref)
     bundle = build_bcn(N, *nus)
-    if bundle.rational_form is not None:
+    if N <= 4:   # the gauge data of N = 5 and 6 take seconds to derive
         # Delta_g is h at zero couplings, assembled from the same A
         delta_g = _assemble_second_order(N, *ref.bcn_coefficients(N, 0, 0, 0))
         derivatives = {k: c for k, c in bundle.rational_form.terms.items() if any(k)}
@@ -326,19 +329,20 @@ def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():
 
 def test_gauge_data_is_built_once_per_bundle(monkeypatch):
     calls = []
-    real = models.bc3_rational_potential
+    real = models.bc_gauge_data
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(models, "bc3_rational_potential", counted)
+    monkeypatch.setattr(models, "bc_gauge_data", counted)
     nus = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    want = ref.bc3_rational_potential(*nus)
     bundle = build_bcn(3, *nus)
     assert not calls
     for _ in range(2):
-        assert bundle.rational_potential == real(*nus)
-        assert bundle.rational_form.constant_part() == 2 * real(*nus)
+        assert bundle.rational_potential == want
+        assert bundle.rational_form.constant_part() == 2 * want
         assert bundle.ground_factor.nvars == 3
     assert len(calls) == 1
     # a replaced bundle builds its own, from the same callable
@@ -362,8 +366,136 @@ def test_gauge_callable_is_left_out_of_eq_hash_and_repr():
 
 
 def test_families_without_a_rational_form():
-    for bundle in (build_sutherland(3, Fraction(1, 2)), build_bcn(4, 1, 2, 3),
-                   build_g2(1, 1)):
+    for bundle in (build_sutherland(3, Fraction(1, 2)), build_g2(1, 1)):
         assert bundle.rational_form is None and bundle.rational_potential is None
         assert not bundle.ground_factor.factors
         assert bundle.ground_factor.nvars == bundle.d
+
+
+# -- BC gauge data derived from the root table --------------------------------------
+
+def hand_gauge_data(N, nu, nu2, nu3):
+    """(ground factor, V, Delta_g) of BC_N from the hand forms, with V the
+    potential of H = -1/2 sum d^2 + V: at N = 1 half the one-variable
+    potential, whose kinetic term has no 1/2."""
+    if N == 1:
+        return (ref.bc1_ground_factor(nu2, nu3), ref.bc1_rational_potential(nu2, nu3) * HALF,
+                bc1_operator(0, 0))
+    hand = {2: (ref.bc2_ground_factor, ref.bc2_rational_potential),
+            3: (ref.bc3_ground_factor, ref.bc3_rational_potential)}[N]
+    delta_g = _assemble_second_order(N, *ref.bcn_coefficients(N, 0, 0, 0))
+    return hand[0](nu, nu2, nu3), hand[1](nu, nu2, nu3), delta_g
+
+
+def assert_same_factor(got, want):
+    assert got.nvars == want.nvars
+    assert got.factors == want.factors
+    assert got.exp_arg == want.exp_arg
+
+
+def with_potential(delta_g: DiffOp, potential) -> DiffOp:
+    return delta_g + DiffOp(delta_g.nvars, {(0,) * delta_g.nvars: potential})
+
+
+@settings(max_examples=40, deadline=None)
+@given(nus=st.tuples(couplings, couplings, couplings), b=couplings, n=st.integers(0, 4))
+def test_derived_gauge_data_equals_the_hand_forms(nus, b, n):
+    nu, nu2, nu3 = nus
+    for N in (1, 2, 3):
+        ground, potential, delta_g = hand_gauge_data(N, *nus)
+        bundle = build_bcn(N, *nus)
+        assert_same_factor(bundle.ground_factor, ground)
+        assert bundle.rational_potential == potential
+        assert bundle.rational_form == with_potential(delta_g, potential * 2)
+    bc1 = build_bc1(nu2, nu3)
+    ground, potential = ref.bc1_ground_factor(nu2, nu3), ref.bc1_rational_potential(nu2, nu3)
+    delta_g = bc1_operator(0, 0)
+    assert_same_factor(bc1.ground_factor, ground)
+    assert bc1.rational_potential == potential
+    assert bc1.rational_form == with_potential(delta_g, potential)
+    qes = build_bc1_qes(nu2, nu3, b, n)
+    potential = ref.bc1_qes_rational_potential(nu2, nu3, b, n)
+    assert_same_factor(qes.ground_factor, ref.bc1_qes_ground_factor(nu2, nu3, b))
+    assert qes.rational_potential == potential
+    assert qes.rational_form == with_potential(delta_g, potential)
+    # the printed potentials equal their forms as written by hand
+    assert bcn_rational_potential_printed(2, *nus) == ref.bc2_rational_potential_printed(*nus)
+    assert bcn_rational_potential_printed(3, *nus) == ref.bc3_rational_potential_printed(*nus)
+
+
+def test_pair_sums_match_the_full_expansion():
+    for N in (2, 3, 4):
+        for got, want in zip(_bc_pairs(N), ref.bc_pairs(N)):
+            assert_same_poly(got, want)
+
+
+def bcn_gauge_constant(N, nu, nu2, nu3):
+    return sum(((nu * (N - j) + nu2 + nu3 * HALF) ** 2 for j in range(1, N + 1)),
+               Fraction(0))
+
+
+def gauge_residual(bundle):
+    """(F^-1 H F, F^-1 H F - h) for the bundle's rational form H and ground
+    factor F."""
+    conj = gauge_conjugate(bundle.rational_form, bundle.ground_factor)
+    return conj, conj - bundle.h
+
+
+def test_bc4_gauge_identity_is_exact():
+    nus = (Fraction(3, 7), Fraction(2, 5), Fraction(-1, 3))
+    conj, diff = gauge_residual(build_bcn(4, *nus))
+    assert conj.polynomial
+    const = diff.constant_part()
+    assert diff.order() == 0 and const.is_constant()
+    assert const.constant_value() == bcn_gauge_constant(4, *nus)
+
+
+@pytest.mark.parametrize("orbit", [0, 1, 2])
+def test_a_perturbed_root_coupling_fails_the_gauge_identity_and_the_oracle(
+        monkeypatch, orbit):
+    nus = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    real = models.root_table
+
+    def checks():
+        bundle = build_bcn(2, *nus)
+        _, diff = gauge_residual(bundle)
+        const = diff.constant_part()
+        exact = (isinstance(const, MultiPoly) and const.is_constant()
+                 and const.constant_value() == bcn_gauge_constant(2, *nus))
+        # H Psi0 / Psi0 is the ground energy at every point
+        sample = cart.sample_alcove(bundle.spec, 6, 5)
+        with mpmath.workdps(40):
+            (energies,) = cart.measured_energies(bundle, [MultiPoly.const(2, 1)],
+                                                 sample, dps=40)
+            energies = [e for e in energies if e is not None]
+            spread = max(energies) - min(energies)
+        return exact, spread
+
+    exact, spread = checks()
+    assert exact and spread < mpmath.mpf("1e-20")
+
+    def perturbed(spec):
+        orbits = list(real(spec))
+        orbits[orbit] = dataclasses.replace(
+            orbits[orbit], coupling=orbits[orbit].coupling + Fraction(1, 7))
+        return tuple(orbits)
+
+    monkeypatch.setattr(models, "root_table", perturbed)
+    monkeypatch.setattr(cart, "root_table", perturbed)
+    exact, spread = checks()
+    assert not exact and spread > mpmath.mpf("1e-3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=st.integers(1, 6), nus=st.tuples(couplings, couplings, couplings))
+def test_printed_readings_match_the_closures(data, N, nus):
+    nu, nu2, nu3 = nus
+    for _ in range(3):
+        if N >= 2:
+            p = data.draw(exponents(N - 1), label="p")
+            assert (sutherland_eigenvalue_printed(N, nu)(p)
+                    == ref.sutherland_eigenvalue_printed(N, nu, p))
+        p = data.draw(exponents(N), label="p")
+        assert bcn_eigenvalue_printed(N, *nus)(p) == ref.bcn_eigenvalue_printed(N, *nus, p)
+        p = data.draw(exponents(2), label="p")
+        assert g2_eigenvalue_printed(nu, nu2)(p) == ref.g2_eigenvalue_printed(nu, nu2, p)

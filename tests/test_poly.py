@@ -1,6 +1,7 @@
 """Exact polynomial core: ring operations, rational functions, flag bases."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforms.errors import DimensionMismatch, DomainError
 from orbitforms.poly import (FlagSpace, MultiPoly, RationalFn,
-                             enumerate_flag_basis, fdegree, flag_dimension, qq)
+                             enumerate_flag_basis, fdegree, flag_dimension, qq,
+                             symmetric_reduce)
+import reference_kernels
 from reference_kernels import mul
 
 t = MultiPoly.variable(1, 0)
@@ -277,3 +280,39 @@ def test_mul_keeps_the_order_of_a_term_that_cancels_and_returns():
     # tau^2 sums to 0 after two products and returns with the last one
     assert_same_poly(a * b, mul(a, b))
     assert list((a * b).terms) == [(4,), (0,), (2,)]
+
+
+# -- the symmetric reduction ------------------------------------------------------
+
+def in_elementary(nvars: int, g: MultiPoly) -> MultiPoly:
+    """g(e_1, ..., e_n) expanded in x_1..x_n."""
+    e = [MultiPoly(nvars, {tuple(int(i in s) for i in range(nvars)): 1
+                           for s in combinations(range(nvars), k)})
+         for k in range(1, nvars + 1)]
+    total = MultiPoly.zero(nvars)
+    for exps, c in g.terms.items():
+        term = MultiPoly.const(nvars, c)
+        for e_k, p in zip(e, exps):
+            term = term * e_k ** p
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 4))
+def test_symmetric_reduce_inverts_the_substitution(data, nvars):
+    g = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-9, 9),
+        max_size=5).map(lambda d: MultiPoly(nvars, d)), label="g")
+    f = {e: int(c) for e, c in in_elementary(nvars, g).terms.items()}
+    got = symmetric_reduce(nvars, f)
+    assert MultiPoly(nvars, got) == g
+    # and term for term as the elimination on full expansions gives it
+    assert list(got.items()) == list(reference_kernels.symmetric_reduce(nvars, f).items())
+
+
+def test_symmetric_reduce_of_a_discriminant():
+    # (x - y)^2 = e1^2 - 4 e2, and the empty polynomial reduces to nothing
+    assert symmetric_reduce(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}) == {(2, 0): 1, (0, 1): -4}
+    assert symmetric_reduce(3, {}) == {}
+    assert symmetric_reduce(2, {(1, 0): 1, (0, 1): 1, (1, 1): 0}) == {(1, 0): 1}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbitforms import linalg, models
+from orbitforms import linalg, models, spectral
 from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, restrict_to_flag
 from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
@@ -17,7 +17,7 @@ from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
-from orbitforms.spectral import (NUMERIC_DPS, SpectralEntry, SpectrumRecord,
+from orbitforms.spectral import (NUMERIC_DPS, NUMERIC_TOL, SpectralEntry, SpectrumRecord,
                                  _jacobi_polynomials, _numeric_multiset_check,
                                  _permutation_split, jacobi_gram, jacobi_reference,
                                  numeric_eigenvalues, orthogonality_check,
@@ -106,6 +106,27 @@ def test_qes_two_level_trace():
     assert rec.matrix.trace() == 7      # exact matrix [[3,-2],[-2,4]]
     assert rec.trace_gap < mpmath.mpf("1e-40")
     assert rec.max_imag < mpmath.mpf("1e-40")
+
+
+def test_qes_spectrum_refuses_eigenvalues_off_the_exact_trace(monkeypatch):
+    q = build_bc1_qes(Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), 3)
+    real = spectral.numeric_eigenvalues
+    assert qes_spectrum(q).trace_gap < mpmath.mpf(NUMERIC_TOL)
+
+    def planted(columns, den, shift):
+        values = real(columns, den)
+        with mpmath.mp.workdps(NUMERIC_DPS):
+            values[1] += mpmath.mpf(shift)
+        return values
+
+    # a shift far below the bound passes; one above it is refused
+    monkeypatch.setattr(spectral, "numeric_eigenvalues",
+                        lambda c, d: planted(c, d, "1e-40"))
+    assert qes_spectrum(q).trace_gap < mpmath.mpf(NUMERIC_TOL)
+    monkeypatch.setattr(spectral, "numeric_eigenvalues",
+                        lambda c, d: planted(c, d, "1e-20"))
+    with pytest.raises(InconsistencyError, match="exact trace"):
+        qes_spectrum(q)
 
 
 def test_qes_reduces_to_closed_form_at_b_zero():
@@ -619,7 +640,7 @@ GOLDEN_SUITE_SHA256 = {
     "pi": "54330bd2ea76a2cc64155576fd9aaea84c1eb86d502dd909410011be64755679",
     "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
     "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
-    "gauge": "c0db82523f55ea861d05630378836b2e21547b7e51e2f6392aa0fcaed18e02f3",
+    "gauge": "dd414086cb29068e0786743e9d7adc26d4e268268f8b5775eafcf3425f468e9c",
     "ttw": "f9cd355e3de4c92ad2a3de774a29c61113470ed65909ffe5187933cb1cdad334",
     "cartesian --sample-points 10":
         "088071184d9086695c703085ca231fd1f9e16168615ce2d9a8d474a6c39f9eb1",
@@ -664,9 +685,7 @@ def test_spectra_and_exact_suites_build_no_gauge_data(tmp_path, monkeypatch):
     def broken(*args):
         raise AssertionError("gauge data built")
 
-    for name in ("bc1_rational_potential", "bc2_rational_potential",
-                 "bc3_rational_potential", "bc1_qes_rational_potential"):
-        monkeypatch.setattr(models, name, broken)
+    monkeypatch.setattr(models, "bc_gauge_data", broken)
     with pytest.raises(AssertionError, match="gauge data built"):
         build_bcn(3, 0, 0, 0).rational_form
     assert [report(["spectrum", *q]) for q in queries] == spectra
