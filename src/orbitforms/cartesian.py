@@ -58,7 +58,8 @@ from mpmath import mp
 
 from .errors import (DimensionMismatch, DomainError, InconsistencyError,
                      UnsupportedModel)
-from .models import ModelBundle, ModelSpec, TTWDescriptor, kinetic_half, root_table
+from .models import (ModelBundle, ModelSpec, TTWDescriptor, bc1_qes_level,
+                     kinetic_half, root_table)
 from .poly import ZERO, MultiPoly
 
 DEFAULT_DPS = 40
@@ -642,10 +643,11 @@ class TTWGround:
     """Ground factor and potential of one TTW check, with its constants
     converted once at `dps`: beta, gamma, the node floor, omega, a, b, the
     couplings g2 and g3 with their powers of beta, the QES constant, the r^2
-    coefficient and the signed b of the exponential.  Each product is
-    grouped as the formulas below write it, so the values are those of a
-    conversion at every call.  An instance lives for one check and is never
-    stored.
+    coefficient and the signed b of the exponential.  g2, g3 and the level
+    come from the descriptor's angular spec, bc1 or bc1_qes at level m.
+    Each product is grouped as the formulas below write it, so the values
+    are those of a conversion at every call.  An instance lives for one
+    check and is never stored.
 
     The ground factor splits into a radial part (`radial`: r^gamma and the
     radial exponent), an angular part (`angular`: the two |sin| powers and
@@ -662,12 +664,12 @@ class TTWGround:
         self.signed_b = None
         if desc.has_angular_qes:
             self.signed_b = (-1 if desc.convention == "printed" else +1) * b
-        g2 = _mpf(desc.nu2 * (desc.nu2 - 1))
-        g3 = _mpf(desc.nu3 * (desc.nu3 + 2 * desc.nu2 - 1))
+        orbits = {orbit.norm: orbit for orbit in root_table(desc.angular_spec)}
+        g2, g3 = _mpf(orbits[4].coupling), _mpf(orbits[1].coupling)
         self.walls = (g2 * beta ** 2, g3 * beta ** 2 / 4)
         self.qes = None
         if desc.has_angular_qes:
-            level = _mpf(2 * desc.m + 2 * desc.nu2 + desc.nu3 + 1)
+            level = _mpf(bc1_qes_level(desc.angular_spec))
             self.qes = (b * b * beta ** 2, 2 * b * beta ** 2 * level)
 
     # The radial power and the r^2 coefficient are worked out at first use.

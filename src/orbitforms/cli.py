@@ -5,10 +5,11 @@ Exact parameters are accepted as "p/q" strings (never floats).  Reports are
 deterministic for a fixed (config, seed); cached runs return byte-identical
 output (ORBITFORMS_CACHE or --cache-dir).
 
-Exit codes: 0 success, 2 invalid configuration, 3 failed checks or internal
-inconsistency, 141 (128 + SIGPIPE, as a shell reports a command ended by a
-closed pipe) when standard output is closed before the output is written,
-with nothing printed.
+Exit codes: 0 success, 2 invalid configuration (among them a --f flag the
+model does not preserve), 3 failed checks or internal inconsistency, 141
+(128 + SIGPIPE, as a shell reports a command ended by a closed pipe) when
+standard output is closed before the output is written, with nothing
+printed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import DomainError, EngineError, FormulaMismatch, InconsistencyError
+from .errors import (DomainError, EngineError, FlagViolation, FormulaMismatch,
+                     InconsistencyError)
 from .models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                      build_sutherland, char_vector_table)
 from .poly import flag_dimension
@@ -207,7 +209,13 @@ def _spectrum_payload(config: RunConfig) -> bytes:
         }
         return json.dumps(body, sort_keys=True, indent=1).encode()
 
-    record = spectrum(bundle, int(n), vector=vector, numeric_check=numeric)
+    try:
+        record = spectrum(bundle, int(n), vector=vector, numeric_check=numeric)
+    except FlagViolation as exc:
+        if vector in (None, *bundle.flags):   # a flag the model claims
+            raise
+        raise DomainError(f"{family} does not preserve the flag f={text}: it maps "
+                          f"{exc.input_monomial} to {exc.output_monomial}") from None
     entries = []
     for e in record.entries:
         entries.append({

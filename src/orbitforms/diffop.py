@@ -183,10 +183,18 @@ def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
     Rational coefficients exist for the gauge identity only, so an operator
     with one is refused with DomainError.
     """
-    scaled = _scaled(op, "apply")
+    den, coefficients = _scaled(op, "apply")
     if op.nvars != p.nvars:
         raise DimensionMismatch("operator/polynomial variable counts differ")
-    return _apply_scaled(op.nvars, scaled, p)
+    # each operator term is summed on its own and then added, so the terms
+    # come in the order of adding the products c_k * d^k p one by one
+    dp, pnum = integer_terms(p.terms)
+    total: dict[Exponents, int] = {}
+    for k, cnum in coefficients:
+        q = _derivative_terms(pnum, k)
+        if q:
+            add_integer_terms(total, integer_product(cnum, q))
+    return from_integer_terms(op.nvars, den * dp, total)
 
 
 def _scaled(op: DiffOp, caller: str) -> ScaledOp:
@@ -198,20 +206,6 @@ def _scaled(op: DiffOp, caller: str) -> ScaledOp:
     den = lcm(*(c.denominator for coeff in op.terms.values()
                 for c in coeff.terms.values()))
     return den, [(k, integer_terms(c.terms, den)[1]) for k, c in op.terms.items()]
-
-
-def _apply_scaled(nvars: int, scaled: ScaledOp, p: MultiPoly) -> MultiPoly:
-    """op(p) for the scaled form of op."""
-    # each operator term is summed on its own and then added, so the terms
-    # come in the order of adding the products c_k * d^k p one by one
-    den, coefficients = scaled
-    dp, pnum = integer_terms(p.terms)
-    total: dict[Exponents, int] = {}
-    for k, cnum in coefficients:
-        q = _derivative_terms(pnum, k)
-        if q:
-            add_integer_terms(total, integer_product(cnum, q))
-    return from_integer_terms(nvars, den * dp, total)
 
 
 def _derivative_terms(numerators: dict[Exponents, int], k: Exponents

@@ -8,6 +8,9 @@ variables and, where available, the rational form (Laplace-Beltrami part plus
 rational potential).  Only the gauge identity reads the gauge data, so the
 spectra, flags, pi-integrals and algebras never pay for it.
 
+bc1 is BC_N at N = 1: one BC construction, _build_bc, serves bc1, bc1_qes
+and BC_N, whose build_* entry points only make the spec.
+
 The positive roots of every family with their exponents and couplings
 (Olshanetsky-Perelomov) are one table here, root_table, which the Cartesian
 oracle reads too.  bc_gauge_data derives from it the exact gauge data of
@@ -46,8 +49,7 @@ from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, RationalFn,
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
-FAMILIES = ("BC1", "BC1_QES", "SUTHERLAND", "BCN", "G2", "MW",
-            "TTW", "TTW_QES_RADIAL", "TTW_QES_ANGULAR", "TTW_QES_FULL")
+FAMILIES = ("BC1", "BC1_QES", "SUTHERLAND", "BCN", "G2")
 
 
 @dataclass(frozen=True)
@@ -61,19 +63,13 @@ class ModelSpec:
     nu3: Fraction | None = None
     mu: Fraction | None = None
     b: Fraction | None = None
-    a: Fraction | None = None
-    omega: Fraction | None = None
-    beta: Fraction | None = None
     n: int | None = None
-    m: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown model family {self.family!r}")
         if self.n is not None and self.n < 0:
             raise DomainError("QES level n must be non-negative")
-        if self.m is not None and self.m < 0:
-            raise DomainError("QES level m must be non-negative")
         # hashed once: the oracle's root table is looked up per psi0 call
         object.__setattr__(self, "_hash", hash(astuple(self)))
 
@@ -310,67 +306,6 @@ def _pair_sum(taus: dict[int, Exponents],
 
 
 # ---------------------------------------------------------------------------
-# BC1
-# ---------------------------------------------------------------------------
-
-def bc1_operator(nu2: Fraction, nu3: Fraction) -> DiffOp:
-    """(tau^2-1) d^2 + [(2 nu2 + nu3 + 1) tau + nu3] d."""
-    t = _tau(1, 0)
-    return DiffOp(1, {
-        (2,): t * t - 1,
-        (1,): (2 * nu2 + nu3 + 1) * t + nu3,
-    })
-
-
-def build_bc1(nu2, nu3) -> ModelBundle:
-    nu2, nu3 = Fraction(nu2), Fraction(nu3)
-    spec = ModelSpec("BC1", nu2=nu2, nu3=nu3)
-    h = bc1_operator(nu2, nu3)
-    e0 = (nu2 + nu3 * HALF) ** 2
-
-    def gauge() -> GaugeData:
-        return bc_gauge_data(spec, bc1_operator(ZERO, ZERO))
-
-    # eps = k^2 + (2 nu2 + nu3) k
-    return ModelBundle(spec=spec, d=1, h=h, flags=((1,),), e0=e0,
-                       eigenvalue=_quadratic_form([2 * nu2 + nu3], [[1]]),
-                       gauge=gauge)
-
-
-# ---------------------------------------------------------------------------
-# QES BC1
-# ---------------------------------------------------------------------------
-
-def bc1_qes_operator(nu2: Fraction, nu3: Fraction, b: Fraction, n: int) -> DiffOp:
-    """h_BC1 + 2b(tau^2-1) d - 2bn tau + 2b(n + nu2 + nu3 + 1/2)."""
-    t = _tau(1, 0)
-    delta = DiffOp(1, {
-        (1,): 2 * b * (t * t - 1),
-        (0,): -2 * b * n * t + MultiPoly.const(1, 2 * b * (n + nu2 + nu3 + HALF)),
-    })
-    return bc1_operator(nu2, nu3) + delta
-
-
-def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
-    nu2, nu3, b = Fraction(nu2), Fraction(nu3), Fraction(b)
-    if n < 0:
-        raise DomainError("QES level must be non-negative")
-    spec = ModelSpec("BC1_QES", nu2=nu2, nu3=nu3, b=b, n=n)
-    h = bc1_qes_operator(nu2, nu3, b, n)
-
-    # the BC1 data times exp(+b tau), the orientation that reproduces h (the
-    # gauge suite tests both), with b^2 sin^2 x + 2 b level sin^2(x/2) in V
-    def gauge() -> GaugeData:
-        t = _tau(1, 0)
-        level = 2 * n + 2 * nu2 + nu3 + 1
-        return bc_gauge_data(spec, bc1_operator(ZERO, ZERO), exp_arg=t * b,
-                             extra=b * b * (1 - t * t) + b * level * (1 - t))
-
-    return ModelBundle(spec=spec, d=1, h=h, flags=((1,),),
-                       e0=(nu2 + nu3 * HALF) ** 2, eigenvalue=None, gauge=gauge)
-
-
-# ---------------------------------------------------------------------------
 # Sutherland (A_{N-1})
 # ---------------------------------------------------------------------------
 
@@ -479,7 +414,7 @@ def build_sutherland(N: int, nu) -> ModelBundle:
 
 
 # ---------------------------------------------------------------------------
-# BC_N
+# BC: BC_N, and bc1 and bc1_qes at N = 1
 # ---------------------------------------------------------------------------
 
 def bcn_coefficients(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction):
@@ -498,7 +433,7 @@ def bcn_coefficients(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction):
     and comes back last.  For every N up to the N ceiling this lists the
     terms of each A_ij as the bracketed polynomial sum above does (the
     tests compare them term by term).  A does not depend on the couplings,
-    so build_bcn assembles h and Delta_g from one A.
+    so _build_bc assembles h and Delta_g from one A.
     """
     return _bcn_second_order(N), _bcn_first_order(N, nu, nu2, nu3)
 
@@ -570,23 +505,54 @@ def bcn_rational_potential_printed(N: int, nu, nu2, nu3) -> RationalFn:
                          1 - t1 + t2 - t3))
 
 
-def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
-    if N < 1:
-        raise DomainError("BC_N needs N >= 1")
-    nu, nu2, nu3 = Fraction(nu), Fraction(nu2), Fraction(nu3)
-    spec = ModelSpec("BCN", N=N, nu=nu, nu2=nu2, nu3=nu3)
+def bc1_qes_level(spec: ModelSpec) -> Fraction:
+    """The level of the 2 b level sin^2(x/2) term of a BC1_QES potential."""
+    return 2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1
+
+
+def _build_bc(spec: ModelSpec) -> ModelBundle:
+    """h of bcn_coefficients; at N = 1 (bc1) nu drops out, as there is no
+    pair orbit, nu (2N-i-1) = 0 and tau_{-1} = 0.  bc1_qes adds the drift of
+    exp(b tau), 2b (tau^2-1) d, and the level terms -2bn tau
+    + 2b(n + nu2 + nu3 + 1/2); its Psi0 carries exp(+b tau), the orientation
+    that reproduces h, and V adds b^2 sin^2 x + 2 b level sin^2(x/2).
+    """
+    N, nu, nu2, nu3, b = spec.N or 1, spec.nu or ZERO, spec.nu2, spec.nu3, spec.b
     A, B = bcn_coefficients(N, nu, nu2, nu3)
     h = _assemble_second_order(N, A, B)
+    if b is not None:
+        t, n = _tau(1, 0), spec.n
+        level_terms = -2 * b * n * t + MultiPoly.const(1, 2 * b * (n + nu2 + nu3 + HALF))
+        h = h + DiffOp(1, {(1,): 2 * b * A[(1, 1)], (0,): level_terms})
 
     def gauge() -> GaugeData:
         delta_g = _assemble_second_order(N, A, _bcn_first_order(N, ZERO, ZERO, ZERO))
-        return bc_gauge_data(spec, delta_g)
+        if b is None:
+            return bc_gauge_data(spec, delta_g)
+        return bc_gauge_data(spec, delta_g, exp_arg=t * b,
+                             extra=b * b * (1 - t * t) + b * bc1_qes_level(spec) * (1 - t))
 
     return ModelBundle(
         spec=spec, d=N, h=h, flags=((1,) * N,),
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
-        eigenvalue=bcn_eigenvalue(N, nu, nu2, nu3),
+        eigenvalue=bcn_eigenvalue(N, nu, nu2, nu3) if b is None else None,
         gauge=gauge)
+
+
+def build_bcn(N: int, nu, nu2, nu3) -> ModelBundle:
+    if N < 1:
+        raise DomainError("BC_N needs N >= 1")
+    return _build_bc(ModelSpec("BCN", N=N, nu=Fraction(nu), nu2=Fraction(nu2),
+                               nu3=Fraction(nu3)))
+
+
+def build_bc1(nu2, nu3) -> ModelBundle:
+    return _build_bc(ModelSpec("BC1", nu2=Fraction(nu2), nu3=Fraction(nu3)))
+
+
+def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
+    return _build_bc(ModelSpec("BC1_QES", nu2=Fraction(nu2), nu3=Fraction(nu3),
+                               b=Fraction(b), n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +713,14 @@ class TTWDescriptor:
             raise DomainError("beta must be positive")
         if self.variant in ("TTW_QES_RADIAL", "TTW_QES_FULL") and self.a <= 0:
             raise DomainError("sextic variants need a > 0")
+
+    @cached_property
+    def angular_spec(self) -> ModelSpec:
+        """The angular part in tau = cos(beta phi): bc1, or bc1_qes at level
+        m for the angular QES variants; built once per descriptor."""
+        if self.has_angular_qes:
+            return ModelSpec("BC1_QES", nu2=self.nu2, nu3=self.nu3, b=self.b, n=self.m)
+        return ModelSpec("BC1", nu2=self.nu2, nu3=self.nu3)
 
     @property
     def has_sextic(self) -> bool:

@@ -7,9 +7,9 @@ graph) and requires the diagonal to equal the closed-form eigenvalue
 multiset; for a triangular matrix this is the identity charpoly(M) ==
 prod_p (lambda - eps_p).  Kernels of (M - eps I), the eigenpolynomials,
 come by back-substitution along that order.  Both read the sparse int
-columns of the restricted matrix; each kernel polynomial is then checked
-against the operator, scaled to int numerators once per call.  A matrix
-with no such order is refused with UnsupportedModel.
+columns of the restricted matrix, and each kernel vector is checked as
+M v = eps v on those columns, not on the back-substitution's state.  A
+matrix with no such order is refused with UnsupportedModel.
 
 A NUMERIC_DPS-digit numeric eigensolve cross-checks the multiset on demand
 (on by default).  It reads the same sparse columns, and first runs the
@@ -30,14 +30,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 import mpmath
 from mpmath import mp
 
 from . import linalg
-from .diffop import ExactMatrix, _apply_scaled, _scaled, restrict_to_flag
+from .diffop import ExactMatrix, restrict_to_flag
 from .errors import (DomainError, FormulaMismatch, InconsistencyError,
                      UnsupportedModel)
 from .models import ModelBundle, eigenvalue_formula
@@ -186,8 +186,6 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
 
     entries: list[SpectralEntry] = []
     defective: list[Fraction] = []
-    if with_vectors:
-        scaled = _scaled(model.h, "spectrum")
     for val in sorted(predicted):
         monos = tuple(sorted(predicted[val], key=lambda e: (sum(e), e)))
         kernel_polys: tuple[MultiPoly, ...] = ()
@@ -201,11 +199,9 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
             kdim = len(basis_vecs)
             if kdim < len(monos):
                 defective.append(val)
+            for v in basis_vecs:
+                _check_eigenvector(matrix, v, val)
             kernel_polys = tuple(_vector_to_poly(v, space) for v in basis_vecs)
-            for phi in kernel_polys:
-                if _apply_scaled(space.d, scaled, phi) != phi * val:
-                    raise InconsistencyError(
-                        f"kernel vector is not an exact eigenpolynomial at {val}")
         entries.append(SpectralEntry(val, monos, len(monos), kdim, kernel_polys))
 
     numeric_checked = False
@@ -214,6 +210,22 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
         numeric_checked = True
     return SpectrumRecord(model.spec.family, space.d, space.f, n,
                           tuple(entries), tuple(defective), numeric_checked)
+
+
+def _check_eigenvector(matrix: ExactMatrix, vec: Sequence[Fraction],
+                      val: Fraction) -> None:
+    """M v == val v, or InconsistencyError: with v = nums / vden,
+    M = columns / den and val = p / q, q sum_j columns[j][i] nums_j equals
+    p den nums_i at every index i, in ints."""
+    vden = lcm(*(c.denominator for c in vec if c))
+    nums = {j: c.numerator * (vden // c.denominator) for j, c in enumerate(vec) if c}
+    image: dict[int, int] = {}
+    for j, v in nums.items():
+        for i, a in matrix.columns[j].items():
+            image[i] = image.get(i, 0) + a * v
+    p, q = val.numerator * matrix.den, val.denominator
+    if any(q * image.get(i, 0) != p * nums.get(i, 0) for i in image.keys() | nums.keys()):
+        raise InconsistencyError(f"kernel vector is not an exact eigenvector at {val}")
 
 
 def _vector_to_poly(vec: Sequence[Fraction], space: FlagSpace) -> MultiPoly:

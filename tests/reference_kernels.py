@@ -13,7 +13,9 @@ one-sided readings.  The gauge data of bc1, bc1_qes, bc2 and bc3 are the
 hand-derived ground factors and partial-fraction potentials that the
 derivation from the root table replaced (`models.bc_gauge_data`), with the
 printed potentials as they were written before their pair term was
-derived.  `restrict_to_flag` is the per-monomial loop that applied the
+derived.  `bc1_operator` and `bc1_qes_operator` are the hand-typed bc1 and
+bc1_qes forms that the BC_N construction at N = 1 replaced.
+`restrict_to_flag` is the per-monomial loop that applied the
 operator to each basis monomial, here through `apply` above.  The oracle functions are those from before the
 per-check constants, each converting its Fractions anew on every call:
 `invariants_map` runs the elementary-symmetric recursion once per
@@ -245,10 +247,32 @@ def g2_eigenvalue_printed(nu: Fraction, mu: Fraction, p) -> Fraction:
             + (mu + nu) * p1 + (2 * mu + nu) * p2)
 
 
-# -- the hand-derived gauge data of bc1, bc1_qes, bc2 and bc3 ---------------------
+# -- the hand-typed bc1 and bc1_qes operators ---------------------------------------
 
 def _tau(nvars: int, i: int) -> MultiPoly:
     return MultiPoly.variable(nvars, i)
+
+
+def bc1_operator(nu2: Fraction, nu3: Fraction) -> DiffOp:
+    """(tau^2-1) d^2 + [(2 nu2 + nu3 + 1) tau + nu3] d."""
+    t = _tau(1, 0)
+    return DiffOp(1, {
+        (2,): t * t - 1,
+        (1,): (2 * nu2 + nu3 + 1) * t + nu3,
+    })
+
+
+def bc1_qes_operator(nu2: Fraction, nu3: Fraction, b: Fraction, n: int) -> DiffOp:
+    """h_BC1 + 2b(tau^2-1) d - 2bn tau + 2b(n + nu2 + nu3 + 1/2)."""
+    t = _tau(1, 0)
+    delta = DiffOp(1, {
+        (1,): 2 * b * (t * t - 1),
+        (0,): -2 * b * n * t + MultiPoly.const(1, 2 * b * (n + nu2 + nu3 + HALF)),
+    })
+    return bc1_operator(nu2, nu3) + delta
+
+
+# -- the hand-derived gauge data of bc1, bc1_qes, bc2 and bc3 ---------------------
 
 
 def bc1_ground_factor(nu2: Fraction, nu3: Fraction) -> GaugeFactor:

@@ -220,7 +220,7 @@ def test_root_table_matches_per_family_formulas(spec, beta, seed):
                 == reference_inside_alcove(spec, cand, float(beta), 0.12))
 
 
-@pytest.mark.parametrize("field", ["nu", "nu2", "nu3", "mu", "b", "a", "omega", "beta"])
+@pytest.mark.parametrize("field", ["nu", "nu2", "nu3", "mu", "b"])
 def test_model_spec_hash_eq_and_one_root_table_per_spec(field):
     spec = ModelSpec("BCN", N=2, nu=HALF, nu2=Fraction(1, 3), nu3=Fraction(1, 5))
     same = ModelSpec("BCN", N=2, nu=Fraction(2, 4), nu2=Fraction(1, 3), nu3=Fraction(1, 5))
@@ -737,3 +737,23 @@ def test_ttw_ground_check_matches_the_per_call_path(variant, convention, dps,
         return [outcome(lambda: getattr(module, fn)(desc, r, phi, dps))
                 for fn in ("ttw_ground_factor", "ttw_potential")]
     assert point_values(cart) == point_values(reference_kernels)
+
+
+@pytest.mark.parametrize("variant, family", [("TTW", "BC1"), ("TTW_QES_RADIAL", "BC1"),
+                                             ("TTW_QES_ANGULAR", "BC1_QES"),
+                                             ("TTW_QES_FULL", "BC1_QES")])
+def test_ttw_reads_its_bc1_constants_from_one_spec_per_descriptor(variant, family):
+    nu2, nu3, b = Fraction(2, 3), Fraction(-1, 5), Fraction(2, 5)
+    desc = ttw_models(variant, nu2=nu2, nu3=nu3, beta=Fraction(3, 2), omega=1,
+                      a=HALF if "RADIAL" in variant or "FULL" in variant else 0,
+                      b=b if family == "BC1_QES" else 0, m=2)
+    spec = desc.angular_spec
+    assert spec is desc.angular_spec
+    if family == "BC1":
+        assert spec == ModelSpec("BC1", nu2=nu2, nu3=nu3)
+    else:
+        assert spec == ModelSpec("BC1_QES", nu2=nu2, nu3=nu3, b=b, n=2)
+    # the level m reaches the potential as the per-call path writes it
+    for r, phi in cart.ttw_sample(desc, 3, 5):
+        assert (cart.ttw_potential(desc, r, phi, 30)
+                == reference_kernels.ttw_potential(desc, r, phi, 30))

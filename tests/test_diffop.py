@@ -9,7 +9,7 @@ from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
                                gauge_conjugate, preserves_flag,
                                restrict_to_flag)
 from orbitforms.errors import DomainError, FlagViolation, UnsupportedOrder
-from orbitforms.models import bc1_operator, build_bc1, g2_operator
+from orbitforms.models import build_bc1, g2_operator
 from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
 import reference_kernels as ref
 from reference_linalg import dense_action_matrix, is_block_triangular
@@ -25,20 +25,20 @@ def rows(matrix):
 
 
 def test_apply_annihilates_constants():
-    h = bc1_operator(Fraction(1, 3), Fraction(2, 5))
+    h = build_bc1(Fraction(1, 3), Fraction(2, 5)).h
     assert apply(h, MultiPoly.const(1, 1)).is_zero()
 
 
 def test_apply_linear_monomial():
     nu2, nu3 = Fraction(1, 3), Fraction(2, 5)
-    h = bc1_operator(nu2, nu3)
+    h = build_bc1(nu2, nu3).h
     image = apply(h, t)
     assert image == (2 * nu2 + nu3 + 1) * t + nu3
 
 
 def test_apply_square_free_case():
     # hand oracle: (tau^2-1)*2 + tau*2tau = 4 tau^2 - 2
-    h = bc1_operator(Fraction(0), Fraction(0))
+    h = build_bc1(Fraction(0), Fraction(0)).h
     assert apply(h, t * t) == 4 * t * t - 2
 
 
@@ -56,7 +56,7 @@ def test_compose_euler_square():
 
 
 def test_compose_identity_neutral():
-    h = bc1_operator(Fraction(1, 2), Fraction(1, 3))
+    h = build_bc1(Fraction(1, 2), Fraction(1, 3)).h
     assert compose(h, DiffOp.identity(1)) == h
     assert compose(DiffOp.identity(1), h) == h
 
@@ -101,7 +101,7 @@ def test_commutator_lowering_euler():
 
 
 def test_commutator_antisymmetry():
-    h = bc1_operator(Fraction(1, 2), Fraction(1, 3))
+    h = build_bc1(Fraction(1, 2), Fraction(1, 3)).h
     assert commutator(h, h).is_zero()
 
 
@@ -123,7 +123,7 @@ def test_jacobi_identity(k1, k2, k3, c1, c2, c3):
 # -- gauge conjugation ---------------------------------------------------------
 
 def test_gauge_identity_factor():
-    h = bc1_operator(Fraction(1, 2), Fraction(1, 3))
+    h = build_bc1(Fraction(1, 2), Fraction(1, 3)).h
     assert gauge_conjugate(h, GaugeFactor(1)) == h
 
 
@@ -150,7 +150,7 @@ def test_gauge_bc1_rational_to_algebraic():
 
 
 def test_gauge_roundtrip_inverse():
-    op = bc1_operator(Fraction(1, 3), Fraction(1, 5))
+    op = build_bc1(Fraction(1, 3), Fraction(1, 5)).h
     factor = GaugeFactor(1, [(1 + t, Fraction(1, 2)), (1 - t, Fraction(2, 3))],
                          t * Fraction(1, 4))
     there = gauge_conjugate(op, factor)
@@ -190,7 +190,7 @@ def test_gauge_order_cap():
 # -- flag restriction ----------------------------------------------------------
 
 def test_restrict_bc1_free_lower_triangular():
-    h = bc1_operator(Fraction(0), Fraction(0))
+    h = build_bc1(Fraction(0), Fraction(0)).h
     m = restrict_to_flag(h, FlagSpace(1, (1,), 2))
     assert rows(m) == [[Fraction(0)] * 3,
                        [Fraction(0), Fraction(1), Fraction(0)],

@@ -12,7 +12,7 @@ from orbitforms import models
 from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
 from orbitforms.models import (_assemble_second_order, _bc_pairs,
-                               bc1_operator, bcn_coefficients, bcn_eigenvalue,
+                               bcn_coefficients, bcn_eigenvalue,
                                bcn_eigenvalue_printed,
                                bcn_rational_potential_printed, build_bc1,
                                build_bc1_qes, build_bcn, build_g2, build_mw_family,
@@ -318,6 +318,38 @@ def test_bc1_and_g2_quadratic_forms_match_the_closures(data, nus):
         assert g2_eigenvalue(*nus)(p) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nu2=couplings, nu3=couplings, b=couplings, n=st.integers(0, 6))
+def test_bc1_and_bc1_qes_match_the_hand_typed_forms(data, nu2, nu3, b, n):
+    # one BC construction at N = 1 against the operators typed by hand
+    e0 = (nu2 + nu3 * HALF) ** 2
+    bc1 = build_bc1(nu2, nu3)
+    assert bc1.h == ref.bc1_operator(nu2, nu3)
+    assert bc1.e0 == e0
+    for _ in range(3):
+        k = data.draw(exponents(1), label="k")
+        assert bc1.eigenvalue(k) == ref.bc1_eigenvalue(nu2, nu3, k)
+    assert_same_factor(bc1.ground_factor, ref.bc1_ground_factor(nu2, nu3))
+    assert bc1.rational_form == with_potential(
+        ref.bc1_operator(0, 0), ref.bc1_rational_potential(nu2, nu3))
+    qes = build_bc1_qes(nu2, nu3, b, n)
+    assert qes.h == ref.bc1_qes_operator(nu2, nu3, b, n)
+    assert qes.e0 == e0 and qes.eigenvalue is None
+    assert_same_factor(qes.ground_factor, ref.bc1_qes_ground_factor(nu2, nu3, b))
+    assert qes.rational_form == with_potential(
+        ref.bc1_operator(0, 0), ref.bc1_qes_rational_potential(nu2, nu3, b, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nu=couplings, nu2=couplings, nu3=couplings)
+def test_bcn_at_one_is_bc1_for_every_nu(data, nu, nu2, nu3):
+    bcn, bc1 = build_bcn(1, nu, nu2, nu3), build_bc1(nu2, nu3)
+    assert bcn.h == bc1.h
+    assert bcn.e0 == bc1.e0
+    k = data.draw(exponents(1), label="k")
+    assert bcn.eigenvalue(k) == bc1.eigenvalue(k)
+
+
 def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():
     # A is coupling-free, so this covers the term order of every admitted N
     for N in range(1, CEILINGS["N"] + 1):
@@ -380,7 +412,7 @@ def hand_gauge_data(N, nu, nu2, nu3):
     potential, whose kinetic term has no 1/2."""
     if N == 1:
         return (ref.bc1_ground_factor(nu2, nu3), ref.bc1_rational_potential(nu2, nu3) * HALF,
-                bc1_operator(0, 0))
+                ref.bc1_operator(0, 0))
     hand = {2: (ref.bc2_ground_factor, ref.bc2_rational_potential),
             3: (ref.bc3_ground_factor, ref.bc3_rational_potential)}[N]
     delta_g = _assemble_second_order(N, *ref.bcn_coefficients(N, 0, 0, 0))
@@ -409,7 +441,7 @@ def test_derived_gauge_data_equals_the_hand_forms(nus, b, n):
         assert bundle.rational_form == with_potential(delta_g, potential * 2)
     bc1 = build_bc1(nu2, nu3)
     ground, potential = ref.bc1_ground_factor(nu2, nu3), ref.bc1_rational_potential(nu2, nu3)
-    delta_g = bc1_operator(0, 0)
+    delta_g = ref.bc1_operator(0, 0)
     assert_same_factor(bc1.ground_factor, ground)
     assert bc1.rational_potential == potential
     assert bc1.rational_form == with_potential(delta_g, potential)

@@ -290,6 +290,35 @@ def test_cli_char_vector_length_exit_2():
                             "--n", "2", "--f", "1"))
 
 
+@pytest.mark.parametrize("argv, witness", [
+    (("--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "3", "--f", "1,1"),
+     "it maps (0, 3) to (3, 1)"),
+    (("--model", "bcn", "--N", "3", "--n", "2", "--f", "1,1,2"),
+     "it maps (0, 2, 0) to (1, 0, 1)"),
+])
+def test_cli_flag_the_model_does_not_preserve_exit_2(argv, witness):
+    res = run_cli("spectrum", *argv)
+    _one_line_error(res)
+    assert witness in res.stderr
+
+
+def test_cli_violation_of_a_bundle_flag_stays_exit_3(monkeypatch, capsys):
+    # the bundle's own flags are proven preserved; a violation there is the
+    # engine's inconsistency, not the user's configuration
+    import orbitforms.cli as cli
+    from orbitforms.errors import FlagViolation
+
+    def violating(*args, **kwargs):
+        raise FlagViolation("planted", (1, 0), (0, 3))
+
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    monkeypatch.setattr(cli, "spectrum", violating)
+    for argv in ((), ("--f", "3,5")):
+        assert main(["spectrum", "--model", "g2", "--nu", "1/2", "--mu", "1/3",
+                     "--n", "2", *argv]) == 3
+        assert "planted" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, config_text", [
     (("--suite", "flags", "--model", "nope"), None),
     (("--suite", "flags", "--tuples", "-1"), None),

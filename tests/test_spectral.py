@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from orbitforms import linalg, models, spectral
 from orbitforms.cli import main
-from orbitforms.diffop import DiffOp, apply, restrict_to_flag
+from orbitforms.diffop import DiffOp, ExactMatrix, apply, restrict_to_flag
 from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
                                UnsupportedModel)
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
@@ -382,6 +382,53 @@ def test_spectrum_records_match_the_dense_path(case, params):
     if params == DEFECTIVE:
         assert record.defective
     assert record == reference_spectrum(bundle, n, vector)
+
+
+def assert_column_check(matrix, pick):
+    """_check_eigenvector accepts every kernel vector of `matrix` and refuses
+    it after one planted change of M or of v; pick(options, label) chooses
+    where."""
+    order = linalg.triangular_order(matrix.columns)
+    for val in set(matrix.diagonal()):
+        for vec in linalg.triangular_nullspace(matrix.columns, matrix.den, order, val):
+            spectral._check_eigenvector(matrix, vec, val)
+            # one entry of M moved, in a column that v reaches
+            j = pick([j for j, c in enumerate(vec) if c], "j")
+            i = pick(range(matrix.dim), "i")
+            columns = [dict(c) for c in matrix.columns]
+            columns[j][i] = columns[j].get(i, 0) + pick([1, -1], "delta")
+            with pytest.raises(InconsistencyError):
+                spectral._check_eigenvector(
+                    ExactMatrix(matrix.space, matrix.den, columns), vec, val)
+            # one entry of v moved, where (M - val I) e_k is not zero
+            moved = [k for k, c in enumerate(matrix.columns)
+                     if c.get(k, 0) != val * matrix.den
+                     or any(v for i, v in c.items() if i != k)]
+            if moved:
+                k = pick(moved, "k")
+                planted = list(vec)
+                planted[k] += pick([Fraction(2), Fraction(-1, 3)], "step")
+                with pytest.raises(InconsistencyError):
+                    spectral._check_eigenvector(matrix, planted, val)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(TRIANGULAR_CASES)),
+       params=st.tuples(rationals, rationals, rationals))
+def test_column_check_accepts_every_kernel_and_refuses_a_planted_entry(data, case, params):
+    build, n, vector = TRIANGULAR_CASES[case]
+    bundle = build(params)
+    matrix = restrict_to_flag(bundle.h, bundle.flag(n, vector))
+    assert_column_check(matrix, lambda options, label: data.draw(
+        st.sampled_from(list(options)), label))
+
+
+@pytest.mark.parametrize("case", sorted(TRIANGULAR_CASES))
+def test_column_check_on_defective_kernels(case):
+    build, n, vector = TRIANGULAR_CASES[case]
+    bundle = build(DEFECTIVE)
+    matrix = restrict_to_flag(bundle.h, bundle.flag(n, vector))
+    assert_column_check(matrix, lambda options, label: list(options)[-1])
 
 
 def test_cyclic_matrix_is_refused():
