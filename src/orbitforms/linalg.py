@@ -8,12 +8,15 @@ denominators.  For a matrix that is triangular up to a permutation of the
 indices, given as sparse int columns over one denominator (the form
 restrict_to_flag gives), it finds that order and the kernels of a - cI by
 back-substitution along it, walking only the indices a kernel vector can
-reach.
+reach.  The real roots of an integer polynomial, such as a characteristic
+polynomial after clearing denominators, come as dyadic brackets, each
+certified by an exact sign change (real_roots).
 
-Berkowitz and the back-substitution follow the integer-numerator rule of
-poly: the loops run on ints with one denominator per value, and Fractions
-are made only where a pivot divides.  rref runs on Fractions, since its
-pivots divide; its cost is held down by sparsity instead.
+Berkowitz, the root brackets and the back-substitution follow the
+integer-numerator rule of poly: the loops run on ints with one denominator
+per value, and Fractions are made only where a pivot divides.  rref runs
+on Fractions, since its pivots divide; its cost is held down by sparsity
+instead.
 """
 
 from __future__ import annotations
@@ -222,22 +225,23 @@ def _berkowitz_int(m: list[list[int]]) -> list[int]:
     """Characteristic polynomial det(lambda I - M) of an integer matrix.
 
     Returns coefficients in descending powers, leading coefficient 1.
-    Division free, so all intermediates stay integral.
+    Division free, so all intermediates stay integral.  The products with
+    the leading blocks run over their nonzero entries only.
     """
     n = len(m)
     if n == 0:
         return [1]
+    nonzero = [[(c, x) for c, x in enumerate(row) if x] for row in m]
     coeffs = [1, -m[0][0]]
     for i in range(1, n):
-        row = [m[i][j] for j in range(i)]
-        col = [m[j][i] for j in range(i)]
-        sub = [[m[r][c] for c in range(i)] for r in range(i)]
+        row = [(c, x) for c, x in nonzero[i] if c < i]
+        sub = [[(c, x) for c, x in nonzero[r] if c < i] for r in range(i)]
         t = [1, -m[i][i]]
-        v = col[:]
+        v = [m[j][i] for j in range(i)]
         for k in range(i):
-            t.append(-sum(row[r] * v[r] for r in range(i)))
+            t.append(-sum(x * v[c] for c, x in row))
             if k < i - 1:
-                v = [sum(sub[r][c] * v[c] for c in range(i)) for r in range(i)]
+                v = [sum(x * v[c] for c, x in entries) for entries in sub]
         new = [0] * (len(coeffs) + 1)
         for p, cp in enumerate(coeffs):
             if cp:
@@ -249,7 +253,8 @@ def _berkowitz_int(m: list[list[int]]) -> list[int]:
 
 
 def charpoly(a: Matrix) -> list[Fraction]:
-    """Exact characteristic polynomial det(lambda I - a).
+    """Exact characteristic polynomial det(lambda I - a), a of Fractions or
+    ints.
 
     Returns monic coefficients in descending powers of lambda.
     """
@@ -262,3 +267,289 @@ def charpoly(a: Matrix) -> list[Fraction]:
     raw = _berkowitz_int(m)
     # det(lambda I - a) = scale^-n * det((scale lambda) I - scale a)
     return [Fraction(raw[j], scale ** j) for j in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Certified real roots of integer polynomials
+# ---------------------------------------------------------------------------
+# A polynomial is a list of int coefficients in descending powers with a
+# nonzero leading one; [] is the zero polynomial.  Points are ints X on the
+# grid X / 2^bits, where a polynomial p of degree d is read through the
+# homogenized int P(X) = sum_i p_i X^(d-i) 2^(bits i) = 2^(bits d) p(X / 2^bits),
+# which has the sign of p(X / 2^bits).
+
+
+def real_roots(coeffs: Sequence[int], bits: int) -> list[tuple[int, int, int]]:
+    """The real roots of the nonzero integer polynomial with `coeffs`
+    (descending powers), as ascending (lo, hi, multiplicity).
+
+    Each root lies in [lo, hi] / 2^bits with hi - lo <= 1, and lo == hi
+    marks an exact root.  The polynomial is split into square-free factors
+    (Yun); a Sturm chain of each factor isolates its roots by bisection from
+    a power-of-two root bound, and Newton steps in integer fixed point, kept
+    inside the bracket, refine each root.  Every bracket is certified by an
+    exact sign change of its factor (has_root).  Non-real roots are left
+    out, so the multiplicities sum to the degree exactly when every root is
+    real.  ArithmeticError means two roots of a factor lie within 2^-bits.
+    """
+    f = _primitive(coeffs)
+    if not f:
+        raise ValueError("the zero polynomial has no isolated roots")
+    if len(f) == 1:
+        return []
+    chain = _sturm_chain(f)
+    if len(chain[-1]) == 1:      # gcd(f, f') is constant: f is square-free
+        factors = [(f, 1, chain)]
+    else:
+        factors = [(g, m, _sturm_chain(g)) for g, m in square_free_factors(f)]
+    roots = []
+    for g, m, chain in factors:
+        for a, b, scale in _isolate(chain, bits):
+            lo, hi = _refine(g, a, b, scale, bits)
+            if not has_root(g, lo, hi, bits):
+                raise ArithmeticError(f"no sign change certifies the root in "
+                                      f"[{lo}, {hi}] / 2^{bits}")
+            roots.append((lo, hi, m))
+    return sorted(roots)
+
+
+def has_root(coeffs: Sequence[int], lo: int, hi: int, bits: int) -> bool:
+    """The certificate: the polynomial is 0 at lo == hi, or takes values of
+    strictly opposite signs at lo < hi (points on the 2^-bits grid), so it
+    has a root in [lo, hi] / 2^bits."""
+    scaled = _scaled(coeffs, bits)
+    if lo == hi:
+        return _value(scaled, lo) == 0
+    return lo < hi and _value(scaled, lo) * _value(scaled, hi) < 0
+
+
+def square_free_factors(f: Sequence[int]) -> list[tuple[list[int], int]]:
+    """[(g, m), ...] with f = c prod g^m, each g square-free, primitive and
+    of positive degree, pairwise coprime, m ascending (Yun 1976).
+
+    Every division is exact over the ints: the divisor is a primitive
+    factor of the dividend (Gauss's lemma), so no content is lost and
+    d = c - b' keeps the scale that Yun's identity needs.
+    """
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _divide(f, a), _divide(df, a)
+    factors = []
+    m = 1
+    while len(b) > 1:
+        d = _subtract(c, _derivative(b))
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, m))
+        b, c = _divide(b, a), _divide(d, a)
+        m += 1
+    return factors
+
+
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p without leading zeros, divided by its (positive) content."""
+    p = _strip(list(p))
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _derivative(p: Sequence[int]) -> list[int]:
+    d = len(p) - 1
+    return [c * (d - i) for i, c in enumerate(p[:-1])]
+
+
+def _subtract(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    n = max(len(p), len(q))
+    p = [0] * (n - len(p)) + list(p)
+    q = [0] * (n - len(q)) + list(q)
+    return _strip([x - y for x, y in zip(p, q)])
+
+
+def _strip(p: list[int]) -> list[int]:
+    """p without leading zeros."""
+    k = next((i for i, c in enumerate(p) if c), len(p))
+    return p[k:]
+
+
+def _remainder(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of f by g: each step scales the
+    running remainder by |lc(g)| before it cancels the leading term."""
+    r = list(f)
+    lead, dg = g[0], len(g) - 1
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    while len(r) > dg:
+        q = sign * r[0]
+        r = [scale * c for c in r]
+        for i, c in enumerate(g):
+            r[i] -= q * c
+        r = _strip(r)
+    return r
+
+
+def _divide(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g for a g that divides f with an integer quotient."""
+    r = list(f)
+    quotient = []
+    for _ in range(len(f) - len(g) + 1):
+        q, rest = divmod(r[0], g[0])
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        quotient.append(q)
+        for i, c in enumerate(g):
+            r[i] -= q * c
+        r.pop(0)
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
+
+
+def _gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by the primitive
+    remainder sequence."""
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        f, g = g, _primitive(_remainder(f, g))
+    return f if f[0] > 0 else [-c for c in f]
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """f, f', and the negated remainders, each divided by its positive
+    content, down to the last nonzero one (a multiple of gcd(f, f'))."""
+    chain = [f, _primitive(_derivative(f))]
+    while True:
+        r = _primitive(_remainder(chain[-2], chain[-1]))
+        if not r:
+            return chain
+        chain.append([-c for c in r])
+
+
+def _root_bound(f: Sequence[int]) -> int:
+    """e with every root of f inside (-2^e, 2^e): the power of two at or
+    above 2 max_i |f_i / f_0|^(1/i), from the bit lengths."""
+    top = abs(f[0]).bit_length()
+    e = 0
+    for i, c in enumerate(f[1:], 1):
+        if c:
+            e = max(e, -(-(abs(c).bit_length() - top + 1) // i))
+    return e + 1
+
+
+def _scaled(p: Sequence[int], bits: int) -> list[int]:
+    return [c << (bits * i) for i, c in enumerate(p)]
+
+
+def _value(scaled: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in scaled:
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(values) -> int:
+    count, last = 0, 0
+    for v in values:
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _isolate(chain: Sequence[Sequence[int]], bits: int) -> list[tuple[int, int, int]]:
+    """Intervals (a, b] / 2^s as (a, b, s), each holding exactly one root of
+    chain[0], by Sturm-counted bisection of (-2^e, 2^e] (e from
+    _root_bound) with a first cut at 0, so that a root at 0 is an interval
+    end and is found exactly.  An interval one grid step wide moves to the
+    grid twice as fine, so the points stay as short as the roots allow;
+    past 2^-bits, ArithmeticError.
+
+    Sturm's theorem: the roots in (a, b] number V(a) - V(b), V the sign
+    variations of the chain; V(+-2^e) are those at +-infinity, read off the
+    leading coefficients, as no root lies beyond the bound.
+    """
+    scaled: dict[int, list[list[int]]] = {}
+
+    def variations(x: int, s: int) -> int:
+        if s not in scaled:
+            scaled[s] = [_scaled(p, s) for p in chain]
+        return _sign_changes(_value(p, x) for p in scaled[s])
+
+    top = 1 << _root_bound(chain[0])
+    v_low = _sign_changes(-p[0] if len(p) % 2 == 0 else p[0] for p in chain)
+    v_high = _sign_changes(p[0] for p in chain)
+    v_zero = _sign_changes(p[-1] for p in chain)
+    stack = [(0, top, 0, v_zero, v_high), (-top, 0, 0, v_low, v_zero)]
+    out = []
+    while stack:
+        a, b, s, va, vb = stack.pop()
+        count = va - vb
+        if count == 1:
+            out.append((a, b, s))
+        elif count > 1:
+            if b - a == 1:
+                if s == bits:
+                    raise ArithmeticError(f"two roots lie within 2^-{bits}")
+                a, b, s = 2 * a, 2 * b, s + 1
+            m = (a + b) // 2
+            vm = variations(m, s)
+            stack += [(m, b, s, vm, vb), (a, m, s, va, vm)]
+    return out
+
+
+def _refine(g: Sequence[int], a: int, b: int, s: int, bits: int) -> tuple[int, int]:
+    """Shrink (a, b] / 2^s, holding exactly one root of the square-free g,
+    to one step of the 2^-bits grid, or to the root itself where it lies on
+    that grid.
+
+    Newton doubles the correct bits per step, so the bracket is first
+    shrunk on the 2^-64 grid, with short ints, and then on the 2^-bits grid
+    from there, where two steps suffice.
+    """
+    for t in (min(64, bits), bits):
+        if t > s:
+            a, b, s = a << (t - s), b << (t - s), t
+        a, b = _newton(_scaled(g, s), a, b)
+        if a == b:
+            break
+    return a << (bits - s), b << (bits - s)
+
+
+def _newton(scaled: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """Shrink the grid interval (a, b], holding exactly one root of the
+    square-free polynomial, to one grid step, or to the root itself where
+    it lies on the grid.
+
+    The root is simple, so the sign at b is the sign right of the root and
+    its opposite the sign left of it.  Each point taken replaces the end
+    whose sign it shares.  The next point is the Newton step from the last
+    one, x - P(X)/P'(X) in grid units, at least one unit; a step that leaves
+    the bracket, or is more than half the step before the last, is replaced
+    by bisection (the safeguard of rtsafe, Press et al.).
+    """
+    right = _value(scaled, b)
+    if right == 0:
+        return b, b
+    if b - a <= 1:
+        return a, b
+    right = right > 0
+    slope = _derivative(scaled)
+    x = (a + b) // 2
+    older = last = b - a
+    while True:
+        v = _value(scaled, x)
+        if v == 0:
+            return x, x
+        if (v > 0) == right:
+            b = x
+        else:
+            a = x
+        if b - a <= 1:
+            return a, b
+        dv = _value(slope, x)
+        step = v // dv if dv else 0
+        if step == 0:
+            step = 1 if x == b else -1
+        t = x - step
+        if not a < t < b or 2 * abs(step) > older:
+            t = (a + b) // 2
+        older, last, x = last, abs(t - x), t

@@ -11,18 +11,26 @@ columns of the restricted matrix, and each kernel vector is checked as
 M v = eps v on those columns, not on the back-substitution's state.  A
 matrix with no such order is refused with UnsupportedModel.
 
-A NUMERIC_DPS-digit numeric eigensolve cross-checks the multiset on demand
-(on by default).  It reads the same sparse columns, and first runs the
-permutation stage of balancing (Parlett and Reinsch 1969; LAPACK xGEBAL,
-job 'P') on their exact zero pattern.  An index whose row or column has no
-off-diagonal entry among the indices left is a 1x1 diagonal block of the
-matrix, symmetrically permuted, so its diagonal entry is an eigenvalue; it
-is removed, and mpmath.eig solves only the irreducible core left at the
-end.  A matrix that is triangular in some order peels completely, so
-checking a solvable spectrum takes no QR step.  The peel reads only the
-columns, never the engine's dominance order, so the check stays
-independent: a matrix that is not triangular keeps a core, and mpmath
-solves that core densely.  No step builds a dense Fraction matrix.
+A QES family has no closed form, so its spectrum is proven from the exact
+characteristic polynomial instead: the integer polynomial charpoly(den M)
+(Berkowitz on the same columns) is split into square-free factors, and
+each real root is isolated by a Sturm chain and refined by integer Newton
+steps to a bracket 2^-ROOT_BITS wide on den lambda, certified by an exact
+sign change (linalg.real_roots).  A spectrum with a non-real eigenvalue is
+refused with DomainError; no QES step solves numerically.
+
+A NUMERIC_DPS-digit numeric eigensolve cross-checks the solvable multiset
+on demand (on by default).  It reads the same sparse columns, and first
+runs the permutation stage of balancing (Parlett and Reinsch 1969; LAPACK
+xGEBAL, job 'P') on their exact zero pattern.  An index whose row or
+column has no off-diagonal entry among the indices left is a 1x1 diagonal
+block of the matrix, symmetrically permuted, so its diagonal entry is an
+eigenvalue; it is removed, and mpmath.eig solves only the irreducible core
+left at the end.  A matrix that is triangular in some order peels
+completely, so checking a solvable spectrum takes no QR step.  The peel
+reads only the columns, never the engine's dominance order, so the check
+stays independent: a matrix that is not triangular keeps a core, and
+mpmath solves that core densely.  No step builds a dense Fraction matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ ZERO = Fraction(0)
 # numeric multiset must match an exact spectrum
 NUMERIC_DPS = 60
 NUMERIC_TOL = "1e-30"
+# QES eigenvalues: bracket width 2^-ROOT_BITS on den lambda, past the
+# 2^-199 of NUMERIC_DPS digits
+ROOT_BITS = 230
 
 
 @dataclass(frozen=True)
@@ -259,34 +270,48 @@ class QesSpectrumRecord:
     n: int
     matrix: ExactMatrix
     eigenvalues: tuple            # mpf values, ascending
-    max_imag: object
+    max_imag: object              # mpf 0: every eigenvalue is proven real
     trace_gap: object
 
 
 def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
-    """Numeric spectrum of a QES model on its single invariant subspace.
+    """Spectrum of a QES model on its single invariant subspace, from the
+    exact characteristic polynomial.
 
-    Eigenvalues come from a high-precision diagonalization of the exact
-    matrix; there is no closed-form check (none exists).  The sum of the real
-    parts must equal the exact trace within NUMERIC_TOL, or InconsistencyError
-    is raised; the largest imaginary part is reported, not bounded.
+    There is no closed form (none exists), so the eigenvalues are the real
+    roots of charpoly(den M), an integer polynomial, each proven by
+    linalg.real_roots in a bracket 2^-ROOT_BITS wide on den lambda by an
+    exact sign change.  A spectrum with a non-real eigenvalue is refused
+    with DomainError, and max_imag is exactly 0.  Each value printed is a
+    bracket midpoint over den at NUMERIC_DPS digits; their sum must equal
+    the exact trace within NUMERIC_TOL, or InconsistencyError is raised.
     """
     if model.eigenvalue is not None:
         raise UnsupportedModel("qes_spectrum is for QES families")
-    matrix = restrict_to_flag(model.h, model.flag(model.spec.n))
-    values = numeric_eigenvalues(matrix.columns, matrix.den)
+    n = model.spec.n
+    matrix = restrict_to_flag(model.h, model.flag(n))
+    rows = [[0] * matrix.dim for _ in range(matrix.dim)]
+    for j, col in enumerate(matrix.columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    coeffs = [c.numerator for c in linalg.charpoly(rows)]   # den M is an int matrix
+    try:
+        roots = linalg.real_roots(coeffs, ROOT_BITS)
+    except ArithmeticError as exc:
+        raise InconsistencyError(f"QES eigenvalues not certified: {exc}") from None
+    real = sum(m for _, _, m in roots)
+    if real < matrix.dim:
+        raise DomainError(f"{model.spec.family.lower()} at n={n}: {matrix.dim - real} "
+                          f"of its {matrix.dim} eigenvalues are non-real")
     with mp.workdps(NUMERIC_DPS):
-        order = sorted(range(len(values)), key=lambda i: mpmath.mpf(values[i].real))
-        max_imag = max((abs(values[i].imag) for i in order), default=mp.mpf(0))
-        eigvals = tuple(values[i].real for i in order)
+        eigvals = tuple(mpmath.ldexp(mpmath.mpf(lo + hi), -ROOT_BITS - 1) / matrix.den
+                        for lo, hi, m in roots for _ in range(m))
         exact_trace = matrix.trace()
-        trace_gap = abs(sum(eigvals) - mpmath.mpf(exact_trace.numerator)
-                        / exact_trace.denominator)
+        trace_gap = abs(sum(eigvals) - _to_mp(exact_trace))
         if trace_gap > mpmath.mpf(NUMERIC_TOL):
             raise InconsistencyError(f"QES eigenvalues miss the exact trace "
                                      f"{exact_trace} by {mpmath.nstr(trace_gap, 3)}")
-    return QesSpectrumRecord(model.spec.family, model.spec.n, matrix, eigvals,
-                             max_imag, trace_gap)
+    return QesSpectrumRecord(model.spec.family, n, matrix, eigvals, mp.mpf(0), trace_gap)
 
 
 # ---------------------------------------------------------------------------

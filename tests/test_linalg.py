@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforms import linalg
@@ -89,3 +90,95 @@ def test_rref_matches_the_dense_loop(m, data):
     ncols = data.draw(st.integers(0, cols), label="ncols")
     assert linalg.rref(m, ncols) == reference_rref(m, ncols)
     assert m == original   # the input is not touched
+
+
+# -- certified real roots of integer polynomials ------------------------------
+
+BITS = 230
+
+
+def times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def planted(roots, extra=(1,)):
+    """extra * prod (q x - p)^m over roots = [(p/q, m), ...], as int
+    coefficients in descending powers."""
+    coeffs = list(extra)
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = times(coeffs, [r.denominator, -r.numerator])
+    return coeffs
+
+
+def assert_certified(coeffs, roots):
+    """real_roots finds exactly the planted (root, multiplicity) pairs, in
+    ascending order, each in a bracket at most one 2^-BITS step wide that
+    the sign-change certificate accepts."""
+    found = linalg.real_roots(coeffs, BITS)
+    assert [m for _, _, m in found] == [m for _, m in sorted(roots)]
+    for (lo, hi, _), (r, _) in zip(found, sorted(roots)):
+        assert 0 <= hi - lo <= 1
+        assert F(lo, 2 ** BITS) <= r <= F(hi, 2 ** BITS)
+        assert (lo == hi) == ((r * 2 ** BITS).denominator == 1)
+    return found
+
+
+def test_real_roots_of_distinct_rationals():
+    roots = [(F(1), 1), (F(2), 1), (F(3), 1), (F(7, 3), 1), (F(-2, 5), 1), (F(0), 1)]
+    found = assert_certified(planted(roots), roots)
+    assert found[1][0] == found[1][1] == 0      # the root 0 is exact
+
+
+def test_real_roots_closer_than_the_isolation_grid():
+    for r in (F(1), F(1, 3)):     # the first on the grid, the second not
+        close = [(r, 1), (r + F(1, 2 ** 60), 1), (F(-3), 1)]
+        assert_certified(planted(close), close)
+        with pytest.raises(ArithmeticError):
+            linalg.real_roots(planted(close), 40)
+
+
+def test_real_roots_with_multiplicities():
+    roots = [(F(1, 3), 2), (F(-2), 3), (F(7, 5), 1), (F(0), 4)]
+    assert_certified(planted(roots), roots)
+    assert linalg.square_free_factors(planted(roots)) == [
+        ([5, -7], 1), ([3, -1], 2), ([1, 2], 3), ([1, 0], 4)]
+
+
+def test_real_roots_leave_a_non_real_pair_out():
+    roots = [(F(1), 1), (F(-3, 2), 2)]
+    coeffs = planted(roots, extra=[1, 0, 1])        # a factor x^2 + 1
+    found = assert_certified(coeffs, roots)
+    assert sum(m for _, _, m in found) == len(coeffs) - 3
+
+
+def test_certificate_fails_for_a_changed_coefficient():
+    roots = [(F(1), 1), (F(5, 3), 1), (F(-7, 2), 1), (F(11), 1)]
+    coeffs = planted(roots)
+    found = assert_certified(coeffs, roots)
+    for k in range(len(coeffs)):
+        changed = coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1:]
+        for lo, hi, _ in found:
+            assert linalg.has_root(coeffs, lo, hi, BITS)
+            assert not linalg.has_root(changed, lo, hi, BITS), (k, lo)
+
+
+ROOTS = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.dictionaries(ROOTS, st.integers(1, 3), min_size=1, max_size=6),
+       pair=st.sampled_from([(1,), (1, 0, 1), (3, -2, 5)]), sign=st.sampled_from([1, -3]))
+def test_real_roots_find_planted_roots(roots, pair, sign):
+    coeffs = [sign * c for c in planted(list(roots.items()), extra=pair)]
+    assert_certified(coeffs, list(roots.items()))
+    product = [1]
+    for g, m in linalg.square_free_factors(coeffs):
+        for _ in range(m):
+            product = times(product, g)
+    unit = coeffs[0] // product[0]
+    assert [unit * c for c in product] == coeffs   # the factors multiply back

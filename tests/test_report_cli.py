@@ -285,6 +285,15 @@ def test_cli_non_integer_char_vector_exit_2():
                             "--n", "2", "--f", "a,b"))
 
 
+def test_cli_qes_non_real_spectrum_exit_2():
+    # the pair 3.203 +- 0.618i and one real eigenvalue
+    res = run_cli("spectrum", "--model", "bc1_qes", "--nu2", "-3/4", "--nu3", "0",
+                  "--b", "1/2", "--n", "2", "--format", "csv")
+    _one_line_error(res)
+    assert "2 of its 3 eigenvalues are non-real" in res.stderr
+    assert res.stdout == ""
+
+
 def test_cli_char_vector_length_exit_2():
     _one_line_error(run_cli("spectrum", "--model", "g2", "--nu", "1", "--mu", "1",
                             "--n", "2", "--f", "1"))
@@ -447,13 +456,13 @@ def test_cli_cache_dir_that_is_a_file_exit_2(tmp_path, capsys):
 def test_cli_negative_rationals_take_the_space_form(monkeypatch, capsys):
     monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
     argv = ["spectrum", "--model", "bc1_qes", "--nu2", "-1/2", "--nu3", "-1",
-            "--b", "-2", "--n", "3"]
+            "--b", "-3", "--n", "3"]
     assert main(argv) == 0
     spaced = capsys.readouterr()
     assert spaced.err == ""
     assert json.loads(spaced.out)["config"]["nu2"] == "-1/2"
     assert main(["spectrum", "--model", "bc1_qes", "--nu2=-1/2", "--nu3", "-1",
-                 "--b", "-2", "--n", "3"]) == 0
+                 "--b", "-3", "--n", "3"]) == 0
     assert capsys.readouterr().out == spaced.out
 
 

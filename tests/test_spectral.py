@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 
 import mpmath
@@ -110,23 +111,56 @@ def test_qes_two_level_trace():
 
 def test_qes_spectrum_refuses_eigenvalues_off_the_exact_trace(monkeypatch):
     q = build_bc1_qes(Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), 3)
-    real = spectral.numeric_eigenvalues
+    real = linalg.real_roots
+    den = restrict_to_flag(q.h, q.flag(3)).den
     assert qes_spectrum(q).trace_gap < mpmath.mpf(NUMERIC_TOL)
 
-    def planted(columns, den, shift):
-        values = real(columns, den)
-        with mpmath.mp.workdps(NUMERIC_DPS):
-            values[1] += mpmath.mpf(shift)
-        return values
+    def planted(coeffs, bits, shift):
+        roots = real(coeffs, bits)
+        units = int(Fraction(shift) * den * 2 ** bits)   # shift lambda, not den lambda
+        lo, hi, m = roots[1]
+        roots[1] = (lo + units, hi + units, m)
+        return roots
 
     # a shift far below the bound passes; one above it is refused
-    monkeypatch.setattr(spectral, "numeric_eigenvalues",
-                        lambda c, d: planted(c, d, "1e-40"))
+    monkeypatch.setattr(linalg, "real_roots", lambda c, b: planted(c, b, "1e-40"))
     assert qes_spectrum(q).trace_gap < mpmath.mpf(NUMERIC_TOL)
-    monkeypatch.setattr(spectral, "numeric_eigenvalues",
-                        lambda c, d: planted(c, d, "1e-20"))
+    monkeypatch.setattr(linalg, "real_roots", lambda c, b: planted(c, b, "1e-20"))
     with pytest.raises(InconsistencyError, match="exact trace"):
         qes_spectrum(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.tuples(*[st.builds(Fraction, st.integers(1, 40), st.integers(1, 9))] * 3),
+       level=st.integers(0, 6))
+def test_qes_spectrum_matches_the_dense_solve(params, level):
+    """At positive couplings the certified roots are the eigenvalues the
+    whole-matrix mpmath.eig finds, to 1e-50, and print the same 15 digits."""
+    bundle = build_bc1_qes(*params, level)
+    rec = qes_spectrum(bundle)
+    dense = dense_numeric_eigenvalues(dense_action_matrix(rec.matrix))
+    with mpmath.mp.workdps(NUMERIC_DPS):
+        assert max(abs(v.imag) for v in dense) < mpmath.mpf("1e-50")
+        reference = sorted(v.real for v in dense)
+        assert all(abs(a - b) < mpmath.mpf("1e-50") for a, b in zip(rec.eigenvalues, reference))
+    assert len(rec.eigenvalues) == len(reference) == level + 1
+    assert [str(v) for v in rec.eigenvalues] == [str(v) for v in reference]
+
+
+def test_qes_path_calls_no_dense_solve(monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("mpmath.eig called")
+
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    monkeypatch.setattr(mpmath, "eig", refused)
+    monkeypatch.setattr(mpmath.mp, "eig", refused)
+    for n in range(7):
+        assert main(["spectrum", "--model", "bc1_qes", "--nu2", "1/3", "--nu3", "1/5",
+                     "--b", "2/3", "--n", str(n)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["entries"]) == n + 1
+    # the numeric multiset check of a solvable spectrum still solves its core
+    with pytest.raises(AssertionError, match="mpmath.eig called"):
+        numeric_eigenvalues(exact_matrix(COMPLEX_PAIR).columns, 1)
 
 
 def test_qes_reduces_to_closed_form_at_b_zero():
@@ -692,6 +726,33 @@ GOLDEN_SUITE_SHA256 = {
     "cartesian --sample-points 10":
         "088071184d9086695c703085ca231fd1f9e16168615ce2d9a8d474a6c39f9eb1",
 }
+
+
+# bc1_qes reports: the shipped couplings, two other points (one in CSV) and
+# a point whose eigenvalues -2 and 0 are double, in JSON and in CSV.  The
+# digest is that of the 60-digit mpmath.eig spectra the certified roots
+# must reproduce.
+QES_SHIPPED = ["--model", "bc1_qes", "--nu2", "1/3", "--nu3", "1/5", "--b", "2/3"]
+GOLDEN_QES_QUERIES = [
+    *([*QES_SHIPPED, "--n", str(n)] for n in (1, 2, 3, 4, 5, 6, 20)),
+    ["--model", "bc1_qes", "--nu2", "7/3", "--nu3", "5/2", "--b", "9/4", "--n", "5"],
+    ["--model", "bc1_qes", "--nu2=-1/7", "--nu3", "3", "--b=-5/3", "--n", "6",
+     "--format", "csv"],
+    ["--model", "bc1_qes", "--nu2=-2", "--nu3", "1", "--b", "0", "--n", "6"],
+    ["--model", "bc1_qes", "--nu2=-2", "--nu3", "1", "--b", "0", "--n", "6",
+     "--format", "csv"],
+]
+GOLDEN_QES_SHA256 = "40ee2f70f29389dd8c6b4323df519189e7e40382ece7462b4533046bf391a152"
+
+
+def test_qes_reports_match_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "report"
+    digest = hashlib.sha256()
+    for query in GOLDEN_QES_QUERIES:
+        assert main(["spectrum", *query, "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == GOLDEN_QES_SHA256
 
 
 def golden_digests(out) -> tuple[str, dict[str, str]]:
