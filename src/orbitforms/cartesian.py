@@ -328,17 +328,6 @@ def laplacian_richardson(fn: Callable, x: Sequence, h, centre):
 # Residual checks and the affine-energy fit
 # ---------------------------------------------------------------------------
 
-def eigenfunction_factory(bundle: ModelBundle, phi: MultiPoly, beta=1) -> Callable:
-    """Psi(x) = Psi0(x) * phi(tau(x)); an imaginary beta gives the hyperbolic
-    model (tau = cosh, sinh ground factors)."""
-    spec = bundle.spec
-
-    def psi(x):
-        tau = invariants_map(spec, x, beta)
-        return psi0_cartesian(spec, x, beta) * phi.evaluate(tau)
-    return psi
-
-
 class SharedMonomials:
     """The polynomials of one check, evaluated together at one point.
 
@@ -579,7 +568,12 @@ def fd_convergence_order(bundle: ModelBundle, eps, phi: MultiPoly, *,
     spec = bundle.spec
     sample = sample_alcove(spec, 3, seed, beta)
     with mp.workdps(dps):
-        psi = eigenfunction_factory(bundle, phi, beta)
+        ground = CheckGround(spec, beta)
+        shared = SharedMonomials([phi])
+
+        def psi(x):
+            psi0, tau = ground.ground(x)
+            return psi0 * shared.value(0, shared.at(tau))
         orders = []
         for x in sample:
             centre = psi(list(x))

@@ -6,7 +6,8 @@ columns only), nullspaces, and characteristic polynomials by the
 division-free Berkowitz algorithm run over integers after clearing
 denominators.  For a matrix that is triangular up to a permutation of the
 indices, given as sparse int columns over one denominator (the form
-restrict_to_flag gives), it finds that order and the kernels of a - cI by
+restrict_to_flag gives), it finds that order, checks an order apart from
+the search that found it, and finds the kernels of a - cI by
 back-substitution along it, walking only the indices a kernel vector can
 reach.  The real roots of an integer polynomial, such as a characteristic
 polynomial after clearing denominators, come as dyadic brackets, each
@@ -118,6 +119,16 @@ def triangular_order(columns: Sequence[Mapping[int, int]]) -> list[int] | None:
             if not waiting[i]:
                 ready.append(i)
     return order if len(order) == n else None
+
+
+def is_triangular_in(columns: Sequence[Mapping[int, int]], order: Sequence[int]) -> bool:
+    """The certificate of triangular_order, checked apart from the search:
+    `order` is a permutation of the indices, and every nonzero off-diagonal
+    entry a[i][j] has j before i in it.  A stored zero is no entry."""
+    position = {i: k for k, i in enumerate(order)}
+    return (sorted(order) == list(range(len(columns)))
+            and all(position[j] < position[i] for j, col in enumerate(columns)
+                    for i, v in col.items() if v and i != j))
 
 
 def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
@@ -298,10 +309,13 @@ def real_roots(coeffs: Sequence[int], bits: int) -> list[tuple[int, int, int]]:
     if len(f) == 1:
         return []
     chain = _sturm_chain(f)
-    if len(chain[-1]) == 1:      # gcd(f, f') is constant: f is square-free
+    common = chain[-1]           # gcd(f, f'), up to its sign
+    if len(common) == 1:         # constant: f is square-free
         factors = [(f, 1, chain)]
     else:
-        factors = [(g, m, _sturm_chain(g)) for g, m in square_free_factors(f)]
+        if common[0] < 0:
+            common = [-c for c in common]
+        factors = [(g, m, _sturm_chain(g)) for g, m in _yun(f, common)]
     roots = []
     for g, m, chain in factors:
         for a, b, scale in _isolate(chain, bits):
@@ -331,9 +345,13 @@ def square_free_factors(f: Sequence[int]) -> list[tuple[list[int], int]]:
     factor of the dividend (Gauss's lemma), so no content is lost and
     d = c - b' keeps the scale that Yun's identity needs.
     """
-    df = _derivative(f)
-    a = _gcd(f, df)
-    b, c = _divide(f, a), _divide(df, a)
+    return _yun(f, _gcd(f, _derivative(f)))
+
+
+def _yun(f: Sequence[int], a: Sequence[int]) -> list[tuple[list[int], int]]:
+    """square_free_factors of f, given a = gcd(f, f'), primitive with a
+    positive leading coefficient."""
+    b, c = _divide(f, a), _divide(_derivative(f), a)
     factors = []
     m = 1
     while len(b) > 1:

@@ -594,9 +594,6 @@ class FlagSpace:
     def contains(self, exps: Exponents) -> bool:
         return fdegree(exps, self.f) <= self.n
 
-    def grade(self, exps: Exponents) -> int:
-        return fdegree(exps, self.f)
-
     def __iter__(self) -> Iterator[Exponents]:
         return iter(self.basis)
 

@@ -119,6 +119,9 @@ class RunConfig:
         for key in ("sample_points", "tuples", "dps"):
             if clean[key] < 1:
                 raise DomainError(f"{key} must be at least 1, got {clean[key]}")
+        if clean.get("suite") in ("ttw", "all") and clean["sample_points"] < 2:
+            raise DomainError(f"the ttw suite tests constancy, which needs at least "
+                              f"2 sample points, got {clean['sample_points']}")
         for key, top in CEILINGS.items():
             if key in clean and clean[key] > top:
                 raise DomainError(f"{key} must be at most {top}, got {clean[key]}")

@@ -3,13 +3,15 @@
 The headline check is exact.  The restricted matrix of every exactly
 solvable family is triangular in the dominance order of its monomials, so
 the engine finds such an order (a topological order of the off-diagonal
-graph) and requires the diagonal to equal the closed-form eigenvalue
-multiset; for a triangular matrix this is the identity charpoly(M) ==
-prod_p (lambda - eps_p).  Kernels of (M - eps I), the eigenpolynomials,
-come by back-substitution along that order.  Both read the sparse int
-columns of the restricted matrix, and each kernel vector is checked as
-M v = eps v on those columns, not on the back-substitution's state.  A
-matrix with no such order is refused with UnsupportedModel.
+graph), checks it in a separate pass that reads only the columns and the
+order (linalg.is_triangular_in), and requires the diagonal to equal the
+closed-form eigenvalue multiset; for a triangular matrix this is the
+identity charpoly(M) == prod_p (lambda - eps_p).  Kernels of (M - eps I),
+the eigenpolynomials, come by back-substitution along that order.  All of
+this reads the sparse int columns of the restricted matrix, and each
+kernel vector is checked as M v = eps v on those columns, not on the
+back-substitution's state.  A matrix with no such order is refused with
+UnsupportedModel.
 
 A QES family has no closed form, so its spectrum is proven from the exact
 characteristic polynomial instead: the integer polynomial charpoly(den M)
@@ -19,18 +21,10 @@ steps to a bracket 2^-ROOT_BITS wide on den lambda, certified by an exact
 sign change (linalg.real_roots).  A spectrum with a non-real eigenvalue is
 refused with DomainError; no QES step solves numerically.
 
-A NUMERIC_DPS-digit numeric eigensolve cross-checks the solvable multiset
-on demand (on by default).  It reads the same sparse columns, and first
-runs the permutation stage of balancing (Parlett and Reinsch 1969; LAPACK
-xGEBAL, job 'P') on their exact zero pattern.  An index whose row or
-column has no off-diagonal entry among the indices left is a 1x1 diagonal
-block of the matrix, symmetrically permuted, so its diagonal entry is an
-eigenvalue; it is removed, and mpmath.eig solves only the irreducible core
-left at the end.  A matrix that is triangular in some order peels
-completely, so checking a solvable spectrum takes no QR step.  The peel
-reads only the columns, never the engine's dominance order, so the check
-stays independent: a matrix that is not triangular keeps a core, and
-mpmath solves that core densely.  No step builds a dense Fraction matrix.
+On demand (on by default) the solvable multiset is also compared with the
+NUMERIC_DPS-digit values of the certified triangular matrix, its diagonal
+entries converted exactly.  No step builds a dense Fraction matrix, and
+none solves numerically.
 """
 
 from __future__ import annotations
@@ -52,8 +46,8 @@ from .models import ModelBundle, eigenvalue_formula
 from .poly import Exponents, FlagSpace, MultiPoly
 
 ZERO = Fraction(0)
-# numeric eigensolves: working digits, and the bound within which the
-# numeric multiset must match an exact spectrum
+# numeric values: working digits, and the bound within which the numeric
+# multiset must match an exact spectrum
 NUMERIC_DPS = 60
 NUMERIC_TOL = "1e-30"
 # QES eigenvalues: bracket width 2^-ROOT_BITS on den lambda, past the
@@ -90,81 +84,25 @@ def _to_mp(c: Fraction) -> mpmath.mpf:
     return mpmath.mpf(c.numerator) / c.denominator
 
 
-def _permutation_split(columns: Sequence[Mapping[int, int]]) -> tuple[list[int], list[int]]:
-    """(isolated, core) indices of the square matrix whose column j holds its
-    entries as columns[j] = {row index: value}.
-
-    An index whose row, or whose column, has no nonzero off-diagonal entry
-    among the indices left can be permuted to the bottom, or the top, of
-    them; its diagonal entry is then an eigenvalue, and the eigenvalues of
-    the rest are those of the matrix without it.  Such indices are removed
-    until none is left; the core is what remains, in ascending order.
-    Counts of the off-diagonal entries left in each row and column and a
-    ready list make this O(n + nnz).
-    """
-    n = len(columns)
-    row_entries: list[list[int]] = [[] for _ in range(n)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            if v and i != j:
-                row_entries[i].append(j)
-    col_entries: list[list[int]] = [[] for _ in range(n)]
-    for i, js in enumerate(row_entries):
-        for j in js:
-            col_entries[j].append(i)
-    row_left = [len(js) for js in row_entries]
-    col_left = [len(ks) for ks in col_entries]
-    removed = [not row_left[i] or not col_left[i] for i in range(n)]
-    ready = [i for i in range(n) if removed[i]]
-    isolated: list[int] = []
-    while ready:
-        k = ready.pop()
-        isolated.append(k)
-        for j in row_entries[k]:          # entry (k, j) leaves column j
-            if not removed[j]:
-                col_left[j] -= 1
-                if not col_left[j]:
-                    removed[j] = True
-                    ready.append(j)
-        for i in col_entries[k]:          # entry (i, k) leaves row i
-            if not removed[i]:
-                row_left[i] -= 1
-                if not row_left[i]:
-                    removed[i] = True
-                    ready.append(i)
-    return isolated, [i for i in range(n) if not removed[i]]
-
-
 def numeric_eigenvalues(columns: Sequence[Mapping[int, int]], den: int) -> list:
-    """Eigenvalues only, at NUMERIC_DPS digits, of the matrix
-    M[i][j] = columns[j][i] / den; no eigenvectors are built.
-
-    The diagonal entries of the indices the permutation stage isolates come
-    first, converted exactly; mpmath.eig solves the core that is left.
-    """
-    isolated, core = _permutation_split(columns)
+    """Eigenvalues, at NUMERIC_DPS digits, of the matrix
+    M[i][j] = columns[j][i] / den, which must be triangular in some order
+    (linalg.is_triangular_in): its diagonal entries, each converted
+    exactly, as real mpf values."""
     with mp.workdps(NUMERIC_DPS):
-        values = [mpmath.mpc(_to_mp(Fraction(columns[k].get(k, 0), den)))
-                  for k in isolated]
-        if core:     # never 1x1: a lone index has an empty row
-            position = {i: k for k, i in enumerate(core)}
-            m = mpmath.matrix(len(core), len(core))   # sparse: unset entries read as zero
-            for j in core:
-                for i, v in columns[j].items():
-                    if i in position:
-                        m[position[i], position[j]] = _to_mp(Fraction(v, den))
-            values.extend(mpmath.mpc(v) for v in mpmath.eig(m, left=False, right=False))
-        return values
+        return [_to_mp(Fraction(col.get(j, 0), den)) for j, col in enumerate(columns)]
 
 
 def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = None,
              numeric_check: bool = True, with_vectors: bool = True) -> SpectrumRecord:
     """Exact spectrum of the model on its level-n flag.
 
-    Verifies that the closed-form eigenvalue multiset is the exact spectrum
-    of the restricted matrix, extracts exact kernel eigenpolynomials, and
-    optionally cross-checks the multiset against a NUMERIC_DPS-digit numeric
-    diagonalization, to within NUMERIC_TOL.
+    Finds an order in which the restricted matrix is triangular and checks
+    that certificate (linalg.is_triangular_in), verifies that the
+    closed-form eigenvalue multiset is the diagonal, so the exact spectrum,
+    extracts exact kernel eigenpolynomials, and optionally compares the
+    multiset with the NUMERIC_DPS-digit values numeric_eigenvalues gives,
+    to within NUMERIC_TOL.
     """
     if model.eigenvalue is None:
         raise UnsupportedModel("use qes_spectrum for QES families")
@@ -186,6 +124,10 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
         raise UnsupportedModel(
             f"{model.spec.family}: restricted matrix at n={n} has no dominance "
             f"order (its off-diagonal graph has a cycle)")
+    if not linalg.is_triangular_in(matrix.columns, order):
+        raise InconsistencyError(
+            f"{model.spec.family}: the order found at n={n} does not make the "
+            f"restricted matrix triangular")
     diagonal = Counter(matrix.diagonal())
     if diagonal != Counter(roots):
         offenders = [str(v) for v in sorted(predicted) if v not in diagonal]
@@ -249,17 +191,12 @@ def _numeric_multiset_check(matrix: ExactMatrix, roots: Sequence[Fraction]) -> N
     values = numeric_eigenvalues(matrix.columns, matrix.den)
     with mp.workdps(NUMERIC_DPS):
         bound = mpmath.mpf(NUMERIC_TOL)
-        for v in values:
-            if abs(v.imag) > bound:
-                raise InconsistencyError(
-                    f"numeric eigenvalue has imaginary part {v.imag}")
-        numeric = sorted(v.real for v in values)
+        numeric = sorted(values)
         exact = sorted(roots)
         if len(numeric) != len(exact):
             raise InconsistencyError("numeric eigenvalue count mismatch")
         for nv, ev in zip(numeric, exact):
-            target = mpmath.mpf(ev.numerator) / ev.denominator
-            if abs(nv - target) > bound:
+            if abs(nv - _to_mp(ev)) > bound:
                 raise InconsistencyError(
                     f"numeric eigenvalue {nv} does not match exact {ev}")
 

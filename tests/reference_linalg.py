@@ -2,9 +2,10 @@
 determinant and the characteristic polynomial, the shifted matrix whose
 kernel triangular_nullspace finds, the dense triangular order and
 back-substitution that the sparse ones replaced, the converters between a
-dense Fraction matrix and the sparse int columns the engine reads, the
-dense permutation stage that the sparse peel replaced, and the numeric
-eigensolve of the whole matrix that the permutation stage replaced."""
+dense Fraction matrix and the sparse int columns the engine reads, and
+the numeric eigensolve of the whole matrix, the reference for the
+converted diagonal of a triangular matrix and for the certified QES
+roots."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,7 +16,7 @@ from mpmath import mp
 
 from orbitforms import linalg
 from orbitforms.diffop import ExactMatrix
-from orbitforms.poly import FlagSpace
+from orbitforms.poly import FlagSpace, fdegree
 from orbitforms.spectral import NUMERIC_DPS
 
 Matrix = list[list[Fraction]]
@@ -107,8 +108,7 @@ def dense_action_matrix(matrix: ExactMatrix,
 
 def is_block_triangular(matrix: ExactMatrix) -> bool:
     """Every image reaches only monomials of equal or lower f-degree."""
-    grade = matrix.space.grade
-    grades = [grade(e) for e in matrix.space.basis]
+    grades = [fdegree(e, matrix.space.f) for e in matrix.space.basis]
     return all(grades[i] <= grades[j]
                for j, col in enumerate(matrix.columns) for i in col)
 
@@ -174,44 +174,9 @@ def dense_triangular_nullspace(a: Matrix, order: Sequence[int],
     return [row[::-1] for row in reversed(red[:len(pivots)])]
 
 
-def dense_permutation_split(rows: Matrix) -> tuple[list[int], list[int]]:
-    """spectral._permutation_split read off a dense matrix: the same counts
-    and ready list, with the off-diagonal entries found by scanning all n^2
-    cells."""
-    n = len(rows)
-    row_entries = [[j for j, x in enumerate(row) if x and j != i]
-                   for i, row in enumerate(rows)]
-    col_entries: list[list[int]] = [[] for _ in range(n)]
-    for i, js in enumerate(row_entries):
-        for j in js:
-            col_entries[j].append(i)
-    row_left = [len(js) for js in row_entries]
-    col_left = [len(ks) for ks in col_entries]
-    removed = [not row_left[i] or not col_left[i] for i in range(n)]
-    ready = [i for i in range(n) if removed[i]]
-    isolated: list[int] = []
-    while ready:
-        k = ready.pop()
-        isolated.append(k)
-        for j in row_entries[k]:
-            if not removed[j]:
-                col_left[j] -= 1
-                if not col_left[j]:
-                    removed[j] = True
-                    ready.append(j)
-        for i in col_entries[k]:
-            if not removed[i]:
-                row_left[i] -= 1
-                if not row_left[i]:
-                    removed[i] = True
-                    ready.append(i)
-    return isolated, [i for i in range(n) if not removed[i]]
-
-
 def dense_numeric_eigenvalues(rows: Matrix) -> list:
-    """numeric_eigenvalues without the permutation stage: the whole dense
-    matrix through mpmath.eig at NUMERIC_DPS digits, each nonzero entry
-    converted as mpf(numerator) / denominator."""
+    """The whole dense matrix through mpmath.eig at NUMERIC_DPS digits,
+    each nonzero entry converted as mpf(numerator) / denominator."""
     with mp.workdps(NUMERIC_DPS):
         m = mpmath.matrix(len(rows), len(rows))
         for i, row in enumerate(rows):

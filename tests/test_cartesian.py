@@ -19,7 +19,7 @@ from orbitforms.models import (ModelSpec, build_bc1, build_bcn, build_g2,
                                build_sutherland, ttw_models)
 from orbitforms.report import RunConfig
 from orbitforms.spectral import spectrum
-from orbitforms.suites import suite_cartesian
+from orbitforms.suites import suite_cartesian, suite_ttw
 
 HALF = Fraction(1, 2)
 
@@ -688,6 +688,21 @@ def test_ttw_suite_honours_sample_points(tmp_path, monkeypatch):
                  "--seed", "1", "--out", str(tmp_path / "r")]) == 0
     # the constancy checks take the option; the b -> 0 degeneration fixes 20
     assert seen == {60, 20}
+
+
+CONSTANCY_CHECKS = ("ttw/plain/consistent", "ttw/plain/printed-nu3-zero",
+                    "ttw/plain/printed-defect", "ttw/sextic/n0", "ttw/angular/m0",
+                    "ttw/full/n0m0", "ttw/full/printed-defect")
+
+
+def test_ttw_constancy_fails_on_one_point():
+    """One point has no spread, so it can show neither constancy nor its
+    absence: each constancy check fails and says so."""
+    checks = {c.name: c for c in suite_ttw(RunConfig.from_items({"sample_points": 1}))}
+    for name in CONSTANCY_CHECKS:
+        assert checks[name].status == "fail"
+        assert "constancy needs 2 points, 1 left after skips" in checks[name].details
+        assert "constancy_ratio" not in checks[name].numeric
 
 
 TTW_VARIANTS = {

@@ -348,6 +348,10 @@ def test_cli_violation_of_a_bundle_flag_stays_exit_3(monkeypatch, capsys):
     (("--suite", "pi"), "beta=3/2\n"),
     (("--suite", "pi"), "m=2\n"),
     (("--suite", "pi"), "n_max=4\n"),
+    # one point cannot show the ttw ground energy constant
+    (("--suite", "ttw", "--sample-points", "1"), None),
+    (("--suite", "all", "--sample-points", "1"), None),
+    (("--suite", "ttw"), "sample_points=1\n"),
 ])
 def test_cli_verify_rejects_bad_model_and_counts(tmp_path, args, config_text):
     if config_text is not None:

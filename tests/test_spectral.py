@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitforms import linalg, models, spectral
@@ -19,15 +19,13 @@ from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
 from orbitforms.spectral import (NUMERIC_DPS, NUMERIC_TOL, SpectralEntry, SpectrumRecord,
-                                 _jacobi_polynomials, _numeric_multiset_check,
-                                 _permutation_split, jacobi_gram, jacobi_reference,
+                                 _jacobi_polynomials, jacobi_gram, jacobi_reference,
                                  numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
 from reference_linalg import (dense_action_matrix, dense_numeric_eigenvalues,
-                              dense_permutation_split, dense_triangular_nullspace,
-                              dense_triangular_order, exact_matrix,
-                              is_block_triangular, poly_from_roots, shift_diagonal,
-                              sparse_columns)
+                              dense_triangular_nullspace, dense_triangular_order,
+                              exact_matrix, is_block_triangular, poly_from_roots,
+                              shift_diagonal, sparse_columns)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -158,9 +156,14 @@ def test_qes_path_calls_no_dense_solve(monkeypatch, capsys):
         assert main(["spectrum", "--model", "bc1_qes", "--nu2", "1/3", "--nu3", "1/5",
                      "--b", "2/3", "--n", str(n)]) == 0
         assert len(json.loads(capsys.readouterr().out)["entries"]) == n + 1
-    # the numeric multiset check of a solvable spectrum still solves its core
-    with pytest.raises(AssertionError, match="mpmath.eig called"):
-        numeric_eigenvalues(exact_matrix(COMPLEX_PAIR).columns, 1)
+    # nor does the numeric multiset check of a solvable spectrum
+    for argv in (["--model", "bc1", "--nu2", "1/3", "--nu3", "2/5", "--n", "6"],
+                 ["--model", "sutherland", "--N", "3", "--nu", "1/2", "--n", "4"],
+                 ["--model", "bcn", "--N", "2", "--nu", "1/2", "--nu2", "1/3",
+                  "--nu3", "1/5", "--n", "3"],
+                 ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "6"]):
+        assert main(["spectrum", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["numeric_checked"] is True
 
 
 def test_qes_reduces_to_closed_form_at_b_zero():
@@ -502,12 +505,12 @@ def by_value(values):
 @given(case=st.sampled_from(sorted(NUMERIC_CASES)),
        params=st.tuples(positive_rationals, positive_rationals, positive_rationals))
 def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
-    """A solvable matrix peels completely in the order the flag gives its
-    indices, and its values are those of the whole-matrix solve."""
+    """A solvable matrix is triangular in the engine's order, and its
+    converted diagonal is the whole-matrix solve."""
     build, n = NUMERIC_CASES[case]
     bundle = build(params)
     matrix = restrict_to_flag(bundle.h, bundle.flag(n))
-    assert _permutation_split(matrix.columns)[1] == []
+    assert linalg.is_triangular_in(matrix.columns, linalg.triangular_order(matrix.columns))
     with mpmath.mp.workdps(NUMERIC_DPS):
         dense = by_value(dense_numeric_eigenvalues(dense_action_matrix(matrix)))
         fast = by_value(numeric_eigenvalues(matrix.columns, matrix.den))
@@ -515,178 +518,74 @@ def test_permuted_numeric_eigenvalues_match_the_dense_solve(case, params):
         assert max(abs(d - f) for d, f in zip(dense, fast)) < mpmath.mpf("1e-50")
 
 
-def test_numeric_check_does_not_trust_the_order():
-    # diagonal {1, 2} as claimed, but the eigenvalues are (3 +- i sqrt 3)/2
-    F = Fraction
-    matrix = exact_matrix([[F(1), F(1)], [F(-1), F(2)]])
-    assert linalg.triangular_order(matrix.columns) is None
-    with pytest.raises(InconsistencyError):
-        _numeric_multiset_check(matrix, [F(1), F(2)])
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(NUMERIC_CASES)),
+       params=st.tuples(rationals, rationals, rationals))
+def test_numeric_eigenvalues_match_the_dense_solve_bit_for_bit(case, params):
+    """The converted diagonal is exactly the values of the whole-matrix
+    solve of the matrix in reverse dominance order, where it is upper
+    triangular."""
+    build, n = NUMERIC_CASES[case]
+    bundle = build(params)
+    matrix = restrict_to_flag(bundle.h, bundle.flag(n))
+    order = linalg.triangular_order(matrix.columns)
+    assert linalg.is_triangular_in(matrix.columns, order)
+    assert (by_value(numeric_eigenvalues(matrix.columns, matrix.den))
+            == by_value(dense_numeric_eigenvalues(dense_action_matrix(matrix, order[::-1]))))
 
-
-# -- sparse permutation stage against the dense references --------------------------
 
 COMPLEX_PAIR = [[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(2)]]  # (3 +- i sqrt 3)/2
-small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
-def simple_spectrum(block) -> bool:
-    """The block's characteristic polynomial has no repeated root (its
-    discriminant is nonzero), so the eigenvalues are well conditioned."""
-    coeffs = linalg.charpoly(block)
-    if len(block) == 2:
-        _, b, c = coeffs
-        return b * b - 4 * c != 0
-    _, b, c, d = coeffs
-    return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d != 0
-
-
-@st.composite
-def irreducible_blocks(draw, size):
-    """A size x size rational block with simple eigenvalues whose
-    off-diagonal graph has the cycle 0 -> 1 -> ... -> 0, so no symmetric
-    permutation makes it block triangular."""
-    if size == 2 and draw(st.booleans()):
-        return COMPLEX_PAIR
-    block = [[draw(small) for _ in range(size)] for _ in range(size)]
-    for k in range(size):
-        block[k][(k + 1) % size] = draw(small.filter(bool))
-    assume(simple_spectrum(block))
-    return block
-
-
-@st.composite
-def planted_matrices(draw):
-    """(P A P^T, blocks, P): A block upper triangular with 1x1 and irreducible
-    2x2 and 3x3 diagonal blocks, block k shifted by 30k so that every
-    eigenvalue is simple and far from the others; P a random permutation."""
-    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1, max_size=6))
-    n = sum(sizes)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    blocks, start = [], 0
-    for k, size in enumerate(sizes):
-        block = draw(irreducible_blocks(size)) if size > 1 else [[draw(small)]]
-        for i in range(size):
-            a[start + i][start:start + size] = block[i]
-            a[start + i][start + i] += 30 * k
-            a[start + i][start + size:] = [draw(small) for _ in range(n - start - size)]
-        blocks.append(range(start, start + size))
-        start += size
-    perm = draw(st.permutations(range(n)))
-    return [[a[i][j] for j in perm] for i in perm], blocks, perm
-
-
-def assert_same_multiset(values, reference, tol):
-    assert len(values) == len(reference)
-    for v in values:
-        assert min(abs(v - r) for r in reference) < tol
-    for r in reference:
-        assert min(abs(v - r) for v in values) < tol
-
-
-def dense_peeled_eigenvalues(rows) -> list:
-    """numeric_eigenvalues on dense rows: the dense split, each isolated
-    diagonal entry converted exactly, and the core's rows, in ascending
-    order, through the whole-matrix solve."""
-    isolated, core = dense_permutation_split(rows)
-    with mpmath.mp.workdps(NUMERIC_DPS):
-        values = [mpmath.mpc(mpmath.mpf(rows[k][k].numerator) / rows[k][k].denominator)
-                  for k in isolated]
-    if core:
-        values += dense_numeric_eigenvalues([[rows[i][j] for j in core] for i in core])
-    return values
-
-
-def assert_same_split(matrix, rows):
-    """The sparse peel of `matrix` isolates the indices, and leaves the core,
-    that the dense peel of its dense rows does; the values are the same
-    bits."""
-    isolated, core = _permutation_split(matrix.columns)
-    dense_isolated, dense_core = dense_permutation_split(rows)
-    assert sorted(isolated) == sorted(dense_isolated)
-    assert core == dense_core
-    assert sorted(isolated + core) == list(range(matrix.dim))
-    assert (by_value(numeric_eigenvalues(matrix.columns, matrix.den))
-            == by_value(dense_peeled_eigenvalues(rows)))
-    return isolated, core
-
-
-@settings(max_examples=60, deadline=None)
-@given(planted=planted_matrices())
-def test_permutation_stage_matches_the_dense_solve_on_planted_blocks(planted):
-    rows, blocks, perm = planted
-    matrix = exact_matrix(rows)
-    isolated, core = assert_same_split(matrix, rows)
-    position = {i: k for k, i in enumerate(perm)}
-    # the indices of an irreducible block stay together in the core; the 1x1
-    # blocks before the first and after the last irreducible one peel off
-    big = [b for b in blocks if len(b) > 1]
-    assert {position[i] for b in big for i in b} <= set(core)
-    ends = [i for b in blocks for i in b
-            if len(b) == 1 and (not big or b[0] < big[0][0] or b[0] > big[-1][0])]
-    assert {position[i] for i in ends} <= set(isolated)
-    with mpmath.mp.workdps(NUMERIC_DPS):
-        assert_same_multiset(numeric_eigenvalues(matrix.columns, matrix.den),
-                             dense_numeric_eigenvalues(rows), mpmath.mpf("1e-50"))
+def test_numeric_check_does_not_trust_the_order(monkeypatch):
+    # diagonal {1, 2} as claimed, but the eigenvalues are (3 +- i sqrt 3)/2:
+    # no order exists, and the certificate refuses both orders
+    columns = exact_matrix(COMPLEX_PAIR).columns
+    assert linalg.triangular_order(columns) is None
+    assert not linalg.is_triangular_in(columns, [0, 1])
+    assert not linalg.is_triangular_in(columns, [1, 0])
+    # the certificate is checked apart from the search: a faulty order is caught
+    search = linalg.triangular_order
+    monkeypatch.setattr(linalg, "triangular_order", lambda c: search(c)[::-1])
+    with pytest.raises(InconsistencyError, match="does not make the restricted matrix"):
+        spectrum(build_bc1(HALF, HALF), 3, numeric_check=False)
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from(sorted(NUMERIC_CASES) + ["bc1_qes"]),
-       params=st.tuples(rationals, rationals, rationals),
-       level=st.integers(0, 6))
-def test_permutation_stage_matches_the_dense_solve_bit_for_bit(case, params, level):
-    """On the model matrices the two checks solve, the sparse path splits as
-    the dense path does, and gives exactly the values of the whole-matrix
-    solve of the matrix a dense check would hand the solver: a solvable
-    model in reverse dominance order, where it is upper triangular, and a
-    QES matrix as built."""
-    if case == "bc1_qes":
-        bundle = build_bc1_qes(*params, level)
-        matrix = restrict_to_flag(bundle.h, bundle.flag(level))
-        order = None
-    else:
-        build, n = NUMERIC_CASES[case]
-        bundle = build(params)
-        matrix = restrict_to_flag(bundle.h, bundle.flag(n))
-        order = linalg.triangular_order(matrix.columns)[::-1]
-    _, core = assert_same_split(matrix, dense_action_matrix(matrix))
-    if order is not None:
-        assert core == []
-    assert (by_value(numeric_eigenvalues(matrix.columns, matrix.den))
-            == by_value(dense_numeric_eigenvalues(dense_action_matrix(matrix, order))))
-
-
-def test_numeric_check_hands_a_planted_complex_pair_to_the_solver():
-    F = Fraction
-    a = [[F(5), F(1), F(0), F(2), F(0), F(1)],
-         [F(0), F(7), F(3), F(0), F(1), F(0)],
-         [F(0), F(0), F(1), F(1), F(2), F(0)],
-         [F(0), F(0), F(-1), F(2), F(0), F(1)],
-         [F(0), F(0), F(0), F(0), F(9), F(4)],
-         [F(0), F(0), F(0), F(0), F(0), F(11)]]
-    matrix = exact_matrix(a)
-    assert _permutation_split(matrix.columns)[1] == [2, 3]
-    with pytest.raises(InconsistencyError, match="imaginary part"):
-        _numeric_multiset_check(matrix, [a[i][i] for i in range(6)])
-    with mpmath.mp.workdps(NUMERIC_DPS):
-        root3 = mpmath.sqrt(3)
-        pair = [mpmath.mpc(1.5, root3 / 2), mpmath.mpc(1.5, -root3 / 2)]
-        assert_same_multiset(numeric_eigenvalues(matrix.columns, matrix.den),
-                             [5, 7, 9, 11, *pair], mpmath.mpf("1e-50"))
+@given(case=st.sampled_from(sorted(NUMERIC_CASES)),
+       params=st.tuples(rationals, rationals, rationals), data=st.data())
+def test_certificate_holds_for_the_engine_order_and_fails_when_broken(case, params, data):
+    """The engine's order passes; swapping the places of the two indices of
+    one off-diagonal entry, or repeating or dropping an index, fails."""
+    build, n = NUMERIC_CASES[case]
+    bundle = build(params)
+    columns = restrict_to_flag(bundle.h, bundle.flag(n)).columns
+    order = linalg.triangular_order(columns)
+    assert linalg.is_triangular_in(columns, order)
+    entries = [(i, j) for j, col in enumerate(columns) for i in col if i != j]
+    if entries:
+        i, j = data.draw(st.sampled_from(entries))
+        swapped = list(order)
+        swapped[order.index(i)], swapped[order.index(j)] = j, i
+        assert not linalg.is_triangular_in(columns, swapped)
+    k = data.draw(st.integers(1, len(order) - 1))
+    assert not linalg.is_triangular_in(columns, order[:k] + [order[k - 1]] + order[k + 1:])
+    assert not linalg.is_triangular_in(columns, order[:k] + order[k + 1:])
 
 
 def test_numeric_eigenvalues_of_diagonal_matrices_are_their_entries():
     F = Fraction
     with mpmath.mp.workdps(NUMERIC_DPS):
-        assert numeric_eigenvalues([{0: 7}], 3) == [mpmath.mpc(mpmath.mpf(7) / 3)]
+        assert numeric_eigenvalues([{0: 7}], 3) == [mpmath.mpf(7) / 3]
         entries = [F(2), F(-1, 7), F(0), F(2), F(5, 3)]
         diagonal = exact_matrix([[x if i == j else F(0) for j in range(5)]
                                  for i, x in enumerate(entries)])
-        assert _permutation_split(diagonal.columns)[1] == []
-        assert by_value(numeric_eigenvalues(diagonal.columns, diagonal.den)) == by_value(
-            mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator) for x in entries)
-        # the peel reads the exact zero pattern: a stored zero is no entry
-        assert _permutation_split([{0: 1, 1: 0}, {0: 0, 1: 2}]) == ([1, 0], [])
+        values = numeric_eigenvalues(diagonal.columns, diagonal.den)
+        assert all(isinstance(v, mpmath.mpf) for v in values)
+        assert values == [mpmath.mpf(x.numerator) / x.denominator for x in entries]
+    # the certificate reads the exact zero pattern: a stored zero is no entry
+    assert linalg.is_triangular_in([{0: 1, 1: 0}, {0: 0, 1: 2}], [0, 1])
+    assert linalg.is_triangular_in([{0: 1, 1: 0}, {0: 0, 1: 2}], [1, 0])
 
 
 # -- golden report bytes -------------------------------------------------------------
