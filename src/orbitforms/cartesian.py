@@ -35,7 +35,7 @@ BC1_QES factor exp(b cos beta x) and its two potential terms.  The hyperbolic
 model is the same code at an imaginary beta: beta = i turns sin into i sinh,
 cos into cosh and the target energy beta^2 (E0 + kappa eps) into its negative.
 
-Per-model energy conventions, verified by the suites and pinned here:
+Per-model energy conventions (`models.KAPPA`), verified by the suites:
 
     family        kinetic       gauge prefactor     E = E0 + kappa beta^2 eps
     BC1           -d^2          1/beta^2            kappa = 1
@@ -58,22 +58,13 @@ from mpmath import mp
 
 from .errors import (DimensionMismatch, DomainError, InconsistencyError,
                      UnsupportedModel)
-from .models import (ModelBundle, ModelSpec, TTWDescriptor, bc1_qes_level,
-                     kinetic_half, root_table)
+from .models import (KAPPA, ModelBundle, ModelSpec, TTWDescriptor,
+                     bc1_qes_level, kinetic_half, root_table)
 from .poly import ZERO, MultiPoly
 
 DEFAULT_DPS = 40
 IMAG_TOL = "1e-8"   # bound on the imaginary part of a measured energy
 WALL_MARGIN = Fraction(1, 20)    # 5% of the alcove scale
-
-KAPPA = {
-    "BC1": Fraction(1),
-    "BC1_QES": Fraction(1),
-    "SUTHERLAND": Fraction(1, 2),
-    "BCN": Fraction(1, 2),
-    "G2": Fraction(3),
-}
-
 
 def _mpf(q) -> mpmath.mpf:
     if isinstance(q, (mpmath.mpf, mpmath.mpc)):

@@ -8,7 +8,11 @@ diagonal matrix diag(s), and for a model operator h with flag matrix
 M = restrict_to_flag(h, space), h(m_i) = sum_j M_ji m_j, the commutator is
 the matrix identity [h, ip] m_i = sum_j M_ji (s_i - s_j) m_j.  The
 annihilation check reads [M, diag(s)] = 0 off the sparse int columns of that
-matrix; the expanded operator of order n+1 is built only when read.
+matrix; the expanded operator of order n+1 is built only when read.  With
+the integral at the flag's own level every s on P_n is 0 (its factor
+j = n - deg vanishes), so there the check holds exactly when
+restrict_to_flag succeeds: it proves flag preservation, and only an integral
+below the flag's level meets a nonzero s.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ Conventions, fixed once and verified by the suites:
   conjugation by the ground factor reproduces the algebraic form exactly;
 * ground energies are in gauge units (Cartesian energy = e0 * beta^2 for the
   families with unit kinetic normalization);
-* every closed-form spectrum is one quadratic form, built by _quadratic_form
-  once per bundle (for Sutherland and BC_N on the symmetric weight Gram
-  matrices); the printed one-sided readings are kept alongside for the
-  discrepancy reports.
+* every closed-form spectrum is (kinetic / KAPPA) (lambda, lambda + 2 rho_k)
+  over root_table and the fundamental weights (Heckman-Opdam), derived by
+  root_eigenvalue once per bundle; the printed one-sided readings are kept
+  alongside for the discrepancy reports.
 """
 
 from __future__ import annotations
@@ -195,6 +195,57 @@ def root_table(spec: ModelSpec) -> tuple[RootOrbit, ...]:
                             nu3 * (nu3 + 2 * nu2 - 1), Fraction(1, 2)))
         return tuple(orbits)
     raise UnsupportedModel(f"no root system for {fam}")
+
+
+# Cartesian energy E = E0 + kappa beta^2 eps of a closed-form eps
+KAPPA = {
+    "BC1": Fraction(1),
+    "BC1_QES": Fraction(1),
+    "SUTHERLAND": Fraction(1, 2),
+    "BCN": Fraction(1, 2),
+    "G2": Fraction(3),
+}
+
+
+def fundamental_weights(spec: ModelSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, weights): the fundamental weights omega_a = weights[a] / den in
+    Cartesian coordinates, the a-th orbit variable being the orbit sum of
+    omega_a (times 2^-a for BC): for A_{N-1} e_1 + ... + e_a - (a/N) sum e,
+    for BC_N e_1 + ... + e_a, for G2 (1, 0, -1) and (2, -1, -1)."""
+    fam = spec.family
+    if fam == "SUTHERLAND":
+        N = spec.N
+        return N, tuple(tuple(N * (i < a) - a for i in range(N)) for a in range(1, N))
+    if fam == "G2":
+        return 1, ((1, 0, -1), (2, -1, -1))
+    N = spec.N if fam == "BCN" else 1
+    return 1, tuple(tuple(int(i < a) for i in range(N)) for a in range(1, N + 1))
+
+
+def root_eigenvalue(spec: ModelSpec) -> Callable[[Exponents], Fraction]:
+    """p -> eps = (kinetic / kappa) (lambda, lambda + 2 rho_k), with
+    lambda = sum_a p_a omega_a and rho_k = 1/2 sum_{alpha > 0} g_alpha alpha.
+
+    A root of root_table is positive when (alpha, sum_a omega_a) > 0.  Each
+    orbit sums its positive roots in ints and multiplies by g_alpha once.
+    """
+    den, weights = fundamental_weights(spec)
+    orbits = root_table(spec)
+    top = [sum(col) for col in zip(*weights)]
+    lin = [ZERO] * len(weights)
+    for orbit in orbits:
+        positive = [0] * len(top)
+        for form in orbit.forms:
+            sign = 1 if sum(c * top[i] for i, c in form) > 0 else -1
+            for i, c in form:
+                positive[i] += sign * c
+        for a, w in enumerate(weights):
+            lin[a] += orbit.exponent * sum(map(mul, w, positive))
+    scale = den * den * KAPPA[spec.family] / orbits[0].kinetic
+    return _quadratic_form(
+        [x * den * scale.denominator for x in lin],
+        [[scale.denominator * sum(map(mul, u, w)) for w in weights] for u in weights],
+        scale.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +433,6 @@ def _quadratic_form(lin: Sequence[Fraction], gram: Sequence[Sequence[int]],
     return form
 
 
-def sutherland_eigenvalue(N: int, nu: Fraction) -> Callable[[Exponents], Fraction]:
-    """p -> eps, where N eps = nu N sum_i i(N-i) p_i
-                               + sum_ij [N min(i,j) - i j] p_i p_j.
-
-    The quadratic form is the A_{N-1} weight Gram matrix; the one-sided
-    printed reading (N-i) j agrees with it on i >= j.
-    """
-    return _quadratic_form(
-        [nu * N * i * (N - i) for i in range(1, N)],
-        [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)], N)
-
-
 def sutherland_eigenvalue_printed(N: int, nu: Fraction) -> Callable[[Exponents], Fraction]:
     """Verbatim one-sided reading, Gram matrix [(N-i) j] over N, kept for reports."""
     return _quadratic_form(
@@ -409,7 +448,7 @@ def build_sutherland(N: int, nu) -> ModelBundle:
     d = N - 1
     h = sutherland_operator(N, nu)
     return ModelBundle(spec=spec, d=d, h=h, flags=((1,) * d,), e0=None,
-                       eigenvalue=sutherland_eigenvalue(N, nu),
+                       eigenvalue=root_eigenvalue(spec),
                        gauge=_no_rational_form(d))
 
 
@@ -463,18 +502,6 @@ def _bcn_first_order(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
         ((1 + nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i, i, 0),
         (-(nu3 * (i - N - 1)), i - 1, 0),
         (nu * (N - i + 1) * (N - i + 2), i - 2, 0)]) for i in range(1, N + 1)}
-
-
-def bcn_eigenvalue(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
-                   ) -> Callable[[Exponents], Fraction]:
-    """p -> eps = sum_i [nu(2N-i-1) + 2 nu2 + nu3] i p_i + sum_ij min(i,j) p_i p_j.
-
-    min(i,j) is the C_N weight Gram matrix; the printed one-sided reading
-    i p_i p_j agrees with it on i <= j.
-    """
-    return _quadratic_form(
-        [(nu * (2 * N - i - 1) + 2 * nu2 + nu3) * i for i in range(1, N + 1)],
-        [[min(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
 
 
 def bcn_eigenvalue_printed(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
@@ -535,7 +562,7 @@ def _build_bc(spec: ModelSpec) -> ModelBundle:
     return ModelBundle(
         spec=spec, d=N, h=h, flags=((1,) * N,),
         e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
-        eigenvalue=bcn_eigenvalue(N, nu, nu2, nu3) if b is None else None,
+        eigenvalue=root_eigenvalue(spec) if b is None else None,
         gauge=gauge)
 
 
@@ -571,18 +598,6 @@ def g2_operator(nu: Fraction, mu: Fraction) -> DiffOp:
     })
 
 
-def g2_eigenvalue(nu: Fraction, mu: Fraction) -> Callable[[Exponents], Fraction]:
-    """p -> eps = p1^2/3 + p1 p2 + p2^2 + (mu + 2 nu/3) p1 + (2 mu + nu) p2,
-    summed as 6 eps = (6 mu + 4 nu) p1 + (12 mu + 6 nu) p2
-                      + 2 p1^2 + 6 p1 p2 + 6 p2^2.
-
-    The p1 linear coefficient follows the operator (the printed closed form
-    carries (mu + nu); the discrepancy is reported by the verify suite).
-    """
-    return _quadratic_form([6 * mu + 4 * nu, 12 * mu + 6 * nu],
-                           [[2, 3], [3, 6]], 6)
-
-
 def g2_eigenvalue_printed(nu: Fraction, mu: Fraction) -> Callable[[Exponents], Fraction]:
     """Verbatim printed reading, with (mu + nu) p1, kept for reports."""
     return _quadratic_form([6 * mu + 6 * nu, 12 * mu + 6 * nu], [[2, 3], [3, 6]], 6)
@@ -592,8 +607,10 @@ def build_g2(nu, mu) -> ModelBundle:
     nu, mu = Fraction(nu), Fraction(mu)
     spec = ModelSpec("G2", nu=nu, mu=mu)
     h = g2_operator(nu, mu)
-    return ModelBundle(spec=spec, d=2, h=h, flags=((1, 2), (3, 5), (5, 9)),
-                       e0=None, eigenvalue=g2_eigenvalue(nu, mu),
+    table = char_vector_table()
+    flags = tuple(table[("G2", column)] for column in ("trig_minimal", "weyl", "co_weyl"))
+    return ModelBundle(spec=spec, d=2, h=h, flags=flags,
+                       e0=None, eigenvalue=root_eigenvalue(spec),
                        gauge=_no_rational_form(2))
 
 

@@ -169,9 +169,11 @@ def _check_eigenvector(matrix: ExactMatrix, vec: Sequence[Fraction],
                       val: Fraction) -> None:
     """M v == val v, or InconsistencyError: with v = nums / vden,
     M = columns / den and val = p / q, q sum_j columns[j][i] nums_j equals
-    p den nums_i at every index i, in ints."""
+    p den nums_i at every index i, in ints; the zero vector is refused."""
     vden = lcm(*(c.denominator for c in vec if c))
     nums = {j: c.numerator * (vden // c.denominator) for j, c in enumerate(vec) if c}
+    if not nums:
+        raise InconsistencyError(f"kernel vector at {val} is zero")
     image: dict[int, int] = {}
     for j, v in nums.items():
         for i, a in matrix.columns[j].items():

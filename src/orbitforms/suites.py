@@ -172,41 +172,28 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
             checks.append(_record(f"spectral/jacobi/bc1/tuple{i}", run))
 
     # printed one-sided quadratic readings, recorded against the whitelist
-    if _model_wanted(config, "sutherland"):
-        def run(rec: CheckRecord):
-            nu = Fraction(1, 2)
-            p = (1, 1)
-            engine = build_sutherland(3, nu).eigenvalue(p)
-            printed = sutherland_eigenvalue_printed(3, nu)(p)
-            rec.exact["engine"] = engine
-            rec.exact["printed"] = printed
+    half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+    readings = [
+        ("sutherland", "sutherland-quadratic", "sutherland_quadratic_reading", (1, 1),
+         lambda: build_sutherland(3, half), sutherland_eigenvalue_printed(3, half),
+         "printed one-sided reading differs on mixed indices"),
+        ("bcn", "bcn-quadratic", "bcn_quadratic_reading", (1, 1),
+         lambda: build_bcn(2, half, third, fifth),
+         bcn_eigenvalue_printed(2, half, third, fifth), ""),
+        ("g2", "g2-linear", "g2_linear_p1", (1, 0),
+         lambda: build_g2(half, third), g2_eigenvalue_printed(half, third),
+         "operator-backed linear coefficient (mu+2nu/3) p1"),
+    ]
+    for model, label, whitelist_id, p, build, reading, details in readings:
+        if not _model_wanted(config, model):
+            continue
+
+        def run(rec: CheckRecord, p=p, build=build, reading=reading, details=details):
+            engine, printed = build().eigenvalue(p), reading(p)
+            rec.exact.update(engine=engine, printed=printed)
             rec.status = REPORTED if printed != engine else PASS
-            rec.details = "printed one-sided reading differs on mixed indices"
-        checks.append(_record("spectral/printed/sutherland-quadratic", run,
-                              whitelist_id="sutherland_quadratic_reading"))
-    if _model_wanted(config, "bcn"):
-        def run(rec: CheckRecord):
-            args = (2, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-            p = (1, 1)
-            engine = build_bcn(*args).eigenvalue(p)
-            printed = bcn_eigenvalue_printed(*args)(p)
-            rec.exact["engine"] = engine
-            rec.exact["printed"] = printed
-            rec.status = REPORTED if printed != engine else PASS
-        checks.append(_record("spectral/printed/bcn-quadratic", run,
-                              whitelist_id="bcn_quadratic_reading"))
-    if _model_wanted(config, "g2"):
-        def run(rec: CheckRecord):
-            nu, mu = Fraction(1, 2), Fraction(1, 3)
-            p = (1, 0)
-            engine = build_g2(nu, mu).eigenvalue(p)
-            printed = g2_eigenvalue_printed(nu, mu)(p)
-            rec.exact["engine"] = engine
-            rec.exact["printed"] = printed
-            rec.status = REPORTED if printed != engine else PASS
-            rec.details = "operator-backed linear coefficient (mu+2nu/3) p1"
-        checks.append(_record("spectral/printed/g2-linear", run,
-                              whitelist_id="g2_linear_p1"))
+            rec.details = details
+        checks.append(_record(f"spectral/printed/{label}", run, whitelist_id=whitelist_id))
     return checks
 
 
@@ -461,37 +448,35 @@ def _mw_check(rec: CheckRecord, variant: str) -> None:
 # Pi-integral suite
 # ---------------------------------------------------------------------------
 
-def suite_pi(config: RunConfig) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    nmax = 6
+def pi_jobs(config: RunConfig) -> list[tuple[str, ModelBundle, tuple, list[int]]]:
+    """(name, bundle, f, levels) of each pi/<model> record."""
+    levels = list(range(0, 7))
     jobs = []
     if _model_wanted(config, "bc1"):
-        jobs.append(("pi/bc1", build_bc1(Fraction(1, 3), Fraction(1, 5)), (1,)))
+        jobs.append(("pi/bc1", build_bc1(Fraction(1, 3), Fraction(1, 5)), (1,), levels))
     if _model_wanted(config, "bc1_qes"):
         qn = 4
         jobs.append((f"pi/bc1_qes/n{qn}",
                      build_bc1_qes(Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), qn),
-                     (1,), qn))
+                     (1,), [qn]))
     if _model_wanted(config, "sutherland"):
         for N in (2, 3, 4):
             jobs.append((f"pi/sutherland/N{N}",
-                         build_sutherland(N, Fraction(1, 2)), (1,) * (N - 1)))
+                         build_sutherland(N, Fraction(1, 2)), (1,) * (N - 1), levels))
     if _model_wanted(config, "bcn"):
         for N in (1, 2, 3):
             jobs.append((f"pi/bcn/N{N}",
                          build_bcn(N, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
-                         (1,) * N))
+                         (1,) * N, levels))
     if _model_wanted(config, "g2"):
-        jobs.append(("pi/g2/f12", build_g2(Fraction(1, 2), Fraction(1, 3)), (1, 2)))
-        jobs.append(("pi/g2/f59", build_g2(Fraction(1, 2), Fraction(1, 3)), (5, 9)))
+        g2 = build_g2(Fraction(1, 2), Fraction(1, 3))
+        jobs += [("pi/g2/f12", g2, (1, 2), levels), ("pi/g2/f59", g2, (5, 9), levels)]
+    return jobs
 
-    for job in jobs:
-        if len(job) == 4:
-            name, bundle, f, levels = job
-            level_list = [levels]
-        else:
-            name, bundle, f = job
-            level_list = list(range(0, nmax + 1))
+
+def suite_pi(config: RunConfig) -> list[CheckRecord]:
+    checks: list[CheckRecord] = []
+    for name, bundle, f, level_list in pi_jobs(config):
         def run(rec: CheckRecord, bundle=bundle, f=f, level_list=level_list):
             for n in level_list:
                 ip = build_pi_integral(f, bundle.d, n)

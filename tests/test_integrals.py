@@ -2,14 +2,18 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforms.diffop import apply, commutator
+from orbitforms.diffop import apply, commutator, preserves_flag
+from orbitforms.errors import FlagViolation
 from orbitforms.integrals import annihilation_check, build_pi_integral
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import FlagSpace, MultiPoly
+from orbitforms.report import RunConfig
+from orbitforms.suites import pi_jobs
 
 t = MultiPoly.variable(1, 0)
 
@@ -129,3 +133,26 @@ def test_monomial_scalar_matches_expanded(f, n, data):
     mono = data.draw(st.tuples(*[st.integers(0, 4)] * d), label="monomial")
     image = apply(ip.expanded, MultiPoly.monomial(d, mono))
     assert image == MultiPoly.monomial(d, mono) * ip.monomial_scalar(mono)
+
+
+def test_pi_records_prove_flag_preservation_at_the_flag_level():
+    # with the integral at the flag's own level every monomial scalar is 0,
+    # so each pi/<model> record holds exactly when the flag is preserved
+    jobs = pi_jobs(RunConfig.from_items({}))
+    assert len(jobs) == 10
+    for name, bundle, f, levels in jobs:
+        for n in levels:
+            space = FlagSpace(bundle.d, f, n)
+            ip = build_pi_integral(f, bundle.d, n)
+            assert all(ip.monomial_scalar(m) == 0 for m in space.basis), (name, n)
+            try:
+                annihilated = annihilation_check(bundle.h, ip, space)[0]
+            except FlagViolation:
+                annihilated = False
+            assert annihilated == preserves_flag(bundle.h, space)[0], (name, n)
+    # one level above the bc1_qes level, both refuse
+    name, qes, f, (qn,) = jobs[1]
+    space = FlagSpace(1, f, qn + 1)
+    assert name == "pi/bc1_qes/n4" and not preserves_flag(qes.h, space)[0]
+    with pytest.raises(FlagViolation):
+        annihilation_check(qes.h, build_pi_integral(f, 1, qn + 1), space)

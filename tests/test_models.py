@@ -12,14 +12,12 @@ from orbitforms import models
 from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
 from orbitforms.models import (_assemble_second_order, _bc_pairs,
-                               bcn_coefficients, bcn_eigenvalue,
-                               bcn_eigenvalue_printed,
+                               bcn_coefficients, bcn_eigenvalue_printed,
                                bcn_rational_potential_printed, build_bc1,
                                build_bc1_qes, build_bcn, build_g2, build_mw_family,
                                build_sutherland, char_vector_table,
-                               eigenvalue_formula, g2_eigenvalue,
-                               g2_eigenvalue_printed, sutherland_coefficients,
-                               sutherland_eigenvalue,
+                               eigenvalue_formula, g2_eigenvalue_printed,
+                               sutherland_coefficients,
                                sutherland_eigenvalue_printed, ttw_models)
 from orbitforms.poly import MultiPoly
 from orbitforms.report import CEILINGS
@@ -223,6 +221,53 @@ def test_ttw_variant_validation():
         ttw_models("NOPE", nu2=0, nu3=0, beta=1, omega=1)
 
 
+# -- fundamental weights ---------------------------------------------------------------
+
+def weyl_orbit(weight: tuple, roots: list) -> set:
+    """The orbit of `weight` under the reflections in `roots`."""
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    orbit, frontier = {weight}, [weight]
+    while frontier:
+        mu = frontier.pop()
+        for alpha in roots:
+            k = 2 * dot(mu, alpha) / dot(alpha, alpha)
+            image = tuple(m - k * a for m, a in zip(mu, alpha))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("bundle", [
+    *(build_sutherland(N, Fraction(2, 7)) for N in (2, 3, 4, 5)),
+    build_bc1(Fraction(1, 3), Fraction(2, 5)),
+    *(build_bcn(N, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)) for N in (1, 2, 3, 4)),
+    build_g2(Fraction(1, 2), Fraction(1, 3)),
+], ids=lambda b: f"{b.spec.family}-{b.spec.N}")
+def test_orbit_variables_are_orbit_sums_of_the_fundamental_weights(bundle):
+    spec = bundle.spec
+    den, weights = models.fundamental_weights(spec)
+    assert len(weights) == bundle.d
+    n = len(weights[0])
+    roots = []
+    for orbit in models.root_table(spec):
+        for form in orbit.forms:
+            alpha = [0] * n
+            for i, c in form:
+                alpha[i] = c
+            roots.append(tuple(alpha))
+    orbits = [weyl_orbit(tuple(Fraction(c, den) for c in w), roots) for w in weights]
+    scale = [Fraction(1, 2 ** (a + 1)) if spec.family in ("BC1", "BCN") else 1
+             for a in range(bundle.d)]
+    with mpmath.workdps(30):
+        for x in cart.sample_alcove(spec, 4, 13):
+            got = cart.CheckGround(spec).invariants(x)
+            for tau, orbit, s in zip(got, orbits, scale):
+                want = sum(mpmath.expj(sum(cart._mpf(m) * xi for m, xi in zip(mu, x)))
+                           for mu in orbit) * s
+                assert abs(tau - want) < mpmath.mpf("1e-25")
+
+
 # -- characteristic-vector table -------------------------------------------------------
 
 def test_table_rows():
@@ -281,7 +326,6 @@ def test_sutherland_builder_matches_the_multipoly_loop(data, N, nu):
         p = data.draw(exponents(N - 1), label="p")
         want = ref.sutherland_eigenvalue(N, nu, p)
         assert bundle.eigenvalue(p) == want
-        assert sutherland_eigenvalue(N, nu)(p) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,7 +346,6 @@ def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
         p = data.draw(exponents(N), label="p")
         want = ref.bcn_eigenvalue(N, *nus, p)
         assert bundle.eigenvalue(p) == want
-        assert bcn_eigenvalue(N, *nus)(p) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,7 +358,6 @@ def test_bc1_and_g2_quadratic_forms_match_the_closures(data, nus):
         p = data.draw(exponents(2), label="p")
         want = ref.g2_eigenvalue(*nus, p)
         assert g2.eigenvalue(p) == want
-        assert g2_eigenvalue(*nus)(p) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -423,12 +423,15 @@ def test_spectrum_records_match_the_dense_path(case, params):
 
 def assert_column_check(matrix, pick):
     """_check_eigenvector accepts every kernel vector of `matrix` and refuses
-    it after one planted change of M or of v; pick(options, label) chooses
-    where."""
+    the zero vector, and each kernel vector after one planted change of M or
+    of v; pick(options, label) chooses where."""
     order = linalg.triangular_order(matrix.columns)
     for val in set(matrix.diagonal()):
         for vec in linalg.triangular_nullspace(matrix.columns, matrix.den, order, val):
             spectral._check_eigenvector(matrix, vec, val)
+            # the zero vector, for which M v = val v holds vacuously
+            with pytest.raises(InconsistencyError, match="is zero"):
+                spectral._check_eigenvector(matrix, [Fraction(0)] * len(vec), val)
             # one entry of M moved, in a column that v reaches
             j = pick([j for j, c in enumerate(vec) if c], "j")
             i = pick(range(matrix.dim), "i")
