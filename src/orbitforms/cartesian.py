@@ -1,13 +1,16 @@
-"""Independent Cartesian oracle: invariants, ground factors, potentials,
-finite-difference Schroedinger residuals and energy-affine fits.
+"""Independent Cartesian oracle: invariants, ground factors, potentials and
+finite-difference Schroedinger residuals against the exact energies.
 
 Everything numeric runs in mpmath working precision (default 40 digits, well
 above double-double), with one 4th-order central stencil whose step
 h = 10^-ceil(dps/6) balances its h^4 truncation error against the
 10^-dps / h^2 round-off.  `measured_energies` is the one finite-difference
 pass.  It takes all k eigenpolynomials of a check at once and gives
-(H Psi)/Psi per sample point for each of them; both the residual statistics
-(`residual_stats`) and the affine energy fit (`affine_fit`) read its lists.
+(H Psi)/Psi per sample point for each of them; the residual statistics
+(`residual_stats`) read its lists against the exact target
+beta^2 (E0 + kappa eps), whose E0 = kinetic |rho_k|^2 every bundle carries
+(`models.ground_energy`), so no check fits E0 or kappa.  The least-squares
+fit `fit_energy_affine` measures them for the tests to compare with.
 Psi = Psi0 * phi(tau), and Psi0, tau and V are the same for every phi, so in
 d Cartesian dimensions a point costs 4d + 1 evaluations of Psi0 and of tau
 for all k eigenpairs and one of V.  At each of those 4d + 1 points every
@@ -37,7 +40,7 @@ cos into cosh and the target energy beta^2 (E0 + kappa eps) into its negative.
 
 Per-model energy conventions (`models.KAPPA`), verified by the suites:
 
-    family        kinetic       gauge prefactor     E = E0 + kappa beta^2 eps
+    family        kinetic       gauge prefactor     E = beta^2 (E0 + kappa eps)
     BC1           -d^2          1/beta^2            kappa = 1
     BC1_QES       -d^2          1/beta^2            kappa = 1
     SUTHERLAND    -1/2 sum d^2  2/beta^2            kappa = 1/2
@@ -59,7 +62,8 @@ from mpmath import mp
 from .errors import (DimensionMismatch, DomainError, InconsistencyError,
                      UnsupportedModel)
 from .models import (KAPPA, ModelBundle, ModelSpec, TTWDescriptor,
-                     bc1_qes_level, kinetic_half, root_table)
+                     bc1_qes_level, ground_energy, kinetic_half, rho_k,
+                     root_table)
 from .poly import ZERO, MultiPoly
 
 DEFAULT_DPS = 40
@@ -316,7 +320,7 @@ def laplacian_richardson(fn: Callable, x: Sequence, h, centre):
 
 
 # ---------------------------------------------------------------------------
-# Residual checks and the affine-energy fit
+# Residual checks against the exact energies, and the affine-energy fit
 # ---------------------------------------------------------------------------
 
 class SharedMonomials:
@@ -377,8 +381,8 @@ def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
     (`SharedMonomials`).  A point is None (skipped) for every polynomial
     when a stencil point meets a singular wall, and for one polynomial when
     its |Psi| there is below 10^(-dps/2), a node of Psi.  Values are complex
-    where the invariants are; `residual_stats` and `affine_fit` bound the
-    imaginary part.
+    where the invariants are; `residual_stats` and `fit_energy_affine` bound
+    the imaginary part.
     """
     energies: list[list] = [[] for _ in polys]
     shared = SharedMonomials(polys)
@@ -414,31 +418,26 @@ def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
 
 
 def residual_check(bundle: ModelBundle, eps, phi: MultiPoly,
-                   sample: Sequence, *, beta=1, e0=None, kappa=None,
+                   sample: Sequence, *, beta=1,
                    dps: int = DEFAULT_DPS) -> ResidualStats:
-    """Statistics of (H Psi)/Psi - beta^2 (E0 + kappa eps) over the sample.
+    """Statistics of (H Psi)/Psi - beta^2 (E0 + kappa eps) over the sample,
+    with the bundle's exact E0 and the family's kappa.
 
     Points too close to a node of Psi are skipped and counted.  For complex
     invariants, or an imaginary beta, the imaginary part must stay below
     IMAG_TOL.
     """
     (energies,) = measured_energies(bundle, [phi], sample, beta=beta, dps=dps)
-    return residual_stats(bundle, eps, energies, beta=beta, e0=e0,
-                          kappa=kappa, dps=dps)
+    return residual_stats(bundle, eps, energies, beta=beta, dps=dps)
 
 
 def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
-                   e0=None, kappa=None, dps: int = DEFAULT_DPS) -> ResidualStats:
+                   dps: int = DEFAULT_DPS) -> ResidualStats:
     """`residual_check` on energies already measured by `measured_energies`."""
-    if kappa is None:
-        kappa = KAPPA[bundle.spec.family]
-    if e0 is None:
-        if bundle.e0 is None:
-            raise DomainError("model has no exact ground energy; pass fitted e0")
-        e0 = bundle.e0
+    kappa = KAPPA[bundle.spec.family]
     with mp.workdps(dps):
         betam = _mpf(beta)
-        target = _mpf(e0) * betam ** 2 + _mpf(kappa) * betam ** 2 * _mpf(eps)
+        target = _mpf(bundle.e0) * betam ** 2 + _mpf(kappa) * betam ** 2 * _mpf(eps)
         values = []
         max_imag = mp.mpf(0)
         for energy in energies:
@@ -458,26 +457,19 @@ def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
 
 def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
                       *, beta=1, dps: int = DEFAULT_DPS):
-    """Least-squares fit E_measured = E0 + kappa * beta^2 * eps over >= 2
-    distinct eigenvalues; returns (e0_fit, kappa_fit, variance) in units of
-    beta^2 (so e0_fit and kappa_fit are directly comparable to the exact
-    gauge data)."""
+    """Least-squares fit E_measured = beta^2 (E0 + kappa eps) over >= 2
+    distinct eigenvalues; returns (e0_fit, kappa_fit, variance), e0_fit and
+    kappa_fit in units of beta^2, directly comparable to the exact
+    `bundle.e0` and `KAPPA`.  No check reads it: it measures both constants
+    for the tests."""
+    if len({eps for eps, _ in eigenpairs}) < 2:
+        raise DomainError("need at least two distinct eigenvalues to fit")
     energies = measured_energies(bundle, [phi for _, phi in eigenpairs], sample,
                                  beta=beta, dps=dps)
-    return affine_fit([eps for eps, _ in eigenpairs], energies, beta=beta,
-                      dps=dps)
-
-
-def affine_fit(eigenvalues: Sequence, energies: Sequence, *, beta=1,
-               dps: int = DEFAULT_DPS):
-    """`fit_energy_affine` on energies already measured by
-    `measured_energies`, one list per eigenpair."""
-    if len(set(eigenvalues)) < 2:
-        raise DomainError("need at least two distinct eigenvalues to fit")
     with mp.workdps(dps):
         betam = _mpf(beta)
         xs, ys = [], []
-        for eps, measured in zip(eigenvalues, energies):
+        for (eps, _), measured in zip(eigenpairs, energies):
             acc = []
             for val in measured:
                 if val is None:
@@ -590,16 +582,17 @@ def ttw_radial_power(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
     """Exponent of r in the ground factor; exact Fraction when rational.
 
     printed: (nu2+nu3) beta.  consistent: beta sqrt(e0 + 2b(nu2+nu3+1/2))
-    with e0 = (nu2+nu3/2)^2, which reduces to beta (nu2+nu3/2) at b = 0.
+    with e0 = rho_k^2 = (nu2+nu3/2)^2 the bc1 ground energy
+    (`models.ground_energy`), which reduces to beta rho_k at b = 0.
     """
     if desc.convention == "printed":
         return desc.beta * (desc.nu2 + desc.nu3)
-    e0 = (desc.nu2 + desc.nu3 * Fraction(1, 2)) ** 2
-    lam = e0 + 2 * desc.b * (desc.nu2 + desc.nu3 + Fraction(1, 2))
+    spec = desc.angular_spec
+    lam = ground_energy(spec) + 2 * desc.b * (desc.nu2 + desc.nu3 + Fraction(1, 2))
     if lam < 0:
         raise DomainError("angular sector eigenvalue is negative; no real power")
     if desc.b == 0:
-        return desc.beta * (desc.nu2 + desc.nu3 * Fraction(1, 2))
+        return desc.beta * rho_k(spec)[0]
     with mp.workdps(dps):
         return _mpf(desc.beta) * mpmath.sqrt(_mpf(lam))
 

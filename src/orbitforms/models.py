@@ -1,8 +1,8 @@
 """Constructors for the trigonometric model family in orbit variables.
 
 Each exactly-solvable model is delivered as a ModelBundle: the algebraic-form
-operator h (polynomial coefficients), its validated flags, the ground energy
-in gauge units and a closed-form eigenvalue handle, built by build_*; and the
+operator h (polynomial coefficients), its validated flags, the exact ground
+energy and a closed-form eigenvalue handle, built by build_*; and the
 gauge data, built on first access: the ground-state factor in orbit
 variables and, where available, the rational form (Laplace-Beltrami part plus
 rational potential).  Only the gauge identity reads the gauge data, so the
@@ -23,12 +23,14 @@ Conventions, fixed once and verified by the suites:
   the Cartesian H = -kinetic sum d^2 + V and kinetic is 1 for the
   one-variable families and 1/2 for BC_N at every N; with this sign the
   conjugation by the ground factor reproduces the algebraic form exactly;
-* ground energies are in gauge units (Cartesian energy = e0 * beta^2 for the
-  families with unit kinetic normalization);
 * every closed-form spectrum is (kinetic / KAPPA) (lambda, lambda + 2 rho_k)
   over root_table and the fundamental weights (Heckman-Opdam), derived by
   root_eigenvalue once per bundle; the printed one-sided readings are kept
-  alongside for the discrepancy reports.
+  alongside for the discrepancy reports;
+* the Cartesian energy of eps is beta^2 (e0 + KAPPA eps)
+  = beta^2 kinetic |lambda + rho_k|^2, so every family has the exact ground
+  energy e0 = kinetic |rho_k|^2 in units of beta^2 (ground_energy), from
+  the rho_k the spectrum reads.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class ModelBundle:
     d: int
     h: DiffOp
     flags: tuple[CharVector, ...]  # preserved gradings, the first one default
-    e0: Fraction | None          # gauge-unit ground energy; None => fitted
+    e0: Fraction                 # ground energy kinetic |rho_k|^2, units of beta^2
     eigenvalue: Callable[[Exponents], Fraction] | None
     gauge: Callable[[], GaugeData] = field(compare=False, repr=False)
 
@@ -197,7 +199,7 @@ def root_table(spec: ModelSpec) -> tuple[RootOrbit, ...]:
     raise UnsupportedModel(f"no root system for {fam}")
 
 
-# Cartesian energy E = E0 + kappa beta^2 eps of a closed-form eps
+# Cartesian energy E = beta^2 (e0 + kappa eps) of a closed-form eps
 KAPPA = {
     "BC1": Fraction(1),
     "BC1_QES": Fraction(1),
@@ -222,26 +224,41 @@ def fundamental_weights(spec: ModelSpec) -> tuple[int, tuple[tuple[int, ...], ..
     return 1, tuple(tuple(int(i < a) for i in range(N)) for a in range(1, N + 1))
 
 
-def root_eigenvalue(spec: ModelSpec) -> Callable[[Exponents], Fraction]:
-    """p -> eps = (kinetic / kappa) (lambda, lambda + 2 rho_k), with
-    lambda = sum_a p_a omega_a and rho_k = 1/2 sum_{alpha > 0} g_alpha alpha.
+@lru_cache(maxsize=256)
+def rho_k(spec: ModelSpec) -> tuple[Fraction, ...]:
+    """rho_k = 1/2 sum_{alpha > 0} g_alpha alpha in Cartesian coordinates,
+    built once per spec: the spectrum and the ground energy both read it.
 
     A root of root_table is positive when (alpha, sum_a omega_a) > 0.  Each
     orbit sums its positive roots in ints and multiplies by g_alpha once.
     """
-    den, weights = fundamental_weights(spec)
-    orbits = root_table(spec)
+    _, weights = fundamental_weights(spec)
     top = [sum(col) for col in zip(*weights)]
-    lin = [ZERO] * len(weights)
-    for orbit in orbits:
+    rho = [ZERO] * len(top)
+    for orbit in root_table(spec):
         positive = [0] * len(top)
         for form in orbit.forms:
             sign = 1 if sum(c * top[i] for i, c in form) > 0 else -1
             for i, c in form:
                 positive[i] += sign * c
-        for a, w in enumerate(weights):
-            lin[a] += orbit.exponent * sum(map(mul, w, positive))
-    scale = den * den * KAPPA[spec.family] / orbits[0].kinetic
+        for i, x in enumerate(positive):
+            rho[i] += orbit.exponent * x / 2
+    return tuple(rho)
+
+
+def ground_energy(spec: ModelSpec) -> Fraction:
+    """e0 = kinetic |rho_k|^2, the closed form kinetic |lambda + rho_k|^2 at
+    lambda = 0, in units of beta^2."""
+    return root_table(spec)[0].kinetic * sum(x * x for x in rho_k(spec))
+
+
+def root_eigenvalue(spec: ModelSpec) -> Callable[[Exponents], Fraction]:
+    """p -> eps = (kinetic / kappa) (lambda, lambda + 2 rho_k), with
+    lambda = sum_a p_a omega_a and rho_k = rho_k(spec)."""
+    den, weights = fundamental_weights(spec)
+    rho = rho_k(spec)
+    lin = [2 * sum(map(mul, w, rho)) for w in weights]
+    scale = den * den * KAPPA[spec.family] / root_table(spec)[0].kinetic
     return _quadratic_form(
         [x * den * scale.denominator for x in lin],
         [[scale.denominator * sum(map(mul, u, w)) for w in weights] for u in weights],
@@ -447,8 +464,8 @@ def build_sutherland(N: int, nu) -> ModelBundle:
     spec = ModelSpec("SUTHERLAND", N=N, nu=nu)
     d = N - 1
     h = sutherland_operator(N, nu)
-    return ModelBundle(spec=spec, d=d, h=h, flags=((1,) * d,), e0=None,
-                       eigenvalue=root_eigenvalue(spec),
+    return ModelBundle(spec=spec, d=d, h=h, flags=((1,) * d,),
+                       e0=ground_energy(spec), eigenvalue=root_eigenvalue(spec),
                        gauge=_no_rational_form(d))
 
 
@@ -561,7 +578,7 @@ def _build_bc(spec: ModelSpec) -> ModelBundle:
 
     return ModelBundle(
         spec=spec, d=N, h=h, flags=((1,) * N,),
-        e0=(nu2 + nu3 * HALF) ** 2 if N == 1 else None,
+        e0=ground_energy(spec),
         eigenvalue=root_eigenvalue(spec) if b is None else None,
         gauge=gauge)
 
@@ -610,7 +627,7 @@ def build_g2(nu, mu) -> ModelBundle:
     table = char_vector_table()
     flags = tuple(table[("G2", column)] for column in ("trig_minimal", "weyl", "co_weyl"))
     return ModelBundle(spec=spec, d=2, h=h, flags=flags,
-                       e0=None, eigenvalue=root_eigenvalue(spec),
+                       e0=ground_energy(spec), eigenvalue=root_eigenvalue(spec),
                        gauge=_no_rational_form(2))
 
 

@@ -25,7 +25,7 @@ from .integrals import annihilation_check, build_pi_integral
 from .models import (ModelBundle, bcn_eigenvalue_printed,
                      bcn_rational_potential_printed, build_bc1, build_bc1_qes,
                      build_bcn, build_g2, build_mw_family, build_sutherland,
-                     g2_eigenvalue_printed, mw_word_data,
+                     g2_eigenvalue_printed, mw_word_data, root_table,
                      sutherland_eigenvalue_printed, ttw_models)
 from .poly import FlagSpace, MultiPoly
 from .report import (FAIL, PASS, REPORTED, CheckRecord, RunConfig,
@@ -558,8 +558,7 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
             conj, const = _conjugated(bcn[N])
             _require(rec, const is not None, "residual is not a constant")
             _require(rec, conj.polynomial, "denominators did not cancel")
-            expected = sum(((nu * (N - j) + nu2 + nu3 * HALF) ** 2
-                            for j in range(1, N + 1)), Fraction(0))
+            expected = bcn[N].e0 / root_table(bcn[N].spec)[0].kinetic
             _require(rec, const == expected,
                      f"constant {const} != sum of squared momenta {expected}")
             rec.exact["gauge_constant"] = const
@@ -579,8 +578,9 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
                  "exp(+b tau) orientation failed to reproduce the operator")
         _require(rec, results[-1] is None,
                  "exp(-b tau) orientation unexpectedly works too")
-        _require(rec, results[+1] == (nu2 + nu3 * HALF) ** 2,
-                 f"QES gauge constant {results[+1]} unexpected")
+        expected = bundle.e0 / root_table(bundle.spec)[0].kinetic
+        _require(rec, results[+1] == expected,
+                 f"QES gauge constant {results[+1]} != {expected}")
         rec.exact["constant"] = results[+1]
         rec.exact["working_orientation"] = "+1 (exp(+b tau))"
         rec.status = REPORTED  # orientation and constant recorded vs print
@@ -716,32 +716,19 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
                      f"periodicity defect {worst}")
         checks.append(_record("cartesian/periodicity", periodicity))
 
-    def model_residuals(rec: CheckRecord, bundle: ModelBundle, n: int,
-                        fit_var_tol=None):
+    def model_residuals(rec: CheckRecord, bundle: ModelBundle, n: int):
         record = spectrum(bundle, n, numeric_check=False)
         sample = cart.sample_alcove(bundle.spec, points, seed + 6)
-        pairs = []
-        for entry in record.entries:
-            for phi in entry.eigenpolynomials:
-                pairs.append((entry.eigenvalue, phi))
-        # one finite-difference pass for every eigenpair: the fit reads the
-        # first ten points, the residuals all of them
+        pairs = [(entry.eigenvalue, phi) for entry in record.entries
+                 for phi in entry.eigenpolynomials]
+        # one finite-difference pass for every eigenpair, each point checked
+        # against the exact target beta^2 (e0 + kappa eps)
         energies = cart.measured_energies(bundle, [phi for _, phi in pairs],
                                           sample, dps=dps)
-        e0f, kf, var = cart.affine_fit([eps for eps, _ in pairs],
-                                       [measured[:10] for measured in energies],
-                                       dps=dps)
-        if fit_var_tol is not None:
-            _require(rec, var < fit_var_tol, f"fit variance {var}")
-        worst = mp.mpf(0)
-        for (eps, _), measured in zip(pairs, energies):
-            st = cart.residual_stats(bundle, eps, measured, dps=dps,
-                                     e0=e0f, kappa=kf)
-            worst = max(worst, st.max_abs)
+        worst = max(cart.residual_stats(bundle, eps, measured, dps=dps).max_abs
+                    for (eps, _), measured in zip(pairs, energies))
         _require(rec, worst < tol, f"max residual {worst}")
-        rec.numeric["e0_fit"] = mpmath.nstr(e0f, 12)
-        rec.numeric["kappa_fit"] = mpmath.nstr(kf, 12)
-        rec.numeric["fit_variance"] = mpmath.nstr(var, 3)
+        rec.exact["e0"] = bundle.e0
         rec.numeric["max_residual"] = mpmath.nstr(worst, 3)
 
     if _model_wanted(config, "sutherland"):
@@ -767,8 +754,7 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
         checks.append(_record(
             "cartesian/g2/residuals",
             lambda rec: model_residuals(
-                rec, build_g2(Fraction(1, 2), Fraction(1, 3)), 2,
-                fit_var_tol=mpmath.mpf("1e-8"))))
+                rec, build_g2(Fraction(1, 2), Fraction(1, 3)), 2)))
     return checks
 
 

@@ -9,7 +9,9 @@ coefficient builders of the Sutherland and BC_N forms are the MultiPoly
 loops that the pair tables replaced, with the closed-form eigenvalues as
 they were written before the precomputed forms; the bc1 and g2 ones are
 the closures that the shared quadratic form replaced, as are the printed
-one-sided readings.  The gauge data of bc1, bc1_qes, bc2 and bc3 are the
+one-sided readings.  The ground energies are the closed forms that
+`models.ground_energy` replaced, hand-typed in the program for bc1 and in
+the gauge suite for BC_N.  The gauge data of bc1, bc1_qes, bc2 and bc3 are the
 hand-derived ground factors and partial-fraction potentials that the
 derivation from the root table replaced (`models.bc_gauge_data`), with the
 printed potentials as they were written before their pair term was
@@ -223,6 +225,26 @@ def g2_eigenvalue(nu: Fraction, mu: Fraction, p) -> Fraction:
     p1, p2 = p
     return (Fraction(p1 * p1, 3) + p1 * p2 + p2 * p2
             + (mu + Fraction(2, 3) * nu) * p1 + (2 * mu + nu) * p2)
+
+
+# -- the hand-typed ground energies kinetic |rho_k|^2 ------------------------------
+
+def sutherland_e0(N: int, nu: Fraction) -> Fraction:
+    return nu * nu * N * (N * N - 1) / 24
+
+
+def bcn_e0(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction) -> Fraction:
+    return HALF * sum(((nu * (N - j) + nu2 + nu3 * HALF) ** 2
+                       for j in range(1, N + 1)), ZERO)
+
+
+def bc1_e0(nu2: Fraction, nu3: Fraction) -> Fraction:
+    """bc1 and bc1_qes: BC_1 with the whole kinetic term."""
+    return (nu2 + nu3 * HALF) ** 2
+
+
+def g2_e0(nu: Fraction, mu: Fraction) -> Fraction:
+    return nu * nu + 3 * nu * mu + 3 * mu * mu
 
 
 def sutherland_eigenvalue_printed(N: int, nu: Fraction, p) -> Fraction:

@@ -12,6 +12,7 @@ from mpmath import mp
 
 import reference_kernels
 from orbitforms import cartesian as cart
+from orbitforms import suites
 from orbitforms.cli import main
 from orbitforms.errors import DomainError
 from orbitforms.poly import MultiPoly
@@ -290,8 +291,8 @@ def test_sutherland_complex_residual_real():
     entry = [e for e in rec.entries if e.multiplicity == 2][0]
     pts = cart.sample_alcove(bundle.spec, 6, seed=7)
     st = cart.residual_check(bundle, entry.eigenvalue,
-                             entry.eigenpolynomials[0], pts,
-                             e0=Fraction(1, 4), kappa=HALF)
+                             entry.eigenpolynomials[0], pts)
+    assert bundle.e0 == Fraction(1, 4)
     assert st.max_abs < mpmath.mpf("1e-6")
     assert st.max_imag < mpmath.mpf("1e-8")
 
@@ -336,6 +337,16 @@ def test_bc1_residuals_at_generic_couplings(two_nu2, two_nu3, n, beta, seed):
     assert worst < mpmath.mpf("1e-6")
 
 
+def test_bcn_at_one_residuals_use_its_own_ground_energy():
+    # BC_N at N = 1 has half the bc1 kinetic term, so half its ground energy
+    bundle = build_bcn(1, HALF, Fraction(1, 3), Fraction(2, 5))
+    sample = cart.sample_alcove(bundle.spec, 8, 5)
+    for entry in spectrum(bundle, 3, numeric_check=False).entries:
+        st = cart.residual_check(bundle, entry.eigenvalue,
+                                 entry.eigenpolynomials[0], sample)
+        assert st.max_abs < mpmath.mpf("1e-6")
+
+
 # each builder takes three couplings and ignores those it has no use for
 FITTED_MODELS = {
     "sutherland3": lambda nu, _, __: build_sutherland(3, nu),
@@ -349,15 +360,18 @@ FITTED_MODELS = {
        couplings=st.lists(st.fractions(0, 3, max_denominator=7), min_size=3, max_size=3),
        seed=st.integers(0, 10 ** 6))
 def test_fitted_residuals_at_random_couplings(model, couplings, seed):
+    # the residuals against the exact target, and a free fit of (E0, kappa)
+    # that lands on the exact constants
     bundle = FITTED_MODELS[model](*couplings)
     pairs = [(e.eigenvalue, phi) for e in spectrum(bundle, 2, numeric_check=False).entries
              for phi in e.eigenpolynomials]
     sample = cart.sample_alcove(bundle.spec, 6, seed)
     energies = cart.measured_energies(bundle, [phi for _, phi in pairs], sample)
-    e0f, kf, _ = cart.affine_fit([eps for eps, _ in pairs], energies)
-    worst = max(cart.residual_stats(bundle, eps, measured, e0=e0f, kappa=kf).max_abs
+    worst = max(cart.residual_stats(bundle, eps, measured).max_abs
                 for (eps, _), measured in zip(pairs, energies))
     assert worst < mpmath.mpf("1e-6")
+    e0f, kf, _ = cart.fit_energy_affine(bundle, pairs, sample)
+    assert abs(e0f - _q(bundle.e0)) < mpmath.mpf("1e-6")
     assert abs(kf - _q(cart.KAPPA[bundle.spec.family])) < mpmath.mpf("1e-6")
 
 
@@ -496,7 +510,7 @@ def test_qes_ground_state_in_cartesian_space():
 
 # -- the shared measured-energy path ------------------------------------------------
 
-# (check name, bundle, sample points); bc2 samples past the fit's first ten
+# (check name, bundle, sample points)
 RESIDUAL_CHECKS = {
     "sutherland": ("cartesian/sutherland3/residuals",
                    lambda: build_sutherland(3, HALF), 3),
@@ -512,19 +526,33 @@ def test_suite_residuals_match_separate_fit_and_residual_passes(model):
     config = RunConfig.from_items({"command": "verify", "suite": "cartesian",
                                    "model": model, "sample_points": points})
     (record,) = [c for c in suite_cartesian(config) if c.name == name]
-    # reference: the fit and the residuals each measure H Psi themselves, on
-    # the suite's sample (seed + 6) and level 2
+    # reference: each eigenpair measures H Psi itself against the exact
+    # target, on the suite's sample (seed + 6) and level 2
     bundle = build()
     pairs = [(e.eigenvalue, phi) for e in spectrum(bundle, 2, numeric_check=False).entries
              for phi in e.eigenpolynomials]
     sample = cart.sample_alcove(bundle.spec, points, 7)
-    e0f, kf, var = cart.fit_energy_affine(bundle, pairs, sample[:10])
-    worst = max(cart.residual_check(bundle, eps, phi, sample, e0=e0f,
-                                    kappa=kf).max_abs
+    worst = max(cart.residual_check(bundle, eps, phi, sample).max_abs
                 for eps, phi in pairs)
-    assert record.numeric == {
-        "e0_fit": mpmath.nstr(e0f, 12), "kappa_fit": mpmath.nstr(kf, 12),
-        "fit_variance": mpmath.nstr(var, 3), "max_residual": mpmath.nstr(worst, 3)}
+    assert record.exact == {"e0": bundle.e0}
+    assert record.numeric == {"max_residual": mpmath.nstr(worst, 3)}
+
+
+def test_doubled_g2_operator_and_eigenvalue_fail_the_residuals(monkeypatch):
+    # h and eps both doubled: the spectrum still matches its formula and the
+    # eigenfunctions are unchanged, so only the exact E0 and kappa catch it
+    real = suites.build_g2
+
+    def doubled(nu, mu):
+        bundle = real(nu, mu)
+        return dataclasses.replace(bundle, h=bundle.h * 2,
+                                   eigenvalue=lambda p: 2 * bundle.eigenvalue(p))
+    monkeypatch.setattr(suites, "build_g2", doubled)
+    config = RunConfig.from_items({"command": "verify", "suite": "cartesian",
+                                   "model": "g2", "sample_points": 3})
+    (record,) = [c for c in suite_cartesian(config)
+                 if c.name == "cartesian/g2/residuals"]
+    assert record.status == "fail"
 
 
 @pytest.mark.parametrize("bundle", [build_bc1(Fraction(1, 3), Fraction(2, 5)),

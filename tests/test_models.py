@@ -364,7 +364,7 @@ def test_bc1_and_g2_quadratic_forms_match_the_closures(data, nus):
 @given(data=st.data(), nu2=couplings, nu3=couplings, b=couplings, n=st.integers(0, 6))
 def test_bc1_and_bc1_qes_match_the_hand_typed_forms(data, nu2, nu3, b, n):
     # one BC construction at N = 1 against the operators typed by hand
-    e0 = (nu2 + nu3 * HALF) ** 2
+    e0 = ref.bc1_e0(nu2, nu3)
     bc1 = build_bc1(nu2, nu3)
     assert bc1.h == ref.bc1_operator(nu2, nu3)
     assert bc1.e0 == e0
@@ -387,9 +387,28 @@ def test_bc1_and_bc1_qes_match_the_hand_typed_forms(data, nu2, nu3, b, n):
 def test_bcn_at_one_is_bc1_for_every_nu(data, nu, nu2, nu3):
     bcn, bc1 = build_bcn(1, nu, nu2, nu3), build_bc1(nu2, nu3)
     assert bcn.h == bc1.h
-    assert bcn.e0 == bc1.e0
+    # the same eps, but BC_N keeps its half kinetic term at N = 1, so its
+    # Cartesian energies beta^2 (e0 + eps / 2) are those of bc1 halved
+    assert bcn.e0 == bc1.e0 / 2
     k = data.draw(exponents(1), label="k")
     assert bcn.eigenvalue(k) == bc1.eigenvalue(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 6), nus=st.tuples(couplings, couplings, couplings),
+       b=couplings, n=st.integers(0, 6))
+def test_ground_energy_matches_the_closed_forms(N, nus, b, n):
+    # kinetic |rho_k|^2 from the root table against each family's closed form
+    nu, nu2, nu3 = nus
+    pins = [(build_bcn(N, *nus), ref.bcn_e0(N, *nus)),
+            (build_g2(nu, nu2), ref.g2_e0(nu, nu2)),
+            (build_bc1(nu2, nu3), ref.bc1_e0(nu2, nu3)),
+            (build_bc1_qes(nu2, nu3, b, n), ref.bc1_e0(nu2, nu3))]
+    if N >= 2:
+        pins.append((build_sutherland(N, nu), ref.sutherland_e0(N, nu)))
+    for bundle, want in pins:
+        assert type(bundle.e0) is Fraction and bundle.e0 == want
+        assert models.ground_energy(bundle.spec) == want
 
 
 def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():
@@ -504,8 +523,8 @@ def test_pair_sums_match_the_full_expansion():
 
 
 def bcn_gauge_constant(N, nu, nu2, nu3):
-    return sum(((nu * (N - j) + nu2 + nu3 * HALF) ** 2 for j in range(1, N + 1)),
-               Fraction(0))
+    """e0 / kinetic: the rational form carries V / kinetic, kinetic = 1/2."""
+    return 2 * ref.bcn_e0(N, nu, nu2, nu3)
 
 
 def gauge_residual(bundle):

@@ -626,7 +626,7 @@ GOLDEN_SUITE_SHA256 = {
     "gauge": "dd414086cb29068e0786743e9d7adc26d4e268268f8b5775eafcf3425f468e9c",
     "ttw": "f9cd355e3de4c92ad2a3de774a29c61113470ed65909ffe5187933cb1cdad334",
     "cartesian --sample-points 10":
-        "088071184d9086695c703085ca231fd1f9e16168615ce2d9a8d474a6c39f9eb1",
+        "7bd197d28ce79d583356398ebc7e6bed23da28091b711f948fdef23cfda4b544",
 }
 
 
