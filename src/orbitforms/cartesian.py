@@ -18,11 +18,14 @@ distinct monomial of the k polynomials is evaluated once (`SharedMonomials`),
 and each polynomial is a sum over its terms.  The TTW check's 9-point polar
 stencil holds 5 distinct r and 5 distinct phi, so a point costs 5 radial and
 5 angular factors, 9 exponentials and one potential (`TTWGround`).
-Exact objects (polynomials, rationals) enter only through integer numerators
-and denominators, never binary floats.  Each check converts its constants
-once, at its working precision (`CheckGround`, `TTWGround`), grouping every
-product as a per-call conversion would, so the values do not depend on
-which path computed them; the public point functions build the same
+One rule puts an exact object into mpmath: a rational c becomes
+mpf(c.numerator) / c.denominator at the working precision (`_mpf`), never a
+binary float, and it is applied once per check, never once per term per
+point.  Each check converts its constants once (`CheckGround`, `TTWGround`),
+grouping every product as a per-call conversion would, and its polynomials'
+coefficients once per working precision (`SharedMonomials`), which
+`MultiPoly.evaluate` converts by the same rule, so the values do not depend
+on which path computed them; the public point functions build the same
 objects.
 
 Ground factors, potentials and alcove walls come from one table of positive
@@ -64,7 +67,7 @@ from .errors import (DimensionMismatch, DomainError, InconsistencyError,
 from .models import (KAPPA, ModelBundle, ModelSpec, TTWDescriptor,
                      bc1_qes_level, ground_energy, kinetic_half, rho_k,
                      root_table)
-from .poly import ZERO, MultiPoly
+from .poly import MultiPoly
 
 DEFAULT_DPS = 40
 IMAG_TOL = "1e-8"   # bound on the imaginary part of a measured energy
@@ -328,15 +331,18 @@ class SharedMonomials:
 
     `at` raises each needed (variable, power) once and multiplies each
     distinct monomial once, in variable order, as `MultiPoly.evaluate`
-    builds it; `value` then sums one polynomial's terms in its term order
-    with `MultiPoly.evaluate`'s arithmetic, the exact path for an exact
-    monomial (the constant term) included.  So each value is the one
+    builds it.  Each coefficient is converted once per working precision,
+    as mpf(numerator) / denominator (`_mpf`), the first time `value` runs
+    at that precision, so an instance used at two precisions never serves
+    one precision's coefficients at the other.  `value` then sums one
+    polynomial's converted coefficients times its monomials, in term order,
+    from exact 0, the constant term included.  So each value is the one
     `MultiPoly.evaluate` gives, bit for bit."""
 
     def __init__(self, polys: Sequence[MultiPoly]):
         self.nvars = {phi.nvars for phi in polys}
-        self.terms = [[(e, c, c.numerator, c.denominator)
-                       for e, c in phi.terms.items()] for phi in polys]
+        self.polys = polys
+        self.converted = {}         # mp.prec -> [[(exponents, mpf)] per polynomial]
         monomials = {e: [(i, p) for i, p in enumerate(e) if p]
                      for phi in polys for e in phi.terms}
         self.monomials = list(monomials.items())
@@ -358,14 +364,11 @@ class SharedMonomials:
 
     def value(self, k: int, monomials: dict):
         """Polynomial k from the monomial values `at` gave."""
-        total = ZERO
-        for e, c, num, den in self.terms[k]:
-            val = monomials[e]
-            if isinstance(val, (int, Fraction)):
-                total = total + c * val
-            else:
-                total = total + (num * val) / den
-        return total
+        terms = self.converted.get(mp.prec)
+        if terms is None:
+            terms = self.converted[mp.prec] = [
+                [(e, _mpf(c)) for e, c in phi.terms.items()] for phi in self.polys]
+        return sum((c * monomials[e] for e, c in terms[k]), 0)
 
 
 def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
@@ -583,7 +586,8 @@ def ttw_radial_power(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
 
     printed: (nu2+nu3) beta.  consistent: beta sqrt(e0 + 2b(nu2+nu3+1/2))
     with e0 = rho_k^2 = (nu2+nu3/2)^2 the bc1 ground energy
-    (`models.ground_energy`), which reduces to beta rho_k at b = 0.
+    (`models.ground_energy`), which reduces to beta |rho_k| at b = 0, the
+    limit of the b != 0 branch also where rho_k < 0.
     """
     if desc.convention == "printed":
         return desc.beta * (desc.nu2 + desc.nu3)
@@ -592,7 +596,7 @@ def ttw_radial_power(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
     if lam < 0:
         raise DomainError("angular sector eigenvalue is negative; no real power")
     if desc.b == 0:
-        return desc.beta * rho_k(spec)[0]
+        return desc.beta * abs(rho_k(spec)[0])
     with mp.workdps(dps):
         return _mpf(desc.beta) * mpmath.sqrt(_mpf(lam))
 

@@ -5,7 +5,10 @@ tuples to nonzero Fractions:
 
     tau1^2*tau2 + 3  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
 
-All arithmetic is exact; nothing here ever touches floating point.  Scalars
+All arithmetic is exact.  The one exception is `MultiPoly.evaluate` at a
+numeric point, which imports mpmath locally and converts each coefficient
+once, from its integer numerator and denominator, at the working precision;
+nothing here ever touches binary floating point.  Scalars
 are `fractions.Fraction` throughout (arbitrary precision, canonical
 coprime/positive-denominator form is maintained by the stdlib).
 
@@ -63,6 +66,16 @@ def validate_char_vector(f: Sequence[int]) -> CharVector:
     if not vec or any(x < 1 for x in vec):
         raise DomainError(f"characteristic vector must have positive grades: {f}")
     return vec
+
+
+def _monomial_at(point: Sequence, exps: Exponents):
+    """prod x_i^p_i over the nonzero p_i, multiplied in variable order from
+    the int 1."""
+    val = 1
+    for x, p in zip(point, exps):
+        if p:
+            val = val * x ** p
+    return val
 
 
 def _grlex_key(exps: Exponents) -> tuple:
@@ -228,24 +241,23 @@ class MultiPoly:
         return cont if lead > 0 else -cont
 
     def evaluate(self, point: Sequence) -> object:
-        """Evaluate at a point; exact for int/Fraction inputs, numeric otherwise.
+        """Evaluate at a point; an exact Fraction when every coordinate is an
+        int or a Fraction, numeric otherwise.
 
-        Numeric inputs (mpf/mpc/...) are handled via integer numerator and
-        denominator so coefficients never pass through binary floats.
+        At a numeric point (any mpf/mpc coordinate) each coefficient c is
+        converted once, as mpf(c.numerator) / c.denominator at the working
+        precision, so it never passes through a binary float, and the value
+        is the plain sum of converted coefficient times monomial, in term
+        order, from exact 0.  `cartesian.SharedMonomials` sums the same way.
         """
         if len(point) != self.nvars:
             raise DimensionMismatch("point has wrong dimension")
-        total = ZERO
-        for e, c in self.terms.items():
-            val = 1
-            for x, p in zip(point, e):
-                if p:
-                    val = val * x ** p
-            if isinstance(val, (int, Fraction)):
-                total = total + c * val
-            else:
-                total = total + (c.numerator * val) / c.denominator
-        return total
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            return sum((c * _monomial_at(point, e) for e, c in self.terms.items()),
+                       ZERO)
+        from mpmath import mpf
+        return sum((mpf(c.numerator) / c.denominator * _monomial_at(point, e)
+                    for e, c in self.terms.items()), 0)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Quotient self/divisor when the division is exact, else None."""

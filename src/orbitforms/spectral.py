@@ -377,8 +377,21 @@ def _quadrature_norm(p: MultiPoly, a: Fraction, b: Fraction):
     In s = (1+tau)/2 the weight is s^b (1-s)^a.  Each half of [0, 1] is
     mapped so that its endpoint singularity disappears: with e + 1 = r/q in
     lowest terms for the exponent e at that end, u = v^q turns
-    u^e du into q v^(r-1) dv, and the integrand is analytic in v.
+    u^e du into q v^(r-1) dv, and the integrand is analytic in v.  The
+    coefficients of p are converted once per call, as mpf(numerator) /
+    denominator at the working precision, and p is evaluated by Horner at
+    tau = 2s - 1 at every node.
     """
+    top = p.leading_term()[0][0]
+    coeffs = [mpmath.mpf(c.numerator) / c.denominator
+              for c in (p.coeff((k,)) for k in range(top, -1, -1))]
+
+    def p_at(tau):
+        acc = 0
+        for c in coeffs:
+            acc = acc * tau + c
+        return acc
+
     def half(e_near: Fraction, e_far: Fraction, at_zero: bool):
         q, r = e_near.denominator, (e_near + 1).numerator
         far = mpmath.mpf(e_far.numerator) / e_far.denominator
@@ -386,7 +399,7 @@ def _quadrature_norm(p: MultiPoly, a: Fraction, b: Fraction):
         def integrand(v):
             u = v ** q                    # distance from the endpoint
             s = u if at_zero else 1 - u
-            return q * v ** (r - 1) * (1 - u) ** far * p.evaluate([2 * s - 1]) ** 2
+            return q * v ** (r - 1) * (1 - u) ** far * p_at(2 * s - 1) ** 2
         return mpmath.quad(integrand, [0, mpmath.mpf(2) ** (-mpmath.mpf(1) / q)],
                            method="gauss-legendre",
                            maxdegree=SPOT_QUADRATURE_DEGREE)

@@ -22,7 +22,9 @@ operator to each basis monomial, here through `apply` above.  The oracle functio
 per-check constants, each converting its Fractions anew on every call:
 `invariants_map` runs the elementary-symmetric recursion once per
 invariant, and `ttw_ground_check` calls `ttw_ground_factor` at every
-stencil point and `ttw_potential` at every point.
+stencil point and `ttw_potential` at every point.  `quadrature_norm` is the
+spot quadrature as it stood before its Horner pass, calling
+`MultiPoly.evaluate` at every node.
 """
 
 from fractions import Fraction
@@ -42,6 +44,7 @@ from orbitforms.errors import DomainError
 from orbitforms.diffop import DiffOp, GaugeFactor
 from orbitforms.errors import FlagViolation
 from orbitforms.poly import MultiPoly, RationalFn
+from orbitforms.spectral import SPOT_QUADRATURE_DEGREE
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -605,3 +608,23 @@ def _apply_polar_fd(desc, psi, pt, centre, dps):
     lap_phi = _second_difference(_shifted(psi, pt, 1, h), centre, h)
     return (-lap_r - der_r / r - lap_phi / r ** 2
             + ttw_potential(desc, r, phi, dps) * centre)
+
+
+def quadrature_norm(p, a, b):
+    """`spectral._quadrature_norm` with `MultiPoly.evaluate` squared at every
+    Gauss-Legendre node, as it stood before the once-per-call conversion and
+    the Horner pass."""
+    def half(e_near, e_far, at_zero):
+        q, r = e_near.denominator, (e_near + 1).numerator
+        far = mpmath.mpf(e_far.numerator) / e_far.denominator
+
+        def integrand(v):
+            u = v ** q
+            s = u if at_zero else 1 - u
+            return q * v ** (r - 1) * (1 - u) ** far * p.evaluate([2 * s - 1]) ** 2
+        return mpmath.quad(integrand, [0, mpmath.mpf(2) ** (-mpmath.mpf(1) / q)],
+                           method="gauss-legendre", maxdegree=SPOT_QUADRATURE_DEGREE)
+
+    mass = mpmath.beta(mpmath.mpf(b.numerator) / b.denominator + 1,
+                       mpmath.mpf(a.numerator) / a.denominator + 1)
+    return (half(b, a, True) + half(a, b, False)) / mass

@@ -465,6 +465,19 @@ def test_ttw_full_factor_exponent_signs():
         assert abs(ratio - expected) < mpmath.mpf("1e-20")
 
 
+def test_ttw_radial_power_is_continuous_at_b_zero():
+    # rho_k = nu2 + nu3/2 = -4/3 < 0: the b = 0 power is beta |rho_k| = 2,
+    # the limit of beta sqrt(lambda) as b -> 0, not beta rho_k = -2
+    def power(b):
+        return cart.ttw_radial_power(ttw_models(
+            "TTW_QES_ANGULAR", nu2=Fraction(-3, 2), nu3=Fraction(1, 3),
+            beta=Fraction(3, 2), omega=1, b=b))
+    at_zero = power(0)
+    assert isinstance(at_zero, Fraction) and at_zero == 2
+    with mp.workdps(40):
+        assert abs(power(Fraction(1, 10 ** 12)) - at_zero) < mpmath.mpf("1e-11")
+
+
 def test_ttw_r_must_be_positive():
     d = ttw_models("TTW", **BASE)
     with pytest.raises(DomainError):
@@ -677,6 +690,25 @@ def test_shared_pass_matches_the_per_eigenpair_path(model, couplings, seed, beta
             # the node of the last polynomial skips the point for it alone
             assert shared[-1][4] is None
             assert shared[0][4] is not None
+
+
+def test_shared_monomials_convert_once_per_precision():
+    # one instance serves dps 20, then 40, then 20 again: at each precision
+    # its values are those of `MultiPoly.evaluate` there, bit for bit, so
+    # no precision is served another precision's coefficients
+    t1, t2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    polys = [Fraction(1, 3) * t1 * t1 * t2 - Fraction(4, 7) * t2 + Fraction(5, 11),
+             Fraction(-2, 9) * t1 * t2 * t2 + Fraction(3, 13)]
+    shared = cart.SharedMonomials(polys)
+    for dps in (20, 40, 20):
+        with mp.workdps(dps):
+            x, y = mpmath.mpf(2) / 3, mpmath.mpf(-5) / 7
+            for point in ([x, y], [mpmath.mpc(x, y), mpmath.mpc(y, x / 3)]):
+                monomials = shared.at(point)
+                for k, phi in enumerate(polys):
+                    value = shared.value(k, monomials)
+                    assert value == phi.evaluate(point)
+                    assert type(value) is type(point[0])
 
 
 def test_ttw_point_evaluates_5_radial_5_angular_factors_and_9_exps(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,28 @@ def test_evaluate_at_point():
     t1, t2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     p = t1 * t1 - 4 * t2
     assert p.evaluate([Fraction(2), Fraction(1)]) == 0
+
+
+def test_evaluate_is_exact_at_int_and_fraction_points():
+    t1, t2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p = Fraction(1, 3) * t1 * t1 * t2 - 4 * t2 + Fraction(5, 7)
+    for point in ([2, 1], [Fraction(2), Fraction(-1, 2)], [3, Fraction(1, 3)]):
+        value = p.evaluate(point)
+        assert isinstance(value, Fraction)
+        x, y = map(Fraction, point)
+        assert value == Fraction(1, 3) * x * x * y - 4 * y + Fraction(5, 7)
+
+
+def test_evaluate_goes_numeric_at_a_point_with_an_mpf():
+    t1, t2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p = Fraction(1, 3) * t1 * t1 * t2 - 4 * t2 + Fraction(5, 7)
+    with mpmath.mp.workdps(30):
+        x, y = Fraction(2, 3), mpmath.mpf("0.7")
+        value = p.evaluate([x, y])
+        assert isinstance(value, mpmath.mpf)
+        xm = mpmath.mpf(2) / 3
+        assert abs(value - (xm * xm * y / 3 - 4 * y + mpmath.mpf(5) / 7)) \
+            < mpmath.mpf("1e-28")
 
 
 def test_variable_count_mismatch():

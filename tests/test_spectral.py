@@ -22,6 +22,7 @@ from orbitforms.spectral import (NUMERIC_DPS, NUMERIC_TOL, SpectralEntry, Spectr
                                  _jacobi_polynomials, jacobi_gram, jacobi_reference,
                                  numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
+import reference_kernels
 from reference_linalg import (dense_action_matrix, dense_numeric_eigenvalues,
                               dense_triangular_nullspace, dense_triangular_order,
                               exact_matrix, is_block_triangular, poly_from_roots,
@@ -262,6 +263,21 @@ def test_orthogonality_exact_at_generic_parameters(nu2, nu3):
     assert max_off == 0
     assert min_norm > 0
     assert spot_gap < mpmath.mpf("1e-30")
+
+
+weight_exponent = st.fractions(-1, 3, max_denominator=7).filter(lambda e: e > -1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=weight_exponent, b=weight_exponent, pmax=st.integers(1, 10))
+def test_spot_quadrature_matches_the_per_node_evaluation(a, b, pmax):
+    # the Horner pass over coefficients converted once per call against
+    # `MultiPoly.evaluate` at every node
+    p = _jacobi_polynomials(pmax, a, b)[pmax]
+    with mpmath.mp.workdps(40):
+        horner = spectral._quadrature_norm(p, a, b)
+        reference = reference_kernels.quadrature_norm(p, a, b)
+        assert abs(horner - reference) <= mpmath.mpf("1e-30") * abs(reference)
 
 
 def test_orthogonality_rejects_nonintegrable():
@@ -623,10 +639,10 @@ GOLDEN_SUITE_SHA256 = {
     "pi": "54330bd2ea76a2cc64155576fd9aaea84c1eb86d502dd909410011be64755679",
     "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
     "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
-    "gauge": "dd414086cb29068e0786743e9d7adc26d4e268268f8b5775eafcf3425f468e9c",
+    "gauge": "fd4872673caaf1a20a248167ad4f235196259c4e608694a35b33c9cb2e964f0a",
     "ttw": "f9cd355e3de4c92ad2a3de774a29c61113470ed65909ffe5187933cb1cdad334",
     "cartesian --sample-points 10":
-        "7bd197d28ce79d583356398ebc7e6bed23da28091b711f948fdef23cfda4b544",
+        "bd16f7e7e6ae1821e90e9faec844810358f72c068e965b3096fa36fa3a0dd1ca",
 }
 
 
