@@ -12,7 +12,12 @@ Rational coefficients serve the gauge identity only: gauge_conjugate builds
 them, and addition and equality accept them, so that the conjugated rational
 form can be compared with the algebraic one.  A coefficient that divides out
 is stored as a polynomial; apply, compose, commutator and the flag functions
-take polynomial operators only.
+take polynomial operators only.  gauge_conjugate sums partial fractions over
+the wall factors P_k of F = exp(Q) prod P_k^alpha_k: each wall term
+A grad P_k / P_k is divided once (a polynomial on every BC wall), and the
+zeroth order gathers one residue per wall over P_k, so the poles land on the
+denominator prod P_k that the rational potential already carries.  No common
+denominator of grad log F and no square of it is formed.
 
 apply and compose follow the integer-numerator rule of poly: coefficients are
 scaled once to integer numerators over the operator's common denominator,
@@ -309,7 +314,8 @@ class GaugeFactor:
     """Product of polynomial powers times exp of a polynomial.
 
     F = prod_k P_k^{alpha_k} * exp(Q).  Only the logarithmic derivative is
-    ever needed in exact arithmetic:  G_i = sum_k alpha_k dP_k/P_k + dQ/d tau_i.
+    ever needed in exact arithmetic:  G_i = sum_k alpha_k dP_k/P_k + dQ/d tau_i,
+    which gauge_conjugate reads wall by wall.
     """
 
     __slots__ = ("nvars", "factors", "exp_arg")
@@ -342,25 +348,6 @@ class GaugeFactor:
                            [(b, -e) for b, e in self.factors],
                            -self.exp_arg)
 
-    def common_denominator(self) -> MultiPoly:
-        d = MultiPoly.const(self.nvars, 1)
-        for base, _ in self.factors:
-            d = d * base
-        return d
-
-    def log_gradient_over_common(self) -> tuple[list[MultiPoly], MultiPoly]:
-        """Numerators N_i and shared denominator D with G_i = N_i / D."""
-        d = self.common_denominator()
-        nums = []
-        for i in range(self.nvars):
-            n = MultiPoly.zero(self.nvars)
-            for base, expo in self.factors:
-                other = d.exact_div(base)
-                n = n + expo * base.diff(i) * other
-            n = n + self.exp_arg.diff(i) * d
-            nums.append(n)
-        return nums, d
-
     def __repr__(self):
         parts = [f"({b.as_string()})^({e})" for b, e in self.factors]
         if not self.exp_arg.is_zero():
@@ -369,13 +356,25 @@ class GaugeFactor:
 
 
 def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
-    """F^-1 op F for an order <= 2 operator, by the closed conjugation rule.
+    """F^-1 op F for an order <= 2 operator, by partial fractions over the
+    wall factors of F.
 
-    Writing op = sum A_ij d_i d_j + sum B_i d_i + C with symmetric A and
-    G = grad log F:  the second-order part is unchanged, the first-order part
-    becomes B_i + 2 sum_j A_ij G_j and the zeroth part
-    C + sum A_ij (d_i G_j + G_i G_j) + sum B_i G_i.  Denominator-free results
-    are downgraded to polynomial coefficients.
+    Write op = sum A_ij d_i d_j + sum B_i d_i + C with symmetric A, and
+    F = exp(Q) prod_k P_k^alpha_k.  Then grad log F = grad Q + sum_k
+    alpha_k grad P_k / P_k, and with the wall terms w_k = A grad P_k / P_k
+    and W = sum_k alpha_k w_k:
+
+        second order   A, unchanged;
+        first order    B + 2 A grad Q + 2 W;
+        zeroth order   C + A:hess Q + grad Q.A.grad Q + (B + 2 W).grad Q
+                       + sum_l alpha_l [A:hess P_l + (B + W - w_l).grad P_l] / P_l.
+
+    w_k is a polynomial when P_k divides A grad P_k, as every wall of the
+    BC family does, and a rational function otherwise; the same sums serve
+    both.  The last sum is a sum of RationalFn over the P_l, so it lands on
+    the denominator prod P_l that a potential summed over the same walls
+    carries, and C adds to it numerator to numerator.  Denominator-free
+    coefficients are stored as polynomials.
     """
     if op.order() > 2:
         raise UnsupportedOrder("gauge conjugation implemented for order <= 2 only")
@@ -386,63 +385,59 @@ def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
         return op
 
     # Symmetric second-order matrix from the stored multi-indices.
-    A = [[MultiPoly.zero(n) for _ in range(n)] for _ in range(n)]
-    B = [MultiPoly.zero(n) for _ in range(n)]
-    C: Coefficient = MultiPoly.zero(n)
-    second: dict[Exponents, Coefficient] = {}
+    zero = MultiPoly.zero(n)
+    A = [[zero] * n for _ in range(n)]
+    B = [zero] * n
+    C: Coefficient = zero
+    terms: dict[Exponents, Coefficient] = {}
     for k, c in op.terms.items():
         total = sum(k)
         if total and not isinstance(c, MultiPoly):
             raise DomainError("first- and second-order coefficients must be polynomial")
         if total == 2:
-            second[k] = c
-            idx = [i for i, p in enumerate(k) for _ in range(p)]
-            i, j = idx[0], idx[1]
-            if i == j:
-                A[i][i] = A[i][i] + c
-            else:
-                half = c * Fraction(1, 2)
-                A[i][j] = A[i][j] + half
-                A[j][i] = A[j][i] + half
+            terms[k] = c
+            i, j = [i for i, p in enumerate(k) for _ in range(p)]
+            A[i][j] = A[j][i] = c if i == j else c * Fraction(1, 2)
         elif total == 1:
-            i = k.index(1)
-            B[i] = B[i] + c
+            B[k.index(1)] = c
         else:
             C = c
+    pairs = [(i, j) for i in range(n) for j in range(n) if not A[i][j].is_zero()]
 
-    nums, den = factor.log_gradient_over_common()
-    den2 = den * den
+    def dot(u: Sequence[Coefficient], v: Sequence[MultiPoly]) -> Coefficient:
+        return sum((a * b for a, b in zip(u, v) if not (a.is_zero() or b.is_zero())),
+                   zero)
 
-    # First order: B_i + 2 sum_j A_ij N_j / D, assembled over denominator D.
-    first_terms: dict[Exponents, Coefficient] = {}
+    def contract_hessian(p: MultiPoly) -> MultiPoly:
+        """A : hess p."""
+        return sum((A[i][j] * p.diff(i).diff(j) for i, j in pairs), zero)
+
+    walls = []
+    for base, alpha in factor.factors:
+        grad = [base.diff(i) for i in range(n)]
+        w = []   # A grad P / P, a polynomial where P divides it
+        for row in A:
+            num = dot(row, grad)
+            q = num.exact_div(base)
+            w.append(q if q is not None else RationalFn(num, base))
+        walls.append((base, alpha, grad, w))
+    W = [sum((alpha * w[i] for _, alpha, _, w in walls), zero) for i in range(n)]
+    grad_q = [factor.exp_arg.diff(i) for i in range(n)]
+    a_grad_q = [dot(row, grad_q) for row in A]
+    drift = [b + 2 * x for b, x in zip(B, W)]
+
     for i in range(n):
-        num = B[i] * den
-        for j in range(n):
-            if not A[i][j].is_zero() and not nums[j].is_zero():
-                num = num + 2 * A[i][j] * nums[j]
-        if num.is_zero():
-            continue
         k = [0] * n
         k[i] = 1
-        first_terms[tuple(k)] = RationalFn(num, den)
+        terms[tuple(k)] = drift[i] + 2 * a_grad_q[i]
 
-    # Zeroth order over D^2:
-    #   C D^2 + sum A_ij [(dN_j D - N_j dD) + N_i N_j] + sum B_i N_i D
-    zero_num = MultiPoly.zero(n)
-    for i in range(n):
-        for j in range(n):
-            if A[i][j].is_zero():
-                continue
-            dg = nums[j].diff(i) * den - nums[j] * den.diff(i)
-            zero_num = zero_num + A[i][j] * (dg + nums[i] * nums[j])
-        if not B[i].is_zero() and not nums[i].is_zero():
-            zero_num = zero_num + B[i] * nums[i] * den
-    czero = C + RationalFn(zero_num, den2)
-
-    terms: dict[Exponents, Coefficient] = dict(second)
-    terms.update(first_terms)
-    if not czero.is_zero():
-        terms[(0,) * n] = czero
+    poles: Coefficient = zero
+    for base, alpha, grad, w in walls:
+        pull = [b + x - y for b, x, y in zip(B, W, w)]   # B + W - w_l
+        residue = (contract_hessian(base) + dot(pull, grad)) * alpha
+        poles = poles + residue * RationalFn(MultiPoly.const(n, 1), base)
+    terms[(0,) * n] = (C + poles + contract_hessian(factor.exp_arg)
+                       + dot(a_grad_q, grad_q) + dot(drift, grad_q))
     return DiffOp(n, terms)
 
 

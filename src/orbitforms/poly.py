@@ -12,9 +12,9 @@ nothing here ever touches binary floating point.  Scalars
 are `fractions.Fraction` throughout (arbitrary precision, canonical
 coprime/positive-denominator form is maintained by the stdlib).
 
-Integer-numerator rule: a hot kernel (the polynomial product here, operator
-apply and compose in diffop) does its inner loop on Python ints.  Each
-operand is scaled to integer numerators over one denominator
+Integer-numerator rule: a hot kernel (the polynomial product and exact
+division here, operator apply and compose in diffop) does its inner loop on
+Python ints.  Each operand is scaled to integer numerators over one denominator
 (`integer_terms`), products are accumulated as ints (`integer_product`,
 `add_integer_terms`), and each output term is reduced to a Fraction exactly
 once (`from_integer_terms`).  Accumulation deletes a key whose sum cancels
@@ -260,26 +260,49 @@ class MultiPoly:
                     for e, c in self.terms.items()), 0)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly | None":
-        """Quotient self/divisor when the division is exact, else None."""
+        """Quotient self/divisor when the division is exact, else None.
+
+        Leading-term division in grlex order, on int numerators: the
+        remainder is kept as ints over one denominator and the divisor as
+        its primitive int form with leading coefficient lc.  Each step
+        subtracts a shifted multiple of the divisor's ints in place and
+        makes one Fraction, the quotient term.  Grlex is a monomial order,
+        so the leading term falls at every step.  If self is divisible, the
+        int remainder is S * prim at every step for a polynomial S, which
+        has int coefficients because prim is primitive (Gauss's lemma), so
+        lc divides each leading numerator.  A leading numerator that lc does
+        not divide, like a leading exponent that the divisor's does not
+        divide, proves that self is not divisible and gives None.
+        """
         self._check(divisor)
         if divisor.is_zero():
             raise DomainError("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.nvars)
-        de, dc = divisor.leading_term()
+        dden, dnum = integer_terms(divisor.terms)
+        content = gcd(*dnum.values())
+        prim = [(e, v // content) for e, v in dnum.items()]
+        de, lc = max(prim, key=lambda term: _grlex_key(term[0]))
+        # self / divisor = (rem / rden) * dden / (content * prim)
+        rden, rem = integer_terms(self.terms)
+        qden = rden * content
         quotient: dict[Exponents, Fraction] = {}
-        rem = self
-        while not rem.is_zero():
-            re, rc = rem.leading_term()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(p < 0 for p in qe):
+        get = rem.get
+        while rem:
+            re = max(rem, key=_grlex_key)
+            qe = tuple(map(sub, re, de))
+            m, r = divmod(rem[re], lc)
+            if r or min(qe) < 0:
                 return None
-            qc = rc / dc
-            quotient[qe] = quotient.get(qe, ZERO) + qc
-            rem = rem - divisor * MultiPoly.monomial(self.nvars, qe, qc)
-            if not rem.is_zero() and _grlex_key(rem.leading_term()[0]) >= _grlex_key(re):
-                return None  # no progress: not divisible
-        return _raw(self.nvars, {e: c for e, c in quotient.items() if c})
+            quotient[qe] = Fraction(m * dden, qden)
+            for e, v in prim:
+                key = tuple(map(add, e, qe))
+                s = get(key, 0) - m * v
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+        return _raw(self.nvars, quotient)
 
     # -- protocol ----------------------------------------------------------
 

@@ -24,7 +24,12 @@ per-check constants, each converting its Fractions anew on every call:
 invariant, and `ttw_ground_check` calls `ttw_ground_factor` at every
 stencil point and `ttw_potential` at every point.  `quadrature_norm` is the
 spot quadrature as it stood before its Horner pass, calling
-`MultiPoly.evaluate` at every node.
+`MultiPoly.evaluate` at every node.  `exact_div` is the leading-term
+division that rebuilt its Fraction remainder at every step, before the
+integer-numerator loop, and `gauge_conjugate` with `common_denominator` and
+`log_gradient_over_common` is the conjugation over the common denominator D
+of the wall factors and its square, before the partial fractions over each
+wall; its log gradient divides through `exact_div` here.
 """
 
 from fractions import Fraction
@@ -39,10 +44,9 @@ from orbitforms.cartesian import (ResidualStats, _abs_sin_pow, _form_value,
                                   _second_difference, _shifted, _stencil_step,
                                   root_table, ttw_r2_coefficient,
                                   ttw_radial_power, ttw_sample)
-from orbitforms.errors import DomainError
-
 from orbitforms.diffop import DiffOp, GaugeFactor
-from orbitforms.errors import FlagViolation
+from orbitforms.errors import (DimensionMismatch, DomainError, FlagViolation,
+                               UnsupportedOrder)
 from orbitforms.poly import MultiPoly, RationalFn
 from orbitforms.spectral import SPOT_QUADRATURE_DEGREE
 
@@ -628,3 +632,121 @@ def quadrature_norm(p, a, b):
     mass = mpmath.beta(mpmath.mpf(b.numerator) / b.denominator + 1,
                        mpmath.mpf(a.numerator) / a.denominator + 1)
     return (half(b, a, True) + half(a, b, False)) / mass
+
+
+def exact_div(p: MultiPoly, divisor: MultiPoly):
+    """`MultiPoly.exact_div` as the Fraction loop that rebuilt the whole
+    remainder polynomial at every leading-term step."""
+    if divisor.is_zero():
+        raise DomainError("division by the zero polynomial")
+    if p.is_zero():
+        return MultiPoly.zero(p.nvars)
+
+    def grlex(e):
+        return (sum(e), e)
+
+    de, dc = divisor.leading_term()
+    quotient = {}
+    rem = p
+    while not rem.is_zero():
+        re, rc = rem.leading_term()
+        qe = tuple(a - b for a, b in zip(re, de))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rc / dc
+        quotient[qe] = quotient.get(qe, ZERO) + qc
+        rem = rem - mul(divisor, MultiPoly.monomial(p.nvars, qe, qc))
+        if not rem.is_zero() and grlex(rem.leading_term()[0]) >= grlex(re):
+            return None  # no progress: not divisible
+    return MultiPoly(p.nvars, quotient)
+
+
+def common_denominator(factor: GaugeFactor) -> MultiPoly:
+    d = MultiPoly.const(factor.nvars, 1)
+    for base, _ in factor.factors:
+        d = d * base
+    return d
+
+
+def log_gradient_over_common(factor: GaugeFactor):
+    """Numerators N_i and shared denominator D with G_i = N_i / D."""
+    d = common_denominator(factor)
+    nums = []
+    for i in range(factor.nvars):
+        n = MultiPoly.zero(factor.nvars)
+        for base, expo in factor.factors:
+            other = exact_div(d, base)
+            n = n + expo * base.diff(i) * other
+        n = n + factor.exp_arg.diff(i) * d
+        nums.append(n)
+    return nums, d
+
+
+def gauge_conjugate(op: DiffOp, factor: GaugeFactor) -> DiffOp:
+    """`diffop.gauge_conjugate` as it stood before the partial fractions:
+    grad log F over the common denominator D = prod P_k, the first order
+    over D and the zeroth order over D^2, added to C by cross
+    multiplication."""
+    if op.order() > 2:
+        raise UnsupportedOrder("gauge conjugation implemented for order <= 2 only")
+    if factor.nvars != op.nvars:
+        raise DimensionMismatch("gauge factor variable count mismatch")
+    n = op.nvars
+    if not factor.factors and factor.exp_arg.is_zero():
+        return op
+
+    A = [[MultiPoly.zero(n) for _ in range(n)] for _ in range(n)]
+    B = [MultiPoly.zero(n) for _ in range(n)]
+    C = MultiPoly.zero(n)
+    second = {}
+    for k, c in op.terms.items():
+        total = sum(k)
+        if total and not isinstance(c, MultiPoly):
+            raise DomainError("first- and second-order coefficients must be polynomial")
+        if total == 2:
+            second[k] = c
+            idx = [i for i, p in enumerate(k) for _ in range(p)]
+            i, j = idx[0], idx[1]
+            if i == j:
+                A[i][i] = A[i][i] + c
+            else:
+                half = c * HALF
+                A[i][j] = A[i][j] + half
+                A[j][i] = A[j][i] + half
+        elif total == 1:
+            i = k.index(1)
+            B[i] = B[i] + c
+        else:
+            C = c
+
+    nums, den = log_gradient_over_common(factor)
+    den2 = den * den
+
+    first_terms = {}
+    for i in range(n):
+        num = B[i] * den
+        for j in range(n):
+            if not A[i][j].is_zero() and not nums[j].is_zero():
+                num = num + 2 * A[i][j] * nums[j]
+        if num.is_zero():
+            continue
+        k = [0] * n
+        k[i] = 1
+        first_terms[tuple(k)] = RationalFn(num, den)
+
+    zero_num = MultiPoly.zero(n)
+    for i in range(n):
+        for j in range(n):
+            if A[i][j].is_zero():
+                continue
+            dg = nums[j].diff(i) * den - nums[j] * den.diff(i)
+            zero_num = zero_num + A[i][j] * (dg + nums[i] * nums[j])
+        if not B[i].is_zero() and not nums[i].is_zero():
+            zero_num = zero_num + B[i] * nums[i] * den
+    czero = C + RationalFn(zero_num, den2)
+
+    terms = dict(second)
+    terms.update(first_terms)
+    if not czero.is_zero():
+        terms[(0,) * n] = czero
+    return DiffOp(n, terms)

@@ -158,6 +158,61 @@ def test_gauge_roundtrip_inverse():
     assert back == op
 
 
+@st.composite
+def gauge_cases(draw, max_vars=3):
+    """(op, factor): an order <= 2 operator and a GaugeFactor in 1..max_vars
+    variables.  A = M prod_{k in S} P_k over a drawn subset S of the bases,
+    so P_k divides A grad P_k for k in S (tangent) and in general not for
+    the others; the zeroth order is a polynomial or a quotient by a product
+    of some bases, and the factor may carry an exp part."""
+    n = draw(st.integers(1, max_vars), label="nvars")
+    small = small_polys(n, max_deg=1, max_size=3)
+
+    def product(polys):
+        out = MultiPoly.const(n, 1)
+        for p in polys:
+            out = out * p
+        return out
+
+    bases = draw(st.lists(small.filter(bool), max_size=3), label="bases")
+    alphas = draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                           min_size=len(bases), max_size=len(bases)), label="alphas")
+    tangent = draw(st.lists(st.booleans(), min_size=len(bases), max_size=len(bases)),
+                   label="tangent")
+    walls = product(base for base, on in zip(bases, tangent) if on)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            k = [0] * n
+            k[i] += 1
+            k[j] += 1
+            terms[tuple(k)] = draw(small, label=f"M{i}{j}") * walls
+        k = [0] * n
+        k[i] = 1
+        terms[tuple(k)] = draw(small, label=f"B{i}")
+    zeroth = draw(small, label="C")
+    poles = draw(st.lists(st.sampled_from(bases), max_size=2) if bases
+                 else st.just([]), label="poles")
+    terms[(0,) * n] = RationalFn(zeroth, product(poles)) if poles else zeroth
+    exp_arg = draw(st.one_of(st.just(MultiPoly.zero(n)), small), label="Q")
+    return DiffOp(n, terms), GaugeFactor(n, list(zip(bases, alphas)), exp_arg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_cases())
+def test_gauge_conjugate_matches_the_common_denominator_path(case):
+    op, factor = case
+    conj = gauge_conjugate(op, factor)
+    assert conj == ref.gauge_conjugate(op, factor)
+    first_order_polynomial = all(isinstance(c, MultiPoly)
+                                 for k, c in conj.terms.items() if sum(k))
+    event(f"first order {'polynomial' if first_order_polynomial else 'rational'}, "
+          f"result {'polynomial' if conj.polynomial else 'rational'}")
+    # the inverse factor undoes it wherever the image is conjugable again
+    if first_order_polynomial:
+        assert gauge_conjugate(conj, factor.inverse()) == op
+
+
 def test_rational_coefficients_add_and_compare():
     # 1/(1+t) + t = (t^2+t+1)/(1+t); (t^2-1)/(t-1) divides out to t+1
     inverse = DiffOp(1, {(0,): RationalFn(MultiPoly.const(1, 1), 1 + t)})

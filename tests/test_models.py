@@ -543,6 +543,16 @@ def test_bc4_gauge_identity_is_exact():
     assert const.constant_value() == bcn_gauge_constant(4, *nus)
 
 
+def test_bc5_gauge_identity_is_exact():
+    # two sizes above the suite's bc3, in well under a second
+    nus = (Fraction(3, 7), Fraction(2, 5), Fraction(-1, 3))
+    conj, diff = gauge_residual(build_bcn(5, *nus))
+    assert conj.polynomial
+    const = diff.constant_part()
+    assert diff.order() == 0 and const.is_constant()
+    assert const.constant_value() == bcn_gauge_constant(5, *nus)
+
+
 @pytest.mark.parametrize("orbit", [0, 1, 2])
 def test_a_perturbed_root_coupling_fails_the_gauge_identity_and_the_oracle(
         monkeypatch, orbit):

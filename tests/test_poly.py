@@ -297,6 +297,35 @@ def test_mul_matches_the_fraction_loop(data, nvars):
     assert_same_poly((a + b) * (a - b), mul(a + b, a - b))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_exact_div_matches_the_fraction_loop(data, nvars):
+    p = data.draw(small_polys(nvars), label="p")
+    q = data.draw(small_polys(nvars).filter(bool), label="q")
+    r = data.draw(small_polys(nvars, max_size=2), label="r")
+    assert (p * q).exact_div(q) == p
+    # p*q + r divides only now and then; where the Fraction loop gives None
+    # so does the int loop, and elsewhere both give one quotient term by term
+    for num in (p * q, p * q + r, r):
+        got, want = num.exact_div(q), reference_kernels.exact_div(num, q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_poly(got, want)
+
+
+def test_exact_div_refuses_a_leading_numerator_that_lc_does_not_divide():
+    # 4x + 6y is 2 (2x + 3y) with lc 2: x^2 + 3xy/2 = (2x + 3y) x/2 divides,
+    # while in x^2 + xy the numerator 2 - 3 = -1 of xy is left for lc
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    divisor = 4 * x + 6 * y
+    quotient = x * Fraction(1, 3) + y * Fraction(5, 7) + 1
+    assert (divisor * quotient).exact_div(divisor) == quotient
+    assert (x * x + x * y * Fraction(3, 2)).exact_div(divisor) == x * Fraction(1, 4)
+    for num in (x * x + x * y, divisor * quotient + y, x + 1):
+        assert num.exact_div(divisor) is None
+        assert reference_kernels.exact_div(num, divisor) is None
+
+
 def test_mul_keeps_the_order_of_a_term_that_cancels_and_returns():
     a = MultiPoly(1, {(2,): 1, (1,): 1, (0,): 1})
     b = MultiPoly(1, {(0,): 1, (1,): -1, (2,): 1})
