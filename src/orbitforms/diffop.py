@@ -28,8 +28,10 @@ the terms come in the order the Fraction loops gave them.  apply scales the
 operator on each call; the flag loop scales it once and gives each basis
 monomial's image as int numerators, which restrict_to_flag keys by basis
 index and preserves_flag reads; neither makes a Fraction.  compose and
-commutator share one int accumulation; commutator subtracts the b.a
-numerators from the a.b ones and builds one operator.
+commutator share one int accumulation of Leibniz products; commutator
+leaves out the plain products (gamma = 0), which are equal in a.b and b.a,
+adds those of b.a with the sign of -b, and builds one operator, with its
+key and term order unspecified (no report reads it).
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -255,43 +257,46 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """
     a._check(b)
     (da, anums), (db, bnums) = _scaled(a, "compose"), _scaled(b, "compose")
-    return _from_numerators(a.nvars, da * db, _product_numerators(anums, bnums))
+    acc: dict[Exponents, dict[Exponents, int]] = {}
+    _add_products(acc, anums, bnums, plain=True)
+    return _from_numerators(a.nvars, da * db, acc)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] = a.b - b.a, exact.
 
-    Both products are summed in ints over the shared denominator da*db, and
-    the b.a numerators are subtracted from the a.b ones, so one operator is
-    built.  Keys and terms come in the order of compose(a, b) - compose(b, a):
-    the keys of a.b first, then the keys only b.a has; within a coefficient a
-    term that cancels is deleted and a new one is appended.  Both operators
-    must be polynomial (DomainError otherwise).
+    The plain Leibniz products, a_alpha b_beta d^(alpha+beta) in a.b and
+    b_beta a_alpha d^(beta+alpha) in b.a, are equal, since the coefficients
+    commute, so neither is formed.  The others are summed in ints over the
+    shared denominator da*db, those of b.a from the negated coefficients of
+    b, and one operator is built.  The order of its keys and of the terms
+    of a coefficient is unspecified.  Both operators must be polynomial
+    (DomainError otherwise).
     """
     a._check(b)
     (da, anums), (db, bnums) = _scaled(a, "commutator"), _scaled(b, "commutator")
-    total = _product_numerators(anums, bnums)
-    for key, nums in _product_numerators(bnums, anums).items():
-        if nums:
-            if not total.get(key):
-                # a key that a.b lacks, or whose sum cancelled there, comes last
-                total.pop(key, None)
-            add_integer_terms(total.setdefault(key, {}),
-                              {e: -v for e, v in nums.items()})
-    return _from_numerators(a.nvars, da * db, total)
+    acc: dict[Exponents, dict[Exponents, int]] = {}
+    _add_products(acc, anums, bnums, plain=False)
+    negated = [(k, {e: -v for e, v in nums.items()}) for k, nums in bnums]
+    _add_products(acc, negated, anums, plain=False)
+    return _from_numerators(a.nvars, da * db, acc)
 
 
-def _product_numerators(anums: list, bnums: list
-                        ) -> dict[Exponents, dict[Exponents, int]]:
-    """Integer numerators of a.b by derivative key, over da*db, from the
-    scaled coefficients of a and b.
+def _add_products(acc: dict[Exponents, dict[Exponents, int]], anums: list,
+                  bnums: list, plain: bool) -> None:
+    """Add the int numerators of a.b, by derivative key over da*db, from
+    the scaled coefficients of a and b, to acc: the Leibniz products
+    C(alpha, gamma) a_alpha d^gamma(b_beta) d^(alpha-gamma+beta), those
+    with gamma = 0 (the plain products) only when `plain`.
 
     A key whose sum cancels stays in place with no terms, so the operator
     terms keep their first-seen order.
     """
-    acc: dict[Exponents, dict[Exponents, int]] = {}
     for alpha, anum in anums:
-        subs = [(gamma, _multi_binom(alpha, gamma)) for gamma in _sub_indices(alpha)]
+        gammas = _sub_indices(alpha)
+        if not plain:
+            next(gammas)         # gamma = 0 comes first
+        subs = [(gamma, _multi_binom(alpha, gamma)) for gamma in gammas]
         for beta, bnum in bnums:
             for gamma, binom in subs:
                 q = _derivative_terms(bnum, gamma)
@@ -301,7 +306,6 @@ def _product_numerators(anums: list, bnums: list
                     q = [(e, v * binom) for e, v in q]
                 key = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
                 add_integer_terms(acc.setdefault(key, {}), integer_product(anum, q))
-    return acc
 
 
 def _from_numerators(nvars: int, den: int,

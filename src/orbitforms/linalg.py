@@ -9,15 +9,17 @@ indices, given as sparse int columns over one denominator (the form
 restrict_to_flag gives), it finds that order, checks an order apart from
 the search that found it, and finds the kernels of a - cI by
 back-substitution along it, walking only the indices a kernel vector can
-reach.  The real roots of an integer polynomial, such as a characteristic
-polynomial after clearing denominators, come as dyadic brackets, each
-certified by an exact sign change (real_roots).
+reach, then reduces them to a canonical basis by fraction-free elimination
+on their sparse ints.  The real roots of an integer polynomial, such as a
+characteristic polynomial after clearing denominators, come as dyadic
+brackets, each certified by an exact sign change (real_roots).
 
-Berkowitz, the root brackets and the back-substitution follow the
-integer-numerator rule of poly: the loops run on ints with one denominator
-per value, and Fractions are made only where a pivot divides.  rref runs
-on Fractions, since its pivots divide; its cost is held down by sparsity
-instead.
+Berkowitz, the root brackets, the back-substitution and the kernel
+reduction follow the integer-numerator rule of poly: the loops run on ints
+with one denominator per value, and a kernel vector leaves as int
+numerators over one denominator; on that path only the constraints of a
+defective eigenvalue reach rref.  rref runs on Fractions, since its pivots
+divide; its cost is held down by sparsity instead.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ Vector = list[Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def rref(a: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
@@ -132,10 +130,18 @@ def is_triangular_in(columns: Sequence[Mapping[int, int]], order: Sequence[int])
 
 
 def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
-                         order: Sequence[int], c: Fraction) -> list[Vector]:
-    """nullspace(a - cI) for the matrix a[i][j] = columns[j][i] / den, by
-    back-substitution along `order`, an order in which it is triangular
-    (see triangular_order).
+                         order: Sequence[int], c: Fraction
+                         ) -> list[tuple[dict[int, int], int]]:
+    """The basis nullspace(a - cI) returns, for the matrix
+    a[i][j] = columns[j][i] / den, found by back-substitution along
+    `order`, an order in which it is triangular (see triangular_order).
+
+    Each basis vector comes as (numerators, d) with d > 0: its entry at
+    index i is numerators[i] / d, and the indices it leaves out are 0.
+    Vector k is 1 at its pivot f_k, its last nonzero index, and every other
+    vector is 0 there; the vectors come in ascending order of pivot.  This
+    is the reduced row echelon form of the reversed vectors, so the basis
+    is canonical.
 
     The walk runs on the int matrix den*a - (c*den)*I.  A solution can be
     nonzero only at the indices the off-diagonal graph reaches from an
@@ -144,9 +150,9 @@ def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
     parameter otherwise, the rest of its row then being a linear constraint
     on the parameters met before it.  Each x_j is kept as int numerators
     per parameter over one denominator, and pushed down its column into the
-    rows it reaches.  The solutions are then reduced to the basis nullspace
-    returns: vector k is 1 at its free column f_k, 0 at the other free
-    columns and 0 beyond f_k.
+    rows it reaches.  The solutions are then reduced to the canonical basis
+    on their sparse int numerators (_reduce_by_last_index); only the
+    constraints, when there are any, go through nullspace.
     """
     n = len(columns)
     shift = c * den
@@ -212,24 +218,75 @@ def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
     if not params:
         return []
     if constraints:
-        solutions = nullspace([[Fraction(con.get(p, 0)) for p in range(params)]
-                               for con in constraints])
+        solutions = []
+        for t in nullspace([[Fraction(con.get(p, 0)) for p in range(params)]
+                            for con in constraints]):
+            tden = lcm(*(tp.denominator for tp in t))
+            solutions.append([(p, tp.numerator * (tden // tp.denominator))
+                              for p, tp in enumerate(t) if tp])
     else:
-        solutions = identity(params)
-    # rref of the reversed vectors puts each vector's last nonzero entry first
+        solutions = [[(p, 1)] for p in range(params)]
     vectors = []
-    for t in solutions:
-        tden = lcm(*(tp.denominator for tp in t))
-        used = [(p, tp.numerator * (tden // tp.denominator))
-                for p, tp in enumerate(t) if tp]
-        row = [ZERO] * n
+    for used in solutions:
+        values = {}
         for i, (nums, d) in x.items():
             v = sum(nums[p] * tp for p, tp in used if p in nums)
             if v:
-                row[n - 1 - i] = Fraction(v, d * tden)
-        vectors.append(row)
-    red, pivots = rref(vectors)
-    return [row[::-1] for row in reversed(red[:len(pivots)])]
+                values[i] = v, d
+        common = lcm(*(d for _, d in values.values()))
+        vectors.append({i: v * (common // d) for i, (v, d) in values.items()})
+    return _reduce_by_last_index(vectors)
+
+
+def _reduce_by_last_index(vectors: Sequence[dict[int, int]]
+                          ) -> list[tuple[dict[int, int], int]]:
+    """The reduced echelon basis of the span of sparse int vectors (no
+    stored zeros), keyed on the largest index: each basis vector as
+    (numerators, d), d > 0, with numerators equal to d at its pivot (its
+    largest nonzero index) and 0 at every other pivot, in ascending order
+    of pivot, and with no common factor.
+
+    Fraction-free: a vector is cleared at an index by cross-multiplying
+    with the vector whose pivot that is (_cleared).  Each vector is first
+    cleared down the pivots taken so far; a dependent one ends at zero and
+    is dropped.  Then, in ascending order of pivot, each is cleared at the
+    lower pivots by the vectors already reduced, which are 0 at every pivot
+    but their own, so one pass over its entries suffices.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for v in vectors:
+        while v:
+            top = max(v)
+            base = echelon.get(top)
+            if base is None:
+                echelon[top] = v
+                break
+            v = _cleared(v, base, top)
+    reduced: dict[int, dict[int, int]] = {}
+    for top in sorted(echelon):
+        v = echelon[top]
+        for low in [i for i in v if i in reduced]:
+            v = _cleared(v, reduced[low], low)
+        g = gcd(*v.values())
+        if v[top] < 0:
+            g = -g
+        reduced[top] = {i: a // g for i, a in v.items()} if g != 1 else v
+    return [(v, v[top]) for top, v in reduced.items()]
+
+
+def _cleared(v: dict[int, int], base: Mapping[int, int], at: int) -> dict[int, int]:
+    """base[at] v - v[at] base over its positive content: v made 0 at
+    `at`, with no stored zeros."""
+    s, t = base[at], v[at]
+    out = {i: s * a for i, a in v.items()}
+    for i, b in base.items():
+        a = out.get(i, 0) - t * b
+        if a:
+            out[i] = a
+        else:
+            out.pop(i, None)
+    g = gcd(*out.values())
+    return {i: a // g for i, a in out.items()} if g > 1 else out
 
 
 def _berkowitz_int(m: list[list[int]]) -> list[int]:

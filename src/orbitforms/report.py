@@ -151,7 +151,11 @@ class RunConfig:
     def digest(self) -> str:
         """Cache key: the config, the schema, the program version and the
         whitelist, so a changed program or whitelist never reads an old
-        entry."""
+        entry.  Computed once per config (_digest)."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         payload = json.dumps({"schema": SCHEMA, "version": __version__,
                               "whitelist": _whitelist_text(),
                               "config": self.canonical()},
@@ -315,8 +319,9 @@ def cache_store(config: RunConfig, payload: bytes) -> None:
             tmp.write_bytes(json.dumps({"schema": SCHEMA,
                                         "payload": payload.decode()}).encode())
             os.replace(tmp, path)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise DomainError(f"cannot write to cache directory {directory}: "
                           f"{exc.strerror or exc}") from None

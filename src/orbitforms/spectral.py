@@ -7,10 +7,12 @@ graph), checks it in a separate pass that reads only the columns and the
 order (linalg.is_triangular_in), and requires the diagonal to equal the
 closed-form eigenvalue multiset; for a triangular matrix this is the
 identity charpoly(M) == prod_p (lambda - eps_p).  Kernels of (M - eps I),
-the eigenpolynomials, come by back-substitution along that order.  All of
-this reads the sparse int columns of the restricted matrix, and each
-kernel vector is checked as M v = eps v on those columns, not on the
-back-substitution's state.  A matrix with no such order is refused with
+the eigenpolynomials, come by back-substitution along that order, as int
+numerators over one denominator per vector.  All of this reads the sparse
+int columns of the restricted matrix, and each kernel vector is checked as
+M v = eps v on those columns, in ints, not on the back-substitution's
+state; only then is it made a polynomial, the one place the kernel path
+makes Fractions.  A matrix with no such order is refused with
 UnsupportedModel.
 
 A QES family has no closed form, so its spectrum is proven from the exact
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Mapping, Sequence
 
 import mpmath
@@ -43,7 +45,7 @@ from .diffop import ExactMatrix, restrict_to_flag
 from .errors import (DomainError, FormulaMismatch, InconsistencyError,
                      UnsupportedModel)
 from .models import ModelBundle, eigenvalue_formula
-from .poly import Exponents, FlagSpace, MultiPoly
+from .poly import Exponents, FlagSpace, MultiPoly, from_integer_terms
 
 ZERO = Fraction(0)
 # numeric values: working digits, and the bound within which the numeric
@@ -165,14 +167,14 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
                           tuple(entries), tuple(defective), numeric_checked)
 
 
-def _check_eigenvector(matrix: ExactMatrix, vec: Sequence[Fraction],
+def _check_eigenvector(matrix: ExactMatrix, vec: tuple[Mapping[int, int], int],
                       val: Fraction) -> None:
-    """M v == val v, or InconsistencyError: with v = nums / vden,
-    M = columns / den and val = p / q, q sum_j columns[j][i] nums_j equals
-    p den nums_i at every index i, in ints; the zero vector is refused."""
-    vden = lcm(*(c.denominator for c in vec if c))
-    nums = {j: c.numerator * (vden // c.denominator) for j, c in enumerate(vec) if c}
-    if not nums:
+    """M v == val v, or InconsistencyError, for a kernel vector
+    v = (nums, vden) of triangular_nullspace: with M = columns / den and
+    val = p / q, q sum_j columns[j][i] nums_j equals p den nums_i at every
+    index i, in ints (vden cancels); the zero vector is refused."""
+    nums = vec[0]
+    if not any(nums.values()):
         raise InconsistencyError(f"kernel vector at {val} is zero")
     image: dict[int, int] = {}
     for j, v in nums.items():
@@ -183,9 +185,12 @@ def _check_eigenvector(matrix: ExactMatrix, vec: Sequence[Fraction],
         raise InconsistencyError(f"kernel vector is not an exact eigenvector at {val}")
 
 
-def _vector_to_poly(vec: Sequence[Fraction], space: FlagSpace) -> MultiPoly:
-    terms = {space.basis[i]: c for i, c in enumerate(vec) if c}
-    return MultiPoly(space.d, terms)
+def _vector_to_poly(vec: tuple[Mapping[int, int], int], space: FlagSpace) -> MultiPoly:
+    """The polynomial of a kernel vector (nums, vden): the only Fractions
+    made on the kernel path, one per term, in basis order."""
+    nums, vden = vec
+    basis = space.basis
+    return from_integer_terms(space.d, vden, {basis[i]: nums[i] for i in sorted(nums)})
 
 
 def _numeric_multiset_check(matrix: ExactMatrix, roots: Sequence[Fraction]) -> None:

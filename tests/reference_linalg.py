@@ -1,11 +1,12 @@
 """Helpers that only the tests use: independent routes to the
 determinant and the characteristic polynomial, the shifted matrix whose
 kernel triangular_nullspace finds, the dense triangular order and
-back-substitution that the sparse ones replaced, the converters between a
-dense Fraction matrix and the sparse int columns the engine reads, and
-the numeric eigensolve of the whole matrix, the reference for the
-converted diagonal of a triangular matrix and for the certified QES
-roots."""
+back-substitution that the sparse ones replaced, the dense rref that
+reduced a kernel basis before the int reduction replaced it, the
+converters between a dense Fraction matrix or vector and the sparse ints
+the engine reads and returns, and the numeric eigensolve of the whole
+matrix, the reference for the converted diagonal of a triangular matrix
+and for the certified QES roots."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -166,12 +167,27 @@ def dense_triangular_nullspace(a: Matrix, order: Sequence[int],
         solutions = linalg.nullspace([[con.get(p, ZERO) for p in range(params)]
                                       for con in constraints])
     else:
-        solutions = linalg.identity(params)
-    # rref of the reversed vectors puts each vector's last nonzero entry first
-    vectors = [[sum((coeff * t[p] for p, coeff in x[i].items()), ZERO)
-                for i in reversed(range(n))] for t in solutions]
-    red, pivots = linalg.rref(vectors)
+        solutions = [[ONE if p == q else ZERO for q in range(params)]
+                     for p in range(params)]
+    return dense_kernel_basis([[sum((coeff * t[p] for p, coeff in x[i].items()), ZERO)
+                                for i in range(n)] for t in solutions])
+
+
+def dense_kernel_basis(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The canonical basis of the span of `vectors` (dense, of one length),
+    as triangular_nullspace returns it: each vector 1 at its last nonzero
+    index and every other vector 0 there, in ascending order of that
+    index.  It is the rref of the reversed vectors, which puts each
+    vector's last nonzero entry first."""
+    red, pivots = linalg.rref([list(v)[::-1] for v in vectors])
     return [row[::-1] for row in reversed(red[:len(pivots)])]
+
+
+def dense_vector(vector: tuple[dict[int, int], int], n: int) -> list[Fraction]:
+    """A kernel vector (numerators, den) of triangular_nullspace as n
+    Fractions."""
+    nums, den = vector
+    return [Fraction(nums.get(i, 0), den) for i in range(n)]
 
 
 def dense_numeric_eigenvalues(rows: Matrix) -> list:

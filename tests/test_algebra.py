@@ -1,16 +1,20 @@
 """Hidden-algebra realizations, structure checks, word calculus, fitting."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from orbitforms import algebra
 from orbitforms.algebra import (GeneratorWord, check_structure, evaluate_word,
                                 fit_decomposition, g2_algebra_generators,
                                 gl2_generators, gln_generators)
+from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, commutator, compose
 from orbitforms.errors import DomainError
 from orbitforms.models import build_bc1, build_bc1_qes, build_sutherland
 from orbitforms.poly import FlagSpace, MultiPoly
+from test_spectral import GOLDEN_SUITE_SHA256
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -246,3 +250,18 @@ def test_pairwise_closure_detects_escape():
     result = _g2_pairwise_closure(fake)
     assert not result.ok
     assert "[A,B]" in result.detail
+
+
+def test_no_report_reads_the_order_of_commutator_terms(tmp_path, monkeypatch):
+    # commutator leaves the order of its keys and terms unspecified; with
+    # both reversed the algebra suite writes the same bytes
+    def reversed_commutator(a, b):
+        c = commutator(a, b)
+        return DiffOp(c.nvars, {k: MultiPoly(c.nvars, dict(reversed(c.terms[k].terms.items())))
+                                for k in reversed(c.terms)})
+
+    monkeypatch.setattr(algebra, "commutator", reversed_commutator)
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "report"
+    assert main(["verify", "--suite", "algebra", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SUITE_SHA256["algebra"]

@@ -1,5 +1,6 @@
 """Exact linear algebra: elimination, kernels, characteristic polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforms import linalg
 from reference_kernels import rref as reference_rref
-from reference_linalg import det_bareiss, poly_eval, poly_from_roots
+from reference_linalg import (dense_kernel_basis, dense_vector, det_bareiss, poly_eval,
+                              poly_from_roots)
 
 
 def F(x, y=None):
@@ -90,6 +92,41 @@ def test_rref_matches_the_dense_loop(m, data):
     ncols = data.draw(st.integers(0, cols), label="ncols")
     assert linalg.rref(m, ncols) == reference_rref(m, ncols)
     assert m == original   # the input is not touched
+
+
+# -- the int kernel reduction against the dense rref it replaced ---------------
+
+@st.composite
+def solution_sets(draw):
+    """(n, sparse int vectors of length n): some all zero, some combining
+    earlier ones, so that the set is often dependent."""
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 35, -1024])
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "combination"]))
+        if kind == "combination" and vectors:
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            v = {i: s * a.get(i, 0) + t * b.get(i, 0) for i in range(n)}
+        elif kind == "zero":
+            v = {}
+        else:
+            v = {i: draw(entry) for i in range(n)}
+        vectors.append({i: x for i, x in v.items() if x})
+    return n, vectors
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=solution_sets())
+def test_int_kernel_reduction_matches_the_dense_rref(case):
+    n, vectors = case
+    want = dense_kernel_basis([[F(v.get(i, 0)) for i in range(n)] for v in vectors])
+    got = linalg._reduce_by_last_index([dict(v) for v in vectors])
+    assert [dense_vector(v, n) for v in got] == want
+    for nums, den in got:      # canonical: no stored zero, no common factor
+        assert den > 0 and nums[max(nums)] == den
+        assert all(nums.values()) and math.gcd(*nums.values()) == 1
 
 
 # -- certified real roots of integer polynomials ------------------------------

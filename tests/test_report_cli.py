@@ -1,5 +1,6 @@
 """Configuration, reports, cache and the command-line interface."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -101,12 +102,12 @@ def test_cache_truncated_entry_is_recomputed(tmp_path):
 
 
 def test_cache_misses_on_another_version_or_schema(tmp_path, monkeypatch):
-    cfg = RunConfig.from_items({"command": "spectrum", "model": "bc1", "n": 1,
-                                "cache_dir": str(tmp_path)})
+    items = {"command": "spectrum", "model": "bc1", "n": 1, "cache_dir": str(tmp_path)}
+    cfg = RunConfig.from_items(items)
     cache_store(cfg, b"payload")
     assert cache_lookup(cfg) == b"payload"
     monkeypatch.setattr(report, "__version__", "0.0.0")
-    assert cache_lookup(cfg) is None
+    assert cache_lookup(RunConfig.from_items(items)) is None
     monkeypatch.undo()
     (entry,) = tmp_path.glob("*.json")
     entry.write_text(json.dumps({"schema": "orbit-forms/0", "payload": "payload"}))
@@ -114,10 +115,37 @@ def test_cache_misses_on_another_version_or_schema(tmp_path, monkeypatch):
 
 
 def test_cache_key_covers_the_whitelist(monkeypatch):
-    cfg = RunConfig.from_items({"command": "verify", "suite": "pi"})
-    before = cfg.digest()
+    items = {"command": "verify", "suite": "pi"}
+    before = RunConfig.from_items(items).digest()
     monkeypatch.setattr(report, "_whitelist_text", lambda: '{"entries": {}}')
-    assert cfg.digest() != before
+    assert RunConfig.from_items(items).digest() != before
+
+
+def test_one_main_call_computes_the_cache_key_once(tmp_path, monkeypatch, capsys):
+    # a miss looks the key up and stores under it: one digest for both
+    original = RunConfig._digest
+    configs = []
+
+    def counted(config):
+        configs.append(config)
+        return original.func(config)
+
+    monkeypatch.setattr(RunConfig, "_digest", functools.cached_property(counted))
+    RunConfig._digest.__set_name__(RunConfig, "_digest")
+    assert main([*SMALL_SPECTRUM, "--cache-dir", str(tmp_path)]) == 0
+    (config,) = configs
+    (entry,) = tmp_path.glob("*.json")
+    assert entry.name == f"{config.digest()}.json" == f"{original.func(config)}.json"
+
+
+def test_cache_store_whose_rename_fails_leaves_no_temporary_file(tmp_path, monkeypatch,
+                                                                   capsys):
+    def failing(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(report.os, "replace", failing)
+    _main_one_line_error(capsys, [*SMALL_SPECTRUM, "--cache-dir", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- CLI ------------------------------------------------------------------------

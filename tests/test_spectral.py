@@ -25,8 +25,8 @@ from orbitforms.spectral import (NUMERIC_DPS, NUMERIC_TOL, SpectralEntry, Spectr
 import reference_kernels
 from reference_linalg import (dense_action_matrix, dense_numeric_eigenvalues,
                               dense_triangular_nullspace, dense_triangular_order,
-                              exact_matrix, is_block_triangular, poly_from_roots,
-                              shift_diagonal, sparse_columns)
+                              dense_vector, exact_matrix, is_block_triangular,
+                              poly_from_roots, shift_diagonal, sparse_columns)
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -374,8 +374,15 @@ def test_triangular_engine_matches_charpoly_and_rref(case, params):
     assert matrix.diagonal() == diagonal
     assert linalg.charpoly(action) == poly_from_roots(diagonal)
     for c in set(diagonal):
-        assert (linalg.triangular_nullspace(matrix.columns, matrix.den, order, c)
+        assert (kernel(matrix, order, c)
                 == linalg.nullspace(shift_diagonal(action, c)))
+
+
+def kernel(matrix, order, c):
+    """triangular_nullspace of the restricted matrix at c, as dense
+    Fraction vectors."""
+    return [dense_vector(v, matrix.dim)
+            for v in linalg.triangular_nullspace(matrix.columns, matrix.den, order, c)]
 
 
 # every case has defective eigenvalues at couplings -1
@@ -397,8 +404,7 @@ def test_sparse_kernels_match_the_dense_loop(case, params):
     # a value off the diagonal, and one whose multiple of den is no integer
     off = [max(diagonal) + 1, Fraction(1, 2 * matrix.den + 1)]
     for c in [*diagonal, *off]:
-        assert (linalg.triangular_nullspace(matrix.columns, matrix.den, order, c)
-                == dense_triangular_nullspace(action, order, c))
+        assert kernel(matrix, order, c) == dense_triangular_nullspace(action, order, c)
 
 
 def reference_spectrum(model, n, vector=None):
@@ -445,11 +451,15 @@ def assert_column_check(matrix, pick):
     for val in set(matrix.diagonal()):
         for vec in linalg.triangular_nullspace(matrix.columns, matrix.den, order, val):
             spectral._check_eigenvector(matrix, vec, val)
-            # the zero vector, for which M v = val v holds vacuously
-            with pytest.raises(InconsistencyError, match="is zero"):
-                spectral._check_eigenvector(matrix, [Fraction(0)] * len(vec), val)
+            nums, den = vec
+            # the zero vector, for which M v = val v holds vacuously, with
+            # no entries and with stored zeros
+            for zero in ({}, dict.fromkeys(nums, 0)):
+                with pytest.raises(InconsistencyError, match="is zero"):
+                    spectral._check_eigenvector(matrix, (zero, den), val)
             # one entry of M moved, in a column that v reaches
-            j = pick([j for j, c in enumerate(vec) if c], "j")
+            dense = dense_vector(vec, matrix.dim)
+            j = pick([j for j, c in enumerate(dense) if c], "j")
             i = pick(range(matrix.dim), "i")
             columns = [dict(c) for c in matrix.columns]
             columns[j][i] = columns[j].get(i, 0) + pick([1, -1], "delta")
@@ -462,10 +472,14 @@ def assert_column_check(matrix, pick):
                      or any(v for i, v in c.items() if i != k)]
             if moved:
                 k = pick(moved, "k")
-                planted = list(vec)
-                planted[k] += pick([Fraction(2), Fraction(-1, 3)], "step")
+                step = pick([Fraction(2), Fraction(-1, 3)], "step")
+                planted = {i: v * step.denominator for i, v in nums.items()}
+                planted[k] = planted.get(k, 0) + step.numerator * den
+                assert dense_vector((planted, den * step.denominator), matrix.dim) == [
+                    c + step * (i == k) for i, c in enumerate(dense)]
                 with pytest.raises(InconsistencyError):
-                    spectral._check_eigenvector(matrix, planted, val)
+                    spectral._check_eigenvector(
+                        matrix, (planted, den * step.denominator), val)
 
 
 @settings(max_examples=40, deadline=None)
@@ -692,6 +706,21 @@ def test_reports_match_golden_bytes(tmp_path, monkeypatch):
     monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
     assert golden_digests(tmp_path / "report") == (
         GOLDEN_SPECTRUM_SHA256, GOLDEN_SUITE_SHA256)
+
+
+def test_kernels_of_spectra_take_no_dense_elimination(tmp_path, monkeypatch):
+    # only a defective eigenvalue (negative couplings here) has constraints
+    # on its parameters, and only those go through nullspace and so rref
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    queries = [q for q in GOLDEN_SPECTRUM_QUERIES if not any("=-" in a for a in q)]
+    assert len(queries) == len(GOLDEN_SPECTRUM_QUERIES) - 2
+
+    def dense(*args, **kwargs):
+        raise AssertionError("rref on the kernel path")
+
+    monkeypatch.setattr(linalg, "rref", dense)
+    for query in queries:
+        assert main(["spectrum", *query, "--out", str(tmp_path / "report")]) == 0, query
 
 
 def test_spectra_and_exact_suites_build_no_gauge_data(tmp_path, monkeypatch):
