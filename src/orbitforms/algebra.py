@@ -4,9 +4,9 @@ Three families of first/second order differential operators are realized
 exactly: gl2 on one variable, gl_{d+1} on d variables (degree-n row irrep),
 and the eleven-generator algebra acting on the (1,2)-graded plane that hides
 behind the two-variable dihedral model.  A small word calculus evaluates
-formal linear combinations of generator products to operators, and an exact
-linear solver expresses a given operator in the span of degree <= 2 words of
-non-raising generators.
+formal linear combinations of generator products to operators, and one
+exact span solve, shared by the dihedral closure check and the fits,
+expresses operators in the span of degree <= 2 words of generators.
 """
 
 from __future__ import annotations
@@ -296,32 +296,19 @@ def _g2_pairwise_closure(gs: GeneratorSet) -> PropertyResult:
     involving them carry real content (e.g. [R0, T0] must reduce to a word in
     the first-order family); with them included the check would be vacuous,
     since [a, b] = ab - ba is itself a pair word.  All 55 systems share the
-    word matrix, so one elimination with a multi-column right-hand side
-    settles them together.
+    word matrix, so one span solve settles them together.
     """
     names = gs.names
     first_order = [g for g in names if gs.op(g).order() <= 1]
     words = [()] + [(g,) for g in names] \
         + [(a, b) for a in first_order for b in first_order]
-    ops = [evaluate_word(gs, GeneratorWord(((ONE, w),)) if w
-                         else GeneratorWord((), ONE)) for w in words]
-    vecs = [_vectorize(op) for op in ops]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    targets = [_vectorize(commutator(gs.op(a), gs.op(b))) for a, b in pairs]
-    keys = sorted({k for v in vecs for k in v}
-                  | {k for t in targets for k in t})
-    ncols = len(words)
-    aug = [[v.get(k, ZERO) for v in vecs] + [t.get(k, ZERO) for t in targets]
-           for k in keys]
-    red, pivots = linalg.rref(aug, ncols)
-    # rows past the word pivots are zero on the words; a nonzero right-hand
-    # side there is a part of that commutator outside the span
-    for row in red[len(pivots):]:
-        for j, val in enumerate(row[ncols:]):
-            if val:
-                a, b = pairs[j]
-                return PropertyResult("closure[pairwise]", False,
-                                      f"[{a},{b}] escapes the word span")
+    _, escapes = _span_solve(_word_ops(gs, words),
+                             [commutator(gs.op(a), gs.op(b)) for a, b in pairs])
+    for (a, b), escaped in zip(pairs, escapes):
+        if escaped:
+            return PropertyResult("closure[pairwise]", False,
+                                  f"[{a},{b}] escapes the word span")
     return PropertyResult("closure[pairwise]", True)
 
 
@@ -402,6 +389,32 @@ def _vectorize(op: DiffOp) -> dict[tuple[Exponents, Exponents], Fraction]:
     return vec
 
 
+def _word_ops(gs: GeneratorSet, words: Sequence[tuple[str, ...]]) -> list[DiffOp]:
+    """The operator of each word, the empty word being the identity."""
+    return [evaluate_word(gs, GeneratorWord(((ONE, w),)) if w
+                          else GeneratorWord((), ONE)) for w in words]
+
+
+def _span_solve(word_ops: Sequence[DiffOp], targets: Sequence[DiffOp]
+                ) -> tuple[list[list[Fraction]], list[bool]]:
+    """(coefficients, escapes): per target, its words' coefficients, free
+    words 0, and whether a part of it lies outside their span.  One rref
+    pivots on the word columns only, the targets its right-hand sides: the
+    pivot rows give the coefficients, and a nonzero right-hand side in a
+    row past the pivots, zero on the words, is an escape."""
+    columns = [_vectorize(op) for op in (*word_ops, *targets)]
+    ncols = len(word_ops)
+    aug = [[v.get(k, ZERO) for v in columns] for k in sorted(set().union(*columns))]
+    red, pivots = linalg.rref(aug, ncols)
+    coefficients = [[ZERO] * ncols for _ in targets]
+    for row, pc in zip(red, pivots):
+        for j, solution in enumerate(coefficients):
+            solution[pc] = row[ncols + j]
+    escapes = [any(row[ncols + j] for row in red[len(pivots):])
+               for j in range(len(targets))]
+    return coefficients, escapes
+
+
 def decomposition_words(gs: GeneratorSet, max_word_degree: int = 2
                         ) -> list[tuple[str, ...]]:
     """Ordered degree <= 2 products of first-order non-raising generators,
@@ -431,21 +444,8 @@ def fit_decomposition(h: DiffOp, gs: GeneratorSet, max_word_degree: int = 2
     variables pinned to zero for determinism.
     """
     words = decomposition_words(gs, max_word_degree)
-    word_ops = [evaluate_word(gs, GeneratorWord(((ONE, w),)) if w
-                              else GeneratorWord((), ONE)) for w in words]
-    target = _vectorize(h)
-    vecs = [_vectorize(op) for op in word_ops]
-    keys = sorted(set(target).union(*vecs))
-    aug = [[v.get(key, ZERO) for v in vecs] + [target.get(key, ZERO)]
-           for key in keys]
-    # One elimination that pivots on the word columns only; each pivot row
-    # gives its word's coefficient, free variables zero.  For h outside the
-    # span the in-span part is still fitted, and the residual keeps the rest.
-    ncols = len(words)
-    red, pivots = linalg.rref(aug, ncols)
-    solution = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = red[r][ncols]
+    word_ops = _word_ops(gs, words)
+    (solution,), _ = _span_solve(word_ops, [h])
     fitted = DiffOp.zero(gs.d)
     for c, op in zip(solution, word_ops):
         if c:

@@ -1,25 +1,23 @@
 """Exact linear algebra over Fraction matrices and sparse int columns.
 
-Dense matrices are plain lists of lists of Fractions.  Provides reduced row
-echelon form (sparse: a pivot row updates the other rows on its nonzero
-columns only), nullspaces, and characteristic polynomials by the
-division-free Berkowitz algorithm run over integers after clearing
-denominators.  For a matrix that is triangular up to a permutation of the
-indices, given as sparse int columns over one denominator (the form
-restrict_to_flag gives), it finds that order, checks an order apart from
-the search that found it, and finds the kernels of a - cI by
-back-substitution along it, walking only the indices a kernel vector can
-reach, then reduces them to a canonical basis by fraction-free elimination
-on their sparse ints.  The real roots of an integer polynomial, such as a
-characteristic polynomial after clearing denominators, come as dyadic
-brackets, each certified by an exact sign change (real_roots).
+Dense matrices are plain lists of lists of Fractions.  Every elimination is
+one fraction-free reduction of sparse int rows (_row_reduce); rref and
+nullspace scale each row to ints once and make Fractions only for what
+they return.  Characteristic polynomials come by the division-free
+Berkowitz algorithm over integers after clearing denominators.  For a
+matrix triangular up to a permutation of the indices, given as sparse int
+columns over one denominator (the form restrict_to_flag gives), it finds
+that order, checks an order apart from the search that found it, and
+finds the kernels of a - cI by back-substitution along it over only the
+indices a kernel vector can reach; the solutions and their constraints go
+as int rows into the same reduction.  The real roots of an integer
+polynomial come as dyadic brackets, each certified by an exact sign
+change (real_roots).
 
-Berkowitz, the root brackets, the back-substitution and the kernel
-reduction follow the integer-numerator rule of poly: the loops run on ints
-with one denominator per value, and a kernel vector leaves as int
-numerators over one denominator; on that path only the constraints of a
-defective eigenvalue reach rref.  rref runs on Fractions, since its pivots
-divide; its cost is held down by sparsity instead.
+Berkowitz, the root brackets, the back-substitution and the reduction
+follow the integer-numerator rule of poly: the loops run on ints with one
+denominator per value, and a kernel vector leaves as int numerators over
+one denominator, with no Fraction made on its way.
 """
 
 from __future__ import annotations
@@ -40,55 +38,61 @@ def rref(a: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices (exact).
 
     Pivots are sought in the first `ncols` columns only (all by default);
-    the columns after them are carried along as right-hand sides.  A pivot
-    row is zero before its pivot column, so it is scaled and subtracted on
-    its nonzero columns only, found once per pivot.
+    the columns after them are carried along as right-hand sides: column c
+    is key ncols - 1 - c of _row_reduce.  A row past the pivots is zero on
+    the first ncols columns, so it is its original row o less
+    sum_c o[c] P_c over the pivot rows P_c, each 1 at its pivot c.
     """
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     if ncols is None:
         ncols = cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        inv = ONE / prow[c]
-        nonzero = [j for j in range(c, cols) if prow[j]]
-        for j in nonzero:
-            prow[j] *= inv
-        for i in range(rows):
-            row = m[i]
-            f = row[c]
-            if f and i != r:
-                for j in nonzero:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    reduced, rest = _row_reduce(_int_rows(a, ncols))
+    red: Matrix = []
+    carried: dict[int, list[tuple[int, Fraction]]] = {}
+    for key, v in reversed(reduced.items()):
+        row = [ZERO] * cols
+        for k, x in v.items():
+            row[ncols - 1 - k] = Fraction(x, v[key])
+        red.append(row)
+        carried[ncols - 1 - key] = [(j, row[j]) for j in range(ncols, cols) if row[j]]
+    for i in rest:
+        row = [ZERO] * ncols + a[i][ncols:]
+        for pc, entries in carried.items():
+            f = a[i][pc]
+            if f:
+                for j, x in entries:
+                    row[j] -= f * x
+        red.append(row)
+    return red, list(carried)
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel {v : a v = 0}, exact."""
-    if not a:
-        return []
-    cols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the right kernel {v : a v = 0}, exact: for each free column
+    fc, ascending, 1 at fc and -P_c[fc] at each pivot c of rref."""
+    cols = len(a[0]) if a else 0
+    reduced, _ = _row_reduce(_int_rows(a, cols))
     basis: list[Vector] = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for free in reversed(range(cols)):       # keys down, so columns up
+        if free not in reduced:
+            v = [ZERO] * cols
+            v[cols - 1 - free] = ONE
+            for key, row in reduced.items():
+                if free in row:
+                    v[cols - 1 - key] = Fraction(-row[free], row[key])
+            basis.append(v)
     return basis
+
+
+def _int_rows(a: Matrix, ncols: int) -> list[dict[int, int]]:
+    """Each row of `a` times the lcm of its denominators, as sparse ints
+    keyed ncols - 1 - column."""
+    rows = []
+    for row in a:
+        entries = [(c, x) for c, x in enumerate(row) if x]
+        den = lcm(*(x.denominator for _, x in entries))
+        rows.append({ncols - 1 - c: x.numerator * (den // x.denominator)
+                     for c, x in entries})
+    return rows
 
 
 def triangular_order(columns: Sequence[Mapping[int, int]]) -> list[int] | None:
@@ -150,9 +154,11 @@ def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
     parameter otherwise, the rest of its row then being a linear constraint
     on the parameters met before it.  Each x_j is kept as int numerators
     per parameter over one denominator, and pushed down its column into the
-    rows it reaches.  The solutions are then reduced to the canonical basis
-    on their sparse int numerators (_reduce_by_last_index); only the
-    constraints, when there are any, go through nullspace.
+    rows it reaches.  Each parameter then gives one int row: its solution
+    vector, and its coefficients in the constraints at keys past every
+    index.  One reduction on the largest key (_reduce_by_last_index) clears
+    the constraints first, so its rows with a pivot below n are the
+    canonical basis of the solutions that meet them.
     """
     n = len(columns)
     shift = c * den
@@ -170,8 +176,8 @@ def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
     # sum over the entries of row j met so far, as a [numerators, denominator]
     x: dict[int, tuple[dict[int, int], int]] = {}
     acc: dict[int, list] = {}
-    constraints: list[dict[int, int]] = []
-    params = 0
+    rows: list[dict[int, int]] = []     # one per parameter
+    key = n                             # the key of the next constraint
     for j in order:
         if j not in seen:
             continue
@@ -190,9 +196,11 @@ def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
                 d //= g
         else:
             if nums:
-                constraints.append(nums)
-            nums, d = {params: 1}, 1
-            params += 1
+                for p, v in nums.items():
+                    rows[p][key] = v
+                key += 1
+            nums, d = {len(rows): 1}, 1
+            rows.append({})
         x[j] = nums, d
         for i, aij in col.items():
             if i == j:
@@ -202,76 +210,81 @@ def triangular_nullspace(columns: Sequence[Mapping[int, int]], den: int,
                 acc[i] = [{p: aij * v for p, v in nums.items()}, d]
                 continue
             total, di = entry
-            common = lcm(di, d)
-            if common != di:
-                up = common // di
-                for p in total:
-                    total[p] *= up
-                entry[1] = common
-            mine = aij * (common // d)
+            if d != di and d != 1:
+                common = d if di == 1 else lcm(di, d)
+                if common != di:
+                    up = common // di
+                    for p in total:
+                        total[p] *= up
+                    entry[1] = common
+            mine = aij * (entry[1] // d)
             for p, v in nums.items():
                 s = total.get(p, 0) + mine * v
                 if s:
                     total[p] = s
                 else:
                     del total[p]
-    if not params:
-        return []
-    if constraints:
-        solutions = []
-        for t in nullspace([[Fraction(con.get(p, 0)) for p in range(params)]
-                            for con in constraints]):
-            tden = lcm(*(tp.denominator for tp in t))
-            solutions.append([(p, tp.numerator * (tden // tp.denominator))
-                              for p, tp in enumerate(t) if tp])
-    else:
-        solutions = [[(p, 1)] for p in range(params)]
-    vectors = []
-    for used in solutions:
-        values = {}
-        for i, (nums, d) in x.items():
-            v = sum(nums[p] * tp for p, tp in used if p in nums)
-            if v:
-                values[i] = v, d
-        common = lcm(*(d for _, d in values.values()))
-        vectors.append({i: v * (common // d) for i, (v, d) in values.items()})
-    return _reduce_by_last_index(vectors)
+    common = lcm(*(d for _, d in x.values()))
+    for i, (nums, d) in x.items():
+        up = common // d
+        for p, v in nums.items():
+            rows[p][i] = v * up
+    return [(v, d) for v, d in _reduce_by_last_index(rows) if max(v) < n]
 
 
 def _reduce_by_last_index(vectors: Sequence[dict[int, int]]
                           ) -> list[tuple[dict[int, int], int]]:
-    """The reduced echelon basis of the span of sparse int vectors (no
-    stored zeros), keyed on the largest index: each basis vector as
-    (numerators, d), d > 0, with numerators equal to d at its pivot (its
-    largest nonzero index) and 0 at every other pivot, in ascending order
-    of pivot, and with no common factor.
+    """The reduced echelon basis of the span of sparse int vectors, keyed
+    on the largest index: the pivot rows of _row_reduce, ascending, each
+    as (numerators, d) with d its entry at its pivot."""
+    return [(v, v[top]) for top, v in _row_reduce(vectors)[0].items()]
 
-    Fraction-free: a vector is cleared at an index by cross-multiplying
-    with the vector whose pivot that is (_cleared).  Each vector is first
-    cleared down the pivots taken so far; a dependent one ends at zero and
-    is dropped.  Then, in ascending order of pivot, each is cleared at the
-    lower pivots by the vectors already reduced, which are 0 at every pivot
-    but their own, so one pass over its entries suffices.
+
+def _row_reduce(rows: Sequence[dict[int, int]]
+                ) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """The reduced echelon form of sparse int rows (no stored zeros), the
+    pivots on the largest keys: (pivot rows, rest).
+
+    The pivot rows map each pivot, ascending, to its row: 0 at every other
+    pivot, positive at its own, with no common factor.  Negative keys are
+    only carried along.  Pivots are taken as the dense Fraction loop takes
+    them, so that rref keeps its outputs: the next is the largest key of a
+    row past the pivot rows, and the first such row that has it swaps
+    places with the row just past them.  rest holds the indices in `rows`
+    of the others, in the order the swaps leave them.
+
+    Fraction-free: a row is cleared at a key by cross-multiplying with the
+    pivot row of that key (_cleared), first below each new pivot, then, in
+    ascending order of pivot, each pivot row at the lower pivots by the
+    rows already reduced, which are 0 at every pivot but their own.
     """
-    echelon: dict[int, dict[int, int]] = {}
-    for v in vectors:
-        while v:
-            top = max(v)
-            base = echelon.get(top)
-            if base is None:
-                echelon[top] = v
-                break
-            v = _cleared(v, base, top)
+    rows = list(rows)
+    lead = [max(v, default=-1) for v in rows]
+    place = list(range(len(rows)))
+    r = 0
+    while r < len(rows):
+        top = max(lead[r:])
+        if top < 0:
+            break
+        p = lead.index(top, r)
+        rows[r], rows[p] = rows[p], rows[r]
+        lead[r], lead[p] = lead[p], lead[r]
+        place[r], place[p] = place[p], place[r]
+        base = rows[r]
+        for i in range(r + 1, len(rows)):
+            if lead[i] == top:
+                rows[i] = _cleared(rows[i], base, top)
+                lead[i] = max(rows[i], default=-1)
+        r += 1
     reduced: dict[int, dict[int, int]] = {}
-    for top in sorted(echelon):
-        v = echelon[top]
+    for top, v in zip(reversed(lead[:r]), reversed(rows[:r])):
         for low in [i for i in v if i in reduced]:
             v = _cleared(v, reduced[low], low)
         g = gcd(*v.values())
         if v[top] < 0:
             g = -g
         reduced[top] = {i: a // g for i, a in v.items()} if g != 1 else v
-    return [(v, v[top]) for top, v in reduced.items()]
+    return reduced, place[r:]
 
 
 def _cleared(v: dict[int, int], base: Mapping[int, int], at: int) -> dict[int, int]:

@@ -626,18 +626,6 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
 # Cartesian suite
 # ---------------------------------------------------------------------------
 
-def _first_eigenpair_residuals(bundle: ModelBundle, record, sample, *,
-                               beta=1, dps: int):
-    """(entry, residual statistics) for the first eigenpolynomial of each
-    eigenvalue of `record`, in order, from one shared stencil pass."""
-    energies = cart.measured_energies(
-        bundle, [entry.eigenpolynomials[0] for entry in record.entries],
-        sample, beta=beta, dps=dps)
-    for entry, measured in zip(record.entries, energies):
-        yield entry, cart.residual_stats(bundle, entry.eigenvalue, measured,
-                                         beta=beta, dps=dps)
-
-
 def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
     seed = int(config.get("seed", 1))
     points = int(config.get("sample_points", 50))
@@ -645,39 +633,42 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
     tol = mpmath.mpf(str(config.get("residual_tol", "1e-6")))
     checks: list[CheckRecord] = []
 
+    def model_residuals(bundle: ModelBundle, n: int, sample, beta=1):
+        """The largest residual over every eigenpair of the level-n spectrum,
+        from one finite-difference pass, each point checked against the
+        exact target beta^2 (e0 + kappa eps)."""
+        record = spectrum(bundle, n, numeric_check=False)
+        pairs = [(entry.eigenvalue, phi) for entry in record.entries
+                 for phi in entry.eigenpolynomials]
+        energies = cart.measured_energies(bundle, [phi for _, phi in pairs],
+                                          sample, beta=beta, dps=dps)
+        return max(cart.residual_stats(bundle, eps, measured, beta=beta,
+                                       dps=dps).max_abs
+                   for (eps, _), measured in zip(pairs, energies))
+
     def free_particle(rec: CheckRecord):
         bundle = build_bc1(0, 0)
-        record = spectrum(bundle, 4, numeric_check=False)
-        sample = cart.sample_alcove(bundle.spec, points, seed + 1)
-        with mp.workdps(dps):
-            for entry, st in _first_eigenpair_residuals(bundle, record, sample,
-                                                        dps=dps):
-                if not _require(rec, st.max_abs < mpmath.mpf("1e-8"),
-                                f"free residual {st.max_abs} at eps={entry.eigenvalue}"):
-                    return
-        rec.numeric["tolerance"] = "1e-8"
+        worst = model_residuals(bundle, 4, cart.sample_alcove(bundle.spec, points,
+                                                              seed + 1))
+        if _require(rec, worst < mpmath.mpf("1e-8"), f"free residual {worst}"):
+            rec.numeric["tolerance"] = "1e-8"
     if _model_wanted(config, "bc1"):
         checks.append(_record("cartesian/bc1/free-particle", free_particle))
 
         def bc1_residuals(rec: CheckRecord):
-            nu2, nu3 = Fraction(1, 3), Fraction(2, 5)
             beta = Fraction(6, 5)
-            bundle = build_bc1(nu2, nu3)
-            record = spectrum(bundle, 4, numeric_check=False)
+            bundle = build_bc1(Fraction(1, 3), Fraction(2, 5))
             sample = cart.sample_alcove(bundle.spec, points, seed + 2, beta)
-            worst = max(st.max_abs for _, st in _first_eigenpair_residuals(
-                bundle, record, sample, beta=beta, dps=dps))
+            worst = model_residuals(bundle, 4, sample, beta)
             _require(rec, worst < tol, f"max residual {worst}")
             rec.numeric["max_residual"] = mpmath.nstr(worst, 3)
         checks.append(_record("cartesian/bc1/residuals", bc1_residuals))
 
         def bc1_hyperbolic(rec: CheckRecord):
-            bundle = build_bc1(Fraction(1, 3), Fraction(2, 5))
-            record = spectrum(bundle, 3, numeric_check=False)
             rng = random.Random(seed + 3)
             sample = [(mpmath.mpf(rng.uniform(0.4, 1.6)),) for _ in range(12)]
-            worst = max(st.max_abs for _, st in _first_eigenpair_residuals(
-                bundle, record, sample, beta=mpmath.mpc(0, 1), dps=dps))
+            worst = model_residuals(build_bc1(Fraction(1, 3), Fraction(2, 5)), 3,
+                                    sample, mpmath.mpc(0, 1))
             _require(rec, worst < tol, f"hyperbolic residual {worst}")
             rec.numeric["max_residual"] = mpmath.nstr(worst, 3)
         checks.append(_record("cartesian/bc1/hyperbolic", bc1_hyperbolic))
@@ -716,17 +707,9 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
                      f"periodicity defect {worst}")
         checks.append(_record("cartesian/periodicity", periodicity))
 
-    def model_residuals(rec: CheckRecord, bundle: ModelBundle, n: int):
-        record = spectrum(bundle, n, numeric_check=False)
-        sample = cart.sample_alcove(bundle.spec, points, seed + 6)
-        pairs = [(entry.eigenvalue, phi) for entry in record.entries
-                 for phi in entry.eigenpolynomials]
-        # one finite-difference pass for every eigenpair, each point checked
-        # against the exact target beta^2 (e0 + kappa eps)
-        energies = cart.measured_energies(bundle, [phi for _, phi in pairs],
-                                          sample, dps=dps)
-        worst = max(cart.residual_stats(bundle, eps, measured, dps=dps).max_abs
-                    for (eps, _), measured in zip(pairs, energies))
+    def exact_target_residuals(rec: CheckRecord, bundle: ModelBundle, n: int):
+        worst = model_residuals(bundle, n, cart.sample_alcove(bundle.spec, points,
+                                                              seed + 6))
         _require(rec, worst < tol, f"max residual {worst}")
         rec.exact["e0"] = bundle.e0
         rec.numeric["max_residual"] = mpmath.nstr(worst, 3)
@@ -734,7 +717,8 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
     if _model_wanted(config, "sutherland"):
         checks.append(_record(
             "cartesian/sutherland3/residuals",
-            lambda rec: model_residuals(rec, build_sutherland(3, Fraction(1, 2)), 2)))
+            lambda rec: exact_target_residuals(
+                rec, build_sutherland(3, Fraction(1, 2)), 2)))
 
         def a2_identity(rec: CheckRecord):
             dev = cart.a2_groundstate_identity(Fraction(1, 2), 20, seed + 7, dps=dps)
@@ -747,13 +731,13 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
     if _model_wanted(config, "bcn"):
         checks.append(_record(
             "cartesian/bc2/residuals",
-            lambda rec: model_residuals(
+            lambda rec: exact_target_residuals(
                 rec, build_bcn(2, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 2)))
 
     if _model_wanted(config, "g2"):
         checks.append(_record(
             "cartesian/g2/residuals",
-            lambda rec: model_residuals(
+            lambda rec: exact_target_residuals(
                 rec, build_g2(Fraction(1, 2), Fraction(1, 3)), 2)))
     return checks
 

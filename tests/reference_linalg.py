@@ -1,12 +1,13 @@
 """Helpers that only the tests use: independent routes to the
 determinant and the characteristic polynomial, the shifted matrix whose
 kernel triangular_nullspace finds, the dense triangular order and
-back-substitution that the sparse ones replaced, the dense rref that
-reduced a kernel basis before the int reduction replaced it, the
-converters between a dense Fraction matrix or vector and the sparse ints
-the engine reads and returns, and the numeric eigensolve of the whole
-matrix, the reference for the converted diagonal of a triangular matrix
-and for the certified QES roots."""
+back-substitution that the sparse ones replaced, the dense nullspace and
+kernel basis on the Fraction rref loop that the int reduction replaced
+(reference_kernels.rref, so that no reference leans on the reduction
+under test), the converters between a dense Fraction matrix or vector
+and the sparse ints the engine reads and returns, and the numeric
+eigensolve of the whole matrix, the reference for the converted diagonal
+of a triangular matrix and for the certified QES roots."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,10 +16,10 @@ from typing import Sequence
 import mpmath
 from mpmath import mp
 
-from orbitforms import linalg
 from orbitforms.diffop import ExactMatrix
 from orbitforms.poly import FlagSpace, fdegree
 from orbitforms.spectral import NUMERIC_DPS
+from reference_kernels import rref
 
 Matrix = list[list[Fraction]]
 
@@ -140,7 +141,7 @@ def dense_triangular_nullspace(a: Matrix, order: Sequence[int],
     Row i fixes x_i when a[i][i] != c.  Otherwise x_i is a new free
     parameter, and the rest of row i is a linear constraint on the
     parameters met before it.  The solutions are reduced to the basis
-    linalg.nullspace returns.
+    triangular_nullspace returns.
     """
     n = len(a)
     x: list[dict[int, Fraction]] = [{} for _ in range(n)]   # parameter -> coefficient
@@ -164,8 +165,8 @@ def dense_triangular_nullspace(a: Matrix, order: Sequence[int],
     if not params:
         return []
     if constraints:
-        solutions = linalg.nullspace([[con.get(p, ZERO) for p in range(params)]
-                                      for con in constraints])
+        solutions = dense_nullspace([[con.get(p, ZERO) for p in range(params)]
+                                     for con in constraints])
     else:
         solutions = [[ONE if p == q else ZERO for q in range(params)]
                      for p in range(params)]
@@ -179,8 +180,23 @@ def dense_kernel_basis(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fract
     index and every other vector 0 there, in ascending order of that
     index.  It is the rref of the reversed vectors, which puts each
     vector's last nonzero entry first."""
-    red, pivots = linalg.rref([list(v)[::-1] for v in vectors])
+    red, pivots = rref([list(v)[::-1] for v in vectors])
     return [row[::-1] for row in reversed(red[:len(pivots)])]
+
+
+def dense_nullspace(a: Matrix) -> list[list[Fraction]]:
+    """The basis linalg.nullspace returns, read off the dense rref: for each
+    free column fc, 1 at fc and -red[r][fc] at the pivot of row r."""
+    red, pivots = rref(a)
+    cols = len(a[0])
+    basis = []
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [ONE if c == fc else ZERO for c in range(cols)]
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][fc]
+            basis.append(v)
+    return basis
 
 
 def dense_vector(vector: tuple[dict[int, int], int], n: int) -> list[Fraction]:

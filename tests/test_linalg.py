@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforms import linalg
 from reference_kernels import rref as reference_rref
-from reference_linalg import (dense_kernel_basis, dense_vector, det_bareiss, poly_eval,
-                              poly_from_roots)
+from reference_linalg import (dense_kernel_basis, dense_nullspace, dense_vector,
+                              det_bareiss, poly_eval, poly_from_roots)
 
 
 def F(x, y=None):
@@ -92,6 +92,14 @@ def test_rref_matches_the_dense_loop(m, data):
     ncols = data.draw(st.integers(0, cols), label="ncols")
     assert linalg.rref(m, ncols) == reference_rref(m, ncols)
     assert m == original   # the input is not touched
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices())
+def test_nullspace_matches_the_dense_loop(m):
+    original = [row[:] for row in m]
+    assert linalg.nullspace(m) == (dense_nullspace(m) if m else [])
+    assert m == original
 
 
 # -- the int kernel reduction against the dense rref it replaced ---------------
