@@ -1,23 +1,31 @@
 """Independent Cartesian oracle: invariants, ground factors, potentials and
-finite-difference Schroedinger residuals against the exact energies.
+Schroedinger residuals against the exact energies, from exact derivatives.
 
 Everything numeric runs in mpmath working precision (default 40 digits, well
-above double-double), with one 4th-order central stencil whose step
-h = 10^-ceil(dps/6) balances its h^4 truncation error against the
-10^-dps / h^2 round-off.  `measured_energies` is the one finite-difference
-pass.  It takes all k eigenpolynomials of a check at once and gives
-(H Psi)/Psi per sample point for each of them; the residual statistics
-(`residual_stats`) read its lists against the exact target
-beta^2 (E0 + kappa eps), whose E0 = kinetic |rho_k|^2 every bundle carries
-(`models.ground_energy`), so no check fits E0 or kappa.  The least-squares
-fit `fit_energy_affine` measures them for the tests to compare with.
-Psi = Psi0 * phi(tau), and Psi0, tau and V are the same for every phi, so in
-d Cartesian dimensions a point costs 4d + 1 evaluations of Psi0 and of tau
-for all k eigenpairs and one of V.  At each of those 4d + 1 points every
-distinct monomial of the k polynomials is evaluated once (`SharedMonomials`),
-and each polynomial is a sum over its terms.  The TTW check's 9-point polar
-stencil holds 5 distinct r and 5 distinct phi, so a point costs 5 radial and
-5 angular factors, 9 exponentials and one potential (`TTWGround`).
+above double-double).  `measured_energies` is the one residual pass.  It
+takes all k eigenpolynomials of a check at once and gives (H Psi)/Psi per
+sample point for each of them; the residual statistics (`residual_stats`)
+read its lists against the exact target beta^2 (E0 + kappa eps), whose
+E0 = kinetic |rho_k|^2 every bundle carries (`models.ground_energy`), so no
+check fits E0 or kappa.  The least-squares fit `fit_energy_affine` measures
+them for the tests to compare with.  Psi = Psi0 * phi(tau), so with
+L = log Psi0
+
+    (H Psi)/Psi = -kinetic (Delta L + |grad L|^2 + 2 grad L . grad phi / phi
+                            + Delta phi / phi) + V.
+
+The Laplacian is taken exactly, with no stencil.  grad L and Delta L are
+sums over the roots of g cot and -g / sin^2 of the angle beta alpha.x / 2
+(`CheckGround.log_derivatives`).  tau is computed once per point as
+Laplacian jets of the Cartesian point (`Jet`: value, gradient and
+Laplacian), by the same formulas that give its values, and phi is summed on
+those jets, each distinct monomial of the k polynomials once
+(`SharedMonomials`).  So a point costs one Psi0 (for the node tests), one
+tau-jet and one V for all k eigenpairs.  The TTW check reads the closed-form
+r and phi log-derivatives of its ground factor (`TTWGround`), one radial
+and one angular pair and one potential per point.  A 4th-order central
+stencil (`laplacian_richardson`) is kept only for the convergence-order
+record `fd_convergence_order`.
 One rule puts an exact object into mpmath: a rational c becomes
 mpf(c.numerator) / c.denominator at the working precision (`_mpf`), never a
 binary float, and it is applied once per check, never once per term per
@@ -103,6 +111,107 @@ class ResidualStats:
 
 
 # ---------------------------------------------------------------------------
+# Laplacian jets
+# ---------------------------------------------------------------------------
+
+def _dot(u, v):
+    """sum u_i v_i, never conjugated."""
+    return sum(a * b for a, b in zip(u, v))
+
+
+class Jet:
+    """A function of the Cartesian point to second order at one point: its
+    value, its gradient (a tuple) and its Laplacian there, over mpf or mpc.
+
+    Sums, products, int powers, cos and exp follow the chain rule exactly: a
+    product f g has gradient f dg + g df and Laplacian
+    f Lg + g Lf + 2 df.dg, and a function F of f has F'(f) df and
+    F'(f) Lf + F''(f) df.df.  A number mixes in as a constant, and mpf and
+    mpc defer to a jet's reflected operators, so one formula serves numbers
+    and jets alike (`CheckGround.invariants`, `SharedMonomials`)."""
+
+    __slots__ = ("value", "grad", "lap")
+
+    def __init__(self, value, grad: tuple, lap):
+        self.value, self.grad, self.lap = value, grad, lap
+
+    @classmethod
+    def coordinates(cls, x: Sequence) -> list:
+        """The jets of the coordinate functions x_i at the point x."""
+        zero, one = mp.mpf(0), mp.mpf(1)
+        return [cls(xi, tuple(one if j == i else zero for j in range(len(x))), zero)
+                for i, xi in enumerate(x)]
+
+    def _chain(self, f, df, ddf):
+        """F(self) from F, F' and F'' at self.value."""
+        grad = self.grad
+        return Jet(f, tuple(df * g for g in grad), df * self.lap + ddf * _dot(grad, grad))
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value,
+                       tuple(a + b for a, b in zip(self.grad, other.grad)),
+                       self.lap + other.lap)
+        return Jet(self.value + other, self.grad, self.lap)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.value, tuple(-a for a in self.grad), -self.lap)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            u, v = self.value, other.value
+            return Jet(u * v,
+                       tuple(u * b + v * a for a, b in zip(self.grad, other.grad)),
+                       u * other.lap + v * self.lap + 2 * _dot(self.grad, other.grad))
+        return Jet(self.value * other, tuple(a * other for a in self.grad),
+                   self.lap * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """By a number only."""
+        return Jet(self.value / other, tuple(a / other for a in self.grad),
+                   self.lap / other)
+
+    def __pow__(self, n: int):
+        """An int power n >= 1."""
+        if n == 1:
+            return self
+        v = self.value
+        below = v ** (n - 2)
+        return self._chain(below * v * v, n * below * v, n * (n - 1) * below)
+
+    def cos(self):
+        c, s = mpmath.cos_sin(self.value)
+        return self._chain(c, -s, -c)
+
+    def exp(self):
+        e = mpmath.exp(self.value)
+        return self._chain(e, e, e)
+
+
+def _cos(v):
+    return v.cos() if isinstance(v, Jet) else mpmath.cos(v)
+
+
+def _exp(v):
+    return v.exp() if isinstance(v, Jet) else mpmath.exp(v)
+
+
+def _as_jet(v, d: int) -> Jet:
+    """v as a jet in d Cartesian dimensions: a number is a constant."""
+    if isinstance(v, Jet):
+        return v
+    zero = mp.mpf(0)
+    return Jet(v, (zero,) * d, zero)
+
+
+# ---------------------------------------------------------------------------
 # Invariants, ground factors, potentials
 # ---------------------------------------------------------------------------
 
@@ -113,7 +222,8 @@ def _relative(x: Sequence) -> list:
 
 def invariants_map(spec: ModelSpec, x: Sequence, beta=1) -> list:
     """Orbit variables at the Cartesian point (complex for the relative
-    exponential invariants; conjugate-paired when sum y = 0)."""
+    exponential invariants; conjugate-paired when sum y = 0).  At the
+    coordinate jets (`Jet.coordinates`) they are the invariants' jets."""
     return CheckGround(spec, beta).invariants(x)
 
 
@@ -141,6 +251,14 @@ def _abs_sin_pow(arg, expo, floor):
     return s ** expo
 
 
+def _cos_sin_off_node(arg, floor):
+    """(cos arg, sin arg); a node below `floor` raises as in `_abs_sin_pow`."""
+    c, s = mpmath.cos_sin(arg)
+    if abs(s) < floor:
+        raise DomainError("evaluation at a node of the ground factor")
+    return c, s
+
+
 def _form_value(form, x):
     """alpha . x by adds and subtracts of c x_i (exact for |c| <= 2), in the
     order the terms are listed."""
@@ -155,43 +273,51 @@ def _form_value(form, x):
 
 
 class CheckGround:
-    """Invariants, ground factor and potential of one check, with its
-    constants converted once at the working precision in force when it is
-    built: beta and beta^2, the node floor, each root orbit's exponent and
-    potential constant times beta^2, and the BC1_QES constants.  Each
-    product is grouped as the formulas below write it, so the values are
-    those of a conversion at every call.  mpf values belong to one
-    precision, so an instance lives for one check and is never stored."""
+    """Invariants, ground factor, its log-derivatives and potential of one
+    check, with its constants converted once at the working precision in
+    force when it is built: beta and beta^2, the node floor, each root
+    orbit's exponent and potential constant times beta^2, the slopes
+    g beta c_i / 2 and curvature -g beta^2 |alpha|^2 / 4 of its roots' log
+    terms, and the BC1_QES constants.  Each product is grouped as the
+    formulas below write it, so the values are those of a conversion at
+    every call.  mpf values belong to one precision, so an instance lives
+    for one check and is never stored."""
 
     def __init__(self, spec: ModelSpec, beta=1):
         self.spec = spec
         self.beta = _mpf(beta)
         self.b2 = self.beta * self.beta
         self.floor = _node_floor()
-        self.orbits = [(orbit.forms, _mpf(orbit.exponent),
-                        _mpf(orbit.potential) * self.b2)
-                       for orbit in root_table(spec)]
+        self.orbits, self.log_terms = [], []
+        for orbit in root_table(spec):
+            g = _mpf(orbit.exponent)
+            self.orbits.append((orbit.forms, g, _mpf(orbit.potential) * self.b2))
+            half = g * self.beta / 2
+            slopes = [[(i, c * half) for i, c in form] for form in orbit.forms]
+            self.log_terms.append((orbit.forms, slopes, -(g * self.b2 * orbit.norm / 4)))
         self.qes = None
         if spec.family == "BC1_QES":
             bb = _mpf(spec.b)
             level = _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
             self.qes = (bb, bb * bb * self.b2, 2 * bb * self.b2 * level)
+            self.qes_log = (bb * self.beta, bb * self.b2)
 
     def invariants(self, x: Sequence) -> list:
+        """tau at x, numbers or `Jet`s alike."""
         beta = self.beta
         fam = self.spec.family
         if fam in ("BC1", "BC1_QES"):
-            return [mpmath.cos(beta * x[0])]
+            return [_cos(beta * x[0])]
         if fam == "SUTHERLAND":
-            z = [mpmath.exp(1j * beta * yi) for yi in _relative(x)]
+            z = [_exp(1j * beta * yi) for yi in _relative(x)]
             return _elementary_symmetric(z)[1:self.spec.N]
         if fam == "BCN":
-            return _elementary_symmetric([mpmath.cos(beta * xi) for xi in x])[1:]
+            return _elementary_symmetric([_cos(beta * xi) for xi in x])[1:]
         y = _relative(x)     # G2; `root_table` refuses any other family
-        t1 = 2 * (mpmath.cos(beta * (y[0] - y[1]))
-                  + mpmath.cos(beta * (y[0] - y[2]))
-                  + mpmath.cos(beta * (y[1] - y[2])))
-        t2 = 2 * sum(mpmath.cos(3 * beta * yi) for yi in y)
+        t1 = 2 * (_cos(beta * (y[0] - y[1]))
+                  + _cos(beta * (y[0] - y[2]))
+                  + _cos(beta * (y[1] - y[2])))
+        t2 = 2 * sum(_cos(3 * beta * yi) for yi in y)
         return [t1, t2]
 
     def psi0(self, x: Sequence):
@@ -204,9 +330,27 @@ class CheckGround:
             v *= mpmath.exp(self.qes[0] * mpmath.cos(beta * x[0]))
         return v
 
-    def ground(self, x: Sequence) -> tuple:
-        """(Psi0, tau) at x: the one ground evaluation of a stencil point."""
-        return self.psi0(x), self.invariants(x)
+    def log_derivatives(self, x: Sequence) -> tuple:
+        """(grad log Psi0, Laplacian of log Psi0) at x, off the nodes: each
+        root adds its slopes times cot and its curvature over sin^2 of the
+        angle that `psi0` takes, and the BC1_QES factor adds
+        -b beta sin(beta x) and -b beta^2 cos(beta x)."""
+        beta = self.beta
+        grad = [0] * len(x)
+        lap = 0
+        for forms, slopes, curvature in self.log_terms:
+            for form, slope in zip(forms, slopes):
+                c, s = mpmath.cos_sin(beta * _form_value(form, x) / 2)
+                cot = c / s
+                for i, k in slope:
+                    grad[i] += k * cot
+                lap += curvature / (s * s)
+        if self.qes:
+            c, s = mpmath.cos_sin(beta * x[0])
+            b_beta, b_b2 = self.qes_log
+            grad[0] -= b_beta * s
+            lap -= b_b2 * c
+        return grad, lap
 
     def potential(self, x: Sequence):
         beta = self.beta
@@ -288,14 +432,8 @@ def _inside_alcove(spec: ModelSpec, x, beta: float, min_sin: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Finite differences
+# Finite differences, for the convergence-order record alone
 # ---------------------------------------------------------------------------
-
-def _stencil_step():
-    """h = 10^-ceil(dps/6): the stencil's h^4 truncation error then matches
-    its 10^-dps / h^2 round-off at the working precision."""
-    return mpmath.mpf(10) ** (-mp.dps // 6)
-
 
 def _shifted(fn: Callable, x: Sequence, axis: int, h) -> list:
     """fn at x + k h e_axis for k = 1, -1, 2, -2."""
@@ -337,7 +475,9 @@ class SharedMonomials:
     one precision's coefficients at the other.  `value` then sums one
     polynomial's converted coefficients times its monomials, in term order,
     from exact 0, the constant term included.  So each value is the one
-    `MultiPoly.evaluate` gives, bit for bit."""
+    `MultiPoly.evaluate` gives, bit for bit.  At a point of `Jet`s the same
+    products and sums give each polynomial's jet (a constant polynomial
+    stays a number)."""
 
     def __init__(self, polys: Sequence[MultiPoly]):
         self.nvars = {phi.nvars for phi in polys}
@@ -377,46 +517,46 @@ def measured_energies(bundle: ModelBundle, polys: Sequence[MultiPoly],
     """(H Psi)/Psi at each sample point for each Psi = Psi0 * phi(tau), phi
     in `polys`: one list per polynomial, in sample order.
 
-    Psi0, tau and V do not depend on phi.  So a point and each of its 4d
-    stencil points cost one `CheckGround.ground` call for all the
-    polynomials, the point one `CheckGround.potential` call, and each
-    distinct monomial of the polynomials is evaluated once per stencil point
-    (`SharedMonomials`).  A point is None (skipped) for every polynomial
-    when a stencil point meets a singular wall, and for one polynomial when
-    its |Psi| there is below 10^(-dps/2), a node of Psi.  Values are complex
-    where the invariants are; `residual_stats` and `fit_energy_affine` bound
-    the imaginary part.
+    The Laplacian is exact: with L = log Psi0,
+    (H Psi)/Psi = -kinetic (Delta L + |grad L|^2 + 2 grad L . grad phi / phi
+    + Delta phi / phi) + V.  Psi0, tau and V do not depend on phi.  So a
+    point costs one `CheckGround.psi0` call (for the node tests), one
+    `CheckGround.invariants` call on the coordinate jets, one
+    `CheckGround.log_derivatives` and one `CheckGround.potential` call for
+    all the polynomials, and each distinct monomial of the polynomials is
+    one jet (`SharedMonomials`).  A point is None (skipped) for every
+    polynomial when it lies on a node of Psi0 or a singular wall, and for
+    one polynomial when its |Psi| there is below 10^(-dps/2), a node of
+    Psi.  Values are complex where the invariants are; `residual_stats` and
+    `fit_energy_affine` bound the imaginary part.
     """
     energies: list[list] = [[] for _ in polys]
     shared = SharedMonomials(polys)
     with mp.workdps(dps):
         ground = CheckGround(bundle.spec, beta)
-        h = _stencil_step()
         floor = mpmath.mpf(10) ** (-dps // 2)
         coeff = mpmath.mpf(1) / 2 if kinetic_half(bundle.spec) else mpmath.mpf(1)
         for x in sample:
             try:
-                psi0, tau = ground.ground(x)
-                monomials = shared.at(tau)
-                centres = [psi0 * shared.value(k, monomials)
-                           for k in range(len(polys))]
-                live = [abs(centre) >= floor for centre in centres]
+                psi0 = ground.psi0(x)
+                monomials = shared.at(ground.invariants(Jet.coordinates(x)))
+                phis = [_as_jet(shared.value(k, monomials), len(x))
+                        for k in range(len(polys))]
+                live = [abs(psi0 * phi.value) >= floor for phi in phis]
                 if any(live):
-                    stencil = [[(g, shared.at(t))
-                                for g, t in _shifted(ground.ground, x, i, h)]
-                               for i in range(len(x))]
+                    grad, lap = ground.log_derivatives(x)
+                    ground_part = lap + _dot(grad, grad)
                     potential = ground.potential(x)
             except DomainError:
                 for measured in energies:
                     measured.append(None)
                 continue
-            for k, (centre, ok, measured) in enumerate(zip(centres, live, energies)):
+            for phi, ok, measured in zip(phis, live, energies):
                 if not ok:
                     measured.append(None)
                     continue
-                lap = _laplacian(([g * shared.value(k, m) for g, m in shifted]
-                                  for shifted in stencil), centre, h)
-                measured.append((-coeff * lap + potential * centre) / centre)
+                cross = (2 * _dot(grad, phi.grad) + phi.lap) / phi.value
+                measured.append(-coeff * (ground_part + cross) + potential)
     return energies
 
 
@@ -558,8 +698,7 @@ def fd_convergence_order(bundle: ModelBundle, eps, phi: MultiPoly, *,
         shared = SharedMonomials([phi])
 
         def psi(x):
-            psi0, tau = ground.ground(x)
-            return psi0 * shared.value(0, shared.at(tau))
+            return ground.psi0(x) * shared.value(0, shared.at(ground.invariants(x)))
         orders = []
         for x in sample:
             centre = psi(list(x))
@@ -633,7 +772,9 @@ class TTWGround:
 
     The ground factor splits into a radial part (`radial`: r^gamma and the
     radial exponent), an angular part (`angular`: the two |sin| powers and
-    the +-b cos(beta phi) term) and their product (`factor`, one exp)."""
+    the +-b cos(beta phi) term) and their product (`factor`, one exp).  The
+    residual (`energy`) reads the closed-form first and second derivatives
+    of the log of each part (`radial_log`, `angular_log`)."""
 
     def __init__(self, desc: TTWDescriptor, dps: int):
         self.desc, self.dps = desc, dps
@@ -641,11 +782,14 @@ class TTWGround:
         omega, a, b = _mpf(desc.omega), _mpf(desc.a), _mpf(desc.b)
         self.floor = _node_floor()
         self.nu2, self.nu3 = _mpf(desc.nu2), _mpf(desc.nu3)
+        self.log_walls = (self.nu2 * beta, -(self.nu2 * beta ** 2),
+                          self.nu3 * beta / 2, -(self.nu3 * beta ** 2 / 4))
         self.neg_omega = -omega
         self.sextic = (a, a * a, 2 * a * omega) if desc.has_sextic else None
         self.signed_b = None
         if desc.has_angular_qes:
             self.signed_b = (-1 if desc.convention == "printed" else +1) * b
+            self.log_qes = (self.signed_b * beta, self.signed_b * beta ** 2)
         orbits = {orbit.norm: orbit for orbit in root_table(desc.angular_spec)}
         g2, g3 = _mpf(orbits[4].coupling), _mpf(orbits[1].coupling)
         self.walls = (g2 * beta ** 2, g3 * beta ** 2 / 4)
@@ -666,6 +810,10 @@ class TTWGround:
     def r2(self):
         return ttw_r2_coefficient(self.desc, self.dps)
 
+    @functools.cached_property
+    def gamma_mpf(self):
+        return _mpf(self.gamma)
+
     def radial(self, r) -> tuple:
         """(r^gamma, -omega r^2/2 [- a r^4/4])."""
         r = _radius(r)
@@ -684,6 +832,44 @@ class TTWGround:
         if self.signed_b is None:
             return s2, s3, None
         return s2, s3, self.signed_b * mpmath.cos(beta * phi)
+
+    def radial_log(self, r) -> tuple:
+        """(L', L'') of L = log of the radial part: gamma/r - omega r
+        [- a r^3] and -gamma/r^2 - omega [- 3 a r^2]."""
+        r = _radius(r)
+        gamma = self.gamma_mpf
+        d1 = gamma / r + self.neg_omega * r
+        d2 = -gamma / r ** 2 + self.neg_omega
+        if self.sextic:
+            a = self.sextic[0]
+            d1 -= a * r ** 3
+            d2 -= 3 * a * r ** 2
+        return d1, d2
+
+    def angular_log(self, phi) -> tuple:
+        """(L', L'') of L = log of the angular part: nu2 beta cot(beta phi)
+        + nu3 beta/2 cot(beta phi/2) [- (+-b) beta sin(beta phi)] and
+        -nu2 beta^2 / sin^2(beta phi) - nu3 beta^2/4 / sin^2(beta phi/2)
+        [- (+-b) beta^2 cos(beta phi)].  A node raises as in `angular`."""
+        beta = self.beta
+        c2, s2 = _cos_sin_off_node(beta * phi, self.floor)
+        c3, s3 = _cos_sin_off_node(beta * phi / 2, self.floor)
+        slope2, curve2, slope3, curve3 = self.log_walls
+        d1 = slope2 * c2 / s2 + slope3 * c3 / s3
+        d2 = curve2 / (s2 * s2) + curve3 / (s3 * s3)
+        if self.signed_b is not None:
+            b_beta, b_b2 = self.log_qes
+            d1 -= b_beta * s2
+            d2 -= b_b2 * c2
+        return d1, d2
+
+    def energy(self, r, phi):
+        """(H Psi0)/Psi0 at (r, phi) for H = -d_r^2 - (1/r) d_r
+        - (1/r^2) d_phi^2 + V: -(L_rr + L_r^2 + L_r / r)
+        - (L_phiphi + L_phi^2) / r^2 + V."""
+        (lr, lrr), (lp, lpp) = self.radial_log(r), self.angular_log(phi)
+        return (-(lrr + lr * lr + lr / r) - (lpp + lp * lp) / r ** 2
+                + self.potential(r, phi))
 
     @staticmethod
     def factor(radial: tuple, angular: tuple):
@@ -738,36 +924,19 @@ def ttw_sample(desc: TTWDescriptor, npoints: int, seed: int):
 def ttw_ground_check(desc: TTWDescriptor, npoints: int = 50, seed: int = 17,
                      dps: int = DEFAULT_DPS) -> ResidualStats:
     """(H Psi0)/Psi0 must be constant across the sample; the mean is the
-    fitted ground energy and std/|mean| the constancy ratio."""
+    fitted ground energy and std/|mean| the constancy ratio.  Each point
+    takes the exact log-derivatives of the ground factor
+    (`TTWGround.energy`); one on a node, at r <= 0 or with no real radial
+    power is skipped."""
     sample = ttw_sample(desc, npoints, seed)
     with mp.workdps(dps):
         ground = TTWGround(desc, dps)
-        h = _stencil_step()
         values = []
         skipped = 0
         for (r, phi) in sample:
             try:
-                values.append(_polar_residual(ground, r, phi, h))
+                values.append(ground.energy(r, phi))
             except DomainError:
                 skipped += 1
         return ResidualStats.from_values(values, skipped, 0)
 
-
-def _polar_residual(ground: TTWGround, r, phi, h):
-    """(H Psi0)/Psi0 at (r, phi) for H = -d_r^2 - (1/r) d_r - (1/r^2) d_phi^2
-    + V, by 4th-order stencils at step h.  d_r^2 and d_r read the same four
-    radial points.  The 9 stencil points hold 5 distinct r and 5 distinct
-    phi, so a point costs 5 radial and 5 angular factors, 9 exps and one
-    potential."""
-    centre_r, centre_phi = ground.radial(r), ground.angular(phi)
-    centre = ground.factor(centre_r, centre_phi)
-    radial = [ground.factor(ground.radial(r + k * h), centre_phi)
-              for k in (1, -1, 2, -2)]
-    angular = [ground.factor(centre_r, ground.angular(phi + k * h))
-               for k in (1, -1, 2, -2)]
-    p1, m1, p2, m2 = radial
-    lap_r = _second_difference(radial, centre, h)
-    der_r = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
-    lap_phi = _second_difference(angular, centre, h)
-    return (-lap_r - der_r / r - lap_phi / r ** 2
-            + ground.potential(r, phi) * centre) / centre

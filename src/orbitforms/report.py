@@ -57,6 +57,12 @@ MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
 # Far above every level the suites ship (g2 n=10, bcn N=4, 50 sample points,
 # 60 digits), so that a huge value is refused before any work starts.
 CEILINGS = {"n": 40, "N": 10, "tuples": 100, "sample_points": 1000, "dps": 500}
+# At 3 digits or fewer, mpmath's Gauss-Legendre node generation for the spot
+# quadrature of `cartesian/orthogonality` never ends.  A sweep of
+# `verify --suite cartesian|ttw|gauge --sample-points 2 --dps d`, d = 1..20,
+# each under a 20 s timeout, ended in under a second at every d >= 4 and
+# timed out for cartesian at every d <= 3.
+FLOORS = {"tuples": 1, "sample_points": 1, "dps": 4}
 # Values under those ceilings can still ask for a huge flag (bcn N=10 n=40
 # has ~1e10 monomials), so spectrum also refuses a flag above this dimension.
 # The time grows about as dim^2.2 to dim^2.3, and with the denominators of
@@ -116,9 +122,9 @@ class RunConfig:
         if "model" in clean and clean["model"] not in MODELS:
             raise DomainError(f"unknown model {clean['model']!r}; "
                               f"expected one of {', '.join(MODELS)}")
-        for key in ("sample_points", "tuples", "dps"):
-            if clean[key] < 1:
-                raise DomainError(f"{key} must be at least 1, got {clean[key]}")
+        for key, low in FLOORS.items():
+            if clean[key] < low:
+                raise DomainError(f"{key} must be at least {low}, got {clean[key]}")
         if clean.get("suite") in ("ttw", "all") and clean["sample_points"] < 2:
             raise DomainError(f"the ttw suite tests constancy, which needs at least "
                               f"2 sample points, got {clean['sample_points']}")

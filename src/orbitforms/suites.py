@@ -635,8 +635,8 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
 
     def model_residuals(bundle: ModelBundle, n: int, sample, beta=1):
         """The largest residual over every eigenpair of the level-n spectrum,
-        from one finite-difference pass, each point checked against the
-        exact target beta^2 (e0 + kappa eps)."""
+        from one pass of exact derivatives (`cart.measured_energies`), each
+        point checked against the exact target beta^2 (e0 + kappa eps)."""
         record = spectrum(bundle, n, numeric_check=False)
         pairs = [(entry.eigenvalue, phi) for entry in record.entries
                  for phi in entry.eigenpolynomials]

@@ -21,8 +21,14 @@ bc1_qes forms that the BC_N construction at N = 1 replaced.
 operator to each basis monomial, here through `apply` above.  The oracle functions are those from before the
 per-check constants, each converting its Fractions anew on every call:
 `invariants_map` runs the elementary-symmetric recursion once per
-invariant, and `ttw_ground_check` calls `ttw_ground_factor` at every
-stencil point and `ttw_potential` at every point.  `quadrature_norm` is the
+invariant.  `measured_energies` and `ttw_ground_check` are the residual
+passes from before the exact derivatives: 4th-order central stencils at
+step 10^-ceil(dps/6) (`stencil_step`), with Psi0, tau and the
+monomials shared across the polynomials at each of the 4d + 1 points, and
+the TTW ground factor at the 9 points of a polar stencil (`polar_residual`).
+They agree with the exact pass to the stencil's error, about
+10^(-2 dps/3), and they skip a point whose stencil meets a wall.
+`quadrature_norm` is the
 spot quadrature as it stood before its Horner pass, calling
 `MultiPoly.evaluate` at every node.  `exact_div` is the leading-term
 division that rebuilt its Fraction remainder at every step, before the
@@ -39,11 +45,13 @@ from math import comb
 import mpmath
 from mpmath import mp
 
-from orbitforms.cartesian import (ResidualStats, _abs_sin_pow, _form_value,
-                                  _inv_sin2, _mpf, _node_floor, _relative,
-                                  _second_difference, _shifted, _stencil_step,
-                                  root_table, ttw_r2_coefficient,
-                                  ttw_radial_power, ttw_sample)
+from orbitforms.cartesian import (CheckGround, ResidualStats, SharedMonomials,
+                                  TTWGround, _abs_sin_pow, _form_value,
+                                  _inv_sin2, _laplacian, _mpf, _node_floor,
+                                  _relative, _second_difference, _shifted,
+                                  kinetic_half, root_table,
+                                  ttw_r2_coefficient, ttw_radial_power,
+                                  ttw_sample)
 from orbitforms.diffop import DiffOp, GaugeFactor
 from orbitforms.errors import (DimensionMismatch, DomainError, FlagViolation,
                                UnsupportedOrder)
@@ -584,34 +592,83 @@ def ttw_ground_factor(desc, r, phi, dps):
         return v * mpmath.exp(expo)
 
 
+def stencil_step():
+    """h = 10^-ceil(dps/6): the stencil's h^4 truncation error then matches
+    its 10^-dps / h^2 round-off at the working precision."""
+    return mpmath.mpf(10) ** (-mp.dps // 6)
+
+
+def measured_energies(bundle, polys, sample, *, beta=1, dps=40):
+    """(H Psi)/Psi per polynomial and point by the stencil: a point is None
+    for every polynomial when a stencil point meets a singular wall, and for
+    one polynomial when its |Psi| there is below 10^(-dps/2)."""
+    energies = [[] for _ in polys]
+    shared = SharedMonomials(polys)
+    with mp.workdps(dps):
+        ground = CheckGround(bundle.spec, beta)
+
+        def psi0_and_tau(y):
+            return ground.psi0(y), ground.invariants(y)
+        h = stencil_step()
+        floor = mpmath.mpf(10) ** (-dps // 2)
+        coeff = mpmath.mpf(1) / 2 if kinetic_half(bundle.spec) else mpmath.mpf(1)
+        for x in sample:
+            try:
+                psi0, tau = psi0_and_tau(x)
+                monomials = shared.at(tau)
+                centres = [psi0 * shared.value(k, monomials)
+                           for k in range(len(polys))]
+                live = [abs(centre) >= floor for centre in centres]
+                if any(live):
+                    stencil = [[(g, shared.at(t))
+                                for g, t in _shifted(psi0_and_tau, x, i, h)]
+                               for i in range(len(x))]
+                    potential = ground.potential(x)
+            except DomainError:
+                for measured in energies:
+                    measured.append(None)
+                continue
+            for k, (centre, ok, measured) in enumerate(zip(centres, live, energies)):
+                if not ok:
+                    measured.append(None)
+                    continue
+                lap = _laplacian(([g * shared.value(k, m) for g, m in shifted]
+                                  for shifted in stencil), centre, h)
+                measured.append((-coeff * lap + potential * centre) / centre)
+    return energies
+
+
 def ttw_ground_check(desc, npoints, seed, dps):
     sample = ttw_sample(desc, npoints, seed)
     with mp.workdps(dps):
-        def psi(pt):
-            return ttw_ground_factor(desc, pt[0], pt[1], dps)
-
+        ground = TTWGround(desc, dps)
+        h = stencil_step()
         values = []
         skipped = 0
         for (r, phi) in sample:
             try:
-                centre = psi((r, phi))
-                num = _apply_polar_fd(desc, psi, (r, phi), centre, dps)
-                values.append(num / centre)
+                values.append(polar_residual(ground, r, phi, h))
             except DomainError:
                 skipped += 1
         return ResidualStats.from_values(values, skipped, 0)
 
 
-def _apply_polar_fd(desc, psi, pt, centre, dps):
-    r, phi = pt
-    h = _stencil_step()
-    radial = _shifted(psi, pt, 0, h)
+def polar_residual(ground, r, phi, h):
+    """(H Psi0)/Psi0 at (r, phi) for H = -d_r^2 - (1/r) d_r - (1/r^2) d_phi^2
+    + V, by 4th-order stencils at step h.  d_r^2 and d_r read the same four
+    radial points."""
+    centre_r, centre_phi = ground.radial(r), ground.angular(phi)
+    centre = ground.factor(centre_r, centre_phi)
+    radial = [ground.factor(ground.radial(r + k * h), centre_phi)
+              for k in (1, -1, 2, -2)]
+    angular = [ground.factor(centre_r, ground.angular(phi + k * h))
+               for k in (1, -1, 2, -2)]
     p1, m1, p2, m2 = radial
     lap_r = _second_difference(radial, centre, h)
     der_r = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
-    lap_phi = _second_difference(_shifted(psi, pt, 1, h), centre, h)
+    lap_phi = _second_difference(angular, centre, h)
     return (-lap_r - der_r / r - lap_phi / r ** 2
-            + ttw_potential(desc, r, phi, dps) * centre)
+            + ground.potential(r, phi) * centre) / centre
 
 
 def quadrature_norm(p, a, b):

@@ -16,8 +16,8 @@ from orbitforms import suites
 from orbitforms.cli import main
 from orbitforms.errors import DomainError
 from orbitforms.poly import MultiPoly
-from orbitforms.models import (ModelSpec, build_bc1, build_bcn, build_g2,
-                               build_sutherland, ttw_models)
+from orbitforms.models import (ModelSpec, build_bc1, build_bc1_qes, build_bcn,
+                               build_g2, build_sutherland, ttw_models)
 from orbitforms.report import RunConfig
 from orbitforms.spectral import spectrum
 from orbitforms.suites import suite_cartesian, suite_ttw
@@ -572,62 +572,37 @@ def test_doubled_g2_operator_and_eigenvalue_fail_the_residuals(monkeypatch):
                                     build_bcn(2, HALF, Fraction(1, 3), Fraction(1, 5)),
                                     build_g2(HALF, Fraction(1, 3))],
                          ids=["bc1", "bc2", "g2"])
-def test_residual_point_evaluates_ground_4d_plus_1_times(bundle, monkeypatch):
-    # one ground evaluation (Psi0 and tau) at the centre and at each of the 4d
-    # stencil points, and one potential, whether the check has one
-    # eigenpolynomial or the whole level-2 flag
+def test_residual_point_evaluates_psi0_tau_jets_and_potential_once(bundle, monkeypatch):
+    # one Psi0 (for the node tests), one tau on the coordinate jets, one pass
+    # of log-derivatives of Psi0 and one potential per point, whether the
+    # check has one eigenpolynomial or the whole level-2 flag
     point = cart.sample_alcove(bundle.spec, 1, seed=4)
     flag = [phi for e in spectrum(bundle, 2, numeric_check=False).entries
             for phi in e.eigenpolynomials]
     assert len(flag) > 1
-    calls = dict.fromkeys(["ground", "psi0", "invariants", "potential"], 0)
+    calls = dict.fromkeys(["psi0", "invariants", "log_derivatives", "potential"], 0)
+    jet_points = []
 
     def count(name):
         real = getattr(cart.CheckGround, name)
 
-        def counted(*args, **kwargs):
+        def counted(self, x, *args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            if name == "invariants":
+                jet_points.append(all(isinstance(xi, cart.Jet) for xi in x))
+            return real(self, x, *args, **kwargs)
         monkeypatch.setattr(cart.CheckGround, name, counted)
     for name in calls:
         count(name)
-    cartesian_dim = len(point[0])
     for polys in ([MultiPoly.const(bundle.d, 1)], flag):
         calls.update(dict.fromkeys(calls, 0))
+        jet_points.clear()
         energies = cart.measured_energies(bundle, polys, point)
         assert len(energies) == len(polys)
         assert all(measured[0] is not None for measured in energies)
-        ground = 4 * cartesian_dim + 1
-        assert calls == {"ground": ground, "psi0": ground, "invariants": ground,
+        assert calls == {"psi0": 1, "invariants": 1, "log_derivatives": 1,
                          "potential": 1}
-
-
-def _reference_energies(bundle, phi, sample, beta, dps):
-    """The per-eigenpair path the shared pass replaced: Psi0, tau and V by the
-    per-call reference functions, phi by `MultiPoly.evaluate` and the
-    Laplacian by `laplacian_richardson`, all anew for one eigenpolynomial."""
-    spec = bundle.spec
-    with mp.workdps(dps):
-        def psi(x):
-            tau = reference_kernels.invariants_map(spec, x, beta)
-            return reference_kernels.psi0_cartesian(spec, x, beta) * phi.evaluate(tau)
-        h = mpmath.mpf(10) ** (-mp.dps // 6)
-        coeff = mpmath.mpf(1) / 2 if cart.kinetic_half(spec) else mpmath.mpf(1)
-        energies = []
-        for x in sample:
-            try:
-                centre = psi(list(x))
-                if abs(centre) < mpmath.mpf(10) ** (-dps // 2):
-                    energies.append(None)
-                    continue
-                lap = cart.laplacian_richardson(psi, x, h, centre)
-                potential = reference_kernels.hamiltonian_potential(spec, x, beta)
-                num = -coeff * lap + potential * centre
-            except DomainError:
-                energies.append(None)
-                continue
-            energies.append(num / centre)
-        return energies
+        assert jet_points == [True]
 
 
 def _node_of(phi, beta, dps):
@@ -643,9 +618,13 @@ def _node_of(phi, beta, dps):
     return None
 
 
-# each model constructor takes three couplings and ignores those it has no use for
+# each model constructor takes three couplings and ignores those it has no use
+# for; bc1_qes (b is the first coupling) has no closed-form eigenpolynomials,
+# so its check takes those of bc1 at the same nu2, nu3, a basis of the same
+# flag whose polynomials have simple roots
 SHARED_PASS_MODELS = {
     "bc1": (lambda nu, nu2, nu3: build_bc1(nu2, nu3), 4),
+    "bc1_qes": (lambda b, nu2, nu3: build_bc1_qes(nu2, nu3, b, 3), 3),
     "sutherland3": (lambda nu, _, __: build_sutherland(3, nu), 2),
     "sutherland4": (lambda nu, _, __: build_sutherland(4, nu), 2),
     "bc2": (lambda nu, nu2, nu3: build_bcn(2, nu, nu2, nu3), 2),
@@ -664,31 +643,73 @@ SHARED_PASS_MODELS = {
          beta="i", dps=40)
 @example(model="bc1", couplings=[HALF, Fraction(1, 3), Fraction(2, 5)], seed=3,
          beta=Fraction(6, 5), dps=40)
+@example(model="bc1_qes", couplings=[Fraction(2, 3), Fraction(1, 3), Fraction(2, 5)],
+         seed=3, beta=Fraction(6, 5), dps=20)
 @example(model="g2", couplings=[HALF, Fraction(1, 3), HALF], seed=3,
          beta="i", dps=40)
+# the first polynomial's own pass meets two points below the node floor first
+@example(model="bc3", couplings=[Fraction(3), Fraction(0), Fraction(8, 3)], seed=4,
+         beta=Fraction(1), dps=20)
 def test_shared_pass_matches_the_per_eigenpair_path(model, couplings, seed, beta, dps):
+    # the shared pass against one pass per polynomial, bit for bit, against
+    # the exact target within 10^(10 - dps) max(1, |E|, |V|, |Delta log Psi0|),
+    # the last two being the terms that grow next to a wall, and against the
+    # stencil reference within 10^(2 - dps/2) max(1, |E|): the stencil's own
+    # error is about 10^(-2 dps/3), but near a node of phi it grows, up to
+    # 2e-10 at 20 digits (Sutherland N=4 at nu = 0)
     build, level = SHARED_PASS_MODELS[model]
     bundle = build(*couplings)
-    polys = [phi for e in spectrum(bundle, level, numeric_check=False).entries
+    solvable = build_bc1(*couplings[1:]) if model == "bc1_qes" else bundle
+    pairs = [(e.eigenvalue, phi)
+             for e in spectrum(solvable, level, numeric_check=False).entries
              for phi in e.eigenpolynomials]
+    polys = [phi for _, phi in pairs]
     real_beta = beta != "i"
     sample = cart.sample_alcove(bundle.spec, 3, seed, beta if real_beta else 1)
-    if model == "bc1":
+    one_variable = model in ("bc1", "bc1_qes")
+    if one_variable:
         with mp.workdps(dps):
-            # a stencil point on the wall x = 0 skips the point for every phi
-            sample.append((2 * cart._stencil_step(),))
+            # a stencil point of this point lies on the wall x = 0
+            sample.append((2 * reference_kernels.stencil_step(),))
         node = _node_of(polys[-1], beta, dps) if real_beta else None
         if node is not None:
             sample.append(node)
     beta = beta if real_beta else mpmath.mpc(0, 1)
     shared = cart.measured_energies(bundle, polys, sample, beta=beta, dps=dps)
-    reference = [_reference_energies(bundle, phi, sample, beta, dps) for phi in polys]
-    assert shared == reference
-    if model == "bc1":
-        assert all(measured[3] is None for measured in shared)
+    assert shared == [cart.measured_energies(bundle, [phi], sample, beta=beta, dps=dps)[0]
+                      for phi in polys]
+    stencil = reference_kernels.measured_energies(bundle, polys, sample,
+                                                  beta=beta, dps=dps)
+    with mp.workdps(dps):
+        exact_bound = mpmath.mpf(10) ** (10 - dps)
+        stencil_bound = mpmath.mpf(10) ** (2 - mpmath.mpf(dps) / 2)
+        ground = cart.CheckGround(bundle.spec, beta)
+        scales = [max(1, abs(ground.potential(x)), abs(ground.log_derivatives(x)[1]))
+                  for x in sample]
+        for (eps, _), energies, reference in zip(pairs, shared, stencil):
+            if model != "bc1_qes":
+                residuals = iter(cart.residual_stats(bundle, eps, energies, beta=beta,
+                                                     dps=dps).residuals)
+                for energy, scale in zip(energies, scales):
+                    if energy is not None:
+                        assert abs(next(residuals)) <= exact_bound * max(scale, abs(energy))
+            for energy, ref in zip(energies, reference):
+                if ref is not None:
+                    assert abs(energy - ref) <= stencil_bound * max(1, abs(energy))
+    if one_variable:
+        # the stencil skips the point next to the wall; the exact pass reads
+        # it where |Psi| is above the node floor
+        assert all(measured[3] is None for measured in stencil)
+        with mp.workdps(dps):
+            x = sample[3]
+            psi0 = cart.psi0_cartesian(bundle.spec, x, beta)
+            tau = cart.invariants_map(bundle.spec, x, beta)
+            floor = mpmath.mpf(10) ** (-dps // 2)
+            live = [abs(psi0 * phi.evaluate(tau)) >= floor for phi in polys]
+        assert [measured[3] is not None for measured in shared] == live
         if len(sample) == 5:
             # the node of the last polynomial skips the point for it alone
-            assert shared[-1][4] is None
+            assert shared[-1][4] is None and stencil[-1][4] is None
             assert shared[0][4] is not None
 
 
@@ -711,11 +732,12 @@ def test_shared_monomials_convert_once_per_precision():
                     assert type(value) is type(point[0])
 
 
-def test_ttw_point_evaluates_5_radial_5_angular_factors_and_9_exps(monkeypatch):
-    # the 9 stencil points hold 5 distinct r (4 radial points shared by
-    # d^2/dr^2 and d/dr, and the centre) and 5 distinct phi; each point is
-    # one product of a radial and an angular factor, with one exp
-    calls = dict.fromkeys(["radial", "angular", "potential", "exp"], 0)
+def test_ttw_point_evaluates_one_radial_and_one_angular_log_derivative(monkeypatch):
+    # each point takes the closed-form log-derivatives of the radial and of
+    # the angular part once and one potential; the ground factor itself, and
+    # so its exp, is never evaluated
+    calls = dict.fromkeys(["radial_log", "angular_log", "potential", "radial",
+                           "angular", "exp"], 0)
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -724,7 +746,7 @@ def test_ttw_point_evaluates_5_radial_5_angular_factors_and_9_exps(monkeypatch):
             calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    for name in ("radial", "angular", "potential"):
+    for name in ("radial_log", "angular_log", "potential", "radial", "angular"):
         count(cart.TTWGround, name)
     count(cart.mpmath, "exp")
     for variant, extra in (("TTW", {}), ("TTW_QES_FULL", dict(a=HALF, b=Fraction(2, 5)))):
@@ -732,7 +754,8 @@ def test_ttw_point_evaluates_5_radial_5_angular_factors_and_9_exps(monkeypatch):
         st = cart.ttw_ground_check(ttw_models(variant, **extra, **BASE),
                                    npoints=2, seed=11)
         assert st.skipped == 0
-        assert calls == {"radial": 10, "angular": 10, "potential": 2, "exp": 18}
+        assert calls == {"radial_log": 2, "angular_log": 2, "potential": 2,
+                         "radial": 0, "angular": 0, "exp": 0}
 
 
 def test_ttw_suite_honours_sample_points(tmp_path, monkeypatch):
@@ -787,9 +810,11 @@ TTW_VARIANTS = {
          nu2=Fraction(0), nu3=Fraction(0), a=HALF, b=Fraction(-2), seed=3)
 def test_ttw_ground_check_matches_the_per_call_path(variant, convention, dps,
                                                     nu2, nu3, a, b, seed):
-    # the per-check constants and shared polar factors against the loop that
-    # called `ttw_ground_factor` at every stencil point, bit for bit; the
-    # examples have no real radial power, so every point raises
+    # the exact log-derivatives against the polar stencil: the same points
+    # skipped and the same raises, and each value within
+    # 10^(-dps/2) max(1, |E|); the examples have no real radial power, so
+    # every point raises.  The point functions match the per-call path bit
+    # for bit.
     params = {"a": a, "b": b}
     desc = ttw_models(variant, nu2=nu2, nu3=nu3, beta=Fraction(3, 2),
                       omega=Fraction(1), convention=convention,
@@ -803,9 +828,18 @@ def test_ttw_ground_check_matches_the_per_call_path(variant, convention, dps,
 
     def stats(check):
         st = check(desc, npoints=6, seed=seed, dps=dps)
-        return st.residuals, st.mean, st.std, st.skipped
-    assert (outcome(lambda: stats(cart.ttw_ground_check))
-            == outcome(lambda: stats(reference_kernels.ttw_ground_check)))
+        return st.residuals, st.skipped
+    exact = outcome(lambda: stats(cart.ttw_ground_check))
+    stencil = outcome(lambda: stats(reference_kernels.ttw_ground_check))
+    if isinstance(stencil, str):
+        assert exact == stencil
+    else:
+        (values, skipped), (ref_values, ref_skipped) = exact, stencil
+        assert skipped == ref_skipped and len(values) == len(ref_values)
+        with mp.workdps(dps):
+            bound = mpmath.mpf(10) ** (-mpmath.mpf(dps) / 2)
+            for value, ref in zip(values, ref_values):
+                assert abs(value - ref) <= bound * max(1, abs(value))
     (r, phi), = cart.ttw_sample(desc, 1, seed)
 
     def point_values(module):
@@ -832,3 +866,34 @@ def test_ttw_reads_its_bc1_constants_from_one_spec_per_descriptor(variant, famil
     for r, phi in cart.ttw_sample(desc, 3, 5):
         assert (cart.ttw_potential(desc, r, phi, 30)
                 == reference_kernels.ttw_potential(desc, r, phi, 30))
+
+
+# -- accuracy of the exact derivatives --------------------------------------------
+
+CONSISTENT_CONSTANCY_CHECKS = ("ttw/plain/consistent", "ttw/plain/printed-nu3-zero",
+                               "ttw/sextic/n0", "ttw/angular/m0", "ttw/full/n0m0")
+
+
+def test_oracle_residuals_sit_at_the_working_precision(monkeypatch):
+    # the Laplacian is exact, so only round-off is left: each residual of the
+    # shipped cartesian suite and each constancy ratio of a consistent ttw
+    # factor (seed 1, 10 points) is below 10^(10 - dps), far under the 1e-6
+    # tolerances; a 4th-order stencil leaves about 1e-24 at 40 digits
+    dps = 40
+    bound = mpmath.mpf(10) ** (10 - dps)
+    config = RunConfig.from_items({"seed": 1, "sample_points": 10, "dps": dps})
+    residuals = []
+    real = cart.residual_stats
+
+    def spy(bundle, eps, energies, **kwargs):
+        stats = real(bundle, eps, energies, **kwargs)
+        residuals.append((bundle.spec.family, stats.max_abs))
+        return stats
+    monkeypatch.setattr(cart, "residual_stats", spy)
+    assert all(c.status == "pass" for c in suite_cartesian(config))
+    assert {family for family, _ in residuals} == {"BC1", "SUTHERLAND", "BCN", "G2"}
+    assert max(value for _, value in residuals) < bound
+    checks = {c.name: c for c in suite_ttw(config)}
+    for name in CONSISTENT_CONSTANCY_CHECKS:
+        assert checks[name].status == "pass"
+        assert mpmath.mpf(checks[name].numeric["constancy_ratio"]) < bound, name

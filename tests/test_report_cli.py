@@ -13,7 +13,7 @@ from orbitforms import report
 from orbitforms.cli import main
 from orbitforms.errors import DomainError
 from orbitforms.poly import flag_dimension
-from orbitforms.report import (CEILINGS, FLAG_DIM_CEILING, RunConfig,
+from orbitforms.report import (CEILINGS, FLAG_DIM_CEILING, FLOORS, RunConfig,
                                cache_lookup, cache_store, load_whitelist,
                                parse_config_file)
 from orbitforms.suites import run_suite
@@ -409,6 +409,28 @@ def test_cli_refuses_values_over_their_ceiling(tmp_path, capsys, head, key, via_
         else:
             run = [*argv, str(value)]
         _main_one_line_error(capsys, run)
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_refuses_dps_below_its_floor(tmp_path, capsys, via_config):
+    # at 3 digits or fewer the spot quadrature's node generation never ends,
+    # so such a run is refused before any work starts
+    for value in range(1, FLOORS["dps"]):
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"dps={value}\n")
+            run = ["verify", "--suite", "cartesian", "--config", str(cfg)]
+        else:
+            run = ["verify", "--suite", "cartesian", "--dps", str(value)]
+        _main_one_line_error(capsys, run)
+
+
+@pytest.mark.parametrize("suite", ["cartesian", "ttw", "gauge"])
+def test_every_suite_that_reads_dps_ends_at_the_floor(tmp_path, monkeypatch, suite):
+    # its checks may fail at so few digits (exit 3), but the run ends
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    assert main(["verify", "--suite", suite, "--sample-points", "2",
+                 "--dps", str(FLOORS["dps"]), "--out", str(tmp_path / "r")]) in (0, 3)
 
 
 def test_ceilings_admit_every_shipped_level():

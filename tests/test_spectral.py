@@ -654,9 +654,9 @@ GOLDEN_SUITE_SHA256 = {
     "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
     "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
     "gauge": "fd4872673caaf1a20a248167ad4f235196259c4e608694a35b33c9cb2e964f0a",
-    "ttw": "f9cd355e3de4c92ad2a3de774a29c61113470ed65909ffe5187933cb1cdad334",
+    "ttw": "03f4140265e967779e94ddb94d19cf3c4d761edd8562d198a51c73151d7ee466",
     "cartesian --sample-points 10":
-        "bd16f7e7e6ae1821e90e9faec844810358f72c068e965b3096fa36fa3a0dd1ca",
+        "c2598eadcdbba0c807bbb02d754e8b3e5f7402414b02237c47e06eb3f8b50c3e",
 }
 
 
