@@ -764,7 +764,9 @@ class TTWGround:
     """Ground factor and potential of one TTW check, with its constants
     converted once at `dps`: beta, gamma, the node floor, omega, a, b, the
     couplings g2 and g3 with their powers of beta, the QES constant, the r^2
-    coefficient and the signed b of the exponential.  g2, g3 and the level
+    coefficient, the signed b of the exponential and the constants of the
+    log-derivatives (nu2 beta, nu3 beta / 2, their curvatures and the signed
+    b beta, b beta^2).  g2, g3 and the level
     come from the descriptor's angular spec, bc1 or bc1_qes at level m.
     Each product is grouped as the formulas below write it, so the values
     are those of a conversion at every call.  An instance lives for one
