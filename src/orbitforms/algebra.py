@@ -398,21 +398,30 @@ def _word_ops(gs: GeneratorSet, words: Sequence[tuple[str, ...]]) -> list[DiffOp
 def _span_solve(word_ops: Sequence[DiffOp], targets: Sequence[DiffOp]
                 ) -> tuple[list[list[Fraction]], list[bool]]:
     """(coefficients, escapes): per target, its words' coefficients, free
-    words 0, and whether a part of it lies outside their span.  One rref
-    pivots on the word columns only, the targets its right-hand sides: the
-    pivot rows give the coefficients, and a nonzero right-hand side in a
-    row past the pivots, zero on the words, is an escape."""
-    columns = [_vectorize(op) for op in (*word_ops, *targets)]
+    words 0, and whether a part of it lies outside their span.  Each
+    operator coefficient gives one sparse int row (`linalg._int_row`), the
+    words its columns and the targets its right-hand sides, and one
+    reduction (`linalg._row_reduce`) pivots on the word keys only: the pivot
+    rows give the coefficients, and an escape is a right-hand side left
+    nonzero in a row past the pivots once the pivot rows clear its words."""
     ncols = len(word_ops)
-    aug = [[v.get(k, ZERO) for v in columns] for k in sorted(set().union(*columns))]
-    red, pivots = linalg.rref(aug, ncols)
+    entries: dict = {}
+    for c, op in enumerate((*word_ops, *targets)):
+        for k, x in _vectorize(op).items():
+            entries.setdefault(k, []).append((c, x))
+    rows = [linalg._int_row(entries[k], ncols) for k in sorted(entries)]
+    reduced, rest = linalg._row_reduce(rows)
     coefficients = [[ZERO] * ncols for _ in targets]
-    for row, pc in zip(red, pivots):
+    for key, row in reduced.items():
         for j, solution in enumerate(coefficients):
-            solution[pc] = row[ncols + j]
-    escapes = [any(row[ncols + j] for row in red[len(pivots):])
-               for j in range(len(targets))]
-    return coefficients, escapes
+            solution[ncols - 1 - key] = Fraction(row.get(-1 - j, 0), row[key])
+    escaped = set()
+    for i in rest:
+        v = rows[i]
+        for key in [k for k in v if k in reduced]:
+            v = linalg._cleared(v, reduced[key], key)
+        escaped.update(v)
+    return coefficients, [-1 - j in escaped for j in range(len(targets))]
 
 
 def decomposition_words(gs: GeneratorSet, max_word_degree: int = 2

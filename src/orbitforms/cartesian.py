@@ -21,9 +21,11 @@ Laplacian jets of the Cartesian point (`Jet`: value, gradient and
 Laplacian), by the same formulas that give its values, and phi is summed on
 those jets, each distinct monomial of the k polynomials once
 (`SharedMonomials`).  So a point costs one Psi0 (for the node tests), one
-tau-jet and one V for all k eigenpairs.  The TTW check reads the closed-form
-r and phi log-derivatives of its ground factor (`TTWGround`), one radial
-and one angular pair and one potential per point.  A 4th-order central
+tau-jet and one V for all k eigenpairs.  The TTW check (`TTWGround`) puts a
+radial factor on this oracle: its angular half is the `CheckGround` of bc1
+or bc1_qes in phi, so a point takes one closed-form radial pair of
+log-derivatives, one `CheckGround.log_derivatives` and one potential, the
+radial well plus the bc1 potential over r^2.  A 4th-order central
 stencil (`laplacian_richardson`) is kept only for the convergence-order
 record `fd_convergence_order`.
 One rule puts an exact object into mpmath: a rational c becomes
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -298,7 +300,7 @@ class CheckGround:
         self.qes = None
         if spec.family == "BC1_QES":
             bb = _mpf(spec.b)
-            level = _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
+            level = _mpf(bc1_qes_level(spec))
             self.qes = (bb, bb * bb * self.b2, 2 * bb * self.b2 * level)
             self.qes_log = (bb * self.beta, bb * self.b2)
 
@@ -334,13 +336,14 @@ class CheckGround:
         """(grad log Psi0, Laplacian of log Psi0) at x, off the nodes: each
         root adds its slopes times cot and its curvature over sin^2 of the
         angle that `psi0` takes, and the BC1_QES factor adds
-        -b beta sin(beta x) and -b beta^2 cos(beta x)."""
-        beta = self.beta
+        -b beta sin(beta x) and -b beta^2 cos(beta x).  A node raises as in
+        `psi0`."""
+        beta, floor = self.beta, self.floor
         grad = [0] * len(x)
         lap = 0
         for forms, slopes, curvature in self.log_terms:
             for form, slope in zip(forms, slopes):
-                c, s = mpmath.cos_sin(beta * _form_value(form, x) / 2)
+                c, s = _cos_sin_off_node(beta * _form_value(form, x) / 2, floor)
                 cot = c / s
                 for i, k in slope:
                     grad[i] += k * cot
@@ -353,6 +356,10 @@ class CheckGround:
         return grad, lap
 
     def potential(self, x: Sequence):
+        """V = sum over orbits of orbit.potential * beta^2 * sum_alpha
+        1/sin^2(beta alpha.x / 2), plus the BC1_QES terms; orbit.potential
+        carries the kinetic factor (1 for the one-variable family, 1/2 for
+        the others)."""
         beta = self.beta
         v = 0
         for forms, _, c in self.orbits:
@@ -376,14 +383,6 @@ def _inv_sin2(arg):
     if s == 0:
         raise DomainError("potential evaluated on a singular wall")
     return 1 / (s * s)
-
-
-def hamiltonian_potential(spec: ModelSpec, x: Sequence, beta=1):
-    """V = sum over orbits of orbit.potential * beta^2 * sum_alpha
-    1/sin^2(beta alpha.x / 2), plus the BC1_QES terms; orbit.potential
-    carries the kinetic factor (1 for the one-variable family, 1/2 for the
-    others)."""
-    return CheckGround(spec, beta).potential(x)
 
 
 # ---------------------------------------------------------------------------
@@ -761,44 +760,28 @@ def _radius(r):
 
 
 class TTWGround:
-    """Ground factor and potential of one TTW check, with its constants
-    converted once at `dps`: beta, gamma, the node floor, omega, a, b, the
-    couplings g2 and g3 with their powers of beta, the QES constant, the r^2
-    coefficient, the signed b of the exponential and the constants of the
-    log-derivatives (nu2 beta, nu3 beta / 2, their curvatures and the signed
-    b beta, b beta^2).  g2, g3 and the level
-    come from the descriptor's angular spec, bc1 or bc1_qes at level m.
-    Each product is grouped as the formulas below write it, so the values
-    are those of a conversion at every call.  An instance lives for one
-    check and is never stored.
+    """Ground factor and potential of one TTW check: a radial factor on top
+    of the bc1 oracle.  The angular half is the descriptor's angular spec
+    (bc1, or bc1_qes at level m) in phi at the TTW beta, read from
+    `CheckGround`: `ground` gives the ground factor and its log-derivatives,
+    with b -> -b in the printed convention, and `bc1` gives the potential,
+    with +b in both (the printed defect).  The radial half keeps omega, the
+    sextic constants and the r^2 coefficient, converted once at `dps`.  An
+    instance lives for one check and is never stored.
 
-    The ground factor splits into a radial part (`radial`: r^gamma and the
-    radial exponent), an angular part (`angular`: the two |sin| powers and
-    the +-b cos(beta phi) term) and their product (`factor`, one exp).  The
-    residual (`energy`) reads the closed-form first and second derivatives
-    of the log of each part (`radial_log`, `angular_log`)."""
+    The residual (`energy`) reads the closed-form first and second
+    derivatives of the log of the radial part (`radial_log`) and the bc1
+    log-derivatives (`CheckGround.log_derivatives`)."""
 
     def __init__(self, desc: TTWDescriptor, dps: int):
         self.desc, self.dps = desc, dps
-        beta = self.beta = _mpf(desc.beta)
-        omega, a, b = _mpf(desc.omega), _mpf(desc.a), _mpf(desc.b)
-        self.floor = _node_floor()
-        self.nu2, self.nu3 = _mpf(desc.nu2), _mpf(desc.nu3)
-        self.log_walls = (self.nu2 * beta, -(self.nu2 * beta ** 2),
-                          self.nu3 * beta / 2, -(self.nu3 * beta ** 2 / 4))
+        omega, a = _mpf(desc.omega), _mpf(desc.a)
         self.neg_omega = -omega
         self.sextic = (a, a * a, 2 * a * omega) if desc.has_sextic else None
-        self.signed_b = None
-        if desc.has_angular_qes:
-            self.signed_b = (-1 if desc.convention == "printed" else +1) * b
-            self.log_qes = (self.signed_b * beta, self.signed_b * beta ** 2)
-        orbits = {orbit.norm: orbit for orbit in root_table(desc.angular_spec)}
-        g2, g3 = _mpf(orbits[4].coupling), _mpf(orbits[1].coupling)
-        self.walls = (g2 * beta ** 2, g3 * beta ** 2 / 4)
-        self.qes = None
-        if desc.has_angular_qes:
-            level = _mpf(bc1_qes_level(desc.angular_spec))
-            self.qes = (b * b * beta ** 2, 2 * b * beta ** 2 * level)
+        spec = desc.angular_spec
+        self.bc1 = self.ground = CheckGround(spec, desc.beta)
+        if desc.has_angular_qes and desc.convention == "printed":
+            self.ground = CheckGround(replace(spec, b=-spec.b), desc.beta)
 
     # The radial power and the r^2 coefficient are worked out at first use.
     # Where the power is not real, each use then raises as a per-call
@@ -825,16 +808,6 @@ class TTWGround:
             expo -= self.sextic[0] * r ** 4 / 4
         return power, expo
 
-    def angular(self, phi) -> tuple:
-        """(|sin beta phi|^nu2, |sin beta phi/2|^nu3, +-b cos beta phi or
-        None)."""
-        beta = self.beta
-        s2 = _abs_sin_pow(beta * phi, self.nu2, self.floor)
-        s3 = _abs_sin_pow(beta * phi / 2, self.nu3, self.floor)
-        if self.signed_b is None:
-            return s2, s3, None
-        return s2, s3, self.signed_b * mpmath.cos(beta * phi)
-
     def radial_log(self, r) -> tuple:
         """(L', L'') of L = log of the radial part: gamma/r - omega r
         [- a r^3] and -gamma/r^2 - omega [- 3 a r^2]."""
@@ -848,66 +821,28 @@ class TTWGround:
             d2 -= 3 * a * r ** 2
         return d1, d2
 
-    def angular_log(self, phi) -> tuple:
-        """(L', L'') of L = log of the angular part: nu2 beta cot(beta phi)
-        + nu3 beta/2 cot(beta phi/2) [- (+-b) beta sin(beta phi)] and
-        -nu2 beta^2 / sin^2(beta phi) - nu3 beta^2/4 / sin^2(beta phi/2)
-        [- (+-b) beta^2 cos(beta phi)].  A node raises as in `angular`."""
-        beta = self.beta
-        c2, s2 = _cos_sin_off_node(beta * phi, self.floor)
-        c3, s3 = _cos_sin_off_node(beta * phi / 2, self.floor)
-        slope2, curve2, slope3, curve3 = self.log_walls
-        d1 = slope2 * c2 / s2 + slope3 * c3 / s3
-        d2 = curve2 / (s2 * s2) + curve3 / (s3 * s3)
-        if self.signed_b is not None:
-            b_beta, b_b2 = self.log_qes
-            d1 -= b_beta * s2
-            d2 -= b_b2 * c2
-        return d1, d2
+    def factor(self, r, phi):
+        """r^gamma exp(-omega r^2/2 [- a r^4/4]) times the bc1 Psi0 at phi."""
+        power, expo = self.radial(r)
+        return power * mpmath.exp(expo) * self.ground.psi0([phi])
 
     def energy(self, r, phi):
         """(H Psi0)/Psi0 at (r, phi) for H = -d_r^2 - (1/r) d_r
         - (1/r^2) d_phi^2 + V: -(L_rr + L_r^2 + L_r / r)
         - (L_phiphi + L_phi^2) / r^2 + V."""
-        (lr, lrr), (lp, lpp) = self.radial_log(r), self.angular_log(phi)
+        lr, lrr = self.radial_log(r)
+        (lp,), lpp = self.ground.log_derivatives([phi])
         return (-(lrr + lr * lr + lr / r) - (lpp + lp * lp) / r ** 2
                 + self.potential(r, phi))
 
-    @staticmethod
-    def factor(radial: tuple, angular: tuple):
-        (power, expo), (s2, s3, ang) = radial, angular
-        if ang is not None:
-            expo += ang
-        return power * s2 * s3 * mpmath.exp(expo)
-
     def potential(self, r, phi):
+        """The radial well plus the bc1 potential at phi over r^2."""
         r = _radius(r)
-        beta = self.beta
         v = self.r2 * r ** 2
         if self.sextic:
             _, aa, two_a_omega = self.sextic
             v += aa * r ** 6 + two_a_omega * r ** 4
-        c2, c3 = self.walls
-        ang = c2 * _inv_sin2(beta * phi) + c3 * _inv_sin2(beta * phi / 2)
-        if self.qes:
-            c_sin, c_half = self.qes
-            ang += c_sin * mpmath.sin(beta * phi) ** 2
-            ang += c_half * mpmath.sin(beta * phi / 2) ** 2
-        return v + ang / r ** 2
-
-
-def ttw_potential(desc: TTWDescriptor, r, phi, dps: int = DEFAULT_DPS):
-    """V(r, phi); raises on r <= 0 or angular singularities."""
-    with mp.workdps(dps):
-        return TTWGround(desc, dps).potential(r, phi)
-
-
-def ttw_ground_factor(desc: TTWDescriptor, r, phi, dps: int = DEFAULT_DPS):
-    """Ground factor r^gamma |sin|^nu2 |sin/2|^nu3 exp(-omega r^2/2 [- a r^4/4]
-    [+- b cos beta phi])."""
-    with mp.workdps(dps):
-        ground = TTWGround(desc, dps)
-        return ground.factor(ground.radial(r), ground.angular(phi))
+        return v + self.bc1.potential([phi]) / r ** 2
 
 
 def ttw_sample(desc: TTWDescriptor, npoints: int, seed: int):

@@ -2,8 +2,9 @@
 
 Dense matrices are plain lists of lists of Fractions.  Every elimination is
 one fraction-free reduction of sparse int rows (_row_reduce); rref and
-nullspace scale each row to ints once and make Fractions only for what
-they return.  Characteristic polynomials come by the division-free
+nullspace scale each row to ints once (_int_row) and make Fractions only
+for what they return, and the algebra span solve hands its sparse rows to
+the reduction directly.  Characteristic polynomials come by the division-free
 Berkowitz algorithm over integers after clearing denominators.  For a
 matrix triangular up to a permutation of the indices, given as sparse int
 columns over one denominator (the form restrict_to_flag gives), it finds
@@ -84,15 +85,16 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 
 def _int_rows(a: Matrix, ncols: int) -> list[dict[int, int]]:
-    """Each row of `a` times the lcm of its denominators, as sparse ints
-    keyed ncols - 1 - column."""
-    rows = []
-    for row in a:
-        entries = [(c, x) for c, x in enumerate(row) if x]
-        den = lcm(*(x.denominator for _, x in entries))
-        rows.append({ncols - 1 - c: x.numerator * (den // x.denominator)
-                     for c, x in entries})
-    return rows
+    """Each row of `a` as `_int_row` of its nonzero entries."""
+    return [_int_row([(c, x) for c, x in enumerate(row) if x], ncols) for row in a]
+
+
+def _int_row(entries: Sequence[tuple[int, Fraction]], ncols: int) -> dict[int, int]:
+    """A sparse row of nonzero (column, Fraction) entries times the lcm of
+    their denominators, as ints keyed ncols - 1 - column: the row form of
+    _row_reduce, pivots sought in the first ncols columns."""
+    den = lcm(*(x.denominator for _, x in entries))
+    return {ncols - 1 - c: x.numerator * (den // x.denominator) for c, x in entries}
 
 
 def triangular_order(columns: Sequence[Mapping[int, int]]) -> list[int] | None:
@@ -407,20 +409,15 @@ def has_root(coeffs: Sequence[int], lo: int, hi: int, bits: int) -> bool:
     return lo < hi and _value(scaled, lo) * _value(scaled, hi) < 0
 
 
-def square_free_factors(f: Sequence[int]) -> list[tuple[list[int], int]]:
+def _yun(f: Sequence[int], a: Sequence[int]) -> list[tuple[list[int], int]]:
     """[(g, m), ...] with f = c prod g^m, each g square-free, primitive and
-    of positive degree, pairwise coprime, m ascending (Yun 1976).
+    of positive degree, pairwise coprime, m ascending (Yun 1976), given
+    a = gcd(f, f'), primitive with a positive leading coefficient.
 
     Every division is exact over the ints: the divisor is a primitive
     factor of the dividend (Gauss's lemma), so no content is lost and
     d = c - b' keeps the scale that Yun's identity needs.
     """
-    return _yun(f, _gcd(f, _derivative(f)))
-
-
-def _yun(f: Sequence[int], a: Sequence[int]) -> list[tuple[list[int], int]]:
-    """square_free_factors of f, given a = gcd(f, f'), primitive with a
-    positive leading coefficient."""
     b, c = _divide(f, a), _divide(_derivative(f), a)
     factors = []
     m = 1

@@ -155,15 +155,17 @@ class RunConfig:
                 if k not in self._NON_SEMANTIC}
 
     def digest(self) -> str:
-        """Cache key: the config, the schema, the program version and the
-        whitelist, so a changed program or whitelist never reads an old
-        entry.  Computed once per config (_digest)."""
+        """Cache key: the config, the schema, the program version, the
+        whitelist and the bytes of the program (`_source_digest`), so a
+        changed program or whitelist never reads an old entry, also when
+        the version string stayed.  Computed once per config (_digest)."""
         return self._digest
 
     @functools.cached_property
     def _digest(self) -> str:
         payload = json.dumps({"schema": SCHEMA, "version": __version__,
                               "whitelist": _whitelist_text(),
+                              "source": _source_digest(),
                               "config": self.canonical()},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -272,6 +274,19 @@ class VerificationReport:
 @functools.cache   # package data: read once per process
 def _whitelist_text() -> str:
     return resources.files("orbitforms").joinpath("data/whitelist.json").read_text()
+
+
+@functools.cache   # the program's own bytes: read once per process
+def _source_digest() -> str:
+    """sha256 over the package's .py and data files, each by its path in
+    the package and its length, in sorted order."""
+    root = Path(__file__).parent
+    h = hashlib.sha256()
+    for path in sorted([*root.glob("*.py"), *root.glob("data/*")]):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def load_whitelist() -> dict:

@@ -316,23 +316,16 @@ def _weight_exponents(nu2, nu3) -> tuple[Fraction, Fraction]:
     return nu2 + nu3 - Fraction(1, 2), nu2 - Fraction(1, 2)
 
 
-def jacobi_gram(nu2, nu3, pmax: int) -> list[list[Fraction]]:
-    """Exact normalised Gram matrix <p_i p_j>, i, j <= pmax, of the Jacobi
-    eigenpolynomials under the weight (1-tau)^a (1+tau)^b with
-    a = nu2+nu3-1/2 and b = nu2-1/2 (squared ground factor times |dx/dtau|).
+def _gram(a: Fraction, b: Fraction, polys: Sequence[MultiPoly]) -> list[list[Fraction]]:
+    """Exact normalised Gram matrix <p_i p_j> of `polys` under the weight
+    (1-tau)^a (1+tau)^b; for the Jacobi eigenpolynomials a = nu2+nu3-1/2
+    and b = nu2-1/2 (squared ground factor times |dx/dtau|).
 
     With s = (1+tau)/2 the weight is the Beta density s^b (1-s)^a, whose
     normalised moments are <s^k> = (b+1)_k / (a+b+2)_k.  The moments of
     tau = 2s-1 follow by the binomial theorem, and <p_i p_j> is the sum of
     the coefficients of p_i p_j against them.
     """
-    a, b = _weight_exponents(nu2, nu3)
-    return _gram(a, b, _jacobi_polynomials(pmax, a, b))
-
-
-def _gram(a: Fraction, b: Fraction, polys: Sequence[MultiPoly]) -> list[list[Fraction]]:
-    """<p_i p_j> of `polys` under the weight of jacobi_gram with exponents
-    (a, b), from the Beta moments."""
     pmax = len(polys) - 1
     s_moments = [Fraction(1)]
     for k in range(2 * pmax):
@@ -354,7 +347,7 @@ def _gram(a: Fraction, b: Fraction, polys: Sequence[MultiPoly]) -> list[list[Fra
 
 def orthogonality_check(nu2, nu3, pmax: int, *, dps: int = 40):
     """Orthogonality of the one-variable eigenpolynomials p_0..p_pmax under
-    the weight of `jacobi_gram`, decided exactly from its Beta moments.
+    the weight of `_gram`, decided exactly from its Beta moments.
 
     Returns (max |<p_i p_j>| over i != j, min <p_i p_i>, spot_gap).  The first
     two are exact Fractions; orthogonality holds when the first is 0 and the

@@ -323,45 +323,44 @@ def suite_algebra(config: RunConfig) -> list[CheckRecord]:
     return checks
 
 
-def _printed_bc1_check(rec: CheckRecord) -> None:
-    nu2, nu3 = Fraction(1, 3), Fraction(1, 5)
-    h = build_bc1(nu2, nu3).h
-    gs = gl2_generators(0)
-    printed = GeneratorWord.from_items([
-        (1, ("J0", "J0")), (-1, ("J-", "J-")),
-        (2 * nu2 + nu3 + 1, ("J0",)), (nu3, ("J-",)),
-    ])
-    diff = evaluate_word(gs, printed) - h
+def _printed_qes_word(nu2, nu3, b, n: int) -> GeneratorWord:
+    """The printed gl2 word of bc1_qes at level n; at b = 0, n = 0 it is
+    the printed word of bc1."""
+    return GeneratorWord.from_items([
+        (1, ("J0", "J0")), (-1, ("J-", "J-")), (-2 * b, ("J+",)),
+        (2 * n + 2 * nu2 + nu3 + 1, ("J0",)), (nu3 - 2 * b, ("J-",)),
+    ], constant=n * (n + 2 * nu2 + nu3 + 1))
+
+
+def _corrected_qes_word(nu2, nu3, b, n: int) -> GeneratorWord:
+    """The gl2 word that reproduces bc1_qes at level n, and bc1 at b = 0,
+    n = 0."""
+    return GeneratorWord.from_items([
+        (1, ("J0", "J0")), (-1, ("J-", "J-")), (2 * b, ("J+",)),
+        (2 * n + 2 * nu2 + nu3, ("J0",)), (nu3 - 2 * b, ("J-",)),
+    ], constant=n * (n + 2 * nu2 + nu3) + 2 * b * (n + nu2 + nu3 + HALF))
+
+
+def _printed_word_check(rec: CheckRecord, h: DiffOp, nu2, nu3, b=0, n: int = 0) -> None:
+    """The printed word's residual against h, and the corrected word must
+    reproduce h exactly."""
+    gs = gl2_generators(n)
+    diff = evaluate_word(gs, _printed_qes_word(nu2, nu3, b, n)) - h
     rec.exact["residual"] = diff.as_string() if not diff.is_zero() else "0"
     rec.status = REPORTED if not diff.is_zero() else PASS
-    # the corrected word must close exactly
-    corrected = GeneratorWord.from_items([
-        (1, ("J0", "J0")), (-1, ("J-", "J-")),
-        (2 * nu2 + nu3, ("J0",)), (nu3, ("J-",)),
-    ])
-    if not (evaluate_word(gs, corrected) == h):
+    if evaluate_word(gs, _corrected_qes_word(nu2, nu3, b, n)) != h:
         rec.status = FAIL
         rec.details = "corrected word does not reproduce the operator"
 
 
+def _printed_bc1_check(rec: CheckRecord) -> None:
+    nu2, nu3 = Fraction(1, 3), Fraction(1, 5)
+    _printed_word_check(rec, build_bc1(nu2, nu3).h, nu2, nu3)
+
+
 def _printed_qes_check(rec: CheckRecord) -> None:
     nu2, nu3, b, n = Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), 3
-    h = build_bc1_qes(nu2, nu3, b, n).h
-    gs = gl2_generators(n)
-    printed = GeneratorWord.from_items([
-        (1, ("J0", "J0")), (-1, ("J-", "J-")), (-2 * b, ("J+",)),
-        (2 * n + 2 * nu2 + nu3 + 1, ("J0",)), (nu3 - 2 * b, ("J-",)),
-    ], constant=Fraction(n * (n + 2 * nu2 + nu3 + 1)))
-    diff = evaluate_word(gs, printed) - h
-    rec.exact["residual"] = diff.as_string() if not diff.is_zero() else "0"
-    rec.status = REPORTED if not diff.is_zero() else PASS
-    corrected = GeneratorWord.from_items([
-        (1, ("J0", "J0")), (-1, ("J-", "J-")), (2 * b, ("J+",)),
-        (2 * n + 2 * nu2 + nu3, ("J0",)), (nu3 - 2 * b, ("J-",)),
-    ], constant=n * (n + 2 * nu2 + nu3) + 2 * b * (n + nu2 + nu3 + HALF))
-    if not (evaluate_word(gs, corrected) == h):
-        rec.status = FAIL
-        rec.details = "corrected QES word does not reproduce the operator"
+    _printed_word_check(rec, build_bc1_qes(nu2, nu3, b, n).h, nu2, nu3, b, n)
 
 
 def _printed_g2_check(rec: CheckRecord) -> None:
@@ -429,11 +428,7 @@ def _mw_check(rec: CheckRecord, variant: str) -> None:
     # the printed words must at least coincide with the printed QES pattern
     rep, coeffs = mw_word_data(variant, b, n)
     gsr = gl2_generators(max(rep, 0))
-    pattern = GeneratorWord.from_items([
-        (1, ("J0", "J0")), (-1, ("J-", "J-")), (-2 * b, ("J+",)),
-        (2 * level + 2 * nu2 + nu3 + 1, ("J0",)), (nu3 - 2 * b, ("J-",)),
-    ], constant=Fraction(level * (level + 2 * nu2 + nu3 + 1)))
-    pattern_op = evaluate_word(gsr, pattern)
+    pattern_op = evaluate_word(gsr, _printed_qes_word(nu2, nu3, b, level))
     delta = mw - pattern_op
     cpart = delta.constant_part()
     if delta.order() == 0 and delta.polynomial:
@@ -604,7 +599,8 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
             rec.details = "wall-term coefficients corrected by exact partial fractions"
             # the engine potential must match the Cartesian sums pointwise
             pts = cart.sample_alcove(bundle.spec, 10, seed + N)
-            with mp.workdps(int(config.get("dps", 40))):
+            dps = int(config.get("dps", 40))
+            with mp.workdps(dps):
                 ground = cart.CheckGround(bundle.spec)
                 shared = cart.SharedMonomials([engine.num, engine.den])
                 worst = mp.mpf(0)
@@ -613,7 +609,7 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
                     vtau = shared.value(0, monomials) / shared.value(1, monomials)
                     vcart = ground.potential(x)
                     worst = max(worst, abs(vtau - vcart) / max(1, abs(vcart)))
-                if not _require(rec, worst < mpmath.mpf("1e-25"),
+                if not _require(rec, worst < mpmath.mpf(10) ** (10 - dps),
                                 f"potential mismatch {worst}"):
                     return
                 rec.numeric["max_relative_mismatch"] = mpmath.nstr(worst, 3)
@@ -820,7 +816,7 @@ def suite_ttw(config: RunConfig) -> list[CheckRecord]:
             worst = mp.mpf(0)
             for (r, phi) in cart.ttw_sample(plain, 20, seed + 10):
                 v_sextic, v_plain = (g.potential(r, phi) for g in grounds)
-                f_sextic, f_plain = (g.factor(g.radial(r), g.angular(phi)) for g in grounds)
+                f_sextic, f_plain = (g.factor(r, phi) for g in grounds)
                 worst = max(worst, abs(v_sextic - v_plain), abs(f_sextic - f_plain))
             _require(rec, worst < mpmath.mpf("1e-8"), f"degeneration gap {worst}")
             rec.numeric["max_gap"] = mpmath.nstr(worst, 3)

@@ -27,7 +27,10 @@ step 10^-ceil(dps/6) (`stencil_step`), with Psi0, tau and the
 monomials shared across the polynomials at each of the 4d + 1 points, and
 the TTW ground factor at the 9 points of a polar stencil (`polar_residual`).
 They agree with the exact pass to the stencil's error, about
-10^(-2 dps/3), and they skip a point whose stencil meets a wall.
+10^(-2 dps/3), and they skip a point whose stencil meets a wall.  The TTW
+point functions `ttw_ground_factor` and `ttw_potential` put the radial
+factor on `psi0_cartesian` and `hamiltonian_potential` of the angular
+spec, per call.
 `quadrature_norm` is the
 spot quadrature as it stood before its Horner pass, calling
 `MultiPoly.evaluate` at every node.  `exact_div` is the leading-term
@@ -38,6 +41,7 @@ of the wall factors and its square, before the partial fractions over each
 wall; its log gradient divides through `exact_div` here.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -46,7 +50,7 @@ import mpmath
 from mpmath import mp
 
 from orbitforms.cartesian import (CheckGround, ResidualStats, SharedMonomials,
-                                  TTWGround, _abs_sin_pow, _form_value,
+                                  _abs_sin_pow, _form_value,
                                   _inv_sin2, _laplacian, _mpf, _node_floor,
                                   _relative, _second_difference, _shifted,
                                   kinetic_half, root_table,
@@ -145,6 +149,23 @@ def rref(a, ncols=None):
         if r == rows:
             break
     return m, pivots
+
+
+def span_solve(word_ops, targets):
+    """`algebra._span_solve` through the dense loop: one Fraction row per
+    operator coefficient, the words its first columns, into `rref` above."""
+    from orbitforms.algebra import _vectorize
+    columns = [_vectorize(op) for op in (*word_ops, *targets)]
+    ncols = len(word_ops)
+    aug = [[v.get(k, ZERO) for v in columns] for k in sorted(set().union(*columns))]
+    red, pivots = rref(aug, ncols)
+    coefficients = [[ZERO] * ncols for _ in targets]
+    for row, pc in zip(red, pivots):
+        for j, solution in enumerate(coefficients):
+            solution[pc] = row[ncols + j]
+    escapes = [any(row[ncols + j] for row in red[len(pivots):])
+               for j in range(len(targets))]
+    return coefficients, escapes
 
 
 def restrict_to_flag(op: DiffOp, space):
@@ -548,48 +569,38 @@ def hamiltonian_potential(spec, x, beta=1):
     return v
 
 
+def _ttw_radius(r):
+    r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
+    if r <= 0:
+        raise DomainError("radial coordinate must be positive")
+    return r
+
+
 def ttw_potential(desc, r, phi, dps):
+    """The radial well plus `hamiltonian_potential` of the angular spec at
+    phi over r^2."""
     with mp.workdps(dps):
-        r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
-        if r <= 0:
-            raise DomainError("radial coordinate must be positive")
-        beta = _mpf(desc.beta)
-        omega = _mpf(desc.omega)
-        a = _mpf(desc.a)
-        b = _mpf(desc.b)
-        g2 = _mpf(desc.nu2 * (desc.nu2 - 1))
-        g3 = _mpf(desc.nu3 * (desc.nu3 + 2 * desc.nu2 - 1))
+        r = _ttw_radius(r)
         v = ttw_r2_coefficient(desc, dps) * r ** 2
         if desc.has_sextic:
+            a, omega = _mpf(desc.a), _mpf(desc.omega)
             v += a * a * r ** 6 + 2 * a * omega * r ** 4
-        ang = g2 * beta ** 2 * _inv_sin2(beta * phi) \
-            + g3 * beta ** 2 / 4 * _inv_sin2(beta * phi / 2)
-        if desc.has_angular_qes:
-            ang += b * b * beta ** 2 * mpmath.sin(beta * phi) ** 2
-            ang += (2 * b * beta ** 2
-                    * _mpf(2 * desc.m + 2 * desc.nu2 + desc.nu3 + 1)
-                    * mpmath.sin(beta * phi / 2) ** 2)
-        return v + ang / r ** 2
+        return v + hamiltonian_potential(desc.angular_spec, [phi], desc.beta) / r ** 2
 
 
 def ttw_ground_factor(desc, r, phi, dps):
+    """r^gamma exp(-omega r^2/2 [- a r^4/4]) times `psi0_cartesian` of the
+    angular spec at phi, with b -> -b in the printed convention."""
     with mp.workdps(dps):
-        r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
-        if r <= 0:
-            raise DomainError("radial coordinate must be positive")
-        beta = _mpf(desc.beta)
-        gamma = ttw_radial_power(desc, dps)
-        floor = _node_floor()
-        v = r ** gamma
-        v *= _abs_sin_pow(beta * phi, _mpf(desc.nu2), floor)
-        v *= _abs_sin_pow(beta * phi / 2, _mpf(desc.nu3), floor)
+        r = _ttw_radius(r)
+        v = r ** ttw_radial_power(desc, dps)
         expo = -_mpf(desc.omega) * r ** 2 / 2
         if desc.has_sextic:
             expo -= _mpf(desc.a) * r ** 4 / 4
-        if desc.has_angular_qes:
-            sign = -1 if desc.convention == "printed" else +1
-            expo += sign * _mpf(desc.b) * mpmath.cos(beta * phi)
-        return v * mpmath.exp(expo)
+        spec = desc.angular_spec
+        if desc.has_angular_qes and desc.convention == "printed":
+            spec = dataclasses.replace(spec, b=-spec.b)
+        return v * mpmath.exp(expo) * psi0_cartesian(spec, [phi], desc.beta)
 
 
 def stencil_step():
@@ -641,34 +652,32 @@ def measured_energies(bundle, polys, sample, *, beta=1, dps=40):
 def ttw_ground_check(desc, npoints, seed, dps):
     sample = ttw_sample(desc, npoints, seed)
     with mp.workdps(dps):
-        ground = TTWGround(desc, dps)
         h = stencil_step()
         values = []
         skipped = 0
         for (r, phi) in sample:
             try:
-                values.append(polar_residual(ground, r, phi, h))
+                values.append(polar_residual(desc, r, phi, h, dps))
             except DomainError:
                 skipped += 1
         return ResidualStats.from_values(values, skipped, 0)
 
 
-def polar_residual(ground, r, phi, h):
+def polar_residual(desc, r, phi, h, dps):
     """(H Psi0)/Psi0 at (r, phi) for H = -d_r^2 - (1/r) d_r - (1/r^2) d_phi^2
-    + V, by 4th-order stencils at step h.  d_r^2 and d_r read the same four
-    radial points."""
-    centre_r, centre_phi = ground.radial(r), ground.angular(phi)
-    centre = ground.factor(centre_r, centre_phi)
-    radial = [ground.factor(ground.radial(r + k * h), centre_phi)
-              for k in (1, -1, 2, -2)]
-    angular = [ground.factor(centre_r, ground.angular(phi + k * h))
-               for k in (1, -1, 2, -2)]
+    + V, by 4th-order stencils at step h on `ttw_ground_factor`.  d_r^2 and
+    d_r read the same four radial points."""
+    def factor(rr, pp):
+        return ttw_ground_factor(desc, rr, pp, dps)
+    centre = factor(r, phi)
+    radial = [factor(r + k * h, phi) for k in (1, -1, 2, -2)]
+    angular = [factor(r, phi + k * h) for k in (1, -1, 2, -2)]
     p1, m1, p2, m2 = radial
     lap_r = _second_difference(radial, centre, h)
     der_r = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
     lap_phi = _second_difference(angular, centre, h)
     return (-lap_r - der_r / r - lap_phi / r ** 2
-            + ground.potential(r, phi) * centre) / centre
+            + ttw_potential(desc, r, phi, dps) * centre) / centre
 
 
 def quadrature_norm(p, a, b):

@@ -361,9 +361,9 @@ def test_criterion_9_ttw_family():
     tiny = ttw_models("TTW_QES_RADIAL", a=Fraction(1, 10 ** 12), **base)
     plain = ttw_models("TTW", **base)
     with mp.workdps(40):
+        tiny_ground, plain_ground = cart.TTWGround(tiny, 40), cart.TTWGround(plain, 40)
         for (r, phi) in cart.ttw_sample(plain, 20, SEED + 10):
-            gap = abs(cart.ttw_potential(tiny, r, phi)
-                      - cart.ttw_potential(plain, r, phi))
+            gap = abs(tiny_ground.potential(r, phi) - plain_ground.potential(r, phi))
             if gap >= mpmath.mpf("1e-8"):
                 failures.append(f"a->0 potential gap {gap}")
                 break

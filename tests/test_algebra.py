@@ -4,7 +4,9 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_kernels
 from orbitforms import algebra
 from orbitforms.algebra import (GeneratorWord, check_structure, evaluate_word,
                                 fit_decomposition, g2_algebra_generators,
@@ -229,6 +231,33 @@ def test_fit_outside_the_span_returns_its_residual():
         [(c, names) for names, c in fit.coefficients]))
     assert fit.residual == h - fitted
     assert fit.unmatched == (((3,), (0,)),)
+
+
+SPAN_SETS = {"gl2": lambda: gl2_generators(2), "gl3": lambda: gln_generators(2, 1),
+             "g2": lambda: g2_algebra_generators(1)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(sorted(SPAN_SETS)), data=st.data())
+def test_span_solve_matches_the_dense_rref_path(name, data):
+    # the sparse reduction gives the dense loop's coefficients and escapes:
+    # the pairwise commutators, an in-span combination of the words, and
+    # that combination plus a third-order term no word reaches
+    gs = SPAN_SETS[name]()
+    words = algebra.decomposition_words(gs)
+    word_ops = algebra._word_ops(gs, words)
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(words) - 1),
+                                         st.fractions(-3, 3, max_denominator=5)),
+                               min_size=1, max_size=4))
+    inside = DiffOp.zero(gs.d)
+    for i, c in picks:
+        inside = inside + word_ops[i] * c
+    outside = inside + DiffOp(gs.d, {(3,) + (0,) * (gs.d - 1): MultiPoly.const(gs.d, 1)})
+    targets = [commutator(gs.op(a), gs.op(b)) for i, a in enumerate(gs.names)
+               for b in gs.names[i + 1:]] + [inside, outside]
+    coefficients, escapes = algebra._span_solve(word_ops, targets)
+    assert (coefficients, escapes) == reference_kernels.span_solve(word_ops, targets)
+    assert escapes[-2:] == [False, True]
 
 
 def test_g2_pairwise_closure_in_report():

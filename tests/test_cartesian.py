@@ -60,6 +60,8 @@ def test_psi0_node_error():
     spec = build_bc1(1, 0).spec
     with pytest.raises(DomainError):
         cart.psi0_cartesian(spec, [mpmath.pi])
+    with pytest.raises(DomainError):
+        cart.CheckGround(spec).log_derivatives([mpmath.pi])
 
 
 def test_potential_bc1_single_coupling():
@@ -68,20 +70,20 @@ def test_potential_bc1_single_coupling():
     g3 = nu3 * (nu3 - 1)
     x = mpmath.mpf("0.8")
     expected = mpmath.mpf(g3.numerator) / g3.denominator / 4 / mpmath.sin(x / 2) ** 2
-    assert abs(cart.hamiltonian_potential(spec, [x]) - expected) < mpmath.mpf("1e-20")
+    assert abs(cart.CheckGround(spec).potential([x]) - expected) < mpmath.mpf("1e-20")
 
 
 def test_potential_sutherland_symmetric():
     spec = build_sutherland(2, HALF).spec
     a, b = mpmath.mpf("0.7"), mpmath.mpf("1.9")
-    assert abs(cart.hamiltonian_potential(spec, [a, b])
-               - cart.hamiltonian_potential(spec, [b, a])) < mpmath.mpf("1e-25")
+    ground = cart.CheckGround(spec)
+    assert abs(ground.potential([a, b]) - ground.potential([b, a])) < mpmath.mpf("1e-25")
 
 
 def test_potential_singularity_error():
     spec = build_sutherland(2, HALF).spec
     with pytest.raises(DomainError):
-        cart.hamiltonian_potential(spec, [mpmath.mpf(1), mpmath.mpf(1)])
+        cart.CheckGround(spec).potential([mpmath.mpf(1), mpmath.mpf(1)])
 
 
 # -- the root table against the per-family formulas it replaced ---------------
@@ -206,7 +208,7 @@ def test_root_table_matches_per_family_formulas(spec, beta, seed):
         betam = _q(beta)
         psi0, ref = cart.psi0_cartesian(spec, x, beta), reference_psi0(spec, x, betam)
         assert abs(psi0 - ref) <= mpmath.mpf("1e-35") * abs(ref)
-        pot, ref = (cart.hamiltonian_potential(spec, x, beta),
+        pot, ref = (cart.CheckGround(spec, beta).potential(x),
                     reference_potential(spec, x, betam))
         assert abs(pot - ref) <= mpmath.mpf("1e-35") * max(1, abs(ref))
         # and bit for bit the per-call functions the check constants replaced
@@ -245,7 +247,7 @@ def test_imaginary_beta_gives_sinh_formulas():
         psi0 = abs(sh(x[0])) ** _q(nu2) * abs(sh(x[0] / 2)) ** _q(nu3)
         assert abs(cart.psi0_cartesian(spec, x[:1], i) - psi0) < mpmath.mpf("1e-38")
         pot = _q(g2) / sh(x[0]) ** 2 + _q(g3) / (4 * sh(x[0] / 2) ** 2)
-        assert abs(cart.hamiltonian_potential(spec, x[:1], i) - pot) < mpmath.mpf("1e-38")
+        assert abs(cart.CheckGround(spec, i).potential(x[:1]) - pot) < mpmath.mpf("1e-38")
         # BC_2, with the half kinetic factor
         spec = build_bcn(2, nu, nu2, nu3).spec
         psi0 = (abs(sh((x[0] - x[1]) / 2) * sh((x[0] + x[1]) / 2)) ** _q(nu)
@@ -255,7 +257,7 @@ def test_imaginary_beta_gives_sinh_formulas():
         pot = (_q(g) / 4 * (1 / sh((x[0] - x[1]) / 2) ** 2 + 1 / sh((x[0] + x[1]) / 2) ** 2)
                + _q(g2) / 2 * (1 / sh(x[0]) ** 2 + 1 / sh(x[1]) ** 2)
                + _q(g3) / 8 * (1 / sh(x[0] / 2) ** 2 + 1 / sh(x[1] / 2) ** 2))
-        assert abs(cart.hamiltonian_potential(spec, x, i) - pot) < mpmath.mpf("1e-38")
+        assert abs(cart.CheckGround(spec, i).potential(x) - pot) < mpmath.mpf("1e-38")
 
 
 def test_sampling_is_deterministic():
@@ -432,14 +434,14 @@ def test_ttw_plain_potential_formula():
                        / mpmath.sin(beta * phi) ** 2
                        + mpmath.mpf(g3.numerator) / g3.denominator * beta ** 2
                        / (4 * mpmath.sin(beta * phi / 2) ** 2)) / r ** 2)
-        assert abs(cart.ttw_potential(d, r, phi) - expected) < mpmath.mpf("1e-20")
+        assert abs(cart.TTWGround(d, 40).potential(r, phi) - expected) < mpmath.mpf("1e-20")
 
 
 def test_ttw_ground_factor_printed_term_by_term():
     d = ttw_models("TTW", convention="printed", **BASE)
     r, phi = mpmath.mpf(1), mpmath.pi / (2 * mpmath.mpf(3) / 2)
     with mp.workdps(40):
-        val = cart.ttw_ground_factor(d, r, phi)
+        val = cart.TTWGround(d, 40).factor(r, phi)
         beta = mpmath.mpf(3) / 2
         expected = (r ** (mpmath.mpf(5) / 6 * beta)
                     * abs(mpmath.sin(beta * phi)) ** mpmath.mpf("0.5")
@@ -456,8 +458,8 @@ def test_ttw_full_factor_exponent_signs():
     with mp.workdps(40):
         beta = mpmath.mpf(3) / 2
         b = mpmath.mpf(2) / 5
-        ratio = (cart.ttw_ground_factor(full, r, phi)
-                 / cart.ttw_ground_factor(full_printed, r, phi))
+        ratio = (cart.TTWGround(full, 40).factor(r, phi)
+                 / cart.TTWGround(full_printed, 40).factor(r, phi))
         # identical except r-power and the sign of b cos(beta phi)
         gamma_gap = (cart.ttw_radial_power(full)
                      - mpmath.mpf(5) / 6 * beta)
@@ -480,10 +482,11 @@ def test_ttw_radial_power_is_continuous_at_b_zero():
 
 def test_ttw_r_must_be_positive():
     d = ttw_models("TTW", **BASE)
+    ground = cart.TTWGround(d, 40)
     with pytest.raises(DomainError):
-        cart.ttw_potential(d, mpmath.mpf(0), mpmath.mpf(1))
+        ground.potential(mpmath.mpf(0), mpmath.mpf(1))
     with pytest.raises(DomainError):
-        cart.ttw_ground_factor(d, mpmath.mpf(-1), mpmath.mpf(1))
+        ground.factor(mpmath.mpf(-1), mpmath.mpf(1))
 
 
 def test_ttw_ground_constancy_quick():
@@ -733,29 +736,35 @@ def test_shared_monomials_convert_once_per_precision():
 
 
 def test_ttw_point_evaluates_one_radial_and_one_angular_log_derivative(monkeypatch):
-    # each point takes the closed-form log-derivatives of the radial and of
-    # the angular part once and one potential; the ground factor itself, and
-    # so its exp, is never evaluated
-    calls = dict.fromkeys(["radial_log", "angular_log", "potential", "radial",
-                           "angular", "exp"], 0)
+    # each point takes the closed-form log-derivatives of the radial part
+    # and the bc1 log-derivatives in phi once, and one potential, whose
+    # angular half is the bc1 potential; the ground factor itself, and so
+    # its exp, is never evaluated
+    calls = {}
 
     def count(owner, name):
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    for name in ("radial_log", "angular_log", "potential", "radial", "angular"):
+    for name in ("radial_log", "potential", "radial", "factor"):
         count(cart.TTWGround, name)
+    for name in ("log_derivatives", "potential", "psi0"):
+        count(cart.CheckGround, name)
     count(cart.mpmath, "exp")
     for variant, extra in (("TTW", {}), ("TTW_QES_FULL", dict(a=HALF, b=Fraction(2, 5)))):
         calls.update(dict.fromkeys(calls, 0))
         st = cart.ttw_ground_check(ttw_models(variant, **extra, **BASE),
                                    npoints=2, seed=11)
         assert st.skipped == 0
-        assert calls == {"radial_log": 2, "angular_log": 2, "potential": 2,
-                         "radial": 0, "angular": 0, "exp": 0}
+        assert calls == {"TTWGround.radial_log": 2, "CheckGround.log_derivatives": 2,
+                         "TTWGround.potential": 2, "CheckGround.potential": 2,
+                         "TTWGround.radial": 0, "TTWGround.factor": 0,
+                         "CheckGround.psi0": 0, "mpmath.exp": 0}
 
 
 def test_ttw_suite_honours_sample_points(tmp_path, monkeypatch):
@@ -813,8 +822,9 @@ def test_ttw_ground_check_matches_the_per_call_path(variant, convention, dps,
     # the exact log-derivatives against the polar stencil: the same points
     # skipped and the same raises, and each value within
     # 10^(-dps/2) max(1, |E|); the examples have no real radial power, so
-    # every point raises.  The point functions match the per-call path bit
-    # for bit.
+    # every point raises.  The ground factor and the potential match the
+    # per-call reference, which composes the bc1 point functions, bit for
+    # bit.
     params = {"a": a, "b": b}
     desc = ttw_models(variant, nu2=nu2, nu3=nu3, beta=Fraction(3, 2),
                       omega=Fraction(1), convention=convention,
@@ -841,11 +851,12 @@ def test_ttw_ground_check_matches_the_per_call_path(variant, convention, dps,
             for value, ref in zip(values, ref_values):
                 assert abs(value - ref) <= bound * max(1, abs(value))
     (r, phi), = cart.ttw_sample(desc, 1, seed)
-
-    def point_values(module):
-        return [outcome(lambda: getattr(module, fn)(desc, r, phi, dps))
-                for fn in ("ttw_ground_factor", "ttw_potential")]
-    assert point_values(cart) == point_values(reference_kernels)
+    with mp.workdps(dps):
+        ground = cart.TTWGround(desc, dps)
+        values = [outcome(lambda: ground.factor(r, phi)),
+                  outcome(lambda: ground.potential(r, phi))]
+    assert values == [outcome(lambda: reference_kernels.ttw_ground_factor(desc, r, phi, dps)),
+                      outcome(lambda: reference_kernels.ttw_potential(desc, r, phi, dps))]
 
 
 @pytest.mark.parametrize("variant, family", [("TTW", "BC1"), ("TTW_QES_RADIAL", "BC1"),
@@ -863,9 +874,11 @@ def test_ttw_reads_its_bc1_constants_from_one_spec_per_descriptor(variant, famil
     else:
         assert spec == ModelSpec("BC1_QES", nu2=nu2, nu3=nu3, b=b, n=2)
     # the level m reaches the potential as the per-call path writes it
-    for r, phi in cart.ttw_sample(desc, 3, 5):
-        assert (cart.ttw_potential(desc, r, phi, 30)
-                == reference_kernels.ttw_potential(desc, r, phi, 30))
+    with mp.workdps(30):
+        ground = cart.TTWGround(desc, 30)
+        assert ground.bc1.spec is spec and ground.ground is ground.bc1
+        for r, phi in cart.ttw_sample(desc, 3, 5):
+            assert ground.potential(r, phi) == reference_kernels.ttw_potential(desc, r, phi, 30)
 
 
 # -- accuracy of the exact derivatives --------------------------------------------

@@ -179,6 +179,11 @@ def test_real_roots_of_distinct_rationals():
     assert found[1][0] == found[1][1] == 0      # the root 0 is exact
 
 
+def square_free_factors(f):
+    """Yun's square-free factors of f, from gcd(f, f')."""
+    return linalg._yun(f, linalg._gcd(f, linalg._derivative(f)))
+
+
 def test_real_roots_closer_than_the_isolation_grid():
     for r in (F(1), F(1, 3)):     # the first on the grid, the second not
         close = [(r, 1), (r + F(1, 2 ** 60), 1), (F(-3), 1)]
@@ -190,7 +195,7 @@ def test_real_roots_closer_than_the_isolation_grid():
 def test_real_roots_with_multiplicities():
     roots = [(F(1, 3), 2), (F(-2), 3), (F(7, 5), 1), (F(0), 4)]
     assert_certified(planted(roots), roots)
-    assert linalg.square_free_factors(planted(roots)) == [
+    assert square_free_factors(planted(roots)) == [
         ([5, -7], 1), ([3, -1], 2), ([1, 2], 3), ([1, 0], 4)]
 
 
@@ -222,7 +227,7 @@ def test_real_roots_find_planted_roots(roots, pair, sign):
     coeffs = [sign * c for c in planted(list(roots.items()), extra=pair)]
     assert_certified(coeffs, list(roots.items()))
     product = [1]
-    for g, m in linalg.square_free_factors(coeffs):
+    for g, m in square_free_factors(coeffs):
         for _ in range(m):
             product = times(product, g)
     unit = coeffs[0] // product[0]

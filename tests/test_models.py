@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforms import cartesian as cart
 from orbitforms import models
+from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
 from orbitforms.models import (_assemble_second_order, _bc_pairs,
@@ -20,7 +21,8 @@ from orbitforms.models import (_assemble_second_order, _bc_pairs,
                                sutherland_coefficients,
                                sutherland_eigenvalue_printed, ttw_models)
 from orbitforms.poly import MultiPoly
-from orbitforms.report import CEILINGS
+from orbitforms.report import CEILINGS, RunConfig
+from orbitforms.suites import suite_gauge
 import reference_kernels as ref
 from test_poly import assert_same_poly
 
@@ -587,6 +589,35 @@ def test_a_perturbed_root_coupling_fails_the_gauge_identity_and_the_oracle(
     monkeypatch.setattr(cart, "root_table", perturbed)
     exact, spread = checks()
     assert not exact and spread > mpmath.mpf("1e-3")
+
+
+GAUGE_POTENTIAL_CHECKS = ("gauge/potential-vs-cartesian/bc2",
+                          "gauge/potential-vs-cartesian/bc3")
+
+
+def test_gauge_potential_mismatch_is_bounded_by_the_working_precision(monkeypatch, tmp_path):
+    # the bound is 10^(10 - dps): the shipped potentials pass at 20 digits,
+    # and at 40 a BC short-root coupling off by one part in 10^20 on the
+    # Cartesian side alone fails both checks
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    assert main(["verify", "--suite", "gauge", "--seed", "1", "--dps", "20",
+                 "--out", str(tmp_path / "r")]) == 0
+    def records(dps):
+        config = RunConfig.from_items({"suite": "gauge", "seed": 1, "dps": dps})
+        return {c.name: c for c in suite_gauge(config) if c.name in GAUGE_POTENTIAL_CHECKS}
+    for dps in (20, 40):
+        for rec in records(dps).values():
+            assert rec.status in ("pass", "reported-offset"), (dps, rec.details)
+            assert mpmath.mpf(rec.numeric["max_relative_mismatch"]) < mpmath.mpf(10) ** (10 - dps)
+    real = cart.root_table
+
+    def wrong_wall(spec):
+        *rest, short = real(spec)
+        return (*rest, dataclasses.replace(
+            short, coupling=short.coupling * (1 + Fraction(1, 10 ** 20))))
+    monkeypatch.setattr(cart, "root_table", wrong_wall)
+    for rec in records(40).values():
+        assert rec.status == "fail" and "potential mismatch" in rec.details
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,11 @@
 
 import functools
 import json
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -114,11 +116,28 @@ def test_cache_misses_on_another_version_or_schema(tmp_path, monkeypatch):
     assert cache_lookup(cfg) is None
 
 
-def test_cache_key_covers_the_whitelist(monkeypatch):
+def test_cache_key_covers_the_whitelist(monkeypatch, tmp_path):
     items = {"command": "verify", "suite": "pi"}
+    source_digest = report._source_digest.__wrapped__    # uncached
     before = RunConfig.from_items(items).digest()
     monkeypatch.setattr(report, "_whitelist_text", lambda: '{"entries": {}}')
     assert RunConfig.from_items(items).digest() != before
+    # a changed program under the same version string keys a new entry
+    monkeypatch.undo()
+    assert RunConfig.from_items(items).digest() == before
+    monkeypatch.setattr(report, "_source_digest", lambda: "0" * 64)
+    assert RunConfig.from_items(items).digest() != before
+    # and that digest reads every module and data file of the package
+    package = tmp_path / "orbitforms"
+    shutil.copytree(Path(report.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(report, "__file__", str(package / "report.py"))
+    digests = {source_digest()}
+    for name in ("linalg.py", "data/whitelist.json"):
+        with open(package / name, "a") as f:
+            f.write(" ")
+        digests.add(source_digest())
+    assert len(digests) == 3
 
 
 def test_one_main_call_computes_the_cache_key_once(tmp_path, monkeypatch, capsys):

@@ -19,8 +19,8 @@ from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
 from orbitforms.spectral import (NUMERIC_DPS, NUMERIC_TOL, SpectralEntry, SpectrumRecord,
-                                 _jacobi_polynomials, jacobi_gram, jacobi_reference,
-                                 numeric_eigenvalues, orthogonality_check,
+                                 _gram, _jacobi_polynomials, _weight_exponents,
+                                 jacobi_reference, numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
 import reference_kernels
 from reference_linalg import (dense_action_matrix, dense_numeric_eigenvalues,
@@ -312,7 +312,8 @@ def quadrature_gram(nu2, nu3, pmax):
 def test_jacobi_gram_matches_quadrature(twice_nu2, twice_sum, pmax):
     nu2 = Fraction(twice_nu2, 2)
     nu3 = Fraction(twice_sum, 2) - nu2
-    exact = jacobi_gram(nu2, nu3, pmax)
+    a, b = _weight_exponents(nu2, nu3)
+    exact = _gram(a, b, _jacobi_polynomials(pmax, a, b))
     with mpmath.mp.workdps(40):
         reference = quadrature_gram(nu2, nu3, pmax)
         for exact_row, ref_row in zip(exact, reference):
@@ -654,7 +655,7 @@ GOLDEN_SUITE_SHA256 = {
     "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
     "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
     "gauge": "fd4872673caaf1a20a248167ad4f235196259c4e608694a35b33c9cb2e964f0a",
-    "ttw": "03f4140265e967779e94ddb94d19cf3c4d761edd8562d198a51c73151d7ee466",
+    "ttw": "98e3ea9e7e7a182ba5257b905aa5ca13123823fb267c37f166fa40ba054370d3",
     "cartesian --sample-points 10":
         "c2598eadcdbba0c807bbb02d754e8b3e5f7402414b02237c47e06eb3f8b50c3e",
 }
