@@ -336,20 +336,23 @@ class CheckGround:
         """(grad log Psi0, Laplacian of log Psi0) at x, off the nodes: each
         root adds its slopes times cot and its curvature over sin^2 of the
         angle that `psi0` takes, and the BC1_QES factor adds
-        -b beta sin(beta x) and -b beta^2 cos(beta x).  A node raises as in
+        -b beta sin(beta x) and -b beta^2 cos(beta x), read off the long
+        root, whose angle beta (2x) / 2 is beta x.  A node raises as in
         `psi0`."""
         beta, floor = self.beta, self.floor
         grad = [0] * len(x)
         lap = 0
+        angles = []
         for forms, slopes, curvature in self.log_terms:
             for form, slope in zip(forms, slopes):
                 c, s = _cos_sin_off_node(beta * _form_value(form, x) / 2, floor)
+                angles.append((c, s))
                 cot = c / s
                 for i, k in slope:
                     grad[i] += k * cot
                 lap += curvature / (s * s)
         if self.qes:
-            c, s = mpmath.cos_sin(beta * x[0])
+            (c, s), _ = angles          # the long root, then the short one
             b_beta, b_b2 = self.qes_log
             grad[0] -= b_beta * s
             lap -= b_b2 * c
@@ -357,18 +360,21 @@ class CheckGround:
 
     def potential(self, x: Sequence):
         """V = sum over orbits of orbit.potential * beta^2 * sum_alpha
-        1/sin^2(beta alpha.x / 2), plus the BC1_QES terms; orbit.potential
-        carries the kinetic factor (1 for the one-variable family, 1/2 for
-        the others)."""
+        1/sin^2(beta alpha.x / 2), plus the BC1_QES terms in sin^2(beta x)
+        and sin^2(beta x / 2), the long and the short root's sines;
+        orbit.potential carries the kinetic factor (1 for the one-variable
+        family, 1/2 for the others)."""
         beta = self.beta
         v = 0
+        sines = []
         for forms, _, c in self.orbits:
-            v += c * sum(_inv_sin2(beta * _form_value(form, x) / 2)
-                         for form in forms)
+            orbit = [mpmath.sin(beta * _form_value(form, x) / 2) for form in forms]
+            v += c * sum(_inv_square(s) for s in orbit)
+            sines += orbit
         if self.qes:
             _, c_sin, c_half = self.qes
-            v += (c_sin * mpmath.sin(beta * x[0]) ** 2
-                  + c_half * mpmath.sin(beta * x[0] / 2) ** 2)
+            s_long, s_short = sines
+            v += c_sin * s_long ** 2 + c_half * s_short ** 2
         return v
 
 
@@ -378,8 +384,8 @@ def psi0_cartesian(spec: ModelSpec, x: Sequence, beta=1):
     return CheckGround(spec, beta).psi0(x)
 
 
-def _inv_sin2(arg):
-    s = mpmath.sin(arg)
+def _inv_square(s):
+    """1/s^2 for the sine s of a root's angle; a wall (s = 0) raises."""
     if s == 0:
         raise DomainError("potential evaluated on a singular wall")
     return 1 / (s * s)

@@ -20,8 +20,14 @@ characteristic polynomial instead: the integer polynomial charpoly(den M)
 (Berkowitz on the same columns) is split into square-free factors, and
 each real root is isolated by a Sturm chain and refined by integer Newton
 steps to a bracket 2^-ROOT_BITS wide on den lambda, certified by an exact
-sign change (linalg.real_roots).  A spectrum with a non-real eigenvalue is
-refused with DomainError; no QES step solves numerically.
+sign change (linalg.real_roots).  The brackets, with multiplicity, must
+hold the exact integer trace of den M.  A spectrum with a non-real
+eigenvalue is refused with DomainError; no QES step solves numerically.
+
+The one-variable eigenpolynomials are Jacobi polynomials, and their Gram
+matrix under the squared ground factor comes exactly from Beta moments: the
+off-diagonal products must be 0 and each norm its closed form
+(orthogonality_check).
 
 On demand (on by default) the solvable multiset is also compared with the
 NUMERIC_DPS-digit values of the certified triangular matrix, its diagonal
@@ -215,7 +221,6 @@ class QesSpectrumRecord:
     matrix: ExactMatrix
     eigenvalues: tuple            # mpf values, ascending
     max_imag: object              # mpf 0: every eigenvalue is proven real
-    trace_gap: object
 
 
 def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
@@ -226,9 +231,11 @@ def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
     roots of charpoly(den M), an integer polynomial, each proven by
     linalg.real_roots in a bracket 2^-ROOT_BITS wide on den lambda by an
     exact sign change.  A spectrum with a non-real eigenvalue is refused
-    with DomainError, and max_imag is exactly 0.  Each value printed is a
-    bracket midpoint over den at NUMERIC_DPS digits; their sum must equal
-    the exact trace within NUMERIC_TOL, or InconsistencyError is raised.
+    with DomainError, and max_imag is exactly 0.  The brackets (lo, hi, m)
+    must hold the exact trace of den M, an int:
+    sum m lo <= 2^ROOT_BITS sum_j den M[j][j] <= sum m hi, or
+    InconsistencyError is raised.  Each value printed is a bracket midpoint
+    over den at NUMERIC_DPS digits.
     """
     if model.eigenvalue is not None:
         raise UnsupportedModel("qes_spectrum is for QES families")
@@ -247,15 +254,14 @@ def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
     if real < matrix.dim:
         raise DomainError(f"{model.spec.family.lower()} at n={n}: {matrix.dim - real} "
                           f"of its {matrix.dim} eigenvalues are non-real")
+    trace = sum(col.get(j, 0) for j, col in enumerate(matrix.columns)) << ROOT_BITS
+    if not (sum(m * lo for lo, _, m in roots) <= trace <= sum(m * hi for _, hi, m in roots)):
+        raise InconsistencyError(f"QES eigenvalue brackets miss the exact trace "
+                                 f"{matrix.trace()}")
     with mp.workdps(NUMERIC_DPS):
         eigvals = tuple(mpmath.ldexp(mpmath.mpf(lo + hi), -ROOT_BITS - 1) / matrix.den
                         for lo, hi, m in roots for _ in range(m))
-        exact_trace = matrix.trace()
-        trace_gap = abs(sum(eigvals) - _to_mp(exact_trace))
-        if trace_gap > mpmath.mpf(NUMERIC_TOL):
-            raise InconsistencyError(f"QES eigenvalues miss the exact trace "
-                                     f"{exact_trace} by {mpmath.nstr(trace_gap, 3)}")
-    return QesSpectrumRecord(model.spec.family, n, matrix, eigvals, mp.mpf(0), trace_gap)
+    return QesSpectrumRecord(model.spec.family, n, matrix, eigvals, mp.mpf(0))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +311,6 @@ def proportional_scalar(p: MultiPoly, q: MultiPoly) -> Fraction | None:
 # Orthogonality under the squared ground factor
 # ---------------------------------------------------------------------------
 
-SPOT_QUADRATURE_DEGREE = 8
-
-
 def _weight_exponents(nu2, nu3) -> tuple[Fraction, Fraction]:
     """(a, b) of the weight (1-tau)^a (1+tau)^b; both must exceed -1."""
     nu2, nu3 = Fraction(nu2), Fraction(nu3)
@@ -345,63 +348,31 @@ def _gram(a: Fraction, b: Fraction, polys: Sequence[MultiPoly]) -> list[list[Fra
     return gram
 
 
-def orthogonality_check(nu2, nu3, pmax: int, *, dps: int = 40):
+def orthogonality_check(nu2, nu3, pmax: int):
     """Orthogonality of the one-variable eigenpolynomials p_0..p_pmax under
     the weight of `_gram`, decided exactly from its Beta moments.
 
-    Returns (max |<p_i p_j>| over i != j, min <p_i p_i>, spot_gap).  The first
-    two are exact Fractions; orthogonality holds when the first is 0 and the
-    second positive.  spot_gap is the relative distance between the exact
-    norm <p_pmax^2> and its Gauss-Legendre value, a numeric cross-check of
-    the moment formula.
+    Returns (max |<p_i p_j>| over i != j, min <p_i p_i>, max norm gap), all
+    exact Fractions.  The norm gap compares each <p_p^2> with the closed form
+    (Szego, Orthogonal Polynomials, eq. (4.3.3), over the Beta mass)
+
+        <P_p^2> = (a+1)_p (b+1)_p / ((2p+a+b+1) p! (a+b+2)_{p-1}),
+
+    which is 1 at p = 0.  Orthogonality holds when the first value is 0 and
+    the second positive; the norms are the closed form when the third is 0.
     """
     a, b = _weight_exponents(nu2, nu3)
     if pmax < 1:
         raise DomainError("need pmax >= 1")
-    polys = _jacobi_polynomials(pmax, a, b)
-    gram = _gram(a, b, polys)
+    gram = _gram(a, b, _jacobi_polynomials(pmax, a, b))
     max_off = max(abs(gram[i][j]) for i in range(pmax + 1)
                   for j in range(pmax + 1) if i != j)
     min_norm = min(gram[i][i] for i in range(pmax + 1))
-    with mp.workdps(dps):
-        exact = mpmath.mpf(gram[pmax][pmax].numerator) / gram[pmax][pmax].denominator
-        spot_gap = abs(_quadrature_norm(polys[pmax], a, b) - exact) / exact
-    return max_off, min_norm, spot_gap
-
-
-def _quadrature_norm(p: MultiPoly, a: Fraction, b: Fraction):
-    """<p^2> under (1-tau)^a (1+tau)^b by two Gauss-Legendre quadratures.
-
-    In s = (1+tau)/2 the weight is s^b (1-s)^a.  Each half of [0, 1] is
-    mapped so that its endpoint singularity disappears: with e + 1 = r/q in
-    lowest terms for the exponent e at that end, u = v^q turns
-    u^e du into q v^(r-1) dv, and the integrand is analytic in v.  The
-    coefficients of p are converted once per call, as mpf(numerator) /
-    denominator at the working precision, and p is evaluated by Horner at
-    tau = 2s - 1 at every node.
-    """
-    top = p.leading_term()[0][0]
-    coeffs = [mpmath.mpf(c.numerator) / c.denominator
-              for c in (p.coeff((k,)) for k in range(top, -1, -1))]
-
-    def p_at(tau):
-        acc = 0
-        for c in coeffs:
-            acc = acc * tau + c
-        return acc
-
-    def half(e_near: Fraction, e_far: Fraction, at_zero: bool):
-        q, r = e_near.denominator, (e_near + 1).numerator
-        far = mpmath.mpf(e_far.numerator) / e_far.denominator
-
-        def integrand(v):
-            u = v ** q                    # distance from the endpoint
-            s = u if at_zero else 1 - u
-            return q * v ** (r - 1) * (1 - u) ** far * p_at(2 * s - 1) ** 2
-        return mpmath.quad(integrand, [0, mpmath.mpf(2) ** (-mpmath.mpf(1) / q)],
-                           method="gauss-legendre",
-                           maxdegree=SPOT_QUADRATURE_DEGREE)
-
-    mass = mpmath.beta(mpmath.mpf(b.numerator) / b.denominator + 1,
-                       mpmath.mpf(a.numerator) / a.denominator + 1)
-    return (half(b, a, True) + half(a, b, False)) / mass
+    norm, gap = Fraction(1), abs(gram[0][0] - 1)
+    for p in range(1, pmax + 1):
+        # (a+1)_p (b+1)_p / (p! (a+b+2)_{p-1}), one factor of each per step
+        norm *= (a + p) * (b + p) / p
+        if p > 1:
+            norm /= a + b + p
+        gap = max(gap, abs(gram[p][p] - norm / (2 * p + a + b + 1)))
+    return max_off, min_norm, gap

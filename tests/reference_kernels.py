@@ -30,10 +30,7 @@ They agree with the exact pass to the stencil's error, about
 10^(-2 dps/3), and they skip a point whose stencil meets a wall.  The TTW
 point functions `ttw_ground_factor` and `ttw_potential` put the radial
 factor on `psi0_cartesian` and `hamiltonian_potential` of the angular
-spec, per call.
-`quadrature_norm` is the
-spot quadrature as it stood before its Horner pass, calling
-`MultiPoly.evaluate` at every node.  `exact_div` is the leading-term
+spec, per call.  `exact_div` is the leading-term
 division that rebuilt its Fraction remainder at every step, before the
 integer-numerator loop, and `gauge_conjugate` with `common_denominator` and
 `log_gradient_over_common` is the conjugation over the common denominator D
@@ -51,7 +48,7 @@ from mpmath import mp
 
 from orbitforms.cartesian import (CheckGround, ResidualStats, SharedMonomials,
                                   _abs_sin_pow, _form_value,
-                                  _inv_sin2, _laplacian, _mpf, _node_floor,
+                                  _inv_square, _laplacian, _mpf, _node_floor,
                                   _relative, _second_difference, _shifted,
                                   kinetic_half, root_table,
                                   ttw_r2_coefficient, ttw_radial_power,
@@ -60,7 +57,6 @@ from orbitforms.diffop import DiffOp, GaugeFactor
 from orbitforms.errors import (DimensionMismatch, DomainError, FlagViolation,
                                UnsupportedOrder)
 from orbitforms.poly import MultiPoly, RationalFn
-from orbitforms.spectral import SPOT_QUADRATURE_DEGREE
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -560,7 +556,8 @@ def hamiltonian_potential(spec, x, beta=1):
     v = 0
     for orbit in root_table(spec):
         v += _mpf(orbit.potential) * b2 * sum(
-            _inv_sin2(beta * _form_value(form, x) / 2) for form in orbit.forms)
+            _inv_square(mpmath.sin(beta * _form_value(form, x) / 2))
+            for form in orbit.forms)
     if spec.family == "BC1_QES":
         bb = _mpf(spec.b)
         v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
@@ -678,26 +675,6 @@ def polar_residual(desc, r, phi, h, dps):
     lap_phi = _second_difference(angular, centre, h)
     return (-lap_r - der_r / r - lap_phi / r ** 2
             + ttw_potential(desc, r, phi, dps) * centre) / centre
-
-
-def quadrature_norm(p, a, b):
-    """`spectral._quadrature_norm` with `MultiPoly.evaluate` squared at every
-    Gauss-Legendre node, as it stood before the once-per-call conversion and
-    the Horner pass."""
-    def half(e_near, e_far, at_zero):
-        q, r = e_near.denominator, (e_near + 1).numerator
-        far = mpmath.mpf(e_far.numerator) / e_far.denominator
-
-        def integrand(v):
-            u = v ** q
-            s = u if at_zero else 1 - u
-            return q * v ** (r - 1) * (1 - u) ** far * p.evaluate([2 * s - 1]) ** 2
-        return mpmath.quad(integrand, [0, mpmath.mpf(2) ** (-mpmath.mpf(1) / q)],
-                           method="gauss-legendre", maxdegree=SPOT_QUADRATURE_DEGREE)
-
-    mass = mpmath.beta(mpmath.mpf(b.numerator) / b.denominator + 1,
-                       mpmath.mpf(a.numerator) / a.denominator + 1)
-    return (half(b, a, True) + half(a, b, False)) / mass
 
 
 def exact_div(p: MultiPoly, divisor: MultiPoly):

@@ -384,6 +384,8 @@ def test_cli_violation_of_a_bundle_flag_stays_exit_3(monkeypatch, capsys):
     (("--suite", "cartesian", "--dps", "-4"), None),
     (("--suite", "ttw"), "sample_points=0\n"),
     (("--suite", "flags"), "model=BC1\n"),
+    # the tolerances are constants of the suites, not configuration: each
+    # of the three keys is unknown, whatever its value
     (("--suite", "cartesian"), "residual_tol=abc\n"),
     (("--suite", "ttw"), "constancy_tol=xyz\n"),
     (("--suite", "cartesian"), "orthogonality_tol=1/0\n"),
@@ -432,9 +434,9 @@ def test_cli_refuses_values_over_their_ceiling(tmp_path, capsys, head, key, via_
 
 @pytest.mark.parametrize("via_config", [False, True])
 def test_cli_refuses_dps_below_its_floor(tmp_path, capsys, via_config):
-    # at 3 digits or fewer the spot quadrature's node generation never ends,
-    # so such a run is refused before any work starts
-    for value in range(1, FLOORS["dps"]):
+    # a run needs at least one digit, and is refused before any work starts
+    assert FLOORS["dps"] == 1
+    for value in (0, -1):
         if via_config:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"dps={value}\n")
@@ -450,6 +452,15 @@ def test_every_suite_that_reads_dps_ends_at_the_floor(tmp_path, monkeypatch, sui
     monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
     assert main(["verify", "--suite", suite, "--sample-points", "2",
                  "--dps", str(FLOORS["dps"]), "--out", str(tmp_path / "r")]) in (0, 3)
+
+
+def test_cartesian_suite_passes_at_14_digits(tmp_path, monkeypatch):
+    # every bound of the suite follows the working precision: the a2 ground
+    # identity's is 10^(10 - dps), not a fixed 1e-12 (its deviation reads
+    # 1.6e-12 at 14 digits, seed 1)
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    assert main(["verify", "--suite", "cartesian", "--dps", "14",
+                 "--out", str(tmp_path / "r")]) == 0
 
 
 def test_ceilings_admit_every_shipped_level():

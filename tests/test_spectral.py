@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from math import factorial, prod
 
 import mpmath
 import pytest
@@ -18,11 +19,10 @@ from orbitforms.errors import (DomainError, FormulaMismatch, InconsistencyError,
 from orbitforms.models import (build_bc1, build_bc1_qes, build_bcn, build_g2,
                                build_sutherland)
 from orbitforms.poly import MultiPoly
-from orbitforms.spectral import (NUMERIC_DPS, NUMERIC_TOL, SpectralEntry, SpectrumRecord,
+from orbitforms.spectral import (NUMERIC_DPS, SpectralEntry, SpectrumRecord,
                                  _gram, _jacobi_polynomials, _weight_exponents,
                                  jacobi_reference, numeric_eigenvalues, orthogonality_check,
                                  proportional_scalar, qes_spectrum, spectrum)
-import reference_kernels
 from reference_linalg import (dense_action_matrix, dense_numeric_eigenvalues,
                               dense_triangular_nullspace, dense_triangular_order,
                               dense_vector, exact_matrix, is_block_triangular,
@@ -100,33 +100,53 @@ def test_qes_level_zero_single_entry():
         assert abs(rec.eigenvalues[0] - target) < mpmath.mpf("1e-40")
 
 
-def test_qes_two_level_trace():
+REAL_ROOTS = linalg.real_roots
+
+
+def qes_with_brackets(monkeypatch, q, move=None):
+    """qes_spectrum(q) and the (lo, hi, m) brackets linalg.real_roots gave
+    it, after `move` (a function of the brackets and the flag dimension)."""
+    seen = []
+
+    def spied(coeffs, bits):
+        roots = REAL_ROOTS(coeffs, bits)
+        seen.append(move(roots, len(coeffs) - 1) if move else roots)
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "real_roots", spied)
+    return qes_spectrum(q), seen[-1]
+
+
+def holds_the_trace(rec, roots) -> bool:
+    """The certificate: the brackets, with multiplicity, hold the exact
+    trace of den M on the 2^-ROOT_BITS grid."""
+    trace = int(rec.matrix.trace() * rec.matrix.den) << spectral.ROOT_BITS
+    return (sum(m * lo for lo, _, m in roots) <= trace
+            <= sum(m * hi for _, hi, m in roots))
+
+
+def test_qes_two_level_trace(monkeypatch):
     q = build_bc1_qes(0, 0, 1, 1)
-    rec = qes_spectrum(q)
+    rec, roots = qes_with_brackets(monkeypatch, q)
     assert rec.matrix.trace() == 7      # exact matrix [[3,-2],[-2,4]]
-    assert rec.trace_gap < mpmath.mpf("1e-40")
+    assert holds_the_trace(rec, roots)
     assert rec.max_imag < mpmath.mpf("1e-40")
 
 
 def test_qes_spectrum_refuses_eigenvalues_off_the_exact_trace(monkeypatch):
     q = build_bc1_qes(Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), 3)
-    real = linalg.real_roots
-    den = restrict_to_flag(q.h, q.flag(3)).den
-    assert qes_spectrum(q).trace_gap < mpmath.mpf(NUMERIC_TOL)
+    rec, roots = qes_with_brackets(monkeypatch, q)
+    assert holds_the_trace(rec, roots)
+    for step in (1, -1):
+        def moved(roots, dim):
+            # one bracket dim + 1 grid steps up (or down): past the slack of
+            # at most one step per eigenvalue that the brackets leave
+            lo, hi, m = roots[1]
+            shift = step * (dim + 1)
+            return roots[:1] + [(lo + shift, hi + shift, m)] + roots[2:]
 
-    def planted(coeffs, bits, shift):
-        roots = real(coeffs, bits)
-        units = int(Fraction(shift) * den * 2 ** bits)   # shift lambda, not den lambda
-        lo, hi, m = roots[1]
-        roots[1] = (lo + units, hi + units, m)
-        return roots
-
-    # a shift far below the bound passes; one above it is refused
-    monkeypatch.setattr(linalg, "real_roots", lambda c, b: planted(c, b, "1e-40"))
-    assert qes_spectrum(q).trace_gap < mpmath.mpf(NUMERIC_TOL)
-    monkeypatch.setattr(linalg, "real_roots", lambda c, b: planted(c, b, "1e-20"))
-    with pytest.raises(InconsistencyError, match="exact trace"):
-        qes_spectrum(q)
+        with pytest.raises(InconsistencyError, match="exact trace"):
+            qes_with_brackets(monkeypatch, q, moved)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,17 +261,17 @@ def test_jacobi_identifies_bc1_eigenfunctions():
 # -- orthogonality --------------------------------------------------------------------
 
 def test_orthogonality_chebyshev_parity():
-    max_off, min_norm, spot_gap = orthogonality_check(0, 0, 2, dps=30)
+    max_off, min_norm, norm_gap = orthogonality_check(0, 0, 2)
     assert max_off == 0
     assert min_norm > 0
-    assert spot_gap < mpmath.mpf("1e-20")
+    assert norm_gap == 0
 
 
 def test_orthogonality_half_integer_weight():
-    max_off, min_norm, spot_gap = orthogonality_check(HALF, HALF, 3, dps=30)
+    max_off, min_norm, norm_gap = orthogonality_check(HALF, HALF, 3)
     assert max_off == 0
     assert min_norm > 0
-    assert spot_gap < mpmath.mpf("1e-20")
+    assert norm_gap == 0
 
 
 @pytest.mark.parametrize("nu2,nu3", [(Fraction(1, 3), Fraction(2, 5)),
@@ -259,25 +279,35 @@ def test_orthogonality_half_integer_weight():
 def test_orthogonality_exact_at_generic_parameters(nu2, nu3):
     # weight exponents that are not integers: Gauss-Legendre in the angle
     # variable misses orthogonality here by ~1e-9
-    max_off, min_norm, spot_gap = orthogonality_check(nu2, nu3, 8)
+    max_off, min_norm, norm_gap = orthogonality_check(nu2, nu3, 8)
     assert max_off == 0
     assert min_norm > 0
-    assert spot_gap < mpmath.mpf("1e-30")
+    assert norm_gap == 0
+
+
+def closed_form_norm(p: int, a: Fraction, b: Fraction) -> Fraction:
+    """<P_p^2> under (1-tau)^a (1+tau)^b over its mass: Szego's
+    2^(a+b+1) G(p+a+1) G(p+b+1) / ((2p+a+b+1) p! G(p+a+b+1)) over
+    2^(a+b+1) G(a+1) G(b+1) / G(a+b+2), in rising factorials."""
+    if p == 0:
+        return Fraction(1)
+    rising = lambda x, k: prod((x + i for i in range(k)), start=Fraction(1))
+    return (rising(a + 1, p) * rising(b + 1, p)
+            / ((2 * p + a + b + 1) * factorial(p) * rising(a + b + 2, p - 1)))
 
 
 weight_exponent = st.fractions(-1, 3, max_denominator=7).filter(lambda e: e > -1)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(a=weight_exponent, b=weight_exponent, pmax=st.integers(1, 10))
-def test_spot_quadrature_matches_the_per_node_evaluation(a, b, pmax):
-    # the Horner pass over coefficients converted once per call against
-    # `MultiPoly.evaluate` at every node
-    p = _jacobi_polynomials(pmax, a, b)[pmax]
-    with mpmath.mp.workdps(40):
-        horner = spectral._quadrature_norm(p, a, b)
-        reference = reference_kernels.quadrature_norm(p, a, b)
-        assert abs(horner - reference) <= mpmath.mpf("1e-30") * abs(reference)
+def test_jacobi_gram_is_the_closed_form_diagonal(a, b, pmax):
+    gram = _gram(a, b, _jacobi_polynomials(pmax, a, b))
+    assert gram == [[closed_form_norm(i, a, b) if i == j else 0
+                     for j in range(pmax + 1)] for i in range(pmax + 1)]
+    # nu2 = b + 1/2 and nu3 = a - b give the weight exponents (a, b)
+    max_off, _, norm_gap = orthogonality_check(b + HALF, a - b, pmax)
+    assert max_off == norm_gap == 0
 
 
 def test_orthogonality_rejects_nonintegrable():
@@ -646,18 +676,18 @@ GOLDEN_SPECTRUM_QUERIES = [
     ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "10", "--f", "3,5"],
     ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "12", "--f", "5,9"],
 ]
-GOLDEN_SPECTRUM_SHA256 = "b4f9dacbf64e879ca26e1db349b5c4eef75367c5baf78ad3e64771145a84b10e"
+GOLDEN_SPECTRUM_SHA256 = "6002bb4f4b8e5120522ff4a140452ab287d33c5861b28f26319ae2e08c5fbba8"
 # `verify --suite S --seed 1` reports, keyed by the --suite value and any
 # further options
 GOLDEN_SUITE_SHA256 = {
-    "spectral": "a6dc5e7c67f37f0313627032c9b706052509a9ec76f94ea3ce127a8c3489a6e1",
-    "pi": "54330bd2ea76a2cc64155576fd9aaea84c1eb86d502dd909410011be64755679",
-    "flags": "043ba165f1e6677eaa336fea60c35f48615adccab70e404e7f117a68048f5d88",
-    "algebra": "e410635e2e4fdab3e722c64a294aa237868bf884ecf212932d4a149dc4c9c0e7",
-    "gauge": "fd4872673caaf1a20a248167ad4f235196259c4e608694a35b33c9cb2e964f0a",
-    "ttw": "98e3ea9e7e7a182ba5257b905aa5ca13123823fb267c37f166fa40ba054370d3",
+    "spectral": "2fdc65ac22be09ec861198cdffa78a6b0b58fff1905bd35e8e0599479aaf4669",
+    "pi": "023ec4999ac3763448e4b6f6b8f05eaf14e0cda25f2ce94a4321071e94874210",
+    "flags": "7b0ff848ce51482506e6118f1081acb560e65da08dafcd1ff904815cb9c5e47a",
+    "algebra": "aa7074796dfb5c2cb98cfd2da13ec9e9aebc6fa3d7938e7bf46bec9cfd7b5d97",
+    "gauge": "05fbc4a7ca4f2e9d7f32cd36f8da1b19498f731762a4df7b8fc463d56134c123",
+    "ttw": "1b490fe556f051cb6826c3eb284b5265179fd4d2c5f4c83138b1f8ff53d924ff",
     "cartesian --sample-points 10":
-        "c2598eadcdbba0c807bbb02d754e8b3e5f7402414b02237c47e06eb3f8b50c3e",
+        "42a4cab5524fa52b5238dd702897a7a8257348f9b6b6395cb4acdcc0bf131b25",
 }
 
 
@@ -675,7 +705,7 @@ GOLDEN_QES_QUERIES = [
     ["--model", "bc1_qes", "--nu2=-2", "--nu3", "1", "--b", "0", "--n", "6",
      "--format", "csv"],
 ]
-GOLDEN_QES_SHA256 = "40ee2f70f29389dd8c6b4323df519189e7e40382ece7462b4533046bf391a152"
+GOLDEN_QES_SHA256 = "3f515be9ada6d59a6484e3862c2d015e7af9f8e9fdcfce310f16150c505110e6"
 
 
 def test_qes_reports_match_golden_bytes(tmp_path, monkeypatch):
