@@ -24,10 +24,13 @@ scaled once to integer numerators over the operator's common denominator,
 derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), the
 Leibniz factors are ints, and each output term is reduced to a Fraction once.
 The products of one operator term are summed before they join the total, so
-the terms come in the order the Fraction loops gave them.  apply scales the
-operator on each call; the flag loop scales it once and gives each basis
-monomial's image as int numerators, which restrict_to_flag keys by basis
-index and preserves_flag reads; neither makes a Fraction.  compose and
+the terms come in the order the Fraction loops gave them.  An operator is
+scaled once: the first of apply, compose, commutator and the flag loop to
+read it fills a private slot with its int form, which every later call
+reads and none changes (a rational operator has no int form and is refused
+on each call).  The flag loop gives each basis monomial's image as int
+numerators, which restrict_to_flag keys by basis index and preserves_flag
+reads; neither makes a Fraction.  compose and
 commutator share one int accumulation of Leibniz products; commutator
 leaves out the plain products (gamma = 0), which are equal in a.b and b.a,
 adds those of b.a with the sign of -b, and builds one operator, with its
@@ -51,16 +54,20 @@ from .poly import (Exponents, FlagSpace, MultiPoly, RationalFn,
                    integer_terms)
 
 Coefficient = Union[MultiPoly, RationalFn]
-# a polynomial operator as (common denominator, [(k, int numerators of C_k)])
-ScaledOp = tuple[int, list[tuple[Exponents, dict[Exponents, int]]]]
+# a polynomial operator as (common denominator, ((k, int numerators of C_k), ...))
+ScaledOp = tuple[int, tuple[tuple[Exponents, dict[Exponents, int]], ...]]
 
 ZERO = Fraction(0)
 
 
 class DiffOp:
-    """Immutable differential operator; coefficients MultiPoly or RationalFn."""
+    """Immutable differential operator; coefficients MultiPoly or RationalFn.
 
-    __slots__ = ("nvars", "terms", "polynomial")
+    _int_form holds the int form of a polynomial operator once _scaled has
+    computed it, and None before; it takes no part in == or hash.
+    """
+
+    __slots__ = ("nvars", "terms", "polynomial", "_int_form")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
         clean: dict[Exponents, Coefficient] = {}
@@ -85,6 +92,7 @@ class DiffOp:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "_int_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -205,14 +213,25 @@ def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
 
 
 def _scaled(op: DiffOp, caller: str) -> ScaledOp:
-    """The scaled form of a polynomial operator; a rational one is refused
-    with DomainError, which names the caller."""
-    if not op.polynomial:
-        raise DomainError(f"{caller} needs polynomial coefficients; rational "
-                          "ones serve gauge_conjugate only")
-    den = lcm(*(c.denominator for coeff in op.terms.values()
-                for c in coeff.terms.values()))
-    return den, [(k, integer_terms(c.terms, den)[1]) for k, c in op.terms.items()]
+    """The int form of a polynomial operator: the lcm den of its coefficient
+    denominators and, per term C_k d^k, the int numerators of C_k over den.
+
+    The first call computes it and keeps it in the operator's _int_form
+    slot; later calls return that same object, so callers only read it.  A
+    rational operator is never given one: each call refuses it with
+    DomainError, which names the caller.
+    """
+    form = op._int_form
+    if form is None:
+        if not op.polynomial:
+            raise DomainError(f"{caller} needs polynomial coefficients; rational "
+                              "ones serve gauge_conjugate only")
+        den = lcm(*(c.denominator for coeff in op.terms.values()
+                    for c in coeff.terms.values()))
+        form = den, tuple((k, integer_terms(c.terms, den)[1])
+                          for k, c in op.terms.items())
+        object.__setattr__(op, "_int_form", form)
+    return form
 
 
 def _derivative_terms(numerators: dict[Exponents, int], k: Exponents
@@ -522,7 +541,7 @@ def _flag_images(op: DiffOp, space: FlagSpace, caller: str):
     (m, int numerators of op(m) over den) for each basis monomial m, in
     basis order.
 
-    The operator is scaled to int numerators once.  Each term C_k d^k adds
+    The operator's int form comes from _scaled.  Each term C_k d^k adds
     C_k times one int at one shift, by d^k tau^m = perm(m, k) tau^(m-k), and
     a key whose running sum cancels is deleted, so an image lists its terms
     as apply(op, tau^m) does.

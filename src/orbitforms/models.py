@@ -16,6 +16,21 @@ The positive roots of every family with their exponents and couplings
 oracle reads too.  bc_gauge_data derives from it the exact gauge data of
 bc1, bc1_qes and BC_N at every N; Sutherland and G2 have none yet.
 
+The couplings weight whole root orbits, and enter the operator only through
+its drift and constants: the metric, the second-order symbol A, is a
+polynomial in the orbit variables with integer pair coefficients fixed by N.
+So what no coupling enters is built once per (family, N), and each such
+cache holds at most one entry per (family, N) up to the N ceiling:
+
+* the symbol A of BC_N and of Sutherland with its operator terms, as a
+  read-only SecondOrder, so that no caller can change it for the next bundle;
+* the BC pair terms of _bc_pairs (the discriminant and the pair potential);
+* weyl_tables: the roots of each orbit, the fundamental weights, each orbit's
+  int sum of positive roots (read by rho_k) and the int pairings and Gram
+  matrix of the weights (read by root_eigenvalue).
+
+A build then computes only the coupling-dependent drift and constants.
+
 Conventions, fixed once and verified by the suites:
 
 * the rational form is  H(tau) = Delta_g + V(tau) / kinetic  where Delta_g
@@ -30,23 +45,25 @@ Conventions, fixed once and verified by the suites:
 * the Cartesian energy of eps is beta^2 (e0 + KAPPA eps)
   = beta^2 kinetic |lambda + rho_k|^2, so every family has the exact ground
   energy e0 = kinetic |rho_k|^2 in units of beta^2 (ground_energy), from
-  the rho_k the spectrum reads.
+  the positive-root sums the spectrum reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import add, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .diffop import DiffOp, GaugeFactor
 from .errors import DomainError, UnsupportedModel
 from .poly import (CharVector, Exponents, FlagSpace, MultiPoly, RationalFn,
                    Scalar, add_integer_terms, from_integer_terms,
                    integer_product, integer_terms, symmetric_reduce)
+from .report import CEILINGS
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -72,8 +89,12 @@ class ModelSpec:
             raise DomainError(f"unknown model family {self.family!r}")
         if self.n is not None and self.n < 0:
             raise DomainError("QES level n must be non-negative")
-        # hashed once: the oracle's root table is looked up per psi0 call
-        object.__setattr__(self, "_hash", hash(astuple(self)))
+        # hashed once: the oracle's root table is looked up per psi0 call;
+        # the tuple of the fields hashes as dataclasses.astuple does, without
+        # its deep copy
+        object.__setattr__(self, "_hash", hash((
+            self.family, self.N, self.nu, self.nu2, self.nu3, self.mu, self.b,
+            self.n)))
 
     def __hash__(self):
         return self._hash
@@ -161,42 +182,87 @@ def kinetic_half(spec: ModelSpec) -> bool:
     return spec.family not in ("BC1", "BC1_QES")
 
 
+class WeylTables(NamedTuple):
+    """The coupling-free root and weight data of a family at one N."""
+
+    forms: tuple        # per orbit of root_table, its roots as ((index, int), ...)
+    den: int            # the fundamental weights omega_a = weights[a] / den
+    weights: tuple[tuple[int, ...], ...]
+    pairing: tuple[tuple[int, ...], ...]   # per orbit, (omega_a, its positive sum) * den
+    positive: tuple[tuple[int, ...], ...]  # per orbit, the sum of its positive roots
+    gram: tuple[tuple[int, ...], ...]      # (omega_a, omega_b) * den^2
+
+
+@lru_cache(maxsize=len(FAMILIES) * CEILINGS["N"])   # one entry per (family, N)
+def weyl_tables(family: str, N: int | None) -> WeylTables:
+    """The roots of each orbit, the fundamental weights and the int tables
+    rho_k and root_eigenvalue read, built once per (family, N).
+
+    No coupling enters them: the couplings only weight whole orbits.  The
+    fundamental weights are, in Cartesian coordinates, for A_{N-1}
+    e_1 + ... + e_a - (a/N) sum e, for BC_N e_1 + ... + e_a, for G2
+    (1, 0, -1) and (2, -1, -1); the a-th orbit variable is the orbit sum of
+    omega_a (times 2^-a for BC).  A root is positive when
+    (alpha, sum_a omega_a) > 0; each orbit sums its positive roots in ints.
+    """
+    if family in ("SUTHERLAND", "G2"):
+        n = 3 if family == "G2" else N
+        forms = [tuple(((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n))]
+        if family == "G2":
+            forms.append(tuple(((i, 1), (j, 1), (k, -2))
+                               for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0))))
+            den, weights = 1, ((1, 0, -1), (2, -1, -1))
+        else:
+            den, weights = n, tuple(tuple(n * (i < a) - a for i in range(n))
+                                    for a in range(1, n))
+    elif family in ("BC1", "BC1_QES", "BCN"):
+        n = N if family == "BCN" else 1
+        forms = [tuple(form for i in range(n) for j in range(i + 1, n)
+                       for form in (((i, 1), (j, -1)), ((i, 1), (j, 1))))] if n > 1 else []
+        forms += [tuple(((i, 2),) for i in range(n)), tuple(((i, 1),) for i in range(n))]
+        den, weights = 1, tuple(tuple(int(i < a) for i in range(n))
+                                for a in range(1, n + 1))
+    else:
+        raise UnsupportedModel(f"no root system for {family}")
+    top = [sum(col) for col in zip(*weights)]
+    positive = []
+    for orbit in forms:
+        total = [0] * n
+        for form in orbit:
+            sign = 1 if sum(c * top[i] for i, c in form) > 0 else -1
+            for i, c in form:
+                total[i] += sign * c
+        positive.append(tuple(total))
+    return WeylTables(tuple(forms), den, weights,
+                      tuple(tuple(sum(map(mul, w, p)) for w in weights) for p in positive),
+                      tuple(positive),
+                      tuple(tuple(sum(map(mul, u, w)) for w in weights) for u in weights))
+
+
 @lru_cache(maxsize=256)
 def root_table(spec: ModelSpec) -> tuple[RootOrbit, ...]:
-    """The positive roots of the family of `spec`, built once per spec.
+    """The positive roots of the family of `spec`, built once per spec from
+    the orbits of weyl_tables.
 
     c_alpha = g_alpha (g_alpha - 1), except nu3 (nu3 + 2 nu2 - 1) for the BC
     short root, whose wall also sits at half the margin.
     """
     fam = spec.family
     kinetic = Fraction(1, 2) if kinetic_half(spec) else Fraction(1)
+    forms = weyl_tables(fam, spec.N).forms
 
     def orbit(forms, g, coupling=None, wall=Fraction(1)) -> RootOrbit:
         coupling = g * (g - 1) if coupling is None else coupling
-        return RootOrbit(tuple(forms), g, coupling, kinetic, wall)
+        return RootOrbit(forms, g, coupling, kinetic, wall)
 
-    if fam in ("SUTHERLAND", "G2"):
-        N = 3 if fam == "G2" else spec.N
-        pairs = [((i, 1), (j, -1)) for i in range(N) for j in range(i + 1, N)]
-        orbits = [orbit(pairs, spec.nu)]
-        if fam == "G2":
-            long = [((i, 1), (j, 1), (k, -2))
-                    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
-            orbits.append(orbit(long, spec.mu))
-        return tuple(orbits)
-    if fam in ("BC1", "BC1_QES", "BCN"):
-        N = spec.N if fam == "BCN" else 1
-        nu2, nu3 = spec.nu2, spec.nu3
-        orbits = []
-        if N > 1:
-            pairs = [form for i in range(N) for j in range(i + 1, N)
-                     for form in (((i, 1), (j, -1)), ((i, 1), (j, 1)))]
-            orbits.append(orbit(pairs, spec.nu))
-        orbits.append(orbit([((i, 2),) for i in range(N)], nu2))
-        orbits.append(orbit([((i, 1),) for i in range(N)], nu3,
-                            nu3 * (nu3 + 2 * nu2 - 1), Fraction(1, 2)))
-        return tuple(orbits)
-    raise UnsupportedModel(f"no root system for {fam}")
+    if fam == "SUTHERLAND":
+        return (orbit(forms[0], spec.nu),)
+    if fam == "G2":
+        return orbit(forms[0], spec.nu), orbit(forms[1], spec.mu)
+    nu2, nu3 = spec.nu2, spec.nu3
+    *pairs, long, short = forms
+    return (*(orbit(f, spec.nu) for f in pairs), orbit(long, nu2),
+            orbit(short, nu3, nu3 * (nu3 + 2 * nu2 - 1), Fraction(1, 2)))
 
 
 # Cartesian energy E = beta^2 (e0 + kappa eps) of a closed-form eps
@@ -209,39 +275,18 @@ KAPPA = {
 }
 
 
-def fundamental_weights(spec: ModelSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, weights): the fundamental weights omega_a = weights[a] / den in
-    Cartesian coordinates, the a-th orbit variable being the orbit sum of
-    omega_a (times 2^-a for BC): for A_{N-1} e_1 + ... + e_a - (a/N) sum e,
-    for BC_N e_1 + ... + e_a, for G2 (1, 0, -1) and (2, -1, -1)."""
-    fam = spec.family
-    if fam == "SUTHERLAND":
-        N = spec.N
-        return N, tuple(tuple(N * (i < a) - a for i in range(N)) for a in range(1, N))
-    if fam == "G2":
-        return 1, ((1, 0, -1), (2, -1, -1))
-    N = spec.N if fam == "BCN" else 1
-    return 1, tuple(tuple(int(i < a) for i in range(N)) for a in range(1, N + 1))
-
-
 @lru_cache(maxsize=256)
 def rho_k(spec: ModelSpec) -> tuple[Fraction, ...]:
     """rho_k = 1/2 sum_{alpha > 0} g_alpha alpha in Cartesian coordinates,
-    built once per spec: the spectrum and the ground energy both read it.
+    built once per spec: the ground energy reads it.
 
-    A root of root_table is positive when (alpha, sum_a omega_a) > 0.  Each
-    orbit sums its positive roots in ints and multiplies by g_alpha once.
+    Each orbit's sum of positive roots is an int vector of weyl_tables,
+    multiplied by g_alpha once.
     """
-    _, weights = fundamental_weights(spec)
-    top = [sum(col) for col in zip(*weights)]
-    rho = [ZERO] * len(top)
-    for orbit in root_table(spec):
-        positive = [0] * len(top)
-        for form in orbit.forms:
-            sign = 1 if sum(c * top[i] for i, c in form) > 0 else -1
-            for i, c in form:
-                positive[i] += sign * c
-        for i, x in enumerate(positive):
+    positive = weyl_tables(spec.family, spec.N).positive
+    rho = [ZERO] * len(positive[0])
+    for orbit, total in zip(root_table(spec), positive):
+        for i, x in enumerate(total):
             rho[i] += orbit.exponent * x / 2
     return tuple(rho)
 
@@ -254,14 +299,18 @@ def ground_energy(spec: ModelSpec) -> Fraction:
 
 def root_eigenvalue(spec: ModelSpec) -> Callable[[Exponents], Fraction]:
     """p -> eps = (kinetic / kappa) (lambda, lambda + 2 rho_k), with
-    lambda = sum_a p_a omega_a and rho_k = rho_k(spec)."""
-    den, weights = fundamental_weights(spec)
-    rho = rho_k(spec)
-    lin = [2 * sum(map(mul, w, rho)) for w in weights]
-    scale = den * den * KAPPA[spec.family] / root_table(spec)[0].kinetic
+    lambda = sum_a p_a omega_a and 2 (omega_a, rho_k) = sum over the orbits
+    of g_alpha (omega_a, the orbit's positive sum), from the int pairing and
+    Gram tables of weyl_tables."""
+    tables = weyl_tables(spec.family, spec.N)
+    orbits = root_table(spec)
+    den = tables.den
+    lin = [sum(orbit.exponent * row[a] for orbit, row in zip(orbits, tables.pairing))
+           for a in range(len(tables.weights))]
+    scale = den * den * KAPPA[spec.family] / orbits[0].kinetic
     return _quadratic_form(
         [x * den * scale.denominator for x in lin],
-        [[scale.denominator * sum(map(mul, u, w)) for w in weights] for u in weights],
+        [[scale.denominator * g for g in row] for row in tables.gram],
         scale.numerator)
 
 
@@ -269,8 +318,10 @@ def root_eigenvalue(spec: ModelSpec) -> Callable[[Exponents], Fraction]:
 # BC gauge data, derived from the root table
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=CEILINGS["N"])
 def _bc_pairs(N: int) -> tuple[MultiPoly, MultiPoly]:
-    """(disc, pair) in tau_k = e_k(c) of N >= 2 cosines c_j, reduced by
+    """(disc, pair) in tau_k = e_k(c) of N >= 2 cosines c_j, built once per
+    N (no coupling enters them) and reduced by
     symmetric_reduce from their terms in the c_j with sorted exponents:
     disc = prod_{i<j} (c_i - c_j)^2 and pair / disc = sum_{i<j} 4 (1 - c_i c_j)
     / (c_i - c_j)^2.  With W = prod (c_i - c_j) over the pairs other than
@@ -390,8 +441,51 @@ def sutherland_coefficients(N: int, nu: Fraction):
     denominator N (B_i pairs tau_i with tau_0 = 1).  Term order: the pairs
     are added one at a time in the order above, and a term whose running sum
     reaches zero is deleted and comes back last, so each A_ij lists its
-    terms as the polynomial sum written above does.  A does not depend on nu.
+    terms as the polynomial sum written above does.  A does not depend on
+    nu: it is the read-only SecondOrder of _sutherland_second_order, built
+    once per N.
     """
+    taus = _clipped_taus(N - 1, N, top_is_one=True)
+    B = {i: _pair_sum(taus, [((Fraction(1, N) + nu) * i * (N - i), i, 0)])
+         for i in range(1, N)}
+    return _sutherland_second_order(N), B
+
+
+class SecondOrder(Mapping):
+    """A second-order symbol A_ij, keyed by (i, j) and read-only, with its
+    operator terms: sum A_ij d_i d_j by derivative key, the (i, j) and
+    (j, i) entries summed on one key.
+
+    The symbols of BC_N and Sutherland do not depend on the couplings, so
+    each is built once per N and shared by every bundle; being read-only,
+    none can be changed by a caller for the next.
+    """
+
+    __slots__ = ("d", "_table", "terms")
+
+    def __init__(self, d: int, table: dict[tuple[int, int], MultiPoly]):
+        terms: dict[Exponents, MultiPoly] = {}
+        for (i, j), coeff in table.items():
+            k = [0] * d
+            k[i - 1] += 1
+            k[j - 1] += 1
+            key = tuple(k)
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        self.d, self._table, self.terms = d, table, terms
+
+    def __getitem__(self, key: tuple[int, int]) -> MultiPoly:
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
+@lru_cache(maxsize=CEILINGS["N"])
+def _sutherland_second_order(N: int) -> SecondOrder:
+    """The coupling-free A of sutherland_coefficients."""
     taus = _clipped_taus(N - 1, N, top_is_one=True)
     A = {}
     for i in range(1, N):
@@ -404,32 +498,22 @@ def sutherland_coefficients(N: int, nu: Fraction):
             acc = _pair_sum(taus, pairs, N)
             if not acc.is_zero():
                 A[(i, j)] = acc
-    B = {i: _pair_sum(taus, [((Fraction(1, N) + nu) * i * (N - i), i, 0)])
-         for i in range(1, N)}
-    return A, B
+    return SecondOrder(N - 1, A)
 
 
-def _assemble_second_order(d: int, A: dict, B: dict) -> DiffOp:
-    terms: dict[Exponents, MultiPoly] = {}
-    for (i, j), coeff in A.items():
-        k = [0] * d
-        k[i - 1] += 1
-        k[j - 1] += 1
-        key = tuple(k)
-        terms[key] = terms.get(key, MultiPoly.zero(d)) + coeff
+def _assemble_second_order(A: SecondOrder, B: dict[int, MultiPoly]) -> DiffOp:
+    """The operator of A's terms plus sum B_i d_i."""
+    terms = dict(A.terms)
     for i, coeff in B.items():
-        if coeff.is_zero():
-            continue
-        k = [0] * d
-        k[i - 1] = 1
-        key = tuple(k)
-        terms[key] = terms.get(key, MultiPoly.zero(d)) + coeff
-    return DiffOp(d, terms)
+        if not coeff.is_zero():
+            k = [0] * A.d
+            k[i - 1] = 1
+            terms[tuple(k)] = coeff
+    return DiffOp(A.d, terms)
 
 
 def sutherland_operator(N: int, nu: Fraction) -> DiffOp:
-    A, B = sutherland_coefficients(N, nu)
-    return _assemble_second_order(N - 1, A, B)
+    return _assemble_second_order(*sutherland_coefficients(N, nu))
 
 
 def _quadratic_form(lin: Sequence[Fraction], gram: Sequence[Sequence[int]],
@@ -488,13 +572,18 @@ def bcn_coefficients(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction):
     in the order above, and a term whose running sum reaches zero is deleted
     and comes back last.  For every N up to the N ceiling this lists the
     terms of each A_ij as the bracketed polynomial sum above does (the
-    tests compare them term by term).  A does not depend on the couplings,
-    so _build_bc assembles h and Delta_g from one A.
+    tests compare them term by term).
+
+    A does not depend on the couplings: its pair coefficients are integers
+    fixed by N.  So A is the read-only SecondOrder of _bcn_second_order,
+    built once per N with its operator terms, and _build_bc assembles h and
+    Delta_g from it, computing only the drift B per bundle.
     """
     return _bcn_second_order(N), _bcn_first_order(N, nu, nu2, nu3)
 
 
-def _bcn_second_order(N: int) -> dict[tuple[int, int], MultiPoly]:
+@lru_cache(maxsize=CEILINGS["N"])
+def _bcn_second_order(N: int) -> SecondOrder:
     """The coupling-free A of bcn_coefficients."""
     taus = _clipped_taus(N, N, top_is_one=False)
     A = {}
@@ -509,7 +598,7 @@ def _bcn_second_order(N: int) -> dict[tuple[int, int], MultiPoly]:
             acc = _pair_sum(taus, pairs)
             if not acc.is_zero():
                 A[(i, j)] = acc
-    return A
+    return SecondOrder(N, A)
 
 
 def _bcn_first_order(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction
@@ -563,14 +652,14 @@ def _build_bc(spec: ModelSpec) -> ModelBundle:
     """
     N, nu, nu2, nu3, b = spec.N or 1, spec.nu or ZERO, spec.nu2, spec.nu3, spec.b
     A, B = bcn_coefficients(N, nu, nu2, nu3)
-    h = _assemble_second_order(N, A, B)
+    h = _assemble_second_order(A, B)
     if b is not None:
         t, n = _tau(1, 0), spec.n
         level_terms = -2 * b * n * t + MultiPoly.const(1, 2 * b * (n + nu2 + nu3 + HALF))
         h = h + DiffOp(1, {(1,): 2 * b * A[(1, 1)], (0,): level_terms})
 
     def gauge() -> GaugeData:
-        delta_g = _assemble_second_order(N, A, _bcn_first_order(N, ZERO, ZERO, ZERO))
+        delta_g = _assemble_second_order(A, _bcn_first_order(N, ZERO, ZERO, ZERO))
         if b is None:
             return bc_gauge_data(spec, delta_g)
         return bc_gauge_data(spec, delta_g, exp_arg=t * b,

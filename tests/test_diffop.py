@@ -1,5 +1,6 @@
 """Differential operators: application, composition, conjugation, flags."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -427,3 +428,70 @@ def test_apply_and_compose_keep_the_order_of_cancelling_terms():
     for k in want.terms:
         assert_same_poly(got.terms[k], want.terms[k])
     assert list(got.terms[(1,)].terms) == [(4,), (3,), (2,)]
+
+
+# -- the int form kept on each operator against a fresh copy's -------------------
+
+def assert_same_op(got: DiffOp, want: DiffOp) -> None:
+    """Equal, with the same keys and coefficient terms in the same order."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    for k in want.terms:
+        assert_same_poly(got.terms[k], want.terms[k])
+
+
+def int_form_readers(a: DiffOp, b: DiffOp, p: MultiPoly, space: FlagSpace):
+    """What apply, compose, commutator and the flag functions give on a, b."""
+    try:
+        matrix = restrict_to_flag(a, space)
+        restricted = (matrix.den, matrix.columns)
+    except FlagViolation as exc:
+        restricted = (exc.input_monomial, exc.output_monomial)
+    return (apply(a, p), compose(a, b), compose(b, a), commutator(a, b),
+            commutator(b, a), restricted, preserves_flag(a, space))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_the_kept_int_form_gives_what_a_fresh_operator_gives(data, nvars):
+    a = data.draw(flag_ops(nvars), label="a")
+    b = data.draw(st.one_of(order2_ops(nvars), st.just(a)), label="b")
+    p = data.draw(small_polys(nvars, 3), label="p")
+    f = data.draw(st.tuples(*[st.integers(1, 3)] * nvars), label="f")
+    space = FlagSpace(nvars, f, data.draw(st.integers(0, 3), label="n"))
+    apply(a, p), apply(b, p)           # the first caller fills each int form
+    kept = copy.deepcopy((a._int_form, b._int_form))
+    for _ in range(2):                 # the second round reads what the first left
+        fresh_a, fresh_b = DiffOp(nvars, a.terms), DiffOp(nvars, b.terms)
+        assert fresh_a._int_form is None
+        got = int_form_readers(a, b, p, space)
+        want = int_form_readers(fresh_a, fresh_b, p, space)
+        assert_same_poly(got[0], want[0])
+        for got_op, want_op in zip(got[1:5], want[1:5]):
+            assert_same_op(got_op, want_op)
+        assert got[5:] == want[5:]
+        # no caller changed the numerators another caller will read
+        assert (a._int_form, b._int_form) == kept
+        assert fresh_a._int_form == kept[0]
+    # the kept form takes no part in == or hash
+    assert a == DiffOp(nvars, a.terms) and hash(a) == hash(DiffOp(nvars, a.terms))
+
+
+def test_a_rational_operator_gets_no_int_form_and_is_refused_by_each_caller():
+    rational = DiffOp(1, {(2,): MultiPoly.const(1, 1),
+                          (0,): RationalFn(MultiPoly.const(1, 1), 1 + t)})
+    d = DiffOp.partial(1, 0)
+    space = FlagSpace(1, (1,), 2)
+    callers = [("apply", lambda: apply(rational, t)),
+               ("compose", lambda: compose(rational, d)),
+               ("compose", lambda: compose(d, rational)),
+               ("commutator", lambda: commutator(rational, d)),
+               ("commutator", lambda: commutator(d, rational)),
+               ("restrict_to_flag", lambda: restrict_to_flag(rational, space)),
+               ("preserves_flag", lambda: preserves_flag(rational, space))]
+    for _ in range(2):
+        for name, call in callers:
+            with pytest.raises(DomainError, match=rf"^{name} needs polynomial"):
+                call()
+    assert rational._int_form is None
+    assert d._int_form is not None    # the polynomial operand was scaled

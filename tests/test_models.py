@@ -1,6 +1,7 @@
 """Model constructors: operators, spectra formulas, factors, table data."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +13,7 @@ from orbitforms import models
 from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
-from orbitforms.models import (_assemble_second_order, _bc_pairs,
+from orbitforms.models import (_bc_pairs,
                                bcn_coefficients, bcn_eigenvalue_printed,
                                bcn_rational_potential_printed, build_bc1,
                                build_bc1_qes, build_bcn, build_g2, build_mw_family,
@@ -25,6 +26,7 @@ from orbitforms.report import CEILINGS, RunConfig
 from orbitforms.suites import suite_gauge
 import reference_kernels as ref
 from test_poly import assert_same_poly
+from test_spectral import GOLDEN_SUITE_SHA256
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -248,7 +250,8 @@ def weyl_orbit(weight: tuple, roots: list) -> set:
 ], ids=lambda b: f"{b.spec.family}-{b.spec.N}")
 def test_orbit_variables_are_orbit_sums_of_the_fundamental_weights(bundle):
     spec = bundle.spec
-    den, weights = models.fundamental_weights(spec)
+    tables = models.weyl_tables(spec.family, spec.N)
+    den, weights = tables.den, tables.weights
     assert len(weights) == bundle.d
     n = len(weights[0])
     roots = []
@@ -306,6 +309,27 @@ def assert_same_table(got: dict, want: dict) -> None:
         assert_same_poly(got[key], want[key])
 
 
+def reference_operator(d: int, A: dict, B: dict) -> DiffOp:
+    """sum A_ij d_i d_j + sum B_i d_i from reference tables, one operator
+    sum per entry, so keys and terms come in the order of the tables."""
+    op = DiffOp.zero(d)
+    for (i, j), coeff in A.items():
+        k = [0] * d
+        k[i - 1] += 1
+        k[j - 1] += 1
+        op = op + DiffOp(d, {tuple(k): coeff})
+    for i, coeff in B.items():
+        k = [0] * d
+        k[i - 1] = 1
+        op = op + DiffOp(d, {tuple(k): coeff})
+    return op
+
+
+def reference_delta_g(N: int) -> DiffOp:
+    """Delta_g of BC_N, h at zero couplings, from the reference A and B."""
+    return reference_operator(N, *ref.bcn_coefficients(N, 0, 0, 0))
+
+
 # generic rationals, with the values that zero a coefficient: 0 and -1/N
 couplings = st.one_of(st.fractions(-4, 4, max_denominator=12),
                       st.sampled_from([Fraction(0), Fraction(-1, 2), Fraction(-1, 3),
@@ -341,7 +365,7 @@ def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
     bundle = build_bcn(N, *nus)
     if N <= 4:   # the gauge data of N = 5 and 6 take seconds to derive
         # Delta_g is h at zero couplings, assembled from the same A
-        delta_g = _assemble_second_order(N, *ref.bcn_coefficients(N, 0, 0, 0))
+        delta_g = reference_delta_g(N)
         derivatives = {k: c for k, c in bundle.rational_form.terms.items() if any(k)}
         assert_same_table(derivatives, delta_g.terms)
     for _ in range(3):
@@ -478,7 +502,7 @@ def hand_gauge_data(N, nu, nu2, nu3):
                 ref.bc1_operator(0, 0))
     hand = {2: (ref.bc2_ground_factor, ref.bc2_rational_potential),
             3: (ref.bc3_ground_factor, ref.bc3_rational_potential)}[N]
-    delta_g = _assemble_second_order(N, *ref.bcn_coefficients(N, 0, 0, 0))
+    delta_g = reference_delta_g(N)
     return hand[0](nu, nu2, nu3), hand[1](nu, nu2, nu3), delta_g
 
 
@@ -633,3 +657,102 @@ def test_printed_readings_match_the_closures(data, N, nus):
         assert bcn_eigenvalue_printed(N, *nus)(p) == ref.bcn_eigenvalue_printed(N, *nus, p)
         p = data.draw(exponents(2), label="p")
         assert g2_eigenvalue_printed(nu, nu2)(p) == ref.g2_eigenvalue_printed(nu, nu2, p)
+
+
+# -- the coupling-free tables, built once per (family, N) ------------------------
+
+def clear_model_caches() -> None:
+    """Empty every cache of the models module, the per-spec ones too."""
+    for value in vars(models).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_every_model_cache_is_bounded_by_the_n_ceiling():
+    caches = [v for v in vars(models).values() if hasattr(v, "cache_info")]
+    assert {models._bcn_second_order, models._sutherland_second_order,
+            models._bc_pairs, models.weyl_tables} <= set(caches)
+    for cache in (models._bcn_second_order, models._sutherland_second_order,
+                  models._bc_pairs):
+        assert cache.cache_info().maxsize == CEILINGS["N"]
+    assert models.weyl_tables.cache_info().maxsize == len(models.FAMILIES) * CEILINGS["N"]
+
+
+POISON_COUPLINGS = ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+                    (Fraction(-7, 3), Fraction(5, 2), Fraction(-1, 4)))
+
+
+# per family: build, and the reference (A, B), e0 and eigenvalue at N, nus
+POISON_FAMILIES = {
+    "BCN": (lambda N, nus: build_bcn(N, *nus),
+            lambda N, nus: ref.bcn_coefficients(N, *nus),
+            lambda N, nus: ref.bcn_e0(N, *nus),
+            lambda N, nus, p: ref.bcn_eigenvalue(N, *nus, p)),
+    "SUTHERLAND": (lambda N, nus: build_sutherland(N, nus[0]),
+                   lambda N, nus: ref.sutherland_coefficients(N, nus[0]),
+                   lambda N, nus: ref.sutherland_e0(N, nus[0]),
+                   lambda N, nus, p: ref.sutherland_eigenvalue(N, nus[0], p)),
+}
+POISON_CASES = [("BCN", N) for N in range(1, 5)] + [("SUTHERLAND", N) for N in range(2, 6)]
+POISON_POINTS = [(0,) * 5, (1, 0, 2, 0, 1), (3, 1, 0, 2, 2), (2, 2, 2, 2, 2)]
+
+
+def test_model_tables_are_not_poisoned_by_other_couplings():
+    # couplings g1, then g2, then g1 again: each build equals the reference
+    # forms and a build from emptied caches
+    def readings(bundle):
+        return bundle.e0, [bundle.eigenvalue(p[:bundle.d]) for p in POISON_POINTS]
+
+    cold = {}
+    for family, N in POISON_CASES:
+        for nus in POISON_COUPLINGS:
+            clear_model_caches()
+            cold[family, N, nus] = readings(POISON_FAMILIES[family][0](N, nus))
+    clear_model_caches()
+    g1, g2 = POISON_COUPLINGS
+    for family, N in POISON_CASES:
+        build, coefficients, e0, eigenvalue = POISON_FAMILIES[family]
+        for nus in (g1, g2, g1):
+            bundle = build(N, nus)
+            assert bundle.h == reference_operator(bundle.d, *coefficients(N, nus))
+            assert readings(bundle) == cold[family, N, nus] == (
+                e0(N, nus), [eigenvalue(N, nus, p[:bundle.d]) for p in POISON_POINTS])
+
+
+def test_coefficient_tables_are_read_only():
+    nus = POISON_COUPLINGS[0]
+    want = build_bcn(3, *nus).h, build_sutherland(4, nus[0]).h
+    for A, _ in (bcn_coefficients(3, *nus), sutherland_coefficients(4, nus[0])):
+        key = next(iter(A))
+        with pytest.raises(TypeError):
+            A[key] = A[key] * 2
+        with pytest.raises(TypeError):
+            del A[key]
+        assert not hasattr(A, "update") and not hasattr(A, "pop")
+    assert (build_bcn(3, *nus).h, build_sutherland(4, nus[0]).h) == want
+
+
+def test_exact_suites_keep_their_golden_bytes_cold_and_warm(tmp_path, monkeypatch):
+    # cold: every cache emptied before each suite; warm: the same suites
+    # again in the same process, reading the tables the cold runs left
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "report"
+    for warm in (False, True):
+        for suite in ("flags", "spectral", "algebra", "gauge"):
+            if not warm:
+                clear_model_caches()
+            assert main(["verify", "--suite", suite, "--seed", "1", "--out", str(out)]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == GOLDEN_SUITE_SHA256[suite], (suite, warm)
+
+
+optional = st.one_of(st.none(), st.fractions(-5, 5, max_denominator=9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.builds(models.ModelSpec, family=st.sampled_from(models.FAMILIES),
+                      N=st.one_of(st.none(), st.integers(1, 10)), nu=optional,
+                      nu2=optional, nu3=optional, mu=optional, b=optional,
+                      n=st.one_of(st.none(), st.integers(0, 40))))
+def test_model_spec_hash_is_the_hash_of_its_fields(spec):
+    assert hash(spec) == hash(dataclasses.astuple(spec))
