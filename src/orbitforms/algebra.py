@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .diffop import DiffOp, commutator, compose, preserves_flag
+from .diffop import (DiffOp, _scaled, commutator, compose, linear_combination,
+                     preserves_flag)
 from .errors import DomainError
 from .poly import Exponents, FlagSpace, MultiPoly
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,25 @@ class GeneratorWord:
 
 
 def evaluate_word(gs: GeneratorSet, word: GeneratorWord) -> DiffOp:
-    """Exact operator for a formal word (empty word -> zero operator)."""
-    total = DiffOp.zero(gs.d)
+    """Exact operator for a formal word (empty word -> zero operator).
+
+    The products are summed in ints over one denominator and make one
+    operator, whose terms come in the order of adding them one by one.
+    """
     constant = ((word.constant, ()),) if word.constant else ()
-    for coeff, names in (*word.terms, *constant):
-        if names:
-            op = gs.op(names[-1])
-            for name in reversed(names[:-1]):
-                op = compose(gs.op(name), op)
-        else:
-            op = DiffOp.identity(gs.d)
-        total = total + (op if coeff == 1 else op * coeff)
-    return total
+    return linear_combination(gs.d, [(coeff, _product(gs, names))
+                                     for coeff, names in (*word.terms, *constant)])
+
+
+def _product(gs: GeneratorSet, names: Sequence[str]) -> DiffOp:
+    """The operator of one generator product, the last name applied first;
+    the empty product is the identity."""
+    if not names:
+        return DiffOp.identity(gs.d)
+    op = gs.op(names[-1])
+    for name in reversed(names[:-1]):
+        op = compose(gs.op(name), op)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +286,13 @@ def check_structure(gs: GeneratorSet) -> StructureReport:
 
 
 def _proportional(a: DiffOp, b: DiffOp) -> Fraction | None:
-    """c with a == c*b, if it exists (b nonzero)."""
+    """The nonzero c with a == c*b, if it exists; None when a or b is zero."""
     if b.is_zero():
         return None
     k, coeff = next(iter(b.terms.items()))   # stored coefficients are nonzero
     e, c = coeff.leading_term()
     ratio = a.coefficient(k).coeff(e) / c
-    return ratio if a == b * ratio else None
+    return ratio if ratio and a == b * ratio else None
 
 
 def _g2_pairwise_closure(gs: GeneratorSet) -> PropertyResult:
@@ -379,42 +386,43 @@ class FitResult:
         return self.residual.is_zero()
 
 
-def _vectorize(op: DiffOp) -> dict[tuple[Exponents, Exponents], Fraction]:
-    vec: dict[tuple[Exponents, Exponents], Fraction] = {}
-    for k, c in op.terms.items():
-        if not isinstance(c, MultiPoly):
-            raise DomainError("decomposition fitting needs polynomial coefficients")
-        for e, coeff in c.terms.items():
-            vec[(k, e)] = coeff
-    return vec
-
-
 def _word_ops(gs: GeneratorSet, words: Sequence[tuple[str, ...]]) -> list[DiffOp]:
     """The operator of each word, the empty word being the identity."""
-    return [evaluate_word(gs, GeneratorWord(((ONE, w),)) if w
-                          else GeneratorWord((), ONE)) for w in words]
+    return [_product(gs, w) for w in words]
 
 
 def _span_solve(word_ops: Sequence[DiffOp], targets: Sequence[DiffOp]
                 ) -> tuple[list[list[Fraction]], list[bool]]:
     """(coefficients, escapes): per target, its words' coefficients, free
-    words 0, and whether a part of it lies outside their span.  Each
-    operator coefficient gives one sparse int row (`linalg._int_row`), the
-    words its columns and the targets its right-hand sides, and one
-    reduction (`linalg._row_reduce`) pivots on the word keys only: the pivot
-    rows give the coefficients, and an escape is a right-hand side left
-    nonzero in a row past the pivots once the pivot rows clear its words."""
+    words 0, and whether a part of it lies outside their span.
+
+    Each operator coefficient gives one sparse int row, the words its
+    columns and the targets its right-hand sides, read straight from each
+    operator's int form (den_c, numerators): column c holds den_c times the
+    true entries.  Scaling a column scales no pivot choice and no
+    cancellation, so one reduction (`linalg._row_reduce`) pivots on the
+    word keys only as it would on the Fraction rows: a pivot row gives z_c
+    for target j, and the coefficient is x_c = z_c den_c / den_j; an escape
+    is a right-hand side left nonzero in a row past the pivots once the
+    pivot rows clear its words.  No Fraction is made but the coefficients.
+    A rational operator is refused with DomainError."""
     ncols = len(word_ops)
-    entries: dict = {}
-    for c, op in enumerate((*word_ops, *targets)):
-        for k, x in _vectorize(op).items():
-            entries.setdefault(k, []).append((c, x))
-    rows = [linalg._int_row(entries[k], ncols) for k in sorted(entries)]
+    forms = [_scaled(op, "_span_solve") for op in (*word_ops, *targets)]
+    entries: dict[tuple[Exponents, Exponents], dict[int, int]] = {}
+    for c, (_, form) in enumerate(forms):
+        key = ncols - 1 - c
+        for k, nums in form:
+            for e, v in nums.items():
+                entries.setdefault((k, e), {})[key] = v
+    rows = [entries[k] for k in sorted(entries)]
     reduced, rest = linalg._row_reduce(rows)
     coefficients = [[ZERO] * ncols for _ in targets]
     for key, row in reduced.items():
+        c = ncols - 1 - key
         for j, solution in enumerate(coefficients):
-            solution[ncols - 1 - key] = Fraction(row.get(-1 - j, 0), row[key])
+            z = row.get(-1 - j)
+            if z:
+                solution[c] = Fraction(z * forms[c][0], row[key] * forms[ncols + j][0])
     escaped = set()
     for i in rest:
         v = rows[i]
@@ -455,11 +463,8 @@ def fit_decomposition(h: DiffOp, gs: GeneratorSet, max_word_degree: int = 2
     words = decomposition_words(gs, max_word_degree)
     word_ops = _word_ops(gs, words)
     (solution,), _ = _span_solve(word_ops, [h])
-    fitted = DiffOp.zero(gs.d)
-    for c, op in zip(solution, word_ops):
-        if c:
-            fitted = fitted + op * c
-    residual = h - fitted
-    unmatched = tuple(sorted(_vectorize(residual)))
+    residual = linear_combination(gs.d, [(1, h)] + [(-c, op) for c, op
+                                                     in zip(solution, word_ops) if c])
+    unmatched = tuple(sorted((k, e) for k, c in residual.terms.items() for e in c.terms))
     coeffs = tuple((words[i], solution[i]) for i in range(len(words)) if solution[i])
     return FitResult(coeffs, residual, unmatched)

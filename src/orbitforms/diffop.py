@@ -21,20 +21,29 @@ denominator of grad log F and no square of it is formed.
 
 apply and compose follow the integer-numerator rule of poly: coefficients are
 scaled once to integer numerators over the operator's common denominator,
-derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), the
-Leibniz factors are ints, and each output term is reduced to a Fraction once.
-The products of one operator term are summed before they join the total, so
+derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), and
+the Leibniz factors are ints, their (gamma, binom(alpha, gamma)) lists kept
+once per alpha.  apply reduces each output term to a Fraction once.  The
+products of one operator term are summed before they join the total, so
 the terms come in the order the Fraction loops gave them.  An operator is
 scaled once: the first of apply, compose, commutator and the flag loop to
 read it fills a private slot with its int form, which every later call
 reads and none changes (a rational operator has no int form and is refused
 on each call).  The flag loop gives each basis monomial's image as int
 numerators, which restrict_to_flag keys by basis index and preserves_flag
-reads; neither makes a Fraction.  compose and
-commutator share one int accumulation of Leibniz products; commutator
-leaves out the plain products (gamma = 0), which are equal in a.b and b.a,
-adds those of b.a with the sign of -b, and builds one operator, with its
-key and term order unspecified (no report reads it).
+reads; neither makes a Fraction.  compose and commutator share one int
+accumulation of Leibniz products; commutator leaves out the plain products
+(gamma = 0), which are equal in a.b and b.a, adds those of b.a with the
+sign of -b, and builds one operator, with its key and term order
+unspecified (no report reads it).
+
+compose, commutator and linear_combination keep their sums in ints: they
+divide the numerators and the denominator by one gcd, which is the int form
+_scaled would compute, and return an operator born with that form.  Its
+Fraction terms are built only when something first reads them; order,
+is_zero, hash and == between two operators that both hold an int form read
+the form, so a chain of products, sums and span solves (the word calculus
+of algebra) makes no Fraction.
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -43,7 +52,8 @@ evaluation order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, perm
+from functools import lru_cache
+from math import comb, gcd, lcm, perm
 from operator import add, sub
 from typing import Mapping, Sequence, Union
 
@@ -63,11 +73,16 @@ ZERO = Fraction(0)
 class DiffOp:
     """Immutable differential operator; coefficients MultiPoly or RationalFn.
 
-    _int_form holds the int form of a polynomial operator once _scaled has
-    computed it, and None before; it takes no part in == or hash.
+    _int_form holds the int form of a polynomial operator (see _scaled):
+    from birth for an operator that compose, commutator or
+    linear_combination built, otherwise once _scaled has computed it, and
+    None before.  An operator born with it has _terms None until `terms` is
+    first read, which builds the Fraction coefficients from the form, in
+    its key and term order.  The form takes no part in what == and hash
+    decide, only in how fast they do it.
     """
 
-    __slots__ = ("nvars", "terms", "polynomial", "_int_form")
+    __slots__ = ("nvars", "_terms", "polynomial", "_int_form")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
         clean: dict[Exponents, Coefficient] = {}
@@ -90,9 +105,34 @@ class DiffOp:
                 if not c.is_zero():
                     clean[key] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "polynomial", polynomial)
         object.__setattr__(self, "_int_form", None)
+
+    @classmethod
+    def _from_int_form(cls, nvars: int, form: ScaledOp) -> "DiffOp":
+        """The polynomial operator of a canonical int form, terms unbuilt."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "nvars", nvars)
+        object.__setattr__(op, "_terms", None)
+        object.__setattr__(op, "polynomial", True)
+        object.__setattr__(op, "_int_form", form)
+        return op
+
+    @property
+    def terms(self) -> dict[Exponents, Coefficient]:
+        terms = self._terms
+        if terms is None:
+            den, coefficients = self._int_form
+            terms = {k: from_integer_terms(self.nvars, den, nums)
+                     for k, nums in coefficients}
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def _keys(self):
+        """The derivative keys, read without building the terms."""
+        terms = self._terms
+        return terms if terms is not None else (k for k, _ in self._int_form[1])
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -156,10 +196,11 @@ class DiffOp:
     __rmul__ = __mul__
 
     def order(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return max((sum(k) for k in self._keys()), default=0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        terms = self._terms
+        return not (terms if terms is not None else self._int_form[1])
 
     def coefficient(self, k: Exponents) -> Coefficient:
         key = tuple(k)
@@ -171,10 +212,16 @@ class DiffOp:
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        mine, theirs = self._int_form, other._int_form
+        if mine is not None and theirs is not None:
+            # both canonical: equal operators have equal forms
+            return mine[0] == theirs[0] and dict(mine[1]) == dict(theirs[1])
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms)))
+        return hash((self.nvars, frozenset(self._keys())))
 
     def __repr__(self):
         if not self.terms:
@@ -216,10 +263,11 @@ def _scaled(op: DiffOp, caller: str) -> ScaledOp:
     """The int form of a polynomial operator: the lcm den of its coefficient
     denominators and, per term C_k d^k, the int numerators of C_k over den.
 
-    The first call computes it and keeps it in the operator's _int_form
-    slot; later calls return that same object, so callers only read it.  A
-    rational operator is never given one: each call refuses it with
-    DomainError, which names the caller.
+    An operator that compose, commutator or linear_combination built holds
+    it from birth; for any other, the first call computes it and keeps it
+    in the operator's _int_form slot.  Later calls return that same object,
+    so callers only read it.  A rational operator is never given one: each
+    call refuses it with DomainError, which names the caller.
     """
     form = op._int_form
     if form is None:
@@ -248,6 +296,14 @@ def _derivative_terms(numerators: dict[Exponents, int], k: Exponents
         else:
             out.append((tuple(map(sub, e, k)), v))
     return out
+
+
+@lru_cache(maxsize=256)
+def _leibniz(alpha: Exponents) -> tuple[tuple[Exponents, Exponents, int], ...]:
+    """(gamma, alpha - gamma, C(alpha, gamma)) for each 0 < gamma <= alpha,
+    in the order of _sub_indices."""
+    return tuple((gamma, tuple(map(sub, alpha, gamma)), _multi_binom(alpha, gamma))
+                 for gamma in _sub_indices(alpha) if any(gamma))
 
 
 def _multi_binom(alpha: Exponents, gamma: Exponents) -> int:
@@ -312,25 +368,61 @@ def _add_products(acc: dict[Exponents, dict[Exponents, int]], anums: list,
     terms keep their first-seen order.
     """
     for alpha, anum in anums:
-        gammas = _sub_indices(alpha)
-        if not plain:
-            next(gammas)         # gamma = 0 comes first
-        subs = [(gamma, _multi_binom(alpha, gamma)) for gamma in gammas]
+        subs = _leibniz(alpha)
         for beta, bnum in bnums:
-            for gamma, binom in subs:
+            if plain:            # gamma = 0 comes first
+                key = tuple(map(add, alpha, beta))
+                add_integer_terms(acc.setdefault(key, {}),
+                                  integer_product(anum, bnum.items()))
+            for gamma, rest, binom in subs:
                 q = _derivative_terms(bnum, gamma)
                 if not q:
                     continue
                 if binom != 1:
                     q = [(e, v * binom) for e, v in q]
-                key = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
+                key = tuple(map(add, rest, beta))
                 add_integer_terms(acc.setdefault(key, {}), integer_product(anum, q))
+
+
+def linear_combination(nvars: int, items: Sequence[tuple[Fraction, DiffOp]]
+                       ) -> DiffOp:
+    """sum c * op over the (c, op) items, summed in ints over one
+    denominator.
+
+    The terms come in the order of adding the c * op one by one with +: a
+    key or a term whose running sum cancels is deleted and comes back last
+    if a later item reaches it.  The operators must be polynomial
+    (DomainError otherwise).
+    """
+    scaled = [(Fraction(c), _scaled(op, "linear_combination")) for c, op in items]
+    den = lcm(*(c.denominator * d for c, (d, _) in scaled if c))
+    acc: dict[Exponents, dict[Exponents, int]] = {}
+    for c, (d, coefficients) in scaled:
+        if not c:
+            continue
+        factor = c.numerator * (den // (c.denominator * d))
+        for k, nums in coefficients:
+            total = acc.setdefault(k, {})
+            add_integer_terms(total, {e: v * factor for e, v in nums.items()}
+                              if factor != 1 else nums)
+            if not total:
+                del acc[k]
+    return _from_numerators(nvars, den, acc)
 
 
 def _from_numerators(nvars: int, den: int,
                      acc: dict[Exponents, dict[Exponents, int]]) -> DiffOp:
-    return DiffOp(nvars, {key: from_integer_terms(nvars, den, nums)
-                          for key, nums in acc.items() if nums})
+    """The operator of the int numerators acc (by derivative key, over den),
+    born with its int form: numerators and den divided by their gcd, which
+    leaves den the lcm of the reduced coefficient denominators, as _scaled
+    computes it.  A key with no terms left is dropped."""
+    coefficients = [(k, nums) for k, nums in acc.items() if nums]
+    g = gcd(den, *(v for _, nums in coefficients for v in nums.values()))
+    if g > 1:
+        den //= g
+        coefficients = [(k, {e: v // g for e, v in nums.items()})
+                        for k, nums in coefficients]
+    return DiffOp._from_int_form(nvars, (den, tuple(coefficients)))
 
 
 class GaugeFactor:

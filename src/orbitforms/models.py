@@ -22,8 +22,9 @@ polynomial in the orbit variables with integer pair coefficients fixed by N.
 So what no coupling enters is built once per (family, N), and each such
 cache holds at most one entry per (family, N) up to the N ceiling:
 
-* the symbol A of BC_N and of Sutherland with its operator terms, as a
-  read-only SecondOrder, so that no caller can change it for the next bundle;
+* the symbol A of BC_N, of Sutherland and of G2 with its operator terms, as
+  a read-only SecondOrder, so that no caller can change it for the next
+  bundle;
 * the BC pair terms of _bc_pairs (the discriminant and the pair potential);
 * weyl_tables: the roots of each orbit, the fundamental weights, each orbit's
   int sum of positive roots (read by rho_k) and the int pairings and Gram
@@ -456,9 +457,9 @@ class SecondOrder(Mapping):
     operator terms: sum A_ij d_i d_j by derivative key, the (i, j) and
     (j, i) entries summed on one key.
 
-    The symbols of BC_N and Sutherland do not depend on the couplings, so
-    each is built once per N and shared by every bundle; being read-only,
-    none can be changed by a caller for the next.
+    The symbols of BC_N, Sutherland and G2 do not depend on the couplings,
+    so each is built once per N and shared by every bundle; being
+    read-only, none can be changed by a caller for the next.
     """
 
     __slots__ = ("d", "_table", "terms")
@@ -692,15 +693,28 @@ def build_bc1_qes(nu2, nu3, b, n: int) -> ModelBundle:
 # G2
 # ---------------------------------------------------------------------------
 
-def g2_operator(nu: Fraction, mu: Fraction) -> DiffOp:
+@lru_cache(maxsize=1)
+def _g2_second_order() -> SecondOrder:
+    """The coupling-free A of g2_operator, the d1 d2 term split evenly
+    between A_12 and A_21."""
     t1, t2 = _tau(2, 0), _tau(2, 1)
     third = Fraction(1, 3)
-    return DiffOp(2, {
-        (2, 0): -(4 + t1 + third * t2 - third * t1 * t1),
-        (1, 1): 12 + 4 * t2 + t1 * t2 - 2 * t1 * t1,
-        (0, 2): 9 * t1 + 3 * t2 + 3 * t1 * t2 + t2 * t2 - t1 ** 3,
-        (1, 0): MultiPoly.const(2, 2 * nu) + Fraction(1 + 3 * mu + 2 * nu, 3) * t1,
-        (0, 1): MultiPoly.const(2, 6 * mu) + (1 + 2 * mu + nu) * t2 + 2 * nu * t1,
+    mixed = (12 + 4 * t2 + t1 * t2 - 2 * t1 * t1) * HALF
+    return SecondOrder(2, {
+        (1, 1): -(4 + t1 + third * t2 - third * t1 * t1),
+        (1, 2): mixed,
+        (2, 1): mixed,
+        (2, 2): 9 * t1 + 3 * t2 + 3 * t1 * t2 + t2 * t2 - t1 ** 3,
+    })
+
+
+def g2_operator(nu: Fraction, mu: Fraction) -> DiffOp:
+    """h = sum A_ij d_i d_j + sum B_i d_i, A the read-only SecondOrder of
+    _g2_second_order, built once."""
+    t1, t2 = _tau(2, 0), _tau(2, 1)
+    return _assemble_second_order(_g2_second_order(), {
+        1: MultiPoly.const(2, 2 * nu) + Fraction(1 + 3 * mu + 2 * nu, 3) * t1,
+        2: MultiPoly.const(2, 6 * mu) + (1 + 2 * mu + nu) * t2 + 2 * nu * t1,
     })
 
 

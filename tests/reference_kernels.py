@@ -16,7 +16,9 @@ hand-derived ground factors and partial-fraction potentials that the
 derivation from the root table replaced (`models.bc_gauge_data`), with the
 printed potentials as they were written before their pair term was
 derived.  `bc1_operator` and `bc1_qes_operator` are the hand-typed bc1 and
-bc1_qes forms that the BC_N construction at N = 1 replaced.
+bc1_qes forms that the BC_N construction at N = 1 replaced, and
+`g2_operator` is the hand-typed G2 form that the shared second-order
+assembly replaced.
 `restrict_to_flag` is the per-monomial loop that applied the
 operator to each basis monomial, here through `apply` above.  The oracle functions are those from before the
 per-check constants, each converting its Fractions anew on every call:
@@ -150,8 +152,8 @@ def rref(a, ncols=None):
 def span_solve(word_ops, targets):
     """`algebra._span_solve` through the dense loop: one Fraction row per
     operator coefficient, the words its first columns, into `rref` above."""
-    from orbitforms.algebra import _vectorize
-    columns = [_vectorize(op) for op in (*word_ops, *targets)]
+    columns = [{(k, e): x for k, c in op.terms.items() for e, x in c.terms.items()}
+               for op in (*word_ops, *targets)]
     ncols = len(word_ops)
     aug = [[v.get(k, ZERO) for v in columns] for k in sorted(set().union(*columns))]
     red, pivots = rref(aug, ncols)
@@ -273,6 +275,18 @@ def bcn_e0(N: int, nu: Fraction, nu2: Fraction, nu3: Fraction) -> Fraction:
 def bc1_e0(nu2: Fraction, nu3: Fraction) -> Fraction:
     """bc1 and bc1_qes: BC_1 with the whole kinetic term."""
     return (nu2 + nu3 * HALF) ** 2
+
+
+def g2_operator(nu: Fraction, mu: Fraction) -> DiffOp:
+    t1, t2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    third = Fraction(1, 3)
+    return DiffOp(2, {
+        (2, 0): -(4 + t1 + third * t2 - third * t1 * t1),
+        (1, 1): 12 + 4 * t2 + t1 * t2 - 2 * t1 * t1,
+        (0, 2): 9 * t1 + 3 * t2 + 3 * t1 * t2 + t2 * t2 - t1 ** 3,
+        (1, 0): MultiPoly.const(2, 2 * nu) + Fraction(1 + 3 * mu + 2 * nu, 3) * t1,
+        (0, 1): MultiPoly.const(2, 6 * mu) + (1 + 2 * mu + nu) * t2 + 2 * nu * t1,
+    })
 
 
 def g2_e0(nu: Fraction, mu: Fraction) -> Fraction:

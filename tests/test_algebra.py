@@ -12,14 +12,16 @@ from orbitforms.algebra import (GeneratorWord, check_structure, evaluate_word,
                                 fit_decomposition, g2_algebra_generators,
                                 gl2_generators, gln_generators)
 from orbitforms.cli import main
-from orbitforms.diffop import DiffOp, apply, commutator, compose
+from orbitforms.diffop import DiffOp, _scaled, apply, commutator, compose
 from orbitforms.errors import DomainError
 from orbitforms.models import build_bc1, build_bc1_qes, build_sutherland
-from orbitforms.poly import FlagSpace, MultiPoly
+from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
 from test_spectral import GOLDEN_SUITE_SHA256
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
+SPAN_SETS = {"gl2": lambda: gl2_generators(2), "gl3": lambda: gln_generators(2, 1),
+             "g2": lambda: g2_algebra_generators(1)}
 
 
 # -- gl2 ------------------------------------------------------------------------
@@ -99,6 +101,16 @@ def test_g2_chain_reproduces_second_order_generators():
     assert names["nilpotency[[J4,[J4,[J4,T0]]]=0]"].ok
 
 
+def test_a_zero_operator_is_not_proportional_to_a_generator():
+    # scale 0 would let a zero commutator pass the chain checks
+    gs = g2_algebra_generators(3)
+    t1 = gs.op("T1")
+    assert algebra._proportional(DiffOp.zero(2), t1) is None
+    assert algebra._proportional(t1, DiffOp.zero(2)) is None
+    assert algebra._proportional(t1 * Fraction(-5, 3), t1) == Fraction(-5, 3)
+    assert algebra._proportional(t1 + gs.op("T0"), t1) is None
+
+
 def test_g2_t_family_commutes():
     gs = g2_algebra_generators(2)
     for a in ("T0", "T1", "T2"):
@@ -123,6 +135,19 @@ def test_g2_conjugation_pairings_random_levels():
 
 # -- word calculus -------------------------------------------------------------------
 
+def eager_word(gs, items, constant) -> DiffOp:
+    """The word as a Fraction sum, one scaled product at a time."""
+    total = DiffOp.zero(gs.d)
+    for coeff, names in [*items, (constant, ())]:
+        op = DiffOp.identity(gs.d)
+        if names:
+            op = gs.op(names[-1])
+            for name in reversed(names[:-1]):
+                op = compose(gs.op(name), op)
+        total = total + op * coeff
+    return total
+
+
 def test_evaluate_word_matches_scaling_every_term():
     # terms with coefficient 1 join unscaled: the operator, its key order
     # and each coefficient's term order are those of scaling every term
@@ -132,21 +157,60 @@ def test_evaluate_word_matches_scaling_every_term():
          (1, ()), (Fraction(-1, 3), ())], constant=1)
     for constant in (1, 2, Fraction(-1, 3), 0):
         w = GeneratorWord(word.terms, Fraction(constant))
-        want = DiffOp.zero(1)
-        for coeff, names in w.terms:
-            op = DiffOp.identity(1)
-            if names:
-                op = gs.op(names[-1])
-                for name in reversed(names[:-1]):
-                    op = compose(gs.op(name), op)
-            want = want + op * coeff
-        if w.constant:
-            want = want + DiffOp.identity(1) * w.constant
+        want = eager_word(gs, w.terms, w.constant)
         got = evaluate_word(gs, w)
         assert got == want
         assert list(got.terms) == list(want.terms)
         for k in want.terms:
             assert list(got.terms[k].terms.items()) == list(want.terms[k].terms.items())
+
+
+def assert_lazy_form(op: DiffOp) -> None:
+    """op was born with its int form: order, is_zero and hash read it and
+    build no terms; once built, the terms are those of an eager copy in
+    ==, hash, repr and the order of keys and terms, and the kept form is
+    the one _scaled computes for that copy."""
+    assert op._terms is None and op._int_form is not None
+    order, zero, digest = op.order(), op.is_zero(), hash(op)
+    assert op._terms is None
+    form = op._int_form
+    eager = DiffOp(op.nvars, op.terms)
+    assert (order, zero, digest) == (eager.order(), eager.is_zero(), hash(eager))
+    assert op == eager and repr(op) == repr(eager)
+    assert list(op.terms) == list(eager.terms)
+    for k, c in eager.terms.items():
+        assert list(op.terms[k].terms.items()) == list(c.terms.items())
+    want = _scaled(eager, "test")
+    assert form == want
+    assert [(k, list(nums.items())) for k, nums in form[1]] == \
+        [(k, list(nums.items())) for k, nums in want[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SPAN_SETS)), data=st.data())
+def test_products_sums_and_brackets_keep_a_canonical_lazy_form(name, data):
+    gs = SPAN_SETS[name]()
+    names = st.sampled_from(gs.names)
+    a, b = data.draw(names, label="a"), data.draw(names, label="b")
+    items = data.draw(st.lists(st.tuples(
+        st.fractions(-3, 3, max_denominator=7),
+        st.lists(names, max_size=3).map(tuple)), max_size=4), label="word")
+    constant = data.draw(st.fractions(-2, 2, max_denominator=5), label="constant")
+    word = GeneratorWord.from_items(items, constant)
+    made = [compose(gs.op(a), gs.op(b)), commutator(gs.op(a), gs.op(b)),
+            evaluate_word(gs, word)]
+    for op in made:
+        assert_lazy_form(op)
+    # the word sums as the Fraction loop does, key and term order too
+    want = eager_word(gs, word.terms, word.constant)
+    assert made[2] == want and list(made[2].terms) == list(want.terms)
+    for k, c in want.terms.items():
+        assert list(made[2].terms[k].terms.items()) == list(c.terms.items())
+    # == between two kept forms decides as == between the eager copies
+    eager = [DiffOp(op.nvars, op.terms) for op in made]
+    for x, ex in zip(made, eager):
+        for y, ey in zip(made, eager):
+            assert (x == y) == (ex == ey)
 
 
 def test_evaluate_word_bc1_free():
@@ -233,19 +297,23 @@ def test_fit_outside_the_span_returns_its_residual():
     assert fit.unmatched == (((3,), (0,)),)
 
 
-SPAN_SETS = {"gl2": lambda: gl2_generators(2), "gl3": lambda: gln_generators(2, 1),
-             "g2": lambda: g2_algebra_generators(1)}
+nonzero_scales = st.fractions(-5, 5, max_denominator=9).filter(bool)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(sorted(SPAN_SETS)), data=st.data())
 def test_span_solve_matches_the_dense_rref_path(name, data):
     # the sparse reduction gives the dense loop's coefficients and escapes:
     # the pairwise commutators, an in-span combination of the words, and
-    # that combination plus a third-order term no word reaches
+    # that combination plus a third-order term no word reaches; words and
+    # targets are scaled apart, so that their int forms carry different
+    # denominators and the column scaling x_c = z_c den_c / den_j is read
     gs = SPAN_SETS[name]()
     words = algebra.decomposition_words(gs)
     word_ops = algebra._word_ops(gs, words)
+    scales = data.draw(st.dictionaries(st.integers(0, len(words) - 1), nonzero_scales,
+                                       max_size=len(words)), label="word scales")
+    word_ops = [op * scales[i] if i in scales else op for i, op in enumerate(word_ops)]
     picks = data.draw(st.lists(st.tuples(st.integers(0, len(words) - 1),
                                          st.fractions(-3, 3, max_denominator=5)),
                                min_size=1, max_size=4))
@@ -255,15 +323,43 @@ def test_span_solve_matches_the_dense_rref_path(name, data):
     outside = inside + DiffOp(gs.d, {(3,) + (0,) * (gs.d - 1): MultiPoly.const(gs.d, 1)})
     targets = [commutator(gs.op(a), gs.op(b)) for i, a in enumerate(gs.names)
                for b in gs.names[i + 1:]] + [inside, outside]
+    targets = [op * data.draw(st.one_of(st.just(1), nonzero_scales), label="target scale")
+               for op in targets]
     coefficients, escapes = algebra._span_solve(word_ops, targets)
     assert (coefficients, escapes) == reference_kernels.span_solve(word_ops, targets)
     assert escapes[-2:] == [False, True]
+
+
+def test_fitting_an_operator_with_a_rational_coefficient_is_refused():
+    gs = gl2_generators(1)
+    rational = DiffOp(1, {(1,): t, (0,): RationalFn(MultiPoly.const(1, 1), 1 + t)})
+    with pytest.raises(DomainError, match="polynomial coefficients"):
+        fit_decomposition(rational, gs)
+    word_ops = algebra._word_ops(gs, algebra.decomposition_words(gs))
+    with pytest.raises(DomainError, match="polynomial coefficients"):
+        algebra._span_solve(word_ops, [rational])
+    with pytest.raises(DomainError, match="polynomial coefficients"):
+        algebra._span_solve([*word_ops, rational], [gs.op("J0")])
 
 
 def test_g2_pairwise_closure_in_report():
     report = check_structure(g2_algebra_generators(3))
     closure = [r for r in report.results if r.name == "closure[pairwise]"]
     assert len(closure) == 1 and closure[0].ok
+
+
+def test_the_pairwise_closure_makes_no_fraction_terms(monkeypatch):
+    # word products, commutators and the span solve stay in ints: building
+    # the Fraction terms of any operator on the way would raise
+    from orbitforms import diffop, poly
+    gs = g2_algebra_generators(3)
+
+    def refuse(*args):
+        raise AssertionError("the closure check built Fraction terms")
+
+    monkeypatch.setattr(diffop, "from_integer_terms", refuse)
+    monkeypatch.setattr(poly, "from_integer_terms", refuse)
+    assert algebra._g2_pairwise_closure(gs).ok
 
 
 def test_pairwise_closure_detects_escape():

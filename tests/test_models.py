@@ -25,6 +25,7 @@ from orbitforms.poly import MultiPoly
 from orbitforms.report import CEILINGS, RunConfig
 from orbitforms.suites import suite_gauge
 import reference_kernels as ref
+from test_diffop import assert_same_op
 from test_poly import assert_same_poly
 from test_spectral import GOLDEN_SUITE_SHA256
 
@@ -676,6 +677,7 @@ def test_every_model_cache_is_bounded_by_the_n_ceiling():
                   models._bc_pairs):
         assert cache.cache_info().maxsize == CEILINGS["N"]
     assert models.weyl_tables.cache_info().maxsize == len(models.FAMILIES) * CEILINGS["N"]
+    assert models._g2_second_order.cache_info().maxsize == 1
 
 
 POISON_COUPLINGS = ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
@@ -730,6 +732,23 @@ def test_coefficient_tables_are_read_only():
             del A[key]
         assert not hasattr(A, "update") and not hasattr(A, "pop")
     assert (build_bcn(3, *nus).h, build_sutherland(4, nus[0]).h) == want
+
+
+def test_g2_builds_share_one_second_order_and_keep_the_hand_typed_form():
+    # couplings g1, then g2, then g1 again, and g1 from an emptied cache:
+    # each h equals the hand-typed form key by key and term by term
+    clear_model_caches()
+    g1, g2 = POISON_COUPLINGS[0][:2], POISON_COUPLINGS[1][:2]
+    for nus in (g1, g2, g1):
+        assert_same_op(build_g2(*nus).h, ref.g2_operator(*nus))
+    A = models._g2_second_order()
+    assert models._g2_second_order.cache_info().misses == 1
+    assert A[(1, 2)] == A[(2, 1)]
+    with pytest.raises(TypeError):
+        A[(1, 1)] = A[(1, 1)] * 2
+    clear_model_caches()
+    assert_same_op(build_g2(*g1).h, ref.g2_operator(*g1))
+    assert models._g2_second_order() is not A
 
 
 def test_exact_suites_keep_their_golden_bytes_cold_and_warm(tmp_path, monkeypatch):
