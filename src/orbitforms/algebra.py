@@ -465,6 +465,6 @@ def fit_decomposition(h: DiffOp, gs: GeneratorSet, max_word_degree: int = 2
     (solution,), _ = _span_solve(word_ops, [h])
     residual = linear_combination(gs.d, [(1, h)] + [(-c, op) for c, op
                                                      in zip(solution, word_ops) if c])
-    unmatched = tuple(sorted((k, e) for k, c in residual.terms.items() for e in c.terms))
+    unmatched = tuple(sorted((k, e) for k, c in residual.terms.items() for e in c.nums))
     coeffs = tuple((words[i], solution[i]) for i in range(len(words)) if solution[i])
     return FitResult(coeffs, residual, unmatched)

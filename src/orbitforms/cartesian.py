@@ -28,13 +28,14 @@ log-derivatives, one `CheckGround.log_derivatives` and one potential, the
 radial well plus the bc1 potential over r^2.  A 4th-order central
 stencil (`laplacian_richardson`) is kept only for the convergence-order
 record `fd_convergence_order`.
-One rule puts an exact object into mpmath: a rational c becomes
-mpf(c.numerator) / c.denominator at the working precision (`_mpf`), never a
-binary float, and it is applied once per check, never once per term per
-point.  Each check converts its constants once (`CheckGround`, `TTWGround`),
-grouping every product as a per-call conversion would, and its polynomials'
-coefficients once per working precision (`SharedMonomials`), which
-`MultiPoly.evaluate` converts by the same rule, so the values do not depend
+One rule, `poly.to_mpf`, puts an exact object into mpmath: a rational c
+becomes mpf(c.numerator) / c.denominator of its reduced Fraction at the
+working precision, never a binary float, and it is applied once per check,
+never once per term per point.  Each check converts its constants once
+(`CheckGround`, `TTWGround`), grouping every product as a per-call
+conversion would, and its polynomials' coefficients once per working
+precision (`SharedMonomials`), which `MultiPoly.evaluate` converts by the
+same helper, so the values do not depend
 on which path computed them; the public point functions build the same
 objects.
 
@@ -77,18 +78,11 @@ from .errors import (DimensionMismatch, DomainError, InconsistencyError,
 from .models import (KAPPA, ModelBundle, ModelSpec, TTWDescriptor,
                      bc1_qes_level, ground_energy, kinetic_half, rho_k,
                      root_table)
-from .poly import MultiPoly
+from .poly import MultiPoly, to_mpf
 
 DEFAULT_DPS = 40
 IMAG_TOL = "1e-8"   # bound on the imaginary part of a measured energy
 WALL_MARGIN = Fraction(1, 20)    # 5% of the alcove scale
-
-def _mpf(q) -> mpmath.mpf:
-    if isinstance(q, (mpmath.mpf, mpmath.mpc)):
-        return q
-    q = Fraction(q)
-    return mpmath.mpf(q.numerator) / q.denominator
-
 
 @dataclass(frozen=True)
 class ResidualStats:
@@ -287,20 +281,20 @@ class CheckGround:
 
     def __init__(self, spec: ModelSpec, beta=1):
         self.spec = spec
-        self.beta = _mpf(beta)
+        self.beta = to_mpf(beta)
         self.b2 = self.beta * self.beta
         self.floor = _node_floor()
         self.orbits, self.log_terms = [], []
         for orbit in root_table(spec):
-            g = _mpf(orbit.exponent)
-            self.orbits.append((orbit.forms, g, _mpf(orbit.potential) * self.b2))
+            g = to_mpf(orbit.exponent)
+            self.orbits.append((orbit.forms, g, to_mpf(orbit.potential) * self.b2))
             half = g * self.beta / 2
             slopes = [[(i, c * half) for i, c in form] for form in orbit.forms]
             self.log_terms.append((orbit.forms, slopes, -(g * self.b2 * orbit.norm / 4)))
         self.qes = None
         if spec.family == "BC1_QES":
-            bb = _mpf(spec.b)
-            level = _mpf(bc1_qes_level(spec))
+            bb = to_mpf(spec.b)
+            level = to_mpf(bc1_qes_level(spec))
             self.qes = (bb, bb * bb * self.b2, 2 * bb * self.b2 * level)
             self.qes_log = (bb * self.beta, bb * self.b2)
 
@@ -475,8 +469,8 @@ class SharedMonomials:
     `at` raises each needed (variable, power) once and multiplies each
     distinct monomial once, in variable order, as `MultiPoly.evaluate`
     builds it.  Each coefficient is converted once per working precision,
-    as mpf(numerator) / denominator (`_mpf`), the first time `value` runs
-    at that precision, so an instance used at two precisions never serves
+    by `poly.to_mpf`, the first time `value` runs at that precision, so an
+    instance used at two precisions never serves
     one precision's coefficients at the other.  `value` then sums one
     polynomial's converted coefficients times its monomials, in term order,
     from exact 0, the constant term included.  So each value is the one
@@ -489,7 +483,7 @@ class SharedMonomials:
         self.polys = polys
         self.converted = {}         # mp.prec -> [[(exponents, mpf)] per polynomial]
         monomials = {e: [(i, p) for i, p in enumerate(e) if p]
-                     for phi in polys for e in phi.terms}
+                     for phi in polys for e in phi.nums}
         self.monomials = list(monomials.items())
         self.powers = sorted({key for factors in monomials.values()
                               for key in factors})
@@ -512,7 +506,7 @@ class SharedMonomials:
         terms = self.converted.get(mp.prec)
         if terms is None:
             terms = self.converted[mp.prec] = [
-                [(e, _mpf(c)) for e, c in phi.terms.items()] for phi in self.polys]
+                [(e, to_mpf(c)) for e, c in phi.terms.items()] for phi in self.polys]
         return sum((c * monomials[e] for e, c in terms[k]), 0)
 
 
@@ -584,8 +578,8 @@ def residual_stats(bundle: ModelBundle, eps, energies: Sequence, *, beta=1,
     """`residual_check` on energies already measured by `measured_energies`."""
     kappa = KAPPA[bundle.spec.family]
     with mp.workdps(dps):
-        betam = _mpf(beta)
-        target = _mpf(bundle.e0) * betam ** 2 + _mpf(kappa) * betam ** 2 * _mpf(eps)
+        betam = to_mpf(beta)
+        target = to_mpf(bundle.e0) * betam ** 2 + to_mpf(kappa) * betam ** 2 * to_mpf(eps)
         values = []
         max_imag = mp.mpf(0)
         for energy in energies:
@@ -615,7 +609,7 @@ def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
     energies = measured_energies(bundle, [phi for _, phi in eigenpairs], sample,
                                  beta=beta, dps=dps)
     with mp.workdps(dps):
-        betam = _mpf(beta)
+        betam = to_mpf(beta)
         xs, ys = [], []
         for (eps, _), measured in zip(eigenpairs, energies):
             acc = []
@@ -629,7 +623,7 @@ def fit_energy_affine(bundle: ModelBundle, eigenpairs: Sequence, sample,
                 acc.append(val)
             if not acc:
                 raise DomainError("no usable points for an eigenpair")
-            xs.append(_mpf(eps))
+            xs.append(to_mpf(eps))
             ys.append(sum(acc, mp.mpf(0)) / len(acc))
         n = len(xs)
         sx = sum(xs, mp.mpf(0))
@@ -662,7 +656,7 @@ def a2_groundstate_identity(nu, npoints: int = 20, seed: int = 11,
         (2, 2): Fraction(-1), (0, 0): Fraction(27)})
     sample = sample_alcove(spec, npoints, seed)
     with mp.workdps(dps):
-        target = mpmath.mpf(64) ** (-_mpf(nu))
+        target = mpmath.mpf(64) ** (-to_mpf(nu))
         imag_bound = mpmath.mpf(10) ** (15 - dps)   # round-off: 10^15 ulps
         ground = CheckGround(spec)
         worst = mp.mpf(0)
@@ -671,7 +665,7 @@ def a2_groundstate_identity(nu, npoints: int = 20, seed: int = 11,
             if abs(val.imag) > imag_bound:
                 raise InconsistencyError("discriminant must be real on the alcove")
             psi2 = ground.psi0(x) ** 2
-            ratio = psi2 / (val.real ** _mpf(nu))
+            ratio = psi2 / (val.real ** to_mpf(nu))
             worst = max(worst, abs(ratio - target) / target)
         return worst
 
@@ -742,7 +736,7 @@ def ttw_radial_power(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
     if desc.b == 0:
         return desc.beta * abs(rho_k(spec)[0])
     with mp.workdps(dps):
-        return _mpf(desc.beta) * mpmath.sqrt(_mpf(lam))
+        return to_mpf(desc.beta) * mpmath.sqrt(to_mpf(lam))
 
 
 def ttw_r2_coefficient(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
@@ -754,8 +748,8 @@ def ttw_r2_coefficient(desc: TTWDescriptor, dps: int = DEFAULT_DPS):
     if isinstance(gamma, Fraction):
         return desc.omega ** 2 - 2 * desc.a * (2 * desc.n + 2 + gamma)
     with mp.workdps(dps):
-        return (_mpf(desc.omega) ** 2
-                - 2 * _mpf(desc.a) * (2 * desc.n + 2 + gamma))
+        return (to_mpf(desc.omega) ** 2
+                - 2 * to_mpf(desc.a) * (2 * desc.n + 2 + gamma))
 
 
 def _radius(r):
@@ -781,7 +775,7 @@ class TTWGround:
 
     def __init__(self, desc: TTWDescriptor, dps: int):
         self.desc, self.dps = desc, dps
-        omega, a = _mpf(desc.omega), _mpf(desc.a)
+        omega, a = to_mpf(desc.omega), to_mpf(desc.a)
         self.neg_omega = -omega
         self.sextic = (a, a * a, 2 * a * omega) if desc.has_sextic else None
         spec = desc.angular_spec
@@ -803,7 +797,7 @@ class TTWGround:
 
     @functools.cached_property
     def gamma_mpf(self):
-        return _mpf(self.gamma)
+        return to_mpf(self.gamma)
 
     def radial(self, r) -> tuple:
         """(r^gamma, -omega r^2/2 [- a r^4/4])."""

@@ -19,31 +19,30 @@ zeroth order gathers one residue per wall over P_k, so the poles land on the
 denominator prod P_k that the rational potential already carries.  No common
 denominator of grad log F and no square of it is formed.
 
-apply and compose follow the integer-numerator rule of poly: coefficients are
-scaled once to integer numerators over the operator's common denominator,
-derivatives are taken term by term as d^k tau^e = perm(e, k) tau^(e-k), and
-the Leibniz factors are ints, their (gamma, binom(alpha, gamma)) lists kept
-once per alpha.  apply reduces each output term to a Fraction once.  The
-products of one operator term are summed before they join the total, so
-the terms come in the order the Fraction loops gave them.  An operator is
-scaled once: the first of apply, compose, commutator and the flag loop to
-read it fills a private slot with its int form, which every later call
-reads and none changes (a rational operator has no int form and is refused
-on each call).  The flag loop gives each basis monomial's image as int
-numerators, which restrict_to_flag keys by basis index and preserves_flag
-reads; neither makes a Fraction.  compose and commutator share one int
-accumulation of Leibniz products; commutator leaves out the plain products
-(gamma = 0), which are equal in a.b and b.a, adds those of b.a with the
-sign of -b, and builds one operator, with its key and term order
-unspecified (no report reads it).
+apply and compose follow the integer-numerator rule of poly: a polynomial
+operator's int form is its coefficients' int numerators over their common
+denominator, derivatives are taken term by term as
+d^k tau^e = perm(e, k) tau^(e-k), and the Leibniz factors are ints, their
+(gamma, binom(alpha, gamma)) lists kept once per alpha.  The products of
+one operator term are summed before they join the total, so the terms come
+in the order the Fraction loops gave them.  An operator is scaled once:
+the first of apply, compose, commutator and the flag loop to read it fills
+a private slot with its int form, which every later call reads and none
+changes (a rational operator has no int form and is refused on each call).
+The flag loop gives each basis monomial's image as int numerators, which
+restrict_to_flag keys by basis index and preserves_flag reads; neither
+makes a Fraction.  compose and commutator share one int accumulation of
+Leibniz products; commutator leaves out the plain products (gamma = 0),
+which are equal in a.b and b.a, adds those of b.a with the sign of -b, and
+builds one operator, with its key and term order unspecified (no report
+reads it).
 
 compose, commutator and linear_combination keep their sums in ints: they
 divide the numerators and the denominator by one gcd, which is the int form
-_scaled would compute, and return an operator born with that form.  Its
-Fraction terms are built only when something first reads them; order,
-is_zero, hash and == between two operators that both hold an int form read
-the form, so a chain of products, sums and span solves (the word calculus
-of algebra) makes no Fraction.
+_scaled would compute, and return an operator that holds both that form and
+its coefficients, each an int-backed MultiPoly built from its numerators.
+So a chain of products, sums and span solves (the word calculus of algebra)
+makes no Fraction.
 
 Everything is a pure function over immutable values; results never depend on
 evaluation order.
@@ -60,8 +59,7 @@ from typing import Mapping, Sequence, Union
 from .errors import (DimensionMismatch, DomainError, FlagViolation,
                      UnsupportedOrder)
 from .poly import (Exponents, FlagSpace, MultiPoly, RationalFn,
-                   add_integer_terms, from_integer_terms, integer_product,
-                   integer_terms)
+                   add_integer_terms, from_integer_terms, integer_product)
 
 Coefficient = Union[MultiPoly, RationalFn]
 # a polynomial operator as (common denominator, ((k, int numerators of C_k), ...))
@@ -73,16 +71,14 @@ ZERO = Fraction(0)
 class DiffOp:
     """Immutable differential operator; coefficients MultiPoly or RationalFn.
 
-    _int_form holds the int form of a polynomial operator (see _scaled):
-    from birth for an operator that compose, commutator or
+    `terms` maps each derivative multi-index k to its nonzero coefficient
+    C_k.  _int_form holds the int form of a polynomial operator (see
+    _scaled): from birth for an operator that compose, commutator or
     linear_combination built, otherwise once _scaled has computed it, and
-    None before.  An operator born with it has _terms None until `terms` is
-    first read, which builds the Fraction coefficients from the form, in
-    its key and term order.  The form takes no part in what == and hash
-    decide, only in how fast they do it.
+    None before.  The form takes no part in what == and hash decide.
     """
 
-    __slots__ = ("nvars", "_terms", "polynomial", "_int_form")
+    __slots__ = ("nvars", "terms", "polynomial", "_int_form")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
         clean: dict[Exponents, Coefficient] = {}
@@ -105,34 +101,9 @@ class DiffOp:
                 if not c.is_zero():
                     clean[key] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "polynomial", polynomial)
         object.__setattr__(self, "_int_form", None)
-
-    @classmethod
-    def _from_int_form(cls, nvars: int, form: ScaledOp) -> "DiffOp":
-        """The polynomial operator of a canonical int form, terms unbuilt."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "nvars", nvars)
-        object.__setattr__(op, "_terms", None)
-        object.__setattr__(op, "polynomial", True)
-        object.__setattr__(op, "_int_form", form)
-        return op
-
-    @property
-    def terms(self) -> dict[Exponents, Coefficient]:
-        terms = self._terms
-        if terms is None:
-            den, coefficients = self._int_form
-            terms = {k: from_integer_terms(self.nvars, den, nums)
-                     for k, nums in coefficients}
-            object.__setattr__(self, "_terms", terms)
-        return terms
-
-    def _keys(self):
-        """The derivative keys, read without building the terms."""
-        terms = self._terms
-        return terms if terms is not None else (k for k, _ in self._int_form[1])
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -196,11 +167,10 @@ class DiffOp:
     __rmul__ = __mul__
 
     def order(self) -> int:
-        return max((sum(k) for k in self._keys()), default=0)
+        return max((sum(k) for k in self.terms), default=0)
 
     def is_zero(self) -> bool:
-        terms = self._terms
-        return not (terms if terms is not None else self._int_form[1])
+        return not self.terms
 
     def coefficient(self, k: Exponents) -> Coefficient:
         key = tuple(k)
@@ -212,16 +182,10 @@ class DiffOp:
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        mine, theirs = self._int_form, other._int_form
-        if mine is not None and theirs is not None:
-            # both canonical: equal operators have equal forms
-            return mine[0] == theirs[0] and dict(mine[1]) == dict(theirs[1])
-        return self.terms == other.terms
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self._keys())))
+        return hash((self.nvars, frozenset(self.terms)))
 
     def __repr__(self):
         if not self.terms:
@@ -250,13 +214,12 @@ def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
         raise DimensionMismatch("operator/polynomial variable counts differ")
     # each operator term is summed on its own and then added, so the terms
     # come in the order of adding the products c_k * d^k p one by one
-    dp, pnum = integer_terms(p.terms)
     total: dict[Exponents, int] = {}
     for k, cnum in coefficients:
-        q = _derivative_terms(pnum, k)
+        q = _derivative_terms(p.nums, k)
         if q:
             add_integer_terms(total, integer_product(cnum, q))
-    return from_integer_terms(op.nvars, den * dp, total)
+    return from_integer_terms(op.nvars, den * p.den, total)
 
 
 def _scaled(op: DiffOp, caller: str) -> ScaledOp:
@@ -274,9 +237,9 @@ def _scaled(op: DiffOp, caller: str) -> ScaledOp:
         if not op.polynomial:
             raise DomainError(f"{caller} needs polynomial coefficients; rational "
                               "ones serve gauge_conjugate only")
-        den = lcm(*(c.denominator for coeff in op.terms.values()
-                    for c in coeff.terms.values()))
-        form = den, tuple((k, integer_terms(c.terms, den)[1])
+        den = lcm(*(c.den for c in op.terms.values()))
+        form = den, tuple((k, c.nums if c.den == den else
+                           {e: v * (den // c.den) for e, v in c.nums.items()})
                           for k, c in op.terms.items())
         object.__setattr__(op, "_int_form", form)
     return form
@@ -415,14 +378,21 @@ def _from_numerators(nvars: int, den: int,
     """The operator of the int numerators acc (by derivative key, over den),
     born with its int form: numerators and den divided by their gcd, which
     leaves den the lcm of the reduced coefficient denominators, as _scaled
-    computes it.  A key with no terms left is dropped."""
+    computes it.  Each coefficient is built from its numerators by
+    from_integer_terms.  A key with no terms left is dropped."""
     coefficients = [(k, nums) for k, nums in acc.items() if nums]
     g = gcd(den, *(v for _, nums in coefficients for v in nums.values()))
     if g > 1:
         den //= g
         coefficients = [(k, {e: v // g for e, v in nums.items()})
                         for k, nums in coefficients]
-    return DiffOp._from_int_form(nvars, (den, tuple(coefficients)))
+    op = object.__new__(DiffOp)
+    object.__setattr__(op, "nvars", nvars)
+    object.__setattr__(op, "terms", {k: from_integer_terms(nvars, den, nums)
+                                     for k, nums in coefficients})
+    object.__setattr__(op, "polynomial", True)
+    object.__setattr__(op, "_int_form", (den, tuple(coefficients)))
+    return op
 
 
 class GaugeFactor:

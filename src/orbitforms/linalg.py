@@ -16,9 +16,10 @@ polynomial come as dyadic brackets, each certified by an exact sign
 change (real_roots).
 
 Berkowitz, the root brackets, the back-substitution and the reduction
-follow the integer-numerator rule of poly: the loops run on ints with one
-denominator per value, and a kernel vector leaves as int numerators over
-one denominator, with no Fraction made on its way.
+follow the integer-numerator rule of poly, the form in which a polynomial
+is stored: the loops run on ints with one denominator per value, and a
+kernel vector leaves as int numerators over one denominator, with no
+Fraction made on its way.
 """
 
 from __future__ import annotations

@@ -411,7 +411,8 @@ def _pair_sum(taus: dict[int, Exponents],
     zero, so the int or Fraction coefficients are summed straight into a
     term dict, deleting a key whose sum reaches zero, as MultiPoly addition
     does.  The terms therefore come in the order of the polynomial sum taken
-    one pair at a time.  Zero contributions are skipped.
+    one pair at a time.  Zero contributions are skipped.  The sums may be
+    Fractions (the drifts), so the MultiPoly constructor builds the result.
     """
     total: dict[Exponents, Scalar] = {}
     for c, a, b in pairs:
@@ -422,7 +423,7 @@ def _pair_sum(taus: dict[int, Exponents],
                 total[e] = s
             else:
                 del total[e]
-    return from_integer_terms(len(taus[0]), den, total)
+    return MultiPoly(len(taus[0]), {e: Fraction(s, den) for e, s in total.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,25 @@
 """Exact sparse multivariate polynomials, rational functions and flag bases.
 
 A polynomial in d orbit variables tau_1..tau_d is a sparse map from exponent
-tuples to nonzero Fractions:
+tuples to nonzero rationals:
 
-    tau1^2*tau2 + 3  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
+    tau1^2*tau2 + 3/2  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)}
 
 All arithmetic is exact.  The one exception is `MultiPoly.evaluate` at a
-numeric point, which imports mpmath locally and converts each coefficient
-once, from its integer numerator and denominator, at the working precision;
-nothing here ever touches binary floating point.  Scalars
-are `fractions.Fraction` throughout (arbitrary precision, canonical
-coprime/positive-denominator form is maintained by the stdlib).
+numeric point, which converts each coefficient once by `to_mpf`, from its
+integer numerator and denominator, at the working mpmath precision; nothing
+here ever touches binary floating point.
 
-Integer-numerator rule: a hot kernel (the polynomial product and exact
-division here, operator apply and compose in diffop) does its inner loop on
-Python ints.  Each operand is scaled to integer numerators over one denominator
-(`integer_terms`), products are accumulated as ints (`integer_product`,
-`add_integer_terms`), and each output term is reduced to a Fraction exactly
-once (`from_integer_terms`).  Accumulation deletes a key whose sum cancels
-to zero, as the Fraction loop it replaced did, so the result keeps that
-loop's term order as well as its values.
+Integer-numerator rule: a MultiPoly is stored only as int numerators over
+one denominator, (den, {exponents: int}), in canonical form: den > 0,
+gcd(den, numerators) = 1 and no zero numerator, so equal polynomials have
+equal forms.  Every operation runs on those ints and builds its result by
+`from_integer_terms`, which takes ints only and divides out the gcd.  Sums
+and products accumulate by `add_integer_terms` / `integer_product`, which
+delete a key whose sum cancels, as the Fraction loops they replaced did,
+so results keep those loops' term order.  `terms` is a Fraction view, in
+term order, built on each read and never kept.  Operator apply and compose
+in diffop run on the same ints.
 
 Monomial order: graded by f-degree for a characteristic vector f, ties broken
 lexicographically on exponent tuples.  Plain polynomial arithmetic uses the
@@ -31,9 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, perm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import mpmath
 
 from .errors import DimensionMismatch, DomainError
 
@@ -42,7 +44,6 @@ CharVector = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def qq(num: Union[int, str, Fraction], den: int | None = None) -> Fraction:
@@ -83,9 +84,11 @@ def _grlex_key(exps: Exponents) -> tuple:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, stored
+    as int numerators `nums` over one denominator `den` in canonical form
+    (see the module docstring); `terms` is the Fraction view."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | None = None):
         coeffs: dict[Exponents, Fraction] = {}
@@ -97,11 +100,21 @@ class MultiPoly:
                     if len(e) != nvars or any(p < 0 for p in e):
                         raise DomainError(f"bad exponent tuple {e} for {nvars} variables")
                     coeffs[e] = c
+        # over the lcm of the reduced denominators the form is canonical
+        den, nums = integer_terms(coeffs)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", coeffs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """{exponents: Fraction coefficient}, in term order, built anew on
+        each read."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
 
@@ -111,17 +124,17 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): ONE})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents, c: Scalar = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): Fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     # -- ring operations -------------------------------------------------
 
@@ -140,19 +153,19 @@ class MultiPoly:
                 return NotImplemented
             other = MultiPoly.const(self.nvars, other)
         self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, ZERO) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        return _raw(self.nvars, res)
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        res = ({e: v * mine for e, v in self.nums.items()} if mine != 1
+               else dict(self.nums))
+        add_integer_terms(res, {e: v * theirs for e, v in other.nums.items()}
+                          if theirs != 1 else other.nums)
+        return from_integer_terms(self.nvars, den, res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return from_integer_terms(self.nvars, self.den,
+                                  {e: -v for e, v in self.nums.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,12 +182,12 @@ class MultiPoly:
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.nvars)
-            return _raw(self.nvars, {e: k * c for e, k in self.terms.items()})
+            p = c.numerator
+            return from_integer_terms(self.nvars, self.den * c.denominator,
+                                      {e: v * p for e, v in self.nums.items()})
         self._check(other)
-        d1, n1 = integer_terms(self.terms)
-        d2, n2 = integer_terms(other.terms)
-        return from_integer_terms(self.nvars, d1 * d2,
-                                  integer_product(n1, n2.items()))
+        return from_integer_terms(self.nvars, self.den * other.den,
+                                  integer_product(self.nums, other.nums.items()))
 
     __rmul__ = __mul__
 
@@ -192,52 +205,47 @@ class MultiPoly:
         return result
 
     def diff(self, i: int, times: int = 1) -> "MultiPoly":
-        """Exact partial derivative d^times / d tau_i^times."""
-        p = self
-        for _ in range(times):
-            res: dict[Exponents, Fraction] = {}
-            for e, c in p.terms.items():
-                if e[i]:
-                    shifted = list(e)
-                    shifted[i] -= 1
-                    res[tuple(shifted)] = c * e[i]
-            p = _raw(p.nvars, res)
-        return p
+        """Exact partial derivative d^times / d tau_i^times:
+        d^t tau_i^p = perm(p, t) tau_i^(p - t)."""
+        res: dict[Exponents, int] = {}
+        for e, v in self.nums.items():
+            p = e[i]
+            if p >= times:
+                shifted = list(e)
+                shifted[i] -= times
+                res[tuple(shifted)] = v * perm(p, times)
+        return from_integer_terms(self.nvars, self.den, res)
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise DomainError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, ZERO)
+        return self.coeff((0,) * self.nvars)
 
     def coeff(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), ZERO)
+        v = self.nums.get(tuple(exps))
+        return Fraction(v, self.den) if v else ZERO
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
         """Leading term under graded lexicographic order."""
-        if not self.terms:
+        if not self.nums:
             raise DomainError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.nums, key=_grlex_key)
+        return e, Fraction(self.nums[e], self.den)
 
     def content(self) -> Fraction:
-        """Signed content: gcd of coefficients, sign of the leading term."""
-        if not self.terms:
+        """Signed content: gcd(nums) / den, sign of the leading term."""
+        if not self.nums:
             return ZERO
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        cont = Fraction(num, den)
-        _, lead = self.leading_term()
+        cont = Fraction(gcd(*self.nums.values()), self.den)
+        lead = self.nums[max(self.nums, key=_grlex_key)]
         return cont if lead > 0 else -cont
 
     def evaluate(self, point: Sequence) -> object:
@@ -245,18 +253,17 @@ class MultiPoly:
         int or a Fraction, numeric otherwise.
 
         At a numeric point (any mpf/mpc coordinate) each coefficient c is
-        converted once, as mpf(c.numerator) / c.denominator at the working
-        precision, so it never passes through a binary float, and the value
-        is the plain sum of converted coefficient times monomial, in term
-        order, from exact 0.  `cartesian.SharedMonomials` sums the same way.
+        converted once, by `to_mpf`, so it never passes through a binary
+        float, and the value is the plain sum of converted coefficient
+        times monomial, in term order, from exact 0.
+        `cartesian.SharedMonomials` sums the same way.
         """
         if len(point) != self.nvars:
             raise DimensionMismatch("point has wrong dimension")
         if all(isinstance(x, (int, Fraction)) for x in point):
-            return sum((c * _monomial_at(point, e) for e, c in self.terms.items()),
-                       ZERO)
-        from mpmath import mpf
-        return sum((mpf(c.numerator) / c.denominator * _monomial_at(point, e)
+            return sum((v * _monomial_at(point, e) for e, v in self.nums.items()),
+                       ZERO) / self.den
+        return sum((to_mpf(c) * _monomial_at(point, e)
                     for e, c in self.terms.items()), 0)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly | None":
@@ -266,7 +273,7 @@ class MultiPoly:
         remainder is kept as ints over one denominator and the divisor as
         its primitive int form with leading coefficient lc.  Each step
         subtracts a shifted multiple of the divisor's ints in place and
-        makes one Fraction, the quotient term.  Grlex is a monomial order,
+        records one int quotient numerator.  Grlex is a monomial order,
         so the leading term falls at every step.  If self is divisible, the
         int remainder is S * prim at every step for a polynomial S, which
         has int coefficients because prim is primitive (Gauss's lemma), so
@@ -279,14 +286,12 @@ class MultiPoly:
             raise DomainError("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.nvars)
-        dden, dnum = integer_terms(divisor.terms)
-        content = gcd(*dnum.values())
-        prim = [(e, v // content) for e, v in dnum.items()]
+        content = gcd(*divisor.nums.values())
+        prim = [(e, v // content) for e, v in divisor.nums.items()]
         de, lc = max(prim, key=lambda term: _grlex_key(term[0]))
-        # self / divisor = (rem / rden) * dden / (content * prim)
-        rden, rem = integer_terms(self.terms)
-        qden = rden * content
-        quotient: dict[Exponents, Fraction] = {}
+        # self / divisor = (rem / self.den) * divisor.den / (content * prim)
+        dden, rem = divisor.den, dict(self.nums)
+        quotient: dict[Exponents, int] = {}
         get = rem.get
         while rem:
             re = max(rem, key=_grlex_key)
@@ -294,7 +299,7 @@ class MultiPoly:
             m, r = divmod(rem[re], lc)
             if r or min(qe) < 0:
                 return None
-            quotient[qe] = Fraction(m * dden, qden)
+            quotient[qe] = m * dden
             for e, v in prim:
                 key = tuple(map(add, e, qe))
                 s = get(key, 0) - m * v
@@ -302,7 +307,7 @@ class MultiPoly:
                     rem[key] = s
                 else:
                     del rem[key]
-        return _raw(self.nvars, quotient)
+        return from_integer_terms(self.nvars, self.den * content, quotient)
 
     # -- protocol ----------------------------------------------------------
 
@@ -311,29 +316,31 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
         # a constant equals its Fraction, so it must hash like one
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.as_string()!r})"
 
     def as_string(self, names: Sequence[str] | None = None) -> str:
         """Human-readable form, canonical term order (descending grlex)."""
-        if not self.terms:
+        if not self.nums:
             return "0"
         if names is None:
             names = [f"tau{i + 1}" for i in range(self.nvars)]
+        terms = self.terms
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=_grlex_key, reverse=True):
+            c = terms[e]
             factors = [
                 f"{names[i]}^{p}" if p > 1 else names[i]
                 for i, p in enumerate(e) if p
@@ -354,23 +361,20 @@ class MultiPoly:
         return out
 
 
-def _raw(nvars: int, terms: dict[Exponents, Fraction]) -> MultiPoly:
-    """Internal constructor skipping normalization (terms already canonical)."""
-    obj = object.__new__(MultiPoly)
-    object.__setattr__(obj, "nvars", nvars)
-    object.__setattr__(obj, "terms", terms)
-    return obj
+def to_mpf(q):
+    """q at the working mpmath precision, as mpf(numerator) / denominator of
+    the reduced Fraction q, never through a binary float; an mpf or mpc
+    passes through unchanged."""
+    if isinstance(q, (mpmath.mpf, mpmath.mpc)):
+        return q
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
-def integer_terms(terms: Mapping, den: int | None = None
-                  ) -> tuple[int, dict]:
-    """(den, {key: int}) with terms[key] == numerators[key] / den.
-
-    den defaults to the lcm of the coefficient denominators; a given den must
-    be a multiple of each of them.
-    """
-    if den is None:
-        den = lcm(*(c.denominator for c in terms.values()))
+def integer_terms(terms: Mapping[object, Fraction]) -> tuple[int, dict]:
+    """(den, {key: int}) with terms[key] == numerators[key] / den, den the
+    lcm of the coefficient denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
@@ -409,11 +413,23 @@ def add_integer_terms(total: dict[Exponents, int], part: Mapping[Exponents, int]
 
 def from_integer_terms(nvars: int, den: int, numerators: Mapping[Exponents, int]
                        ) -> MultiPoly:
-    """The polynomial sum numerators[e] / den * tau^e, one reduction per term.
+    """The polynomial sum numerators[e] / den * tau^e, in canonical form.
 
-    The numerators must be nonzero; their order is the order of the terms.
+    den must be a nonzero int and the numerators nonzero ints (a Fraction
+    raises TypeError); their order is the order of the terms.  A dict with
+    nothing to divide out is kept, not copied: the caller hands it over.
     """
-    return _raw(nvars, {e: Fraction(v, den) for e, v in numerators.items()})
+    g = gcd(den, *numerators.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        numerators = {e: v // g for e, v in numerators.items()}
+    poly = object.__new__(MultiPoly)
+    object.__setattr__(poly, "nvars", nvars)
+    object.__setattr__(poly, "den", den)
+    object.__setattr__(poly, "nums", numerators)
+    return poly
 
 
 def symmetric_reduce(nvars: int, terms: Mapping[Exponents, int]) -> dict[Exponents, int]:

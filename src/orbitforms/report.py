@@ -4,7 +4,7 @@ Reports are deterministic for a fixed (config, seed): checks are sorted by
 name, exact values are serialized as rational strings that round-trip, and
 wall-clock timing is excluded unless explicitly requested (it would break
 byte-identity).  JSON is the canonical format; CSV is a lossy convenience
-export for spectra only.
+export for spectra and the table only (verify refuses it).
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ _CONFIG_FIELDS = {
 }
 
 MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
+# the couplings each spectrum model takes; spectrum refuses any other one
+MODEL_PARAMETERS = {"bc1": ("nu2", "nu3"), "bc1_qes": ("nu2", "nu3", "b"),
+                    "sutherland": ("N", "nu"), "bcn": ("N", "nu", "nu2", "nu3"),
+                    "g2": ("nu", "mu")}
 
 # Far above every level the suites ship (g2 n=10, bcn N=4, 50 sample points,
 # 60 digits), so that a huge value is refused before any work starts.
@@ -118,6 +122,14 @@ class RunConfig:
         for key, top in CEILINGS.items():
             if key in clean and clean[key] > top:
                 raise DomainError(f"{key} must be at most {top}, got {clean[key]}")
+        command = clean.get("command")
+        if command == "verify" and clean["format"] != "json":
+            raise DomainError(f"verify writes JSON only, not {clean['format']!r}")
+        own = MODEL_PARAMETERS.get(clean.get("model")) if command == "spectrum" else None
+        for key in ("N", "nu", "nu2", "nu3", "mu", "b"):
+            if own and key in clean and key not in own:
+                raise DomainError(f"{clean['model']} takes no --{key}; it takes "
+                                  + ", ".join(f"--{k}" for k in own))
         return cls(clean)
 
     def get(self, key: str, default=None):

@@ -51,7 +51,7 @@ from .diffop import ExactMatrix, restrict_to_flag
 from .errors import (DomainError, FormulaMismatch, InconsistencyError,
                      UnsupportedModel)
 from .models import ModelBundle, eigenvalue_formula
-from .poly import Exponents, FlagSpace, MultiPoly, from_integer_terms
+from .poly import Exponents, FlagSpace, MultiPoly, from_integer_terms, to_mpf
 
 ZERO = Fraction(0)
 # numeric values: working digits, and the bound within which the numeric
@@ -87,18 +87,13 @@ class SpectrumRecord:
         return sum(e.multiplicity for e in self.entries)
 
 
-def _to_mp(c: Fraction) -> mpmath.mpf:
-    # exact integer/denominator split keeps 50+ digit accuracy
-    return mpmath.mpf(c.numerator) / c.denominator
-
-
 def numeric_eigenvalues(columns: Sequence[Mapping[int, int]], den: int) -> list:
     """Eigenvalues, at NUMERIC_DPS digits, of the matrix
     M[i][j] = columns[j][i] / den, which must be triangular in some order
     (linalg.is_triangular_in): its diagonal entries, each converted
     exactly, as real mpf values."""
     with mp.workdps(NUMERIC_DPS):
-        return [_to_mp(Fraction(col.get(j, 0), den)) for j, col in enumerate(columns)]
+        return [to_mpf(Fraction(col.get(j, 0), den)) for j, col in enumerate(columns)]
 
 
 def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = None,
@@ -209,7 +204,7 @@ def _numeric_multiset_check(matrix: ExactMatrix, roots: Sequence[Fraction]) -> N
         if len(numeric) != len(exact):
             raise InconsistencyError("numeric eigenvalue count mismatch")
         for nv, ev in zip(numeric, exact):
-            if abs(nv - _to_mp(ev)) > bound:
+            if abs(nv - to_mpf(ev)) > bound:
                 raise InconsistencyError(
                     f"numeric eigenvalue {nv} does not match exact {ev}")
 

@@ -3,7 +3,11 @@ references for the differential tests.
 
 Each function is the loop as it stood in the program, with `self` renamed
 and the polynomial product inside `apply` and `compose` routed through
-`mul` here, so that no reference leans on a kernel under test.  `rref` has
+`mul` here, so that no reference leans on a kernel under test.  `add`,
+`neg`, `scale`, `diff` and `content` are the `MultiPoly` loops over
+Fraction term dicts from before the polynomial was stored as int
+numerators over one denominator; each builds its result through the
+`MultiPoly` constructor, which keeps the order of the dict it is given.  `rref` has
 the `ncols` bound of the program's signature and nothing else new.  The
 coefficient builders of the Sutherland and BC_N forms are the MultiPoly
 loops that the pair tables replaced, with the closed-form eigenvalues as
@@ -43,14 +47,14 @@ wall; its log gradient divides through `exact_div` here.
 import dataclasses
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import mpmath
 from mpmath import mp
 
 from orbitforms.cartesian import (CheckGround, ResidualStats, SharedMonomials,
                                   _abs_sin_pow, _form_value,
-                                  _inv_square, _laplacian, _mpf, _node_floor,
+                                  _inv_square, _laplacian, _node_floor,
                                   _relative, _second_difference, _shifted,
                                   kinetic_half, root_table,
                                   ttw_r2_coefficient, ttw_radial_power,
@@ -58,7 +62,7 @@ from orbitforms.cartesian import (CheckGround, ResidualStats, SharedMonomials,
 from orbitforms.diffop import DiffOp, GaugeFactor
 from orbitforms.errors import (DimensionMismatch, DomainError, FlagViolation,
                                UnsupportedOrder)
-from orbitforms.poly import MultiPoly, RationalFn
+from orbitforms.poly import MultiPoly, RationalFn, to_mpf
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -75,6 +79,54 @@ def mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             else:
                 res.pop(e, None)
     return MultiPoly(a.nvars, res)
+
+
+def add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    res = dict(a.terms)
+    for e, c in b.terms.items():
+        s = res.get(e, ZERO) + c
+        if s:
+            res[e] = s
+        else:
+            res.pop(e, None)
+    return MultiPoly(a.nvars, res)
+
+
+def neg(a: MultiPoly) -> MultiPoly:
+    return MultiPoly(a.nvars, {e: -c for e, c in a.terms.items()})
+
+
+def scale(a: MultiPoly, c) -> MultiPoly:
+    c = Fraction(c)
+    if not c:
+        return MultiPoly.zero(a.nvars)
+    return MultiPoly(a.nvars, {e: k * c for e, k in a.terms.items()})
+
+
+def diff(a: MultiPoly, i: int, times: int = 1) -> MultiPoly:
+    p = a
+    for _ in range(times):
+        res = {}
+        for e, c in p.terms.items():
+            if e[i]:
+                shifted = list(e)
+                shifted[i] -= 1
+                res[tuple(shifted)] = c * e[i]
+        p = MultiPoly(p.nvars, res)
+    return p
+
+
+def content(a: MultiPoly) -> Fraction:
+    if not a.terms:
+        return ZERO
+    num = 0
+    den = 1
+    for c in a.terms.values():
+        num = gcd(num, abs(c.numerator))
+        den = den * c.denominator // gcd(den, c.denominator)
+    cont = Fraction(num, den)
+    lead = a.terms[max(a.terms, key=lambda e: (sum(e), e))]
+    return cont if lead > 0 else -cont
 
 
 def apply(op: DiffOp, p: MultiPoly) -> MultiPoly:
@@ -531,7 +583,7 @@ def _elementary_symmetric(vals, k):
 
 
 def invariants_map(spec, x, beta=1):
-    beta = _mpf(beta)
+    beta = to_mpf(beta)
     fam = spec.family
     if fam in ("BC1", "BC1_QES"):
         return [mpmath.cos(beta * x[0])]
@@ -552,30 +604,30 @@ def invariants_map(spec, x, beta=1):
 
 
 def psi0_cartesian(spec, x, beta=1):
-    beta = _mpf(beta)
+    beta = to_mpf(beta)
     floor = _node_floor()
     v = mp.mpf(1)
     for orbit in root_table(spec):
-        g = _mpf(orbit.exponent)
+        g = to_mpf(orbit.exponent)
         for form in orbit.forms:
             v *= _abs_sin_pow(beta * _form_value(form, x) / 2, g, floor)
     if spec.family == "BC1_QES":
-        v *= mpmath.exp(_mpf(spec.b) * mpmath.cos(beta * x[0]))
+        v *= mpmath.exp(to_mpf(spec.b) * mpmath.cos(beta * x[0]))
     return v
 
 
 def hamiltonian_potential(spec, x, beta=1):
-    beta = _mpf(beta)
+    beta = to_mpf(beta)
     b2 = beta * beta
     v = 0
     for orbit in root_table(spec):
-        v += _mpf(orbit.potential) * b2 * sum(
+        v += to_mpf(orbit.potential) * b2 * sum(
             _inv_square(mpmath.sin(beta * _form_value(form, x) / 2))
             for form in orbit.forms)
     if spec.family == "BC1_QES":
-        bb = _mpf(spec.b)
+        bb = to_mpf(spec.b)
         v += (bb * bb * b2 * mpmath.sin(beta * x[0]) ** 2
-              + 2 * bb * b2 * _mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
+              + 2 * bb * b2 * to_mpf(2 * spec.n + 2 * spec.nu2 + spec.nu3 + 1)
               * mpmath.sin(beta * x[0] / 2) ** 2)
     return v
 
@@ -594,7 +646,7 @@ def ttw_potential(desc, r, phi, dps):
         r = _ttw_radius(r)
         v = ttw_r2_coefficient(desc, dps) * r ** 2
         if desc.has_sextic:
-            a, omega = _mpf(desc.a), _mpf(desc.omega)
+            a, omega = to_mpf(desc.a), to_mpf(desc.omega)
             v += a * a * r ** 6 + 2 * a * omega * r ** 4
         return v + hamiltonian_potential(desc.angular_spec, [phi], desc.beta) / r ** 2
 
@@ -605,9 +657,9 @@ def ttw_ground_factor(desc, r, phi, dps):
     with mp.workdps(dps):
         r = _ttw_radius(r)
         v = r ** ttw_radial_power(desc, dps)
-        expo = -_mpf(desc.omega) * r ** 2 / 2
+        expo = -to_mpf(desc.omega) * r ** 2 / 2
         if desc.has_sextic:
-            expo -= _mpf(desc.a) * r ** 4 / 4
+            expo -= to_mpf(desc.a) * r ** 4 / 4
         spec = desc.angular_spec
         if desc.has_angular_qes and desc.convention == "printed":
             spec = dataclasses.replace(spec, b=-spec.b)

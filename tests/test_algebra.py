@@ -16,6 +16,7 @@ from orbitforms.diffop import DiffOp, _scaled, apply, commutator, compose
 from orbitforms.errors import DomainError
 from orbitforms.models import build_bc1, build_bc1_qes, build_sutherland
 from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
+from test_poly import assert_canonical
 from test_spectral import GOLDEN_SUITE_SHA256
 
 t = MultiPoly.variable(1, 0)
@@ -165,17 +166,18 @@ def test_evaluate_word_matches_scaling_every_term():
             assert list(got.terms[k].terms.items()) == list(want.terms[k].terms.items())
 
 
-def assert_lazy_form(op: DiffOp) -> None:
-    """op was born with its int form: order, is_zero and hash read it and
-    build no terms; once built, the terms are those of an eager copy in
-    ==, hash, repr and the order of keys and terms, and the kept form is
-    the one _scaled computes for that copy."""
-    assert op._terms is None and op._int_form is not None
-    order, zero, digest = op.order(), op.is_zero(), hash(op)
-    assert op._terms is None
+def assert_born_canonical(op: DiffOp) -> None:
+    """op was born with its int form and its canonical coefficients: it
+    equals an eager copy in ==, hash, repr, order, is_zero and the order of
+    keys and terms, and the kept form is the one _scaled computes for that
+    copy."""
     form = op._int_form
+    assert form is not None and op.polynomial
+    for c in op.terms.values():
+        assert_canonical(c)
     eager = DiffOp(op.nvars, op.terms)
-    assert (order, zero, digest) == (eager.order(), eager.is_zero(), hash(eager))
+    assert (op.order(), op.is_zero(), hash(op)) == \
+        (eager.order(), eager.is_zero(), hash(eager))
     assert op == eager and repr(op) == repr(eager)
     assert list(op.terms) == list(eager.terms)
     for k, c in eager.terms.items():
@@ -188,7 +190,7 @@ def assert_lazy_form(op: DiffOp) -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SPAN_SETS)), data=st.data())
-def test_products_sums_and_brackets_keep_a_canonical_lazy_form(name, data):
+def test_products_sums_and_brackets_are_born_canonical(name, data):
     gs = SPAN_SETS[name]()
     names = st.sampled_from(gs.names)
     a, b = data.draw(names, label="a"), data.draw(names, label="b")
@@ -200,13 +202,13 @@ def test_products_sums_and_brackets_keep_a_canonical_lazy_form(name, data):
     made = [compose(gs.op(a), gs.op(b)), commutator(gs.op(a), gs.op(b)),
             evaluate_word(gs, word)]
     for op in made:
-        assert_lazy_form(op)
+        assert_born_canonical(op)
     # the word sums as the Fraction loop does, key and term order too
     want = eager_word(gs, word.terms, word.constant)
     assert made[2] == want and list(made[2].terms) == list(want.terms)
     for k, c in want.terms.items():
         assert list(made[2].terms[k].terms.items()) == list(c.terms.items())
-    # == between two kept forms decides as == between the eager copies
+    # == between two born operators decides as == between the eager copies
     eager = [DiffOp(op.nvars, op.terms) for op in made]
     for x, ex in zip(made, eager):
         for y, ey in zip(made, eager):
@@ -349,16 +351,14 @@ def test_g2_pairwise_closure_in_report():
 
 
 def test_the_pairwise_closure_makes_no_fraction_terms(monkeypatch):
-    # word products, commutators and the span solve stay in ints: building
-    # the Fraction terms of any operator on the way would raise
-    from orbitforms import diffop, poly
+    # word products, commutators and the span solve stay in ints: reading
+    # the Fraction view of any coefficient on the way would raise
     gs = g2_algebra_generators(3)
 
-    def refuse(*args):
-        raise AssertionError("the closure check built Fraction terms")
+    def refuse(poly):
+        raise AssertionError("the closure check built a Fraction terms view")
 
-    monkeypatch.setattr(diffop, "from_integer_terms", refuse)
-    monkeypatch.setattr(poly, "from_integer_terms", refuse)
+    monkeypatch.setattr(MultiPoly, "terms", property(refuse))
     assert algebra._g2_pairwise_closure(gs).ok
 
 

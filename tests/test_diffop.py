@@ -7,14 +7,14 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
-                               gauge_conjugate, preserves_flag,
-                               restrict_to_flag)
+                               gauge_conjugate, linear_combination,
+                               preserves_flag, restrict_to_flag)
 from orbitforms.errors import DomainError, FlagViolation, UnsupportedOrder
 from orbitforms.models import build_bc1, g2_operator
 from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
 import reference_kernels as ref
 from reference_linalg import dense_action_matrix, is_block_triangular
-from test_poly import assert_same_poly, small_polys
+from test_poly import assert_canonical, assert_same_poly, small_polys
 
 t = MultiPoly.variable(1, 0)
 HALF = Fraction(1, 2)
@@ -495,3 +495,23 @@ def test_a_rational_operator_gets_no_int_form_and_is_refused_by_each_caller():
                 call()
     assert rational._int_form is None
     assert d._int_form is not None    # the polynomial operand was scaled
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_built_operators_equal_and_hash_like_their_eager_copies(data, nvars):
+    # compose, commutator and linear_combination build their coefficients
+    # from int numerators; each is canonical, and the operator is the one
+    # DiffOp builds from the same terms in ==, hash and repr
+    a = data.draw(order2_ops(nvars), label="a")
+    b = data.draw(order2_ops(nvars), label="b")
+    c = data.draw(st.fractions(-3, 3, max_denominator=5), label="c")
+    for op in (compose(a, b), commutator(a, b), compose(a, a - a),
+               linear_combination(nvars, [(c, a), (1, b)])):
+        eager = DiffOp(op.nvars, op.terms)
+        assert op == eager and eager == op
+        assert hash(op) == hash(eager) and repr(op) == repr(eager)
+        assert op.order() == eager.order() and op.is_zero() == eager.is_zero()
+        for coefficient in op.terms.values():
+            assert_canonical(coefficient)
+            assert not coefficient.is_zero()

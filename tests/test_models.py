@@ -21,7 +21,7 @@ from orbitforms.models import (_bc_pairs,
                                eigenvalue_formula, g2_eigenvalue_printed,
                                sutherland_coefficients,
                                sutherland_eigenvalue_printed, ttw_models)
-from orbitforms.poly import MultiPoly
+from orbitforms.poly import MultiPoly, to_mpf
 from orbitforms.report import CEILINGS, RunConfig
 from orbitforms.suites import suite_gauge
 import reference_kernels as ref
@@ -269,7 +269,7 @@ def test_orbit_variables_are_orbit_sums_of_the_fundamental_weights(bundle):
         for x in cart.sample_alcove(spec, 4, 13):
             got = cart.CheckGround(spec).invariants(x)
             for tau, orbit, s in zip(got, orbits, scale):
-                want = sum(mpmath.expj(sum(cart._mpf(m) * xi for m, xi in zip(mu, x)))
+                want = sum(mpmath.expj(sum(to_mpf(m) * xi for m, xi in zip(mu, x)))
                            for mu in orbit) * s
                 assert abs(tau - want) < mpmath.mpf("1e-25")
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import mpmath
 import pytest
@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforms.errors import DimensionMismatch, DomainError
 from orbitforms.poly import (FlagSpace, MultiPoly, RationalFn,
-                             enumerate_flag_basis, fdegree, flag_dimension, qq,
-                             symmetric_reduce)
+                             enumerate_flag_basis, fdegree, flag_dimension,
+                             from_integer_terms, qq, symmetric_reduce)
 import reference_kernels
 from reference_kernels import mul
 
@@ -332,6 +332,110 @@ def test_mul_keeps_the_order_of_a_term_that_cancels_and_returns():
     # tau^2 sums to 0 after two products and returns with the last one
     assert_same_poly(a * b, mul(a, b))
     assert list((a * b).terms) == [(4,), (0,), (2,)]
+
+
+# -- the int storage against the Fraction-dict loops it replaced ----------------
+
+def pow_by_mul(a: MultiPoly, k: int) -> MultiPoly:
+    """`MultiPoly.__pow__`'s square-and-multiply over the Fraction `mul`."""
+    result, base = MultiPoly.const(a.nvars, 1), a
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+def grlex_max(terms):
+    return max(terms, key=lambda e: (sum(e), e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_every_operation_matches_the_fraction_loops(data, nvars):
+    ref = reference_kernels
+    a = data.draw(small_polys(nvars), label="a")
+    b = data.draw(small_polys(nvars), label="b")
+    c = data.draw(st.one_of(SMALL, st.integers(-3, 3)), label="c")
+    i = data.draw(st.integers(0, nvars - 1), label="i")
+    times = data.draw(st.integers(0, 3), label="times")
+    k = data.draw(st.integers(0, 3), label="k")
+    point = data.draw(st.lists(st.one_of(st.integers(-3, 3), SMALL),
+                               min_size=nvars, max_size=nvars), label="point")
+    const = MultiPoly.const(nvars, c)
+    for got, want in ((a + b, ref.add(a, b)), (a + c, ref.add(a, const)),
+                      (c + a, ref.add(a, const)), (-a, ref.neg(a)),
+                      (a - b, ref.add(a, ref.neg(b))),
+                      (a - c, ref.add(a, ref.neg(const))),
+                      (c - a, ref.add(ref.neg(a), const)),
+                      (a * c, ref.scale(a, c)), (c * a, ref.scale(a, c)),
+                      (a * b, mul(a, b)), (a ** k, pow_by_mul(a, k)),
+                      (a.diff(i, times), ref.diff(a, i, times)),
+                      ((a + b).diff(i), ref.diff(ref.add(a, b), i))):
+        assert_same_poly(got, want)
+    # the queries read the same values from the ints as from the Fractions
+    terms = a.terms
+    assert a.content() == ref.content(a)
+    for e in (*terms, (0,) * nvars, (3,) * nvars):
+        assert a.coeff(e) == terms.get(e, 0)
+    if terms:
+        lead = grlex_max(terms)
+        assert a.leading_term() == (lead, terms[lead])
+    monomial = [Fraction(1)] * len(terms)
+    for j, e in enumerate(terms):
+        for x, p in zip(point, e):
+            monomial[j] *= Fraction(x) ** p
+    assert a.evaluate(point) == sum((t * m for t, m in zip(terms.values(), monomial)),
+                                    Fraction(0))
+    assert (a == b) == (terms == b.terms)
+    assert a.is_zero() == (not terms) and a.is_constant() == all(not any(e) for e in terms)
+
+
+def assert_canonical(p: MultiPoly) -> None:
+    """den > 0, gcd(den, numerators) = 1, and every numerator a nonzero int;
+    the Fraction view reads the same values in the same order."""
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert all(type(v) is int and v for v in p.nums.values())
+    assert list(p.terms.items()) == [(e, Fraction(v, p.den)) for e, v in p.nums.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_equal_polynomials_have_one_canonical_form_and_one_hash(data, nvars):
+    a = data.draw(small_polys(nvars), label="a")
+    b = data.draw(small_polys(nvars), label="b")
+    c = data.draw(st.one_of(SMALL, st.integers(-3, 3)).filter(bool), label="c")
+    i = data.draw(st.integers(0, nvars - 1), label="i")
+    for p in (a, b, a + b, a - b, -a, a * c, a * b, a ** 2, a.diff(i), a * 0,
+              MultiPoly.const(nvars, c), (a * b).exact_div(b) if b else a):
+        assert_canonical(p)
+    # equal values reached along different paths: one form, one hash
+    pairs = [(a + b - b, a), (a * b, b * a), (a * c * (1 / Fraction(c)), a),
+             (MultiPoly(nvars, a.terms), a), (a - a, MultiPoly.zero(nvars)),
+             ((a * 2).diff(i), a.diff(i) * 2)]
+    if b:
+        pairs.append(((a * b).exact_div(b), a))
+    for lhs, rhs in pairs:
+        assert lhs == rhs
+        assert (lhs.den, lhs.nums) == (rhs.den, rhs.nums)
+        assert hash(lhs) == hash(rhs)
+    # a constant compares and hashes like its Fraction, or its int
+    for value in (c, Fraction(c), 0):
+        const = MultiPoly.const(nvars, value)
+        assert const == value and hash(const) == hash(value)
+        assert const == Fraction(value) and hash(const) == hash(Fraction(value))
+
+
+def test_the_int_constructor_refuses_a_fraction_numerator():
+    assert from_integer_terms(1, 4, {(1,): 2, (0,): -6}) == \
+        MultiPoly(1, {(1,): Fraction(1, 2), (0,): Fraction(-3, 2)})
+    with pytest.raises(TypeError):
+        from_integer_terms(1, 1, {(1,): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        from_integer_terms(2, 3, {(1, 0): 1, (0, 1): Fraction(2)})
 
 
 # -- the symmetric reduction ------------------------------------------------------

@@ -588,3 +588,55 @@ def test_cli_closed_pipe_ends_quietly_at_exit():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == ""
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_verify_refuses_csv(tmp_path, capsys, monkeypatch, via_config):
+    # csv serves spectrum and table; a verify report is JSON only
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    argv = ["verify", "--suite", "pi"]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=csv\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--format", "csv"]
+    _main_one_line_error(capsys, argv)
+
+
+SPECTRUM_LEVELS = {"bc1": ["--n", "1"], "bc1_qes": ["--n", "1"],
+                   "sutherland": ["--N", "2", "--n", "1"],
+                   "bcn": ["--N", "2", "--n", "1"], "g2": ["--n", "1"]}
+
+
+@pytest.mark.parametrize("model", sorted(report.MODEL_PARAMETERS))
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_spectrum_refuses_a_coupling_its_model_does_not_take(
+        tmp_path, capsys, monkeypatch, model, via_config):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    own = report.MODEL_PARAMETERS[model]
+    head = ["spectrum", "--model", model, "--no-numeric-check", *SPECTRUM_LEVELS[model]]
+    couplings = [arg for key in own if key != "N" for arg in (f"--{key}", "1/2")]
+    assert main([*head, *couplings]) == 0
+    capsys.readouterr()
+    for key in sorted({"N", "nu", "nu2", "nu3", "mu", "b"} - set(own)):
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}=2\n")
+            argv = [*head, "--config", str(cfg)]
+        else:
+            argv = [*head, f"--{key}", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} takes no --{key};") and err.count("\n") == 1
+
+
+def test_the_benchmark_queries_pass_only_their_models_couplings():
+    import ast
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    shipped = next(ast.literal_eval(node.value) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "SHIPPED")
+    assert set(shipped) == set(report.MODEL_PARAMETERS)
+    for model, couplings in shipped.items():
+        assert set(couplings) <= set(report.MODEL_PARAMETERS[model])
