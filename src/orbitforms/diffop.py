@@ -3,10 +3,14 @@
 An operator is a finite sum  sum_k  C_k(tau) * d^k  over derivative
 multi-indices k = (k_1,...,k_d), stored sparsely.  Application, composition
 (exact Leibniz expansion), commutators, gauge conjugation by a ground-state
-factor, and exact restriction to flag spaces are provided.  One loop images
-each flag monomial: restriction keeps the images as the sparse int columns
-of its matrix, and the flag-preservation test reads the same images for its
-witness.
+factor, and exact restriction to flag spaces are provided.  The flag
+functions read an operator by shift: the term tau^e d^k maps tau^m to
+perm(m, k) tau^(m + e - k), so the terms of one shift delta = e - k land on
+one monomial, whose f-degree rises by f.delta.  restrict_to_flag builds
+each column from one value per shift group; preserves_flag reads only the
+raising groups (f.delta > 0) on the top layers they can push out of P_n.
+Both take a witness from apply on the first monomial that leaves, so it is
+the first term outside the flag in apply's term order.
 
 Rational coefficients serve the gauge identity only: gauge_conjugate builds
 them, and addition and equality accept them, so that the conjugated rational
@@ -26,12 +30,11 @@ d^k tau^e = perm(e, k) tau^(e-k), and the Leibniz factors are ints, their
 (gamma, binom(alpha, gamma)) lists kept once per alpha.  The products of
 one operator term are summed before they join the total, so the terms come
 in the order the Fraction loops gave them.  An operator is scaled once:
-the first of apply, compose, commutator and the flag loop to read it fills
-a private slot with its int form, which every later call reads and none
-changes (a rational operator has no int form and is refused on each call).
-The flag loop gives each basis monomial's image as int numerators, which
-restrict_to_flag keys by basis index and preserves_flag reads; neither
-makes a Fraction.  compose and commutator share one int accumulation of
+the first of apply, compose, commutator and the flag functions to read it
+fills a private slot with its int form, which every later call reads and
+none changes (a rational operator has no int form and is refused on each
+call).  The flag functions group that int form by shift and make no
+Fraction.  compose and commutator share one int accumulation of
 Leibniz products; commutator leaves out the plain products (gamma = 0),
 which are equal in a.b and b.a, adds those of b.a with the sign of -b, and
 builds one operator, with its key and term order unspecified (no report
@@ -50,6 +53,7 @@ evaluation order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
@@ -59,7 +63,8 @@ from typing import Mapping, Sequence, Union
 from .errors import (DimensionMismatch, DomainError, FlagViolation,
                      UnsupportedOrder)
 from .poly import (Exponents, FlagSpace, MultiPoly, RationalFn,
-                   add_integer_terms, from_integer_terms, integer_product)
+                   add_integer_terms, fdegree, from_integer_terms,
+                   integer_product)
 
 Coefficient = Union[MultiPoly, RationalFn]
 # a polynomial operator as (common denominator, ((k, int numerators of C_k), ...))
@@ -562,22 +567,31 @@ def restrict_to_flag(op: DiffOp, space: FlagSpace) -> ExactMatrix:
     """Exact matrix of op on the flag basis; FlagViolation with witness if
     the image of any basis monomial leaves the space.
 
-    The columns are the int images of _flag_images, keyed by basis index,
-    over the operator's denominator; no Fraction is made.  A rational
+    Column j holds, for each shift group with a nonzero value on
+    m = basis[j] (see _shift_groups), that value at the basis index of
+    tau^(m + delta), over the operator's denominator; no Fraction is made.
+    The witness is the first basis monomial whose image leaves the space
+    and the first term of that image outside it (_first_outside).  A rational
     operator is refused with DomainError, as apply refuses it.
     """
-    den, images = _flag_images(op, space, "restrict_to_flag")
+    den, derivatives, groups = _shift_groups(op, space, "restrict_to_flag")
     index = space.index
     columns = []
-    for mono, image in images:
+    for mono in space.basis:
+        factors = _falling_factors(mono, derivatives)
         column = {}
-        for e, v in image.items():
-            pos = index.get(e)
-            if pos is None:
-                raise FlagViolation(
-                    f"operator maps {mono} to a term outside the flag: {e}",
-                    mono, e)
-            column[pos] = v
+        for shift, terms in groups:
+            v = 0
+            for i, c in terms:
+                v += c * factors[i]
+            if v:
+                pos = index.get(tuple(map(add, mono, shift)))
+                if pos is None:
+                    e = _first_outside(op, space, mono)
+                    raise FlagViolation(
+                        f"operator maps {mono} to a term outside the flag: {e}",
+                        mono, e)
+                column[pos] = v
         columns.append(column)
     return ExactMatrix(space, den, columns)
 
@@ -586,52 +600,72 @@ def preserves_flag(op: DiffOp, space: FlagSpace):
     """True iff op(m) stays in the space for every basis monomial.
 
     Returns (True, None) or (False, (input_monomial, offending_monomial)),
-    the witness of the FlagViolation restrict_to_flag raises.  It reads the
-    same int images and builds no Fraction and no row.
+    the witness of the FlagViolation restrict_to_flag raises.  A shift
+    group moves tau^m to f-degree f.m + f.delta, so only the raising groups
+    (f.delta > 0) can leave P_n, and only from the basis monomials with
+    f.m > n - max f.delta; those alone are read.  An operator with no
+    raising group is decided without imaging a monomial.
     """
-    _, images = _flag_images(op, space, "preserves_flag")
-    index = space.index
-    for mono, image in images:
-        for e in image:
-            if e not in index:
-                return False, (mono, e)
+    _, derivatives, groups = _shift_groups(op, space, "preserves_flag")
+    f, n = space.f, space.n
+    raising = []
+    for shift, terms in groups:
+        rise = fdegree(shift, f)
+        if rise > 0:
+            raising.append((rise, terms))
+    if not raising:
+        return True, None
+    low = n - max(rise for rise, _ in raising)
+    basis = space.basis
+    for mono in basis[bisect_right(basis, low, key=lambda e: fdegree(e, f)):]:
+        top = n - fdegree(mono, f)
+        factors = _falling_factors(mono, derivatives)
+        for rise, terms in raising:
+            if rise > top:
+                v = 0
+                for i, c in terms:
+                    v += c * factors[i]
+                if v:
+                    return False, (mono, _first_outside(op, space, mono))
     return True, None
 
 
-def _flag_images(op: DiffOp, space: FlagSpace, caller: str):
-    """(den, images): the operator's common denominator and an iterator of
-    (m, int numerators of op(m) over den) for each basis monomial m, in
-    basis order.
+def _shift_groups(op: DiffOp, space: FlagSpace, caller: str):
+    """(den, derivatives, groups): the operator's int form, from _scaled,
+    grouped by shift.
 
-    The operator's int form comes from _scaled.  Each term C_k d^k adds
-    C_k times one int at one shift, by d^k tau^m = perm(m, k) tau^(m-k), and
-    a key whose running sum cancels is deleted, so an image lists its terms
-    as apply(op, tau^m) does.
+    The int term c tau^e d^k maps tau^m to c perm(m, k) tau^(m + delta),
+    delta = e - k, so all the terms of one shift land on one monomial.
+    derivatives lists each k as its (variable, order) pairs with a nonzero
+    order; each group is (delta, [(index of k in derivatives, c), ...]),
+    groups and terms in first-seen order.
     """
     if op.nvars != space.d:
         raise DimensionMismatch("operator/flag variable counts differ")
     den, coefficients = _scaled(op, caller)
+    derivatives = [[(i, times) for i, times in enumerate(k) if times]
+                   for k, _ in coefficients]
+    groups: dict[Exponents, list[tuple[int, int]]] = {}
+    for j, (k, cnum) in enumerate(coefficients):
+        for e, c in cnum.items():
+            groups.setdefault(tuple(map(sub, e, k)), []).append((j, c))
+    return den, derivatives, list(groups.items())
 
-    def images():
-        for mono in space.basis:
-            image: dict[Exponents, int] = {}
-            get = image.get
-            for k, cnum in coefficients:
-                factor = 1
-                for p, times in zip(mono, k):
-                    if p < times:
-                        break
-                    if times:
-                        factor *= perm(p, times)
-                else:
-                    shift = tuple(map(sub, mono, k))
-                    for e, c in cnum.items():
-                        key = tuple(map(add, e, shift))
-                        s = get(key, 0) + c * factor
-                        if s:
-                            image[key] = s
-                        else:
-                            del image[key]
-            yield mono, image
 
-    return den, images()
+def _falling_factors(mono: Exponents, derivatives: list) -> list[int]:
+    """perm(m, k), the int with d^k tau^m = perm(m, k) tau^(m-k), for each
+    k of _shift_groups; perm(p, t) is 0 for t > p."""
+    factors = []
+    for orders in derivatives:
+        factor = 1
+        for i, times in orders:
+            factor *= perm(mono[i], times)
+        factors.append(factor)
+    return factors
+
+
+def _first_outside(op: DiffOp, space: FlagSpace, mono: Exponents) -> Exponents:
+    """The first term of apply(op, tau^mono), in its term order, outside
+    the space."""
+    image = apply(op, MultiPoly.monomial(space.d, mono))
+    return next(e for e in image.nums if e not in space.index)

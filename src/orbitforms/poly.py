@@ -30,9 +30,10 @@ triangular by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, perm
-from operator import add, sub
+from operator import add, index as as_int, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import mpmath
@@ -603,11 +604,17 @@ class FlagSpace:
 
     The basis is sorted ascending by f-degree, ties broken lexicographically,
     which is the canonical order used by every matrix restriction.
+
+    FlagSpace(d, f, n) returns one shared instance per validated (d, f, n),
+    a list f and a tuple f alike, from a bounded cache (_flag_space), so a
+    basis and its index are built once; every reader only reads them.  An
+    input that is refused raises on each call and is never cached.
     """
 
     __slots__ = ("d", "f", "n", "basis", "index")
 
-    def __init__(self, d: int, f: Sequence[int], n: int):
+    def __new__(cls, d: int, f: Sequence[int], n: int) -> "FlagSpace":
+        d, n = as_int(d), as_int(n)
         if d < 1:
             raise DomainError("need at least one variable")
         if n < 0:
@@ -615,25 +622,10 @@ class FlagSpace:
         fvec = validate_char_vector(f)
         if len(fvec) != d:
             raise DimensionMismatch("characteristic vector length != variable count")
-        basis: list[Exponents] = []
-        exps = [0] * d
+        return _flag_space(d, fvec, n)
 
-        def walk(pos: int, remaining: int) -> None:
-            if pos == d:
-                basis.append(tuple(exps))
-                return
-            for p in range(remaining // fvec[pos] + 1):
-                exps[pos] = p
-                walk(pos + 1, remaining - fvec[pos] * p)
-            exps[pos] = 0
-
-        walk(0, n)
-        basis.sort(key=lambda e: (fdegree(e, fvec), e))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "f", fvec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "index", {e: i for i, e in enumerate(basis)})
+    def __reduce__(self):
+        return FlagSpace, (self.d, self.f, self.n)
 
     def __setattr__(self, name, value):
         raise AttributeError("FlagSpace is immutable")
@@ -650,6 +642,32 @@ class FlagSpace:
 
     def __repr__(self):
         return f"FlagSpace(d={self.d}, f={self.f}, n={self.n}, dim={self.dim})"
+
+
+# `verify --suite all` meets 46 distinct (d, f, n) and the 132 spectrum
+# queries of the benchmark 32, so 128 spaces hold both with room to spare.
+@lru_cache(maxsize=128)
+def _flag_space(d: int, f: CharVector, n: int) -> FlagSpace:
+    """The FlagSpace of validated arguments, built once per (d, f, n)."""
+    basis: list[Exponents] = []
+    exps = [0] * d
+
+    def walk(pos: int, remaining: int) -> None:
+        if pos == d:
+            basis.append(tuple(exps))
+            return
+        for p in range(remaining // f[pos] + 1):
+            exps[pos] = p
+            walk(pos + 1, remaining - f[pos] * p)
+        exps[pos] = 0
+
+    walk(0, n)
+    basis.sort(key=lambda e: (fdegree(e, f), e))
+    space = object.__new__(FlagSpace)
+    for name, value in (("d", d), ("f", f), ("n", n), ("basis", tuple(basis)),
+                        ("index", {e: i for i, e in enumerate(basis)})):
+        object.__setattr__(space, name, value)
+    return space
 
 
 def enumerate_flag_basis(d: int, f: Sequence[int], n: int) -> FlagSpace:

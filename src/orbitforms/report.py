@@ -46,6 +46,9 @@ _CONFIG_FIELDS = {
 }
 
 MODELS = ("bc1", "bc1_qes", "sutherland", "bcn", "g2", "all")
+FORMATS = ("json", "csv")
+# the keys table reads; it refuses any other one a user gives
+TABLE_KEYS = ("format", "out", "cache_dir")
 # the couplings each spectrum model takes; spectrum refuses any other one
 MODEL_PARAMETERS = {"bc1": ("nu2", "nu3"), "bc1_qes": ("nu2", "nu3", "b"),
                     "sutherland": ("N", "nu"), "bcn": ("N", "nu", "nu2", "nu3"),
@@ -122,7 +125,14 @@ class RunConfig:
         for key, top in CEILINGS.items():
             if key in clean and clean[key] > top:
                 raise DomainError(f"{key} must be at most {top}, got {clean[key]}")
+        if clean["format"] not in FORMATS:
+            raise DomainError(f"format must be json or csv, not {clean['format']!r}")
         command = clean.get("command")
+        if command == "table":
+            for key, raw in items.items():
+                if raw is not None and key not in ("command", *TABLE_KEYS):
+                    raise DomainError(f"table takes no {key}; it reads only "
+                                      "format, out and cache_dir")
         if command == "verify" and clean["format"] != "json":
             raise DomainError(f"verify writes JSON only, not {clean['format']!r}")
         own = MODEL_PARAMETERS.get(clean.get("model")) if command == "spectrum" else None

@@ -1,11 +1,13 @@
 """No dead knobs: every key of `report._CONFIG_FIELDS` is read somewhere in
 `src/orbitforms/*.py`, as the string first argument of a `.get(...)` or
 `.fraction(...)` call.  A key that nothing reads still changes the report's
-`config` block and the cache key, while the run does the same work."""
+`config` block and the cache key, while the run does the same work.  The
+same holds per command: `table` refuses every key but the three it reads."""
 
 import ast
 from pathlib import Path
 
+from orbitforms.cli import main
 from orbitforms.report import _CONFIG_FIELDS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orbitforms"
@@ -37,3 +39,30 @@ def test_the_guard_flags_a_planted_unread_key():
     fields = {"seed": int, "nu": str, "orthogonality_tol": str, "residual_tol": str}
     # a key named elsewhere, or read by a bare call, is still unread
     assert dead_knobs(fields, sources) == ["orthogonality_tol", "residual_tol"]
+
+
+def test_table_refuses_every_key_it_does_not_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    assert main(["table"]) == 0
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+
+    def refused(argv, key):
+        assert main(["table", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: table takes no {key}; "
+                                     "it reads only format, out and cache_dir\n")
+
+    refused(["--seed", "7", "--dps", "30"], "seed")
+    refused(["--dps", "30"], "dps")
+    for key, value in (("nu", "1/2"), ("seed", "1"), ("suite", "pi"),
+                       ("numeric_check", "false"), ("model", "bc1")):
+        cfg.write_text(f"format=csv\n{key}={value}\n")
+        refused(["--config", str(cfg)], key)
+    # the keys it reads, from the command line and from a config file
+    cfg.write_text(f"format=json\ncache_dir={tmp_path / 'cache'}\n")
+    assert main(["table", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+    csv_out = tmp_path / "table.csv"
+    assert main(["table", "--format", "csv", "--out", str(csv_out)]) == 0
+    assert csv_out.read_text().startswith("model,column,vector")

@@ -10,7 +10,7 @@ from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
                                gauge_conjugate, linear_combination,
                                preserves_flag, restrict_to_flag)
 from orbitforms.errors import DomainError, FlagViolation, UnsupportedOrder
-from orbitforms.models import build_bc1, g2_operator
+from orbitforms.models import build_bc1, build_bc1_qes, g2_operator
 from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
 import reference_kernels as ref
 from reference_linalg import dense_action_matrix, is_block_triangular
@@ -274,6 +274,54 @@ def test_raising_generator_keeps_its_own_level():
     space = FlagSpace(1, (1,), n)
     assert preserves_flag(jplus, space) == (True, None)
     assert rows(restrict_to_flag(jplus, space)) == ref.restrict_to_flag(jplus, space)
+
+
+def test_the_witness_follows_the_apply_order_not_the_shift_groups():
+    # on tau^(0,2), the shift (0,2) group (first and third terms) reaches
+    # (0,4) and the shift (2,1) group (second term) (2,3), both outside the
+    # (1,1)-graded level 3; apply lists (2,3) first, the groups (0,4)
+    t1, t2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    op = DiffOp(2, {(1, 1): t1 * t2 ** 3, (0, 2): t1 ** 2 * t2 ** 3, (0, 1): t2 ** 3})
+    space = FlagSpace(2, (1, 1), 3)
+    witness = ((0, 2), (2, 3))
+    assert list(apply(op, MultiPoly.monomial(2, (0, 2))).terms) == [(2, 3), (0, 4)]
+    assert preserves_flag(op, space) == (False, witness)
+    with pytest.raises(FlagViolation) as err:
+        restrict_to_flag(op, space)
+    assert (err.value.input_monomial, err.value.output_monomial) == witness
+    with pytest.raises(FlagViolation) as err:
+        ref.restrict_to_flag(op, space)
+    assert (err.value.input_monomial, err.value.output_monomial) == witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), level=st.integers(0, 5), grade=st.integers(1, 3))
+def test_preserves_flag_matches_the_reference_where_the_top_layer_cancels(
+        data, level, grade):
+    # J+ = tau^2 d - level tau and the bc1_qes operator of the same level
+    # raise every monomial but tau^level, where their raising terms cancel
+    if data.draw(st.booleans(), label="jplus"):
+        op = DiffOp(1, {(1,): t * t, (0,): t * (-level)})
+    else:
+        nus = data.draw(st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 3),
+                        label="nu2, nu3, b")
+        op = build_bc1_qes(*nus, level).h
+    n = data.draw(st.integers(0, grade * (level + 2)), label="n")
+    space = FlagSpace(1, (grade,), n)
+    try:
+        want = ref.restrict_to_flag(op, space)
+    except FlagViolation as exc:
+        event("leaves the flag")
+        witness = (exc.input_monomial, exc.output_monomial)
+        assert preserves_flag(op, space) == (False, witness)
+        with pytest.raises(FlagViolation) as err:
+            restrict_to_flag(op, space)
+        assert (err.value.input_monomial, err.value.output_monomial) == witness
+    else:
+        event("keeps the flag at its top layer" if n // grade == level
+              else "keeps the flag")
+        assert preserves_flag(op, space) == (True, None)
+        assert rows(restrict_to_flag(op, space)) == want
 
 
 def test_restrict_zero_operator():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforms import cartesian as cart
-from orbitforms import models
+from orbitforms import models, poly
 from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
@@ -663,10 +663,12 @@ def test_printed_readings_match_the_closures(data, N, nus):
 # -- the coupling-free tables, built once per (family, N) ------------------------
 
 def clear_model_caches() -> None:
-    """Empty every cache of the models module, the per-spec ones too."""
+    """Empty every cache of the models module, the per-spec ones too, and
+    the shared flag spaces."""
     for value in vars(models).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+    poly._flag_space.cache_clear()
 
 
 def test_every_model_cache_is_bounded_by_the_n_ceiling():
@@ -757,7 +759,7 @@ def test_exact_suites_keep_their_golden_bytes_cold_and_warm(tmp_path, monkeypatc
     monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
     out = tmp_path / "report"
     for warm in (False, True):
-        for suite in ("flags", "spectral", "algebra", "gauge"):
+        for suite in ("flags", "spectral", "algebra", "gauge", "pi"):
             if not warm:
                 clear_model_caches()
             assert main(["verify", "--suite", suite, "--seed", "1", "--out", str(out)]) == 0

@@ -1,13 +1,16 @@
 """Exact polynomial core: ring operations, rational functions, flag bases."""
 
+import copy
+import pickle
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforms import poly
 from orbitforms.errors import DimensionMismatch, DomainError
 from orbitforms.poly import (FlagSpace, MultiPoly, RationalFn,
                              enumerate_flag_basis, fdegree, flag_dimension,
@@ -177,6 +180,53 @@ def test_flag_nesting(d, n, f):
 def test_bad_char_vector_rejected():
     with pytest.raises(DomainError):
         FlagSpace(2, (1, 0), 3)
+
+
+def test_one_flag_space_is_shared_per_d_f_n():
+    space = FlagSpace(2, [1, 2], 3)
+    assert FlagSpace(2, (1, 2), 3) is space is enumerate_flag_basis(2, [1, 2], 3)
+    assert space.f == (1, 2) and space.basis == tuple(
+        sorted(((a, b) for a in range(4) for b in range(2) if a + 2 * b <= 3),
+               key=lambda e: (fdegree(e, (1, 2)), e)))
+    # another grade, level or variable count is another space
+    for other, f in ((FlagSpace(2, (2, 1), 3), (2, 1)), (FlagSpace(2, [1, 1], 3), (1, 1)),
+                     (FlagSpace(2, (1, 2), 4), (1, 2)), (FlagSpace(1, (1,), 3), (1,))):
+        assert other is not space and other.f == f
+        assert other.basis == tuple(sorted(
+            (e for e in product(range(5), repeat=len(f)) if fdegree(e, f) <= other.n),
+            key=lambda e: (fdegree(e, f), e)))
+    # copies and pickles come back as the shared instance
+    assert copy.deepcopy(space) is space and pickle.loads(pickle.dumps(space)) is space
+    with pytest.raises(AttributeError):
+        space.n = 4
+
+
+@pytest.mark.parametrize("args, error", [
+    ((0, (), 1), DomainError), ((1, (1,), -1), DomainError),
+    ((2, (1,), 2), DimensionMismatch), ((1, [0], 2), DomainError),
+    ((1, (1,), 2.0), TypeError)])
+def test_a_refused_flag_space_raises_each_time_and_is_never_cached(args, error):
+    poly._flag_space.cache_clear()
+    for _ in range(2):
+        with pytest.raises(error):
+            FlagSpace(*args)
+    assert poly._flag_space.cache_info().currsize == 0
+    # it is refused also beside a cached space with equal arguments
+    FlagSpace(1, (1,), 2), FlagSpace(1, (1,), 1)
+    with pytest.raises(error):
+        FlagSpace(*args)
+
+
+def test_the_flag_space_cache_is_bounded():
+    poly._flag_space.cache_clear()
+    bound = poly._flag_space.cache_info().maxsize
+    assert isinstance(bound, int)
+    first = FlagSpace(1, (1,), 0)
+    for n in range(bound + 5):
+        FlagSpace(1, (1,), n)
+    assert poly._flag_space.cache_info().currsize == bound
+    assert FlagSpace(1, (1,), 0) is not first    # the oldest entry was dropped
+    poly._flag_space.cache_clear()
 
 
 # -- ring axioms via hypothesis ------------------------------------------------

@@ -604,6 +604,18 @@ def test_cli_verify_refuses_csv(tmp_path, capsys, monkeypatch, via_config):
     _main_one_line_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [[*SMALL_SPECTRUM], ["table"], ["verify", "--suite", "pi"]])
+def test_cli_refuses_a_format_other_than_json_and_csv(tmp_path, capsys, monkeypatch, argv):
+    # argparse limits --format; a config file's format=xml meets the same rule
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=xml\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: format must be json or csv, not 'xml'\n"
+    assert main([*argv, "--config", str(cfg), "--format", "json"]) == 0
+
+
 SPECTRUM_LEVELS = {"bc1": ["--n", "1"], "bc1_qes": ["--n", "1"],
                    "sutherland": ["--N", "2", "--n", "1"],
                    "bcn": ["--N", "2", "--n", "1"], "g2": ["--n", "1"]}
