@@ -149,7 +149,7 @@ def _spectrum_payload(config: RunConfig) -> bytes:
     n = config.get("n")
     if n is None:
         raise DomainError("spectrum needs --n (flag level)")
-    numeric = bool(config.get("numeric_check", True))
+    numeric = config.get("numeric_check")
     if family == "bc1":
         bundle = build_bc1(config.fraction("nu2", 0), config.fraction("nu3", 0))
     elif family == "bc1_qes":
@@ -233,7 +233,7 @@ def _spectrum_payload(config: RunConfig) -> bytes:
         "schema": SCHEMA,
         "command": "spectrum",
         "config": config.canonical(),
-        "model": record.model,
+        "model": family,
         "flag": {"d": record.d, "f": list(record.f), "n": record.n},
         "dim": record.dim,
         "numeric_checked": record.numeric_checked,

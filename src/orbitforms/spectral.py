@@ -74,7 +74,6 @@ class SpectralEntry:
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    model: str
     d: int
     f: tuple[int, ...]
     n: int
@@ -164,7 +163,7 @@ def spectrum(model: ModelBundle, n: int, *, vector: tuple[int, ...] | None = Non
     if numeric_check:
         _numeric_multiset_check(matrix, roots)
         numeric_checked = True
-    return SpectrumRecord(model.spec.family, space.d, space.f, n,
+    return SpectrumRecord(space.d, space.f, n,
                           tuple(entries), tuple(defective), numeric_checked)
 
 
@@ -211,7 +210,6 @@ def _numeric_multiset_check(matrix: ExactMatrix, roots: Sequence[Fraction]) -> N
 
 @dataclass(frozen=True)
 class QesSpectrumRecord:
-    model: str
     n: int
     matrix: ExactMatrix
     eigenvalues: tuple            # mpf values, ascending
@@ -256,7 +254,7 @@ def qes_spectrum(model: ModelBundle) -> QesSpectrumRecord:
     with mp.workdps(NUMERIC_DPS):
         eigvals = tuple(mpmath.ldexp(mpmath.mpf(lo + hi), -ROOT_BITS - 1) / matrix.den
                         for lo, hi, m in roots for _ in range(m))
-    return QesSpectrumRecord(model.spec.family, n, matrix, eigvals, mp.mpf(0))
+    return QesSpectrumRecord(n, matrix, eigvals, mp.mpf(0))
 
 
 # ---------------------------------------------------------------------------

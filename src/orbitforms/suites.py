@@ -24,8 +24,8 @@ from .errors import EngineError
 from .integrals import annihilation_check, build_pi_integral
 from .models import (ModelBundle, bcn_eigenvalue_printed,
                      bcn_rational_potential_printed, build_bc1, build_bc1_qes,
-                     build_bcn, build_g2, build_mw_family, build_sutherland,
-                     g2_eigenvalue_printed, mw_word_data, root_table,
+                     build_bcn, build_g2, build_sutherland,
+                     g2_eigenvalue_printed, mw_word, root_table,
                      sutherland_eigenvalue_printed, ttw_models)
 from .poly import FlagSpace, MultiPoly
 from .report import (FAIL, PASS, REPORTED, CheckRecord, RunConfig,
@@ -91,7 +91,7 @@ def _model_wanted(config: RunConfig, name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def _builders_for_spectra(config: RunConfig, seed: int):
-    tuples = int(config.get("tuples", 5))
+    tuples = config.get("tuples")
     jobs = []
     if _model_wanted(config, "bc1"):
         for i, (a, b) in enumerate(parameter_tuples(seed + 1, tuples, 2)):
@@ -113,7 +113,7 @@ def _builders_for_spectra(config: RunConfig, seed: int):
 
 
 def suite_spectral(config: RunConfig) -> list[CheckRecord]:
-    seed = int(config.get("seed", 1))
+    seed = config.get("seed")
     checks: list[CheckRecord] = []
 
     for name, bundle, nmax in _builders_for_spectra(config, seed):
@@ -129,7 +129,7 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
     # numeric cross-check at spectral.NUMERIC_DPS (60) digits, one representative
     # per family
     numeric_jobs = []
-    if config.get("numeric_check", True):
+    if config.get("numeric_check"):
         if _model_wanted(config, "bc1"):
             numeric_jobs.append(("spectral/numeric/bc1",
                                  build_bc1(Fraction(1, 3), Fraction(2, 5)), 12))
@@ -159,7 +159,7 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
 
     # Jacobi identification, p <= 10, five random tuples
     if _model_wanted(config, "bc1"):
-        for i, (a, b) in enumerate(parameter_tuples(seed + 40, int(config.get("tuples", 5)), 2)):
+        for i, (a, b) in enumerate(parameter_tuples(seed + 40, config.get("tuples"), 2)):
             def run(rec: CheckRecord, nu2=a, nu3=b):
                 bundle = build_bc1(nu2, nu3)
                 record = spectrum(bundle, 10, numeric_check=False)
@@ -205,8 +205,8 @@ def suite_spectral(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def suite_flags(config: RunConfig) -> list[CheckRecord]:
-    seed = int(config.get("seed", 1))
-    tuples = int(config.get("tuples", 5))
+    seed = config.get("seed")
+    tuples = config.get("tuples")
     checks: list[CheckRecord] = []
 
     for name, bundle, nmax in _builders_for_spectra(config, seed + 100):
@@ -245,7 +245,7 @@ def suite_flags(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def suite_algebra(config: RunConfig) -> list[CheckRecord]:
-    seed = int(config.get("seed", 1))
+    seed = config.get("seed")
     checks: list[CheckRecord] = []
     rng = random.Random(seed + 300)
 
@@ -396,12 +396,14 @@ def _printed_g2_check(rec: CheckRecord) -> None:
 
 def _mw_check(rec: CheckRecord, variant: str) -> None:
     b, n = Fraction(2, 3), 3
-    mw = build_mw_family(variant, b, n)
-    mapping = {"0+": (Fraction(0), Fraction(0), n),
-               "0-": (Fraction(1), Fraction(0), n - 1),
-               "1-": (Fraction(0), Fraction(1), n),
-               "1+": (Fraction(1), Fraction(-1), n)}
-    nu2, nu3, level = mapping[variant]
+    level, word = mw_word(variant, b, n)
+    gs = gl2_generators(level)
+    mw = evaluate_word(gs, word)
+    mapping = {"0+": (Fraction(0), Fraction(0)),
+               "0-": (Fraction(1), Fraction(0)),
+               "1-": (Fraction(0), Fraction(1)),
+               "1+": (Fraction(1), Fraction(-1))}
+    nu2, nu3 = mapping[variant]
     rec.exact["mapping"] = f"nu2={nu2}, nu3={nu3}, level={level}"
 
     best = None
@@ -418,7 +420,6 @@ def _mw_check(rec: CheckRecord, variant: str) -> None:
             best = (sign, diff)
     # no constant match: report the exact first-order residual word
     sign, diff = best
-    gs = gl2_generators(level)
     fit = fit_decomposition(diff, gs, max_word_degree=1)
     rec.status = REPORTED
     rec.exact["b_sign"] = sign
@@ -429,9 +430,7 @@ def _mw_check(rec: CheckRecord, variant: str) -> None:
         rec.status = FAIL
         rec.details = "residual not expressible in first-order words"
     # the printed words must at least coincide with the printed QES pattern
-    rep, coeffs = mw_word_data(variant, b, n)
-    gsr = gl2_generators(max(rep, 0))
-    pattern_op = evaluate_word(gsr, _printed_qes_word(nu2, nu3, b, level))
+    pattern_op = evaluate_word(gs, _printed_qes_word(nu2, nu3, b, level))
     delta = mw - pattern_op
     cpart = delta.constant_part()
     if delta.order() == 0 and delta.polynomial:
@@ -531,7 +530,7 @@ def _conjugated(bundle: ModelBundle, factor: GaugeFactor | None = None):
 
 
 def suite_gauge(config: RunConfig) -> list[CheckRecord]:
-    seed = int(config.get("seed", 1))
+    seed = config.get("seed")
     rng = random.Random(seed + 400)
     checks: list[CheckRecord] = []
     nu2, nu3 = _rand_fraction(rng), _rand_fraction(rng)
@@ -602,7 +601,7 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
             rec.details = "wall-term coefficients corrected by exact partial fractions"
             # the engine potential must match the Cartesian sums pointwise
             pts = cart.sample_alcove(bundle.spec, 10, seed + N)
-            dps = int(config.get("dps", 40))
+            dps = config.get("dps")
             with mp.workdps(dps):
                 ground = cart.CheckGround(bundle.spec)
                 shared = cart.SharedMonomials([engine.num, engine.den])
@@ -626,9 +625,9 @@ def suite_gauge(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
-    seed = int(config.get("seed", 1))
-    points = int(config.get("sample_points", 50))
-    dps = int(config.get("dps", 40))
+    seed = config.get("seed")
+    points = config.get("sample_points")
+    dps = config.get("dps")
     tol = mpmath.mpf(RESIDUAL_TOL)
     checks: list[CheckRecord] = []
 
@@ -743,9 +742,9 @@ def suite_cartesian(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def suite_ttw(config: RunConfig) -> list[CheckRecord]:
-    seed = int(config.get("seed", 1))
-    points = int(config.get("sample_points", 50))
-    dps = int(config.get("dps", 40))
+    seed = config.get("seed")
+    points = config.get("sample_points")
+    dps = config.get("dps")
     ctol = mpmath.mpf(CONSTANCY_TOL)
     checks: list[CheckRecord] = []
     base = dict(nu2=Fraction(1, 2), nu3=Fraction(1, 3), beta=Fraction(3, 2),

@@ -2,13 +2,15 @@
 `src/orbitforms/*.py`, as the string first argument of a `.get(...)` or
 `.fraction(...)` call.  A key that nothing reads still changes the report's
 `config` block and the cache key, while the run does the same work.  The
-same holds per command: `table` refuses every key but the three it reads."""
+same holds per command: `table` refuses every key but the three it reads.
+And every default lives in `report._DEFAULTS` alone: no `.get("key", default)`
+restates the default of a key that `RunConfig.from_items` always fills."""
 
 import ast
 from pathlib import Path
 
 from orbitforms.cli import main
-from orbitforms.report import _CONFIG_FIELDS
+from orbitforms.report import _CONFIG_FIELDS, _DEFAULTS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orbitforms"
 
@@ -39,6 +41,33 @@ def test_the_guard_flags_a_planted_unread_key():
     fields = {"seed": int, "nu": str, "orthogonality_tol": str, "residual_tol": str}
     # a key named elsewhere, or read by a bare call, is still unread
     assert dead_knobs(fields, sources) == ["orthogonality_tol", "residual_tol"]
+
+
+def restated_defaults(defaults, sources: list[str]) -> list[str]:
+    """The keys of `defaults` that a `.get("key", default)` call of
+    `sources` (source texts) reads with a default of its own."""
+    restated = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and len(node.args) == 2
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value in defaults):
+                restated.add(node.args[0].value)
+    return sorted(restated)
+
+
+def test_no_read_restates_a_config_default():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert restated_defaults(_DEFAULTS, sources) == []
+
+
+def test_the_guard_flags_a_planted_restated_default():
+    sources = ['def run(config):\n'
+               '    return (int(config.get("seed", 1)), config.get("dps"),\n'
+               '            config.get("command", "verify"))\n']
+    # a read without a default, or of a key with no default, passes
+    assert restated_defaults({"seed": 1, "dps": 40}, sources) == ["seed"]
 
 
 def test_table_refuses_every_key_it_does_not_read(tmp_path, capsys, monkeypatch):

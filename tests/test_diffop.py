@@ -10,7 +10,7 @@ from orbitforms.diffop import (DiffOp, GaugeFactor, apply, commutator, compose,
                                gauge_conjugate, linear_combination,
                                preserves_flag, restrict_to_flag)
 from orbitforms.errors import DomainError, FlagViolation, UnsupportedOrder
-from orbitforms.models import build_bc1, build_bc1_qes, g2_operator
+from orbitforms.models import build_bc1, build_bc1_qes, build_g2
 from orbitforms.poly import FlagSpace, MultiPoly, RationalFn
 import reference_kernels as ref
 from reference_linalg import dense_action_matrix, is_block_triangular
@@ -330,7 +330,7 @@ def test_restrict_zero_operator():
 
 
 def test_preserves_g2_flags():
-    h = g2_operator(Fraction(1, 2), Fraction(1, 3))
+    h = build_g2(Fraction(1, 2), Fraction(1, 3)).h
     for f in ((1, 2), (3, 5), (5, 9)):
         ok, _ = preserves_flag(h, FlagSpace(2, f, 8))
         assert ok, f
@@ -339,7 +339,7 @@ def test_preserves_g2_flags():
 def test_g2_unit_flag_violation():
     # the (1,1)-graded level-1 space is preserved (the image of tau2 is
     # affine), but level 2 breaks: tau2^2 picks up a tau1^3 term
-    h = g2_operator(Fraction(1, 2), Fraction(1, 3))
+    h = build_g2(Fraction(1, 2), Fraction(1, 3)).h
     ok1, _ = preserves_flag(h, FlagSpace(2, (1, 1), 1))
     assert ok1
     ok2, witness = preserves_flag(h, FlagSpace(2, (1, 1), 2))

@@ -13,13 +13,11 @@ from orbitforms import models, poly
 from orbitforms.cli import main
 from orbitforms.diffop import DiffOp, apply, gauge_conjugate
 from orbitforms.errors import DomainError, UnsupportedModel
-from orbitforms.models import (_bc_pairs,
-                               bcn_coefficients, bcn_eigenvalue_printed,
+from orbitforms.models import (_bc_pairs, bcn_eigenvalue_printed,
                                bcn_rational_potential_printed, build_bc1,
                                build_bc1_qes, build_bcn, build_g2, build_mw_family,
                                build_sutherland, char_vector_table,
                                eigenvalue_formula, g2_eigenvalue_printed,
-                               sutherland_coefficients,
                                sutherland_eigenvalue_printed, ttw_models)
 from orbitforms.poly import MultiPoly, to_mpf
 from orbitforms.report import CEILINGS, RunConfig
@@ -301,7 +299,7 @@ def test_every_solvable_model_annihilates_constants():
         assert eigenvalue_formula(bundle, (0,) * bundle.d) == 0
 
 
-# -- pair-table builders against the MultiPoly loops they replaced ----------------
+# -- the operator tables against the MultiPoly loops they replaced ----------------
 
 def assert_same_table(got: dict, want: dict) -> None:
     """Equal keys in the same order, each polynomial equal term by term."""
@@ -344,11 +342,9 @@ def exponents(d: int):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), N=st.integers(2, 6), nu=couplings)
 def test_sutherland_builder_matches_the_multipoly_loop(data, N, nu):
-    A, B = sutherland_coefficients(N, nu)
-    A_ref, B_ref = ref.sutherland_coefficients(N, nu)
-    assert_same_table(A, A_ref)
-    assert_same_table(B, B_ref)
+    # h term by term, also where a drift coefficient cancels (nu = -1/N)
     bundle = build_sutherland(N, nu)
+    assert_same_op(bundle.h, reference_operator(N - 1, *ref.sutherland_coefficients(N, nu)))
     for _ in range(3):
         p = data.draw(exponents(N - 1), label="p")
         want = ref.sutherland_eigenvalue(N, nu, p)
@@ -359,16 +355,14 @@ def test_sutherland_builder_matches_the_multipoly_loop(data, N, nu):
 @given(data=st.data(), N=st.integers(1, 6),
        nus=st.tuples(couplings, couplings, couplings))
 def test_bcn_builder_matches_the_multipoly_loop(data, N, nus):
-    A, B = bcn_coefficients(N, *nus)
-    A_ref, B_ref = ref.bcn_coefficients(N, *nus)
-    assert_same_table(A, A_ref)
-    assert_same_table(B, B_ref)
     bundle = build_bcn(N, *nus)
+    assert_same_op(bundle.h, reference_operator(N, *ref.bcn_coefficients(N, *nus)))
     if N <= 4:   # the gauge data of N = 5 and 6 take seconds to derive
-        # Delta_g is h at zero couplings, assembled from the same A
+        # Delta_g is the evaluator at zero couplings: h of the zero build
         delta_g = reference_delta_g(N)
         derivatives = {k: c for k, c in bundle.rational_form.terms.items() if any(k)}
         assert_same_table(derivatives, delta_g.terms)
+        assert_same_table(derivatives, build_bcn(N, 0, 0, 0).h.terms)
     for _ in range(3):
         p = data.draw(exponents(N), label="p")
         want = ref.bcn_eigenvalue(N, *nus, p)
@@ -438,11 +432,23 @@ def test_ground_energy_matches_the_closed_forms(N, nus, b, n):
         assert models.ground_energy(bundle.spec) == want
 
 
+def reference_symbol(d: int, A: dict) -> dict:
+    """The second-order terms of reference_operator, A_ij and A_ji summed."""
+    return reference_operator(d, A, {}).terms
+
+
 def test_bcn_second_order_matches_the_multipoly_loop_to_the_ceiling():
-    # A is coupling-free, so this covers the term order of every admitted N
+    # the symbol is coupling-free, so this covers the term order of every
+    # admitted N
     for N in range(1, CEILINGS["N"] + 1):
-        assert_same_table(bcn_coefficients(N, 0, 0, 0)[0],
-                          ref.bcn_coefficients(N, 0, 0, 0)[0])
+        assert_same_table(models._operator_table("BC", N).symbol,
+                          reference_symbol(N, ref.bcn_coefficients(N, 0, 0, 0)[0]))
+
+
+def test_sutherland_second_order_matches_the_multipoly_loop_to_the_ceiling():
+    for N in range(2, CEILINGS["N"] + 1):
+        assert_same_table(models._operator_table("A", N).symbol,
+                          reference_symbol(N - 1, ref.sutherland_coefficients(N, 0)[0]))
 
 
 # -- gauge data on demand ---------------------------------------------------------
@@ -673,13 +679,32 @@ def clear_model_caches() -> None:
 
 def test_every_model_cache_is_bounded_by_the_n_ceiling():
     caches = [v for v in vars(models).values() if hasattr(v, "cache_info")]
-    assert {models._bcn_second_order, models._sutherland_second_order,
-            models._bc_pairs, models.weyl_tables} <= set(caches)
-    for cache in (models._bcn_second_order, models._sutherland_second_order,
-                  models._bc_pairs):
-        assert cache.cache_info().maxsize == CEILINGS["N"]
+    assert {models._operator_table, models._bc_pairs, models.weyl_tables} <= set(caches)
+    # one table per (root system, N): A and BC up to the ceiling, and G2
+    assert models._operator_table.cache_info().maxsize == 2 * CEILINGS["N"] + 1
+    assert models._bc_pairs.cache_info().maxsize == CEILINGS["N"]
     assert models.weyl_tables.cache_info().maxsize == len(models.FAMILIES) * CEILINGS["N"]
-    assert models._g2_second_order.cache_info().maxsize == 1
+
+
+def test_one_table_per_root_system_and_n():
+    # every family at two couplings: one miss per (root system, N), and
+    # bc1, bc1_qes and BC_N at N = 1 share one entry
+    clear_model_caches()
+    for nus in POISON_COUPLINGS:
+        nu, nu2, nu3 = nus
+        build_bc1(nu2, nu3)
+        build_bc1_qes(nu2, nu3, nu, 2)
+        build_g2(nu, nu2)
+        for N in (1, 2, 3):
+            build_bcn(N, *nus)
+        for N in (2, 3):
+            build_sutherland(N, nu)
+    info = models._operator_table.cache_info()
+    assert (info.misses, info.currsize) == (6, 6)
+    bc1 = models._operator_table("BC", 1)
+    assert build_bc1_qes(1, 2, 0, 1).h.terms[(2,)] is bc1.symbol[(2,)]
+    assert build_bcn(1, 1, 2, 3).h.terms[(2,)] is bc1.symbol[(2,)]
+    assert models._operator_table.cache_info().misses == 6
 
 
 POISON_COUPLINGS = ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
@@ -726,31 +751,29 @@ def test_model_tables_are_not_poisoned_by_other_couplings():
 def test_coefficient_tables_are_read_only():
     nus = POISON_COUPLINGS[0]
     want = build_bcn(3, *nus).h, build_sutherland(4, nus[0]).h
-    for A, _ in (bcn_coefficients(3, *nus), sutherland_coefficients(4, nus[0])):
-        key = next(iter(A))
+    for table in (models._operator_table("BC", 3), models._operator_table("A", 4)):
+        key = next(iter(table.symbol))
         with pytest.raises(TypeError):
-            A[key] = A[key] * 2
+            table.symbol[key] = table.symbol[key] * 2
         with pytest.raises(TypeError):
-            del A[key]
-        assert not hasattr(A, "update") and not hasattr(A, "pop")
+            del table.symbol[key]
+        with pytest.raises(TypeError):
+            table.drift[0] = table.drift[1]
+        with pytest.raises(AttributeError):
+            table.den = 2
+        assert not hasattr(table.symbol, "update") and not hasattr(table.symbol, "pop")
     assert (build_bcn(3, *nus).h, build_sutherland(4, nus[0]).h) == want
 
 
-def test_g2_builds_share_one_second_order_and_keep_the_hand_typed_form():
-    # couplings g1, then g2, then g1 again, and g1 from an emptied cache:
-    # each h equals the hand-typed form key by key and term by term
-    clear_model_caches()
-    g1, g2 = POISON_COUPLINGS[0][:2], POISON_COUPLINGS[1][:2]
-    for nus in (g1, g2, g1):
-        assert_same_op(build_g2(*nus).h, ref.g2_operator(*nus))
-    A = models._g2_second_order()
-    assert models._g2_second_order.cache_info().misses == 1
-    assert A[(1, 2)] == A[(2, 1)]
-    with pytest.raises(TypeError):
-        A[(1, 1)] = A[(1, 1)] * 2
-    clear_model_caches()
-    assert_same_op(build_g2(*g1).h, ref.g2_operator(*g1))
-    assert models._g2_second_order() is not A
+@settings(max_examples=60, deadline=None)
+@given(nus=st.tuples(couplings, couplings))
+def test_g2_builds_share_one_second_order_and_keep_the_hand_typed_form(nus):
+    # each h equals the hand-typed form key by key and term by term, and
+    # holds the one cached symbol
+    h = build_g2(*nus).h
+    assert_same_op(h, ref.g2_operator(*nus))
+    symbol = models._operator_table("G2", None).symbol
+    assert all(h.terms[k] is c for k, c in symbol.items())
 
 
 def test_exact_suites_keep_their_golden_bytes_cold_and_warm(tmp_path, monkeypatch):

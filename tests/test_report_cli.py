@@ -214,6 +214,21 @@ def test_cli_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["numeric_checked"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "bc1", "--nu2", "1/3", "--nu3", "1/5"],
+    ["--model", "bc1_qes", "--nu2", "1/3", "--nu3", "1/5", "--b", "2/3"],
+    ["--model", "sutherland", "--N", "3", "--nu", "1/2"],
+    ["--model", "bcn", "--N", "2", "--nu", "1/2", "--nu2", "1/3", "--nu3", "1/5"],
+    ["--model", "g2", "--nu", "1/2", "--mu", "1/3"],
+], ids=lambda argv: argv[1])
+def test_spectrum_json_names_the_model_as_its_config_does(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("ORBITFORMS_CACHE", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["spectrum", *argv, "--n", "2", "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert body["model"] == body["config"]["model"] == argv[1]
+
+
 def test_cli_qes_spectrum():
     res = run_cli("spectrum", "--model", "bc1_qes", "--nu2", "0", "--nu3", "0",
                   "--b", "1", "--n", "1")

@@ -457,7 +457,7 @@ def reference_spectrum(model, n, vector=None):
                       for v in vectors)
         assert all(apply(model.h, phi) == phi * val for phi in polys)
         entries.append(SpectralEntry(val, monos, len(monos), len(vectors), polys))
-    return SpectrumRecord(model.spec.family, space.d, space.f, n,
+    return SpectrumRecord(space.d, space.f, n,
                           tuple(entries), tuple(defective), False)
 
 
@@ -676,7 +676,7 @@ GOLDEN_SPECTRUM_QUERIES = [
     ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "10", "--f", "3,5"],
     ["--model", "g2", "--nu", "1/2", "--mu", "1/3", "--n", "12", "--f", "5,9"],
 ]
-GOLDEN_SPECTRUM_SHA256 = "6002bb4f4b8e5120522ff4a140452ab287d33c5861b28f26319ae2e08c5fbba8"
+GOLDEN_SPECTRUM_SHA256 = "df8953af4f603754c4663e0a7f18f56ddd2f0219085e2fcad6da8daa30aa6eca"
 # `verify --suite S --seed 1` reports, keyed by the --suite value and any
 # further options
 GOLDEN_SUITE_SHA256 = {
